@@ -11,9 +11,10 @@ point x0 = eta/n of the base alcove, where eta = (n-1, n-2, ..., 0): for any
 element g and any root alpha the pairing <g(x0), alpha∨> has denominator
 exactly n, so it is never an integer and every alcove membership test is a
 strict inequality.  Length is the number of root hyperplanes separating x0
-from g(x0); the Bruhat order is computed by descent recursion on the affine
-Weyl group W_a, with the finite-index factor Omega (the stabilizer of the
-base alcove) split off by the degree homomorphism deg(t_nu ∘ w) = sum(nu).
+from g(x0); the Bruhat order is computed by stripping left descents in the
+affine Weyl group W_a, with the finite-index factor Omega (the stabilizer of
+the base alcove) split off by the degree homomorphism deg(t_nu ∘ w) = sum(nu).
+Admissible sets are decided by the vertexwise test (Adm = Perm for GL_n).
 
 Conventions used throughout the package:
 
@@ -29,6 +30,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,6 +82,9 @@ __all__ = [
     "omega_power",
     "wa_part_and_omega",
     "adm",
+    "adm_member",
+    "conv_contains",
+    "conv_lattice_points",
     "regular_factorization",
     "ap_enumerate",
     "ap_member",
@@ -92,6 +97,7 @@ __all__ = [
     "perm_inverse",
     "perm_act",
     "perm_w0",
+    "perm_sign",
     "all_perms",
     "positive_roots",
     "all_roots",
@@ -130,6 +136,13 @@ def perm_act(w, v):
 
 def perm_w0(n):
     return tuple(range(n, 0, -1))
+
+
+def perm_sign(w):
+    """(-1)^(number of inversions); w may be 0- or 1-based."""
+    inversions = sum(1 for i, j in itertools.combinations(range(len(w)), 2)
+                     if w[i] > w[j])
+    return -1 if inversions % 2 else 1
 
 
 def all_perms(n):
@@ -255,10 +268,6 @@ def star(a: WeylElement) -> WeylElement:
     return WeylElement(wi, perm_act(wi, a.nu))
 
 
-def _floor(q):
-    return q.numerator // q.denominator if isinstance(q, Fraction) else q // 1
-
-
 @lru_cache(maxsize=None)
 def _separation(a: WeylElement, x_index: int) -> int:
     n = a.n
@@ -266,7 +275,7 @@ def _separation(a: WeylElement, x_index: int) -> int:
     y = evaluate(a, x)
     total = 0
     for root in positive_roots(n):
-        total += abs(_floor(pairing(y, root)) - _floor(pairing(x, root)))
+        total += abs(math.floor(pairing(y, root)) - math.floor(pairing(x, root)))
     return total
 
 
@@ -422,19 +431,24 @@ def max_len_cap() -> int:
 
 @lru_cache(maxsize=None)
 def _leq_wa(a: WeylElement, b: WeylElement) -> bool:
-    if a == b:
-        return True
-    la, lb = length(a), length(b)
-    if la >= lb:
-        return False
-    for s in simple_reflections(a.n):
-        sb = multiply(s, b)
-        if length(sb) < lb:
-            sa = multiply(s, a)
-            if length(sa) < la:
-                return _leq_wa(sa, sb)
-            return _leq_wa(a, sb)
-    raise InternalError("non-identity element without left descent")
+    """a <= b in W_a: strip a left descent s of b, and of a when s is one of
+    a's too, until the lengths decide.  A loop, not recursion, so long
+    elements do not hit the interpreter's recursion limit."""
+    while a != b:
+        la, lb = length(a), length(b)
+        if la >= lb:
+            return False
+        for s in simple_reflections(a.n):
+            sb = multiply(s, b)
+            if length(sb) < lb:
+                sa = multiply(s, a)
+                if length(sa) < la:
+                    a = sa
+                b = sb
+                break
+        else:
+            raise InternalError("non-identity element without left descent")
+    return True
 
 
 def bruhat_leq(a: WeylElement, b: WeylElement) -> bool:
@@ -507,7 +521,7 @@ def _dominating_translation(elements):
         y = _image_point(e)
         for r in positive_roots(n):
             q = abs(pairing(y, r))
-            bound = max(bound, _floor(q) + 1)
+            bound = max(bound, math.floor(q) + 1)
     b = bound + 1
     return translation(tuple(b * c for c in eta_vector(n)))
 
@@ -536,24 +550,67 @@ def _check_dominant_weight(lam):
         raise ArgumentError(f"weight {lam} is not dominant")
 
 
-def adm(lam, variant="all"):
-    """Adm(lam) = union of Bruhat intervals below the translations t_{w(lam)};
-    'regular' keeps the regular elements, 'dual' applies the star involution."""
+def conv_contains(nu, lam) -> bool:
+    """nu in Conv(W·lam), decided by majorization of the sorted vectors."""
+    if sum(nu) != sum(lam):
+        return False
+    a = sorted(nu, reverse=True)
+    b = sorted(lam, reverse=True)
+    pa = pb = 0
+    for x, y in zip(a, b):
+        pa += x
+        pb += y
+        if pa > pb:
+            return False
+    return True
+
+
+def conv_lattice_points(lam):
+    """Integer points of the Weyl-orbit hull of lam."""
+    lo, hi = min(lam), max(lam)
+    pts = []
+    for cand in itertools.product(range(lo, hi + 1), repeat=len(lam)):
+        if conv_contains(cand, lam):
+            pts.append(cand)
+    return pts
+
+
+def adm_member(x: WeylElement, lam) -> bool:
+    """x in Adm(lam), by the vertexwise test: for GL_n, Adm(lam) = Perm(lam)
+    (Kottwitz-Rapoport, Haines-Ngo), the elements of degree sum(lam) moving
+    every vertex v of the base alcove to a point with x(v) - v in
+    Conv(W·lam)."""
     lam = tuple(int(c) for c in lam)
     _check_dominant_weight(lam)
-    n = len(lam)
-    seen = set()
-    for w in all_perms(n):
-        t = translation(perm_act(w, lam))
-        seen.update(bruhat_interval(t))
-    if variant == "all":
-        out = seen
-    elif variant == "regular":
-        out = {a for a in seen if is_regular(a)}
-    elif variant == "dual":
-        out = {star(a) for a in seen}
-    else:
+    n = x.n
+    if len(lam) != n:
+        raise ContextError(f"rank mismatch: {n} vs weight {lam}")
+    # the vertices are v = (1^k, 0^(n-k)); k = 0 tests nu itself, and
+    # conv_contains also compares the degrees
+    for k in range(n):
+        v = (1,) * k + (0,) * (n - k)
+        moved = perm_act(x.w, v)
+        if not conv_contains(
+                tuple(m + c - vi for m, c, vi in zip(moved, x.nu, v)), lam):
+            return False
+    return True
+
+
+def adm(lam, variant="all"):
+    """Adm(lam), the elements t_nu ∘ w with nu in Conv(W·lam) that pass the
+    vertexwise test; 'regular' keeps the regular elements, 'dual' applies the
+    star involution.  Canonically sorted."""
+    lam = tuple(int(c) for c in lam)
+    _check_dominant_weight(lam)
+    if variant not in ("all", "regular", "dual"):
         raise InputError(f"unknown admissible-set variant {variant!r}")
+    candidates = (WeylElement(w, nu) for nu in conv_lattice_points(lam)
+                  for w in all_perms(len(lam)))
+    out = [x for x in candidates if adm_member(x, lam)]
+    if variant == "regular":
+        out = [a for a in out if is_regular(a)]
+    elif variant == "dual":
+        out = [star(a) for a in out]
     return sorted(out, key=sort_key)
 
 
@@ -577,7 +634,7 @@ def regular_factorization(a: WeylElement):
     order = sorted(range(n), key=lambda i: y[i])  # ascending -> antidominant
     w2f = perm_inverse(tuple(i + 1 for i in order))
     z = perm_act(w2f, base_point(n))
-    diffs = [-_floor(z[i] - z[i + 1]) for i in range(n - 1)]
+    diffs = [-math.floor(z[i] - z[i + 1]) for i in range(n - 1)]
     eta2 = [0] * n
     for i in range(n - 2, -1, -1):
         eta2[i] = eta2[i + 1] + diffs[i]
@@ -586,7 +643,7 @@ def regular_factorization(a: WeylElement):
         raise InternalError("restricted normalisation of w2 failed")
     b = multiply(w0(n), multiply(w2, a))
     yb = _image_point(b)
-    kdiffs = [_floor(yb[i] - yb[i + 1]) for i in range(n - 1)]
+    kdiffs = [math.floor(yb[i] - yb[i + 1]) for i in range(n - 1)]
     nu = [0] * n
     for i in range(n - 2, -1, -1):
         nu[i] = nu[i + 1] + kdiffs[i]
@@ -624,9 +681,7 @@ def ap_member(w1: WeylElement, w2: WeylElement, lam_plus_eta) -> bool:
         return False
     if not is_dominant(w2):
         return False
-    prod = multiply(invert(w2), multiply(w0(w1.n), w1))
-    return any(
-        bruhat_leq(prod, translation(perm_act(w, lam))) for w in all_perms(w1.n))
+    return adm_member(multiply(invert(w2), multiply(w0(w1.n), w1)), lam)
 
 
 @lru_cache(maxsize=None)
@@ -636,7 +691,7 @@ def restricted_classes(n: int):
     found = set()
     for w in all_perms(n):
         y = perm_act(w, base_point(n))
-        diffs = [-_floor(y[i] - y[i + 1]) for i in range(n - 1)]
+        diffs = [-math.floor(y[i] - y[i + 1]) for i in range(n - 1)]
         nu = [0] * n
         for i in range(n - 2, -1, -1):
             nu[i] = nu[i + 1] + diffs[i]

@@ -31,11 +31,13 @@ import numpy as np
 from .affine_weyl import (
     GroupContext,
     WeylTuple,
-    adm,
+    adm_member,
     eta_vector,
     multiply,
     perm_act,
     perm_inverse,
+    perm_sign,
+    star,
     translation,
 )
 from .errors import (
@@ -389,7 +391,7 @@ class SeriesMatrix:
         n = self.n
         acc = np.zeros((f.degree, length), dtype=np.int64)
         for perm in _it.permutations(range(n)):
-            sign = _perm_sign_0(perm)
+            sign = perm_sign(perm)
             term = None
             for i in range(n):
                 a = self.coeffs[i, perm[i]]
@@ -404,7 +406,7 @@ class SeriesMatrix:
         times a power of v within the known window."""
         f = self.field
         n = self.n
-        Lw = self.coeffs.shape[3] + n * 4
+        Lw = n * (self.coeffs.shape[3] - 1) + 1
         det = self._det_series(Lw)
         val = None
         for t in range(det.shape[1]):
@@ -438,7 +440,7 @@ class SeriesMatrix:
                 cols = [c for c in range(n) if c != i]
                 acc = np.zeros((f.degree, Ls), dtype=np.int64)
                 for perm in _it.permutations(range(n - 1)):
-                    sign = _perm_sign_0(perm)
+                    sign = perm_sign(perm)
                     term = None
                     for a, row in enumerate(rows):
                         arr = self.coeffs[row, cols[perm[a]]]
@@ -484,22 +486,6 @@ class SeriesMatrix:
                                     None if prec is None else int(prec))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad series-matrix encoding: {data!r}") from exc
-
-
-def _perm_sign_0(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def _invert_unit(field, unit, length):
@@ -723,22 +709,16 @@ class ShapeResult:
     ctx: GroupContext
 
     def admissible_for(self, lam_rows) -> bool:
-        """shape in Adm∨(lam) componentwise."""
-        lam_rows = tuple(tuple(int(x) for x in r) for r in lam_rows)
-        ok = True
-        for j in range(self.ctx.f):
-            dual = set(adm(lam_rows[j], "dual"))
-            ok = ok and (self.shape[j] in dual)
-        return ok
+        """shape in Adm∨(lam) componentwise: Adm∨ is the star image of Adm
+        and star is an involution.  Every row is tested, so a non-dominant
+        one raises even after a failed row."""
+        return all([adm_member(star(self.shape[j]), lam_rows[j])
+                    for j in range(self.ctx.f)])
 
     def shifted_member(self, lam_plus_eta_rows) -> bool:
         """w̃(rhobar, tau) in Adm(lam + eta) componentwise."""
-        rows = tuple(tuple(int(x) for x in r) for r in lam_plus_eta_rows)
-        ok = True
-        for j in range(self.ctx.f):
-            full = set(adm(rows[j]))
-            ok = ok and (self.w_rhobar_tau[j] in full)
-        return ok
+        return all([adm_member(self.w_rhobar_tau[j], lam_plus_eta_rows[j])
+                    for j in range(self.ctx.f)])
 
 
 def shape_semisimple(rho: TameTypePresentation,

@@ -17,7 +17,6 @@ import argparse
 import json
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import affine_weyl as aw
 from . import bk_gauge as bk
@@ -141,6 +140,17 @@ def _stdin_json():
         raise InputError(f"stdin is not valid JSON: {exc}") from exc
 
 
+def _stdin_series_lists(*keys):
+    """The lists of series matrices under the given keys of the stdin
+    document."""
+    doc = _stdin_json()
+    try:
+        return [[bk.SeriesMatrix.from_json(m) for m in doc[k]] for k in keys]
+    except (KeyError, TypeError) as exc:
+        raise InputError(
+            f"stdin must be an object with matrix lists {list(keys)}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -184,29 +194,9 @@ def cmd_interval(args):
     emit([e.to_json() for e in aw.bruhat_interval(a)])
 
 
-def _parallel_adm(lam, variant, jobs):
-    n = len(lam)
-    if jobs <= 1:
-        return aw.adm(lam, variant)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        chunks = pool.map(
-            lambda w: aw.bruhat_interval(aw.translation(aw.perm_act(w, lam))),
-            aw.all_perms(n))
-    seen = set()
-    for chunk in chunks:
-        seen.update(chunk)
-    if variant == "regular":
-        seen = {a for a in seen if aw.is_regular(a)}
-    elif variant == "dual":
-        seen = {aw.star(a) for a in seen}
-    elif variant != "all":
-        raise InputError(f"unknown admissible-set variant {variant!r}")
-    return sorted(seen, key=aw.sort_key)
-
-
 def cmd_adm(args):
     lam = parse_vector(getattr(args, "lambda"), args.n)
-    emit([e.to_json() for e in _parallel_adm(lam, args.variant, args.jobs)])
+    emit([e.to_json() for e in aw.adm(lam, args.variant)])
 
 
 def cmd_ap(args):
@@ -401,18 +391,14 @@ def cmd_twist(args):
 def cmd_cob(args):
     ctx = _ctx(args)
     tw = _twist(args, ctx)
-    doc = _stdin_json()
-    A = [bk.SeriesMatrix.from_json(m) for m in doc["A"]]
-    I = [bk.SeriesMatrix.from_json(m) for m in doc["I"]]
+    A, I = _stdin_series_lists("A", "I")
     out = bk.change_of_basis(A, I, tw)
     emit([m.truncate(args.M).to_json() for m in out])
 
 
 def cmd_straighten(args):
     ctx = _ctx(args)
-    doc = _stdin_json()
-    A = [bk.SeriesMatrix.from_json(m) for m in doc["A"]]
-    X = [bk.SeriesMatrix.from_json(m) for m in doc["X"]]
+    A, X = _stdin_series_lists("A", "X")
     z = parse_tuple(args.z, ctx.n, ctx.f)
     out = bk.straighten(A, X, z, args.M, h=getattr(args, "h"))
     emit([m.truncate(args.M).to_json() for m in out])
@@ -438,6 +424,10 @@ def cmd_shape(args):
 
 def cmd_oracle(args):
     kind = args.kind
+    needed = {"length": ["a"], "bruhat": ["a", "b"], "up": ["a", "b"]}
+    for flag in needed.get(kind, []):
+        if getattr(args, flag) is None:
+            raise InputError(f"--kind {kind} needs --{flag}")
     if kind == "length":
         emit({"length": orc.im_length(parse_element(args.a, args.n))})
     elif kind == "bruhat":
@@ -463,6 +453,13 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _rank(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"rank must be at least 1, got {n}")
+    return n
+
+
 def _build_parser():
     top = _Parser(prog="awbm", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -470,13 +467,14 @@ def _build_parser():
 
     def add(name, fn, *, ctx=False, prime=False, extra=None):
         sp = sub.add_parser(name)
-        sp.add_argument("--n", type=int, required=True)
+        sp.add_argument("--n", type=_rank, required=True)
         if ctx:
             sp.add_argument("--f", type=int, default=1)
         if prime:
             sp.add_argument("--p", type=int, required=prime == "req",
                             default=None)
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored; every job runs in one thread")
         if extra:
             extra(sp)
         sp.set_defaults(func=fn)

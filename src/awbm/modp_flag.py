@@ -21,8 +21,9 @@ reported with its root and index.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .affine_weyl import (
     GroupContext,
@@ -37,6 +38,7 @@ from .affine_weyl import (
     pairing,
     perm_act,
     perm_inverse,
+    perm_sign,
     positive_roots,
     all_roots,
     sort_key,
@@ -263,6 +265,8 @@ class LaurentMatrix:
                 for row in data["entries"])
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad matrix encoding: {data!r}") from exc
+        if any(len(row) != len(rows) for row in rows):
+            raise InputError(f"matrix is not square: {data!r}")
         return cls(p, rows)
 
 
@@ -310,23 +314,6 @@ class ChartTemplate:
         }
 
 
-def _perm_sign(w):
-    n = len(w)
-    sign = 1
-    seen = [False] * n
-    for i in range(n):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = w[j] - 1
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def chart_template(z: WeylElement, h: int) -> ChartTemplate:
     """The affine chart attached to z = w t_nu (so nu = w^{-1} of the carrier's
     translation part) at pole bound h."""
@@ -358,7 +345,7 @@ def chart_template(z: WeylElement, h: int) -> ChartTemplate:
     return ChartTemplate(
         n=n, h=h, w=z.w, nu=tuple(nu),
         prefactor=tuple(pref), window_lo=tuple(lo), window_hi=tuple(hi),
-        monic=tuple(monic), det_sign=_perm_sign(z.w), det_power=sum(nu),
+        monic=tuple(monic), det_sign=perm_sign(z.w), det_power=sum(nu),
         is_empty=empty)
 
 
@@ -390,24 +377,17 @@ class CellGeometry:
                 "witness": list(self.witness)}
 
 
-def _floor(q):
-    return q.numerator // q.denominator if isinstance(q, Fraction) else q
-
-
-def _ceil(q):
-    return -((-q).numerator // (-q).denominator) if isinstance(q, Fraction) else q
-
-
 def cell_geometry(wt: WeylElement) -> CellGeometry:
     n = wt.n
     x = base_point(n)
     y = evaluate(wt, x)
     support, degrees = [], []
     for alpha in all_roots(n):
-        if _floor(pairing(y, alpha)) >= _ceil(pairing(x, alpha)):
+        d = math.floor(pairing(y, alpha)) - math.ceil(pairing(x, alpha))
+        if d >= 0:
             i, k = alpha
             support.append((k, i))  # -alpha
-            degrees.append((alpha, _floor(pairing(y, alpha)) - _ceil(pairing(x, alpha))))
+            degrees.append((alpha, d))
     critical = sum(1 for r in positive_roots(n) if 0 < pairing(y, r) < 1)
     return CellGeometry(
         support=tuple(sorted(support)), degrees=tuple(sorted(degrees)),
@@ -578,22 +558,12 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
             raise InternalError("obvious fixed points escape the bound set")
         per_bound.append(sorted(bnd, key=sort_key))
         per_obvious.append(sorted(obv, key=sort_key))
-    bound = tuple(sorted((WeylTuple(c) for c in _cartesian(per_bound)),
+    bound = tuple(sorted(map(WeylTuple, itertools.product(*per_bound)),
                          key=_tuple_sort_key))
-    obvious = tuple(sorted((WeylTuple(c) for c in _cartesian(per_obvious)),
+    obvious = tuple(sorted(map(WeylTuple, itertools.product(*per_obvious)),
                            key=_tuple_sort_key))
     return ComponentData(label=label, bound=bound, obvious=obvious,
                          exactness="conditional")
-
-
-def _cartesian(lists):
-    if not lists:
-        return [()]
-    out = []
-    for head in lists[0]:
-        for rest in _cartesian(lists[1:]):
-            out.append((head,) + rest)
-    return out
 
 
 def special_fiber_components(ctx: GroupContext, lam, tau: TameTypePresentation,

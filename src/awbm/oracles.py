@@ -9,6 +9,8 @@ algorithms beyond the group law:
     + sum_{alpha>0, w^{-1}alpha<0} |<nu,alpha∨> - 1|;
 * bruhat: the subword property over one reduced expression (descents taken
   with respect to the closed-formula length);
+* adm: the union of the Bruhat intervals below the translations t_{w(lam)},
+  each the subword closure of a reduced expression;
 * up: breadth-first search over single up-reflections across separating
   hyperplanes, restricted to alcoves within hyperplane distance L of both
   endpoints (every chain step crosses exactly one hyperplane, so the chain
@@ -20,28 +22,34 @@ They are shipped, not test-only, so cross-checks can be run on demand.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache
 
 from .affine_weyl import (
     WeylElement,
+    all_perms,
     degree,
     evaluate,
     base_point,
     identity,
+    is_regular,
     multiply,
     omega_power,
     pairing,
+    perm_act,
     perm_inverse,
     positive_roots,
     simple_reflections,
     sort_key,
+    star,
+    translation,
     wa_part_and_omega,
 )
 from .errors import CapacityError, InputError
 
-__all__ = ["oracle", "im_length", "subword_leq", "chain_up_leq", "enumerate_elements"]
+__all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
+           "enumerate_elements"]
 
 
 def _check_bound(n: int, bound: int):
@@ -96,12 +104,35 @@ def subword_leq(a: WeylElement, b: WeylElement, bound: int | None = None) -> boo
         _check_bound(a.n, bound)
         if im_length(xb) > bound:
             raise CapacityError("subword oracle bound exceeded")
-    word = _im_reduced_word(xb)
-    refs = simple_reflections(a.n)
-    closure = {identity(a.n)}
-    for idx in word:
+    return xa in _subword_closure(xb)
+
+
+def _subword_closure(x: WeylElement):
+    """All products of subwords of one reduced word of x in W_a."""
+    refs = simple_reflections(x.n)
+    closure = {identity(x.n)}
+    for idx in _im_reduced_word(x):
         closure |= {multiply(y, refs[idx]) for y in closure}
-    return xa in closure
+    return closure
+
+
+def adm_closure(lam, variant="all"):
+    """Adm(lam) as the union of the subword closures below the translations
+    t_{w(lam)}, right-translated by their Omega-component; 'regular' keeps the
+    regular elements, 'dual' applies the star involution.  Canonically
+    sorted, like affine_weyl.adm."""
+    lam = tuple(int(c) for c in lam)
+    seen = set()
+    for w in all_perms(len(lam)):
+        x, delta = wa_part_and_omega(translation(perm_act(w, lam)))
+        seen.update(multiply(y, delta) for y in _subword_closure(x))
+    if variant == "regular":
+        seen = {a for a in seen if is_regular(a)}
+    elif variant == "dual":
+        seen = {star(a) for a in seen}
+    elif variant != "all":
+        raise InputError(f"unknown admissible-set variant {variant!r}")
+    return sorted(seen, key=sort_key)
 
 
 @lru_cache(maxsize=None)
@@ -110,10 +141,7 @@ def _hyperplane_distance(a: WeylElement, b: WeylElement) -> int:
     ya, yb = evaluate(a, x), evaluate(b, x)
     total = 0
     for root in positive_roots(a.n):
-        pa, pb = pairing(ya, root), pairing(yb, root)
-        fa = pa.numerator // pa.denominator if isinstance(pa, Fraction) else pa
-        fb = pb.numerator // pb.denominator if isinstance(pb, Fraction) else pb
-        total += abs(fa - fb)
+        total += abs(math.floor(pairing(ya, root)) - math.floor(pairing(yb, root)))
     return total
 
 
@@ -133,8 +161,7 @@ def chain_up_leq(a: WeylElement, b: WeylElement, bound: int) -> bool:
     ybs = evaluate(b, x)
     klim = {}
     for root in positive_roots(n):
-        pb = pairing(ybs, root)
-        fb = pb.numerator // pb.denominator
+        fb = math.floor(pairing(ybs, root))
         klim[root] = (fb - radius - 1, fb + radius + 1)
     seen = {a}
     queue = deque([a])

@@ -20,11 +20,14 @@ predicted constituents all have strictly smaller defect.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import (
     WeylTuple,
+    adm_member,
     bruhat_interval,
     dominant_witness,
     eta_vector,
@@ -146,31 +149,15 @@ def jh_set(tau: TameTypePresentation, lam, force: bool = False):
         lpe = tuple(l + e for l, e in zip(lam[j], eta))
         per_embedding.append(ap_enumerate(lpe))
     out = []
-    for combo in _product(per_embedding):
+    for combo in itertools.product(*per_embedding):
         w1 = WeylTuple(tuple(pr[0] for pr in combo))
         omega = tuple(
             tuple(evaluate(wt[j], evaluate(invert(combo[j][1]), (0,) * ctx.n)))
             for j in range(ctx.f))
         out.append(SerreWeightPresentation(w1, omega, ctx).canonical())
     out = sorted(set(out), key=lambda s: s.sort_key())
-    if len(out) != _prod(len(pe) for pe in per_embedding):
+    if len(out) != math.prod(len(pe) for pe in per_embedding):
         raise InternalError("JH parametrization failed to be injective")
-    return out
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _product(lists[1:]):
-            yield (head,) + rest
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
     return out
 
 
@@ -192,14 +179,12 @@ def jh_contains_fixed(tau: TameTypePresentation, lam,
     lam = _weight_tuple(ctx, lam)
     eta = eta_vector(ctx.n)
     wt = tau.w_tilde()
-    from .affine_weyl import adm
     for j in range(ctx.f):
         lpe = tuple(l + e for l, e in zip(lam[j], eta))
-        target = set(adm(lpe))
         base = invert(wt[j])
         t_om = translation(sigma.omega[j])
         for m in bruhat_interval(multiply(w0(ctx.n), sigma.w1[j])):
-            if multiply(base, multiply(t_om, m)) not in target:
+            if not adm_member(multiply(base, multiply(t_om, m)), lpe):
                 return False
     return True
 
@@ -252,7 +237,7 @@ def _w_question_cached(rho: TameTypePresentation, force: bool):
                     pairs.append((w1, w2))
         per_embedding.append(pairs)
     out = []
-    for combo in _product(per_embedding):
+    for combo in itertools.product(*per_embedding):
         w = WeylTuple(tuple(pr[0] for pr in combo))
         w2 = WeylTuple(tuple(pr[1] for pr in combo))
         omega = tuple(
@@ -403,13 +388,12 @@ def max_defect_weight(rho: TameTypePresentation, tau: TameTypePresentation,
     _require_lambda_compatible(rho, tau, zero)
     g = w_rhobar_tau(rho, tau)
     eta = eta_vector(ctx.n)
-    from .affine_weyl import adm, regular_factorization
-    adm_eta = set(adm(eta))
+    from .affine_weyl import regular_factorization
     comps1, comps2 = [], []
     for j in range(ctx.f):
         if not is_regular(g[j]):
             raise ArgumentError("w̃(rhobar,tau) is not regular")
-        if g[j] not in adm_eta:
+        if not adm_member(g[j], eta):
             raise ArgumentError("w̃(rhobar,tau) is not eta-admissible")
         a1, a2 = regular_factorization(invert(g[j]))
         w1_j, w2_j = a2, a1  # variant factorization: swap through inversion

@@ -15,7 +15,6 @@ together with the hull-shift combinator f ↦ f^omega.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +22,8 @@ from .affine_weyl import (
     GroupContext,
     WeylElement,
     WeylTuple,
+    conv_contains,
+    conv_lattice_points,
     degree,
     eta_vector,
     identity,
@@ -184,31 +185,6 @@ def build_Pm(n: int, m: int) -> Polynomial:
         for j in range(1, m + 1):
             out = out * (xi - xnext - Polynomial.constant(n, j))
     return out
-
-
-def conv_contains(nu, lam) -> bool:
-    """nu in Conv(W·lam), decided by majorization of the sorted vectors."""
-    if sum(nu) != sum(lam):
-        return False
-    a = sorted(nu, reverse=True)
-    b = sorted(lam, reverse=True)
-    pa = pb = 0
-    for x, y in zip(a, b):
-        pa += x
-        pb += y
-        if pa > pb:
-            return False
-    return True
-
-
-def conv_lattice_points(lam):
-    """Integer points of the Weyl-orbit hull of lam."""
-    lo, hi = min(lam), max(lam)
-    pts = []
-    for cand in itertools.product(range(lo, hi + 1), repeat=len(lam)):
-        if conv_contains(cand, lam):
-            pts.append(cand)
-    return pts
 
 
 def superscript(P: Polynomial, omega) -> Polynomial:

@@ -66,6 +66,20 @@ def test_series_inverse():
             assert (A.inverse(40) * A).equal_mod(I, 40)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("p", [101, 211])
+def test_series_inverse_bounded_height(n, h, p):
+    rng = random.Random(1000 * n + 10 * h + p)
+    field = Coefficients(p)
+    I = SeriesMatrix.identity(field, n)
+    for _ in range(4):
+        A = random_bounded_height(field, n, rng, h).truncate(80)
+        Ainv = A.inverse(40)
+        assert (A * Ainv).equal_mod(I, 40)
+        assert (Ainv * A).equal_mod(I, 40)
+
+
 def test_json_round_trip():
     rng = random.Random(62)
     for field in (F7, F49):

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 PY = [sys.executable, "-m", "awbm.cli"]
 
@@ -147,3 +149,27 @@ def test_twist_and_cob_and_straighten_cli():
              "--z", "(12)@0,4", "--M", "30", "--h", "1", stdin=doc)
     got = SeriesMatrix.from_json(out[0])
     assert got.is_iw1()
+
+
+def test_long_bruhat_and_up_queries():
+    for kind in ("bruhat", "up"):
+        assert ok(kind, "--n", "3", "--a", "e", "--b", "e@150,0,-150") == \
+            {"leq": True}
+
+
+RAGGED = json.dumps({"p": 13, "entries": [[{"0": 1}, {}], [{"0": 1}]]})
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["straighten", "--n", "2", "--p", "7", "--z", "e", "--M", "10"], "{}"),
+    (["cob", "--n", "2", "--p", "7", "--s", "e", "--mu", "2,0"], "{}"),
+    (["nabla", "--n", "2", "--matrix", "-", "--abar", "5,0"], RAGGED),
+    (["oracle", "--n", "2", "--kind", "bruhat", "--a", "e"], None),
+    (["oracle", "--n", "2", "--kind", "up", "--a", "e"], None),
+    (["len", "--n", "0", "--a", "e"], None),
+])
+def test_malformed_input_is_exit_2(argv, stdin):
+    res = invoke(*argv, stdin=stdin)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("input error")
+    assert "Traceback" not in res.stderr

@@ -1,11 +1,14 @@
 """The naive reference implementations against the main algorithms."""
 
+import json
 import random
 
 import pytest
 
 from awbm.affine_weyl import (
     WeylElement,
+    adm,
+    adm_member,
     bruhat_leq,
     identity,
     length,
@@ -14,6 +17,7 @@ from awbm.affine_weyl import (
 )
 from awbm.errors import CapacityError
 from awbm.oracles import (
+    adm_closure,
     chain_up_leq,
     enumerate_elements,
     im_length,
@@ -100,10 +104,44 @@ def _permissible_set(lam):
 
 
 def test_admissible_equals_permissible():
-    from awbm.affine_weyl import adm
     expected_sizes = {(1, 0): 3, (2, 0): 5, (2, 1): 3, (3, 1): 5,
                       (1, 0, 0): 7, (1, 1, 0): 7, (2, 1, 0): 25}
     for lam, size in expected_sizes.items():
         A = set(adm(lam))
         assert len(A) == size
         assert A == _permissible_set(lam)
+    # the vertexwise enumeration against the union of Bruhat intervals,
+    # compared as sorted lists in every variant
+    for lam in list(expected_sizes) + [(2, 1, 0, 0), (3, 2, 1, 0)]:
+        for variant in ("all", "regular", "dual"):
+            assert adm(lam, variant) == adm_closure(lam, variant)
+
+
+def test_adm_member_against_closure():
+    rng = random.Random(12)
+    for lam in [(2, 0), (3, 1), (2, 1, 0), (2, 0, 0), (2, 1, 0, 0)]:
+        n = len(lam)
+        closure = set(adm_closure(lam))
+        for _ in range(300):
+            a = random_element(n, rng, span=3)
+            if rng.random() < 0.5:  # move a to the degree of lam
+                nu = a.nu[:-1] + (sum(lam) - sum(a.nu[:-1]),)
+                a = WeylElement(a.w, nu)
+            assert adm_member(a, lam) == (a in closure)
+        for a in closure:
+            assert adm_member(a, lam)
+
+
+def test_adm_cli_ignores_length_cap():
+    import os
+    import subprocess
+    import sys
+    argv = [sys.executable, "-m", "awbm.cli", "adm", "--n", "4",
+            "--lambda", "5,3,1,0"]
+    env = {k: v for k, v in os.environ.items() if k != "AWBM_MAX_LEN"}
+    uncapped = subprocess.run(argv, capture_output=True, text=True, env=env)
+    capped = subprocess.run(argv, capture_output=True, text=True,
+                            env=dict(env, AWBM_MAX_LEN="40"))
+    assert uncapped.returncode == 0, uncapped.stderr
+    assert uncapped.stdout == capped.stdout
+    assert len(json.loads(uncapped.stdout)) == 2023
