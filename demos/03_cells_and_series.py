@@ -45,7 +45,7 @@ a_bar = (1, 5, 9)
 print("required mod-p genericity:", required_genericity(wt))
 A = monodromy_solve(wt, a_bar, p=p)
 print("solved matrix passes the monodromy condition:", verify_nabla(A, a_bar))
-print("one entry of A:", A.entry(3, 1).to_json())
+print("one entry of A as {exponent: coefficient}:", A.entry(3, 1))
 
 print("\n== straightening a series pair ==")
 rng = random.Random(0)

@@ -1,9 +1,13 @@
-"""Truncated power-series matrix calculus over F_q for gauge computations.
+"""The exact matrix kernel over F_q[v, v^-1] and the gauge calculus on it.
 
-Matrices live over F_q[[v]][1/v] truncated at a tracked precision: a value is
-known exactly for all exponents below `prec` (prec = None means the stored
-polynomial is exact).  The coefficient field is F_p or F_{p^2}; Frobenius acts
-coefficientwise by x -> x^p and on the variable by v -> v^p.
+`SeriesMatrix` holds an n x n matrix of Laurent series over F_q truncated at
+a tracked precision: a value is known exactly for all exponents below `prec`,
+and prec = None means the stored Laurent polynomial is exact.  The flag layer
+(`modp_flag`) computes on exact matrices over F_p; the gauge layer below
+computes on truncated ones.  The coefficient field is F_p or F_{p^2};
+Frobenius acts coefficientwise by x -> x^p and on the variable by v -> v^p.
+Inverses come from the adjugate, the only permutation expansion outside the
+oracles, and the determinant is read off its first column.
 
 The three operations implemented on top of the arithmetic are the twisted
 Frobenius  Y -> Ad(s^{-1} v^{mu+eta})(phi(Y)), the eigenbasis change
@@ -24,6 +28,7 @@ at the end of the module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +37,7 @@ from .affine_weyl import (
     GroupContext,
     WeylTuple,
     adm_member,
+    check_prime,
     eta_vector,
     multiply,
     perm_act,
@@ -70,11 +76,14 @@ __all__ = [
 class Coefficients:
     """F_p (degree 1) or F_{p^2} = F_p[w]/(w^2 - r) (degree 2, r the least
     quadratic non-residue); series over the field are arrays of shape
-    (degree, length)."""
+    (degree, length).  Arrays hold int64 while a product of two residues
+    (times 1 + r) fits in it and Python ints (dtype object) beyond; a sum of
+    L such products is formed over Python ints once it could leave int64."""
 
     def __init__(self, p: int, degree: int = 1):
         if degree not in (1, 2):
             raise ArgumentError("only degree 1 and 2 coefficient fields")
+        check_prime(p)
         if degree == 2 and p == 2:
             raise ArgumentError("the quadratic extension needs an odd prime")
         self.p = p
@@ -87,60 +96,56 @@ class Coefficients:
                     break
             if self.r is None:
                 raise InternalError("no quadratic non-residue found")
+        self.dtype = np.int64 if self.fits(1) else object
 
     def __eq__(self, other):
         return (isinstance(other, Coefficients) and self.p == other.p
                 and self.degree == other.degree)
 
-    def zeros(self, length):
-        return np.zeros((self.degree, length), dtype=np.int64)
+    def fits(self, terms):
+        """Whether a sum of `terms` products of residues stays in int64."""
+        return terms * (self.p - 1) ** 2 * (1 + (self.r or 0)) < 2 ** 63
 
-    def one(self, length):
-        out = self.zeros(length)
-        out[0, 0] = 1
-        return out
+    def zeros(self, *shape):
+        return np.zeros(shape, dtype=self.dtype)
 
     def conv(self, a, b):
         p = self.p
+        if not self.fits(min(a.shape[1], b.shape[1])):
+            a, b = a.astype(object, copy=False), b.astype(object, copy=False)
         if self.degree == 1:
-            return (np.convolve(a[0], b[0]) % p)[None, :]
-        c0 = (np.convolve(a[0], b[0]) + self.r * np.convolve(a[1], b[1])) % p
-        c1 = (np.convolve(a[0], b[1]) + np.convolve(a[1], b[0])) % p
-        return np.stack([c0, c1])
-
-    def frob(self, a):
-        """Coefficientwise x -> x^p (identity on F_p, conjugation on F_{p^2})."""
-        if self.degree == 1:
-            return a.copy()
-        out = a.copy()
-        out[1] = (-out[1]) % self.p
-        return out
+            out = (np.convolve(a[0], b[0]) % p)[None, :]
+        else:
+            c0 = (np.convolve(a[0], b[0]) + self.r * np.convolve(a[1], b[1])) % p
+            c1 = (np.convolve(a[0], b[1]) + np.convolve(a[1], b[0])) % p
+            out = np.stack([c0, c1])
+        return out.astype(self.dtype, copy=False)
 
     def inv_scalar(self, c):
         p = self.p
         if self.degree == 1:
             if c[0] % p == 0:
                 raise ArgumentError("inverting zero")
-            return np.array([pow(int(c[0]), -1, p)], dtype=np.int64)
+            return np.array([pow(int(c[0]), -1, p)], dtype=self.dtype)
         a, b = int(c[0]) % p, int(c[1]) % p
         nrm = (a * a - self.r * b * b) % p
         if nrm == 0:
             raise ArgumentError("inverting zero")
         ninv = pow(nrm, -1, p)
-        return np.array([a * ninv % p, (-b) * ninv % p], dtype=np.int64)
+        return np.array([a * ninv % p, (-b) * ninv % p], dtype=self.dtype)
 
     def mul_scalar(self, c1, c2):
         p = self.p
         if self.degree == 1:
-            return np.array([int(c1[0]) * int(c2[0]) % p], dtype=np.int64)
+            return np.array([int(c1[0]) * int(c2[0]) % p], dtype=self.dtype)
         a = (int(c1[0]) * int(c2[0]) + self.r * int(c1[1]) * int(c2[1])) % p
         b = (int(c1[0]) * int(c2[1]) + int(c1[1]) * int(c2[0])) % p
-        return np.array([a, b], dtype=np.int64)
+        return np.array([a, b], dtype=self.dtype)
 
     def rand_scalar(self, rng, nonzero=False):
         while True:
             c = np.array([rng.randrange(self.p) for _ in range(self.degree)],
-                         dtype=np.int64)
+                         dtype=self.dtype)
             if not nonzero or c.any():
                 return c
 
@@ -155,7 +160,8 @@ _BIG = 10 ** 9  # stand-in precision for exact values
 class SeriesMatrix:
     """n x n matrix of truncated Laurent series: coeffs has shape
     (n, n, degree, L) covering exponents [lo, lo+L); entries are exact below
-    prec (prec=None: exact everywhere, stored support finite)."""
+    prec (prec=None: exact everywhere, stored support finite).  Results keep
+    the class of the left operand."""
 
     field: Coefficients
     n: int
@@ -166,8 +172,7 @@ class SeriesMatrix:
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, field, n, lo=0, length=1, prec=None):
-        return cls(field, n, lo, np.zeros((n, n, field.degree, length),
-                                          dtype=np.int64), prec)
+        return cls(field, n, lo, field.zeros(n, n, field.degree, length), prec)
 
     @classmethod
     def identity(cls, field, n, prec=None):
@@ -192,6 +197,9 @@ class SeriesMatrix:
                 out.coeffs[i - 1, j - 1, :, e - lo] = np.asarray(c) % field.p
         return out
 
+    def _new(self, lo, coeffs, prec=None):
+        return type(self)(self.field, self.n, lo, coeffs, prec)
+
     # -- bookkeeping -------------------------------------------------------
     @property
     def hi(self):
@@ -203,8 +211,8 @@ class SeriesMatrix:
     def window(self, lo, hi):
         """Coefficients re-windowed onto exponents [lo, hi); empty when
         hi <= lo."""
-        L = max(hi - lo, 0)
-        out = np.zeros((self.n, self.n, self.field.degree, L), dtype=np.int64)
+        out = self.field.zeros(self.n, self.n, self.field.degree,
+                               max(hi - lo, 0))
         src_lo = max(self.lo, lo)
         src_hi = min(self.hi, hi)
         if src_lo < src_hi:
@@ -216,9 +224,8 @@ class SeriesMatrix:
         new_prec = min(self._eff_prec(), prec)
         hi = min(self.hi, new_prec)
         hi = max(hi, self.lo)
-        return SeriesMatrix(self.field, self.n, self.lo,
-                            self.window(self.lo, hi),
-                            None if new_prec >= _BIG else new_prec)
+        return self._new(self.lo, self.window(self.lo, hi),
+                         None if new_prec >= _BIG else new_prec)
 
     def normalized(self):
         """Strip known-zero leading columns (raise lo)."""
@@ -229,8 +236,26 @@ class SeriesMatrix:
             k += 1
         if k == 0:
             return self
-        return SeriesMatrix(self.field, self.n, self.lo + k, arr[..., k:],
-                            self.prec)
+        return self._new(self.lo + k, arr[..., k:], self.prec)
+
+    def entry(self, i, j):
+        """Entry (i, j), 1-based, as {exponent: coefficient} over its nonzero
+        terms; a coefficient is an int, or an [a, b] pair over F_{p^2}."""
+        out = {}
+        for t in range(self.coeffs.shape[3]):
+            c = self.coeffs[i - 1, j - 1, :, t]
+            if c.any():
+                out[self.lo + t] = (int(c[0]) if self.field.degree == 1
+                                    else [int(x) for x in c])
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
+        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
+        return (self.field == other.field and self.n == other.n
+                and self.prec == other.prec
+                and np.array_equal(self.window(lo, hi), other.window(lo, hi)))
 
     # -- arithmetic --------------------------------------------------------
     def _align(self, other):
@@ -244,24 +269,23 @@ class SeriesMatrix:
     def __add__(self, other):
         lo, hi, prec = self._align(other)
         arr = (self.window(lo, hi) + other.window(lo, hi)) % self.field.p
-        return SeriesMatrix(self.field, self.n, lo, arr,
-                            None if prec >= _BIG else prec)
+        return self._new(lo, arr, None if prec >= _BIG else prec)
 
     def __sub__(self, other):
         lo, hi, prec = self._align(other)
         arr = (self.window(lo, hi) - other.window(lo, hi)) % self.field.p
-        return SeriesMatrix(self.field, self.n, lo, arr,
-                            None if prec >= _BIG else prec)
+        return self._new(lo, arr, None if prec >= _BIG else prec)
 
     def __mul__(self, other):
         f = self.field
         n = self.n
         lo = self.lo + other.lo
-        pa, pb = self._eff_prec(), other._eff_prec()
-        prec = min(self.lo + pb, other.lo + pa)
+        if self.prec is None and other.prec is None:
+            prec = _BIG
+        else:
+            prec = min(self.lo + other._eff_prec(), other.lo + self._eff_prec())
         La, Lb = self.coeffs.shape[3], other.coeffs.shape[3]
-        L = La + Lb - 1
-        out = np.zeros((n, n, f.degree, L), dtype=np.int64)
+        out = f.zeros(n, n, f.degree, La + Lb - 1)
         for i in range(n):
             for j in range(n):
                 acc = None
@@ -274,14 +298,14 @@ class SeriesMatrix:
                     acc = c if acc is None else (acc + c) % f.p
                 if acc is not None:
                     out[i, j, :, :acc.shape[1]] = acc
-        m = SeriesMatrix(f, n, lo, out, None if prec >= _BIG else prec)
+        m = self._new(lo, out, None if prec >= _BIG else prec)
         return m.truncate(prec) if prec < _BIG else m
 
     def scalar_mul(self, c):
         f = self.field
         arr = self.coeffs
         out = np.zeros_like(arr)
-        cs = np.asarray(c, dtype=np.int64).reshape(f.degree, 1)
+        cs = np.asarray(c, dtype=f.dtype).reshape(f.degree, 1)
         if f.degree == 1:
             out = arr * cs[0, 0] % f.p
         else:
@@ -289,26 +313,37 @@ class SeriesMatrix:
                             + f.r * arr[:, :, 1] * cs[1, 0]) % f.p
             out[:, :, 1] = (arr[:, :, 0] * cs[1, 0]
                             + arr[:, :, 1] * cs[0, 0]) % f.p
-        return SeriesMatrix(f, self.n, self.lo, out, self.prec)
+        return self._new(self.lo, out, self.prec)
 
     def shift(self, k):
-        return SeriesMatrix(self.field, self.n, self.lo + k, self.coeffs,
-                            None if self.prec is None else self.prec + k)
+        return self._new(self.lo + k, self.coeffs,
+                         None if self.prec is None else self.prec + k)
+
+    def v_ddv(self):
+        """v d/dv: the coefficient of v^e is multiplied by e."""
+        p = self.field.p
+        exps = np.array([e % p for e in range(self.lo, self.hi)],
+                        dtype=self.field.dtype)
+        return self._new(self.lo, self.coeffs * exps % p, self.prec)
 
     # -- Frobenius and twists ----------------------------------------------
-    def frobenius(self):
+    def frobenius(self, prec=None):
         """v -> v^p and coefficientwise x -> x^p; a value known below prec is
-        known below p(prec-1)+1 afterwards."""
+        known below p(prec-1)+1 afterwards.  Given `prec`, the result is
+        truncated there and only the columns landing below it are spread."""
         f = self.field
         p = f.p
-        L = self.coeffs.shape[3]
-        out = np.zeros((self.n, self.n, f.degree, (L - 1) * p + 1),
-                       dtype=np.int64)
-        out[..., ::p] = self.coeffs
+        lo = p * self.lo
+        L = (self.coeffs.shape[3] - 1) * p + 1
+        if prec is not None:
+            L = max(min(L, prec - lo), 0)
+        out = f.zeros(self.n, self.n, f.degree, L)
+        out[..., ::p] = self.coeffs[..., :-(-L // p)]
         if f.degree == 2:
             out[:, :, 1] = (-out[:, :, 1]) % p
-        prec = None if self.prec is None else p * (self.prec - 1) + 1
-        return SeriesMatrix(f, self.n, p * self.lo, out, prec)
+        m = self._new(lo, out, None if self.prec is None
+                      else p * (self.prec - 1) + 1)
+        return m if prec is None else m.truncate(prec)
 
     def ad_monomial(self, w, bvec):
         """Ad(P_w · v^b): entry (i,k) lands at (w(i), w(k)) shifted by
@@ -318,14 +353,13 @@ class SeriesMatrix:
         smin = min(min(r) for r in shifts)
         smax = max(max(r) for r in shifts)
         L = self.coeffs.shape[3]
-        out = np.zeros((n, n, self.field.degree, L + smax - smin),
-                       dtype=np.int64)
+        out = self.field.zeros(n, n, self.field.degree, L + smax - smin)
         for i in range(n):
             for k in range(n):
                 off = shifts[i][k] - smin
                 out[w[i] - 1, w[k] - 1, :, off:off + L] = self.coeffs[i, k]
         prec = None if self.prec is None else self.prec + smin
-        return SeriesMatrix(self.field, n, self.lo + smin, out, prec)
+        return self._new(self.lo + smin, out, prec)
 
     # -- predicates ----------------------------------------------------------
     def is_zero_mod(self, M):
@@ -357,19 +391,18 @@ class SeriesMatrix:
         arr = self.window(0, 1)[..., 0]
         return arr
 
-    def is_iwahori(self, M=None):
-        """Integral, invertible, upper triangular mod v."""
+    def is_upper_mod_v(self):
+        """Integral and upper triangular mod v."""
         if self.lo < 0 and self.window(self.lo, 0).any():
             return False
         c0 = self.const_term()
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                if i > j and c0[i, j].any():
-                    return False
-            if not c0[i, i].any():
-                return False
-        return True
+        return not any(c0[i, j].any() for i in range(self.n) for j in range(i))
+
+    def is_iwahori(self, M=None):
+        """Integral, invertible, upper triangular mod v."""
+        c0 = self.const_term()
+        return self.is_upper_mod_v() and all(c0[i, i].any()
+                                             for i in range(self.n))
 
     def is_iw1(self, M=None):
         """Unipotent upper triangular mod v."""
@@ -384,62 +417,59 @@ class SeriesMatrix:
         return True
 
     # -- inversion -----------------------------------------------------------
-    def _det_series(self, length):
-        """det as a single series array over exponents [n*lo, n*lo+length)."""
-        import itertools as _it
-        f = self.field
-        n = self.n
-        acc = np.zeros((f.degree, length), dtype=np.int64)
-        for perm in _it.permutations(range(n)):
-            sign = perm_sign(perm)
-            term = None
-            for i in range(n):
-                a = self.coeffs[i, perm[i]]
-                term = a if term is None else f.conv(term, a)
-            term = term[:, :length] if term.shape[1] >= length else np.pad(
-                term, ((0, 0), (0, length - term.shape[1])))
-            acc = (acc + sign * term) % f.p
-        return acc
-
-    def inverse(self, prec):
-        """A^{-1} to the requested precision; the determinant must be a unit
+    def inverse(self, prec=None):
+        """A^{-1} from the adjugate.  With prec=None on an exact matrix the
+        inverse is exact and det A must be a unit times a power of v;
+        otherwise it is known to precision prec, and det A must be a unit
         times a power of v within the known window."""
         f = self.field
         n = self.n
-        Lw = n * (self.coeffs.shape[3] - 1) + 1
-        det = self._det_series(Lw)
-        val = None
-        for t in range(det.shape[1]):
-            if det[:, t].any():
-                val = t
-                break
-        if val is None:
+        adj = self._adjugate()
+        det = self._det(adj)
+        support = np.flatnonzero(det.any(axis=0))
+        if not support.size:
             raise ArgumentError("matrix is not invertible (zero determinant)")
+        val = int(support[0])
         det_lo = n * self.lo + val
         unit = det[:, val:]
+        if prec is None:
+            if self.prec is not None:
+                raise ArgumentError("an exact inverse needs an exact matrix")
+            if support.size > 1:
+                raise ArgumentError(
+                    "matrix determinant is not a unit times a power of v")
+            return adj.scalar_mul(f.inv_scalar(unit[:, 0])).shift(-det_lo)
         eff = self._eff_prec()
         out_prec = prec if self.prec is None else min(prec, eff - 2 * max(det_lo, 0))
         need = max(out_prec - (-det_lo) - (n - 1) * self.lo, 1) + 4
         uinv = _invert_unit(f, unit, need)
-        adj = self._adjugate()
         inv = _mul_entrywise_series(adj, uinv, f).shift(-det_lo)
         inv.prec = out_prec
         return inv.truncate(out_prec).normalized()
+
+    def _det(self, adj):
+        """det A = sum_k A[0,k]·adj[k,0], adj the adjugate of A, as one
+        series array over the exponents [n·lo, n·lo + n(L-1) + 1)."""
+        f = self.field
+        acc = f.zeros(f.degree, self.n * (self.coeffs.shape[3] - 1) + 1)
+        for k in range(self.n):
+            term = f.conv(self.coeffs[0, k], adj.coeffs[k, 0])
+            acc[:, :term.shape[1]] = (acc[:, :term.shape[1]] + term) % f.p
+        return acc
 
     def _adjugate(self):
         f = self.field
         n = self.n
         if n == 1:
-            return SeriesMatrix.identity(f, 1)
+            return type(self).identity(f, 1)
         Ls = (n - 1) * (self.coeffs.shape[3] - 1) + 1
-        out = np.zeros((n, n, f.degree, Ls), dtype=np.int64)
-        import itertools as _it
+        out = f.zeros(n, n, f.degree, Ls)
         for i in range(n):
             for j in range(n):
                 rows = [r for r in range(n) if r != j]
                 cols = [c for c in range(n) if c != i]
-                acc = np.zeros((f.degree, Ls), dtype=np.int64)
-                for perm in _it.permutations(range(n - 1)):
+                acc = f.zeros(f.degree, Ls)
+                for perm in itertools.permutations(range(n - 1)):
                     sign = perm_sign(perm)
                     term = None
                     for a, row in enumerate(rows):
@@ -449,23 +479,12 @@ class SeriesMatrix:
                         term = np.pad(term, ((0, 0), (0, Ls - term.shape[1])))
                     acc = (acc + sign * ((-1) ** (i + j)) * term[:, :Ls]) % f.p
                 out[i, j] = acc
-        return SeriesMatrix(f, n, (n - 1) * self.lo, out, None)
+        return self._new((n - 1) * self.lo, out)
 
     # -- encoding ------------------------------------------------------------
     def to_json(self):
-        ent = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                d = {}
-                for t in range(self.coeffs.shape[3]):
-                    c = self.coeffs[i, j, :, t]
-                    if c.any():
-                        d[str(self.lo + t)] = (
-                            int(c[0]) if self.field.degree == 1
-                            else [int(x) for x in c])
-                row.append(d)
-            ent.append(row)
+        ent = [[{str(e): c for e, c in self.entry(i, j).items()}
+                for j in range(1, self.n + 1)] for i in range(1, self.n + 1)]
         return {"p": self.field.p, "degree": self.field.degree,
                 "precision": self.prec, "entries": ent}
 
@@ -475,16 +494,18 @@ class SeriesMatrix:
             field = Coefficients(int(data["p"]), int(data.get("degree", 1)))
             rows = data["entries"]
             n = len(rows)
+            if any(len(row) != n for row in rows):
+                raise InputError(f"matrix is not square: {data!r}")
             entries = {}
             for i, row in enumerate(rows):
                 for j, cell in enumerate(row):
                     for e, c in cell.items():
                         entries[(i + 1, j + 1, int(e))] = (
-                            c if isinstance(c, int) else np.array(c))
+                            np.array(c) if isinstance(c, list) else int(c))
             prec = data.get("precision")
             return cls.from_entries(field, n, entries,
                                     None if prec is None else int(prec))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad series-matrix encoding: {data!r}") from exc
 
 
@@ -493,36 +514,36 @@ def _invert_unit(field, unit, length):
     d = field.degree
     p = field.p
     L = min(unit.shape[1], length)
-    out = np.zeros((d, length), dtype=np.int64)
+    dtype = field.dtype if field.fits(L) else object
+    out = np.zeros((d, length), dtype=dtype)
     c0inv = field.inv_scalar(unit[:, 0])
     out[:, 0] = c0inv
     if d == 1:
-        u = unit[0]
+        u = unit[0].astype(dtype)
         w = out[0]
         inv0 = int(c0inv[0])
         for t in range(1, length):
             s_hi = min(t, L - 1)
             acc = int(np.dot(u[1:s_hi + 1], w[t - s_hi:t][::-1])) if s_hi else 0
             w[t] = (-inv0 * acc) % p
-        return out
+        return out.astype(field.dtype, copy=False)
     for t in range(1, length):
-        acc = np.zeros(d, dtype=np.int64)
+        acc = field.zeros(d)
         for s in range(1, min(t, L - 1) + 1):
             acc = (acc + field.mul_scalar(unit[:, s], out[:, t - s])) % p
         out[:, t] = (-field.mul_scalar(c0inv, acc)) % p
-    return out
+    return out.astype(field.dtype, copy=False)
 
 
 def _mul_entrywise_series(m: SeriesMatrix, series, field):
     n = m.n
-    L = m.coeffs.shape[3] + series.shape[1] - 1
-    out = np.zeros((n, n, field.degree, L), dtype=np.int64)
+    out = field.zeros(n, n, field.degree, m.coeffs.shape[3] + series.shape[1] - 1)
     for i in range(n):
         for j in range(n):
             if m.coeffs[i, j].any():
                 c = field.conv(m.coeffs[i, j], series)
                 out[i, j, :, :c.shape[1]] = c
-    return SeriesMatrix(field, n, m.lo, out, None)
+    return m._new(m.lo, out)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +605,17 @@ class TwistData:
         return perm_inverse(self.s[j % self.ctx.f].w)
 
 
-def frobenius_twist(Y: SeriesMatrix, j: int, twist: TwistData) -> SeriesMatrix:
-    """Ad(s_j^{-1} v^{mu_j + eta_j})(phi(Y)); raises when the result has a
-    genuine pole (insufficient deepness for the given input)."""
-    out = Y.frobenius().ad_monomial(twist.perm(j), twist.exponents(j))
-    return out.check_integral(f" in frobenius_twist at embedding {j}")
+def frobenius_twist(Y: SeriesMatrix, j: int, twist: TwistData,
+                    prec: int | None = None) -> SeriesMatrix:
+    """Ad(s_j^{-1} v^{mu_j + eta_j})(phi(Y)), truncated at prec when given;
+    raises when the result has a genuine pole (insufficient deepness for the
+    given input).  Only the part of phi(Y) that lands below max(prec, 0) is
+    built, which keeps every negative exponent for the pole check."""
+    b = twist.exponents(j)
+    target = None if prec is None else max(prec, 0) - (min(b) - max(b))
+    out = Y.frobenius(target).ad_monomial(twist.perm(j), b)
+    out = out.check_integral(f" in frobenius_twist at embedding {j}")
+    return out if prec is None else out.truncate(prec)
 
 
 def change_of_basis(A, I, twist: TwistData):
@@ -600,7 +627,7 @@ def change_of_basis(A, I, twist: TwistData):
     out = []
     for j in range(f):
         cap = prec if prec < _BIG else 10 ** 6
-        tw = frobenius_twist(I[(j - 1) % f], j, twist).truncate(cap)
+        tw = frobenius_twist(I[(j - 1) % f], j, twist, cap)
         tw_inv = tw.inverse(cap)
         out.append((I[j] * A[j] * tw_inv).truncate(
             prec if prec < _BIG else 10 ** 6))
@@ -647,7 +674,7 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     for it in range(cap + 1):
         Jn = []
         for j in range(fcount):
-            tw = frobenius_twist(J[(j - 1) % fcount], j, twist).truncate(work)
+            tw = frobenius_twist(J[(j - 1) % fcount], j, twist, work)
             Jn.append((X[j] * A[j] * tw * Ainv[j]).truncate(work))
         if all(Jn[j].equal_mod(J[j], M) for j in range(fcount)):
             J = Jn
@@ -667,7 +694,7 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
         out.append(Ij)
     # defining equation mod v^M
     for j in range(fcount):
-        tw = frobenius_twist(out[(j - 1) % fcount], j, twist).truncate(work)
+        tw = frobenius_twist(out[(j - 1) % fcount], j, twist, work)
         rhs = out[j] * A[j] * tw.inverse(work)
         lhs = X[j] * A[j]
         if not lhs.equal_mod(rhs, M):
@@ -687,7 +714,7 @@ def recover_left_factor(A, I, z: WeylTuple, M: int):
     out = []
     Ainv = [m.inverse(work) for m in A]
     for j in range(fcount):
-        tw = frobenius_twist(I[(j - 1) % fcount], j, twist).truncate(work)
+        tw = frobenius_twist(I[(j - 1) % fcount], j, twist, work)
         x = I[j] * A[j] * tw.inverse(work) * Ainv[j]
         if x._eff_prec() < M:
             raise PreconditionError(

@@ -385,7 +385,7 @@ def cmd_twist(args):
     tw = _twist(args, ctx)
     data = _stdin_json() if args.matrix == "-" else json.loads(args.matrix)
     Y = bk.SeriesMatrix.from_json(data)
-    emit(bk.frobenius_twist(Y, args.j, tw).truncate(args.M).to_json())
+    emit(bk.frobenius_twist(Y, args.j, tw, args.M).to_json())
 
 
 def cmd_cob(args):

@@ -1,6 +1,8 @@
-"""Exact Laurent-polynomial matrix computations over F_p on the affine flag
-variety: affine charts, Schubert-cell geometry, the first-order monodromy
-condition, and component labels with their torus fixed points.
+"""Computations on the affine flag variety over F_p: affine charts,
+Schubert-cell geometry, the first-order monodromy condition, and component
+labels with their torus fixed points.  Matrices over F_p[v, v^-1] are exact
+matrices of the series kernel (`bk_gauge.SeriesMatrix` with prec=None);
+`LaurentMatrix` only fixes their JSON encoding.
 
 A point of the open cell attached to a starred element z = t_nu ∘ w (in the
 dual group) is z·N with N unipotent supported on the roots
@@ -16,7 +18,9 @@ cuts the cell down to an affine space: the coefficients below the top of each
 f_alpha are solved triangularly along the height order of the chamber w(Δ)
 containing the support, with pivots i + [alpha>0] + <a, alpha∨> - these are
 nonzero exactly when a is generic enough mod p, and a vanishing pivot is
-reported with its root and index.
+reported with its root and index.  N is unipotent, so the solver inverts it
+in closed form, N^{-1} = sum_{k<n} (I - N)^k; the adjugate inverse only
+checks the final matrix.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .affine_weyl import (
     translation,
     w0,
 )
+from .bk_gauge import Coefficients, SeriesMatrix
 from .errors import (
     ArgumentError,
     GenericityError,
@@ -57,7 +62,6 @@ from .inertial_types import TameTypePresentation
 from .weights import SerreWeightPresentation
 
 __all__ = [
-    "LaurentPoly",
     "LaurentMatrix",
     "ChartTemplate",
     "chart_template",
@@ -67,6 +71,7 @@ __all__ = [
     "monodromy_solve",
     "verify_nabla",
     "nabla_matrix",
+    "unipotent_inverse",
     "weyl_matrix",
     "ComponentData",
     "component_data",
@@ -75,209 +80,31 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials over F_p
+# Laurent matrices over F_p
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    """An element of F_p[v, v^-1], stored as a sorted tuple of (exp, coeff)
-    with coefficients in [1, p)."""
-
-    p: int
-    terms: tuple
-
-    @classmethod
-    def of(cls, p, mapping):
-        items = tuple(sorted((int(e), c % p) for e, c in mapping.items() if c % p))
-        return cls(p, items)
-
-    @classmethod
-    def zero(cls, p):
-        return cls(p, ())
-
-    @classmethod
-    def const(cls, p, c):
-        return cls.of(p, {0: c})
-
-    @classmethod
-    def monomial(cls, p, e, c=1):
-        return cls.of(p, {e: c})
-
-    def as_dict(self):
-        return dict(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = self.as_dict()
-        for e, c in other.terms:
-            out[e] = (out.get(e, 0) + c) % self.p
-        return LaurentPoly.of(self.p, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return LaurentPoly.of(self.p, {e: x * c for e, x in self.terms})
-
-    def __mul__(self, other):
-        out = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                out[e] = (out.get(e, 0) + c1 * c2) % self.p
-        return LaurentPoly.of(self.p, out)
-
-    def shift(self, k):
-        return LaurentPoly(self.p, tuple((e + k, c) for e, c in self.terms))
-
-    def v_ddv(self):
-        """v d/dv: the exponent-weighted scaling (exact on Laurent polynomials)."""
-        return LaurentPoly.of(self.p, {e: e * c for e, c in self.terms})
-
-    def coeff(self, e):
-        for ee, c in self.terms:
-            if ee == e:
-                return c
-        return 0
-
-    def val(self):
-        return self.terms[0][0] if self.terms else None
-
-    def is_monomial(self):
-        return len(self.terms) == 1
+class LaurentMatrix(SeriesMatrix):
+    """An exact n x n matrix over F_p[v, v^-1]: a degree-1 `SeriesMatrix`
+    with prec=None, encoded as {"p": p, "entries": [[{exp: coeff}, ...]]}
+    without the series keys "degree" and "precision" (ignored on input)."""
 
     def to_json(self):
-        return {str(e): c for e, c in self.terms}
-
-    @classmethod
-    def from_json(cls, p, data):
-        try:
-            return cls.of(p, {int(e): int(c) for e, c in data.items()})
-        except (ValueError, AttributeError) as exc:
-            raise InputError(f"bad Laurent encoding: {data!r}") from exc
-
-
-@dataclass(frozen=True)
-class LaurentMatrix:
-    """An n x n matrix over F_p[v, v^-1]."""
-
-    p: int
-    rows: tuple  # tuple of tuples of LaurentPoly
-
-    @property
-    def n(self):
-        return len(self.rows)
-
-    @classmethod
-    def zero(cls, p, n):
-        z = LaurentPoly.zero(p)
-        return cls(p, tuple((z,) * n for _ in range(n)))
-
-    @classmethod
-    def identity(cls, p, n):
-        one = LaurentPoly.const(p, 1)
-        z = LaurentPoly.zero(p)
-        return cls(p, tuple(tuple(one if i == j else z for j in range(n))
-                            for i in range(n)))
-
-    def entry(self, i, j):
-        return self.rows[i - 1][j - 1]
-
-    def set_entry(self, i, j, val):
-        rows = [list(r) for r in self.rows]
-        rows[i - 1][j - 1] = val
-        return LaurentMatrix(self.p, tuple(tuple(r) for r in rows))
-
-    def __add__(self, other):
-        return LaurentMatrix(self.p, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
-    def __sub__(self, other):
-        return LaurentMatrix(self.p, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.rows, other.rows)))
-
-    def __mul__(self, other):
-        n = self.n
-        z = LaurentPoly.zero(self.p)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = z
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(tuple(row))
-        return LaurentMatrix(self.p, tuple(out))
-
-    def v_ddv(self):
-        return LaurentMatrix(self.p, tuple(
-            tuple(e.v_ddv() for e in row) for row in self.rows))
-
-    def det(self) -> LaurentPoly:
-        n = self.n
-        if n == 1:
-            return self.rows[0][0]
-        acc = LaurentPoly.zero(self.p)
-        for j in range(n):
-            minor = LaurentMatrix(self.p, tuple(
-                tuple(self.rows[i][k] for k in range(n) if k != j)
-                for i in range(1, n)))
-            term = self.rows[0][j] * minor.det()
-            acc = acc + (term if j % 2 == 0 else term.scale(-1))
-        return acc
-
-    def inverse(self) -> "LaurentMatrix":
-        """Adjugate over a monomial determinant (unit times a power of v)."""
-        d = self.det()
-        if not d.is_monomial():
-            raise ArgumentError(
-                "matrix determinant is not a unit times a power of v")
-        (e, c), = d.terms
-        cinv = pow(c, -1, self.p)
-        n = self.n
-        adj = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = LaurentMatrix(self.p, tuple(
-                    tuple(self.rows[r][k] for k in range(n) if k != i)
-                    for r in range(n) if r != j))
-                m = minor.det() if n > 1 else LaurentPoly.const(self.p, 1)
-                sgn = 1 if (i + j) % 2 == 0 else -1
-                row.append(m.scale(sgn * cinv).shift(-e))
-            adj.append(tuple(row))
-        return LaurentMatrix(self.p, tuple(adj))
-
-    def to_json(self):
-        return {"p": self.p,
-                "entries": [[e.to_json() for e in row] for row in self.rows]}
+        doc = super().to_json()
+        return {"p": doc["p"], "entries": doc["entries"]}
 
     @classmethod
     def from_json(cls, data):
         try:
-            p = int(data["p"])
-            rows = tuple(
-                tuple(LaurentPoly.from_json(p, e) for e in row)
-                for row in data["entries"])
+            data = {"p": data["p"], "entries": data["entries"]}
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad matrix encoding: {data!r}") from exc
-        if any(len(row) != len(rows) for row in rows):
-            raise InputError(f"matrix is not square: {data!r}")
-        return cls(p, rows)
+        return super().from_json(data)
 
 
 def weyl_matrix(z: WeylElement, p: int) -> LaurentMatrix:
     """The loop-group matrix of z = t_nu ∘ w: v^nu · P_w with P_w e_j = e_{w(j)}."""
-    n = z.n
-    m = LaurentMatrix.zero(p, n)
-    for j in range(1, n + 1):
-        i = z.w[j - 1]
-        m = m.set_entry(i, j, LaurentPoly.monomial(p, z.nu[i - 1]))
-    return m
+    return LaurentMatrix.from_entries(
+        Coefficients(p), z.n,
+        {(i, j, z.nu[i - 1]): 1 for j, i in enumerate(z.w, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -418,31 +245,33 @@ def _root_height_order(geom: CellGeometry, n: int):
 
 def nabla_matrix(A: LaurentMatrix, a_bar) -> LaurentMatrix:
     """v dA/dv · A^{-1} + A · Diag(a) · A^{-1}."""
-    p = A.p
-    n = A.n
-    if len(a_bar) != n:
+    if len(a_bar) != A.n:
         raise ArgumentError("diagonal datum has wrong length")
-    Ainv = A.inverse()
-    D = LaurentMatrix.zero(p, n)
-    for i in range(1, n + 1):
-        D = D.set_entry(i, i, LaurentPoly.const(p, int(a_bar[i - 1])))
-    return (A.v_ddv() * Ainv) + (A * D * Ainv)
+    return _nabla(A, A.inverse(), a_bar)
+
+
+def _nabla(A, Ainv, a_bar):
+    """nabla_matrix with the inverse of A supplied."""
+    D = LaurentMatrix.from_entries(
+        A.field, A.n, {(i, i, 0): int(a) for i, a in enumerate(a_bar, 1)})
+    return (A.v_ddv() + A * D) * Ainv
+
+
+def unipotent_inverse(N: LaurentMatrix) -> LaurentMatrix:
+    """N^{-1} = sum_{k<n} (I - N)^k for N with I - N nilpotent, by Horner's
+    rule."""
+    one = type(N).identity(N.field, N.n)
+    M = one - N
+    inv = one
+    for _ in range(N.n - 1):
+        inv = one + M * inv
+    return inv
 
 
 def verify_nabla(A: LaurentMatrix, a_bar) -> bool:
     """Whether v·(v dA/dv A^{-1} + A Diag(a) A^{-1}) has polynomial entries
     that are upper triangular mod v."""
-    L = nabla_matrix(A, a_bar)
-    n = A.n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            e = L.entry(i, j).shift(1)
-            v = e.val()
-            if v is not None and v < 0:
-                return False
-            if i > j and e.coeff(0):
-                return False
-    return True
+    return nabla_matrix(A, a_bar).shift(1).is_upper_mod_v()
 
 
 def monodromy_solve(wt: WeylElement, a_bar, free_values=None, p: int | None = None,
@@ -454,6 +283,7 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, p: int | None = No
     alpha∨> raises ZeroDivisorError naming (alpha, i)."""
     if p is None:
         raise ArgumentError("monodromy_solve needs the prime p")
+    field = Coefficients(p)
     n = wt.n
     a_bar = tuple(int(x) % p for x in a_bar)
     if len(a_bar) != n:
@@ -463,20 +293,17 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, p: int | None = No
     for alpha in list(free):
         if tuple(alpha) not in {a for a, _ in geom.degrees}:
             raise ArgumentError(f"free value given for a non-support root {alpha}")
-    coeffs = {}  # alpha -> list of coefficients of f_alpha
-    for alpha, d in geom.degrees:
-        coeffs[alpha] = [0] * (d + 1)
-        coeffs[alpha][d] = int(free.get(alpha, 1)) % p
+    # N = 1 + the -alpha entries v^[alpha>0] f_alpha, lowest exponent 0; the
+    # below-top coefficients of f_alpha start at 0 and are solved in place
+    top = {(i, i, 0): 1 for i in range(1, n + 1)}
+    for (i, k), d in geom.degrees:
+        top[(k, i, d + (i < k))] = int(free.get((i, k), 1))
+    N = LaurentMatrix.from_entries(field, n, top)
 
-    def build_N():
-        N = LaurentMatrix.identity(p, n)
-        for alpha, d in geom.degrees:
-            i, k = alpha
-            delta = 1 if i < k else 0  # alpha > 0
-            poly = LaurentPoly.of(p, {t + delta: c
-                                      for t, c in enumerate(coeffs[alpha])})
-            N = N.set_entry(k, i, poly)  # the -alpha entry
-        return N
+    def band(i, k, d):
+        """The below-top coefficients of the (k, i) entry of nabla(N)."""
+        entry = _nabla(N, unipotent_inverse(N), a_bar).entry(k, i)
+        return [entry.get(t + (i < k), 0) for t in range(d)]
 
     for alpha, d in _root_height_order(geom, n):
         i, k = alpha
@@ -486,16 +313,15 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, p: int | None = No
             pivot = (t + delta + pair_a) % p
             if pivot == 0:
                 raise ZeroDivisorError(alpha, t)
-            L = nabla_matrix(build_N(), a_bar)
-            c = L.entry(k, i).coeff(t + delta)
-            coeffs[alpha][t] = (coeffs[alpha][t] - c * pow(pivot, -1, p)) % p
+            c = band(i, k, d)[t]
+            old = int(N.coeffs[k - 1, i - 1, 0, t + delta])
+            N.coeffs[k - 1, i - 1, 0, t + delta] = \
+                (old - c * pow(pivot, -1, p)) % p
         # after elimination the sub-top band of this entry must vanish
-        L = nabla_matrix(build_N(), a_bar)
-        for t in range(d):
-            if L.entry(k, i).coeff(t + delta):
-                raise InternalError("triangular elimination failed to clear a band")
+        if any(band(i, k, d)):
+            raise InternalError("triangular elimination failed to clear a band")
 
-    A = weyl_matrix(star(wt), p) * build_N()
+    A = weyl_matrix(star(wt), p) * N
     if check and not verify_nabla(A, a_bar):
         raise InternalError("solved matrix fails the monodromy condition")
     return A

@@ -27,6 +27,7 @@ from awbm.affine_weyl import (
     invert,
     is_dominant,
     is_generic_element,
+    is_prime,
     is_regular,
     is_restricted,
     is_small,
@@ -327,3 +328,24 @@ def test_omega_extension_rule_for_orders():
                 assert bruhat_leq(ad, bd) == bruhat_leq(a, b)
                 assert up_leq(ad, bd) == up_leq(a, b)
                 assert length(ad) == length(a)
+
+
+def test_is_prime():
+    def trial(m):
+        return m >= 2 and all(m % d for d in range(2, int(m ** 0.5) + 1))
+    assert [m for m in range(-3, 3000) if is_prime(m)] == \
+        [m for m in range(-3, 3000) if trial(m)]
+    # strong pseudoprimes to the first 7, 9, 11 and 12 prime bases
+    for m in (3215031751, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(m)
+    from awbm.affine_weyl import GroupContext
+    from awbm.bk_gauge import Coefficients
+    from awbm.errors import ArgumentError
+    for p in (2, 2 ** 31 - 1, 2 ** 64 - 59):
+        assert is_prime(p)
+        assert GroupContext(2, 1, p).p == p and Coefficients(p).p == p
+    for q in (1, 4, 2 ** 64, 2 ** 64 - 57):
+        for make in (lambda: GroupContext(2, 1, q), lambda: Coefficients(q)):
+            with pytest.raises(ArgumentError):
+                make()

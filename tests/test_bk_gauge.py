@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from awbm.affine_weyl import (
@@ -78,6 +79,74 @@ def test_series_inverse_bounded_height(n, h, p):
         Ainv = A.inverse(40)
         assert (A * Ainv).equal_mod(I, 40)
         assert (Ainv * A).equal_mod(I, 40)
+
+
+def _python_product(A, B, field):
+    """The matrix product over F_p or F_{p^2} with Python ints only."""
+    p, r = field.p, field.r
+    n = A.n
+    out = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            acc = {}
+            for k in range(1, n + 1):
+                for e1, c1 in A.entry(i, k).items():
+                    for e2, c2 in B.entry(k, j).items():
+                        if field.degree == 1:
+                            c = [c1 * c2, 0]
+                        else:
+                            c = [c1[0] * c2[0] + r * c1[1] * c2[1],
+                                 c1[0] * c2[1] + c1[1] * c2[0]]
+                        old = acc.get(e1 + e2, [0, 0])
+                        acc[e1 + e2] = [(old[0] + c[0]) % p, (old[1] + c[1]) % p]
+            out[(i, j)] = {e: (c[0] if field.degree == 1 else c)
+                           for e, c in acc.items() if any(c)}
+    return out
+
+
+@pytest.mark.parametrize("p", [2147483647, 3037000453, 4294967291])
+@pytest.mark.parametrize("degree", [1, 2])
+def test_product_beyond_int64(p, degree):
+    rng = random.Random(p + degree)
+    field = Coefficients(p, degree)
+    for _ in range(3):
+        A, B = (SeriesMatrix.from_entries(
+            field, 2, {(i, j, e): field.rand_scalar(rng)
+                       for i in (1, 2) for j in (1, 2) for e in range(-1, 5)})
+            for _ in range(2))
+        prod = A * B
+        want = _python_product(A, B, field)
+        assert all(prod.entry(i, j) == want[(i, j)]
+                   for i in (1, 2) for j in (1, 2))
+        I = SeriesMatrix.identity(field, 2)
+        Ainv = random_iwahori(field, 2, rng).truncate(30)
+        assert (Ainv * Ainv.inverse(20)).equal_mod(I, 20)
+
+
+def test_coefficient_dtype():
+    # the benchmark's primes stay on int64; products that could leave it
+    # are formed over Python ints
+    for p in (2, 7, 211, 10007, 2147483647, 3037000453):
+        assert Coefficients(p).dtype is np.int64
+    assert Coefficients(10007, 2).dtype is np.int64
+    assert Coefficients(10007).fits(10 ** 6)
+    assert not Coefficients(2147483647).fits(3)
+    assert not Coefficients(3037000453).fits(2)
+    for p in (4294967291, 2 ** 64 - 59):
+        assert Coefficients(p).dtype is object
+
+
+def test_frobenius_truncated_matches_full():
+    rng = random.Random(72)
+    for field in (F7, F49):
+        Y = random_bounded_height(field, 2, rng, 1).truncate(30)
+        for prec in (-3, 0, 1, 50, 200, 10 ** 6):
+            full, cut = Y.frobenius().truncate(prec), Y.frobenius(prec)
+            assert cut == full and cut.lo == full.lo
+            assert cut.coeffs.shape == full.coeffs.shape
+        for M in (0, 5, 40):
+            twisted = frobenius_twist(Y, 0, TW7, M)
+            assert twisted == frobenius_twist(Y, 0, TW7).truncate(M)
 
 
 def test_json_round_trip():
@@ -171,6 +240,14 @@ STRAIGHT_CONFIGS = [
     (2, 2, 7, 1, (2, 0)),
     (3, 1, 7, 0, (2, 1, 0)),
     (3, 2, 7, 0, (2, 1, 0)),
+    (3, 1, 101, 1, (50, 25, 0)),
+    (3, 1, 101, 2, (50, 25, 0)),
+    (3, 1, 211, 1, (50, 25, 0)),
+    (3, 1, 211, 2, (50, 25, 0)),
+    (4, 1, 101, 1, (75, 50, 25, 0)),
+    (4, 1, 101, 2, (75, 50, 25, 0)),
+    (4, 1, 211, 1, (75, 50, 25, 0)),
+    (4, 1, 211, 2, (75, 50, 25, 0)),
 ]
 
 
@@ -234,7 +311,7 @@ def test_straighten_height_guard():
     A = [random_bounded_height(F7, 2, rng, 2).truncate(80)]
     # claim height 0 while the matrix has valuation-2 determinant somewhere
     X = [random_iw1(F7, 2, rng).truncate(80)]
-    det = A[0]._det_series(10)
+    det = A[0]._det(A[0]._adjugate())
     if not det[:, 0].any() and not det[:, 1].any():
         with pytest.raises(ArgumentError):
             straighten(A, X, z, 40, h=0)

@@ -167,9 +167,27 @@ RAGGED = json.dumps({"p": 13, "entries": [[{"0": 1}, {}], [{"0": 1}]]})
     (["oracle", "--n", "2", "--kind", "bruhat", "--a", "e"], None),
     (["oracle", "--n", "2", "--kind", "up", "--a", "e"], None),
     (["len", "--n", "0", "--a", "e"], None),
+    (["straighten", "--n", "2", "--p", "7", "--z", "e", "--M", "10"],
+     json.dumps({"A": [json.loads(RAGGED)], "X": [json.loads(RAGGED)]})),
+    (["twist", "--n", "2", "--p", "7", "--s", "e", "--mu", "2,0",
+      "--matrix", "-"], json.dumps({"p": 7, "entries": [[[1], {}], [{}, {}]]})),
 ])
 def test_malformed_input_is_exit_2(argv, stdin):
     res = invoke(*argv, stdin=stdin)
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("input error")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["wq", "--n", "2", "--p", "4", "--s", "e", "--mu", "5,0", "--force"], None),
+    (["monodromy", "--n", "2", "--p", "4", "--w", "e@1,0", "--abar", "5,0"],
+     None),
+    (["nabla", "--n", "2", "--matrix", "-", "--abar", "1,0"],
+     json.dumps({"p": 4, "entries": [[{"0": 1}, {}], [{}, {"0": 1}]]})),
+    (["wq", "--n", "2", "--p", "1", "--s", "e", "--mu", "5,0", "--force"], None),
+])
+def test_composite_p_is_exit_3(argv, stdin):
+    res = invoke(*argv, stdin=stdin)
+    assert res.returncode == 3, res.stderr
+    assert "prime" in res.stderr and "Traceback" not in res.stderr

@@ -18,17 +18,18 @@ from awbm.affine_weyl import (
     translation,
     w_h,
 )
+from awbm.bk_gauge import Coefficients
 from awbm.errors import ArgumentError, GenericityError, ZeroDivisorError
 from awbm.inertial_types import make_type
 from awbm.modp_flag import (
     LaurentMatrix,
-    LaurentPoly,
     cell_geometry,
     chart_template,
     component_data,
     monodromy_solve,
     required_genericity,
     special_fiber_components,
+    unipotent_inverse,
     verify_nabla,
     weyl_matrix,
 )
@@ -38,36 +39,42 @@ from conftest import generic_modp_vector
 # ---------------------------------------------------------------------------
 # Laurent arithmetic
 
+F13 = Coefficients(13)
+
+
 def test_laurent_poly_ring_ops():
+    # 1 x 1 exact matrices are Laurent polynomials
     p = 13
-    a = LaurentPoly.of(p, {-1: 3, 2: 5})
-    b = LaurentPoly.of(p, {0: 1, 1: 12})
-    assert (a + b).as_dict() == {-1: 3, 0: 1, 1: 12, 2: 5}
-    assert (a * b).as_dict() == {-1: 3, 0: 10, 2: 5, 3: 8}
-    assert a.v_ddv().as_dict() == {-1: -3 % p, 2: 10}
-    assert a.shift(2).as_dict() == {1: 3, 4: 5}
+    a = LaurentMatrix.from_entries(F13, 1, {(1, 1, -1): 3, (1, 1, 2): 5})
+    b = LaurentMatrix.from_entries(F13, 1, {(1, 1, 0): 1, (1, 1, 1): 12})
+    assert (a + b).entry(1, 1) == {-1: 3, 0: 1, 1: 12, 2: 5}
+    assert (a * b).entry(1, 1) == {-1: 3, 0: 10, 2: 5, 3: 8}
+    assert a.v_ddv().entry(1, 1) == {-1: -3 % p, 2: 10}
+    assert a.shift(2).entry(1, 1) == {1: 3, 4: 5}
+    assert (a * b).prec is None and isinstance(a * b, LaurentMatrix)
 
 
 def test_matrix_inverse_monomial_det():
-    p = 13
-    m = LaurentMatrix.identity(p, 2)
-    m = m.set_entry(1, 2, LaurentPoly.of(p, {0: 4, 1: 7}))
-    m = m.set_entry(1, 1, LaurentPoly.monomial(p, 2, 3))
+    m = LaurentMatrix.from_entries(
+        F13, 2, {(1, 1, 2): 3, (2, 2, 0): 1, (1, 2, 0): 4, (1, 2, 1): 7})
     inv = m.inverse()
     prod = m * inv
-    assert prod.entry(1, 1).as_dict() == {0: 1}
-    assert prod.entry(1, 2).is_zero()
-    bad = LaurentMatrix.identity(p, 2).set_entry(
-        1, 1, LaurentPoly.of(p, {0: 1, 1: 1}))
+    assert prod.entry(1, 1) == {0: 1}
+    assert prod.entry(1, 2) == {}
+    assert prod == LaurentMatrix.identity(F13, 2)
+    bad = LaurentMatrix.from_entries(
+        F13, 2, {(1, 1, 0): 1, (1, 1, 1): 1, (2, 2, 0): 1})
     with pytest.raises(ArgumentError):
         bad.inverse()
 
 
 def test_json_round_trip():
-    p = 13
-    m = LaurentMatrix.identity(p, 2).set_entry(
-        2, 1, LaurentPoly.of(p, {-2: 5, 3: 1}))
-    assert LaurentMatrix.from_json(m.to_json()) == m
+    m = LaurentMatrix.from_entries(
+        F13, 2, {(1, 1, 0): 1, (2, 2, 0): 1, (2, 1, -2): 5, (2, 1, 3): 1})
+    doc = m.to_json()
+    assert set(doc) == {"p", "entries"}
+    assert doc["entries"][1][0] == {"-2": 5, "3": 1}
+    assert LaurentMatrix.from_json(doc) == m
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +155,8 @@ def test_monodromy_zero_pivot():
 
 
 def test_nabla_failure_case():
-    p = 13
-    A = (LaurentMatrix.zero(p, 2)
-         .set_entry(1, 1, LaurentPoly.monomial(p, 1))
-         .set_entry(2, 2, LaurentPoly.const(p, 1))
-         .set_entry(2, 1, LaurentPoly.const(p, 1)))
+    A = LaurentMatrix.from_entries(
+        F13, 2, {(1, 1, 1): 1, (2, 2, 0): 1, (2, 1, 0): 1})
     assert not verify_nabla(A, (5, 0))
 
 
@@ -192,7 +196,27 @@ def test_monodromy_linearity_in_free_values():
             if i == j:
                 continue
             e1, e2 = N1.entry(i, j), N2.entry(i, j)
-            assert e2.as_dict() == {k: (2 * v) % p for k, v in e1.terms}
+            assert e2 == {k: (2 * v) % p for k, v in e1.items()}
+
+
+def test_unipotent_inverse_against_adjugate():
+    # random coefficients on the support of random cells: the closed form
+    # sum_{k<n} (I - N)^k equals the adjugate inverse
+    rng = random.Random(54)
+    for n, eta in [(2, (1, 0)), (3, (2, 1, 0)), (4, (3, 2, 1, 0))]:
+        cells = adm(eta)
+        for p in (13, 101):
+            field = Coefficients(p)
+            for wt in rng.sample(cells, min(len(cells), 12)):
+                ent = {(i, i, 0): 1 for i in range(1, n + 1)}
+                for (i, k), d in cell_geometry(wt).degrees:
+                    delta = 1 if i < k else 0
+                    for t in range(d + 1):
+                        ent[(k, i, t + delta)] = rng.randrange(p)
+                N = LaurentMatrix.from_entries(field, n, ent)
+                inv = unipotent_inverse(N)
+                assert inv == N.inverse()
+                assert N * inv == LaurentMatrix.identity(field, n)
 
 
 def test_translation_compatibility():
@@ -275,9 +299,8 @@ def test_monodromy_constraints_are_necessary():
                 continue
             i, k = alpha
             delta = 1 if i < k else 0
-            entry = N.entry(k, i)
-            bump = LaurentPoly.of(p, dict(entry.terms) | {delta: (entry.coeff(delta) + 1) % p})
-            assert not verify_nabla(W * N.set_entry(k, i, bump), a)
+            bump = LaurentMatrix.from_entries(F13, n, {(k, i, delta): 1})
+            assert not verify_nabla(W * (N + bump), a)
 
 
 def test_fixed_points_two_embeddings():
