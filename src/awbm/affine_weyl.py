@@ -10,9 +10,11 @@ order-theoretic questions are settled geometrically through a fixed interior
 point x0 = eta/n of the base alcove, where eta = (n-1, n-2, ..., 0): for any
 element g and any root alpha the pairing <g(x0), alpha∨> has denominator
 exactly n, so it is never an integer and every alcove membership test is a
-strict inequality.  Length is the number of root hyperplanes separating x0
-from g(x0); the Bruhat order is computed by stripping left descents in the
-affine Weyl group W_a, with the finite-index factor Omega (the stabilizer of
+strict inequality.  The code works on the integer point alcove_point(g) =
+n·g(x0) = w(eta) + n·nu: a floor of a pairing is the scaled pairing // n, and
+a strip 0 < <y, alpha∨> < 1 is 0 < <n·y, alpha∨> < n.  Length is the number
+of root hyperplanes separating x0 from g(x0); the Bruhat order is computed by
+stripping left descents in the affine Weyl group W_a, with the finite-index factor Omega (the stabilizer of
 the base alcove) split off by the degree homomorphism deg(t_nu ∘ w) = sum(nu).
 Admissible sets are decided by the vertexwise test (Adm = Perm for GL_n).
 
@@ -30,10 +32,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -55,7 +55,7 @@ __all__ = [
     "w0",
     "w_h",
     "eta_vector",
-    "base_point",
+    "alcove_point",
     "multiply",
     "invert",
     "evaluate",
@@ -200,6 +200,8 @@ class WeylElement:
 
     @classmethod
     def from_json(cls, data):
+        if not isinstance(data, dict):
+            raise InputError(f"element encoding must be an object: {data!r}")
         try:
             conv = data.get("convention", "t_nu_then_w")
             if conv != "t_nu_then_w":
@@ -234,12 +236,6 @@ def w_h(n):
     return multiply(w0(n), translation(tuple(-e for e in eta_vector(n))))
 
 
-@lru_cache(maxsize=None)
-def base_point(n):
-    """eta/n, an interior point of the base alcove with wall-free orbit."""
-    return tuple(Fraction(c, n) for c in eta_vector(n))
-
-
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.n != b.n:
         raise ContextError(f"rank mismatch: {a.n} vs {b.n}")
@@ -270,15 +266,21 @@ def star(a: WeylElement) -> WeylElement:
     return WeylElement(wi, perm_act(wi, a.nu))
 
 
+def alcove_point(a: WeylElement):
+    """n·a(x0) = w(eta) + n·nu: the image of the base point x0 = eta/n,
+    scaled by n so that every root pairing is an integer prime to n."""
+    n = a.n
+    return tuple(m + n * c for m, c in zip(perm_act(a.w, eta_vector(n)), a.nu))
+
+
 @lru_cache(maxsize=None)
 def _separation(a: WeylElement, x_index: int) -> int:
+    """Hyperplanes separating x from a(x), for x = x0 (x_index 0) or w0(x0)
+    (x_index 1); every positive pairing of x has floor -x_index."""
     n = a.n
-    x = base_point(n) if x_index == 0 else perm_act(perm_w0(n), base_point(n))
-    y = evaluate(a, x)
-    total = 0
-    for root in positive_roots(n):
-        total += abs(math.floor(pairing(y, root)) - math.floor(pairing(x, root)))
-    return total
+    y = alcove_point(a if x_index == 0 else multiply(a, w0(n)))
+    return sum(abs((y[i] - y[k]) // n + x_index)
+               for i in range(n) for k in range(i + 1, n))
 
 
 def length(a: WeylElement) -> int:
@@ -295,25 +297,19 @@ def dual_length(a: WeylElement) -> int:
 # ---------------------------------------------------------------------------
 # alcove position predicates
 
-def _image_point(a: WeylElement):
-    return evaluate(a, base_point(a.n))
-
-
 def is_dominant(a: WeylElement) -> bool:
-    y = _image_point(a)
-    return all(pairing(y, r) > 0 for r in positive_roots(a.n))
+    y = alcove_point(a)
+    return all(y[i] > y[i + 1] for i in range(a.n - 1))
 
 
 def is_restricted(a: WeylElement) -> bool:
-    y = _image_point(a)
-    if any(pairing(y, r) <= 0 for r in positive_roots(a.n)):
-        return False
-    return all(y[i] - y[i + 1] < 1 for i in range(a.n - 1))
+    y = alcove_point(a)
+    return all(0 < y[i] - y[i + 1] < a.n for i in range(a.n - 1))
 
 
 def is_regular(a: WeylElement) -> bool:
-    y = _image_point(a)
-    return not any(0 < pairing(y, r) < 1 for r in positive_roots(a.n))
+    y = alcove_point(a)
+    return not any(0 < pairing(y, r) < a.n for r in positive_roots(a.n))
 
 
 def smallness(a: WeylElement) -> int:
@@ -362,7 +358,7 @@ def classify(a: WeylElement, m: int | None = None, p: int | None = None) -> Flag
 
 def dominant_witness(a: WeylElement):
     """The unique w in W with w^{-1}·(a(x0)) strictly dominant."""
-    y = _image_point(a)
+    y = alcove_point(a)
     order = sorted(range(a.n), key=lambda i: y[i], reverse=True)
     # (w^{-1} y)_i = y_{w(i)} must decrease, so w(i) = order[i-1] + 1
     return tuple(i + 1 for i in order)
@@ -520,10 +516,9 @@ def _dominating_translation(elements):
     n = elements[0].n
     bound = 0
     for e in elements:
-        y = _image_point(e)
+        y = alcove_point(e)
         for r in positive_roots(n):
-            q = abs(pairing(y, r))
-            bound = max(bound, math.floor(q) + 1)
+            bound = max(bound, abs(pairing(y, r)) // n + 1)
     b = bound + 1
     return translation(tuple(b * c for c in eta_vector(n)))
 
@@ -625,6 +620,17 @@ def canonical_x0_shift(w1: WeylElement, *others):
     return shifted[0] if not others else tuple(shifted)
 
 
+def _box_translation(y):
+    """The nu with nu_n = 0 and nu_i - nu_(i+1) = floor(<y/n, alpha_i∨>) for
+    the simple roots alpha_i, so that y/n - nu lies in the box
+    0 <= <x, alpha_i∨> < 1; y is a scaled point, n = len(y)."""
+    n = len(y)
+    nu = [0] * n
+    for i in range(n - 2, -1, -1):
+        nu[i] = nu[i + 1] + (y[i] - y[i + 1]) // n
+    return nu
+
+
 def regular_factorization(a: WeylElement):
     """Write a regular element as w2^{-1} · w0 · w1 with w1 restricted dominant
     and w2 dominant; canonical up to the diagonal central-translation action,
@@ -632,24 +638,16 @@ def regular_factorization(a: WeylElement):
     if not is_regular(a):
         raise RegularityError(f"element {a} is not regular")
     n = a.n
-    y = _image_point(a)
+    y = alcove_point(a)
     order = sorted(range(n), key=lambda i: y[i])  # ascending -> antidominant
     w2f = perm_inverse(tuple(i + 1 for i in order))
-    z = perm_act(w2f, base_point(n))
-    diffs = [-math.floor(z[i] - z[i + 1]) for i in range(n - 1)]
-    eta2 = [0] * n
-    for i in range(n - 2, -1, -1):
-        eta2[i] = eta2[i + 1] + diffs[i]
-    w2 = multiply(translation(tuple(eta2)), finite(w2f))
+    eta2 = _box_translation(perm_act(w2f, eta_vector(n)))
+    w2 = multiply(translation(tuple(-c for c in eta2)), finite(w2f))
     if not is_restricted(w2):
         raise InternalError("restricted normalisation of w2 failed")
     b = multiply(w0(n), multiply(w2, a))
-    yb = _image_point(b)
-    kdiffs = [math.floor(yb[i] - yb[i + 1]) for i in range(n - 1)]
-    nu = [0] * n
-    for i in range(n - 2, -1, -1):
-        nu[i] = nu[i + 1] + kdiffs[i]
-    if any(c < 0 for c in kdiffs):
+    nu = _box_translation(alcove_point(b))
+    if any(nu[i] < nu[i + 1] for i in range(n - 1)):
         raise InternalError("dominant part of the factorization is negative")
     w1 = multiply(translation(tuple(-c for c in nu)), b)
     if not is_restricted(w1):
@@ -692,12 +690,8 @@ def restricted_classes(n: int):
     translations, normalised with max translation coordinate zero."""
     found = set()
     for w in all_perms(n):
-        y = perm_act(w, base_point(n))
-        diffs = [-math.floor(y[i] - y[i + 1]) for i in range(n - 1)]
-        nu = [0] * n
-        for i in range(n - 2, -1, -1):
-            nu[i] = nu[i + 1] + diffs[i]
-        cand = multiply(translation(tuple(nu)), finite(w))
+        nu = _box_translation(perm_act(w, eta_vector(n)))
+        cand = multiply(translation(tuple(-c for c in nu)), finite(w))
         if not is_restricted(cand):
             continue
         for d in range(n):
@@ -839,7 +833,7 @@ def check_prime(p: int) -> None:
 @dataclass(frozen=True)
 class GroupContext:
     """Rank, number of embeddings, and the (optional) prime, plus the standard
-    weight eta = (n-1, ..., 0) repeated per embedding and the base point eta/n."""
+    weight eta = (n-1, ..., 0)."""
 
     n: int
     f: int = 1
@@ -857,20 +851,7 @@ class GroupContext:
     def eta(self):
         return eta_vector(self.n)
 
-    @property
-    def base_point(self):
-        return base_point(self.n)
-
     def require_prime(self):
         if self.p is None:
             raise ArgumentError("this operation needs a prime in the context")
         return self.p
-
-    def w0_tuple(self):
-        return WeylTuple.constant(w0(self.n), self.f)
-
-    def wh_tuple(self):
-        return WeylTuple.constant(w_h(self.n), self.f)
-
-    def eta_tuple(self):
-        return (self.eta,) * self.f

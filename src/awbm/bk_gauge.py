@@ -39,6 +39,7 @@ from .affine_weyl import (
     adm_member,
     check_prime,
     eta_vector,
+    finite,
     multiply,
     perm_act,
     perm_inverse,
@@ -48,6 +49,7 @@ from .affine_weyl import (
 )
 from .errors import (
     ArgumentError,
+    ContextError,
     GenericityError,
     InputError,
     IntegralityError,
@@ -258,7 +260,15 @@ class SeriesMatrix:
                 and np.array_equal(self.window(lo, hi), other.window(lo, hi)))
 
     # -- arithmetic --------------------------------------------------------
+    def _check_operand(self, other):
+        if self.field != other.field or self.n != other.n:
+            raise ContextError(
+                f"operands differ: n={self.n} over F_{self.field.p}^"
+                f"{self.field.degree} against n={other.n} over "
+                f"F_{other.field.p}^{other.field.degree}")
+
     def _align(self, other):
+        self._check_operand(other)
         lo = min(self.lo, other.lo)
         prec = min(self._eff_prec(), other._eff_prec())
         hi = max(self.hi, other.hi)
@@ -277,6 +287,7 @@ class SeriesMatrix:
         return self._new(lo, arr, None if prec >= _BIG else prec)
 
     def __mul__(self, other):
+        self._check_operand(other)
         f = self.field
         n = self.n
         lo = self.lo + other.lo
@@ -566,14 +577,9 @@ class TwistData:
         object.__setattr__(self, "mu", mu)
 
     @classmethod
-    def from_type(cls, tau: TameTypePresentation):
-        return cls(tau.s, tau.mu, tau.ctx)
-
-    @classmethod
     def from_dual_element(cls, z: WeylTuple, ctx: GroupContext):
         """Read (s, mu) off z_j = s_j^{-1} t_{mu_j + eta_j}."""
         eta = eta_vector(ctx.n)
-        from .affine_weyl import finite
         s_parts, mu_rows = [], []
         for g in z:
             s_j = perm_inverse(g.w)
@@ -590,7 +596,6 @@ class TwistData:
     def dual_element(self) -> WeylTuple:
         """The tuple with components s_j^{-1} t_{mu_j + eta_j}."""
         eta = eta_vector(self.ctx.n)
-        from .affine_weyl import finite
         comps = []
         for j in range(self.ctx.f):
             t = translation(tuple(m + e for m, e in zip(self.mu[j], eta)))

@@ -3,7 +3,8 @@
 Conventions: a successful invocation prints exactly one JSON document on
 stdout (canonical key order, sorted sets) and exits 0; malformed input exits
 2; a violated precondition exits 3 with the failing condition named on
-stderr; an internal invariant breach exits 4.  Elements are written
+stderr; an internal invariant breach, or any other unexpected exception,
+exits 4 with a one-line message and no traceback.  Elements are written
 PERM or PERM@NU (PERM one of 'e', 'w0', cycle notation '(1 2)', or a
 one-line image '2,1'; NU a comma-separated integer vector), tuples join
 components with ';'.  The canonical JSON element encoding
@@ -100,7 +101,12 @@ def parse_tuple(text: str, n: int, f: int) -> aw.WeylTuple:
 def parse_weight_rows(text: str, n: int, f: int):
     text = text.strip()
     if text.startswith("[["):
-        rows = tuple(tuple(int(x) for x in row) for row in json.loads(text))
+        try:
+            rows = tuple(tuple(int(x) for x in row)
+                         for row in json.loads(text))
+        except TypeError as exc:
+            raise InputError(
+                f"weight rows must be integer arrays: {text!r}") from exc
     else:
         parts = [p for p in text.split(";") if p.strip()]
         if len(parts) == 1 and f > 1:
@@ -343,8 +349,13 @@ def cmd_monodromy(args):
     abar = parse_vector(args.abar, args.n)
     free = None
     if args.free:
-        free = {tuple(int(x) for x in k.split(",")): int(v)
-                for k, v in json.loads(args.free).items()}
+        doc = json.loads(args.free)
+        try:
+            free = {tuple(int(x) for x in k.split(",")): int(v)
+                    for k, v in doc.items()}
+        except (AttributeError, TypeError) as exc:
+            raise InputError(
+                f"--free must map 'i,k' to integers: {args.free!r}") from exc
     A = mf.monodromy_solve(w, abar, free, p=args.p)
     emit(A.to_json())
 
@@ -616,6 +627,10 @@ def run(argv) -> int:
     except AwbmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal invariant breach: unexpected {type(exc).__name__}: "
+              f"{exc}", file=sys.stderr)
+        return 4
 
 
 def main():

@@ -7,10 +7,11 @@ matrices of the series kernel (`bk_gauge.SeriesMatrix` with prec=None);
 A point of the open cell attached to a starred element z = t_nu ∘ w (in the
 dual group) is z·N with N unipotent supported on the roots
 
-    -alpha  with  floor<z(x0), alpha∨>  >=  ceil<x0, alpha∨>,
+    -alpha  with  floor<z(x0), alpha∨>  >=  ceil<x0, alpha∨> = [alpha>0],
 
 the -alpha entry being v^[alpha>0] f_alpha with deg f_alpha = d_{alpha} =
-floor<z(x0),alpha∨> - ceil<x0,alpha∨>.  The monodromy condition
+floor<z(x0),alpha∨> - [alpha>0], read off the integer point n·z(x0) as
+<n·z(x0), alpha∨> // n - [alpha>0].  The monodromy condition
 
     v (dA/dv) A^{-1} + A Diag(a) A^{-1}  ∈  (1/v)·Lie(Iw)
 
@@ -26,18 +27,19 @@ checks the final matrix.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .affine_weyl import (
     GroupContext,
     WeylElement,
     WeylTuple,
-    base_point,
+    alcove_point,
+    all_perms,
     bruhat_interval,
     dominant_witness,
     eta_vector,
-    evaluate,
+    finite,
+    is_generic_element,
     multiply,
     pairing,
     perm_act,
@@ -58,7 +60,8 @@ from .errors import (
     InternalError,
     ZeroDivisorError,
 )
-from .inertial_types import TameTypePresentation
+from .inertial_types import TameTypePresentation, compatible_zeta
+from .weight_sets import jh_set
 from .weights import SerreWeightPresentation
 
 __all__ = [
@@ -191,12 +194,6 @@ class CellGeometry:
                           # the critical alpha-strip
     witness: tuple        # w with w^{-1} w̃ dominant; -support ⊂ w(Phi+)
 
-    def degree_of(self, alpha):
-        for a, d in self.degrees:
-            if a == alpha:
-                return d
-        raise ArgumentError(f"root {alpha} is not a criterion root")
-
     def to_json(self):
         return {"support": [list(r) for r in self.support],
                 "degrees": [[list(a), d] for a, d in self.degrees],
@@ -206,16 +203,15 @@ class CellGeometry:
 
 def cell_geometry(wt: WeylElement) -> CellGeometry:
     n = wt.n
-    x = base_point(n)
-    y = evaluate(wt, x)
+    y = alcove_point(wt)
     support, degrees = [], []
     for alpha in all_roots(n):
-        d = math.floor(pairing(y, alpha)) - math.ceil(pairing(x, alpha))
+        i, k = alpha
+        d = pairing(y, alpha) // n - (i < k)
         if d >= 0:
-            i, k = alpha
             support.append((k, i))  # -alpha
             degrees.append((alpha, d))
-    critical = sum(1 for r in positive_roots(n) if 0 < pairing(y, r) < 1)
+    critical = sum(1 for r in positive_roots(n) if 0 < pairing(y, r) < n)
     return CellGeometry(
         support=tuple(sorted(support)), degrees=tuple(sorted(degrees)),
         dim=len(support), critical=critical, witness=dominant_witness(wt))
@@ -367,7 +363,6 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
         raise ArgumentError("w1 components must be restricted dominant")
     label = SerreWeightPresentation(w1, omega, ctx).canonical()
     n = ctx.n
-    from .affine_weyl import is_generic_element
     for row in omega:
         if not force and not is_generic_element(translation(row), n - 1, p):
             raise GenericityError(
@@ -377,7 +372,6 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
         t_om = translation(omega[j])
         bnd = {multiply(star(m), t_om)
                for m in bruhat_interval(multiply(w0(n), w1[j]))}
-        from .affine_weyl import all_perms, finite
         obv = {star(multiply(t_om, multiply(finite(u), w1[j])))
                for u in all_perms(n)}
         if not obv <= bnd:
@@ -397,9 +391,6 @@ def special_fiber_components(ctx: GroupContext, lam, tau: TameTypePresentation,
     """Labels of the top-dimensional irreducible components of the special
     fiber attached to (lam, tau): exactly the constituents of the type twisted
     by W(lam - eta), each with its fixed-point data."""
-    from .weight_sets import jh_set
-    from .weights import CentralCharacter
-    from .inertial_types import compatible_zeta
     lam = tuple(tuple(int(x) for x in row) for row in lam)
     n = ctx.n
     eta = eta_vector(n)

@@ -24,14 +24,15 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 
 from .affine_weyl import (
     WeylElement,
     all_perms,
     degree,
+    eta_vector,
     evaluate,
-    base_point,
     identity,
     is_regular,
     multiply,
@@ -137,7 +138,7 @@ def adm_closure(lam, variant="all"):
 
 @lru_cache(maxsize=None)
 def _hyperplane_distance(a: WeylElement, b: WeylElement) -> int:
-    x = base_point(a.n)
+    x = tuple(Fraction(c, a.n) for c in eta_vector(a.n))  # x0 = eta/n
     ya, yb = evaluate(a, x), evaluate(b, x)
     total = 0
     for root in positive_roots(a.n):
@@ -157,7 +158,7 @@ def chain_up_leq(a: WeylElement, b: WeylElement, bound: int) -> bool:
         return False
     radius = max(bound, _hyperplane_distance(a, b)) + 4
     n = a.n
-    x = base_point(n)
+    x = tuple(Fraction(c, n) for c in eta_vector(n))
     ybs = evaluate(b, x)
     klim = {}
     for root in positive_roots(n):

@@ -24,10 +24,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .affine_weyl import (
     WeylTuple,
     adm_member,
+    all_perms,
+    ap_enumerate,
     bruhat_interval,
     dominant_witness,
     eta_vector,
@@ -40,6 +43,7 @@ from .affine_weyl import (
     multiply,
     perm_act,
     perm_inverse,
+    regular_factorization,
     restricted_classes,
     translation,
     up_leq,
@@ -54,8 +58,8 @@ from .errors import (
     MembershipError,
     OracleError,
 )
-from .inertial_types import TameTypePresentation, compatible_zeta, make_type
-from .weights import CentralCharacter, SerreWeightPresentation, central_character
+from .inertial_types import TameTypePresentation, compatible_zeta
+from .weights import SerreWeightPresentation, central_character
 
 __all__ = [
     "CycleExpr",
@@ -144,7 +148,6 @@ def jh_set(tau: TameTypePresentation, lam, force: bool = False):
             f"type is only {tau.depth()}-generic, need {need} (pass force to override)")
     wt = tau.w_tilde()
     per_embedding = []
-    from .affine_weyl import ap_enumerate
     for j in range(ctx.f):
         lpe = tuple(l + e for l, e in zip(lam[j], eta))
         per_embedding.append(ap_enumerate(lpe))
@@ -213,9 +216,6 @@ def w_question(rho: TameTypePresentation, force: bool = False):
     """The predicted weight set of a mod-p type, with obviousness flags and
     defects, sorted by presentation."""
     return list(_w_question_cached(rho, force))
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=256)
@@ -298,7 +298,6 @@ def covers_up_oracle(sigma0: SerreWeightPresentation,
     finite Weyl representative s (quantified over all of W)."""
     _require_compatible(sigma0, sigma)
     ctx = sigma0.ctx
-    from .affine_weyl import all_perms
     for j in range(ctx.f):
         diff = tuple(a - b for a, b in zip(sigma0.omega[j], sigma.omega[j]))
         for s in all_perms(ctx.n):
@@ -388,7 +387,6 @@ def max_defect_weight(rho: TameTypePresentation, tau: TameTypePresentation,
     _require_lambda_compatible(rho, tau, zero)
     g = w_rhobar_tau(rho, tau)
     eta = eta_vector(ctx.n)
-    from .affine_weyl import regular_factorization
     comps1, comps2 = [], []
     for j in range(ctx.f):
         if not is_regular(g[j]):

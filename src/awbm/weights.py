@@ -16,7 +16,6 @@ together with the hull-shift combinator f ↦ f^omega.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .affine_weyl import (
     GroupContext,
@@ -26,16 +25,15 @@ from .affine_weyl import (
     conv_lattice_points,
     degree,
     eta_vector,
-    identity,
     invert,
     multiply,
     omega_power,
     pairing,
     perm_act,
     positive_roots,
-    simple_reflections,
     sort_key,
     translation,
+    wa_part_and_omega,
 )
 from .errors import (
     ArgumentError,
@@ -230,35 +228,13 @@ def dot_action(a: WeylElement, lam, p: int):
     return tuple(mv + p * c - e for mv, c, e in zip(moved, a.nu, eta))
 
 
-def _alcove_element(point, n):
-    """The unique group element u with point in u(A0), by reflecting the point
-    into the base alcove along violated walls."""
-    refs = simple_reflections(n)
-    cur = tuple(point)
-    u = identity(n)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10_000:
-            raise InternalError("alcove reduction failed to terminate")
-        moved = False
-        for i in range(1, n):
-            if cur[i - 1] - cur[i] < 0:
-                s = refs[i]
-                cur = tuple(perm_act(s.w, cur))
-                u = multiply(s, u)
-                moved = True
-        if cur[0] - cur[n - 1] > 1:
-            s = refs[0]
-            from .affine_weyl import evaluate as _eval
-            cur = _eval(s, cur)
-            u = multiply(s, u)
-            moved = True
-        if not moved:
-            break
-    if any(cur[i] - cur[i + 1] <= 0 for i in range(n - 1)) or cur[0] - cur[n - 1] >= 1:
-        raise InternalError("alcove reduction landed on a wall")
-    return invert(u)
+def _alcove_element(num, p: int):
+    """The unique u in W_a with num/p in u(A0), num off the walls mod p:
+    t_nu ∘ w does it for nu = num // p and w sorting the residues num % p in
+    decreasing order, and so does its W_a-part, as Omega stabilises A0."""
+    order = sorted(range(len(num)), key=lambda i: num[i] % p, reverse=True)
+    u = WeylElement(tuple(i + 1 for i in order), tuple(x // p for x in num))
+    return wa_part_and_omega(u)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +275,6 @@ class SerreWeightPresentation:
 
     def __hash__(self):
         return hash((self.ctx, self.key()))
-
-    def highest_weight(self):
-        return serre_weight(self)
 
     def character(self):
         return central_character(self)
@@ -420,8 +393,7 @@ def lap_of(ctx: GroupContext, kappa, zeta: CentralCharacter) -> SerreWeightPrese
         if weight_depth(kappa[j], p) < 0:
             raise DepthError(
                 f"kappa at embedding {j} is not 0-deep; presentation not unique")
-        point = tuple(Fraction(x + e, p) for x, e in zip(kappa[j], eta))
-        u = _alcove_element(point, ctx.n)
+        u = _alcove_element(tuple(x + e for x, e in zip(kappa[j], eta)), p)
         mu0 = dot_action(invert(u), kappa[j], p)
         if weight_depth_base(mu0, p) < 0:
             raise InternalError("alcove reduction gave a non-interior base weight")

@@ -4,7 +4,9 @@ Frozen expected values follow the convention (w, nu) <-> t_nu ∘ w; elements
 are written below as (one-line image, translation vector).
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from awbm.affine_weyl import (
     WeylElement,
     WeylTuple,
     adm,
+    alcove_point,
+    all_roots,
     ap_enumerate,
     ap_member,
     bruhat_interval,
@@ -20,6 +24,7 @@ from awbm.affine_weyl import (
     classify,
     degree,
     dual_bruhat_leq,
+    dominant_witness,
     dual_length,
     evaluate,
     finite,
@@ -34,6 +39,8 @@ from awbm.affine_weyl import (
     length,
     multiply,
     omega_power,
+    pairing,
+    positive_roots,
     regular_factorization,
     restricted_classes,
     smallness,
@@ -44,6 +51,7 @@ from awbm.affine_weyl import (
     w_h,
 )
 from awbm.errors import ArgumentError, CapacityError, RegularityError
+from awbm.modp_flag import cell_geometry
 from conftest import perms, random_element
 
 E2 = identity(2)
@@ -275,19 +283,72 @@ def test_tuples():
 
 
 def test_base_point_orbit_avoids_walls():
-    from fractions import Fraction
-    from awbm.affine_weyl import base_point, pairing, positive_roots
+    # n·x0 = eta pairs into (0, n) with every positive root, and no pairing
+    # of a scaled image n·a(x0) is divisible by n
     rng = random.Random(7)
     for n in (2, 3, 4):
-        x = base_point(n)
+        x = alcove_point(identity(n))
+        assert x == tuple(range(n - 1, -1, -1))
         for root in positive_roots(n):
-            assert 0 < pairing(x, root) < 1
+            assert 0 < pairing(x, root) < n
         for _ in range(40):
             a = random_element(n, rng, span=4)
-            y = evaluate(a, x)
-            for root in positive_roots(n):
-                q = pairing(y, root)
-                assert isinstance(q, Fraction) and q.denominator != 1
+            y = alcove_point(a)
+            x0 = [Fraction(e, n) for e in x]
+            assert y == tuple(n * c for c in evaluate(a, x0))
+            for root in all_roots(n):
+                assert pairing(y, root) % n != 0
+
+
+def _fraction_alcove_data(a):
+    """Length, dual length, the alcove predicates, the dominant witness and
+    the cell degrees and critical count of a, from the rational point
+    a(x0), x0 = eta/n."""
+    n = a.n
+    x = tuple(Fraction(n - 1 - i, n) for i in range(n))
+    xd = tuple(reversed(x))
+    y, yd = evaluate(a, x), evaluate(a, xd)
+    pos = positive_roots(n)
+
+    def sep(y, x):
+        return sum(abs(math.floor(pairing(y, r)) - math.floor(pairing(x, r)))
+                   for r in pos)
+
+    dominant = all(pairing(y, r) > 0 for r in pos)
+    degrees = []
+    for alpha in all_roots(n):
+        d = math.floor(pairing(y, alpha)) - math.ceil(pairing(x, alpha))
+        if d >= 0:
+            degrees.append((alpha, d))
+    return {
+        "length": sep(y, x),
+        "dual_length": sep(yd, xd),
+        "dominant": dominant,
+        "restricted": dominant and all(y[i] - y[i + 1] < 1
+                                       for i in range(n - 1)),
+        "regular": not any(0 < pairing(y, r) < 1 for r in pos),
+        "witness": tuple(i + 1 for i in sorted(range(n), key=lambda i: -y[i])),
+        "degrees": tuple(sorted(degrees)),
+        "critical": sum(1 for r in pos if 0 < pairing(y, r) < 1),
+    }
+
+
+def test_integer_alcove_point_matches_fractions():
+    rng = random.Random(41)
+    for n in (2, 3, 4, 5):
+        for _ in range(150):
+            a = random_element(n, rng, span=5)
+            geom = cell_geometry(a)
+            assert _fraction_alcove_data(a) == {
+                "length": length(a),
+                "dual_length": dual_length(a),
+                "dominant": is_dominant(a),
+                "restricted": is_restricted(a),
+                "regular": is_regular(a),
+                "witness": dominant_witness(a),
+                "degrees": geom.degrees,
+                "critical": geom.critical,
+            }
 
 
 @given(st.data())

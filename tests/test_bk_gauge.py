@@ -14,6 +14,7 @@ from awbm.affine_weyl import (
 )
 from awbm.errors import (
     ArgumentError,
+    ContextError,
     GenericityError,
     IntegralityError,
 )
@@ -55,6 +56,20 @@ def test_field_arithmetic():
             inv = field.inv_scalar(c)
             prod = field.mul_scalar(c, inv)
             assert prod[0] == 1 and (field.degree == 1 or prod[1] == 0)
+
+
+def test_mixed_operands_are_refused():
+    a = SeriesMatrix.identity(F7, 2)
+    for other in (SeriesMatrix.identity(Coefficients(11), 2),
+                  SeriesMatrix.identity(F49, 2),
+                  SeriesMatrix.identity(F7, 3)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y):
+            with pytest.raises(ContextError):
+                op(a, other)
+            with pytest.raises(ContextError):
+                op(other, a)
+    assert a * a == a and (a - a) + a == a
 
 
 def test_series_inverse():

@@ -1,10 +1,16 @@
 """The command line front end: parsing, dispatch, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from awbm import cli
 
 
 PY = [sys.executable, "-m", "awbm.cli"]
@@ -171,6 +177,14 @@ RAGGED = json.dumps({"p": 13, "entries": [[{"0": 1}, {}], [{"0": 1}]]})
      json.dumps({"A": [json.loads(RAGGED)], "X": [json.loads(RAGGED)]})),
     (["twist", "--n", "2", "--p", "7", "--s", "e", "--mu", "2,0",
       "--matrix", "-"], json.dumps({"p": 7, "entries": [[[1], {}], [{}, {}]]})),
+    (["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "[1]", "--mu", "5,0"],
+     None),
+    (["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e",
+      "--mu", "[[5,null]]"], None),
+] + [
+    (["monodromy", "--n", "2", "--p", "13", "--w", "e@1,0", "--abar", "5,0",
+      "--free", free], None)
+    for free in ("null", "[1]", '{"1,2": null}', '{"1,2": [1]}')
 ])
 def test_malformed_input_is_exit_2(argv, stdin):
     res = invoke(*argv, stdin=stdin)
@@ -191,3 +205,154 @@ def test_composite_p_is_exit_3(argv, stdin):
     res = invoke(*argv, stdin=stdin)
     assert res.returncode == 3, res.stderr
     assert "prime" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("x_field", [{"p": 11}, {"p": 7, "degree": 2}])
+def test_mixed_field_straighten_is_exit_3(x_field):
+    import random
+    sys.path.insert(0, "tests")
+    from conftest import random_bounded_height, random_iw1
+    from awbm.bk_gauge import Coefficients
+
+    rng = random.Random(200)
+    A = random_bounded_height(Coefficients(7), 2, rng, 1).truncate(80)
+    X = random_iw1(Coefficients(**x_field), 2, rng).truncate(80)
+    res = invoke("straighten", "--n", "2", "--f", "1", "--p", "7",
+                 "--z", "e@4,1", "--M", "6",
+                 stdin=json.dumps({"A": [A.to_json()], "X": [X.to_json()]}))
+    assert res.returncode == 3, res.stderr
+    assert "operands differ" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_lap_far_weight_is_exit_3():
+    res = invoke("lap", "--n", "2", "--f", "1", "--p", "7",
+                 "--kappa", "3000000,1", "--zeta", "5")
+    assert res.returncode == 3, res.stderr
+    assert "not congruent" in res.stderr
+
+
+def test_unexpected_exception_is_exit_4(monkeypatch):
+    def boom(args):
+        raise ZeroDivisionError("planted")
+    monkeypatch.setattr(cli, "cmd_len", boom)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.run(["len", "--n", "2", "--a", "e"]) == 4
+    assert "ZeroDivisionError: planted" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# in-process fuzzing of the exit contract
+
+BAD_ELEMENTS = st.sampled_from([
+    "w0", "(12)", "(1 2 3)", "1,1", "x", "", "e@", "e@a,b", "@1", "{}",
+    "[1]", "null", '{"w":[2,1],"nu":[0,1]}', '{"w":[1],"nu":[0]}',
+    '{"w":[1,2],"nu":[0,1],"convention":"other"}', '{"w":"ab","nu":[0,0]}',
+])
+BAD_VECTORS = st.sampled_from(["", "a", "[[1,0]]", "[[1,null]]", "[[1,0],[2]]",
+                               "1;2", "[1,0]", "1,,0", "1,2,3,4"])
+SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "x"])
+PRIMES = st.sampled_from(["2", "3", "5", "7", "13", "4", "1", "0", "-7"])
+FREE = st.sampled_from([None, "null", "[1]", "{}", '{"1,2": 2}', '{"2,1": 1}',
+                        '{"1,2": null}', '{"1,2": [1]}', '{"x": 1}', "{"])
+MATRICES = st.sampled_from([
+    {"p": 13, "entries": [[{"0": 1}, {}], [{}, {"0": 1}]]},
+    {"p": 13, "entries": [[{"0": 1}, {}], [{"1": 3}, {"0": 1}]]},
+    {"p": 13, "entries": [[{"0": 1}, {}], [{"0": 1}]]},
+    {"p": 4, "entries": [[{"0": 1}]]},
+    {"p": 13, "entries": [[{"a": 1}]]},
+    {"p": 13, "entries": [[{"0": None}]]},
+    {"p": 13, "entries": [[{"0": 0}]]},
+    {"p": 13},
+    {"entries": []},
+    [],
+    "x",
+    None,
+])
+
+
+def vectors(n):
+    """Mostly well-formed length-n vectors, sometimes malformed text."""
+    good = st.lists(st.integers(-3, 6), min_size=n, max_size=n).map(
+        lambda v: ",".join(map(str, v)))
+    return st.one_of(good, good, good, BAD_VECTORS)
+
+
+def elements(n):
+    """Mostly well-formed rank-n elements PERM or PERM@NU, sometimes not."""
+    good = st.tuples(st.permutations(range(1, n + 1)),
+                     st.one_of(st.none(), vectors(n))).map(
+        lambda t: ",".join(map(str, t[0])) + ("" if t[1] is None
+                                               else "@" + t[1]))
+    return st.one_of(good, good, good, BAD_ELEMENTS)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, stdin) for one of twelve subcommands, rank at most 3."""
+    n = draw(st.integers(1, 3))
+    cmd = draw(st.sampled_from(["mul", "len", "star", "bruhat", "up",
+                                "classify", "adm", "cell", "chart",
+                                "monodromy", "nabla", "lap"]))
+    argv, stdin = [cmd, "--n", str(n)], None
+    if cmd in ("mul", "bruhat", "up"):
+        argv += ["--a", draw(elements(n)), "--b", draw(elements(n))]
+    elif cmd in ("len", "star"):
+        argv += ["--a", draw(elements(n))]
+    elif cmd == "classify":
+        argv += ["--a", draw(elements(n)), "--m", draw(SMALL),
+                 "--p", draw(PRIMES)]
+    elif cmd == "adm":
+        argv += ["--lambda", draw(vectors(n)),
+                 "--variant", draw(st.sampled_from(["all", "regular", "dual",
+                                                    "x"]))]
+    elif cmd == "cell":
+        argv += ["--w", draw(elements(n))]
+    elif cmd == "chart":
+        argv += ["--z", draw(elements(n)), "--h", draw(SMALL)]
+    elif cmd == "monodromy":
+        argv += ["--p", draw(PRIMES), "--w", draw(elements(n)),
+                 "--abar", draw(vectors(n))]
+        free = draw(FREE)
+        if free is not None:
+            argv += ["--free", free]
+    elif cmd == "nabla":
+        argv += ["--matrix", "-", "--abar", draw(vectors(n))]
+        stdin = draw(st.one_of(MATRICES.map(json.dumps),
+                               st.sampled_from(["", "{", "[[", "1"])))
+    elif cmd == "lap":
+        argv += ["--f", draw(st.sampled_from(["1", "2", "0"])),
+                 "--p", draw(PRIMES), "--kappa", draw(vectors(n)),
+                 "--zeta", draw(vectors(1))]
+    return argv, stdin
+
+
+def _run_in_process(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(cli_calls())
+@settings(max_examples=300, deadline=None, database=None)
+def _fuzz_exit_contract(call):
+    code, out, err = _run_in_process(*call)
+    assert code in (0, 2, 3, 4), (call, code, err)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == "" and err.count("\n") == 1, (call, err)
+
+
+def test_fuzzed_cli_calls_keep_the_exit_contract():
+    t0 = time.perf_counter()
+    _fuzz_exit_contract()
+    assert time.perf_counter() - t0 < 15

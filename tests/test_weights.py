@@ -1,10 +1,20 @@
 """Serre weight presentations, central characters, and genericity polynomials."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from awbm.affine_weyl import GroupContext, WeylElement, WeylTuple, identity, translation
+from awbm.affine_weyl import (
+    GroupContext,
+    WeylElement,
+    WeylTuple,
+    degree,
+    evaluate,
+    identity,
+    translation,
+)
 from awbm.errors import ArgumentError, CompatibilityError, DepthError
 from awbm.weights import (
     CentralCharacter,
@@ -20,6 +30,7 @@ from awbm.weights import (
     weight_depth,
     weight_depth_base,
     weights_equal_mod_center,
+    _alcove_element,
 )
 
 CTX = GroupContext(2, 1, 37)
@@ -95,6 +106,23 @@ def test_lap_of_refuses_shallow_weights():
 def test_lap_of_refuses_bad_zeta():
     with pytest.raises(CompatibilityError):
         lap_of(CTX, ((5, 0),), CentralCharacter((6,)))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_alcove_element_closed_form(data):
+    # for 0-deep kappa, u has degree 0 and u(A0) is the alcove of num/p,
+    # num = kappa + eta: u^{-1}(num/p) lies strictly inside A0
+    n = data.draw(st.integers(2, 4))
+    p = data.draw(st.sampled_from([7, 11, 101]))
+    kappa = tuple(data.draw(st.integers(-10 ** 6, 10 ** 6)) for _ in range(n))
+    assume(weight_depth(kappa, p) >= 0)
+    num = tuple(k + n - 1 - i for i, k in enumerate(kappa))
+    u = _alcove_element(num, p)
+    assert degree(u) == 0
+    inv = u.inverse()
+    x = evaluate(inv, tuple(Fraction(c, p) for c in num))
+    assert all(x[i] > x[i + 1] for i in range(n - 1)) and x[0] - x[-1] < 1
 
 
 def test_depth_p_equivalence():
