@@ -347,6 +347,8 @@ class Flags:
 def classify(a: WeylElement, m: int | None = None, p: int | None = None) -> Flags:
     if m is not None and m < 0:
         raise ArgumentError("smallness/genericity bound m must be >= 0")
+    if p is not None:
+        check_prime(p)
     return Flags(
         dominant=is_dominant(a),
         restricted=is_restricted(a),
@@ -456,9 +458,7 @@ def bruhat_leq(a: WeylElement, b: WeylElement) -> bool:
         raise ContextError("rank mismatch")
     if degree(a) != degree(b):
         return False
-    xa, delta = wa_part_and_omega(a)
-    xb, _ = wa_part_and_omega(b)
-    return _leq_wa(xa, xb)
+    return _leq_wa(wa_part_and_omega(a)[0], wa_part_and_omega(b)[0])
 
 
 def dual_bruhat_leq(a: WeylElement, b: WeylElement) -> bool:

@@ -392,7 +392,7 @@ class SeriesMatrix:
         bad = self.window(self.lo, 0)
         if bad.any():
             idx = np.argwhere(bad.any(axis=2))
-            i, j, e = idx[0][0] + 1, idx[0][1] + 1, None
+            i, j = idx[0][0] + 1, idx[0][1] + 1
             raise IntegralityError(
                 f"negative-exponent residue at entry ({i},{j}){context}")
         return self.normalized()
@@ -409,13 +409,13 @@ class SeriesMatrix:
         c0 = self.const_term()
         return not any(c0[i, j].any() for i in range(self.n) for j in range(i))
 
-    def is_iwahori(self, M=None):
+    def is_iwahori(self):
         """Integral, invertible, upper triangular mod v."""
         c0 = self.const_term()
         return self.is_upper_mod_v() and all(c0[i, i].any()
                                              for i in range(self.n))
 
-    def is_iw1(self, M=None):
+    def is_iw1(self):
         """Unipotent upper triangular mod v."""
         if not self.is_iwahori():
             return False
@@ -623,19 +623,29 @@ def frobenius_twist(Y: SeriesMatrix, j: int, twist: TwistData,
     return out if prec is None else out.truncate(prec)
 
 
-def change_of_basis(A, I, twist: TwistData):
-    """A'_j = I_j · A_j · Ad(s_j^{-1} v^{mu_j+eta_j})(phi(I_{j-1}))^{-1}."""
+def change_of_basis(A, I, twist: TwistData, M: int):
+    """A'_j = I_j · A_j · Ad(s_j^{-1} v^{mu_j+eta_j})(phi(I_{j-1}))^{-1} mod v^M.
+    The working precision starts at M + 8 and doubles, up to the inputs'
+    precision, until the inverse of the twist sees a unit of its determinant
+    and the product is known mod v^M."""
     f = twist.ctx.f
     if len(A) != f or len(I) != f:
         raise ArgumentError("need one matrix per embedding")
     prec = min(m._eff_prec() for m in list(A) + list(I))
     out = []
     for j in range(f):
-        cap = prec if prec < _BIG else 10 ** 6
-        tw = frobenius_twist(I[(j - 1) % f], j, twist, cap)
-        tw_inv = tw.inverse(cap)
-        out.append((I[j] * A[j] * tw_inv).truncate(
-            prec if prec < _BIG else 10 ** 6))
+        work = min(max(M, 0) + 8, prec)
+        while True:
+            tw = frobenius_twist(I[(j - 1) % f], j, twist, work)
+            try:
+                a = I[j] * A[j] * tw.inverse(work)
+                if a._eff_prec() >= M or work == prec:
+                    break
+            except ArgumentError:  # no unit of det tw below the working precision
+                if tw.hi < work or work == prec:  # nothing was cut off
+                    raise
+            work = min(2 * work, prec)
+        out.append(a)
     return tuple(out)
 
 
@@ -676,7 +686,7 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
                                 "height condition fails")
     J = [SeriesMatrix.identity(field, ctx_n) for _ in range(fcount)]
     cap = (M + field.p - 1) // field.p + 4
-    for it in range(cap + 1):
+    for _ in range(cap + 1):
         Jn = []
         for j in range(fcount):
             tw = frobenius_twist(J[(j - 1) % fcount], j, twist, work)

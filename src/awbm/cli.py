@@ -295,10 +295,8 @@ def cmd_covers(args):
 
 def cmd_intersect(args):
     ctx = _ctx(args)
-    rho = it.make_type(ctx, parse_tuple(args.rs, ctx.n, ctx.f),
-                       parse_weight_rows(args.rmu, ctx.n, ctx.f), "F")
-    tau = it.make_type(ctx, parse_tuple(args.ts, ctx.n, ctx.f),
-                       parse_weight_rows(args.tmu, ctx.n, ctx.f), "E")
+    rho = _type(args, ctx, "rs", "rmu", "F")
+    tau = _type(args, ctx, "ts", "tmu")
     lam = parse_weight_rows(getattr(args, "lambda"), ctx.n, ctx.f)
     out = ws.intersection(rho, tau, lam, force=args.force)
     emit([s.to_json() for s in out])
@@ -306,25 +304,21 @@ def cmd_intersect(args):
 
 def cmd_defect(args):
     ctx = _ctx(args)
-    rho = it.make_type(ctx, parse_tuple(args.rs, ctx.n, ctx.f),
-                       parse_weight_rows(args.rmu, ctx.n, ctx.f), "F")
+    rho = _type(args, ctx, "rs", "rmu", "F")
     sigma = _presentation(args, ctx)
     emit({"defect": ws.defect(rho, sigma, force=args.force)})
 
 
 def cmd_maxdefect(args):
     ctx = _ctx(args)
-    rho = it.make_type(ctx, parse_tuple(args.rs, ctx.n, ctx.f),
-                       parse_weight_rows(args.rmu, ctx.n, ctx.f), "F")
-    tau = it.make_type(ctx, parse_tuple(args.ts, ctx.n, ctx.f),
-                       parse_weight_rows(args.tmu, ctx.n, ctx.f), "E")
+    rho = _type(args, ctx, "rs", "rmu", "F")
+    tau = _type(args, ctx, "ts", "tmu")
     emit(ws.max_defect_weight(rho, tau, force=args.force).to_json())
 
 
 def cmd_bm(args):
     ctx = _ctx(args)
-    rho = it.make_type(ctx, parse_tuple(args.rs, ctx.n, ctx.f),
-                       parse_weight_rows(args.rmu, ctx.n, ctx.f), "F")
+    rho = _type(args, ctx, "rs", "rmu", "F")
     solved = ws.bm_cycles(rho, force=args.force)
     out = []
     for sigma, (d, expr) in sorted(solved.items(),
@@ -376,8 +370,7 @@ def cmd_component(args):
 
 def cmd_fiber(args):
     ctx = _ctx(args)
-    tau = it.make_type(ctx, parse_tuple(args.ts, ctx.n, ctx.f),
-                       parse_weight_rows(args.tmu, ctx.n, ctx.f), "E")
+    tau = _type(args, ctx, "ts", "tmu")
     lam = parse_weight_rows(getattr(args, "lambda"), ctx.n, ctx.f)
     zeta = None
     if args.zeta:
@@ -403,7 +396,7 @@ def cmd_cob(args):
     ctx = _ctx(args)
     tw = _twist(args, ctx)
     A, I = _stdin_series_lists("A", "I")
-    out = bk.change_of_basis(A, I, tw)
+    out = bk.change_of_basis(A, I, tw, args.M)
     emit([m.truncate(args.M).to_json() for m in out])
 
 
@@ -417,10 +410,8 @@ def cmd_straighten(args):
 
 def cmd_shape(args):
     ctx = _ctx(args)
-    rho = it.make_type(ctx, parse_tuple(args.rs, ctx.n, ctx.f),
-                       parse_weight_rows(args.rmu, ctx.n, ctx.f), "F")
-    tau = it.make_type(ctx, parse_tuple(args.ts, ctx.n, ctx.f),
-                       parse_weight_rows(args.tmu, ctx.n, ctx.f), "E")
+    rho = _type(args, ctx, "rs", "rmu", "F")
+    tau = _type(args, ctx, "ts", "tmu")
     res = bk.shape_semisimple(rho, tau)
     doc = {"shape": res.shape.to_json(),
            "w_rhobar_tau": res.w_rhobar_tau.to_json()}

@@ -361,7 +361,7 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
         raise ArgumentError("omega must be an f-tuple of length-n rows")
     if not w1.is_restricted():
         raise ArgumentError("w1 components must be restricted dominant")
-    label = SerreWeightPresentation(w1, omega, ctx).canonical()
+    label = SerreWeightPresentation(w1, omega, ctx)
     n = ctx.n
     for row in omega:
         if not force and not is_generic_element(translation(row), n - 1, p):

@@ -21,12 +21,13 @@ predicted constituents all have strictly smaller defect.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .affine_weyl import (
+    GroupContext,
+    WeylElement,
     WeylTuple,
     adm_member,
     all_perms,
@@ -147,21 +148,35 @@ def jh_set(tau: TameTypePresentation, lam, force: bool = False):
         raise GenericityError(
             f"type is only {tau.depth()}-generic, need {need} (pass force to override)")
     wt = tau.w_tilde()
-    per_embedding = []
-    for j in range(ctx.f):
-        lpe = tuple(l + e for l, e in zip(lam[j], eta))
-        per_embedding.append(ap_enumerate(lpe))
-    out = []
-    for combo in itertools.product(*per_embedding):
-        w1 = WeylTuple(tuple(pr[0] for pr in combo))
-        omega = tuple(
-            tuple(evaluate(wt[j], evaluate(invert(combo[j][1]), (0,) * ctx.n)))
-            for j in range(ctx.f))
-        out.append(SerreWeightPresentation(w1, omega, ctx).canonical())
-    out = sorted(set(out), key=lambda s: s.sort_key())
-    if len(out) != math.prod(len(pe) for pe in per_embedding):
-        raise InternalError("JH parametrization failed to be injective")
-    return out
+    per_embedding = [
+        [row for row, _ in _rows(wt[j], ap_enumerate(
+            tuple(l + e for l, e in zip(lam[j], eta))), "JH")]
+        for j in range(ctx.f)]
+    return [_glue(rows, ctx) for rows in itertools.product(*per_embedding)]
+
+
+def _rows(wt_j: WeylElement, pairs, what):
+    """For pairs (w, w2) at an embedding where the avatar is wt_j, the
+    canonical rows (w1_j, omega_j) of the presentations (w, wt_j(w2^{-1}(0))),
+    each with its pair, in the order of the per-embedding sort key.  The rows
+    must be distinct: then a product of such lists over the embeddings is in
+    the order of the presentations' sort keys."""
+    one = GroupContext(wt_j.n)  # a one-embedding presentation is one row
+    zero = (0,) * wt_j.n
+    rows = {}
+    for w, w2 in pairs:
+        s = SerreWeightPresentation(
+            WeylTuple((w,)), (evaluate(wt_j, evaluate(invert(w2), zero)),), one)
+        rows[s.sort_key()[0]] = ((s.w1[0], s.omega[0]), (w, w2))
+    if len(rows) != len(pairs):
+        raise InternalError(f"{what} parametrization failed to be injective")
+    return [rows[k] for k in sorted(rows)]
+
+
+def _glue(rows, ctx) -> SerreWeightPresentation:
+    """The presentation over ctx whose row at embedding j is rows[j]."""
+    return SerreWeightPresentation(WeylTuple(tuple(a for a, _ in rows)),
+                                   tuple(om for _, om in rows), ctx)
 
 
 def _weight_tuple(ctx, lam):
@@ -212,6 +227,28 @@ def _require_f_type(rho):
         raise ArgumentError("expected a mod-p type (kind 'F')")
 
 
+def _require_predicted_set(rho: TameTypePresentation, force: bool):
+    _require_f_type(rho)
+    need = 2 * _h(eta_vector(rho.ctx.n))
+    if not force and rho.depth() < need:
+        raise GenericityError(
+            f"mod-p type is only {rho.depth()}-generic, need {need}")
+
+
+@lru_cache(maxsize=256)
+def _w_question_factors(wt_j: WeylElement):
+    """The W? factors (row, w, w2, defect summand) at an embedding where
+    w̃(rhobar) is wt_j, keyed by row and in sort-key order; W? is their
+    product over the embeddings."""
+    n = wt_j.n
+    pairs = [(w, w2) for w in restricted_classes(n) for w2 in bruhat_interval(w)
+             if is_dominant(w2)]  # w2 ↑ w iff w2 <= w, both dominant
+    t_eta = length(translation(eta_vector(n)))
+    return {row: (row, w, w2, t_eta - length(multiply(
+                invert(multiply(w_h(n), w)), multiply(w0(n), w2))))
+            for row, (w, w2) in _rows(wt_j, pairs, "W?")}
+
+
 def w_question(rho: TameTypePresentation, force: bool = False):
     """The predicted weight set of a mod-p type, with obviousness flags and
     defects, sorted by presentation."""
@@ -220,46 +257,14 @@ def w_question(rho: TameTypePresentation, force: bool = False):
 
 @lru_cache(maxsize=256)
 def _w_question_cached(rho: TameTypePresentation, force: bool):
-    ctx = rho.ctx
-    _require_f_type(rho)
-    eta = eta_vector(ctx.n)
-    if not force and rho.depth() < 2 * _h(eta):
-        raise GenericityError(
-            f"mod-p type is only {rho.depth()}-generic, need {2 * _h(eta)}")
-    wt = rho.w_tilde()
-    n = ctx.n
-    per_embedding = []
-    for _ in range(ctx.f):
-        pairs = []
-        for w1 in restricted_classes(n):
-            for w2 in bruhat_interval(w1):
-                if is_dominant(w2):  # w2 ↑ w1 iff w2 <= w1, both dominant
-                    pairs.append((w1, w2))
-        per_embedding.append(pairs)
+    _require_predicted_set(rho, force)
     out = []
-    for combo in itertools.product(*per_embedding):
-        w = WeylTuple(tuple(pr[0] for pr in combo))
-        w2 = WeylTuple(tuple(pr[1] for pr in combo))
-        omega = tuple(
-            tuple(evaluate(wt[j], evaluate(invert(w2[j]), (0,) * n)))
-            for j in range(ctx.f))
-        pres = SerreWeightPresentation(w, omega, ctx).canonical()
-        out.append(PredictedWeight(
-            presentation=pres, w=w, w2=w2,
-            obvious=all(a == b for a, b in zip(w, w2)),
-            defect=_defect_of_pair(w, w2)))
-    out.sort(key=lambda r: r.presentation.sort_key())
+    for combo in itertools.product(
+            *(_w_question_factors(g).values() for g in rho.w_tilde())):
+        rows, w, w2, defects = zip(*combo)
+        out.append(PredictedWeight(_glue(rows, rho.ctx), WeylTuple(w),
+                                   WeylTuple(w2), w == w2, sum(defects)))
     return tuple(out)
-
-
-def _defect_of_pair(w: WeylTuple, w2: WeylTuple) -> int:
-    n = w.n
-    eta = eta_vector(n)
-    total = 0
-    for j in range(w.f):
-        g = multiply(invert(multiply(w_h(n), w[j])), multiply(w0(n), w2[j]))
-        total += length(translation(eta)) - length(g)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +327,6 @@ def _require_lambda_compatible(rho, tau, lam):
         raise CompatibilityError(
             f"no common central character: rhobar gives {zr.zeta}, "
             f"tau gives {zt.zeta}")
-    return zr
 
 
 def intersection(rho: TameTypePresentation, tau: TameTypePresentation, lam,
@@ -341,38 +345,39 @@ def intersection(rho: TameTypePresentation, tau: TameTypePresentation, lam,
                                     for row in lam))
         if tau.depth() < need:
             raise GenericityError(f"tau presentation is not {need}-generic")
-    wt_tau = tau.w_tilde()
-    n = ctx.n
+    accepted = [_accepted_rows(a, b, row)
+                for a, b, row in zip(rho.w_tilde(), tau.w_tilde(), lam)]
+    return [_glue(rows, ctx) for rows in itertools.product(*accepted)]
+
+
+@lru_cache(maxsize=1024)
+def _accepted_rows(wt_rho_j: WeylElement, wt_tau_j: WeylElement, lam_j):
+    """The W? rows at one embedding that pass its arrow test: w1_j ↑
+    t_{lam_j} w_h^{-1} w2, w2 the dominant representative of
+    t_{-omega_j} w̃(tau)_j.  A canonical row is a matched representative,
+    and the test is invariant under the central shift."""
+    n = wt_rho_j.n
     out = []
-    for rec in w_question(rho, force=force):
-        # rec.presentation is canonical, so its w1 row and omega row are a
-        # matched representative of the class; the arrow tests are invariant
-        # under the simultaneous central shift.
-        ok = True
-        for j in range(ctx.f):
-            omega_j = rec.presentation.omega[j]
-            g = multiply(translation(tuple(-x for x in omega_j)), wt_tau[j])
-            u = dominant_witness(g)
-            w2 = multiply(finite(perm_inverse(u)), g)
-            if not is_dominant(w2):
-                raise InternalError("dominant representative failed")
-            target = multiply(translation(lam[j]),
-                              multiply(invert(w_h(n)), w2))
-            if not up_leq(rec.presentation.w1[j], target):
-                ok = False
-                break
-        if ok:
-            out.append(rec.presentation)
-    return sorted(set(out), key=lambda s: s.sort_key())
+    for w1, omega in _w_question_factors(wt_rho_j):
+        g = multiply(translation(tuple(-x for x in omega)), wt_tau_j)
+        w2 = multiply(finite(perm_inverse(dominant_witness(g))), g)
+        if not is_dominant(w2):
+            raise InternalError("dominant representative failed")
+        if up_leq(w1, multiply(translation(lam_j), multiply(invert(w_h(n)), w2))):
+            out.append((w1, omega))
+    return tuple(out)
 
 
 def defect(rho: TameTypePresentation, sigma: SerreWeightPresentation,
            force: bool = False) -> int:
-    """The rhobar-defect of a predicted weight; raises if sigma is not
-    predicted."""
-    for rec in w_question(rho, force=force):
-        if rec.presentation == sigma:
-            return rec.defect
+    """The rhobar-defect of a predicted weight, the sum of its factors'
+    defects; raises if sigma is not predicted."""
+    _require_predicted_set(rho, force)
+    if sigma.ctx == rho.ctx:
+        found = [_w_question_factors(g).get(row)
+                 for g, row in zip(rho.w_tilde(), zip(sigma.w1, sigma.omega))]
+        if None not in found:
+            return sum(defect_j for *_, defect_j in found)
     raise MembershipError("sigma does not lie in the predicted set of rhobar")
 
 
@@ -407,7 +412,7 @@ def max_defect_weight(rho: TameTypePresentation, tau: TameTypePresentation,
     omega = tuple(
         tuple(evaluate(wt_rho[j], evaluate(invert(w1[j]), (0,) * ctx.n)))
         for j in range(ctx.f))
-    return SerreWeightPresentation(pres_w, omega, ctx).canonical()
+    return SerreWeightPresentation(pres_w, omega, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +440,6 @@ def bm_cycles(rho: TameTypePresentation, mult=default_multiplicity,
     if not force and rho.depth() < 2 * n:
         raise GenericityError(f"cycle solver needs a 2n-generic mod-p type, "
                               f"have depth {rho.depth()}")
-    eta = eta_vector(n)
     wt_rho = rho.w_tilde()
     records = w_question(rho, force=force)
     zero_lam = ((0,) * n,) * ctx.f

@@ -243,7 +243,8 @@ def _alcove_element(num, p: int):
 @dataclass(frozen=True)
 class SerreWeightPresentation:
     """A lowest alcove presentation (w1, omega) over a fixed context, stored
-    with a canonical representative of the central-translation equivalence."""
+    as the canonical representative of its central-translation class, so
+    that the dataclass equality and hash are those of the class."""
 
     w1: WeylTuple
     omega: tuple
@@ -256,28 +257,19 @@ class SerreWeightPresentation:
         if len(omega) != self.ctx.f or any(len(r) != self.ctx.n for r in omega):
             raise ArgumentError("omega must be an f-tuple of length-n rows")
         object.__setattr__(self, "omega", omega)
+        self.canonical()
 
     def canonical(self) -> "SerreWeightPresentation":
+        """Move to the representative (t_c w1_j, omega_j - c) with
+        max(w1_j.nu) = 0 at every embedding j; run once, at construction."""
         comps, rows = [], []
-        for j in range(self.ctx.f):
-            c = -max(self.w1[j].nu)
-            comps.append(multiply(translation((c,) * self.ctx.n), self.w1[j]))
-            rows.append(tuple(x - c for x in self.omega[j]))
-        return SerreWeightPresentation(WeylTuple(tuple(comps)), tuple(rows), self.ctx)
-
-    def key(self):
-        c = self.canonical()
-        return tuple((c.w1[j].w, c.w1[j].nu, c.omega[j]) for j in range(self.ctx.f))
-
-    def __eq__(self, other):
-        return (isinstance(other, SerreWeightPresentation)
-                and self.ctx == other.ctx and self.key() == other.key())
-
-    def __hash__(self):
-        return hash((self.ctx, self.key()))
-
-    def character(self):
-        return central_character(self)
+        for a, row in zip(self.w1, self.omega):
+            c = max(a.nu)
+            comps.append(multiply(translation((-c,) * self.ctx.n), a) if c else a)
+            rows.append(tuple(x + c for x in row))
+        object.__setattr__(self, "w1", WeylTuple(tuple(comps)))
+        object.__setattr__(self, "omega", tuple(rows))
+        return self
 
     def depth(self) -> int:
         p = self.ctx.require_prime()
@@ -287,13 +279,11 @@ class SerreWeightPresentation:
             for row in self.omega)
 
     def sort_key(self):
-        c = self.canonical()
         return tuple(
-            sort_key(c.w1[j]) + (c.omega[j],) for j in range(self.ctx.f))
+            sort_key(a) + (row,) for a, row in zip(self.w1, self.omega))
 
     def to_json(self):
-        c = self.canonical()
-        return {"w1": c.w1.to_json(), "omega": [list(r) for r in c.omega],
+        return {"w1": self.w1.to_json(), "omega": [list(r) for r in self.omega],
                 "zeta": list(central_character(self).zeta)}
 
     @classmethod
@@ -382,7 +372,7 @@ def _omega_twist_weight(lap: SerreWeightPresentation, xi):
 
 def lap_of(ctx: GroupContext, kappa, zeta: CentralCharacter) -> SerreWeightPresentation:
     """The unique lowest alcove presentation of the weight F(kappa) compatible
-    with zeta; requires kappa to be 0-deep."""
+    with zeta; requires kappa to be 0-deep and p-restricted."""
     p = ctx.require_prime()
     kappa = _as_weight_tuple(ctx, kappa)
     if zeta.f != ctx.f:
@@ -406,7 +396,11 @@ def lap_of(ctx: GroupContext, kappa, zeta: CentralCharacter) -> SerreWeightPrese
     if xi is None:
         raise CompatibilityError(
             f"zeta {zeta.zeta} is not congruent to the weight's character {got.zeta}")
-    out = _omega_twist_weight(cand, xi).canonical()
+    for j, row in enumerate(kappa):
+        if any(not 0 <= a - b < p for a, b in zip(row, row[1:])):
+            raise ArgumentError(f"kappa at embedding {j} is not p-restricted: need "
+                                f"0 <= kappa_i - kappa_(i+1) <= {p - 1}, have {row}")
+    out = _omega_twist_weight(cand, xi)
     if central_character(out).zeta != zeta.zeta:
         raise InternalError("central-character twist failed")
     if not weights_equal_mod_center(serre_weight(out), kappa, p):

@@ -223,13 +223,13 @@ def test_change_of_basis_identity_and_cocycle():
                    ((1, 0), (2, 1)), ctx)
     A = [random_bounded_height(F5, 2, rng, 1).truncate(60) for _ in range(2)]
     ident = [SeriesMatrix.identity(F5, 2) for _ in range(2)]
-    out = change_of_basis(A, ident, tw)
+    out = change_of_basis(A, ident, tw, 40)
     assert all(out[j].equal_mod(A[j].truncate(40), 40) for j in range(2))
     I1 = [random_iwahori(F5, 2, rng).truncate(60) for _ in range(2)]
     J1 = [random_iwahori(F5, 2, rng).truncate(60) for _ in range(2)]
-    two_steps = change_of_basis(change_of_basis(A, I1, tw), J1, tw)
+    two_steps = change_of_basis(change_of_basis(A, I1, tw, 40), J1, tw, 40)
     at_once = change_of_basis(A, [(J1[j] * I1[j]).truncate(60)
-                                  for j in range(2)], tw)
+                                  for j in range(2)], tw, 40)
     assert all(two_steps[j].equal_mod(at_once[j], 40) for j in range(2))
 
 
@@ -239,7 +239,7 @@ def test_change_of_basis_constant_diagonal():
     D = SeriesMatrix.from_entries(F7, 2, {(1, 1, 0): 3, (2, 2, 0): 4}, None)
     A = [SeriesMatrix.from_entries(
         F7, 2, {(1, 1, 0): 1, (2, 2, 1): 1, (1, 2, 0): 2}, None).truncate(50)]
-    out = change_of_basis(A, [D], TW7)
+    out = change_of_basis(A, [D], TW7, 40)
     s = TW7.perm(0)
     Dperm_inv = SeriesMatrix.from_entries(
         F7, 2, {(s[0], s[0], 0): pow(3, -1, 7), (s[1], s[1], 0): pow(4, -1, 7)},

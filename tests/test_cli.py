@@ -157,6 +157,54 @@ def test_twist_and_cob_and_straighten_cli():
     assert got.is_iw1()
 
 
+# Exact inputs ("precision": null) to `cob`: the expected stdout was recorded
+# while the basis change still worked to a fixed precision of 10^6 and the
+# CLI cut the result to --M; deriving the working precision from --M must
+# not change a byte.
+COB_EXACT_ARGV = ["cob", "--n", "3", "--f", "1", "--p", "211", "--s", "3,2,1",
+                  "--mu", "298,128,101", "--M", "40"]
+COB_EXACT_STDIN = (
+    '{"A":[{"p":211,"degree":1,"precision":null,"entries":[[{"0":204,"1":131,'
+    '"2":198,"3":45,"4":200,"5":67,"6":80},{"0":106,"1":44,"2":51,"3":60,"4":'
+    '151,"5":64,"6":15},{"0":66,"1":192,"2":17,"3":43,"4":138,"5":21,"6":157}'
+    '],[{"1":126,"2":52,"3":25,"4":172,"5":137,"6":110},{"0":143,"1":194,"2":'
+    '202,"3":133,"4":115,"5":156,"6":113},{"0":162,"1":4,"2":124,"3":83,"4":1'
+    '6,"5":26,"6":56}],[{"1":85,"2":12,"3":15,"4":174,"5":33,"6":34},{"1":28,'
+    '"2":165,"3":53,"4":86,"5":116,"6":202},{"0":13,"1":175,"2":86,"3":20,"4"'
+    ':209,"5":184,"6":11}]]}],"I":[{"p":211,"degree":1,"precision":null,"entr'
+    'ies":[[{"0":1,"1":105,"2":165,"3":23,"4":73},{"0":22,"1":34,"2":2,"3":16'
+    '2,"4":89},{"0":126,"1":142,"2":129,"3":166,"4":58}],[{"1":46,"2":158,"3"'
+    ':115,"4":37},{"0":1,"1":44,"2":143,"3":11,"4":168},{"0":93,"1":74,"2":15'
+    '3,"3":18,"4":187}],[{"1":186,"2":134,"3":25,"4":51},{"1":50,"2":127,"3":'
+    '6,"4":2},{"0":1,"1":30,"2":201,"3":37,"4":55}]]}]}')
+COB_EXACT_STDOUT = (
+    '[{"degree":1,"entries":[[{"0":204,"1":7,"10":89,"2":158,"28":138,"29":17'
+    '9,"3":127,"30":107,"31":9,"32":145,"33":53,"34":90,"35":54,"36":44,"37":'
+    '164,"38":156,"4":92,"5":6,"6":173,"7":57,"8":87,"9":203},{"0":87,"1":200'
+    ',"10":80,"2":17,"3":102,"4":96,"5":38,"6":176,"7":190,"8":147,"9":30},{"'
+    '0":204,"1":111,"10":203,"12":36,"13":175,"14":152,"15":10,"16":190,"17":'
+    '150,"18":105,"19":159,"2":89,"20":65,"21":11,"22":115,"3":19,"4":174,"5"'
+    ':35,"6":92,"7":180,"8":207,"9":121}],[{"1":113,"10":157,"2":198,"28":205'
+    ',"29":78,"3":54,"30":208,"31":150,"32":202,"33":65,"34":185,"35":52,"36"'
+    ':52,"37":41,"38":173,"4":209,"5":101,"6":132,"7":33,"8":171,"9":66},{"0"'
+    ':143,"1":40,"10":132,"2":177,"3":12,"4":109,"5":174,"6":57,"7":97,"8":97'
+    ',"9":113},{"0":105,"1":186,"10":183,"13":82,"14":97,"15":84,"16":161,"17'
+    '":204,"18":135,"19":192,"2":42,"20":55,"21":173,"22":127,"3":177,"4":186'
+    ',"5":192,"6":163,"7":160,"8":33,"9":186}],[{"1":49,"10":51,"2":7,"29":52'
+    ',"3":172,"30":79,"31":66,"32":207,"33":92,"34":74,"35":166,"36":31,"37":'
+    '98,"38":81,"4":72,"5":196,"6":174,"7":209,"8":74,"9":140},{"1":97,"10":7'
+    '4,"2":192,"3":115,"4":25,"5":58,"6":65,"7":123,"8":70,"9":126},{"0":13,"'
+    '1":52,"10":73,"13":170,"14":175,"15":80,"16":112,"17":47,"18":130,"19":1'
+    '61,"2":62,"20":162,"21":124,"22":9,"3":94,"4":40,"5":6,"6":193,"7":73,"8'
+    '":78,"9":86}]],"p":211,"precision":40}]')
+
+
+def test_cob_exact_input_frozen():
+    res = invoke(*COB_EXACT_ARGV, stdin=COB_EXACT_STDIN)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == COB_EXACT_STDOUT + "\n"
+
+
 def test_long_bruhat_and_up_queries():
     for kind in ("bruhat", "up"):
         assert ok(kind, "--n", "3", "--a", "e", "--b", "e@150,0,-150") == \
@@ -200,6 +248,8 @@ def test_malformed_input_is_exit_2(argv, stdin):
     (["nabla", "--n", "2", "--matrix", "-", "--abar", "1,0"],
      json.dumps({"p": 4, "entries": [[{"0": 1}, {}], [{}, {"0": 1}]]})),
     (["wq", "--n", "2", "--p", "1", "--s", "e", "--mu", "5,0", "--force"], None),
+    (["classify", "--n", "2", "--a", "e@1,0", "--m", "1", "--p", "0"], None),
+    (["classify", "--n", "2", "--a", "e@1,0", "--m", "1", "--p", "4"], None),
 ])
 def test_composite_p_is_exit_3(argv, stdin):
     res = invoke(*argv, stdin=stdin)
@@ -229,6 +279,17 @@ def test_lap_far_weight_is_exit_3():
                  "--kappa", "3000000,1", "--zeta", "5")
     assert res.returncode == 3, res.stderr
     assert "not congruent" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "2", "--p", "7", "--kappa", "30,1", "--zeta", "31"],
+    ["--n", "3", "--p", "11", "--kappa", "40,17,3", "--zeta", "60"],
+])
+def test_lap_unrestricted_kappa_is_exit_3(argv):
+    res = invoke("lap", "--f", "1", *argv)
+    assert res.returncode == 3, res.stderr
+    assert "kappa at embedding 0 is not p-restricted" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_unexpected_exception_is_exit_4(monkeypatch):

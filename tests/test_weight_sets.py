@@ -1,5 +1,6 @@
 """Predicted/JH weight sets, covering, defect, and the cycle solver."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -348,3 +349,117 @@ def test_predicted_weights_match_classical_rank_two_irreducible():
         assert any(weights_equal_mod_center((k,), ((r, 0),), p) for k in ks)
         assert any(weights_equal_mod_center((k,), ((p - 1, r),), p)
                    for k in ks)
+
+
+# ---------------------------------------------------------------------------
+# the factored W?, intersection and defect against record scans
+
+def _scan_w_question(rho):
+    """W? as one flat list of (presentation, w, w2, obvious, defect) over all
+    pair tuples, sorted by presentation: the definition, without factors."""
+    from awbm.affine_weyl import (bruhat_interval, evaluate, is_dominant,
+                                  length, restricted_classes, w0, w_h)
+    ctx, n = rho.ctx, rho.ctx.n
+    wt = rho.w_tilde()
+    eta = tuple(range(n - 1, -1, -1))
+    pairs = [(w, w2) for w in restricted_classes(n)
+             for w2 in bruhat_interval(w) if is_dominant(w2)]
+    out = []
+    for combo in itertools.product(pairs, repeat=ctx.f):
+        w = WeylTuple(tuple(c[0] for c in combo))
+        w2 = WeylTuple(tuple(c[1] for c in combo))
+        omega = tuple(evaluate(wt[j], evaluate(invert(w2[j]), (0,) * n))
+                      for j in range(ctx.f))
+        d = sum(length(translation(eta)) - length(multiply(
+            invert(multiply(w_h(n), w[j])), multiply(w0(n), w2[j])))
+            for j in range(ctx.f))
+        out.append((SerreWeightPresentation(w, omega, ctx), w, w2, w == w2, d))
+    return sorted(out, key=lambda r: r[0].sort_key())
+
+
+def _scan_intersection(rho, tau, lam):
+    """Every W? record through the arrow test at every embedding."""
+    from awbm.affine_weyl import (dominant_witness, finite, is_dominant,
+                                  perm_inverse, up_leq, w_h)
+    n = rho.ctx.n
+    wt_tau = tau.w_tilde()
+    out = set()
+    for sigma, *_ in _scan_w_question(rho):
+        ok = True
+        for j in range(rho.ctx.f):
+            g = multiply(translation(tuple(-x for x in sigma.omega[j])),
+                         wt_tau[j])
+            w2 = multiply(finite(perm_inverse(dominant_witness(g))), g)
+            assert is_dominant(w2)
+            ok = ok and up_leq(sigma.w1[j], multiply(
+                translation(lam[j]), multiply(invert(w_h(n)), w2)))
+        if ok:
+            out.add(sigma)
+    return sorted(out, key=lambda s: s.sort_key())
+
+
+def _lam_compatible_type(rho, lam, rng):
+    """A type whose w̃(rhobar, tau) is drawn from Adm(lam_j + eta) at each
+    embedding, so that tau is lam-compatible with rhobar."""
+    from awbm.weight_sets import _aux_type_from_element
+    n = rho.ctx.n
+    eta = tuple(range(n - 1, -1, -1))
+    comps = tuple(
+        multiply(g, invert(rng.choice(adm(tuple(l + e for l, e in zip(row, eta))))))
+        for g, row in zip(rho.w_tilde(), lam))
+    return _aux_type_from_element(rho.ctx, WeylTuple(comps))
+
+
+@pytest.mark.parametrize("n,f,seed", [(2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 3, 4)])
+def test_factored_weight_sets_match_record_scans(n, f, seed):
+    from conftest import random_tuple_mu, random_weyl_tuple
+    rng = random.Random(seed)
+    p = 211
+    ctx = GroupContext(n, f, p)
+    rho = make_type(ctx, random_weyl_tuple(n, f, rng),
+                    random_tuple_mu(n, f, p, 2 * n, rng), kind="F")
+    scan = _scan_w_question(rho)
+    recs = w_question(rho)
+    assert [(r.presentation, r.w, r.w2, r.obvious, r.defect) for r in recs] \
+        == scan
+    for sigma, *_, d in rng.sample(scan, min(10, len(scan))):
+        assert defect(rho, sigma) == d
+    outsider = SerreWeightPresentation(
+        scan[0][0].w1, ((p, 0) + (0,) * (n - 2),) + scan[0][0].omega[1:], ctx)
+    with pytest.raises(MembershipError):
+        defect(rho, outsider)
+    lams = [(0,) * n, (1,) + (0,) * (n - 1), (2,) + (1,) * (n - 2) + (0,)]
+    for _ in range(4):
+        lam = tuple(rng.choice(lams) for _ in range(f))
+        tau = _lam_compatible_type(rho, lam, rng)
+        got = intersection(rho, tau, lam, force=True)
+        assert got == _scan_intersection(rho, tau, lam)
+        assert got, "the drawn type meets W? in its defect maximizer at least"
+
+
+def test_shifted_representative_is_the_canonical_presentation():
+    rng = random.Random(7)
+    from awbm.affine_weyl import restricted_classes
+    ctx = GroupContext(3, 2, 211)
+    for _ in range(20):
+        w1 = WeylTuple(tuple(rng.choice(restricted_classes(3)) for _ in range(2)))
+        omega = tuple(tuple(rng.randrange(-50, 300) for _ in range(3))
+                      for _ in range(2))
+        c = [rng.randrange(-5, 6) for _ in range(2)]
+        shifted = SerreWeightPresentation(
+            WeylTuple(tuple(multiply(translation((c[j],) * 3), w1[j])
+                            for j in range(2))),
+            tuple(tuple(x - c[j] for x in omega[j]) for j in range(2)), ctx)
+        plain = SerreWeightPresentation(w1, omega, ctx)
+        assert shifted == plain and hash(shifted) == hash(plain)
+        assert shifted.to_json() == plain.to_json()
+        assert shifted.sort_key() == plain.sort_key()
+        assert all(max(a.nu) == 0 for a in shifted.w1)
+
+
+def test_w_question_is_sorted_and_duplicate_free():
+    rho = make_type(GroupContext(3, 2, 211), [(2, 1, 3), (1, 3, 2)],
+                    [(60, 30, 0), (50, 20, 0)], kind="F")
+    keys = [r.presentation.sort_key() for r in w_question(rho)]
+    assert len(keys) == 81
+    assert all(a < b for a, b in zip(keys, keys[1:]))
