@@ -2,9 +2,9 @@
 
 Run as `python demos/02_weights_and_cycles.py`.  A mod-p type rhobar and a
 characteristic-zero type tau are both presented by a pair (s, mu); the script
-walks through the weight sets attached to them and ends with the recursive
-cycle solver, whose output expresses each predicted weight as a rational
-combination of auxiliary type symbols.
+walks through the weight sets attached to them and ends with the cycle
+solver, a product of one-embedding solves, whose output expresses each
+predicted weight as a rational combination of auxiliary type symbols.
 """
 
 from awbm.affine_weyl import GroupContext, adm, invert, multiply
@@ -56,7 +56,7 @@ if common:
     print("defect maximizer:", serre_weight(K)[0],
           " defect:", defect(rho, K, force=True))
 
-print("\n== the recursive cycle solver ==")
+print("\n== the cycle solver (a product of one-embedding solves) ==")
 solved = bm_cycles(rho)
 for sigma, (d, expr) in sorted(solved.items(), key=lambda kv: kv[1][0]):
     coeffs = ", ".join(str(c) for _, c in expr.terms)

@@ -104,8 +104,6 @@ __all__ = [
     "positive_roots",
     "all_roots",
     "pairing",
-    "tuple_bruhat_leq",
-    "tuple_up_leq",
 ]
 
 
@@ -779,16 +777,6 @@ class WeylTuple:
     @classmethod
     def constant(cls, a: WeylElement, f: int):
         return cls((a,) * f)
-
-
-def tuple_bruhat_leq(a: WeylTuple, b: WeylTuple) -> bool:
-    a._match(b)
-    return all(bruhat_leq(x, y) for x, y in zip(a, b))
-
-
-def tuple_up_leq(a: WeylTuple, b: WeylTuple) -> bool:
-    a._match(b)
-    return all(up_leq(x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

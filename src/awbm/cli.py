@@ -3,8 +3,9 @@
 Conventions: a successful invocation prints exactly one JSON document on
 stdout (canonical key order, sorted sets) and exits 0; malformed input exits
 2; a violated precondition exits 3 with the failing condition named on
-stderr; an internal invariant breach, or any other unexpected exception,
-exits 4 with a one-line message and no traceback.  Elements are written
+stderr, among them a stdout closed before the output was written; an
+internal invariant breach, or any other unexpected exception, exits 4 with
+a one-line message and no traceback.  Elements are written
 PERM or PERM@NU (PERM one of 'e', 'w0', cycle notation '(1 2)', or a
 one-line image '2,1'; NU a comma-separated integer vector), tuples join
 components with ';'.  The canonical JSON element encoding
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -118,6 +120,8 @@ def parse_weight_rows(text: str, n: int, f: int):
 
 
 def emit(doc):
+    if sys.stdout is None:  # started with stdout closed (`>&-`)
+        raise BrokenPipeError("stdout is closed")
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     sys.stdout.write("\n")
 
@@ -602,6 +606,7 @@ def run(argv) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         args.func(args)
+        sys.stdout.flush()
         return 0
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -618,6 +623,10 @@ def run(argv) -> int:
     except AwbmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        print("precondition violated: stdout closed before the output was "
+              "written", file=sys.stderr)
+        return 3
     except Exception as exc:
         print(f"internal invariant breach: unexpected {type(exc).__name__}: "
               f"{exc}", file=sys.stderr)
@@ -625,7 +634,15 @@ def run(argv) -> int:
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # run has reported the closed pipe; drop what is still buffered so
+        # that interpreter shutdown does not report it a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,6 +17,12 @@ algorithms beyond the group law:
   stays inside that region);
 * enumerate: all elements of a given degree with length at most L.
 
+The cycle solver's reference, `bm_cycles_recursive`, is of another kind: it
+reuses `weight_sets.w_question` and `intersection` and runs the defect
+recursion record by record over the whole of W?, with a caller-supplied
+multiplicity oracle, where `weight_sets.bm_cycles` takes the product of
+one-embedding solves at multiplicity one.
+
 They are shipped, not test-only, so cross-checks can be run on demand.
 """
 
@@ -47,10 +53,17 @@ from .affine_weyl import (
     translation,
     wa_part_and_omega,
 )
-from .errors import CapacityError, InputError
+from .errors import (
+    CapacityError,
+    GenericityError,
+    InputError,
+    InternalError,
+    OracleError,
+)
+from .weight_sets import CycleExpr, _aux_type, intersection, w_question
 
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
-           "enumerate_elements"]
+           "enumerate_elements", "default_multiplicity", "bm_cycles_recursive"]
 
 
 def _check_bound(n: int, bound: int):
@@ -212,6 +225,53 @@ def enumerate_elements(n: int, deg: int, bound: int):
                     nxt.append(cand)
         frontier = nxt
     return sorted((multiply(y, delta) for y in seen), key=sort_key)
+
+
+def default_multiplicity(tau, sigma) -> int:
+    return 1
+
+
+def _check_multiplicity(mult, tau, sigma, n):
+    m = mult(tau, sigma)
+    if not isinstance(m, int) or m <= 0:
+        raise OracleError(f"multiplicity oracle returned {m!r}")
+    if n <= 3 and m != 1:
+        raise OracleError("multiplicities must be 1 in the multiplicity-free range")
+    return m
+
+
+def bm_cycles_recursive(rho, mult=default_multiplicity, force: bool = False):
+    """The cycle solver record by record over the whole of W?, in defect
+    order: sigma's cycle is (Z_tau - sum of mult(tau, kappa) times the solved
+    cycles of the other constituents kappa of its auxiliary type tau) divided
+    by mult(tau, sigma).  Same output as `weight_sets.bm_cycles`, which
+    assumes multiplicity one."""
+    n = rho.n
+    if not force and rho.depth() < 2 * n:
+        raise GenericityError(f"cycle solver needs a 2n-generic mod-p type, "
+                              f"have depth {rho.depth()}")
+    zero_lam = ((0,) * n,) * rho.f
+    solved = {}
+    for rec in sorted(w_question(rho, force=force), key=lambda r: r.defect):
+        sigma = rec.presentation
+        tau = _aux_type(rho, rec)
+        expr = {("Z_tau",) + tau.sort_key(): Fraction(1)}
+        if rec.defect:
+            others = intersection(rho, tau, zero_lam, force=True)
+            for kappa in others:
+                if kappa == sigma:
+                    continue
+                if kappa not in solved:
+                    raise InternalError(
+                        "defect triangularity violated by an auxiliary type")
+                mk = _check_multiplicity(mult, tau, kappa, n)
+                for sym, c in solved[kappa][1].terms:
+                    expr[sym] = expr.get(sym, 0) - mk * c
+            if sigma not in others:
+                raise InternalError("maximizer missing from its own intersection")
+        m = _check_multiplicity(mult, tau, sigma, n)
+        solved[sigma] = (rec.defect, CycleExpr.of({k: c / m for k, c in expr.items()}))
+    return solved
 
 
 def oracle(kind: str, *args, **kwargs):

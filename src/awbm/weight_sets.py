@@ -1,5 +1,5 @@
 """Predicted weight sets, Jordan-Hölder labels, covering, defect, and the
-recursive Breuil-Mézard cycle solver.
+Breuil-Mézard cycle solver.
 
 Everything here is phrased in terms of lowest alcove presentations over a
 fixed context.  The two basic parametrizations are
@@ -15,12 +15,15 @@ The defect of a predicted weight is len(t_eta) - len((w_h w)^{-1} w0 w2);
 it vanishes exactly on the obvious weights, and the cycle solver eliminates
 it recursively: a defect-zero weight is read off from a single auxiliary
 type, and a higher-defect weight from an auxiliary type whose other
-predicted constituents all have strictly smaller defect.
+predicted constituents all have strictly smaller defect.  With multiplicity
+one the solve is a product of one-embedding solves; the record-by-record
+recursion over all of W? is the reference `oracles.bm_cycles_recursive`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -57,14 +60,12 @@ from .errors import (
     GenericityError,
     InternalError,
     MembershipError,
-    OracleError,
 )
 from .inertial_types import TameTypePresentation, compatible_zeta
 from .weights import SerreWeightPresentation, central_character
 
 __all__ = [
     "CycleExpr",
-    "default_multiplicity",
     "jh_set",
     "w_question",
     "PredictedWeight",
@@ -87,46 +88,15 @@ class CycleExpr:
     """A formal rational combination of symbols (type labels or component
     labels); zero coefficients are pruned."""
 
-    terms: tuple  # sorted tuple of (symbol, Fraction)
+    terms: tuple  # sorted tuple of (symbol tuple, Fraction)
 
     @classmethod
     def of(cls, mapping):
         items = tuple(sorted((k, Fraction(v)) for k, v in mapping.items() if v))
         return cls(items)
 
-    def as_dict(self):
-        return dict(self.terms)
-
-    def __add__(self, other):
-        out = self.as_dict()
-        for k, v in other.terms:
-            out[k] = out.get(k, Fraction(0)) + v
-        return CycleExpr.of(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return CycleExpr.of({k: v * c for k, v in self.terms})
-
     def to_json(self):
-        return [[list(k) if isinstance(k, tuple) else k, str(v)]
-                for k, v in self.terms]
-
-
-def default_multiplicity(tau: TameTypePresentation,
-                         sigma: SerreWeightPresentation) -> int:
-    return 1
-
-
-def _check_multiplicity(mult, tau, sigma, n):
-    m = mult(tau, sigma)
-    if not isinstance(m, int) or m <= 0:
-        raise OracleError(f"multiplicity oracle returned {m!r}")
-    if n <= 3 and m != 1:
-        raise OracleError("multiplicities must be 1 in the multiplicity-free range")
-    return m
+        return [[list(k), str(v)] for k, v in self.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -416,68 +386,73 @@ def max_defect_weight(rho: TameTypePresentation, tau: TameTypePresentation,
 
 
 # ---------------------------------------------------------------------------
-# the recursive cycle solver
+# the cycle solver
 
-def _aux_type_from_element(ctx, wt: WeylTuple, kind="E") -> TameTypePresentation:
+def _aux_type_from_element(ctx, wt: WeylTuple) -> TameTypePresentation:
     """Read a presentation (s, mu) off a tuple of elements t_{mu+eta} s."""
     eta = eta_vector(ctx.n)
-    s, mu = [], []
-    for g in wt:
-        s.append(finite(g.w))
-        mu.append(tuple(c - e for c, e in zip(g.nu, eta)))
-    return TameTypePresentation(WeylTuple(tuple(s)), tuple(mu), ctx, kind)
+    return TameTypePresentation(
+        WeylTuple(tuple(finite(g.w) for g in wt)),
+        tuple(tuple(c - e for c, e in zip(g.nu, eta)) for g in wt), ctx)
 
 
-def bm_cycles(rho: TameTypePresentation, mult=default_multiplicity,
-              force: bool = False):
-    """For each predicted weight sigma of rhobar, a formal expression of its
-    cycle as a combination of auxiliary type symbols, proceeding from the
-    defect-zero weights upward.  Returns {presentation: (defect, CycleExpr)}
-    and runs entirely on explicitly constructed auxiliary types."""
-    ctx = rho.ctx
-    _require_f_type(rho)
-    n = ctx.n
-    if not force and rho.depth() < 2 * n:
-        raise GenericityError(f"cycle solver needs a 2n-generic mod-p type, "
-                              f"have depth {rho.depth()}")
-    wt_rho = rho.w_tilde()
-    records = w_question(rho, force=force)
-    zero_lam = ((0,) * n,) * ctx.f
+def _aux_type(rho: TameTypePresentation, rec: PredictedWeight):
+    """The auxiliary type with w̃(tau) = w̃(rhobar) · w2^{-1} w0 w_h w: then
+    w̃(rhobar, tau) = (w_h w)^{-1} w0 w2 is the regular eta-admissible element
+    whose defect maximizer is sigma itself."""
+    n = rho.n
+    return _aux_type_from_element(rho.ctx, WeylTuple(tuple(
+        multiply(g, multiply(invert(w2), multiply(w0(n), multiply(w_h(n), w))))
+        for g, w, w2 in zip(rho.w_tilde(), rec.w, rec.w2))))
+
+
+@lru_cache(maxsize=256)
+def _bm_factor(rho_j: TameTypePresentation):
+    """The solve of a one-embedding mod-p type in defect order: a weight's
+    cycle is its auxiliary type minus the cycles of that type's other
+    constituents, which have smaller defect.  Returns (row, defect,
+    ((s, mu), coefficient) pairs) per predicted weight."""
     solved = {}
-    ordered = sorted(records, key=lambda r: r.defect)
-    for rec in ordered:
+    for rec in sorted(w_question(rho_j, force=True), key=lambda r: r.defect):
         sigma = rec.presentation
-        # auxiliary type with w̃(tau) = w̃(rhobar) · w2^{-1} w0 w_h w;  for an
-        # obvious pair (w, w) the inner factor collapses to t_{-w^{-1}(eta)},
-        # and in general w̃(rhobar, tau) = (w_h w)^{-1} w0 w2 is the regular
-        # eta-admissible element whose defect maximizer is sigma itself.
-        comps = []
-        for j in range(ctx.f):
-            inner = multiply(invert(rec.w2[j]),
-                             multiply(w0(n), multiply(w_h(n), rec.w[j])))
-            comps.append(multiply(wt_rho[j], inner))
-        tau = _aux_type_from_element(ctx, WeylTuple(tuple(comps)))
-        if rec.defect == 0:
-            m = _check_multiplicity(mult, tau, sigma, n)
-            expr = CycleExpr.of({_type_symbol(tau): Fraction(1, m)})
-        else:
-            others = intersection(rho, tau, zero_lam, force=True)
-            expr = CycleExpr.of({_type_symbol(tau): Fraction(1)})
+        tau = _aux_type(rho_j, rec)
+        expr = {tau.sort_key()[0]: 1}
+        if rec.defect:
+            others = intersection(rho_j, tau, ((0,) * rho_j.n,), force=True)
+            if sigma not in others:
+                raise InternalError("maximizer missing from its own intersection")
             for kappa in others:
                 if kappa == sigma:
                     continue
-                if kappa not in solved:
+                if kappa not in solved or solved[kappa][0] >= rec.defect:
                     raise InternalError(
                         "defect triangularity violated by an auxiliary type")
-                mk = _check_multiplicity(mult, tau, kappa, n)
-                expr = expr - solved[kappa][1].scale(mk)
-            m = _check_multiplicity(mult, tau, sigma, n)
-            expr = expr.scale(Fraction(1, m))
-            if sigma not in others:
-                raise InternalError("maximizer missing from its own intersection")
-        solved[sigma] = (rec.defect, expr)
+                for sym, c in solved[kappa][1].items():
+                    expr[sym] = expr.get(sym, 0) - c
+        solved[sigma] = (rec.defect, {k: c for k, c in expr.items() if c})
+    return tuple(((sigma.w1[0], sigma.omega[0]), d, tuple(expr.items()))
+                 for sigma, (d, expr) in solved.items())
+
+
+def bm_cycles(rho: TameTypePresentation, force: bool = False):
+    """For each predicted weight sigma of rhobar, its cycle as a combination
+    of auxiliary type symbols ("Z_tau", (s_0, mu_0), ...): the product over
+    the embeddings of the one-embedding solves, whose coefficients multiply
+    and whose defects add.  Returns {presentation: (defect, CycleExpr)}."""
+    ctx = rho.ctx
+    _require_f_type(rho)
+    if not force and rho.depth() < 2 * ctx.n:
+        raise GenericityError(f"cycle solver needs a 2n-generic mod-p type, "
+                              f"have depth {rho.depth()}")
+    one = GroupContext(ctx.n, 1, ctx.p)
+    factors = [_bm_factor(TameTypePresentation(WeylTuple((s_j,)), (mu_j,), one, "F"))
+               for s_j, mu_j in zip(rho.s, rho.mu)]
+    solved = {}
+    for combo in itertools.product(*factors):
+        rows, defects, exprs = zip(*combo)
+        terms = {}
+        for parts in itertools.product(*exprs):
+            syms, coeffs = zip(*parts)
+            terms[("Z_tau",) + syms] = math.prod(coeffs)
+        solved[_glue(rows, ctx)] = (sum(defects), CycleExpr.of(terms))
     return solved
-
-
-def _type_symbol(tau: TameTypePresentation):
-    return ("Z_tau",) + tau.sort_key()

@@ -1,8 +1,10 @@
 """The command line front end: parsing, dispatch, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -203,6 +205,50 @@ def test_cob_exact_input_frozen():
     res = invoke(*COB_EXACT_ARGV, stdin=COB_EXACT_STDIN)
     assert res.returncode == 0, res.stderr
     assert res.stdout == COB_EXACT_STDOUT + "\n"
+
+
+BM_GL3_F3_ARGV = ["bm", "--n", "3", "--f", "3", "--p", "307",
+                  "--rs", "2,1,3@0,0,0;3,2,1@0,0,0;2,1,3@0,0,0",
+                  "--rmu", "197,144,136;427,155,141;169,76,18"]
+
+
+def test_bm_gl3_f3_frozen():
+    res = subprocess.run(PY + BM_GL3_F3_ARGV, capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout) == 351542
+    assert hashlib.sha256(res.stdout).hexdigest() == \
+        "9ada2cbab5a686d23f7a7ed38e6cb7d976df9de11ebf2a272e0861c92d4cf68c"
+
+
+CLOSED_STDOUT = "precondition violated: stdout closed before the output was written"
+
+
+def test_closed_stdout_is_exit_3_in_process():
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
+        assert cli.run(["len", "--n", "2", "--a", "e"]) == 3
+    assert err.getvalue().splitlines() == [CLOSED_STDOUT]
+
+
+def test_closed_stdout_is_exit_3():
+    # the 351 KB document outgrows the pipe buffer, so the write meets the
+    # closed read end
+    proc = subprocess.Popen(PY + BM_GL3_F3_ARGV, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 3
+    assert err.splitlines() == [CLOSED_STDOUT]
+    # started with no stdout at all (`>&-`)
+    res = subprocess.run(PY + ["len", "--n", "2", "--a", "e"], stderr=subprocess.PIPE,
+                         text=True, preexec_fn=lambda: os.close(1))
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == [CLOSED_STDOUT]
 
 
 def test_long_bruhat_and_up_queries():

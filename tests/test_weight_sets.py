@@ -238,10 +238,11 @@ def test_bm_cycles_gl3_triangular():
 
 def test_bm_multiplicity_oracle_guard():
     from awbm.errors import OracleError
+    from awbm.oracles import bm_cycles_recursive
     with pytest.raises(OracleError):
-        bm_cycles(RHO, mult=lambda t, s: 0, force=True)
+        bm_cycles_recursive(RHO, mult=lambda t, s: 0, force=True)
     with pytest.raises(OracleError):
-        bm_cycles(RHO, mult=lambda t, s: 2, force=True)
+        bm_cycles_recursive(RHO, mult=lambda t, s: 2, force=True)
 
 
 def test_bm_cycles_f2():
@@ -463,3 +464,27 @@ def test_w_question_is_sorted_and_duplicate_free():
     keys = [r.presentation.sort_key() for r in w_question(rho)]
     assert len(keys) == 81
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+
+def test_bm_cycles_match_recursive_oracle():
+    """The product of one-embedding solves equals the record-by-record
+    recursion over all of W?: deep random types at GL2-GL3 with f = 1 to 3
+    and GL4 with f = 1, then forced shallow types (depth 0) at small p."""
+    from conftest import perms, random_deep_mu, random_tuple_mu, random_weyl_tuple
+    from awbm.oracles import bm_cycles_recursive
+    rng = random.Random(61)
+    for n, f, p in [(2, 1, 37), (2, 2, 37), (2, 3, 37), (3, 1, 211),
+                    (3, 2, 211), (3, 3, 211), (4, 1, 211)]:
+        ctx = GroupContext(n, f, p)
+        rho = make_type(ctx, random_weyl_tuple(n, f, rng),
+                        random_tuple_mu(n, f, p, 2 * n, rng), kind="F")
+        assert bm_cycles(rho) == bm_cycles_recursive(rho), (n, f)
+    for _ in range(40):
+        n, f, p = rng.choice([(2, 1, 7), (2, 2, 7), (2, 3, 7), (3, 1, 11),
+                              (3, 2, 7), (3, 2, 13)])
+        rho = make_type(GroupContext(n, f, p),
+                        [rng.choice(perms(n)) for _ in range(f)],
+                        [random_deep_mu(n, p, 0, rng) for _ in range(f)], kind="F")
+        assert bm_cycles(rho, force=True) == \
+            bm_cycles_recursive(rho, force=True), (rho.s, rho.mu)
