@@ -641,7 +641,9 @@ def main():
     except BrokenPipeError:
         # run has reported the closed pipe; drop what is still buffered so
         # that interpreter shutdown does not report it a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     sys.exit(code)
 
 

@@ -63,7 +63,7 @@ from .errors import (
 from .weight_sets import CycleExpr, _aux_type, intersection, w_question
 
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
-           "enumerate_elements", "default_multiplicity", "bm_cycles_recursive"]
+           "enumerate_elements", "bm_cycles_recursive"]
 
 
 def _check_bound(n: int, bound: int):
@@ -227,7 +227,7 @@ def enumerate_elements(n: int, deg: int, bound: int):
     return sorted((multiply(y, delta) for y in seen), key=sort_key)
 
 
-def default_multiplicity(tau, sigma) -> int:
+def _unit_multiplicity(tau, sigma) -> int:
     return 1
 
 
@@ -240,7 +240,7 @@ def _check_multiplicity(mult, tau, sigma, n):
     return m
 
 
-def bm_cycles_recursive(rho, mult=default_multiplicity, force: bool = False):
+def bm_cycles_recursive(rho, mult=_unit_multiplicity, force: bool = False):
     """The cycle solver record by record over the whole of W?, in defect
     order: sigma's cycle is (Z_tau - sum of mult(tau, kappa) times the solved
     cycles of the other constituents kappa of its auxiliary type tau) divided

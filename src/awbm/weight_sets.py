@@ -406,7 +406,6 @@ def _aux_type(rho: TameTypePresentation, rec: PredictedWeight):
         for g, w, w2 in zip(rho.w_tilde(), rec.w, rec.w2))))
 
 
-@lru_cache(maxsize=256)
 def _bm_factor(rho_j: TameTypePresentation):
     """The solve of a one-embedding mod-p type in defect order: a weight's
     cycle is its auxiliary type minus the cycles of that type's other

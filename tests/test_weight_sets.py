@@ -466,7 +466,6 @@ def test_w_question_is_sorted_and_duplicate_free():
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-
 def test_bm_cycles_match_recursive_oracle():
     """The product of one-embedding solves equals the record-by-record
     recursion over all of W?: deep random types at GL2-GL3 with f = 1 to 3
