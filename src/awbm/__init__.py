@@ -7,83 +7,58 @@ admissible sets), `weights` (lowest alcove presentations and genericity),
 Schubert cells, the monodromy condition, component fixed points), `bk_gauge`
 (truncated series calculus and shapes), `oracles` (naive reference
 implementations), and `cli` (the JSON command line).
+
+Each layer module runs on its first attribute access, so a caller pays only
+for the layers it uses: numpy comes in with `bk_gauge` and `modp_flag`.
 """
 
-from .affine_weyl import (
-    GroupContext,
-    WeylElement,
-    WeylTuple,
-    adm,
-    ap_enumerate,
-    bruhat_interval,
-    bruhat_leq,
-    classify,
-    evaluate,
-    length,
-    multiply,
-    regular_factorization,
-    star,
-    up_leq,
-)
+import importlib.util
+import sys
+
 from .errors import AwbmError
-from .inertial_types import TameTypePresentation, a_tau, descent_data, make_type
-from .weight_sets import (
-    CycleExpr,
-    bm_cycles,
-    covers,
-    defect,
-    intersection,
-    jh_set,
-    max_defect_weight,
-    w_question,
-)
-from .weights import (
-    CentralCharacter,
-    SerreWeightPresentation,
-    build_Pm,
-    central_character,
-    genericity,
-    lap_of,
-    serre_weight,
-    superscript,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AwbmError",
-    "CentralCharacter",
-    "CycleExpr",
-    "GroupContext",
-    "SerreWeightPresentation",
-    "TameTypePresentation",
-    "WeylElement",
-    "WeylTuple",
-    "a_tau",
-    "adm",
-    "ap_enumerate",
-    "bm_cycles",
-    "bruhat_interval",
-    "bruhat_leq",
-    "build_Pm",
-    "central_character",
-    "classify",
-    "covers",
-    "defect",
-    "descent_data",
-    "evaluate",
-    "genericity",
-    "intersection",
-    "jh_set",
-    "lap_of",
-    "length",
-    "make_type",
-    "max_defect_weight",
-    "multiply",
-    "regular_factorization",
-    "serre_weight",
-    "star",
-    "superscript",
-    "up_leq",
-    "w_question",
-]
+# Every layer is bound here and registered in sys.modules unexecuted, so
+# `from . import bk_gauge` and `import awbm.bk_gauge` find it without running
+# it.  LazyLoader is not thread-safe on Python 3.11; the library starts no
+# threads.  `cli` is not registered: `python -m awbm.cli` must find it absent
+# from sys.modules.
+for _name in ("affine_weyl", "weights", "inertial_types", "weight_sets",
+              "modp_flag", "bk_gauge", "oracles"):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    _module = importlib.util.module_from_spec(_spec)
+    sys.modules[_spec.name] = globals()[_name] = _module
+    _spec.loader.exec_module(_module)
+del _name, _spec, _module
+
+# the package's re-exports, served from their layers on first access
+_EXPORTS = {
+    "affine_weyl": (
+        "GroupContext", "WeylElement", "WeylTuple", "adm", "ap_enumerate",
+        "bruhat_interval", "bruhat_leq", "classify", "evaluate", "length",
+        "multiply", "regular_factorization", "star", "up_leq"),
+    "inertial_types": (
+        "TameTypePresentation", "a_tau", "descent_data", "make_type"),
+    "weight_sets": (
+        "CycleExpr", "bm_cycles", "covers", "defect", "intersection",
+        "jh_set", "max_defect_weight", "w_question"),
+    "weights": (
+        "CentralCharacter", "SerreWeightPresentation", "build_Pm",
+        "central_character", "genericity", "lap_of", "serre_weight",
+        "superscript"),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(["AwbmError", *_LAYER_OF])
+
+
+def __getattr__(name):
+    if name in _LAYER_OF:
+        return getattr(globals()[_LAYER_OF[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAYER_OF})

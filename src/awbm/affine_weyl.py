@@ -221,6 +221,7 @@ def finite(w):
     return WeylElement(tuple(w), (0,) * len(w))
 
 
+@lru_cache(maxsize=None)
 def w0(n):
     return finite(perm_w0(n))
 
@@ -229,6 +230,7 @@ def eta_vector(n):
     return tuple(range(n - 1, -1, -1))
 
 
+@lru_cache(maxsize=None)
 def w_h(n):
     """w0 · t_{-eta}, the distinguished element of the restricted dominant box."""
     return multiply(w0(n), translation(tuple(-e for e in eta_vector(n))))

@@ -49,6 +49,7 @@ from .affine_weyl import (
 )
 from .errors import (
     ArgumentError,
+    CapacityError,
     ContextError,
     GenericityError,
     InputError,
@@ -156,6 +157,12 @@ class Coefficients:
 # series matrices
 
 _BIG = 10 ** 9  # stand-in precision for exact values
+
+# The most coefficient slots, n^2 * degree * exponent span, that a matrix read
+# from JSON may occupy: storage is dense in the span, so `from_json` refuses a
+# wider input before it allocates.  The largest of the benchmark and the tests
+# is 3,600 (straightened n = 3 tuples at M = 400).
+MAX_COEFFS = 10 ** 5
 
 
 @dataclass
@@ -513,6 +520,12 @@ class SeriesMatrix:
                     for e, c in cell.items():
                         entries[(i + 1, j + 1, int(e))] = (
                             np.array(c) if isinstance(c, list) else int(c))
+            exps = [e for *_, e in entries] or [0]
+            size = n * n * field.degree * (max(exps) - min(exps) + 1)
+            if size > MAX_COEFFS:
+                raise CapacityError(
+                    f"series matrix spans {size} coefficients, over the "
+                    f"limit MAX_COEFFS = {MAX_COEFFS}")
             prec = data.get("precision")
             return cls.from_entries(field, n, entries,
                                     None if prec is None else int(prec))

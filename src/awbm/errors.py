@@ -60,10 +60,6 @@ class ZeroDivisorError(PreconditionError):
         super().__init__(message or f"vanishing pivot at root {root}, index {index}")
 
 
-class OracleError(PreconditionError):
-    """A user-supplied oracle returned an inadmissible value."""
-
-
 class IntegralityError(PreconditionError):
     """A series operation produced a genuine pole."""
 

@@ -17,11 +17,12 @@ algorithms beyond the group law:
   stays inside that region);
 * enumerate: all elements of a given degree with length at most L.
 
-The cycle solver's reference, `bm_cycles_recursive`, is of another kind: it
-reuses `weight_sets.w_question` and `intersection` and runs the defect
-recursion record by record over the whole of W?, with a caller-supplied
-multiplicity oracle, where `weight_sets.bm_cycles` takes the product of
-one-embedding solves at multiplicity one.
+The weight-set references are of another kind, built on the main order
+layer: `covers_up_oracle` reads the covering order through the upper-arrow
+order over all of W, where `weight_sets.covers` uses interval containment;
+`bm_cycles_recursive` reuses `weight_sets.w_question` and `intersection`
+and runs the defect recursion record by record over the whole of W?, where
+`weight_sets.bm_cycles` takes the product of one-embedding solves.
 
 They are shipped, not test-only, so cross-checks can be run on demand.
 """
@@ -51,6 +52,7 @@ from .affine_weyl import (
     sort_key,
     star,
     translation,
+    up_leq,
     wa_part_and_omega,
 )
 from .errors import (
@@ -58,12 +60,17 @@ from .errors import (
     GenericityError,
     InputError,
     InternalError,
-    OracleError,
 )
-from .weight_sets import CycleExpr, _aux_type, intersection, w_question
+from .weight_sets import (
+    CycleExpr,
+    _aux_type,
+    _require_compatible,
+    intersection,
+    w_question,
+)
 
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
-           "enumerate_elements", "bm_cycles_recursive"]
+           "enumerate_elements", "bm_cycles_recursive", "covers_up_oracle"]
 
 
 def _check_bound(n: int, bound: int):
@@ -227,25 +234,11 @@ def enumerate_elements(n: int, deg: int, bound: int):
     return sorted((multiply(y, delta) for y in seen), key=sort_key)
 
 
-def _unit_multiplicity(tau, sigma) -> int:
-    return 1
-
-
-def _check_multiplicity(mult, tau, sigma, n):
-    m = mult(tau, sigma)
-    if not isinstance(m, int) or m <= 0:
-        raise OracleError(f"multiplicity oracle returned {m!r}")
-    if n <= 3 and m != 1:
-        raise OracleError("multiplicities must be 1 in the multiplicity-free range")
-    return m
-
-
-def bm_cycles_recursive(rho, mult=_unit_multiplicity, force: bool = False):
+def bm_cycles_recursive(rho, force: bool = False):
     """The cycle solver record by record over the whole of W?, in defect
-    order: sigma's cycle is (Z_tau - sum of mult(tau, kappa) times the solved
-    cycles of the other constituents kappa of its auxiliary type tau) divided
-    by mult(tau, sigma).  Same output as `weight_sets.bm_cycles`, which
-    assumes multiplicity one."""
+    order: sigma's cycle is Z_tau minus the solved cycles of the other
+    constituents kappa of its auxiliary type tau.  Same output as
+    `weight_sets.bm_cycles`; both take every multiplicity to be one."""
     n = rho.n
     if not force and rho.depth() < 2 * n:
         raise GenericityError(f"cycle solver needs a 2n-generic mod-p type, "
@@ -264,14 +257,27 @@ def bm_cycles_recursive(rho, mult=_unit_multiplicity, force: bool = False):
                 if kappa not in solved:
                     raise InternalError(
                         "defect triangularity violated by an auxiliary type")
-                mk = _check_multiplicity(mult, tau, kappa, n)
                 for sym, c in solved[kappa][1].terms:
-                    expr[sym] = expr.get(sym, 0) - mk * c
+                    expr[sym] = expr.get(sym, 0) - c
             if sigma not in others:
                 raise InternalError("maximizer missing from its own intersection")
-        m = _check_multiplicity(mult, tau, sigma, n)
-        solved[sigma] = (rec.defect, CycleExpr.of({k: c / m for k, c in expr.items()}))
+        solved[sigma] = (rec.defect, CycleExpr.of(expr))
     return solved
+
+
+def covers_up_oracle(sigma0, sigma) -> bool:
+    """The translated-arrow reading of `weight_sets.covers`:
+    w' ↑ t_{s(omega - omega')} w for every finite Weyl representative s
+    (quantified over all of W)."""
+    _require_compatible(sigma0, sigma)
+    ctx = sigma0.ctx
+    for j in range(ctx.f):
+        diff = tuple(a - b for a, b in zip(sigma0.omega[j], sigma.omega[j]))
+        for s in all_perms(ctx.n):
+            t = translation(perm_act(s, diff))
+            if not up_leq(sigma.w1[j], multiply(t, sigma0.w1[j])):
+                return False
+    return True
 
 
 def oracle(kind: str, *args, **kwargs):

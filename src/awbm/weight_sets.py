@@ -33,7 +33,6 @@ from .affine_weyl import (
     WeylElement,
     WeylTuple,
     adm_member,
-    all_perms,
     ap_enumerate,
     bruhat_interval,
     dominant_witness,
@@ -45,7 +44,6 @@ from .affine_weyl import (
     is_regular,
     length,
     multiply,
-    perm_act,
     perm_inverse,
     regular_factorization,
     restricted_classes,
@@ -70,7 +68,6 @@ __all__ = [
     "w_question",
     "PredictedWeight",
     "covers",
-    "covers_up_oracle",
     "intersection",
     "w_rhobar_tau",
     "defect",
@@ -267,21 +264,6 @@ def covers(sigma0: SerreWeightPresentation, sigma: SerreWeightPresentation,
     return True
 
 
-def covers_up_oracle(sigma0: SerreWeightPresentation,
-                     sigma: SerreWeightPresentation) -> bool:
-    """The translated-arrow reading: w' ↑ t_{s(omega - omega')} w for every
-    finite Weyl representative s (quantified over all of W)."""
-    _require_compatible(sigma0, sigma)
-    ctx = sigma0.ctx
-    for j in range(ctx.f):
-        diff = tuple(a - b for a, b in zip(sigma0.omega[j], sigma.omega[j]))
-        for s in all_perms(ctx.n):
-            t = translation(perm_act(s, diff))
-            if not up_leq(sigma.w1[j], multiply(t, sigma0.w1[j])):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # intersections
 
@@ -326,14 +308,14 @@ def _accepted_rows(wt_rho_j: WeylElement, wt_tau_j: WeylElement, lam_j):
     t_{lam_j} w_h^{-1} w2, w2 the dominant representative of
     t_{-omega_j} w̃(tau)_j.  A canonical row is a matched representative,
     and the test is invariant under the central shift."""
-    n = wt_rho_j.n
+    whinv = invert(w_h(wt_rho_j.n))
     out = []
     for w1, omega in _w_question_factors(wt_rho_j):
         g = multiply(translation(tuple(-x for x in omega)), wt_tau_j)
         w2 = multiply(finite(perm_inverse(dominant_witness(g))), g)
         if not is_dominant(w2):
             raise InternalError("dominant representative failed")
-        if up_leq(w1, multiply(translation(lam_j), multiply(invert(w_h(n)), w2))):
+        if up_leq(w1, multiply(translation(lam_j), multiply(whinv, w2))):
             out.append((w1, omega))
     return tuple(out)
 

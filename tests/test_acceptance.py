@@ -49,12 +49,17 @@ from awbm.modp_flag import (
     required_genericity,
     verify_nabla,
 )
-from awbm.oracles import chain_up_leq, enumerate_elements, im_length, subword_leq
+from awbm.oracles import (
+    chain_up_leq,
+    covers_up_oracle,
+    enumerate_elements,
+    im_length,
+    subword_leq,
+)
 from awbm.weight_sets import (
     _aux_type_from_element,
     bm_cycles,
     covers,
-    covers_up_oracle,
     defect,
     intersection,
     jh_set,

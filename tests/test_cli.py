@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -338,6 +339,29 @@ def test_lap_unrestricted_kappa_is_exit_3(argv):
     assert "Traceback" not in res.stderr
 
 
+WIDE = {"p": 13, "entries": [[{"0": 1}, {}], [{"100000000": 1}, {"0": 1}]]}
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["nabla", "--n", "2", "--matrix", "-", "--abar", "1,0"], WIDE),
+    (["straighten", "--n", "2", "--p", "13", "--z", "e", "--M", "10"],
+     {"A": [WIDE], "X": [WIDE]}),
+])
+def test_dense_exponent_span_is_refused_before_allocating(argv, stdin):
+    # dense storage would take 4 * 10^8 coefficients (3.2 GB of int64); the
+    # peak also counts compiling a layer this process has not loaded yet
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, out, err = _run_in_process(argv, json.dumps(stdin))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert "over the limit MAX_COEFFS" in err
+    assert peak < 2 ** 24 and time.perf_counter() - t0 < 2
+
+
 def test_unexpected_exception_is_exit_4(monkeypatch):
     def boom(args):
         raise ZeroDivisionError("planted")
@@ -347,6 +371,61 @@ def test_unexpected_exception_is_exit_4(monkeypatch):
         assert cli.run(["len", "--n", "2", "--a", "e"]) == 4
     assert "ZeroDivisionError: planted" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# layers load on first use; each check starts a fresh interpreter
+
+def run_python(code):
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+def test_non_matrix_commands_do_not_load_numpy():
+    out = run_python("""
+import contextlib, io, sys
+import awbm.cli as cli
+for argv in (["len", "--n", "2", "--a", "e"],
+             ["adm", "--n", "3", "--lambda", "2,1,0"],
+             ["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"],
+             ["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"],
+             ["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
+              "--rmu", "20,10,0"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+print("numpy" in sys.modules)
+""")
+    assert out == "False\n"
+
+
+def test_matrix_command_output_unchanged():
+    res = invoke("monodromy", "--n", "4", "--p", "101", "--w", "3,2,4,1@3,1,2,0",
+                 "--abar", "41,2,33,20", "--free",
+                 '{"1,2": 87, "1,4": 46, "2,4": 90, "3,2": 28, "3,4": 20}')
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == (
+        '{"entries":[[{},{},{"2":1},{}],[{"2":87},{"1":1},{"2":28},{}],'
+        '[{"2":46},{"1":90},{"2":20},{"0":1}],[{"3":1},{},{},{}]],"p":101}\n')
+
+
+def test_lazy_layers_load_once():
+    out = run_python("""
+import awbm.cli
+import awbm.bk_gauge
+awbm.bk_gauge.SeriesMatrix
+from awbm import *
+print(issubclass(awbm.modp_flag.LaurentMatrix, awbm.bk_gauge.SeriesMatrix),
+      bm_cycles is awbm.weight_sets.bm_cycles)
+""")
+    assert out == "True True\n"
+
+
+def test_module_entry_point_warns_nothing():
+    res = subprocess.run([sys.executable, "-W", "error", "-m", "awbm.cli", "len",
+                          "--n", "2", "--a", "e"], capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (0, '{"length":0}\n', "")
 
 
 # ---------------------------------------------------------------------------

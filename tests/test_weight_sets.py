@@ -23,10 +23,10 @@ from awbm.errors import (
     MembershipError,
 )
 from awbm.inertial_types import make_type
+from awbm.oracles import covers_up_oracle
 from awbm.weight_sets import (
     bm_cycles,
     covers,
-    covers_up_oracle,
     defect,
     intersection,
     jh_contains_fixed,
@@ -234,15 +234,6 @@ def test_bm_cycles_gl3_triangular():
             assert len(expr.terms) >= 2
             coeffs = dict(expr.terms)
             assert all(abs(c) == 1 for c in coeffs.values())
-
-
-def test_bm_multiplicity_oracle_guard():
-    from awbm.errors import OracleError
-    from awbm.oracles import bm_cycles_recursive
-    with pytest.raises(OracleError):
-        bm_cycles_recursive(RHO, mult=lambda t, s: 0, force=True)
-    with pytest.raises(OracleError):
-        bm_cycles_recursive(RHO, mult=lambda t, s: 2, force=True)
 
 
 def test_bm_cycles_f2():
