@@ -9,7 +9,7 @@ Schubert cells, the monodromy condition, component fixed points), `bk_gauge`
 implementations), and `cli` (the JSON command line).
 
 Each layer module runs on its first attribute access, so a caller pays only
-for the layers it uses: numpy comes in with `bk_gauge` and `modp_flag`.
+for the layers it uses.
 """
 
 import importlib.util

@@ -2,7 +2,9 @@
 
 `SeriesMatrix` holds an n x n matrix of Laurent series over F_q truncated at
 a tracked precision: a value is known exactly for all exponents below `prec`,
-and prec = None means the stored Laurent polynomial is exact.  The flag layer
+and prec = None means the stored Laurent polynomial is exact.  Each entry
+keeps only its nonzero terms, so an operation costs in proportion to the
+terms it touches, not to the span of their exponents.  The flag layer
 (`modp_flag`) computes on exact matrices over F_p; the gauge layer below
 computes on truncated ones.  The coefficient field is F_p or F_{p^2};
 Frobenius acts coefficientwise by x -> x^p and on the variable by v -> v^p.
@@ -29,9 +31,9 @@ at the end of the module.
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
-
-import numpy as np
 
 from .affine_weyl import (
     GroupContext,
@@ -76,12 +78,57 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # coefficient fields F_p and F_{p^2}
 
+class _Fp2:
+    """a + b·w in F_p[w]/(w^2 - r).  Like an int over F_p, an element adds
+    and multiplies exactly and is reduced by `% p`; an int operand stands
+    for itself plus 0·w."""
+
+    __slots__ = ("a", "b", "r")
+
+    def __init__(self, a, b, r):
+        self.a, self.b, self.r = a, b, r
+
+    @staticmethod
+    def _parts(x):
+        return (x.a, x.b) if isinstance(x, _Fp2) else (x, 0)
+
+    def __add__(self, other):
+        a, b = self._parts(other)
+        return _Fp2(self.a + a, self.b + b, self.r)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Fp2(-self.a, -self.b, self.r)
+
+    def __mul__(self, other):
+        a, b = self._parts(other)
+        return _Fp2(self.a * a + self.r * self.b * b, self.a * b + self.b * a,
+                    self.r)
+
+    __rmul__ = __mul__
+
+    def __mod__(self, p):
+        return _Fp2(self.a % p, self.b % p, self.r)
+
+    def __bool__(self):
+        return bool(self.a or self.b)
+
+    def __eq__(self, other):
+        return (self.a, self.b) == self._parts(other)
+
+    def conjugate(self):
+        """x -> x^p, which sends w to -w since r is a non-residue."""
+        return _Fp2(self.a, -self.b, self.r)
+
+
 class Coefficients:
     """F_p (degree 1) or F_{p^2} = F_p[w]/(w^2 - r) (degree 2, r the least
-    quadratic non-residue); series over the field are arrays of shape
-    (degree, length).  Arrays hold int64 while a product of two residues
-    (times 1 + r) fits in it and Python ints (dtype object) beyond; a sum of
-    L such products is formed over Python ints once it could leave int64."""
+    quadratic non-residue).  An element is an int in [0, p) over F_p and a
+    pair a + b·w (`_Fp2`) over F_{p^2}.  A series is a dict {exponent:
+    element} of its nonzero terms in increasing exponent order; sums and
+    products run over exact Python ints and are reduced mod p once per
+    output term, so every prime is exact."""
 
     def __init__(self, p: int, degree: int = 1):
         if degree not in (1, 2):
@@ -99,172 +146,172 @@ class Coefficients:
                     break
             if self.r is None:
                 raise InternalError("no quadratic non-residue found")
-        self.dtype = np.int64 if self.fits(1) else object
 
     def __eq__(self, other):
         return (isinstance(other, Coefficients) and self.p == other.p
                 and self.degree == other.degree)
 
-    def fits(self, terms):
-        """Whether a sum of `terms` products of residues stays in int64."""
-        return terms * (self.p - 1) ** 2 * (1 + (self.r or 0)) < 2 ** 63
-
-    def zeros(self, *shape):
-        return np.zeros(shape, dtype=self.dtype)
-
-    def conv(self, a, b):
+    def element(self, c):
+        """c as an element of the field: c is a number, a list of `degree`
+        numbers (the parts a, b of a + b·w over F_{p^2}) or an element."""
         p = self.p
-        if not self.fits(min(a.shape[1], b.shape[1])):
-            a, b = a.astype(object, copy=False), b.astype(object, copy=False)
-        if self.degree == 1:
-            out = (np.convolve(a[0], b[0]) % p)[None, :]
+        if isinstance(c, _Fp2):
+            return c % p
+        if isinstance(c, (list, tuple)):
+            parts = [int(x % p) for x in c]
+            if len(parts) != self.degree:
+                raise ValueError(f"{c!r} is not an element of the field")
         else:
-            c0 = (np.convolve(a[0], b[0]) + self.r * np.convolve(a[1], b[1])) % p
-            c1 = (np.convolve(a[0], b[1]) + np.convolve(a[1], b[0])) % p
-            out = np.stack([c0, c1])
-        return out.astype(self.dtype, copy=False)
+            parts = [int(c) % p, 0]
+        return parts[0] if self.degree == 1 else _Fp2(*parts, self.r)
+
+    def encode(self, c):
+        """An element as JSON: an int, or an [a, b] pair over F_{p^2}."""
+        return c if self.degree == 1 else [c.a, c.b]
 
     def inv_scalar(self, c):
         p = self.p
-        if self.degree == 1:
-            if c[0] % p == 0:
-                raise ArgumentError("inverting zero")
-            return np.array([pow(int(c[0]), -1, p)], dtype=self.dtype)
-        a, b = int(c[0]) % p, int(c[1]) % p
-        nrm = (a * a - self.r * b * b) % p
-        if nrm == 0:
+        if not c:
             raise ArgumentError("inverting zero")
-        ninv = pow(nrm, -1, p)
-        return np.array([a * ninv % p, (-b) * ninv % p], dtype=self.dtype)
-
-    def mul_scalar(self, c1, c2):
-        p = self.p
         if self.degree == 1:
-            return np.array([int(c1[0]) * int(c2[0]) % p], dtype=self.dtype)
-        a = (int(c1[0]) * int(c2[0]) + self.r * int(c1[1]) * int(c2[1])) % p
-        b = (int(c1[0]) * int(c2[1]) + int(c1[1]) * int(c2[0])) % p
-        return np.array([a, b], dtype=self.dtype)
+            return pow(c, -1, p)
+        ninv = pow((c.a * c.a - self.r * c.b * c.b) % p, -1, p)
+        return _Fp2(c.a * ninv % p, -c.b * ninv % p, self.r)
 
     def rand_scalar(self, rng, nonzero=False):
         while True:
-            c = np.array([rng.randrange(self.p) for _ in range(self.degree)],
-                         dtype=self.dtype)
-            if not nonzero or c.any():
+            c = self.element([rng.randrange(self.p)
+                              for _ in range(self.degree)])
+            if c or not nonzero:
                 return c
+
+
+def _mac(acc, a, b, cut):
+    """acc[e] += the coefficient of v^e in a·b for every e < cut, unreduced;
+    a and b are series."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    exps, items = list(b), list(b.items())
+    for e1, c1 in a.items():
+        k = bisect_left(exps, cut - e1)
+        if not k:
+            break
+        for e2, c2 in items[:k]:
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _reduced(acc, p, hi=math.inf):
+    """The series of the sums in acc mod p, below hi."""
+    return {e: r for e in sorted(acc) if e < hi and (r := acc[e] % p)}
+
+
+def _product(a, b, p):
+    acc = {}
+    _mac(acc, a, b, math.inf)
+    return _reduced(acc, p)
 
 
 # ---------------------------------------------------------------------------
 # series matrices
 
-_BIG = 10 ** 9  # stand-in precision for exact values
-
 # The most coefficient slots, n^2 * degree * exponent span, that a matrix read
-# from JSON may occupy: storage is dense in the span, so `from_json` refuses a
-# wider input before it allocates.  The largest of the benchmark and the tests
-# is 3,600 (straightened n = 3 tuples at M = 400).
+# from JSON may span; `from_json` refuses a wider input.  The largest of the
+# benchmark and the tests is 3,600 (straightened n = 3 tuples at M = 400).
 MAX_COEFFS = 10 ** 5
+
+
+class _Rows(tuple):
+    """The stored terms of a `SeriesMatrix`: row i maps a column j to the
+    series of entry (i+1, j+1); empty entries are absent."""
+
+    @property
+    def nbytes(self):
+        """8 bytes per stored coefficient, one int64 slot of a dense array."""
+        return 8 * sum(len(s) for row in self for s in row.values())
 
 
 @dataclass
 class SeriesMatrix:
-    """n x n matrix of truncated Laurent series: coeffs has shape
-    (n, n, degree, L) covering exponents [lo, lo+L); entries are exact below
-    prec (prec=None: exact everywhere, stored support finite).  Results keep
-    the class of the left operand."""
+    """n x n matrix of truncated Laurent series: `coeffs` holds the nonzero
+    terms, all inside the exponent window [lo, hi), and entries are exact
+    below prec (prec=None: exact everywhere).  lo bounds the valuation from
+    below without always reaching it; products take their precision from
+    it.  Results keep the class of the left operand, and no operation
+    changes a matrix once built."""
 
     field: Coefficients
     n: int
     lo: int
-    coeffs: np.ndarray
+    hi: int
+    coeffs: _Rows
     prec: int | None = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, field, n, lo=0, length=1, prec=None):
-        return cls(field, n, lo, field.zeros(n, n, field.degree, length), prec)
-
-    @classmethod
     def identity(cls, field, n, prec=None):
-        out = cls.zero(field, n, 0, 1, prec)
-        for i in range(n):
-            out.coeffs[i, i, 0, 0] = 1
-        return out
+        one = field.element(1)
+        return cls(field, n, 0, 1, _Rows({i: {0: one}} for i in range(n)),
+                   prec)
 
     @classmethod
     def from_entries(cls, field, n, entries, prec=None):
-        """entries: dict (i, j, exp) -> scalar array or int."""
-        if entries:
-            lo = min(e for _, _, e in entries)
-            hi = max(e for _, _, e in entries)
-        else:
-            lo, hi = 0, 0
-        out = cls.zero(field, n, lo, hi - lo + 1, prec)
-        for (i, j, e), c in entries.items():
-            if isinstance(c, (int, np.integer)):
-                out.coeffs[i - 1, j - 1, 0, e - lo] = int(c) % field.p
-            else:
-                out.coeffs[i - 1, j - 1, :, e - lo] = np.asarray(c) % field.p
-        return out
+        """entries: dict (i, j, exp) -> coefficient, anything
+        `Coefficients.element` takes; a zero coefficient still widens the
+        window."""
+        exps = [e for _, _, e in entries] or [0]
+        rows = [{} for _ in range(n)]
+        for (i, j, e), c in sorted(entries.items()):
+            if c := field.element(c):
+                rows[i - 1].setdefault(j - 1, {})[e] = c
+        return cls(field, n, min(exps), max(exps) + 1, _Rows(rows), prec)
 
-    def _new(self, lo, coeffs, prec=None):
-        return type(self)(self.field, self.n, lo, coeffs, prec)
+    def _new(self, lo, hi, rows, prec=None):
+        return type(self)(self.field, self.n, lo, hi, _Rows(rows), prec)
+
+    def _map(self, fn):
+        """The rows with fn applied to every stored series, empty results
+        dropped."""
+        return [{j: t for j, s in row.items() if (t := fn(s))}
+                for row in self.coeffs]
+
+    def _series(self):
+        return (s for row in self.coeffs for s in row.values())
 
     # -- bookkeeping -------------------------------------------------------
-    @property
-    def hi(self):
-        return self.lo + self.coeffs.shape[3]
-
     def _eff_prec(self):
-        return _BIG if self.prec is None else self.prec
-
-    def window(self, lo, hi):
-        """Coefficients re-windowed onto exponents [lo, hi); empty when
-        hi <= lo."""
-        out = self.field.zeros(self.n, self.n, self.field.degree,
-                               max(hi - lo, 0))
-        src_lo = max(self.lo, lo)
-        src_hi = min(self.hi, hi)
-        if src_lo < src_hi:
-            out[..., src_lo - lo:src_hi - lo] = \
-                self.coeffs[..., src_lo - self.lo:src_hi - self.lo]
-        return out
+        return math.inf if self.prec is None else self.prec
 
     def truncate(self, prec):
         new_prec = min(self._eff_prec(), prec)
-        hi = min(self.hi, new_prec)
-        hi = max(hi, self.lo)
-        return self._new(self.lo, self.window(self.lo, hi),
-                         None if new_prec >= _BIG else new_prec)
+        hi = max(min(self.hi, new_prec), self.lo)
+        rows = self.coeffs if hi >= self.hi else self._map(
+            lambda s: {e: c for e, c in s.items() if e < hi})
+        return self._new(self.lo, hi, rows,
+                         None if new_prec == math.inf else new_prec)
 
     def normalized(self):
-        """Strip known-zero leading columns (raise lo)."""
-        arr = self.coeffs
-        L = arr.shape[3]
-        k = 0
-        while k < L - 1 and not arr[..., k].any():
-            k += 1
-        if k == 0:
+        """Raise lo to the lowest stored exponent (to hi - 1 when nothing is
+        stored)."""
+        lo = min((next(iter(s)) for s in self._series()),
+                 default=max(self.hi - 1, self.lo))
+        if lo == self.lo:
             return self
-        return self._new(self.lo + k, arr[..., k:], self.prec)
+        return self._new(lo, self.hi, self.coeffs, self.prec)
 
     def entry(self, i, j):
         """Entry (i, j), 1-based, as {exponent: coefficient} over its nonzero
         terms; a coefficient is an int, or an [a, b] pair over F_{p^2}."""
-        out = {}
-        for t in range(self.coeffs.shape[3]):
-            c = self.coeffs[i - 1, j - 1, :, t]
-            if c.any():
-                out[self.lo + t] = (int(c[0]) if self.field.degree == 1
-                                    else [int(x) for x in c])
-        return out
+        encode = self.field.encode
+        return {e: encode(c)
+                for e, c in self.coeffs[i - 1].get(j - 1, {}).items()}
 
     def __eq__(self, other):
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
-        lo, hi = min(self.lo, other.lo), max(self.hi, other.hi)
         return (self.field == other.field and self.n == other.n
-                and self.prec == other.prec
-                and np.array_equal(self.window(lo, hi), other.window(lo, hi)))
+                and self.prec == other.prec and self.coeffs == other.coeffs)
 
     # -- arithmetic --------------------------------------------------------
     def _check_operand(self, other):
@@ -274,118 +321,94 @@ class SeriesMatrix:
                 f"{self.field.degree} against n={other.n} over "
                 f"F_{other.field.p}^{other.field.degree}")
 
-    def _align(self, other):
+    def _add(self, other, sign):
         self._check_operand(other)
         lo = min(self.lo, other.lo)
         prec = min(self._eff_prec(), other._eff_prec())
         hi = max(self.hi, other.hi)
-        if prec < _BIG:
+        if prec < math.inf:
             hi = min(max(hi, lo + 1), max(prec, lo + 1))
-        return lo, hi, prec
+        p = self.field.p
+        rows = []
+        for ra, rb in zip(self.coeffs, other.coeffs):
+            row = {}
+            for j in ra.keys() | rb.keys():
+                acc = dict(ra.get(j, {}))
+                for e, c in rb.get(j, {}).items():
+                    acc[e] = acc.get(e, 0) + sign * c
+                if s := _reduced(acc, p, hi):
+                    row[j] = s
+            rows.append(row)
+        return self._new(lo, hi, rows, None if prec == math.inf else prec)
 
     def __add__(self, other):
-        lo, hi, prec = self._align(other)
-        arr = (self.window(lo, hi) + other.window(lo, hi)) % self.field.p
-        return self._new(lo, arr, None if prec >= _BIG else prec)
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        lo, hi, prec = self._align(other)
-        arr = (self.window(lo, hi) - other.window(lo, hi)) % self.field.p
-        return self._new(lo, arr, None if prec >= _BIG else prec)
+        return self._add(other, -1)
 
     def __mul__(self, other):
         self._check_operand(other)
-        f = self.field
-        n = self.n
         lo = self.lo + other.lo
-        if self.prec is None and other.prec is None:
-            prec = _BIG
-        else:
-            prec = min(self.lo + other._eff_prec(), other.lo + self._eff_prec())
-        La, Lb = self.coeffs.shape[3], other.coeffs.shape[3]
-        out = f.zeros(n, n, f.degree, La + Lb - 1)
-        for i in range(n):
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    a = self.coeffs[i, k]
-                    b = other.coeffs[k, j]
-                    if not a.any() or not b.any():
-                        continue
-                    c = f.conv(a, b)
-                    acc = c if acc is None else (acc + c) % f.p
-                if acc is not None:
-                    out[i, j, :, :acc.shape[1]] = acc
-        m = self._new(lo, out, None if prec >= _BIG else prec)
-        return m.truncate(prec) if prec < _BIG else m
-
-    def scalar_mul(self, c):
-        f = self.field
-        arr = self.coeffs
-        out = np.zeros_like(arr)
-        cs = np.asarray(c, dtype=f.dtype).reshape(f.degree, 1)
-        if f.degree == 1:
-            out = arr * cs[0, 0] % f.p
-        else:
-            out[:, :, 0] = (arr[:, :, 0] * cs[0, 0]
-                            + f.r * arr[:, :, 1] * cs[1, 0]) % f.p
-            out[:, :, 1] = (arr[:, :, 0] * cs[1, 0]
-                            + arr[:, :, 1] * cs[0, 0]) % f.p
-        return self._new(self.lo, out, self.prec)
+        prec = min(self.lo + other._eff_prec(), other.lo + self._eff_prec())
+        hi = max(self.hi + other.hi - 1, lo)
+        if prec < math.inf:
+            hi = max(min(hi, prec), lo)
+        p = self.field.p
+        rows = []
+        for ra in self.coeffs:
+            acc = {}
+            for k, a in ra.items():
+                for j, b in other.coeffs[k].items():
+                    _mac(acc.setdefault(j, {}), a, b, hi)
+            rows.append({j: s for j, t in acc.items()
+                         if (s := _reduced(t, p))})
+        return self._new(lo, hi, rows, None if prec == math.inf else prec)
 
     def shift(self, k):
-        return self._new(self.lo + k, self.coeffs,
+        return self._new(self.lo + k, self.hi + k,
+                         self._map(lambda s: {e + k: c for e, c in s.items()}),
                          None if self.prec is None else self.prec + k)
 
     def v_ddv(self):
         """v d/dv: the coefficient of v^e is multiplied by e."""
         p = self.field.p
-        exps = np.array([e % p for e in range(self.lo, self.hi)],
-                        dtype=self.field.dtype)
-        return self._new(self.lo, self.coeffs * exps % p, self.prec)
+        return self._new(self.lo, self.hi, self._map(
+            lambda s: {e: r for e, c in s.items() if (r := c * e % p)}),
+            self.prec)
 
     # -- Frobenius and twists ----------------------------------------------
     def frobenius(self, prec=None):
         """v -> v^p and coefficientwise x -> x^p; a value known below prec is
         known below p(prec-1)+1 afterwards.  Given `prec`, the result is
-        truncated there and only the columns landing below it are spread."""
-        f = self.field
-        p = f.p
+        truncated there and only the terms landing below it are formed."""
+        p = self.field.p
+        conj = self.field.degree == 2
         lo = p * self.lo
-        L = (self.coeffs.shape[3] - 1) * p + 1
+        hi = lo + max((self.hi - self.lo - 1) * p + 1, 0)
         if prec is not None:
-            L = max(min(L, prec - lo), 0)
-        out = f.zeros(self.n, self.n, f.degree, L)
-        out[..., ::p] = self.coeffs[..., :-(-L // p)]
-        if f.degree == 2:
-            out[:, :, 1] = (-out[:, :, 1]) % p
-        m = self._new(lo, out, None if self.prec is None
-                      else p * (self.prec - 1) + 1)
+            hi = max(min(hi, prec), lo)
+        m = self._new(lo, hi, self._map(
+            lambda s: {p * e: c.conjugate() % p if conj else c
+                       for e, c in s.items() if p * e < hi}),
+            None if self.prec is None else p * (self.prec - 1) + 1)
         return m if prec is None else m.truncate(prec)
 
     def ad_monomial(self, w, bvec):
         """Ad(P_w · v^b): entry (i,k) lands at (w(i), w(k)) shifted by
         b_i - b_k."""
-        n = self.n
-        shifts = [[bvec[i] - bvec[k] for k in range(n)] for i in range(n)]
-        smin = min(min(r) for r in shifts)
-        smax = max(max(r) for r in shifts)
-        L = self.coeffs.shape[3]
-        out = self.field.zeros(n, n, self.field.degree, L + smax - smin)
-        for i in range(n):
-            for k in range(n):
-                off = shifts[i][k] - smin
-                out[w[i] - 1, w[k] - 1, :, off:off + L] = self.coeffs[i, k]
+        rows = [{} for _ in range(self.n)]
+        for i, row in enumerate(self.coeffs):
+            for k, s in row.items():
+                d = bvec[i] - bvec[k]
+                rows[w[i] - 1][w[k] - 1] = {e + d: c for e, c in s.items()}
+        smin = min(bvec) - max(bvec)
         prec = None if self.prec is None else self.prec + smin
-        return self._new(self.lo + smin, out, prec)
+        return self._new(self.lo + smin, self.hi - smin, rows, prec)
 
     # -- predicates ----------------------------------------------------------
     def is_zero_mod(self, M):
-        lo = self.lo
-        hi = min(self.hi, M)
-        if hi <= lo:
-            return True
-        return not self.window(lo, hi).any()
+        return all(next(iter(s)) >= M for s in self._series())
 
     def equal_mod(self, other, M):
         if self._eff_prec() < M or other._eff_prec() < M:
@@ -396,43 +419,24 @@ class SeriesMatrix:
     def check_integral(self, context=""):
         if self.lo >= 0:
             return self
-        bad = self.window(self.lo, 0)
-        if bad.any():
-            idx = np.argwhere(bad.any(axis=2))
-            i, j = idx[0][0] + 1, idx[0][1] + 1
-            raise IntegralityError(
-                f"negative-exponent residue at entry ({i},{j}){context}")
+        for i, row in enumerate(self.coeffs, 1):
+            for j in sorted(row):
+                if next(iter(row[j])) < 0:
+                    raise IntegralityError(
+                        f"negative-exponent residue at entry ({i},{j + 1})"
+                        f"{context}")
         return self.normalized()
-
-    def const_term(self):
-        """The n x n matrix of v^0 coefficients (scalar arrays)."""
-        arr = self.window(0, 1)[..., 0]
-        return arr
 
     def is_upper_mod_v(self):
         """Integral and upper triangular mod v."""
-        if self.lo < 0 and self.window(self.lo, 0).any():
-            return False
-        c0 = self.const_term()
-        return not any(c0[i, j].any() for i in range(self.n) for j in range(i))
-
-    def is_iwahori(self):
-        """Integral, invertible, upper triangular mod v."""
-        c0 = self.const_term()
-        return self.is_upper_mod_v() and all(c0[i, i].any()
-                                             for i in range(self.n))
+        return self.is_zero_mod(0) and not any(
+            0 in s for i, row in enumerate(self.coeffs)
+            for j, s in row.items() if j < i)
 
     def is_iw1(self):
         """Unipotent upper triangular mod v."""
-        if not self.is_iwahori():
-            return False
-        c0 = self.const_term()
-        for i in range(self.n):
-            d = c0[i, i].copy()
-            d[0] = (d[0] - 1) % self.field.p
-            if d.any():
-                return False
-        return True
+        return self.is_upper_mod_v() and all(
+            row.get(i, {}).get(0) == 1 for i, row in enumerate(self.coeffs))
 
     # -- inversion -----------------------------------------------------------
     def inverse(self, prec=None):
@@ -441,63 +445,65 @@ class SeriesMatrix:
         otherwise it is known to precision prec, and det A must be a unit
         times a power of v within the known window."""
         f = self.field
-        n = self.n
         adj = self._adjugate()
         det = self._det(adj)
-        support = np.flatnonzero(det.any(axis=0))
-        if not support.size:
+        if not det:
             raise ArgumentError("matrix is not invertible (zero determinant)")
-        val = int(support[0])
-        det_lo = n * self.lo + val
-        unit = det[:, val:]
+        det_lo = next(iter(det))
         if prec is None:
             if self.prec is not None:
                 raise ArgumentError("an exact inverse needs an exact matrix")
-            if support.size > 1:
+            if len(det) > 1:
                 raise ArgumentError(
                     "matrix determinant is not a unit times a power of v")
-            return adj.scalar_mul(f.inv_scalar(unit[:, 0])).shift(-det_lo)
-        eff = self._eff_prec()
-        out_prec = prec if self.prec is None else min(prec, eff - 2 * max(det_lo, 0))
-        need = max(out_prec - (-det_lo) - (n - 1) * self.lo, 1) + 4
-        uinv = _invert_unit(f, unit, need)
-        inv = _mul_entrywise_series(adj, uinv, f).shift(-det_lo)
-        inv.prec = out_prec
-        return inv.truncate(out_prec).normalized()
+            u, p = f.inv_scalar(det[det_lo]), f.p
+            return adj._new(adj.lo - det_lo, adj.hi - det_lo, adj._map(
+                lambda s: {e - det_lo: c * u % p for e, c in s.items()}))
+        out_prec = prec if self.prec is None else min(
+            prec, self.prec - 2 * max(det_lo, 0))
+        # adj / det = v^(-det_lo) adj · (1/unit); the terms of 1/unit below
+        # `need` are those that reach below out_prec
+        need = out_prec + det_lo - adj.lo
+        uinv = _invert_unit(f, {e - det_lo: c for e, c in det.items()},
+                            max(need, 1))
+        unit_inv = adj._new(0, max(need, 1),
+                            [{i: uinv} for i in range(self.n)], need)
+        return (adj * unit_inv).shift(-det_lo).normalized()
 
     def _det(self, adj):
-        """det A = sum_k A[0,k]·adj[k,0], adj the adjugate of A, as one
-        series array over the exponents [n·lo, n·lo + n(L-1) + 1)."""
-        f = self.field
-        acc = f.zeros(f.degree, self.n * (self.coeffs.shape[3] - 1) + 1)
-        for k in range(self.n):
-            term = f.conv(self.coeffs[0, k], adj.coeffs[k, 0])
-            acc[:, :term.shape[1]] = (acc[:, :term.shape[1]] + term) % f.p
-        return acc
+        """det A = sum_k A[0,k]·adj[k,0], adj the adjugate of A, as a
+        series."""
+        acc = {}
+        for k, a in self.coeffs[0].items():
+            if b := adj.coeffs[k].get(0):
+                _mac(acc, a, b, math.inf)
+        return _reduced(acc, self.field.p)
 
     def _adjugate(self):
-        f = self.field
         n = self.n
         if n == 1:
-            return type(self).identity(f, 1)
-        Ls = (n - 1) * (self.coeffs.shape[3] - 1) + 1
-        out = f.zeros(n, n, f.degree, Ls)
+            return type(self).identity(self.field, 1)
+        p = self.field.p
+        rows = [{} for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                rows = [r for r in range(n) if r != j]
+                minor = [self.coeffs[r] for r in range(n) if r != j]
                 cols = [c for c in range(n) if c != i]
-                acc = f.zeros(f.degree, Ls)
+                acc = {}
                 for perm in itertools.permutations(range(n - 1)):
-                    sign = perm_sign(perm)
-                    term = None
-                    for a, row in enumerate(rows):
-                        arr = self.coeffs[row, cols[perm[a]]]
-                        term = arr if term is None else f.conv(term, arr)
-                    if term.shape[1] < Ls:
-                        term = np.pad(term, ((0, 0), (0, Ls - term.shape[1])))
-                    acc = (acc + sign * ((-1) ** (i + j)) * term[:, :Ls]) % f.p
-                out[i, j] = acc
-        return self._new((n - 1) * self.lo, out)
+                    factors = [row.get(cols[k]) for row, k in zip(minor, perm)]
+                    if None in factors:
+                        continue
+                    term = factors[0]
+                    for s in factors[1:]:
+                        term = _product(term, s, p)
+                    sign = perm_sign(perm) * (-1) ** (i + j)
+                    for e, c in term.items():
+                        acc[e] = acc.get(e, 0) + sign * c
+                if s := _reduced(acc, p):
+                    rows[i][j] = s
+        lo = (n - 1) * self.lo
+        return self._new(lo, lo + (n - 1) * (self.hi - self.lo - 1) + 1, rows)
 
     # -- encoding ------------------------------------------------------------
     def to_json(self):
@@ -518,8 +524,7 @@ class SeriesMatrix:
             for i, row in enumerate(rows):
                 for j, cell in enumerate(row):
                     for e, c in cell.items():
-                        entries[(i + 1, j + 1, int(e))] = (
-                            np.array(c) if isinstance(c, list) else int(c))
+                        entries[(i + 1, j + 1, int(e))] = c
             exps = [e for *_, e in entries] or [0]
             size = n * n * field.degree * (max(exps) - min(exps) + 1)
             if size > MAX_COEFFS:
@@ -534,40 +539,23 @@ class SeriesMatrix:
 
 
 def _invert_unit(field, unit, length):
-    """Inverse of a unit power series (array of shape (d, L)) to `length`."""
-    d = field.degree
+    """The terms below `length` of 1/unit, unit a series with a nonzero
+    constant term."""
     p = field.p
-    L = min(unit.shape[1], length)
-    dtype = field.dtype if field.fits(L) else object
-    out = np.zeros((d, length), dtype=dtype)
-    c0inv = field.inv_scalar(unit[:, 0])
-    out[:, 0] = c0inv
-    if d == 1:
-        u = unit[0].astype(dtype)
-        w = out[0]
-        inv0 = int(c0inv[0])
-        for t in range(1, length):
-            s_hi = min(t, L - 1)
-            acc = int(np.dot(u[1:s_hi + 1], w[t - s_hi:t][::-1])) if s_hi else 0
-            w[t] = (-inv0 * acc) % p
-        return out.astype(field.dtype, copy=False)
+    inv0 = field.inv_scalar(unit[0])
+    tail = [(s, c) for s, c in unit.items() if 0 < s < length]
+    out = {0: inv0}
     for t in range(1, length):
-        acc = field.zeros(d)
-        for s in range(1, min(t, L - 1) + 1):
-            acc = (acc + field.mul_scalar(unit[:, s], out[:, t - s])) % p
-        out[:, t] = (-field.mul_scalar(c0inv, acc)) % p
-    return out.astype(field.dtype, copy=False)
-
-
-def _mul_entrywise_series(m: SeriesMatrix, series, field):
-    n = m.n
-    out = field.zeros(n, n, field.degree, m.coeffs.shape[3] + series.shape[1] - 1)
-    for i in range(n):
-        for j in range(n):
-            if m.coeffs[i, j].any():
-                c = field.conv(m.coeffs[i, j], series)
-                out[i, j, :, :c.shape[1]] = c
-    return m._new(m.lo, out)
+        acc = 0
+        for s, c in tail:
+            if s > t:
+                break
+            w = out.get(t - s)
+            if w is not None:
+                acc = acc + c * w
+        if r := -inv0 * acc % p:
+            out[t] = r
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +664,7 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     if h is None:
         h = max(0, -min(m.lo for m in A))
     for j, m in enumerate(A):
-        if m.lo < 0 and m.window(m.lo, 0).any():
+        if not m.is_zero_mod(0):
             raise ArgumentError(f"A[{j}] is not integral")
     if twist.depth() < h + 1:
         raise GenericityError(
@@ -694,7 +682,7 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
         if not pole.equal_mod(SeriesMatrix.identity(field, ctx_n), M):
             raise InternalError("inverse lost too much precision")
         test = Ainv[j].shift(h)
-        if test.lo < 0 and test.window(test.lo, 0).any():
+        if not test.is_zero_mod(0):
             raise ArgumentError(f"v^{h} A[{j}]^(-1) is not integral: "
                                 "height condition fails")
     J = [SeriesMatrix.identity(field, ctx_n) for _ in range(fcount)]
@@ -703,7 +691,7 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
         Jn = []
         for j in range(fcount):
             tw = frobenius_twist(J[(j - 1) % fcount], j, twist, work)
-            Jn.append((X[j] * A[j] * tw * Ainv[j]).truncate(work))
+            Jn.append((X[j] * A[j] * (tw * Ainv[j])).truncate(work))
         if all(Jn[j].equal_mod(J[j], M) for j in range(fcount)):
             J = Jn
             break

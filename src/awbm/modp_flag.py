@@ -290,11 +290,12 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, p: int | None = No
         if tuple(alpha) not in {a for a, _ in geom.degrees}:
             raise ArgumentError(f"free value given for a non-support root {alpha}")
     # N = 1 + the -alpha entries v^[alpha>0] f_alpha, lowest exponent 0; the
-    # below-top coefficients of f_alpha start at 0 and are solved in place
-    top = {(i, i, 0): 1 for i in range(1, n + 1)}
+    # below-top coefficients of f_alpha start at 0, and N is rebuilt from
+    # `terms` as each is solved
+    terms = {(i, i, 0): 1 for i in range(1, n + 1)}
     for (i, k), d in geom.degrees:
-        top[(k, i, d + (i < k))] = int(free.get((i, k), 1))
-    N = LaurentMatrix.from_entries(field, n, top)
+        terms[(k, i, d + (i < k))] = int(free.get((i, k), 1))
+    N = LaurentMatrix.from_entries(field, n, terms)
 
     def band(i, k, d):
         """The below-top coefficients of the (k, i) entry of nabla(N)."""
@@ -310,9 +311,9 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, p: int | None = No
             if pivot == 0:
                 raise ZeroDivisorError(alpha, t)
             c = band(i, k, d)[t]
-            old = int(N.coeffs[k - 1, i - 1, 0, t + delta])
-            N.coeffs[k - 1, i - 1, 0, t + delta] = \
-                (old - c * pow(pivot, -1, p)) % p
+            key = (k, i, t + delta)
+            terms[key] = (terms.get(key, 0) - c * pow(pivot, -1, p)) % p
+            N = LaurentMatrix.from_entries(field, n, terms)
         # after elimination the sub-top band of this entry must vanish
         if any(band(i, k, d)):
             raise InternalError("triangular elimination failed to clear a band")

@@ -65,7 +65,7 @@ def random_weyl_tuple(n, f, rng):
 # ---------------------------------------------------------------------------
 # series matrices
 
-def random_iwahori(field, n, rng, length=6):
+def _iwahori_entries(field, n, rng, length):
     ent = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -73,18 +73,21 @@ def random_iwahori(field, n, rng, length=6):
                 if i > j and e == 0:
                     continue
                 c = field.rand_scalar(rng)
-                if c.any():
+                if c:
                     ent[(i, j, e)] = c
         ent[(i, i, 0)] = field.rand_scalar(rng, nonzero=True)
-    return SeriesMatrix.from_entries(field, n, ent, None)
+    return ent
+
+
+def random_iwahori(field, n, rng, length=6):
+    return SeriesMatrix.from_entries(
+        field, n, _iwahori_entries(field, n, rng, length), None)
 
 
 def random_iw1(field, n, rng, length=5):
-    m = random_iwahori(field, n, rng, length)
-    for i in range(n):
-        m.coeffs[i, i, :, 0] = 0
-        m.coeffs[i, i, 0, 0] = 1
-    return m
+    ent = _iwahori_entries(field, n, rng, length)
+    ent.update({(i, i, 0): 1 for i in range(1, n + 1)})
+    return SeriesMatrix.from_entries(field, n, ent, None)
 
 
 def random_bounded_height(field, n, rng, h, length=4):

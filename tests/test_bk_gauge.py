@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from awbm.affine_weyl import (
@@ -53,9 +52,7 @@ def test_field_arithmetic():
     for field in (F7, F49):
         for _ in range(30):
             c = field.rand_scalar(rng, nonzero=True)
-            inv = field.inv_scalar(c)
-            prod = field.mul_scalar(c, inv)
-            assert prod[0] == 1 and (field.degree == 1 or prod[1] == 0)
+            assert c * field.inv_scalar(c) % field.p == 1
 
 
 def test_mixed_operands_are_refused():
@@ -119,7 +116,8 @@ def _python_product(A, B, field):
     return out
 
 
-@pytest.mark.parametrize("p", [2147483647, 3037000453, 4294967291])
+@pytest.mark.parametrize("p", [2147483647, 3037000453, 4294967291,
+                               2 ** 64 - 59, 2 ** 127 - 1])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_product_beyond_int64(p, degree):
     rng = random.Random(p + degree)
@@ -138,30 +136,32 @@ def test_product_beyond_int64(p, degree):
         assert (Ainv * Ainv.inverse(20)).equal_mod(I, 20)
 
 
-def test_coefficient_dtype():
-    # the benchmark's primes stay on int64; products that could leave it
-    # are formed over Python ints
-    for p in (2, 7, 211, 10007, 2147483647, 3037000453):
-        assert Coefficients(p).dtype is np.int64
-    assert Coefficients(10007, 2).dtype is np.int64
-    assert Coefficients(10007).fits(10 ** 6)
-    assert not Coefficients(2147483647).fits(3)
-    assert not Coefficients(3037000453).fits(2)
-    for p in (4294967291, 2 ** 64 - 59):
-        assert Coefficients(p).dtype is object
-
-
 def test_frobenius_truncated_matches_full():
     rng = random.Random(72)
     for field in (F7, F49):
         Y = random_bounded_height(field, 2, rng, 1).truncate(30)
+        # v -> v^p, and over F_{p^2} a + b·w -> a - b·w
+        full = Y.frobenius()
+        for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            assert full.entry(i, j) == {
+                field.p * e: c if field.degree == 1 else [c[0], -c[1] % field.p]
+                for e, c in Y.entry(i, j).items()}
         for prec in (-3, 0, 1, 50, 200, 10 ** 6):
             full, cut = Y.frobenius().truncate(prec), Y.frobenius(prec)
-            assert cut == full and cut.lo == full.lo
-            assert cut.coeffs.shape == full.coeffs.shape
+            # the same stored terms (support and coefficients) and window
+            assert cut == full and (cut.lo, cut.hi) == (full.lo, full.hi)
         for M in (0, 5, 40):
             twisted = frobenius_twist(Y, 0, TW7, M)
             assert twisted == frobenius_twist(Y, 0, TW7).truncate(M)
+
+
+@pytest.mark.parametrize("prec", [10 ** 9 - 1, 10 ** 9, 10 ** 12])
+def test_large_precision_stays_finite(prec):
+    a = SeriesMatrix.from_entries(F7, 2, {(1, 1, 0): 1, (2, 2, 0): 1}, prec)
+    exact = SeriesMatrix.identity(F7, 2)
+    assert (a + a).prec == (a * a).prec == (exact * a).prec == prec
+    assert a.truncate(prec + 5).prec == exact.truncate(prec).prec == prec
+    assert (exact + exact).prec is None and (exact * exact).prec is None
 
 
 def test_json_round_trip():
@@ -199,13 +199,13 @@ def test_twist_contraction_claims():
     Yu = SeriesMatrix.from_entries(
         F5, 2, {(1, 1, 1): 2, (2, 2, 1): 3, (1, 2, 0): 1, (2, 1, 1): 4}, None)
     Zu = frobenius_twist(Yu.truncate(40), 0, TW5)
-    assert not Zu.window(Zu.lo, m + 1).any()
+    assert Zu.is_zero_mod(m + 1)
     for k in (1, 2):
         # v^k Mat lands in v^{(k-1)p + m + 1} Mat
         Yd = SeriesMatrix.from_entries(
             F5, 2, {(i, j, k): 1 + i + j for i in (1, 2) for j in (1, 2)}, None)
         Zd = frobenius_twist(Yd.truncate(60), 0, TW5)
-        assert not Zd.window(Zd.lo, (k - 1) * p + m + 1).any()
+        assert Zd.is_zero_mod((k - 1) * p + m + 1)
 
 
 def test_twist_integrality_error():
@@ -327,7 +327,7 @@ def test_straighten_height_guard():
     # claim height 0 while the matrix has valuation-2 determinant somewhere
     X = [random_iw1(F7, 2, rng).truncate(80)]
     det = A[0]._det(A[0]._adjugate())
-    if not det[:, 0].any() and not det[:, 1].any():
+    if min(det) >= 2:
         with pytest.raises(ArgumentError):
             straighten(A, X, z, 40, h=0)
 

@@ -362,6 +362,23 @@ def test_dense_exponent_span_is_refused_before_allocating(argv, stdin):
     assert peak < 2 ** 24 and time.perf_counter() - t0 < 2
 
 
+def test_twist_of_a_far_exponent():
+    # phi sends v^1000 to v^(1000 p), and Ad(v^(mu+eta)) with mu + eta = (3, 0)
+    # moves entry (2,1) by 0 - 3; nothing is formed between the two terms
+    t0 = time.perf_counter()
+    res = subprocess.run(PY + [
+        "twist", "--n", "2", "--f", "1", "--p", "10007", "--s", "e",
+        "--mu", "2,0", "--M", "100000000", "--matrix",
+        '{"p":10007,"entries":[[{"0":1},{}],[{"1000":1},{"0":1}]]}'],
+        capture_output=True, text=True, timeout=20)
+    assert res.returncode == 0, res.stderr
+    assert time.perf_counter() - t0 < 2
+    doc = json.loads(res.stdout)
+    assert doc["entries"] == [[{"0": 1}, {}],
+                              [{str(1000 * 10007 - 3): 1}, {"0": 1}]]
+    assert doc["precision"] == 10 ** 8
+
+
 def test_unexpected_exception_is_exit_4(monkeypatch):
     def boom(args):
         raise ZeroDivisionError("planted")
@@ -383,16 +400,38 @@ def run_python(code):
     return res.stdout
 
 
-def test_non_matrix_commands_do_not_load_numpy():
+def test_no_command_loads_numpy():
     out = run_python("""
-import contextlib, io, sys
+import contextlib, io, json, sys
 import awbm.cli as cli
-for argv in (["len", "--n", "2", "--a", "e"],
-             ["adm", "--n", "3", "--lambda", "2,1,0"],
-             ["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"],
-             ["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"],
-             ["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
-              "--rmu", "20,10,0"]):
+one = json.dumps({"p": 7, "entries": [[{"0": 1}, {}], [{}, {"0": 1}]]})
+pair = json.dumps({"A": [json.loads(one)], "X": [json.loads(one)],
+                   "I": [json.loads(one)]})
+for argv, stdin in (
+        (["len", "--n", "2", "--a", "e"], ""),
+        (["adm", "--n", "3", "--lambda", "2,1,0"], ""),
+        (["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"], ""),
+        (["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"], ""),
+        (["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
+          "--rmu", "20,10,0"], ""),
+        (["monodromy", "--n", "4", "--p", "101", "--w", "3,2,4,1@3,1,2,0",
+          "--abar", "41,2,33,20"], ""),
+        (["nabla", "--n", "2", "--matrix", one, "--abar", "5,0"], ""),
+        (["straighten", "--n", "2", "--f", "1", "--p", "7", "--z", "(12)@0,4",
+          "--M", "10"], pair),
+        (["twist", "--n", "2", "--f", "1", "--p", "7", "--s", "e", "--mu", "2,0",
+          "--M", "10", "--matrix", one], ""),
+        (["cob", "--n", "2", "--f", "1", "--p", "7", "--s", "(12)", "--mu", "2,0",
+          "--M", "10"], pair),
+        (["component", "--n", "3", "--f", "1", "--p", "211", "--w1",
+          "1,2,3@0,0,0", "--omega", "187,102,25"], ""),
+        (["fiber", "--n", "3", "--f", "1", "--p", "211", "--ts", "1,3,2",
+          "--tmu", "256,222,186", "--lambda", "2,1,0"], ""),
+        (["chart", "--n", "3", "--z", "(23)@2,1,1", "--h", "0"], ""),
+        (["cell", "--n", "3", "--w", "e@2,1,0"], ""),
+        (["shape", "--n", "2", "--f", "1", "--p", "37", "--rs", "e", "--rmu",
+          "5,0", "--ts", "e", "--tmu", "4,0", "--lambda", "1,0"], "")):
+    sys.stdin = io.StringIO(stdin)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(argv) == 0, argv
 print("numpy" in sys.modules)
