@@ -71,6 +71,7 @@ __all__ = [
     "smallness",
     "is_small",
     "element_depth",
+    "weight_depth_base",
     "is_generic_element",
     "is_dominant",
     "is_restricted",
@@ -329,6 +330,20 @@ def element_depth(a: WeylElement, p: int) -> int:
         r = pairing(a.nu, root) % p
         depth = min(depth, r, p - r)
     return depth - 1
+
+
+def weight_depth_base(lam, p: int) -> int:
+    """Depth of lam inside the base p-alcove: largest m with
+    m < <lam+eta, alpha∨> < p - m for all alpha > 0; -1 if outside."""
+    n = len(lam)
+    eta = eta_vector(n)
+    best = p
+    for root in positive_roots(n):
+        v = pairing(lam, root) + pairing(eta, root)
+        if not 0 < v < p:
+            return -1
+        best = min(best, v, p - v)
+    return best - 1
 
 
 def is_generic_element(a: WeylElement, m: int, p: int) -> bool:

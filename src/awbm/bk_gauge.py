@@ -35,6 +35,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from . import inertial_types
 from .affine_weyl import (
     GroupContext,
     WeylTuple,
@@ -48,6 +49,7 @@ from .affine_weyl import (
     perm_sign,
     star,
     translation,
+    weight_depth_base,
 )
 from .errors import (
     ArgumentError,
@@ -59,8 +61,6 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .inertial_types import TameTypePresentation
-from .weights import weight_depth_base
 
 __all__ = [
     "Coefficients",
@@ -220,6 +220,14 @@ def _product(a, b, p):
 # from JSON may span; `from_json` refuses a wider input.  The largest of the
 # benchmark and the tests is 3,600 (straightened n = 3 tuples at M = 400).
 MAX_COEFFS = 10 ** 5
+
+
+def _json_int(x):
+    """x, refused unless a JSON integer: int() would truncate 1.7 to 1 and
+    read true as 1."""
+    if type(x) is not int:
+        raise InputError(f"series matrix holds {x!r} where an integer belongs")
+    return x
 
 
 class _Rows(tuple):
@@ -515,7 +523,8 @@ class SeriesMatrix:
     @classmethod
     def from_json(cls, data):
         try:
-            field = Coefficients(int(data["p"]), int(data.get("degree", 1)))
+            field = Coefficients(_json_int(data["p"]),
+                                 _json_int(data.get("degree", 1)))
             rows = data["entries"]
             n = len(rows)
             if any(len(row) != n for row in rows):
@@ -524,6 +533,8 @@ class SeriesMatrix:
             for i, row in enumerate(rows):
                 for j, cell in enumerate(row):
                     for e, c in cell.items():
+                        for x in c if isinstance(c, list) else [c]:
+                            _json_int(x)
                         entries[(i + 1, j + 1, int(e))] = c
             exps = [e for *_, e in entries] or [0]
             size = n * n * field.degree * (max(exps) - min(exps) + 1)
@@ -533,7 +544,7 @@ class SeriesMatrix:
                     f"limit MAX_COEFFS = {MAX_COEFFS}")
             prec = data.get("precision")
             return cls.from_entries(field, n, entries,
-                                    None if prec is None else int(prec))
+                                    None if prec is None else _json_int(prec))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad series-matrix encoding: {data!r}") from exc
 
@@ -764,8 +775,8 @@ class ShapeResult:
                     for j in range(self.ctx.f)])
 
 
-def shape_semisimple(rho: TameTypePresentation,
-                     tau: TameTypePresentation) -> ShapeResult:
+def shape_semisimple(rho: inertial_types.TameTypePresentation,
+                     tau: inertial_types.TameTypePresentation) -> ShapeResult:
     """Shape calculus for semisimple Frobenius data; sufficient genericity of
     tau is the caller's responsibility (query tau.depth()), not enforced."""
     if rho.ctx.n != tau.ctx.n or rho.ctx.f != tau.ctx.f:

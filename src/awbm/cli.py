@@ -30,6 +30,7 @@ from . import weight_sets as ws
 from . import weights as wt
 from .errors import (
     AwbmError,
+    ContextError,
     InputError,
     InternalError,
     PreconditionError,
@@ -150,12 +151,23 @@ def _stdin_json():
         raise InputError(f"stdin is not valid JSON: {exc}") from exc
 
 
-def _stdin_series_lists(*keys):
+def _matrix(m, n, p=None):
+    """m, checked to be n x n and, when p is given, over characteristic p."""
+    if m.n != n or p not in (None, m.field.p):
+        flags = f"--n {n}" + ("" if p is None else f" --p {p}")
+        raise ContextError(
+            f"operands differ: a {m.n} x {m.n} matrix over characteristic "
+            f"{m.field.p} against {flags}")
+    return m
+
+
+def _stdin_series_lists(ctx, *keys):
     """The lists of series matrices under the given keys of the stdin
-    document."""
+    document, each n x n over characteristic p for the n and p of ctx."""
     doc = _stdin_json()
     try:
-        return [[bk.SeriesMatrix.from_json(m) for m in doc[k]] for k in keys]
+        return [[_matrix(bk.SeriesMatrix.from_json(m), ctx.n, ctx.p)
+                 for m in doc[k]] for k in keys]
     except (KeyError, TypeError) as exc:
         raise InputError(
             f"stdin must be an object with matrix lists {list(keys)}") from exc
@@ -348,20 +360,21 @@ def cmd_monodromy(args):
     free = None
     if args.free:
         doc = json.loads(args.free)
-        try:
-            free = {tuple(int(x) for x in k.split(",")): int(v)
-                    for k, v in doc.items()}
-        except (AttributeError, TypeError) as exc:
+        # JSON integers only: int() would truncate 1.5 and 1e30 and read
+        # true and "7"
+        if (not isinstance(doc, dict)
+                or any(type(v) is not int for v in doc.values())):
             raise InputError(
-                f"--free must map 'i,k' to integers: {args.free!r}") from exc
+                f"--free must map 'i,k' to integers: {args.free!r}")
+        free = {tuple(int(x) for x in k.split(",")): v for k, v in doc.items()}
     A = mf.monodromy_solve(w, abar, free, p=args.p)
     emit(A.to_json())
 
 
 def cmd_nabla(args):
     data = _stdin_json() if args.matrix == "-" else json.loads(args.matrix)
-    A = mf.LaurentMatrix.from_json(data)
-    abar = parse_vector(args.abar, A.n)
+    A = _matrix(mf.LaurentMatrix.from_json(data), args.n)
+    abar = parse_vector(args.abar, args.n)
     emit({"holds": mf.verify_nabla(A, abar)})
 
 
@@ -392,21 +405,21 @@ def cmd_twist(args):
     ctx = _ctx(args)
     tw = _twist(args, ctx)
     data = _stdin_json() if args.matrix == "-" else json.loads(args.matrix)
-    Y = bk.SeriesMatrix.from_json(data)
+    Y = _matrix(bk.SeriesMatrix.from_json(data), ctx.n, ctx.p)
     emit(bk.frobenius_twist(Y, args.j, tw, args.M).to_json())
 
 
 def cmd_cob(args):
     ctx = _ctx(args)
     tw = _twist(args, ctx)
-    A, I = _stdin_series_lists("A", "I")
+    A, I = _stdin_series_lists(ctx, "A", "I")
     out = bk.change_of_basis(A, I, tw, args.M)
     emit([m.truncate(args.M).to_json() for m in out])
 
 
 def cmd_straighten(args):
     ctx = _ctx(args)
-    A, X = _stdin_series_lists("A", "X")
+    A, X = _stdin_series_lists(ctx, "A", "X")
     z = parse_tuple(args.z, ctx.n, ctx.f)
     out = bk.straighten(A, X, z, args.M, h=getattr(args, "h"))
     emit([m.truncate(args.M).to_json() for m in out])
@@ -466,12 +479,19 @@ def _rank(text):
     return n
 
 
-def _build_parser():
+def _build_parser(argv=()):
+    """The top parser with the subparser of the command argv names, or with
+    every subparser when argv[0] is not a command (no arguments, --help, an
+    unknown name), so that usage and error texts list them all."""
     top = _Parser(prog="awbm", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
+    wiring = {}
 
-    def add(name, fn, *, ctx=False, prime=False, extra=None):
+    def add(name, fn, **kw):
+        wiring[name] = (fn, kw)
+
+    def build(name, fn, *, ctx=False, prime=False, extra=None):
         sp = sub.add_parser(name)
         sp.add_argument("--n", type=_rank, required=True)
         if ctx:
@@ -484,7 +504,6 @@ def _build_parser():
         if extra:
             extra(sp)
         sp.set_defaults(func=fn)
-        return sp
 
     add("mul", cmd_mul, extra=lambda sp: (
         sp.add_argument("--a", required=True), sp.add_argument("--b", required=True)))
@@ -598,12 +617,16 @@ def _build_parser():
         sp.add_argument("--a", default=None), sp.add_argument("--b", default=None),
         sp.add_argument("--deg", type=int, default=0),
         sp.add_argument("--bound", type=int, default=6)))
+    wanted = argv[:1] if argv and argv[0] in wiring else wiring
+    for name in wanted:
+        fn, kw = wiring[name]
+        build(name, fn, **kw)
     return top
 
 
 def run(argv) -> int:
     try:
-        parser = _build_parser()
+        parser = _build_parser(argv)
         args = parser.parse_args(argv)
         args.func(args)
         sys.stdout.flush()

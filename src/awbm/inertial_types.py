@@ -40,6 +40,7 @@ from .affine_weyl import (
     perm_inverse,
     positive_roots,
     translation,
+    weight_depth_base,
 )
 from .errors import (
     ArgumentError,
@@ -48,7 +49,7 @@ from .errors import (
     InputError,
     InternalError,
 )
-from .weights import CentralCharacter, weight_depth_base
+from .weights import CentralCharacter
 
 __all__ = ["TameTypePresentation", "DescentData", "make_type", "descent_data",
            "a_tau", "compatible_zeta", "is_compatible", "compatible_presentation"]

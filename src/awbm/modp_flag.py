@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import inertial_types, weight_sets, weights
 from .affine_weyl import (
     GroupContext,
     WeylElement,
@@ -60,9 +61,6 @@ from .errors import (
     InternalError,
     ZeroDivisorError,
 )
-from .inertial_types import TameTypePresentation, compatible_zeta
-from .weight_sets import jh_set
-from .weights import SerreWeightPresentation
 
 __all__ = [
     "LaurentMatrix",
@@ -335,7 +333,7 @@ class ComponentData:
     exactness of the bound set is conditional on a polynomial constraint not
     computed here."""
 
-    label: SerreWeightPresentation
+    label: weights.SerreWeightPresentation
     bound: tuple      # sorted tuple of WeylTuple
     obvious: tuple    # sorted tuple of WeylTuple
     exactness: str    # "conditional"
@@ -362,7 +360,7 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
         raise ArgumentError("omega must be an f-tuple of length-n rows")
     if not w1.is_restricted():
         raise ArgumentError("w1 components must be restricted dominant")
-    label = SerreWeightPresentation(w1, omega, ctx)
+    label = weights.SerreWeightPresentation(w1, omega, ctx)
     n = ctx.n
     for row in omega:
         if not force and not is_generic_element(translation(row), n - 1, p):
@@ -387,7 +385,8 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
                          exactness="conditional")
 
 
-def special_fiber_components(ctx: GroupContext, lam, tau: TameTypePresentation,
+def special_fiber_components(ctx: GroupContext, lam,
+                             tau: inertial_types.TameTypePresentation,
                              zeta, force: bool = False):
     """Labels of the top-dimensional irreducible components of the special
     fiber attached to (lam, tau): exactly the constituents of the type twisted
@@ -403,9 +402,9 @@ def special_fiber_components(ctx: GroupContext, lam, tau: TameTypePresentation,
     if not force and tau.depth() < need:
         raise GenericityError(f"tau presentation is not {need}-generic")
     if zeta is not None:
-        zt = compatible_zeta(tau, lam_minus)
+        zt = inertial_types.compatible_zeta(tau, lam_minus)
         if tuple(zeta.zeta) != zt.zeta:
             raise ArgumentError(
                 f"tau is not (lambda - eta)-compatible with zeta: {zt.zeta}")
-    labels = jh_set(tau, lam_minus, force=force)
+    labels = weight_sets.jh_set(tau, lam_minus, force=force)
     return [component_data(s.w1, s.omega, ctx, force=True) for s in labels]

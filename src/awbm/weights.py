@@ -34,6 +34,7 @@ from .affine_weyl import (
     sort_key,
     translation,
     wa_part_and_omega,
+    weight_depth_base,
 )
 from .errors import (
     ArgumentError,
@@ -73,20 +74,6 @@ def weight_depth(lam, p: int) -> int:
     best = p
     for root in positive_roots(n):
         v = (pairing(lam, root) + pairing(eta, root)) % p
-        best = min(best, v, p - v)
-    return best - 1
-
-
-def weight_depth_base(lam, p: int) -> int:
-    """Depth of lam inside the base p-alcove: largest m with
-    m < <lam+eta, alpha∨> < p - m for all alpha > 0; -1 if outside."""
-    n = len(lam)
-    eta = eta_vector(n)
-    best = p
-    for root in positive_roots(n):
-        v = pairing(lam, root) + pairing(eta, root)
-        if not 0 < v < p:
-            return -1
         best = min(best, v, p - v)
     return best - 1
 

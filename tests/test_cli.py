@@ -279,7 +279,27 @@ RAGGED = json.dumps({"p": 13, "entries": [[{"0": 1}, {}], [{"0": 1}]]})
 ] + [
     (["monodromy", "--n", "2", "--p", "13", "--w", "e@1,0", "--abar", "5,0",
       "--free", free], None)
-    for free in ("null", "[1]", '{"1,2": null}', '{"1,2": [1]}')
+    for free in ("null", "[1]", '{"1,2": null}', '{"1,2": [1]}',
+                 '{"1,2": true}', '{"1,2": "7"}', '{"1,2": 1.5}',
+                 '{"1,2": 1e30}')
+] + [
+    (["nabla", "--n", "2", "--matrix", "-", "--abar", "5,0"],
+     json.dumps({"p": 7, "entries": [[{"0": c}, {}], [{}, {"0": 1}]]}))
+    for c in (1.7, True, "1", [1.0])
+] + [
+    (["twist", "--n", "2", "--f", "1", "--p", "7", "--s", "e", "--mu", "3,0",
+      "--matrix", "-"],
+     json.dumps({"p": 7, "degree": degree,
+                 "entries": [[{"1": c}, {}], [{}, {"0": 1}]]}))
+    for degree, c in ((1, 2.5), (1, False), (2, [1, 1.5]), (2, [True, 0]),
+                      (2, 3.0))
+] + [
+    (["nabla", "--n", "2", "--matrix", "-", "--abar", "5,0"],
+     json.dumps({"p": 7.9, "entries": [[{"0": 1}, {}], [{}, {"0": 1}]]})),
+    (["twist", "--n", "2", "--f", "1", "--p", "7", "--s", "e", "--mu", "3,0",
+      "--matrix", "-"],
+     json.dumps({"p": 7, "precision": 12.5,
+                 "entries": [[{"1": 1}, {}], [{}, {"0": 1}]]})),
 ])
 def test_malformed_input_is_exit_2(argv, stdin):
     res = invoke(*argv, stdin=stdin)
@@ -318,6 +338,26 @@ def test_mixed_field_straighten_is_exit_3(x_field):
                  "--z", "e@4,1", "--M", "6",
                  stdin=json.dumps({"A": [A.to_json()], "X": [X.to_json()]}))
     assert res.returncode == 3, res.stderr
+    assert "operands differ" in res.stderr and "Traceback" not in res.stderr
+
+
+I2 = {"p": 7, "entries": [[{"0": 1}, {}], [{}, {"0": 1}]]}
+
+
+@pytest.mark.parametrize("argv,stdin", [
+    (["nabla", "--n", "3", "--matrix", json.dumps(I2), "--abar", "5,0"], None),
+    (["twist", "--n", "3", "--f", "1", "--p", "7", "--s", "e",
+      "--mu", "3,2,0", "--matrix", "-"], json.dumps(I2)),
+    (["twist", "--n", "2", "--f", "1", "--p", "7", "--s", "e", "--mu", "3,0",
+      "--matrix", "-"], json.dumps({**I2, "p": 11})),
+    (["cob", "--n", "3", "--f", "1", "--p", "7", "--s", "e",
+      "--mu", "3,2,0"], json.dumps({"A": [I2], "I": [I2]})),
+    (["straighten", "--n", "3", "--f", "1", "--p", "7", "--z", "e@6,3,0"],
+     json.dumps({"A": [I2], "X": [I2]})),
+])
+def test_matrix_against_its_flags_is_exit_3(argv, stdin):
+    res = invoke(*argv, stdin=stdin)
+    assert (res.returncode, res.stdout) == (3, ""), res.stderr
     assert "operands differ" in res.stderr and "Traceback" not in res.stderr
 
 
@@ -437,6 +477,111 @@ for argv, stdin in (
 print("numpy" in sys.modules)
 """)
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("argv,stdin,layers", [
+    (["len", "--n", "2", "--a", "e"], "", {"affine_weyl"}),
+    (["adm", "--n", "3", "--lambda", "2,1,0"], "", {"affine_weyl"}),
+    (["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"], "",
+     {"affine_weyl"}),
+    (["monodromy", "--n", "4", "--p", "101", "--w", "3,2,4,1@3,1,2,0",
+      "--abar", "41,2,33,20"], "", {"affine_weyl", "bk_gauge", "modp_flag"}),
+    (["nabla", "--n", "2", "--matrix", json.dumps(I2), "--abar", "5,0"], "",
+     {"affine_weyl", "bk_gauge", "modp_flag"}),
+    (["straighten", "--n", "2", "--f", "1", "--p", "7", "--z", "(12)@0,4",
+      "--M", "10"], json.dumps({"A": [I2], "X": [I2]}),
+     {"affine_weyl", "bk_gauge"}),
+    (["twist", "--n", "2", "--f", "1", "--p", "7", "--s", "e", "--mu", "2,0",
+      "--M", "10", "--matrix", json.dumps(I2)], "", {"affine_weyl", "bk_gauge"}),
+    (["cob", "--n", "2", "--f", "1", "--p", "7", "--s", "(12)", "--mu", "2,0",
+      "--M", "10"], json.dumps({"A": [I2], "I": [I2]}),
+     {"affine_weyl", "bk_gauge"}),
+    (["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"], "",
+     {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
+    (["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
+      "--rmu", "20,10,0"], "",
+     {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
+])
+def test_each_command_runs_only_its_layers(argv, stdin, layers):
+    # a lazy layer that has run is a plain module again
+    out = run_python(f"""
+import contextlib, io, json, sys, types
+import awbm.cli as cli
+sys.stdin = io.StringIO({stdin!r})
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run({argv!r}) == 0
+print(json.dumps(sorted(name[len("awbm."):] for name, m in sys.modules.items()
+                        if name.startswith("awbm.")
+                        and type(m) is types.ModuleType)))
+""")
+    assert json.loads(out) == sorted(layers | {"cli", "errors"})
+
+
+def _parse(parser, argv):
+    """What parse_args does on argv: (namespace, exit, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    ns, code = None, 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = parser.parse_args(argv)
+        except cli.InputError as exc:
+            code = f"input error: {exc}"
+        except SystemExit as exc:
+            code = exc.code
+    return ns, code, out.getvalue(), err.getvalue()
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def _valid_argv(name, sp):
+    """name with every option of its subparser set to a value it accepts."""
+    argv = [name]
+    for action in sp._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(action.choices[-1] if action.choices else
+                        "3" if action.type in (int, cli._rank) else "x")
+    return argv
+
+
+def test_one_subparser_parses_as_the_full_tree():
+    full = _subparsers(cli._build_parser())
+    assert len(full) == 34
+    for name, sp in full.items():
+        valid = _valid_argv(name, sp)
+        calls = {"valid": valid, "missing": [name],
+                 "unknown": valid + ["--nosuch"], "help": [name, "--help"]}
+        got = {}
+        for case, argv in calls.items():
+            one = cli._build_parser(argv)
+            assert list(_subparsers(one)) == [name]
+            got[case] = _parse(one, argv)
+            assert got[case] == _parse(cli._build_parser(), argv), argv
+        assert got["valid"][0].func.__name__ == f"cmd_{name}"
+        ns, code, out, err = got["help"]
+        assert (code, err) == (0, "") and out.startswith(f"usage: awbm {name} ")
+        # the error texts reach stderr unchanged through run
+        for case in ("missing", "unknown"):
+            code = got[case][1]
+            assert code.startswith("input error: ")
+            assert _run_in_process(calls[case], None) == (2, "", code + "\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["nosuch"], ["-n", "len"]])
+def test_no_command_builds_every_subparser(argv):
+    parser = cli._build_parser(argv)
+    assert _subparsers(parser).keys() == _subparsers(cli._build_parser()).keys()
+    ns, code, out, err = _parse(parser, argv)
+    if argv == ["--help"]:
+        assert code == 0 and out.startswith("usage: awbm [-h]\n")
+        assert all(name in out for name in _subparsers(parser))
+    else:
+        assert code.startswith("input error: ") and (out, err) == ("", "")
+        assert _run_in_process(argv, None) == (2, "", code + "\n")
 
 
 def test_matrix_command_output_unchanged():
