@@ -424,7 +424,10 @@ def wa_part_and_omega(a: WeylElement):
 @lru_cache(maxsize=None)
 def simple_reflections(n: int):
     """Affine simple reflections: s_0 through the wall <x, theta∨> = 1, then
-    s_1 .. s_{n-1} the adjacent transpositions."""
+    s_1 .. s_{n-1} the adjacent transpositions; none for n = 1, whose affine
+    Weyl group is trivial."""
+    if n == 1:
+        return ()
     refs = []
     theta_perm = list(range(1, n + 1))
     theta_perm[0], theta_perm[n - 1] = n, 1
@@ -769,9 +772,6 @@ class WeylTuple:
 
     def pi_inverse(self):
         return WeylTuple(tuple(self[(j - 1) % self.f] for j in range(self.f)))
-
-    def degree(self):
-        return tuple(degree(a) for a in self)
 
     def length(self):
         return sum(length(a) for a in self)

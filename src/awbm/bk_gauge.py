@@ -202,9 +202,9 @@ def _mac(acc, a, b, cut):
             acc[e] = get(e, 0) + c1 * c2
 
 
-def _reduced(acc, p, hi=math.inf):
-    """The series of the sums in acc mod p, below hi."""
-    return {e: r for e in sorted(acc) if e < hi and (r := acc[e] % p)}
+def _reduced(acc, p, cut=math.inf):
+    """The series of the sums in acc mod p, below cut."""
+    return {e: r for e in sorted(acc) if e < cut and (r := acc[e] % p)}
 
 
 def _product(a, b, p):
@@ -243,16 +243,15 @@ class _Rows(tuple):
 @dataclass
 class SeriesMatrix:
     """n x n matrix of truncated Laurent series: `coeffs` holds the nonzero
-    terms, all inside the exponent window [lo, hi), and entries are exact
-    below prec (prec=None: exact everywhere).  lo bounds the valuation from
-    below without always reaching it; products take their precision from
-    it.  Results keep the class of the left operand, and no operation
-    changes a matrix once built."""
+    terms, all at exponents >= lo, and entries are exact below prec
+    (prec=None: exact everywhere).  lo bounds the valuation from below
+    without always reaching it; products take their precision from it.
+    Results keep the class of the left operand, and no operation changes a
+    matrix once built."""
 
     field: Coefficients
     n: int
     lo: int
-    hi: int
     coeffs: _Rows
     prec: int | None = None
 
@@ -260,23 +259,22 @@ class SeriesMatrix:
     @classmethod
     def identity(cls, field, n, prec=None):
         one = field.element(1)
-        return cls(field, n, 0, 1, _Rows({i: {0: one}} for i in range(n)),
-                   prec)
+        return cls(field, n, 0, _Rows({i: {0: one}} for i in range(n)), prec)
 
     @classmethod
     def from_entries(cls, field, n, entries, prec=None):
         """entries: dict (i, j, exp) -> coefficient, anything
-        `Coefficients.element` takes; a zero coefficient still widens the
-        window."""
+        `Coefficients.element` takes; a zero coefficient still counts
+        toward lo."""
         exps = [e for _, _, e in entries] or [0]
         rows = [{} for _ in range(n)]
         for (i, j, e), c in sorted(entries.items()):
             if c := field.element(c):
                 rows[i - 1].setdefault(j - 1, {})[e] = c
-        return cls(field, n, min(exps), max(exps) + 1, _Rows(rows), prec)
+        return cls(field, n, min(exps), _Rows(rows), prec)
 
-    def _new(self, lo, hi, rows, prec=None):
-        return type(self)(self.field, self.n, lo, hi, _Rows(rows), prec)
+    def _new(self, lo, rows, prec=None):
+        return type(self)(self.field, self.n, lo, _Rows(rows), prec)
 
     def _map(self, fn):
         """The rows with fn applied to every stored series, empty results
@@ -291,22 +289,25 @@ class SeriesMatrix:
     def _eff_prec(self):
         return math.inf if self.prec is None else self.prec
 
+    def _top(self):
+        """The highest stored exponent (-inf when nothing is stored)."""
+        return max((next(reversed(s)) for s in self._series()),
+                   default=-math.inf)
+
     def truncate(self, prec):
         new_prec = min(self._eff_prec(), prec)
-        hi = max(min(self.hi, new_prec), self.lo)
-        rows = self.coeffs if hi >= self.hi else self._map(
-            lambda s: {e: c for e, c in s.items() if e < hi})
-        return self._new(self.lo, hi, rows,
+        rows = self.coeffs if self._top() < new_prec else self._map(
+            lambda s: {e: c for e, c in s.items() if e < new_prec})
+        return self._new(self.lo, rows,
                          None if new_prec == math.inf else new_prec)
 
     def normalized(self):
-        """Raise lo to the lowest stored exponent (to hi - 1 when nothing is
+        """Raise lo to the lowest stored exponent (keep it when nothing is
         stored)."""
-        lo = min((next(iter(s)) for s in self._series()),
-                 default=max(self.hi - 1, self.lo))
+        lo = min((next(iter(s)) for s in self._series()), default=self.lo)
         if lo == self.lo:
             return self
-        return self._new(lo, self.hi, self.coeffs, self.prec)
+        return self._new(lo, self.coeffs, self.prec)
 
     def entry(self, i, j):
         """Entry (i, j), 1-based, as {exponent: coefficient} over its nonzero
@@ -333,9 +334,7 @@ class SeriesMatrix:
         self._check_operand(other)
         lo = min(self.lo, other.lo)
         prec = min(self._eff_prec(), other._eff_prec())
-        hi = max(self.hi, other.hi)
-        if prec < math.inf:
-            hi = min(max(hi, lo + 1), max(prec, lo + 1))
+        cut = max(prec, lo + 1)
         p = self.field.p
         rows = []
         for ra, rb in zip(self.coeffs, other.coeffs):
@@ -344,10 +343,10 @@ class SeriesMatrix:
                 acc = dict(ra.get(j, {}))
                 for e, c in rb.get(j, {}).items():
                     acc[e] = acc.get(e, 0) + sign * c
-                if s := _reduced(acc, p, hi):
+                if s := _reduced(acc, p, cut):
                     row[j] = s
             rows.append(row)
-        return self._new(lo, hi, rows, None if prec == math.inf else prec)
+        return self._new(lo, rows, None if prec == math.inf else prec)
 
     def __add__(self, other):
         return self._add(other, 1)
@@ -359,29 +358,26 @@ class SeriesMatrix:
         self._check_operand(other)
         lo = self.lo + other.lo
         prec = min(self.lo + other._eff_prec(), other.lo + self._eff_prec())
-        hi = max(self.hi + other.hi - 1, lo)
-        if prec < math.inf:
-            hi = max(min(hi, prec), lo)
         p = self.field.p
         rows = []
         for ra in self.coeffs:
             acc = {}
             for k, a in ra.items():
                 for j, b in other.coeffs[k].items():
-                    _mac(acc.setdefault(j, {}), a, b, hi)
+                    _mac(acc.setdefault(j, {}), a, b, prec)
             rows.append({j: s for j, t in acc.items()
                          if (s := _reduced(t, p))})
-        return self._new(lo, hi, rows, None if prec == math.inf else prec)
+        return self._new(lo, rows, None if prec == math.inf else prec)
 
     def shift(self, k):
-        return self._new(self.lo + k, self.hi + k,
+        return self._new(self.lo + k,
                          self._map(lambda s: {e + k: c for e, c in s.items()}),
                          None if self.prec is None else self.prec + k)
 
     def v_ddv(self):
         """v d/dv: the coefficient of v^e is multiplied by e."""
         p = self.field.p
-        return self._new(self.lo, self.hi, self._map(
+        return self._new(self.lo, self._map(
             lambda s: {e: r for e, c in s.items() if (r := c * e % p)}),
             self.prec)
 
@@ -392,13 +388,10 @@ class SeriesMatrix:
         truncated there and only the terms landing below it are formed."""
         p = self.field.p
         conj = self.field.degree == 2
-        lo = p * self.lo
-        hi = lo + max((self.hi - self.lo - 1) * p + 1, 0)
-        if prec is not None:
-            hi = max(min(hi, prec), lo)
-        m = self._new(lo, hi, self._map(
+        cut = math.inf if prec is None else prec
+        m = self._new(p * self.lo, self._map(
             lambda s: {p * e: c.conjugate() % p if conj else c
-                       for e, c in s.items() if p * e < hi}),
+                       for e, c in s.items() if p * e < cut}),
             None if self.prec is None else p * (self.prec - 1) + 1)
         return m if prec is None else m.truncate(prec)
 
@@ -412,7 +405,7 @@ class SeriesMatrix:
                 rows[w[i] - 1][w[k] - 1] = {e + d: c for e, c in s.items()}
         smin = min(bvec) - max(bvec)
         prec = None if self.prec is None else self.prec + smin
-        return self._new(self.lo + smin, self.hi - smin, rows, prec)
+        return self._new(self.lo + smin, rows, prec)
 
     # -- predicates ----------------------------------------------------------
     def is_zero_mod(self, M):
@@ -465,7 +458,7 @@ class SeriesMatrix:
                 raise ArgumentError(
                     "matrix determinant is not a unit times a power of v")
             u, p = f.inv_scalar(det[det_lo]), f.p
-            return adj._new(adj.lo - det_lo, adj.hi - det_lo, adj._map(
+            return adj._new(adj.lo - det_lo, adj._map(
                 lambda s: {e - det_lo: c * u % p for e, c in s.items()}))
         out_prec = prec if self.prec is None else min(
             prec, self.prec - 2 * max(det_lo, 0))
@@ -474,8 +467,7 @@ class SeriesMatrix:
         need = out_prec + det_lo - adj.lo
         uinv = _invert_unit(f, {e - det_lo: c for e, c in det.items()},
                             max(need, 1))
-        unit_inv = adj._new(0, max(need, 1),
-                            [{i: uinv} for i in range(self.n)], need)
+        unit_inv = adj._new(0, [{i: uinv} for i in range(self.n)], need)
         return (adj * unit_inv).shift(-det_lo).normalized()
 
     def _det(self, adj):
@@ -510,8 +502,7 @@ class SeriesMatrix:
                         acc[e] = acc.get(e, 0) + sign * c
                 if s := _reduced(acc, p):
                     rows[i][j] = s
-        lo = (n - 1) * self.lo
-        return self._new(lo, lo + (n - 1) * (self.hi - self.lo - 1) + 1, rows)
+        return self._new((n - 1) * self.lo, rows)
 
     # -- encoding ------------------------------------------------------------
     def to_json(self):
@@ -648,13 +639,16 @@ def change_of_basis(A, I, twist: TwistData, M: int):
     for j in range(f):
         work = min(max(M, 0) + 8, prec)
         while True:
-            tw = frobenius_twist(I[(j - 1) % f], j, twist, work)
+            prev = I[(j - 1) % f]
+            tw = frobenius_twist(prev, j, twist, work)
             try:
                 a = I[j] * A[j] * tw.inverse(work)
                 if a._eff_prec() >= M or work == prec:
                     break
             except ArgumentError:  # no unit of det tw below the working precision
-                if tw.hi < work or work == prec:  # nothing was cut off
+                b = twist.exponents(j)
+                if (prev.field.p * prev._top() + max(b) - min(b) < work
+                        or work == prec):  # nothing was cut off
                     raise
             work = min(2 * work, prec)
         out.append(a)
@@ -664,7 +658,8 @@ def change_of_basis(A, I, twist: TwistData, M: int):
 def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     """The unique tuple I in Iw1^J with X_j A_j z_j = I_j A_j z_j phi(I_{j-1})^{-1}
     mod v^M, by the contraction iteration; z_j = s_j^{-1} t_{mu_j + eta_j} with
-    mu (h+1)-deep."""
+    mu (h+1)-deep.  h defaults to the least h >= 0 with v^h A_j^{-1} integral
+    for every j."""
     if not A or len(A) != len(X):
         raise ArgumentError("need matching tuples of matrices")
     ctx_n = A[0].n
@@ -672,11 +667,11 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     fcount = len(A)
     ctx = GroupContext(ctx_n, fcount, field.p)
     twist = TwistData.from_dual_element(z, ctx)
-    if h is None:
-        h = max(0, -min(m.lo for m in A))
     for j, m in enumerate(A):
         if not m.is_zero_mod(0):
             raise ArgumentError(f"A[{j}] is not integral")
+    if h is None:  # read off the inverses that h = 0 would work with
+        h = max(0, *(-m.truncate(M + 8).inverse(M + 8).lo for m in A))
     if twist.depth() < h + 1:
         raise GenericityError(
             f"twist depth {twist.depth()} < h+1 = {h + 1}: convergence of the "

@@ -444,24 +444,18 @@ def cmd_shape(args):
 def cmd_oracle(args):
     kind = args.kind
     needed = {"length": ["a"], "bruhat": ["a", "b"], "up": ["a", "b"]}
-    for flag in needed.get(kind, []):
+    flags = needed.get(kind, [])
+    for flag in flags:
         if getattr(args, flag) is None:
             raise InputError(f"--kind {kind} needs --{flag}")
+    elements = [parse_element(getattr(args, flag), args.n) for flag in flags]
+    out = orc.oracle(kind, *elements, n=args.n, deg=args.deg, bound=args.bound)
     if kind == "length":
-        emit({"length": orc.im_length(parse_element(args.a, args.n))})
-    elif kind == "bruhat":
-        a = parse_element(args.a, args.n)
-        b = parse_element(args.b, args.n)
-        emit({"leq": orc.subword_leq(a, b, args.bound)})
-    elif kind == "up":
-        a = parse_element(args.a, args.n)
-        b = parse_element(args.b, args.n)
-        emit({"leq": orc.chain_up_leq(a, b, args.bound)})
+        emit({"length": out})
     elif kind == "enumerate":
-        out = orc.enumerate_elements(args.n, args.deg, args.bound)
         emit([e.to_json() for e in out])
     else:
-        raise InputError(f"unknown oracle kind {kind!r}")
+        emit({"leq": out})
 
 
 # ---------------------------------------------------------------------------

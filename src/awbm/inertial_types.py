@@ -112,15 +112,6 @@ class TameTypePresentation:
         return {"s": self.s.to_json(), "mu": [list(r) for r in self.mu],
                 "kind": self.kind}
 
-    @classmethod
-    def from_json(cls, data, ctx: GroupContext):
-        try:
-            return cls(WeylTuple.from_json(data["s"]),
-                       tuple(tuple(r) for r in data["mu"]), ctx,
-                       data.get("kind", "E"))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad type encoding: {data!r}") from exc
-
 
 def make_type(ctx: GroupContext, s, mu, kind: str = "E") -> TameTypePresentation:
     """Build a presentation from finite Weyl parts and a weight tuple."""

@@ -20,8 +20,8 @@ f_alpha are solved triangularly along the height order of the chamber w(Δ)
 containing the support, with pivots i + [alpha>0] + <a, alpha∨> - these are
 nonzero exactly when a is generic enough mod p, and a vanishing pivot is
 reported with its root and index.  N is unipotent, so the solver inverts it
-in closed form, N^{-1} = sum_{k<n} (I - N)^k; the adjugate inverse only
-checks the final matrix.
+in closed form, N^{-1} = sum_{k<n} (I - N)^k, and checks the final matrix
+A = z·N through A^{-1} = N^{-1}·z^{-1} without the adjugate.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .affine_weyl import (
     dominant_witness,
     eta_vector,
     finite,
+    invert,
     is_generic_element,
     multiply,
     pairing,
@@ -268,8 +269,8 @@ def verify_nabla(A: LaurentMatrix, a_bar) -> bool:
     return nabla_matrix(A, a_bar).shift(1).is_upper_mod_v()
 
 
-def monodromy_solve(wt: WeylElement, a_bar, free_values=None, p: int | None = None,
-                    check: bool = True) -> LaurentMatrix:
+def monodromy_solve(wt: WeylElement, a_bar, free_values=None,
+                    p: int | None = None) -> LaurentMatrix:
     """Solve the monodromy condition on the cell through star(wt): returns
     A = star(wt)·N with the below-top coefficients of each support entry
     eliminated along the chamber height order, the top coefficients taken
@@ -289,35 +290,34 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, p: int | None = No
             raise ArgumentError(f"free value given for a non-support root {alpha}")
     # N = 1 + the -alpha entries v^[alpha>0] f_alpha, lowest exponent 0; the
     # below-top coefficients of f_alpha start at 0, and N is rebuilt from
-    # `terms` as each is solved
+    # `terms` once per root.  Coefficient t of the band of alpha in nabla(N)
+    # is pivot_t times that of f_alpha plus products of lower-height roots.
     terms = {(i, i, 0): 1 for i in range(1, n + 1)}
     for (i, k), d in geom.degrees:
         terms[(k, i, d + (i < k))] = int(free.get((i, k), 1))
     N = LaurentMatrix.from_entries(field, n, terms)
-
-    def band(i, k, d):
-        """The below-top coefficients of the (k, i) entry of nabla(N)."""
-        entry = _nabla(N, unipotent_inverse(N), a_bar).entry(k, i)
-        return [entry.get(t + (i < k), 0) for t in range(d)]
-
+    nab = _nabla(N, unipotent_inverse(N), a_bar)
     for alpha, d in _root_height_order(geom, n):
         i, k = alpha
         delta = 1 if i < k else 0
         pair_a = (a_bar[i - 1] - a_bar[k - 1]) % p
+        band = nab.entry(k, i)
         for t in range(d):
             pivot = (t + delta + pair_a) % p
             if pivot == 0:
                 raise ZeroDivisorError(alpha, t)
-            c = band(i, k, d)[t]
-            key = (k, i, t + delta)
-            terms[key] = (terms.get(key, 0) - c * pow(pivot, -1, p)) % p
-            N = LaurentMatrix.from_entries(field, n, terms)
+            terms[(k, i, t + delta)] = (-band.get(t + delta, 0)
+                                        * pow(pivot, -1, p) % p)
+        N = LaurentMatrix.from_entries(field, n, terms)
+        nab = _nabla(N, unipotent_inverse(N), a_bar)
         # after elimination the sub-top band of this entry must vanish
-        if any(band(i, k, d)):
+        if any(map(nab.entry(k, i).get, range(delta, d + delta))):
             raise InternalError("triangular elimination failed to clear a band")
 
     A = weyl_matrix(star(wt), p) * N
-    if check and not verify_nabla(A, a_bar):
+    Ainv = unipotent_inverse(N) * weyl_matrix(invert(star(wt)), p)
+    if (A * Ainv != LaurentMatrix.identity(field, n)
+            or not _nabla(A, Ainv, a_bar).shift(1).is_upper_mod_v()):
         raise InternalError("solved matrix fails the monodromy condition")
     return A
 

@@ -24,13 +24,12 @@ from .affine_weyl import (
     conv_contains,
     conv_lattice_points,
     degree,
+    element_depth,
     eta_vector,
     invert,
     multiply,
     omega_power,
-    pairing,
     perm_act,
-    positive_roots,
     sort_key,
     translation,
     wa_part_and_omega,
@@ -40,7 +39,6 @@ from .errors import (
     ArgumentError,
     CompatibilityError,
     DepthError,
-    InputError,
     InternalError,
 )
 
@@ -68,14 +66,10 @@ __all__ = [
 
 def weight_depth(lam, p: int) -> int:
     """Largest m such that lam is m-deep in some p-alcove: m < |<lam+eta,
-    alpha∨> + p k| for all alpha > 0 and k.  Returns -1 if on a wall."""
-    n = len(lam)
-    eta = eta_vector(n)
-    best = p
-    for root in positive_roots(n):
-        v = (pairing(lam, root) + pairing(eta, root)) % p
-        best = min(best, v, p - v)
-    return best - 1
+    alpha∨> + p k| for all alpha > 0 and k.  Returns -1 if on a wall: the
+    depth of t_{lam+eta}."""
+    return element_depth(translation(
+        tuple(x + e for x, e in zip(lam, eta_vector(len(lam))))), p)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +143,6 @@ class Polynomial:
     def to_json(self):
         return {"nvars": self.nvars,
                 "terms": [[list(e), c] for e, c in sorted(self.terms.items())]}
-
-    @classmethod
-    def from_json(cls, data):
-        try:
-            return cls(int(data["nvars"]),
-                       {tuple(e): int(c) for e, c in data["terms"]})
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad polynomial encoding: {data!r}") from exc
 
 
 def build_Pm(n: int, m: int) -> Polynomial:
@@ -272,14 +258,6 @@ class SerreWeightPresentation:
     def to_json(self):
         return {"w1": self.w1.to_json(), "omega": [list(r) for r in self.omega],
                 "zeta": list(central_character(self).zeta)}
-
-    @classmethod
-    def from_json(cls, data, ctx: GroupContext):
-        try:
-            return cls(WeylTuple.from_json(data["w1"]),
-                       tuple(tuple(r) for r in data["omega"]), ctx)
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad presentation encoding: {data!r}") from exc
 
 
 @dataclass(frozen=True)

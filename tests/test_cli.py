@@ -82,6 +82,18 @@ def test_oracle_and_orders():
     assert ok("up", "--n", "2", "--a", "w0", "--b", "e") == {"leq": True}
 
 
+def test_rank_one_group_is_trivial():
+    # the affine Weyl group of GL_1 has no simple reflections: an interval
+    # or an enumeration is the one element itself
+    assert ok("interval", "--n", "1", "--a", "e@2") == [
+        {"convention": "t_nu_then_w", "nu": [2], "w": [1]}]
+    assert ok("oracle", "--n", "1", "--kind", "enumerate", "--deg", "3",
+              "--bound", "3") == [
+        {"convention": "t_nu_then_w", "nu": [3], "w": [1]}]
+    assert ok("oracle", "--n", "1", "--kind", "bruhat", "--a", "e@2",
+              "--b", "e@2") == {"leq": True}
+
+
 def test_nabla_stdin():
     mat = ok("monodromy", "--n", "2", "--p", "13", "--w", "e@1,0",
              "--abar", "5,0")

@@ -18,7 +18,7 @@ from awbm.affine_weyl import (
     translation,
     w_h,
 )
-from awbm.bk_gauge import Coefficients
+from awbm.bk_gauge import Coefficients, SeriesMatrix
 from awbm.errors import ArgumentError, GenericityError, ZeroDivisorError
 from awbm.inertial_types import make_type
 from awbm.modp_flag import (
@@ -317,3 +317,22 @@ def test_fixed_points_two_embeddings():
             assert wstar in cd.bound
         if wstar in cd.bound:
             assert rec.presentation in predicted
+
+
+def test_solver_never_expands_the_adjugate(monkeypatch):
+    # the solver inverts N in closed form and checks A = z·N through
+    # A^{-1} = N^{-1}·z^{-1}, so no permutation expansion runs
+    cells = [
+        (WeylElement((2, 5, 3, 4, 1), (3, 1, 3, 0, 3)), (22, 144, 201, 85, 42),
+         211),
+        (translation((5, 4, 3, 2, 1, 0)), (1, 300, 600, 900, 150, 450), 1009),
+    ]
+
+    def refuse(self):
+        raise AssertionError("the adjugate was expanded")
+
+    monkeypatch.setattr(SeriesMatrix, "_adjugate", refuse)
+    solved = [monodromy_solve(wt, a, p=p) for wt, a, p in cells]
+    monkeypatch.undo()
+    for A, (_, a, _) in zip(solved, cells):
+        assert verify_nabla(A, a)
