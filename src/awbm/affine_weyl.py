@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
@@ -168,12 +167,54 @@ def pairing(v, root):
 # ---------------------------------------------------------------------------
 # elements
 
-@dataclass(frozen=True)
-class WeylElement:
+class Record:
+    """An immutable record: the fields are the `__slots__`, set once in
+    `__init__` through `object.__setattr__`; records of one class are equal,
+    with equal hashes, when their fields are.  Subclasses on hot paths write
+    `__init__`, `__eq__` and `__hash__` out; the others use these."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class WeylElement(Record):
     """The affine map x |-> w(x) + nu, i.e. the element t_nu ∘ w."""
 
-    w: tuple
-    nu: tuple
+    __slots__ = ("w", "nu")
+
+    def __init__(self, w, nu):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "nu", nu)
+        self.__post_init__()
 
     def __post_init__(self):
         n = len(self.w)
@@ -183,6 +224,14 @@ class WeylElement:
             raise InputError("translation part has wrong length")
         object.__setattr__(self, "w", tuple(self.w))
         object.__setattr__(self, "nu", tuple(int(c) for c in self.nu))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.w, self.nu) == (other.w, other.nu)
+
+    def __hash__(self):
+        return hash((self.w, self.nu))
 
     @property
     def n(self):
@@ -350,13 +399,12 @@ def is_generic_element(a: WeylElement, m: int, p: int) -> bool:
     return element_depth(a, p) >= m
 
 
-@dataclass(frozen=True)
-class Flags:
-    dominant: bool
-    restricted: bool
-    regular: bool
-    m_small: bool | None = None
-    m_generic: bool | None = None
+class Flags(Record):
+    __slots__ = ("dominant", "restricted", "regular", "m_small", "m_generic")
+
+    def __init__(self, dominant, restricted, regular, m_small=None,
+                 m_generic=None):
+        super().__init__(dominant, restricted, regular, m_small, m_generic)
 
 
 def classify(a: WeylElement, m: int | None = None, p: int | None = None) -> Flags:
@@ -722,21 +770,28 @@ def restricted_classes(n: int):
 # ---------------------------------------------------------------------------
 # tuples over the embedding set J = Z/f
 
-@dataclass(frozen=True)
-class WeylTuple:
+class WeylTuple(Record):
     """An f-tuple of elements, indexed by the embeddings Z/f; all group and
     order operations act componentwise, and pi shifts the index."""
 
-    components: tuple
+    __slots__ = ("components",)
 
-    def __post_init__(self):
-        comps = tuple(self.components)
+    def __init__(self, components):
+        comps = tuple(components)
         if not comps:
             raise InputError("empty tuple")
         n = comps[0].n
         if any(c.n != n for c in comps):
             raise ContextError("mixed ranks inside a tuple")
         object.__setattr__(self, "components", comps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.components == other.components
+
+    def __hash__(self):
+        return hash((self.components,))
 
     @property
     def f(self):
@@ -835,22 +890,30 @@ def check_prime(p: int) -> None:
         raise ArgumentError(f"p = {p} is not prime")
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class GroupContext(Record):
     """Rank, number of embeddings, and the (optional) prime, plus the standard
     weight eta = (n-1, ..., 0)."""
 
-    n: int
-    f: int = 1
-    p: int | None = None
+    __slots__ = ("n", "f", "p")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n, f=1, p=None):
+        if n < 2:
             raise ArgumentError("rank must be at least 2")
-        if self.f < 1:
+        if f < 1:
             raise ArgumentError("need at least one embedding")
-        if self.p is not None:
-            check_prime(self.p)
+        if p is not None:
+            check_prime(p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "p", p)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.f, self.p) == (other.n, other.f, other.p)
+
+    def __hash__(self):
+        return hash((self.n, self.f, self.p))
 
     @property
     def eta(self):

@@ -33,11 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from . import inertial_types
 from .affine_weyl import (
     GroupContext,
+    Record,
     WeylTuple,
     adm_member,
     check_prime,
@@ -240,20 +240,22 @@ class _Rows(tuple):
         return 8 * sum(len(s) for row in self for s in row.values())
 
 
-@dataclass
 class SeriesMatrix:
     """n x n matrix of truncated Laurent series: `coeffs` holds the nonzero
     terms, all at exponents >= lo, and entries are exact below prec
     (prec=None: exact everywhere).  lo bounds the valuation from below
     without always reaching it; products take their precision from it.
     Results keep the class of the left operand, and no operation changes a
-    matrix once built."""
+    matrix once built.  Matrices compare by value and are unhashable."""
 
-    field: Coefficients
-    n: int
-    lo: int
-    coeffs: _Rows
-    prec: int | None = None
+    __slots__ = ("field", "n", "lo", "coeffs", "prec")
+
+    def __init__(self, field, n, lo, coeffs, prec=None):
+        self.field = field
+        self.n = n
+        self.lo = lo
+        self.coeffs = coeffs
+        self.prec = prec
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -334,7 +336,6 @@ class SeriesMatrix:
         self._check_operand(other)
         lo = min(self.lo, other.lo)
         prec = min(self._eff_prec(), other._eff_prec())
-        cut = max(prec, lo + 1)
         p = self.field.p
         rows = []
         for ra, rb in zip(self.coeffs, other.coeffs):
@@ -343,7 +344,7 @@ class SeriesMatrix:
                 acc = dict(ra.get(j, {}))
                 for e, c in rb.get(j, {}).items():
                     acc[e] = acc.get(e, 0) + sign * c
-                if s := _reduced(acc, p, cut):
+                if s := _reduced(acc, p, prec):
                     row[j] = s
             rows.append(row)
         return self._new(lo, rows, None if prec == math.inf else prec)
@@ -563,21 +564,18 @@ def _invert_unit(field, unit, length):
 # ---------------------------------------------------------------------------
 # twists
 
-@dataclass(frozen=True)
-class TwistData:
+class TwistData(Record):
     """Per-embedding twist elements s_j^{-1} v^{mu_j + eta_j}."""
 
-    s: WeylTuple
-    mu: tuple
-    ctx: GroupContext
+    __slots__ = ("s", "mu", "ctx")
 
-    def __post_init__(self):
-        mu = tuple(tuple(int(x) for x in row) for row in self.mu)
-        if len(mu) != self.ctx.f or any(len(r) != self.ctx.n for r in mu):
+    def __init__(self, s, mu, ctx):
+        mu = tuple(tuple(int(x) for x in row) for row in mu)
+        if len(mu) != ctx.f or any(len(r) != ctx.n for r in mu):
             raise ArgumentError("mu must be an f-tuple of length-n rows")
-        if any(c.nu != (0,) * self.ctx.n for c in self.s):
+        if any(c.nu != (0,) * ctx.n for c in s):
             raise ArgumentError("twist Weyl parts must be finite")
-        object.__setattr__(self, "mu", mu)
+        super().__init__(s, mu, ctx)
 
     @classmethod
     def from_dual_element(cls, z: WeylTuple, ctx: GroupContext):
@@ -748,14 +746,11 @@ def recover_left_factor(A, I, z: WeylTuple, M: int):
 # ---------------------------------------------------------------------------
 # semisimple shape calculus
 
-@dataclass(frozen=True)
-class ShapeResult:
+class ShapeResult(Record):
     """shape = star(w̃(rhobar)) · star(w̃(tau))^{-1}, with the admissibility
     predicates it satisfies."""
 
-    shape: WeylTuple
-    w_rhobar_tau: WeylTuple
-    ctx: GroupContext
+    __slots__ = ("shape", "w_rhobar_tau", "ctx")
 
     def admissible_for(self, lam_rows) -> bool:
         """shape in Adm∨(lam) componentwise: Adm∨ is the star image of Adm

@@ -22,11 +22,11 @@ whose mod-p reduction at j < f is s_j^{-1}(mu_j + eta_j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import (
     GroupContext,
+    Record,
     WeylElement,
     WeylTuple,
     eta_vector,
@@ -55,28 +55,36 @@ __all__ = ["TameTypePresentation", "DescentData", "make_type", "descent_data",
            "a_tau", "compatible_zeta", "is_compatible", "compatible_presentation"]
 
 
-@dataclass(frozen=True)
-class TameTypePresentation:
+class TameTypePresentation(Record):
     """A lowest alcove presentation (s, mu) of a tame inertial type; kind 'E'
     for types in characteristic zero, 'F' for mod-p types (the two differ only
     in how central characters are attached)."""
 
-    s: WeylTuple
-    mu: tuple
-    ctx: GroupContext
-    kind: str = "E"
+    __slots__ = ("s", "mu", "ctx", "kind")
 
-    def __post_init__(self):
-        if self.kind not in ("E", "F"):
+    def __init__(self, s, mu, ctx, kind="E"):
+        if kind not in ("E", "F"):
             raise InputError("kind must be 'E' (type) or 'F' (mod-p type)")
-        if self.s.f != self.ctx.f or self.s.n != self.ctx.n:
+        if s.f != ctx.f or s.n != ctx.n:
             raise ArgumentError("Weyl tuple does not match the context")
-        if any(c.nu != (0,) * self.ctx.n for c in self.s):
+        if any(c.nu != (0,) * ctx.n for c in s):
             raise ArgumentError("type data must have zero translation parts")
-        mu = tuple(tuple(int(x) for x in row) for row in self.mu)
-        if len(mu) != self.ctx.f or any(len(r) != self.ctx.n for r in mu):
+        mu = tuple(tuple(int(x) for x in row) for row in mu)
+        if len(mu) != ctx.f or any(len(r) != ctx.n for r in mu):
             raise ArgumentError("mu must be an f-tuple of length-n rows")
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "kind", kind)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.s, self.mu, self.ctx, self.kind)
+                == (other.s, other.mu, other.ctx, other.kind))
+
+    def __hash__(self):
+        return hash((self.s, self.mu, self.ctx, self.kind))
 
     @property
     def f(self):
@@ -123,19 +131,18 @@ def make_type(ctx: GroupContext, s, mu, kind: str = "E") -> TameTypePresentation
     return TameTypePresentation(st, tuple(tuple(r) for r in mu), ctx, kind)
 
 
-@dataclass(frozen=True)
-class DescentData:
+class DescentData(Record):
     """All derived descent data of a presentation over the f' = f·r cover."""
 
-    s_tau: tuple
-    r: int
-    f_prime: int
-    alpha_prime: tuple       # f'-indexed weights
-    a_prime: tuple           # f'-indexed weights a'^{(j')}
-    s_orient: tuple          # f'-indexed permutations
-    chi_exponents: tuple     # n exponents of the niveau-f' character, mod p^{f'}-1
-    a_tau_exact: tuple       # f-indexed rational vectors
-    a_tau_modp: tuple        # f-indexed vectors mod p
+    __slots__ = (
+        "s_tau", "r", "f_prime",
+        "alpha_prime",    # f'-indexed weights
+        "a_prime",        # f'-indexed weights a'^{(j')}
+        "s_orient",       # f'-indexed permutations
+        "chi_exponents",  # n exponents of the niveau-f' character, mod p^{f'}-1
+        "a_tau_exact",    # f-indexed rational vectors
+        "a_tau_modp",     # f-indexed vectors mod p
+    )
 
 
 def _perm_order(w) -> int:

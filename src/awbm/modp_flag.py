@@ -27,11 +27,11 @@ A = z·N through A^{-1} = N^{-1}·z^{-1} without the adjugate.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import inertial_types, weight_sets, weights
 from .affine_weyl import (
     GroupContext,
+    Record,
     WeylElement,
     WeylTuple,
     alcove_point,
@@ -89,6 +89,8 @@ class LaurentMatrix(SeriesMatrix):
     with prec=None, encoded as {"p": p, "entries": [[{exp: coeff}, ...]]}
     without the series keys "degree" and "precision" (ignored on input)."""
 
+    __slots__ = ()
+
     def to_json(self):
         doc = super().to_json()
         return {"p": doc["p"], "entries": doc["entries"]}
@@ -112,24 +114,20 @@ def weyl_matrix(z: WeylElement, p: int) -> LaurentMatrix:
 # ---------------------------------------------------------------------------
 # affine charts
 
-@dataclass(frozen=True)
-class ChartTemplate:
+class ChartTemplate(Record):
     """Entrywise degree windows of the chart U(z)^{det,<=h}: entry (i,j) is
     v^{prefactor} · sum_{k=lo..hi} c_{ij,k} (v-t)^k with a monic coefficient 1
     at (w(j), j), k = monic_exp; empty when some window cannot reach its
     monic constraint."""
 
-    n: int
-    h: int
-    w: tuple
-    nu: tuple
-    prefactor: tuple      # delta_{i>j}
-    window_lo: tuple      # -h everywhere
-    window_hi: tuple      # nu_j - delta_{i>j} - delta_{i<w(j)}
-    monic: tuple          # ((i, j, exp) per column)
-    det_sign: int
-    det_power: int
-    is_empty: bool
+    __slots__ = (
+        "n", "h", "w", "nu",
+        "prefactor",      # delta_{i>j}
+        "window_lo",      # -h everywhere
+        "window_hi",      # nu_j - delta_{i>j} - delta_{i<w(j)}
+        "monic",          # ((i, j, exp) per column)
+        "det_sign", "det_power", "is_empty",
+    )
 
     def to_json(self):
         return {
@@ -181,17 +179,18 @@ def chart_template(z: WeylElement, h: int) -> ChartTemplate:
 # ---------------------------------------------------------------------------
 # cell geometry and the monodromy condition
 
-@dataclass(frozen=True)
-class CellGeometry:
+class CellGeometry(Record):
     """Support roots of the unipotent part of the cell through z = star(w̃),
     their degree bounds, the dimension, and the chamber witness."""
 
-    support: tuple        # roots -alpha (as (i,k) pairs) in the support
-    degrees: tuple        # ((alpha, d_alpha) for the criterion roots alpha)
-    dim: int
-    critical: int         # number of positive alpha with the image alcove in
+    __slots__ = (
+        "support",        # roots -alpha (as (i,k) pairs) in the support
+        "degrees",        # ((alpha, d_alpha) for the criterion roots alpha)
+        "dim",
+        "critical",       # number of positive alpha with the image alcove in
                           # the critical alpha-strip
-    witness: tuple        # w with w^{-1} w̃ dominant; -support ⊂ w(Phi+)
+        "witness",        # w with w^{-1} w̃ dominant; -support ⊂ w(Phi+)
+    )
 
     def to_json(self):
         return {"support": [list(r) for r in self.support],
@@ -325,18 +324,19 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None,
 # ---------------------------------------------------------------------------
 # component labels and torus fixed points
 
-@dataclass(frozen=True)
-class ComponentData:
+class ComponentData(Record):
     """A component label with its torus fixed-point data: the bound set
     {star(w̃)·t_omega : w̃ <= w0 w1} always contains the fixed points, the
     obvious set {star(t_omega w w1) : w in W} is always contained in them;
     exactness of the bound set is conditional on a polynomial constraint not
     computed here."""
 
-    label: weights.SerreWeightPresentation
-    bound: tuple      # sorted tuple of WeylTuple
-    obvious: tuple    # sorted tuple of WeylTuple
-    exactness: str    # "conditional"
+    __slots__ = (
+        "label",          # the weights.SerreWeightPresentation
+        "bound",          # sorted tuple of WeylTuple
+        "obvious",        # sorted tuple of WeylTuple
+        "exactness",      # "conditional"
+    )
 
     def to_json(self):
         return {

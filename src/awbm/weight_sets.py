@@ -24,12 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .affine_weyl import (
     GroupContext,
+    Record,
     WeylElement,
     WeylTuple,
     adm_member,
@@ -80,12 +80,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # formal cycle expressions
 
-@dataclass(frozen=True)
-class CycleExpr:
+class CycleExpr(Record):
     """A formal rational combination of symbols (type labels or component
     labels); zero coefficients are pruned."""
 
-    terms: tuple  # sorted tuple of (symbol tuple, Fraction)
+    __slots__ = ("terms",)  # sorted tuple of (symbol tuple, Fraction)
+
+    def __init__(self, terms):
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     @classmethod
     def of(cls, mapping):
@@ -177,16 +187,29 @@ def jh_contains_fixed(tau: TameTypePresentation, lam,
 # ---------------------------------------------------------------------------
 # predicted weights
 
-@dataclass(frozen=True)
-class PredictedWeight:
+class PredictedWeight(Record):
     """A W?-member with its defining pair: presentation (w, omega) with
     omega = w̃(rhobar)(w2^{-1}(0)) and w2 ↑ w (obvious when w2 = w)."""
 
-    presentation: SerreWeightPresentation
-    w: WeylTuple
-    w2: WeylTuple
-    obvious: bool
-    defect: int
+    __slots__ = ("presentation", "w", "w2", "obvious", "defect")
+
+    def __init__(self, presentation, w, w2, obvious, defect):
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w2", w2)
+        object.__setattr__(self, "obvious", obvious)
+        object.__setattr__(self, "defect", defect)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.presentation, self.w, self.w2, self.obvious, self.defect)
+                == (other.presentation, other.w, other.w2, other.obvious,
+                    other.defect))
+
+    def __hash__(self):
+        return hash((self.presentation, self.w, self.w2, self.obvious,
+                     self.defect))
 
 
 def _require_f_type(rho):
@@ -309,13 +332,16 @@ def _accepted_rows(wt_rho_j: WeylElement, wt_tau_j: WeylElement, lam_j):
     t_{-omega_j} w̃(tau)_j.  A canonical row is a matched representative,
     and the test is invariant under the central shift."""
     whinv = invert(w_h(wt_rho_j.n))
+    rhs = {}  # the right-hand side depends on the row through omega only
     out = []
     for w1, omega in _w_question_factors(wt_rho_j):
-        g = multiply(translation(tuple(-x for x in omega)), wt_tau_j)
-        w2 = multiply(finite(perm_inverse(dominant_witness(g))), g)
-        if not is_dominant(w2):
-            raise InternalError("dominant representative failed")
-        if up_leq(w1, multiply(translation(lam_j), multiply(whinv, w2))):
+        if omega not in rhs:
+            g = multiply(translation(tuple(-x for x in omega)), wt_tau_j)
+            w2 = multiply(finite(perm_inverse(dominant_witness(g))), g)
+            if not is_dominant(w2):
+                raise InternalError("dominant representative failed")
+            rhs[omega] = multiply(translation(lam_j), multiply(whinv, w2))
+        if up_leq(w1, rhs[omega]):
             out.append((w1, omega))
     return tuple(out)
 

@@ -15,10 +15,9 @@ together with the hull-shift combinator f ↦ f^omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .affine_weyl import (
     GroupContext,
+    Record,
     WeylElement,
     WeylTuple,
     conv_contains,
@@ -213,24 +212,31 @@ def _alcove_element(num, p: int):
 # ---------------------------------------------------------------------------
 # presentations
 
-@dataclass(frozen=True)
-class SerreWeightPresentation:
+class SerreWeightPresentation(Record):
     """A lowest alcove presentation (w1, omega) over a fixed context, stored
     as the canonical representative of its central-translation class, so
-    that the dataclass equality and hash are those of the class."""
+    that equality and hash of the fields are those of the class."""
 
-    w1: WeylTuple
-    omega: tuple
-    ctx: GroupContext
+    __slots__ = ("w1", "omega", "ctx")
 
-    def __post_init__(self):
-        omega = tuple(tuple(int(c) for c in row) for row in self.omega)
-        if self.w1.f != self.ctx.f or self.w1.n != self.ctx.n:
+    def __init__(self, w1, omega, ctx):
+        omega = tuple(tuple(int(c) for c in row) for row in omega)
+        if w1.f != ctx.f or w1.n != ctx.n:
             raise ArgumentError("presentation does not match its context")
-        if len(omega) != self.ctx.f or any(len(r) != self.ctx.n for r in omega):
+        if len(omega) != ctx.f or any(len(r) != ctx.n for r in omega):
             raise ArgumentError("omega must be an f-tuple of length-n rows")
+        object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "ctx", ctx)
         self.canonical()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.w1, self.omega, self.ctx) == (other.w1, other.omega, other.ctx)
+
+    def __hash__(self):
+        return hash((self.w1, self.omega, self.ctx))
 
     def canonical(self) -> "SerreWeightPresentation":
         """Move to the representative (t_c w1_j, omega_j - c) with
@@ -260,15 +266,14 @@ class SerreWeightPresentation:
                 "zeta": list(central_character(self).zeta)}
 
 
-@dataclass(frozen=True)
-class CentralCharacter:
+class CentralCharacter(Record):
     """An algebraic central character, one integer per embedding via the
     identification X*(Z) = Z, lam ↦ sum(lam)."""
 
-    zeta: tuple
+    __slots__ = ("zeta",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "zeta", tuple(int(z) for z in self.zeta))
+    def __init__(self, zeta):
+        object.__setattr__(self, "zeta", tuple(int(z) for z in zeta))
 
     @property
     def f(self):

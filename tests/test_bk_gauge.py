@@ -69,6 +69,16 @@ def test_mixed_operands_are_refused():
     assert a * a == a and (a - a) + a == a
 
 
+def test_sum_stores_no_term_it_does_not_know():
+    # the sum is known below -29 only, although its lo is 0
+    unknown = SeriesMatrix.from_entries(F7, 2, {}, -29)
+    assert unknown.lo == 0
+    for total in (SeriesMatrix.identity(F7, 2) + unknown,
+                  unknown - SeriesMatrix.identity(F7, 2)):
+        assert (total.lo, total.prec) == (0, -29)
+        assert not any(total.coeffs)
+
+
 def test_series_inverse():
     rng = random.Random(61)
     for field in (F7, F49):
