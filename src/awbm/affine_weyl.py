@@ -104,6 +104,7 @@ __all__ = [
     "positive_roots",
     "all_roots",
     "pairing",
+    "json_int",
 ]
 
 
@@ -166,6 +167,14 @@ def pairing(v, root):
 
 # ---------------------------------------------------------------------------
 # elements
+
+def json_int(x, where):
+    """x, refused unless a JSON integer: int() would truncate 1.7 to 1 and
+    read true and "1" as 1."""
+    if type(x) is not int:
+        raise InputError(f"{where} holds {x!r} where an integer belongs")
+    return x
+
 
 class Record:
     """An immutable record: the fields are the `__slots__`, set once in
@@ -254,7 +263,8 @@ class WeylElement(Record):
             conv = data.get("convention", "t_nu_then_w")
             if conv != "t_nu_then_w":
                 raise InputError(f"unknown element convention {conv!r}")
-            return cls(tuple(data["w"]), tuple(data["nu"]))
+            return cls(tuple(json_int(x, "element") for x in data["w"]),
+                       tuple(json_int(x, "element") for x in data["nu"]))
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad element encoding: {data!r}") from exc
 

@@ -4,7 +4,9 @@
 a tracked precision: a value is known exactly for all exponents below `prec`,
 and prec = None means the stored Laurent polynomial is exact.  Each entry
 keeps only its nonzero terms, so an operation costs in proportion to the
-terms it touches, not to the span of their exponents.  The flag layer
+terms it touches, not to the span of their exponents; a product over F_p of
+dense operands packs each entry into one int instead, with a slot per
+exponent wide enough that none carries (`_packed_product`).  The flag layer
 (`modp_flag`) computes on exact matrices over F_p; the gauge layer below
 computes on truncated ones.  The coefficient field is F_p or F_{p^2};
 Frobenius acts coefficientwise by x -> x^p and on the variable by v -> v^p.
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+from array import array
 from bisect import bisect_left
 
 from . import inertial_types
@@ -43,6 +47,7 @@ from .affine_weyl import (
     check_prime,
     eta_vector,
     finite,
+    json_int,
     multiply,
     perm_act,
     perm_inverse,
@@ -127,8 +132,9 @@ class Coefficients:
     quadratic non-residue).  An element is an int in [0, p) over F_p and a
     pair a + b·w (`_Fp2`) over F_{p^2}.  A series is a dict {exponent:
     element} of its nonzero terms in increasing exponent order; sums and
-    products run over exact Python ints and are reduced mod p once per
-    output term, so every prime is exact."""
+    products run over exact Python ints, or over the slots of a packed
+    product, each wide enough for its largest sum, and are reduced mod p
+    once per output term, so every prime is exact."""
 
     def __init__(self, p: int, degree: int = 1):
         if degree not in (1, 2):
@@ -207,6 +213,79 @@ def _reduced(acc, p, cut=math.inf):
     return {e: r for e in sorted(acc) if e < cut and (r := acc[e] % p)}
 
 
+# Slot types of packed products, (bits, array typecode), narrowest first; an
+# operand whose terms fill less than 1/_FILL of its slots is not packed.
+_SLOTS = [(8 * array(t).itemsize, t) for t in "BHIQ"]
+_BIG_ENDIAN = sys.byteorder == "big"
+_FILL = 16
+
+
+def _packed_product(a, b, prec):
+    """The rows of a·b by Kronecker substitution, or None when the loop over
+    `_mac` is to run.  An entry is packed once into an int with one slot per
+    exponent from its operand's lo up to the last exponent that reaches below
+    prec; output entry (i, j) is sum_k pack(a_ik)·pack(b_kj), a C big-integer
+    product, unpacked once and reduced mod p.  A slot sums at most n·min(span)
+    products of the largest stored coefficients and is sized for that, so it
+    never carries into the next and every prime is exact.  The loop runs
+    over F_{p^2}, when a slot would need more than 64 bits, and on sparse
+    operands: near-monomial ones (fewer terms than twice the nonempty
+    entries, as in the flag layer) or terms filling less than 1/_FILL of the
+    slots.  So at most _FILL slots are packed per stored term."""
+    if a.field.degree != 1:
+        return None
+    sa, sb = list(a._series()), list(b._series())
+    if not (sa and sb) or sum(map(len, sa + sb)) < 2 * len(sa + sb):
+        return None
+    spans, bound = [], a.n
+    for m, series, cut in ((a, sa, prec - b.lo), (b, sb, prec - a.lo)):
+        span = min(max(map(max, series)), cut - 1) - m.lo + 1
+        if (span <= 0 or _FILL * sum(map(len, series)) < len(series) * span
+                or min(map(min, map(dict.values, series))) < 0):
+            return None
+        spans.append(span)
+        bound *= max(map(max, map(dict.values, series)))
+    bits = (bound * min(spans)).bit_length()
+    if bits > 64:
+        return None
+    width, code = next(slot for slot in _SLOTS if slot[0] >= bits)
+
+    def pack(m, span):
+        """Row i maps k to the packed int of entry (i, k)."""
+        rows = []
+        for row in m.coeffs:
+            packed = {}
+            for k, s in row.items():
+                length = min(span, next(reversed(s)) - m.lo + 1)
+                slots = array(code, map(s.get, range(m.lo, m.lo + length),
+                                        itertools.repeat(0)))
+                if _BIG_ENDIAN:
+                    slots.byteswap()
+                packed[k] = int.from_bytes(slots, "little")
+            rows.append(packed)
+        return rows
+
+    p, lo = a.field.p, a.lo + b.lo
+    end = min(sum(spans) - 1, prec - lo)
+    pb, rows = pack(b, spans[1]), []
+    for ra in pack(a, spans[0]):
+        row = {}
+        for j in range(a.n):
+            acc = sum(x * y for k, x in ra.items() if (y := pb[k].get(j)))
+            if not acc:
+                continue
+            slots = array(code, acc.to_bytes(
+                -(-acc.bit_length() // width) * width // 8, "little"))
+            if _BIG_ENDIAN:
+                slots.byteswap()
+            coeffs = list(map(p.__rmod__, slots[:end]))
+            if s := dict(itertools.compress(zip(itertools.count(lo), coeffs),
+                                            coeffs)):
+                row[j] = s
+        rows.append(row)
+    return rows
+
+
 def _product(a, b, p):
     acc = {}
     _mac(acc, a, b, math.inf)
@@ -219,15 +298,11 @@ def _product(a, b, p):
 # The most coefficient slots, n^2 * degree * exponent span, that a matrix read
 # from JSON may span; `from_json` refuses a wider input.  The largest of the
 # benchmark and the tests is 3,600 (straightened n = 3 tuples at M = 400).
+# The kernel allocates by stored terms, not by this count: a packed product
+# packs at most _FILL slots of at most 8 bytes per stored term and builds one
+# output entry at a time.  On the catalog straightenings its transient peak
+# above the result is at most 61 bytes per operand term (the term loop's: 105).
 MAX_COEFFS = 10 ** 5
-
-
-def _json_int(x):
-    """x, refused unless a JSON integer: int() would truncate 1.7 to 1 and
-    read true as 1."""
-    if type(x) is not int:
-        raise InputError(f"series matrix holds {x!r} where an integer belongs")
-    return x
 
 
 class _Rows(tuple):
@@ -360,14 +435,16 @@ class SeriesMatrix:
         lo = self.lo + other.lo
         prec = min(self.lo + other._eff_prec(), other.lo + self._eff_prec())
         p = self.field.p
-        rows = []
-        for ra in self.coeffs:
-            acc = {}
-            for k, a in ra.items():
-                for j, b in other.coeffs[k].items():
-                    _mac(acc.setdefault(j, {}), a, b, prec)
-            rows.append({j: s for j, t in acc.items()
-                         if (s := _reduced(t, p))})
+        rows = _packed_product(self, other, prec)
+        if rows is None:
+            rows = []
+            for ra in self.coeffs:
+                acc = {}
+                for k, a in ra.items():
+                    for j, b in other.coeffs[k].items():
+                        _mac(acc.setdefault(j, {}), a, b, prec)
+                rows.append({j: s for j, t in acc.items()
+                             if (s := _reduced(t, p))})
         return self._new(lo, rows, None if prec == math.inf else prec)
 
     def shift(self, k):
@@ -514,9 +591,12 @@ class SeriesMatrix:
 
     @classmethod
     def from_json(cls, data):
+        def integer(x):
+            return json_int(x, "series matrix")
+
         try:
-            field = Coefficients(_json_int(data["p"]),
-                                 _json_int(data.get("degree", 1)))
+            field = Coefficients(integer(data["p"]),
+                                 integer(data.get("degree", 1)))
             rows = data["entries"]
             n = len(rows)
             if any(len(row) != n for row in rows):
@@ -526,7 +606,7 @@ class SeriesMatrix:
                 for j, cell in enumerate(row):
                     for e, c in cell.items():
                         for x in c if isinstance(c, list) else [c]:
-                            _json_int(x)
+                            integer(x)
                         entries[(i + 1, j + 1, int(e))] = c
             exps = [e for *_, e in entries] or [0]
             size = n * n * field.degree * (max(exps) - min(exps) + 1)
@@ -536,7 +616,7 @@ class SeriesMatrix:
                     f"limit MAX_COEFFS = {MAX_COEFFS}")
             prec = data.get("precision")
             return cls.from_entries(field, n, entries,
-                                    None if prec is None else _json_int(prec))
+                                    None if prec is None else integer(prec))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InputError(f"bad series-matrix encoding: {data!r}") from exc
 

@@ -105,7 +105,7 @@ def parse_weight_rows(text: str, n: int, f: int):
     text = text.strip()
     if text.startswith("[["):
         try:
-            rows = tuple(tuple(int(x) for x in row)
+            rows = tuple(tuple(aw.json_int(x, "weight row") for x in row)
                          for row in json.loads(text))
         except TypeError as exc:
             raise InputError(

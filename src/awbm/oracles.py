@@ -24,6 +24,12 @@ order over all of W, where `weight_sets.covers` uses interval containment;
 and runs the defect recursion record by record over the whole of W?, where
 `weight_sets.bm_cycles` takes the product of one-embedding solves.
 
+The series-matrix reference, `series_matrix_product`, multiplies two
+`bk_gauge.SeriesMatrix` values schoolbook over their {exponent: coefficient}
+entries with Python ints, reading the operands only through `entry`, and
+drops every term at or above the product's precision; it shares no helper
+with the kernel's loop or its packed path.
+
 They are shipped, not test-only, so cross-checks can be run on demand.
 """
 
@@ -70,7 +76,8 @@ from .weight_sets import (
 )
 
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
-           "enumerate_elements", "bm_cycles_recursive", "covers_up_oracle"]
+           "enumerate_elements", "bm_cycles_recursive", "covers_up_oracle",
+           "series_matrix_product"]
 
 
 def _check_bound(n: int, bound: int):
@@ -278,6 +285,41 @@ def covers_up_oracle(sigma0, sigma) -> bool:
             if not up_leq(sigma.w1[j], multiply(t, sigma0.w1[j])):
                 return False
     return True
+
+
+def series_matrix_product(a, b):
+    """a·b for `bk_gauge.SeriesMatrix` operands over F_p or F_{p^2} (a + b·w
+    with w^2 = r, as the pair [a, b]).  The product is known below
+    min(lo_a + prec_b, lo_b + prec_a), an exact operand having precision
+    infinity, and no term at or above it is kept.  Returns the nonzero
+    entries {(i, j): {exponent: coefficient}}, 1-based and in increasing
+    exponent order, and the precision (None when exact)."""
+    field, n = a.field, a.n
+    p, r = field.p, field.r
+    prec = min(a.lo + (math.inf if b.prec is None else b.prec),
+               b.lo + (math.inf if a.prec is None else a.prec))
+    out = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            acc = {}
+            for k in range(1, n + 1):
+                for e1, c1 in a.entry(i, k).items():
+                    for e2, c2 in b.entry(k, j).items():
+                        if e1 + e2 >= prec:
+                            continue
+                        if field.degree == 1:
+                            c = [c1 * c2, 0]
+                        else:
+                            c = [c1[0] * c2[0] + r * c1[1] * c2[1],
+                                 c1[0] * c2[1] + c1[1] * c2[0]]
+                        old = acc.get(e1 + e2, [0, 0])
+                        acc[e1 + e2] = [(old[0] + c[0]) % p,
+                                        (old[1] + c[1]) % p]
+            entry = {e: c[0] if field.degree == 1 else c
+                     for e, c in sorted(acc.items()) if any(c)}
+            if entry:
+                out[(i, j)] = entry
+    return out, None if prec == math.inf else prec
 
 
 def oracle(kind: str, *args, **kwargs):

@@ -28,6 +28,7 @@ from awbm.bk_gauge import (
     straighten,
 )
 from awbm.inertial_types import make_type
+from awbm.oracles import series_matrix_product
 from conftest import (
     perms,
     random_bounded_height,
@@ -103,29 +104,6 @@ def test_series_inverse_bounded_height(n, h, p):
         assert (Ainv * A).equal_mod(I, 40)
 
 
-def _python_product(A, B, field):
-    """The matrix product over F_p or F_{p^2} with Python ints only."""
-    p, r = field.p, field.r
-    n = A.n
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            acc = {}
-            for k in range(1, n + 1):
-                for e1, c1 in A.entry(i, k).items():
-                    for e2, c2 in B.entry(k, j).items():
-                        if field.degree == 1:
-                            c = [c1 * c2, 0]
-                        else:
-                            c = [c1[0] * c2[0] + r * c1[1] * c2[1],
-                                 c1[0] * c2[1] + c1[1] * c2[0]]
-                        old = acc.get(e1 + e2, [0, 0])
-                        acc[e1 + e2] = [(old[0] + c[0]) % p, (old[1] + c[1]) % p]
-            out[(i, j)] = {e: (c[0] if field.degree == 1 else c)
-                           for e, c in acc.items() if any(c)}
-    return out
-
-
 @pytest.mark.parametrize("p", [2147483647, 3037000453, 4294967291,
                                2 ** 64 - 59, 2 ** 127 - 1])
 @pytest.mark.parametrize("degree", [1, 2])
@@ -138,8 +116,9 @@ def test_product_beyond_int64(p, degree):
                        for i in (1, 2) for j in (1, 2) for e in range(-1, 5)})
             for _ in range(2))
         prod = A * B
-        want = _python_product(A, B, field)
-        assert all(prod.entry(i, j) == want[(i, j)]
+        want, prec = series_matrix_product(A, B)
+        assert prec is None
+        assert all(prod.entry(i, j) == want.get((i, j), {})
                    for i in (1, 2) for j in (1, 2))
         I = SeriesMatrix.identity(field, 2)
         Ainv = random_iwahori(field, 2, rng).truncate(30)

@@ -244,6 +244,55 @@ def test_bm_gl4_f1_frozen():
         "42a39e0aa686cc5b9c1de7bf70722edf6e7a1cca9fd7692ab6145c1e23747f84"
 
 
+# One catalog-scale straightening (the benchmark's straighten-p10007-n3
+# family): dense operands at M = 400 take the packed product; the digest was
+# recorded from the term loop.
+STRAIGHTEN_P10007_ARGV = [
+    "straighten", "--n", "3", "--f", "2", "--p", "10007",
+    "--z", "3,1,2@16565,8809,17928;2,3,1@5533,7914,6280", "--M", "400",
+    "--h", "0"]
+STRAIGHTEN_P10007_STDIN = (
+    '{"A":[{"p":10007,"degree":1,"precision":null,"entries":[[{"0":7257,"1":6'
+    '800,"2":7868,"3":6167,"4":7937,"5":9600,"6":1664},{"0":9144,"1":2897,"2"'
+    ':7989,"3":6253,"4":793,"5":4388,"6":4490},{"0":4456,"1":8078,"2":954,"3"'
+    ':6167,"4":4055,"5":6672,"6":9916}],[{"1":1250,"2":2846,"3":4291,"4":2150'
+    ',"5":998,"6":7785},{"0":3853,"1":4190,"2":8021,"3":1179,"4":6444,"5":850'
+    '3,"6":5662},{"0":212,"1":7998,"2":9024,"3":1730,"4":8415,"5":7706,"6":13'
+    '18}],[{"1":3452,"2":9337,"3":4368,"4":2675,"5":9069,"6":9971},{"1":6058,'
+    '"2":9865,"3":3325,"4":7961,"5":9723,"6":954},{"0":4857,"1":5392,"2":3708'
+    ',"3":4586,"4":5823,"5":6411,"6":5054}]]},{"p":10007,"degree":1,"precisio'
+    'n":null,"entries":[[{"0":8493,"1":8001,"2":1560,"3":8572,"4":2717,"5":51'
+    '10,"6":8006},{"0":8579,"1":7184,"2":2963,"3":5996,"4":7089,"5":2044,"6":'
+    '8618},{"0":5322,"1":2142,"2":4169,"3":7145,"4":9984,"5":3384,"6":9147}],'
+    '[{"1":8484,"2":3229,"3":3296,"4":1493,"5":9057,"6":1026},{"0":5584,"1":3'
+    '773,"2":5111,"3":3751,"4":9118,"5":8486,"6":3199},{"0":9995,"1":1339,"2"'
+    ':3801,"3":3147,"4":3727,"5":704,"6":3753}],[{"1":7691,"2":1012,"3":4261,'
+    '"4":1581,"5":6602,"6":7748},{"1":8796,"2":3359,"3":8551,"4":7267,"5":435'
+    '1,"6":4642},{"0":2983,"1":3872,"2":1502,"3":8581,"4":7365,"5":5320,"6":6'
+    '86}]]}],"X":[{"p":10007,"degree":1,"precision":null,"entries":[[{"0":1,"'
+    '1":465,"2":5821,"3":685,"4":740},{"0":4748,"1":1622,"2":5620,"3":4131,"4'
+    '":589},{"0":4106,"1":6780,"2":9089,"3":4902,"4":1428}],[{"1":2342,"2":57'
+    '64,"3":7292,"4":8494},{"0":1,"1":1951,"2":4256,"3":8841,"4":4836},{"0":4'
+    '267,"1":1882,"2":2406,"3":5930,"4":3332}],[{"1":6808,"2":1315,"3":7141,"'
+    '4":7607},{"1":1436,"2":2259,"3":1721,"4":5848},{"0":1,"1":520,"2":569,"3'
+    '":2486,"4":1898}]]},{"p":10007,"degree":1,"precision":null,"entries":[[{'
+    '"0":1,"1":2144,"2":4653,"3":2398,"4":6501},{"0":3031,"1":327,"2":3456,"3'
+    '":3042,"4":316},{"0":8828,"1":8458,"2":869,"3":7126,"4":1068}],[{"1":107'
+    '1,"2":946,"3":5096,"4":6593},{"0":1,"1":8082,"2":606,"3":5456,"4":71},{"'
+    '0":4810,"1":6883,"2":9251,"3":9936,"4":1570}],[{"1":7933,"2":3019,"3":20'
+    '4,"4":933},{"1":5069,"2":9149,"3":9550,"4":4142},{"0":1,"1":7013,"2":709'
+    '7,"3":9931,"4":9826}]]}]}')
+
+
+def test_straighten_p10007_frozen():
+    res = subprocess.run(PY + STRAIGHTEN_P10007_ARGV, capture_output=True,
+                         input=STRAIGHTEN_P10007_STDIN.encode())
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout) == 875
+    assert hashlib.sha256(res.stdout).hexdigest() == \
+        "08d439f4928c1f29e067675249d065abae73730697632356bed25c6dd8582eb7"
+
+
 CLOSED_STDOUT = "precondition violated: stdout closed before the output was written"
 
 
@@ -329,6 +378,30 @@ def test_malformed_input_is_exit_2(argv, stdin):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("input error")
     assert "Traceback" not in res.stderr
+
+
+WEIGHT = ["weight", "--n", "2", "--f", "1", "--p", "37"]
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["star", "--n", "2", "--a", '{"w": [2, 1], "nu": [1.5, 0]}'], "1.5"),
+    (["star", "--n", "2", "--a", '{"w": [2, 1], "nu": ["1", "0"]}'], "'1'"),
+    (["star", "--n", "2", "--a", '{"w": [2, 1], "nu": [true, false]}'],
+     "True"),
+    (["star", "--n", "2", "--a", '{"w": [2.0, 1.0], "nu": [1, 0]}'], "2.0"),
+    (WEIGHT + ["--w1", '[{"w": [1, 2], "nu": [0, 0.5]}]', "--omega", "7,0"],
+     "0.5"),
+    (WEIGHT + ["--w1", "e", "--omega", "[[7.9, 0]]"], "7.9"),
+    (WEIGHT + ["--w1", "e", "--omega", '[[7, "0"]]'], "'0'"),
+    (WEIGHT + ["--w1", "e", "--omega", "[[7, false]]"], "False"),
+])
+def test_json_integers_at_element_and_weight_rows(argv, value):
+    # int() would read 1.5 as 1 and "1" and true as 1 and exit 0; a float
+    # permutation image used to end in an unexpected TypeError (exit 4)
+    res = invoke(*argv)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("input error")
+    assert f"holds {value} where an integer belongs" in res.stderr
 
 
 @pytest.mark.parametrize("argv,stdin", [
