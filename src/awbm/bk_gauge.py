@@ -10,8 +10,8 @@ exponent wide enough that none carries (`_packed_product`).  The flag layer
 (`modp_flag`) computes on exact matrices over F_p; the gauge layer below
 computes on truncated ones.  The coefficient field is F_p or F_{p^2};
 Frobenius acts coefficientwise by x -> x^p and on the variable by v -> v^p.
-Inverses come from the adjugate, the only permutation expansion outside the
-oracles, and the determinant is read off its first column.
+Inverses come from the adjugate, whose cofactors share their minors, and the
+determinant is read off its first column.
 
 The three operations implemented on top of the arithmetic are the twisted
 Frobenius  Y -> Ad(s^{-1} v^{mu+eta})(phi(Y)), the eigenbasis change
@@ -51,7 +51,6 @@ from .affine_weyl import (
     multiply,
     perm_act,
     perm_inverse,
-    perm_sign,
     star,
     translation,
     weight_depth_base,
@@ -286,12 +285,6 @@ def _packed_product(a, b, prec):
     return rows
 
 
-def _product(a, b, p):
-    acc = {}
-    _mac(acc, a, b, math.inf)
-    return _reduced(acc, p)
-
-
 # ---------------------------------------------------------------------------
 # series matrices
 
@@ -302,6 +295,12 @@ def _product(a, b, p):
 # packs at most _FILL slots of at most 8 bytes per stored term and builds one
 # output entry at a time.  On the catalog straightenings its transient peak
 # above the result is at most 61 bytes per operand term (the term loop's: 105).
+# An inverse holds the adjugate, whose n^2 entries each span at most n - 1
+# times the input's exponent span, and while it builds the minors of one
+# removed row at most 2·C(n, n // 2) series of no wider span.  So an input at
+# the bound gives an adjugate of at most (n - 1)·MAX_COEFFS slots.  The bound
+# is kept: it is checked on the input, before anything is allocated, and at
+# the n = 3 of the straightenings an adjugate stays within 2·MAX_COEFFS slots.
 MAX_COEFFS = 10 ** 5
 
 
@@ -519,10 +518,12 @@ class SeriesMatrix:
 
     # -- inversion -----------------------------------------------------------
     def inverse(self, prec=None):
-        """A^{-1} from the adjugate.  With prec=None on an exact matrix the
-        inverse is exact and det A must be a unit times a power of v;
-        otherwise it is known to precision prec, and det A must be a unit
-        times a power of v within the known window."""
+        """A^{-1} = adj A / det A.  With prec=None on an exact matrix the
+        inverse is exact and det A must be a unit times v^k.
+        Otherwise the lowest term v^k of det A must be known, and the
+        inverse is known below min(prec, P - 2k + 2(n-1)L), where P is the
+        precision of A and L = min(0, its lowest stored exponent); an
+        exact A gives prec itself."""
         f = self.field
         adj = self._adjugate()
         det = self._det(adj)
@@ -538,8 +539,15 @@ class SeriesMatrix:
             u, p = f.inv_scalar(det[det_lo]), f.p
             return adj._new(adj.lo - det_lo, adj._map(
                 lambda s: {e - det_lo: c * u % p for e, c in s.items()}))
-        out_prec = prec if self.prec is None else min(
-            prec, self.prec - 2 * max(det_lo, 0))
+        out_prec = prec
+        if self.prec is not None:
+            # with every stored exponent >= L and L <= 0, a change at v^prec
+            # moves det A from v^(prec + (n-1)L) on and adj A from
+            # v^(prec + (n-2)L) on
+            low = (self.n - 1) * min(0, self.normalized().lo)
+            if det_lo >= self.prec + low:
+                raise ArgumentError("matrix determinant has no known term")
+            out_prec = min(prec, self.prec - 2 * det_lo + 2 * low)
         # adj / det = v^(-det_lo) adj · (1/unit); the terms of 1/unit below
         # `need` are those that reach below out_prec
         need = out_prec + det_lo - adj.lo
@@ -558,28 +566,33 @@ class SeriesMatrix:
         return _reduced(acc, self.field.p)
 
     def _adjugate(self):
-        n = self.n
-        if n == 1:
-            return type(self).identity(self.field, 1)
-        p = self.field.p
+        """adj A, whose entry (j, i) is (-1)^(i+j) times the minor of A
+        without row i and column j.  For each removed row i the other rows
+        are taken in order; after k+1 of them, `minors` maps each sorted
+        (k+1)-tuple of columns to the determinant of those rows on those
+        columns, expanded along the newest row from the previous step's
+        minors (the 0 x 0 minor is 1).  A dense matrix costs at most
+        n^2·2^(n-1) series products, shared between the cofactors."""
+        n, p = self.n, self.field.p
+        signed = [self.coeffs, [{j: {e: -c for e, c in s.items()}
+                                 for j, s in row.items()}
+                                for row in self.coeffs]]
         rows = [{} for _ in range(n)]
         for i in range(n):
-            for j in range(n):
-                minor = [self.coeffs[r] for r in range(n) if r != j]
-                cols = [c for c in range(n) if c != i]
+            minors = {(): {0: self.field.element(1)}}
+            for k, r in enumerate(r for r in range(n) if r != i):
                 acc = {}
-                for perm in itertools.permutations(range(n - 1)):
-                    factors = [row.get(cols[k]) for row, k in zip(minor, perm)]
-                    if None in factors:
-                        continue
-                    term = factors[0]
-                    for s in factors[1:]:
-                        term = _product(term, s, p)
-                    sign = perm_sign(perm) * (-1) ** (i + j)
-                    for e, c in term.items():
-                        acc[e] = acc.get(e, 0) + sign * c
-                if s := _reduced(acc, p):
-                    rows[i][j] = s
+                for cols, m in minors.items():
+                    for c in self.coeffs[r].keys() - set(cols):
+                        t = bisect_left(cols, c)
+                        _mac(acc.setdefault(cols[:t] + (c,) + cols[t:], {}),
+                             m, signed[(k + t) % 2][r][c], math.inf)
+                minors = {cols: s for cols, a in acc.items()
+                          if (s := _reduced(a, p))}
+            for cols, s in minors.items():
+                j = n * (n - 1) // 2 - sum(cols)  # the column left out
+                rows[j][i] = s if (i + j) % 2 == 0 else {
+                    e: -c % p for e, c in s.items()}
         return self._new((n - 1) * self.lo, rows)
 
     # -- encoding ------------------------------------------------------------
@@ -607,6 +620,12 @@ class SeriesMatrix:
                     for e, c in cell.items():
                         for x in c if isinstance(c, list) else [c]:
                             integer(x)
+                        # as to_json writes it: int() alone reads "1_0" as
+                        # 10 and " 3", "+3" and "03" as 3
+                        if str(int(e)) != e:
+                            raise InputError(f"series matrix holds exponent "
+                                             f"key {e!r} where an integer "
+                                             "belongs")
                         entries[(i + 1, j + 1, int(e))] = c
             exps = [e for *_, e in entries] or [0]
             size = n * n * field.degree * (max(exps) - min(exps) + 1)

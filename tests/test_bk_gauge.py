@@ -316,9 +316,9 @@ def test_straighten_height_guard():
     # claim height 0 while the matrix has valuation-2 determinant somewhere
     X = [random_iw1(F7, 2, rng).truncate(80)]
     det = A[0]._det(A[0]._adjugate())
-    if min(det) >= 2:
-        with pytest.raises(ArgumentError):
-            straighten(A, X, z, 40, h=0)
+    assert min(det) >= 2
+    with pytest.raises(ArgumentError):
+        straighten(A, X, z, 40, h=0)
 
 
 def test_straighten_derives_least_height():

@@ -404,6 +404,21 @@ def test_json_integers_at_element_and_weight_rows(argv, value):
     assert f"holds {value} where an integer belongs" in res.stderr
 
 
+@pytest.mark.parametrize("key", ["1_0", " 3", "+3", "٣", "03", "-3"])
+def test_matrix_exponent_keys_as_to_json_writes_them(key):
+    # int() reads "1_0" as 10 and " 3", "+3", "03" and the Arabic-Indic
+    # digit three as 3, so each of these used to answer; "-3" is the form
+    # to_json writes and still does
+    matrix = json.dumps({"p": 7, "entries": [[{key: 1}, {}], [{}, {"0": 1}]]})
+    res = invoke("nabla", "--n", "2", "--matrix", matrix, "--abar", "1,2")
+    if key == "-3":
+        assert res.returncode == 0, res.stderr
+        return
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("input error")
+    assert f"exponent key {key!r} where an integer belongs" in res.stderr
+
+
 @pytest.mark.parametrize("argv,stdin", [
     (["wq", "--n", "2", "--p", "4", "--s", "e", "--mu", "5,0", "--force"], None),
     (["monodromy", "--n", "2", "--p", "4", "--w", "e@1,0", "--abar", "5,0"],

@@ -1,4 +1,5 @@
-"""The series-matrix product against its naive reference.
+"""The series-matrix product against its naive reference, and the adjugate
+and the inverse against their defining identities.
 
 `SeriesMatrix.__mul__` runs either the term loop or the packed (Kronecker
 substitution) product, chosen from the operands; every case here is checked
@@ -8,6 +9,12 @@ monomial operands for n = 1-4 over F_p and F_{p^2}, exact and truncated ones
 (precision down to and below lo), lo below the lowest stored term and
 negative lo, and primes whose products fit a 64-bit slot and primes whose
 products do not.
+
+The adjugate needs no reference of its own: A·adj = adj·A = det·I, with the
+products taken by the reference, pins every cofactor once det is known, and
+it is known by construction for U·D·L (unipotent U and L, monomial diagonal
+D) and for singular matrices.  A truncated inverse is checked against the
+exact inverse of an exact matrix it truncates.
 """
 
 import random
@@ -16,6 +23,7 @@ import pytest
 
 from awbm import bk_gauge
 from awbm.bk_gauge import Coefficients, SeriesMatrix
+from awbm.errors import ArgumentError
 from awbm.oracles import series_matrix_product
 
 # 1000000007 (30 bits) packs only short products into 64-bit slots; the
@@ -83,3 +91,119 @@ def test_product_matches_reference(seed, monkeypatch):
             key: list(entry.items()) for key, entry in want.items()}
     # both sides of the selection rule ran
     assert packed.count(True) >= 10 and packed.count(False) >= 10
+
+
+ADJ_PRIMES = [2, 3, 7, 101, 10007]
+ADJ_SEEDS = range(4)
+
+
+def field_for(rng, primes):
+    p = rng.choice(primes)
+    return Coefficients(p, rng.choice([1, 2]) if p > 2 else 1)
+
+
+def udl(rng, field, n, lo):
+    """E = U·D·L and its determinant: U (L) upper (lower) unipotent with
+    entries at exponents lo..lo+2, D diagonal with unit times v^d entries."""
+    def unipotent(upper):
+        ent = {(i, i, 0): 1 for i in range(1, n + 1)}
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if (i < j if upper else i > j) and rng.random() < 0.8:
+                    for e in range(lo, lo + 3):
+                        ent[(i, j, e)] = field.rand_scalar(rng)
+        return SeriesMatrix.from_entries(field, n, ent)
+
+    diag = [(rng.randint(-2, 3), field.rand_scalar(rng, nonzero=True))
+            for _ in range(n)]
+    D = SeriesMatrix.from_entries(
+        field, n, {(i, i, d): c for i, (d, c) in enumerate(diag, 1)})
+    unit = field.element(1)
+    for _, c in diag:
+        unit = field.element(unit * c)
+    return unipotent(True) * D * unipotent(False), {
+        sum(d for d, _ in diag): unit}
+
+
+def singular(rng, field, n, lo):
+    """A matrix whose last row is v^k times its first: det = 0."""
+    ent = {}
+    for i in range(1, n):
+        for j in range(1, n + 1):
+            for e in range(lo, lo + 3):
+                if rng.random() < 0.6:
+                    ent[(i, j, e)] = field.rand_scalar(rng)
+    k = rng.randint(-1, 2)
+    ent.update({(n, j, e + k): c for (i, j, e), c in list(ent.items())
+                if i == 1})
+    return SeriesMatrix.from_entries(field, n, ent)
+
+
+@pytest.mark.parametrize("seed", ADJ_SEEDS)
+def test_adjugate_by_its_identity(seed):
+    rng = random.Random(1000 + seed)
+    kinds = []
+    for _ in range(24):
+        field = field_for(rng, ADJ_PRIMES)
+        n = rng.randint(1, 6)
+        lo = rng.randint(-2, 1)
+        if n > 1 and rng.random() < 0.25:
+            A, det = singular(rng, field, n, lo), {}
+        else:
+            A, det = udl(rng, field, n, lo)
+        kinds.append(bool(det))
+        adj = A._adjugate()
+        assert A._det(adj) == det
+        # det·I as series_matrix_product returns it
+        want = {(i, i): {e: field.encode(c) for e, c in det.items()}
+                for i in range(1, n + 1) if det}
+        assert series_matrix_product(A, adj) == (want, None)
+        assert series_matrix_product(adj, A) == (want, None)
+    assert kinds.count(True) >= 10 and kinds.count(False) >= 3
+
+
+def test_adjugate_work_is_n2_times_2_to_n_minus_1(monkeypatch):
+    # the minors are shared: a dense 8 x 8 matrix takes at most
+    # n^2·2^(n-1) = 8192 series products, against 5040·6 per cofactor for
+    # the expansion over permutations
+    calls = []
+
+    def counted(acc, a, b, cut):
+        calls.append(1)
+        mac(acc, a, b, cut)
+
+    mac = bk_gauge._mac
+    field, n = Coefficients(1009), 8
+    rng = random.Random(7)
+    A = SeriesMatrix.from_entries(
+        field, n, {(i, j, e): rng.randrange(1, 1009) for i in range(1, n + 1)
+                   for j in range(1, n + 1) for e in (-1, 0)})
+    monkeypatch.setattr(bk_gauge, "_mac", counted)
+    A._adjugate()
+    assert 0 < len(calls) <= n * n * 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("seed", ADJ_SEEDS)
+def test_truncated_inverse_agrees_with_an_exact_extension(seed):
+    # E exact with monomial determinant, A = E mod v^P: A.inverse(prec)
+    # either refuses or agrees with E^{-1} below the precision it claims;
+    # negative exponents are where a rule that ignores them claims too much
+    rng = random.Random(2000 + seed)
+    answered = refused = negative = 0
+    for _ in range(40):
+        field = field_for(rng, ADJ_PRIMES)
+        n = rng.randint(1, 4)
+        E, _ = udl(rng, field, n, rng.randint(-2, 0))
+        P = rng.randint(1, 11)
+        A = E.truncate(P)
+        prec = rng.randint(1, 16)
+        try:
+            got = A.inverse(prec)
+        except ArgumentError:
+            refused += 1
+            continue
+        answered += 1
+        negative += A.normalized().lo < 0
+        assert got.prec <= prec
+        assert got == E.inverse().truncate(got.prec)
+    assert answered >= 15 and refused >= 3 and negative >= 8

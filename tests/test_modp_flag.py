@@ -321,7 +321,7 @@ def test_fixed_points_two_embeddings():
 
 def test_solver_never_expands_the_adjugate(monkeypatch):
     # the solver inverts N in closed form and checks A = z·N through
-    # A^{-1} = N^{-1}·z^{-1}, so no permutation expansion runs
+    # A^{-1} = N^{-1}·z^{-1}, so no general inverse runs
     cells = [
         (WeylElement((2, 5, 3, 4, 1), (3, 1, 3, 0, 3)), (22, 144, 201, 85, 42),
          211),
