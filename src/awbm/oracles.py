@@ -28,7 +28,10 @@ The series-matrix reference, `series_matrix_product`, multiplies two
 `bk_gauge.SeriesMatrix` values schoolbook over their {exponent: coefficient}
 entries with Python ints, reading the operands only through `entry`, and
 drops every term at or above the product's precision; it shares no helper
-with the kernel's loop or its packed path.
+with the kernel's loop or its packed path.  `series_matrix_frobenius` and
+`series_matrix_truncate` write out `frobenius` and `truncate` the same way,
+raising each coefficient to the p-th power by repeated squaring where the
+kernel conjugates.
 
 They are shipped, not test-only, so cross-checks can be run on demand.
 """
@@ -77,7 +80,8 @@ from .weight_sets import (
 
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
            "enumerate_elements", "bm_cycles_recursive", "covers_up_oracle",
-           "series_matrix_product"]
+           "series_matrix_product", "series_matrix_frobenius",
+           "series_matrix_truncate"]
 
 
 def _check_bound(n: int, bound: int):
@@ -201,18 +205,19 @@ def chain_up_leq(a: WeylElement, b: WeylElement, bound: int) -> bool:
         for root in positive_roots(n):
             pc = pairing(ycur, root)
             lo, hi = klim[root]
-            for k in range(lo, hi + 1):
-                if pc < k:
-                    nxt = multiply(_reflection(n, root, k), cur)
-                    if nxt in seen:
-                        continue
-                    if (_hyperplane_distance(nxt, a) <= radius
-                            and _hyperplane_distance(nxt, b) <= radius):
-                        seen.add(nxt)
-                        queue.append(nxt)
+            # the walls k > pc, above the alcove of cur
+            for k in range(max(lo, math.floor(pc) + 1), hi + 1):
+                nxt = multiply(_reflection(n, root, k), cur)
+                if nxt in seen:
+                    continue
+                if (_hyperplane_distance(nxt, a) <= radius
+                        and _hyperplane_distance(nxt, b) <= radius):
+                    seen.add(nxt)
+                    queue.append(nxt)
     return False
 
 
+@lru_cache(maxsize=None)
 def _reflection(n: int, root, k: int) -> WeylElement:
     """s_{alpha,k}: x ↦ x - (<x,alpha∨> - k) alpha."""
     i, j = root
@@ -320,6 +325,53 @@ def series_matrix_product(a, b):
             if entry:
                 out[(i, j)] = entry
     return out, None if prec == math.inf else prec
+
+
+def _fp2_power(c, k, p, r):
+    """(a + b·w)^k in F_p[w]/(w^2 - r) for c = [a, b], by repeated squaring."""
+    out, sq = [1, 0], list(c)
+    while k:
+        if k & 1:
+            out = [(out[0] * sq[0] + r * out[1] * sq[1]) % p,
+                   (out[0] * sq[1] + out[1] * sq[0]) % p]
+        sq = [(sq[0] * sq[0] + r * sq[1] * sq[1]) % p, 2 * sq[0] * sq[1] % p]
+        k >>= 1
+    return out
+
+
+def series_matrix_frobenius(a, prec=None):
+    """a.frobenius(prec) term by term: c·v^e becomes c^p·v^(pe).  A value
+    known below P is known below p(P - 1) + 1 afterwards; given `prec`, the
+    result is truncated to it: known below the lesser of the two, and no
+    term kept at or above that.  Returns the nonzero entries {(i, j):
+    {exponent: coefficient}}, lo and the precision (None when exact)."""
+    field, p = a.field, a.field.p
+    known = math.inf if a.prec is None else p * (a.prec - 1) + 1
+    if prec is not None:
+        known = min(known, prec)
+    cut = math.inf if prec is None else known
+    out = {}
+    for i in range(1, a.n + 1):
+        for j in range(1, a.n + 1):
+            entry = {p * e: pow(c, p, p) if field.degree == 1
+                     else _fp2_power(c, p, p, field.r)
+                     for e, c in a.entry(i, j).items() if p * e < cut}
+            if entry:
+                out[(i, j)] = entry
+    return out, p * a.lo, None if known == math.inf else known
+
+
+def series_matrix_truncate(a, prec):
+    """a.truncate(prec): the terms below the lesser of a's precision and
+    prec, with lo kept; returned as by `series_matrix_frobenius`."""
+    cut = prec if a.prec is None else min(a.prec, prec)
+    out = {}
+    for i in range(1, a.n + 1):
+        for j in range(1, a.n + 1):
+            entry = {e: c for e, c in a.entry(i, j).items() if e < cut}
+            if entry:
+                out[(i, j)] = entry
+    return out, a.lo, cut
 
 
 def oracle(kind: str, *args, **kwargs):

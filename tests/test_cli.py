@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -92,6 +93,13 @@ def test_rank_one_group_is_trivial():
         {"convention": "t_nu_then_w", "nu": [3], "w": [1]}]
     assert ok("oracle", "--n", "1", "--kind", "bruhat", "--a", "e@2",
               "--b", "e@2") == {"leq": True}
+    # one element per degree, and no root to translate by
+    for kind, a, b, leq in (("bruhat", "1@3", "1@3", True),
+                            ("bruhat", "1@3", "1@4", False),
+                            ("up", "1@3", "1@3", True),
+                            ("up", "e", "1@0", True),
+                            ("up", "1@3", "1@4", False)):
+        assert ok(kind, "--n", "1", "--a", a, "--b", b) == {"leq": leq}
 
 
 def test_nabla_stdin():
@@ -324,10 +332,23 @@ def test_closed_stdout_is_exit_3():
     assert res.stderr.splitlines() == [CLOSED_STDOUT]
 
 
+FAR = 10 ** 21
+
+
 def test_long_bruhat_and_up_queries():
-    for kind in ("bruhat", "up"):
-        assert ok(kind, "--n", "3", "--a", "e", "--b", "e@150,0,-150") == \
-            {"leq": True}
+    # the cost of the counting test does not grow with the length, which
+    # reaches about 4·10^21 here
+    for n, near, far in (("3", "e", "e@150,0,-150"),
+                         ("2", "1,2@0,0", "1,2@1000000,-1000000"),
+                         ("3", "e", f"e@{FAR},5,{-FAR - 5}")):
+        for kind, (a, b, leq) in itertools.product(
+                ("bruhat", "up"), ((near, far, True), (far, near, False))):
+            t0 = time.perf_counter()
+            res = subprocess.run(PY + [kind, "--n", n, "--a", a, "--b", b],
+                                 capture_output=True, text=True, timeout=20)
+            assert res.returncode == 0, res.stderr
+            assert time.perf_counter() - t0 < 2
+            assert json.loads(res.stdout) == {"leq": leq}
 
 
 RAGGED = json.dumps({"p": 13, "entries": [[{"0": 1}, {}], [{"0": 1}]]})

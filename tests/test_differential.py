@@ -15,6 +15,10 @@ products taken by the reference, pins every cofactor once det is known, and
 it is known by construction for U·D·L (unipotent U and L, monomial diagonal
 D) and for singular matrices.  A truncated inverse is checked against the
 exact inverse of an exact matrix it truncates.
+
+`frobenius` and `truncate` are checked against their references in
+`oracles`, which raise each coefficient to the p-th power by repeated
+squaring where the kernel conjugates.
 """
 
 import random
@@ -24,7 +28,11 @@ import pytest
 from awbm import bk_gauge
 from awbm.bk_gauge import Coefficients, SeriesMatrix
 from awbm.errors import ArgumentError
-from awbm.oracles import series_matrix_product
+from awbm.oracles import (
+    series_matrix_frobenius,
+    series_matrix_product,
+    series_matrix_truncate,
+)
 
 # 1000000007 (30 bits) packs only short products into 64-bit slots; the
 # larger primes never fit one
@@ -207,3 +215,40 @@ def test_truncated_inverse_agrees_with_an_exact_extension(seed):
         assert got.prec <= prec
         assert got == E.inverse().truncate(got.prec)
     assert answered >= 15 and refused >= 3 and negative >= 8
+
+
+def listed(m):
+    """The nonzero entries of m in stored order, as the references return
+    them."""
+    return {(i, j): list(m.entry(i, j).items())
+            for i in range(1, m.n + 1) for j in range(1, m.n + 1)
+            if m.entry(i, j)}
+
+
+@pytest.mark.parametrize("seed", ADJ_SEEDS)
+def test_frobenius_and_truncate_match_reference(seed):
+    rng = random.Random(3000 + seed)
+    seen = {"conjugated": 0, "truncated": 0, "cut at lo or below": 0,
+            "term at the cut": 0}
+    for _ in range(40):
+        field = field_for(rng, ADJ_PRIMES)
+        p = field.p
+        a = operand(rng, field, rng.randint(1, 4),
+                    rng.choice(["dense", "sparse", "monomial"]))
+        cut = a.lo + rng.randint(-3, 8)
+        fcut = p * a.lo + rng.randint(-3, 8 * p)
+        for got, want in ((a.truncate(cut), series_matrix_truncate(a, cut)),
+                          (a.frobenius(), series_matrix_frobenius(a)),
+                          (a.frobenius(fcut),
+                           series_matrix_frobenius(a, fcut))):
+            entries, lo, prec = want
+            assert (listed(got), got.lo, got.prec) == (
+                {key: list(e.items()) for key, e in entries.items()}, lo, prec)
+        terms = [(e, c) for entry in listed(a).values() for e, c in entry]
+        known = cut if a.prec is None else min(cut, a.prec)
+        seen["conjugated"] += any(isinstance(c, list) and c[1]
+                                  for _, c in terms)
+        seen["truncated"] += a.prec is not None
+        seen["cut at lo or below"] += known <= a.lo
+        seen["term at the cut"] += any(e == known for e, _ in terms)
+    assert min(seen.values()) >= 3, seen

@@ -63,11 +63,26 @@ def test_chain_up_against_main():
         for _ in range(60):
             a, b = rng.choice(elems), rng.choice(elems)
             assert chain_up_leq(a, b, 6) == up_leq(a, b)
+    # degree 1, n = 4, and pairs of mixed degree, which are never comparable
+    for n, length, count, bound in ((2, 3, 40, 6), (3, 3, 40, 6),
+                                    (4, 1, 24, 2)):
+        pools = [enumerate_elements(n, deg, length) for deg in (0, 1)]
+        for _ in range(count):
+            a, b = (rng.choice(rng.choice(pools)) for _ in "ab")
+            assert chain_up_leq(a, b, bound) == up_leq(a, b)
 
 
 def test_bruhat_oracle_against_main():
-    for n in (2, 3):
-        elems = enumerate_elements(n, 0, 4)
+    # Each of these breaks the counting test and fails here: the window
+    # w(i) + n·nu_i, dropping the max(0, ...) clip, dropping the [r <= i]
+    # term, or dropping the degree check.  Two changes keep it correct and
+    # pass: [r < i] for [r <= i] (it tests u[i-1, j], and u[0, j] = u[n, j+n]
+    # by periodicity), and a j window one shorter at either end (the largest
+    # difference of the counts is also reached at another break point).
+    for n, degrees, length in ((2, (0, 1), 4), (3, (0,), 4), (3, (0, 1), 3),
+                               (4, (0, 1), 3)):
+        elems = [a for deg in degrees
+                 for a in enumerate_elements(n, deg, length)]
         for a in elems:
             for b in elems:
                 assert subword_leq(a, b) == bruhat_leq(a, b)
