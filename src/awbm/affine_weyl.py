@@ -18,7 +18,13 @@ deg(t_nu ∘ w) = sum(nu) lie in distinct cosets of the affine Weyl group W_a
 and are incomparable; within one degree the Bruhat order is decided by
 counting on the element read as an affine permutation of Z (Björner-Brenti,
 Thm 8.3.7), at a cost that does not grow with the length.
-Admissible sets are decided by the vertexwise test (Adm = Perm for GL_n).
+Admissible sets are decided by the vertexwise test (Adm = Perm for GL_n,
+Haines-Ngô).  The builder works on plain (w, nu) tuples: the test at the
+vertex (1^k, 0^(n-k)) sees w only through the set w({1..k}), so each nu of
+the hull tests its 2^n subsets once and its members are the chains of
+passing subsets.  The regular factorization of an admissible pair is
+computed on the integer point alcove_point(a).  Both build WeylElements only
+for what they return.
 
 Conventions used throughout the package:
 
@@ -331,18 +337,43 @@ def star(a: WeylElement) -> WeylElement:
 def alcove_point(a: WeylElement):
     """n·a(x0) = w(eta) + n·nu: the image of the base point x0 = eta/n,
     scaled by n so that every root pairing is an integer prime to n."""
-    n = a.n
-    return tuple(m + n * c for m, c in zip(perm_act(a.w, eta_vector(n)), a.nu))
+    return _point(a.w, a.nu)
+
+
+def _point(w, nu):
+    """alcove_point of t_nu ∘ w, from the tuples.  Left multiplication by
+    t_mu ∘ u acts on it as z |-> u(z) + n·mu."""
+    n = len(w)
+    y = [n * c + n - 1 for c in nu]
+    for i, wi in enumerate(w):  # eta_(i+1) = n - 1 - i lands at w(i+1)
+        y[wi - 1] -= i
+    return tuple(y)
+
+
+def _from_point(y):
+    """The (w, nu) whose alcove point is y: y mod n is w(eta), whose entry
+    at w(i) is eta_i = n - i, and nu = y // n."""
+    n = len(y)
+    w = [0] * n
+    for j, c in enumerate(y):
+        w[n - 1 - c % n] = j + 1
+    return tuple(w), tuple(c // n for c in y)
+
+
+def _walls(y, shift):
+    """Root hyperplanes strictly between the scaled point y and x0 (shift 0)
+    or w0(x0) (shift 1); every positive pairing of x has floor -shift."""
+    n = len(y)
+    return sum(abs((y[i] - y[k]) // n + shift)
+               for i in range(n) for k in range(i + 1, n))
 
 
 @lru_cache(maxsize=None)
 def _separation(a: WeylElement, x_index: int) -> int:
     """Hyperplanes separating x from a(x), for x = x0 (x_index 0) or w0(x0)
-    (x_index 1); every positive pairing of x has floor -x_index."""
-    n = a.n
-    y = alcove_point(a if x_index == 0 else multiply(a, w0(n)))
-    return sum(abs((y[i] - y[k]) // n + x_index)
-               for i in range(n) for k in range(i + 1, n))
+    (x_index 1)."""
+    return _walls(alcove_point(a if x_index == 0 else multiply(a, w0(a.n))),
+                  x_index)
 
 
 def length(a: WeylElement) -> int:
@@ -365,13 +396,24 @@ def is_dominant(a: WeylElement) -> bool:
 
 
 def is_restricted(a: WeylElement) -> bool:
-    y = alcove_point(a)
-    return all(0 < y[i] - y[i + 1] < a.n for i in range(a.n - 1))
+    return _in_box(alcove_point(a))
 
 
 def is_regular(a: WeylElement) -> bool:
-    y = alcove_point(a)
-    return not any(0 < pairing(y, r) < a.n for r in positive_roots(a.n))
+    return _regular_point(alcove_point(a))
+
+
+def _in_box(y):
+    """The scaled point y lies in 0 < <x, alpha_i∨> < 1, alpha_i simple."""
+    n = len(y)
+    return all(0 < y[i] - y[i + 1] < n for i in range(n - 1))
+
+
+def _regular_point(y):
+    """The scaled point y lies in no strip 0 < <x, alpha∨> < 1, alpha > 0."""
+    n = len(y)
+    return not any(0 < y[i] - y[k] < n
+                   for i in range(n) for k in range(i + 1, n))
 
 
 def smallness(a: WeylElement) -> int:
@@ -653,33 +695,56 @@ def adm_member(x: WeylElement, lam) -> bool:
     n = x.n
     if len(lam) != n:
         raise ContextError(f"rank mismatch: {n} vs weight {lam}")
-    # the vertices are v = (1^k, 0^(n-k)); k = 0 tests nu itself, and
-    # conv_contains also compares the degrees
+    # k = 0 tests nu itself, and conv_contains also compares the degrees
+    A = 0
     for k in range(n):
-        v = (1,) * k + (0,) * (n - k)
-        moved = perm_act(x.w, v)
-        if not conv_contains(
-                tuple(m + c - vi for m, c, vi in zip(moved, x.nu, v)), lam):
+        if not _vertex_test(x.nu, A, k, lam):
             return False
+        A |= 1 << (x.w[k] - 1)
     return True
 
 
+def _vertex_test(nu, A, k, lam):
+    """The test at the vertex v_k = (1^k, 0^(n-k)) of every t_nu ∘ w with
+    w({1..k}) = A, bit i of A standing for the index i + 1: w(v_k) = 1_A,
+    so it asks nu + 1_A - v_k in Conv(W·lam)."""
+    return conv_contains(
+        tuple(c + (A >> i & 1) - (i < k) for i, c in enumerate(nu)), lam)
+
+
 def adm(lam, variant="all"):
-    """Adm(lam), the elements t_nu ∘ w with nu in Conv(W·lam) that pass the
-    vertexwise test; 'regular' keeps the regular elements, 'dual' applies the
-    star involution.  Canonically sorted."""
+    """Adm(lam) = Perm(lam), built from its members.  The vertex test of
+    t_nu ∘ w at v_k = (1^k, 0^(n-k)) sees w only through the set
+    A_k = w({1..k}) (`_vertex_test`).  So for each nu in the hull the 2^n
+    subsets are tested once, and the members are the chains
+    ∅ ⊂ A_1 ⊂ ... ⊂ A_n of passing subsets, w(k) the index that A_k adds.
+    Regularity and the sort key are read off the integer point w(eta) + n·nu,
+    so only the members kept become WeylElements.  'regular' keeps the
+    regular elements, 'dual' applies the star involution.  Canonically
+    sorted."""
     lam = tuple(int(c) for c in lam)
     _check_dominant_weight(lam)
     if variant not in ("all", "regular", "dual"):
         raise InputError(f"unknown admissible-set variant {variant!r}")
-    candidates = (WeylElement(w, nu) for nu in conv_lattice_points(lam)
-                  for w in all_perms(len(lam)))
-    out = [x for x in candidates if adm_member(x, lam)]
-    if variant == "regular":
-        out = [a for a in out if is_regular(a)]
-    elif variant == "dual":
-        out = [star(a) for a in out]
-    return sorted(out, key=sort_key)
+    n = len(lam)
+    keyed = []
+    for nu in conv_lattice_points(lam):
+        passes = [_vertex_test(nu, A, bin(A).count("1"), lam)
+                  for A in range(1 << n)]
+        chains = [((), 0)]
+        for _ in range(n):
+            chains = [(w + (i + 1,), A | 1 << i) for w, A in chains
+                      for i in range(n)
+                      if not A >> i & 1 and passes[A | 1 << i]]
+        for w, _ in chains:
+            x = (w, nu)
+            if variant == "dual":  # star: (w^{-1}, w^{-1}(nu))
+                wi = perm_inverse(w)
+                x = (wi, perm_act(wi, nu))
+            y = _point(*x)
+            if variant != "regular" or _regular_point(y):
+                keyed.append((_walls(y, 0), *x))  # sort_key, from the point
+    return [WeylElement(w, nu) for _, w, nu in sorted(keyed)]
 
 
 def canonical_x0_shift(w1: WeylElement, *others):
@@ -705,29 +770,44 @@ def _box_translation(y):
 def regular_factorization(a: WeylElement):
     """Write a regular element as w2^{-1} · w0 · w1 with w1 restricted dominant
     and w2 dominant; canonical up to the diagonal central-translation action,
-    normalised so that max coordinate of w1's translation part is zero."""
-    if not is_regular(a):
-        raise RegularityError(f"element {a} is not regular")
+    normalised so that max coordinate of w1's translation part is zero.
+
+    Computed on the integer point y = alcove_point(a), on which t_mu ∘ u
+    acts by z |-> u(z) + n·mu: the finite part of w2 sorts y, box
+    translations make w2 restricted and split w0·w2·a into a dominant
+    translation and the restricted w1.  The two points become elements only
+    at the end; the product is checked on points, through the (w, nu)
+    tuples returned."""
     n = a.n
     y = alcove_point(a)
-    order = sorted(range(n), key=lambda i: y[i])  # ascending -> antidominant
+    if not _regular_point(y):
+        raise RegularityError(f"element {a} is not regular")
+    order = sorted(range(n), key=y.__getitem__)  # ascending -> antidominant
     w2f = perm_inverse(tuple(i + 1 for i in order))
-    eta2 = _box_translation(perm_act(w2f, eta_vector(n)))
-    w2 = multiply(translation(tuple(-c for c in eta2)), finite(w2f))
-    if not is_restricted(w2):
+    y2f = _point(w2f, (0,) * n)
+    eta2 = _box_translation(y2f)
+    # the points of w2 = t_{-eta2} ∘ w2f and of b = w0 · w2 · a, where
+    # w2f(y) is y sorted
+    y2 = [c - n * e for c, e in zip(y2f, eta2)]
+    if not _in_box(y2):
         raise InternalError("restricted normalisation of w2 failed")
-    b = multiply(w0(n), multiply(w2, a))
-    nu = _box_translation(alcove_point(b))
+    yb = [c - n * e for c, e in zip(sorted(y), eta2)][::-1]
+    nu = _box_translation(yb)
     if any(nu[i] < nu[i + 1] for i in range(n - 1)):
         raise InternalError("dominant part of the factorization is negative")
-    w1 = multiply(translation(tuple(-c for c in nu)), b)
-    if not is_restricted(w1):
+    y1 = [c - n * m for c, m in zip(yb, nu)]  # w1 = t_{-nu} · b
+    if not _in_box(y1):
         raise InternalError("restricted part of the factorization failed")
-    w2_final = multiply(translation(perm_act(perm_w0(n), tuple(-c for c in nu))), w2)
-    w1c, w2c = canonical_x0_shift(w1, w2_final)
-    if multiply(invert(w2c), multiply(w0(n), w1c)) != a:
+    # w2 picks up t_{w0(-nu)}; then both move by the central translation
+    # that makes max(w1.nu) = 0
+    c = max(y1) // n
+    w1, nu1 = _from_point([x - n * c for x in y1])
+    w2, nu2 = _from_point([x - n * (m + c) for x, m in zip(y2, nu[::-1])])
+    # a = w2^{-1} · w0 · w1 iff w2 · a and w0 · w1 have one point
+    if (tuple(x + n * m for x, m in zip(perm_act(w2, y), nu2))
+            != _point(w1, nu1)[::-1]):
         raise InternalError("factorization product check failed")
-    return w1c, w2c
+    return WeylElement(w1, nu1), WeylElement(w2, nu2)
 
 
 def ap_enumerate(lam_plus_eta):

@@ -340,12 +340,13 @@ class SeriesMatrix:
     @classmethod
     def from_entries(cls, field, n, entries, prec=None):
         """entries: dict (i, j, exp) -> coefficient, anything
-        `Coefficients.element` takes; a zero coefficient still counts
-        toward lo."""
+        `Coefficients.element` takes; a zero coefficient, and a term at or
+        above prec, which is dropped, still count toward lo."""
         exps = [e for _, _, e in entries] or [0]
+        cut = math.inf if prec is None else prec
         rows = [{} for _ in range(n)]
         for (i, j, e), c in sorted(entries.items()):
-            if c := field.element(c):
+            if (c := field.element(c)) and e < cut:
                 rows[i - 1].setdefault(j - 1, {})[e] = c
         return cls(field, n, min(exps), _Rows(rows), prec)
 

@@ -80,6 +80,23 @@ def test_sum_stores_no_term_it_does_not_know():
         assert not any(total.coeffs)
 
 
+def test_read_matrix_stores_no_term_at_or_above_its_precision():
+    # v^5 is past the precision 2: it is dropped on reading, so Frobenius
+    # cannot carry it to v^35 at precision 8; it still counts toward lo
+    m = SeriesMatrix.from_json({"p": 7, "precision": 2, "entries": [
+        [{"0": 1, "5": 3}, {}], [{}, {"0": 1}]]})
+    assert m == SeriesMatrix.identity(F7, 2, 2)
+    assert m.coeffs == ({0: {0: 1}}, {1: {0: 1}}) and m.lo == 0
+    f = m.frobenius()
+    assert f.prec == 8 and f.coeffs == m.coeffs
+    # a term at the precision is dropped too; one below it stays, and lo is
+    # the lowest exponent given, dropped or not
+    m = SeriesMatrix.from_entries(F7, 1, {(1, 1, 2): 1, (1, 1, 3): 4}, 3)
+    assert (m.lo, m.coeffs) == (2, ({0: {2: 1}},))
+    m = SeriesMatrix.from_entries(F7, 1, {(1, 1, 2): 1, (1, 1, -1): 4}, -1)
+    assert (m.lo, m.coeffs) == (-1, ({},))
+
+
 def test_series_inverse():
     rng = random.Random(61)
     for field in (F7, F49):

@@ -301,6 +301,27 @@ def test_straighten_p10007_frozen():
         "08d439f4928c1f29e067675249d065abae73730697632356bed25c6dd8582eb7"
 
 
+# The set builders on their largest routine inputs, recorded from the builder
+# that tested every vertex of every candidate and factored through elements;
+# `jh` reaches `ap_enumerate(4,3,1,0)` through the weight layers.
+@pytest.mark.parametrize("argv,size,digest", [
+    (["ap", "--n", "4", "--lambda", "5,3,1,0"], 93365,
+     "7e8c68b527b02dac6f12a8392422910e213e35586d4639eabc8f252d0268f502"),
+    (["adm", "--n", "4", "--lambda", "5,2,1,0", "--variant", "dual"], 94252,
+     "2e9751e997bf151091927cb41bedfdd5a9582cbb5429ba7ea32e35e4ac823505"),
+    (["ap", "--n", "5", "--lambda", "4,3,2,1,0"], 219716,
+     "0f596ab0c61697681eba17407820b8c4ae1868bd04e0eea0eefde2bb748e2212"),
+    (["jh", "--n", "4", "--f", "1", "--p", "211", "--s", "4,1,2,3@0,0,0,0",
+      "--mu", "200,176,126,99", "--lambda", "1,1,0,0"], 37885,
+     "f1c730f658d3f9ff919b2b5403be8d83c8e1bf91500b1fe51966fff880802a58"),
+])
+def test_set_builders_frozen(argv, size, digest):
+    res = subprocess.run(PY + argv, capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout) == size
+    assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
 CLOSED_STDOUT = "precondition violated: stdout closed before the output was written"
 
 
@@ -614,6 +635,7 @@ print(json.dumps(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
 @pytest.mark.parametrize("argv,stdin,layers", [
     (["len", "--n", "2", "--a", "e"], "", {"affine_weyl"}),
     (["adm", "--n", "3", "--lambda", "2,1,0"], "", {"affine_weyl"}),
+    (["ap", "--n", "3", "--lambda", "3,1,0"], "", {"affine_weyl"}),
     (["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"], "",
      {"affine_weyl"}),
     (["monodromy", "--n", "4", "--p", "101", "--w", "3,2,4,1@3,1,2,0",
@@ -629,6 +651,9 @@ print(json.dumps(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
       "--M", "10"], json.dumps({"A": [I2], "I": [I2]}),
      {"affine_weyl", "bk_gauge"}),
     (["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"], "",
+     {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
+    (["jh", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0",
+      "--lambda", "0,0"], "",
      {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
     (["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
       "--rmu", "20,10,0"], "",

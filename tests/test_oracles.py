@@ -9,11 +9,19 @@ from awbm.affine_weyl import (
     WeylElement,
     adm,
     adm_member,
+    ap_enumerate,
+    ap_member,
     bruhat_leq,
     identity,
+    invert,
+    is_regular,
     length,
+    multiply,
+    sort_key,
+    star,
     translation,
     up_leq,
+    w0,
 )
 from awbm.errors import CapacityError
 from awbm.oracles import (
@@ -130,6 +138,28 @@ def test_admissible_equals_permissible():
     for lam in list(expected_sizes) + [(2, 1, 0, 0), (3, 2, 1, 0)]:
         for variant in ("all", "regular", "dual"):
             assert adm(lam, variant) == adm_closure(lam, variant)
+
+
+def test_adm_and_ap_against_closure_gl4():
+    # the subset-chain builder against the union of Bruhat intervals at GL4,
+    # one closure per weight, the regular and dual lists derived from it
+    regular = {}
+    for lam in ((4, 2, 1, 0), (4, 3, 1, 0)):
+        closure = adm_closure(lam)
+        regular[lam] = [a for a in closure if is_regular(a)]
+        assert adm(lam) == closure
+        assert adm(lam, "regular") == regular[lam]
+        assert adm(lam, "dual") == sorted(map(star, closure), key=sort_key)
+    # AP(lam) from the factorization: every pair is admissible, w1 carries
+    # the canonical shift, and (w1, w2) -> w2^{-1} w0 w1 is a bijection onto
+    # the regular admissible set
+    lam = (4, 3, 1, 0)
+    pairs = ap_enumerate(lam)
+    assert all(ap_member(w1, w2, lam) for w1, w2 in pairs)
+    assert all(max(w1.nu) == 0 for w1, _ in pairs)
+    products = [multiply(invert(w2), multiply(w0(4), w1)) for w1, w2 in pairs]
+    assert len(set(products)) == len(pairs)
+    assert sorted(products, key=sort_key) == regular[lam]
 
 
 def test_adm_member_against_closure():
