@@ -635,7 +635,6 @@ print(json.dumps(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
 @pytest.mark.parametrize("argv,stdin,layers", [
     (["len", "--n", "2", "--a", "e"], "", {"affine_weyl"}),
     (["adm", "--n", "3", "--lambda", "2,1,0"], "", {"affine_weyl"}),
-    (["ap", "--n", "3", "--lambda", "3,1,0"], "", {"affine_weyl"}),
     (["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"], "",
      {"affine_weyl"}),
     (["monodromy", "--n", "4", "--p", "101", "--w", "3,2,4,1@3,1,2,0",
@@ -652,11 +651,12 @@ print(json.dumps(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
      {"affine_weyl", "bk_gauge"}),
     (["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"], "",
      {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
-    (["jh", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0",
-      "--lambda", "0,0"], "",
-     {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
     (["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
       "--rmu", "20,10,0"], "",
+     {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
+    (["ap", "--n", "3", "--lambda", "3,1,0"], "", {"affine_weyl"}),
+    (["jh", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0",
+      "--lambda", "0,0"], "",
      {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
 ])
 def test_each_command_runs_only_its_layers(argv, stdin, layers):
