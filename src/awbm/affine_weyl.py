@@ -73,6 +73,7 @@ __all__ = [
     "bruhat_leq",
     "dual_bruhat_leq",
     "up_leq",
+    "up_leq_points",
     "classify",
     "Flags",
     "smallness",
@@ -100,7 +101,6 @@ __all__ = [
     "ap_member",
     "restricted_classes",
     "sort_key",
-    "canonical_x0_shift",
     "max_len_cap",
     "perm_identity",
     "perm_compose",
@@ -199,6 +199,14 @@ class Record:
             raise TypeError(f"{type(self).__name__} takes the fields {names}")
         for name in names:
             object.__setattr__(self, name, values[name])
+
+    @classmethod
+    def trusted(cls, *values):
+        """The record of already valid fields, without `__init__`'s checks."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def _fields(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -551,18 +559,20 @@ def max_len_cap() -> int:
 
 # perfbench/tracer.py reads this name's cache_info()
 @lru_cache(maxsize=None)
-def _leq_wa(a: WeylElement, b: WeylElement) -> bool:
-    """a <= b for a, b of one degree, by counting (Björner-Brenti, GTM 231,
-    Thm 8.3.7) on the windows u(i) = w(i) + n·nu_{w(i)} of the affine
-    permutations: a <= b iff u[i,j] <= v[i,j] for i in 1..n and all j, where
-    u[i,j] = sum_r max(0, (u(r) - j) // n + [r <= i]).  Right multiplication
-    by Omega only shifts positions.  On a residue class of j the difference
-    of the counts is piecewise linear and 0 at both ends (equal degrees), so
-    only its break points x + d, x a window value, 1 - n <= d <= n, are
-    tested; stepping i adds max(0, f + 1) - max(0, f) = [f >= 0]."""
-    n = a.n
-    u = [x + n * a.nu[x - 1] for x in a.w]
-    v = [x + n * b.nu[x - 1] for x in b.w]
+def _leq_wa(y, z) -> bool:
+    """a <= b for a, b of one degree with alcove points y, z, by counting
+    (Björner-Brenti, GTM 231, Thm 8.3.7) on the affine permutations' windows
+    u(n - (y_k mod n)) = k + n·(y_k div n): a <= b iff u[i,j] <= v[i,j] for
+    i in 1..n and all j, u[i,j] = sum_r max(0, (u(r) - j) // n + [r <= i]).
+    Right multiplication by Omega only shifts positions.  On a residue class
+    of j the difference of the counts is piecewise linear and 0 at both ends
+    (equal degrees), so only its break points x + d, x a window value,
+    1 - n <= d <= n, are tested; stepping i adds [f >= 0] to a count."""
+    n = len(y)
+    u, v = [0] * n, [0] * n
+    for k, (c, d) in enumerate(zip(y, z), 1):
+        u[n - 1 - c % n] = k + n * (c // n)
+        v[n - 1 - d % n] = k + n * (d // n)
     for j in {x + d for x in u + v for d in range(1 - n, n + 1)}:
         fu = [(x - j) // n for x in u]
         fv = [(x - j) // n for x in v]
@@ -579,7 +589,7 @@ def bruhat_leq(a: WeylElement, b: WeylElement) -> bool:
     W_a-cosets) are incomparable."""
     if a.n != b.n:
         raise ContextError("rank mismatch")
-    return degree(a) == degree(b) and _leq_wa(a, b)
+    return degree(a) == degree(b) and _leq_wa(alcove_point(a), alcove_point(b))
 
 
 def dual_bruhat_leq(a: WeylElement, b: WeylElement) -> bool:
@@ -633,23 +643,30 @@ def sort_key(a: WeylElement):
 # ---------------------------------------------------------------------------
 # upper-arrow order
 
-@lru_cache(maxsize=None)
 def up_leq(a: WeylElement, b: WeylElement) -> bool:
-    """a ↑ b.  Distinct W_a-cosets are incomparable; otherwise translate both
-    into the dominant cone (↑ is invariant under simultaneous translation) and
-    compare there in Bruhat order, which agrees with ↑ on dominant elements."""
+    """a ↑ b on alcove points; perfbench reads up_leq_points' cache_info() here."""
     if a.n != b.n:
         raise ContextError("rank mismatch")
-    if degree(a) != degree(b):
+    return up_leq_points(alcove_point(a), alcove_point(b))
+
+
+@lru_cache(maxsize=None)
+def up_leq_points(y, z) -> bool:
+    """a ↑ b for the elements with alcove points y, z.  Up-reflections move a
+    point by positive multiples of positive roots, so z - y must lie in their
+    cone; then both move by c·n·eta into the dominant cone, where ↑ is Bruhat."""
+    d = list(itertools.accumulate(b - a for a, b in zip(y, z)))
+    if d[-1] or min(d) < 0:
         return False
-    n, eta = a.n, eta_vector(a.n)
-    c = 2 + max((abs(pairing(y, r)) // n for y in map(alcove_point, (a, b))
-                 for r in positive_roots(n)), default=0)
-    ta, tb = (WeylElement(e.w, tuple(x + c * h for x, h in zip(e.nu, eta)))
-              for e in (a, b))
-    if not (is_dominant(ta) and is_dominant(tb)):
+    n = len(y)
+    c = 2 + max(max(p) - min(p) for p in (y, z)) // n
+    ty, tz = (tuple(x + c * n * (n - 1 - i) for i, x in enumerate(p)) for p in (y, z))
+    if not all(p[i] > p[i + 1] for p in (ty, tz) for i in range(n - 1)):
         raise InternalError("translation bound failed to dominate")
-    return _leq_wa(ta, tb)
+    return _leq_wa(ty, tz)
+
+
+up_leq.cache_info = up_leq_points.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -747,15 +764,6 @@ def adm(lam, variant="all"):
     return [WeylElement(w, nu) for _, w, nu in sorted(keyed)]
 
 
-def canonical_x0_shift(w1: WeylElement, *others):
-    """Shift by the central translation making max(w1.nu) = 0; apply the same
-    shift to companions (the diagonal X^0-action on pairs)."""
-    c = -max(w1.nu)
-    t = translation((c,) * w1.n)
-    shifted = [multiply(t, w1)] + [multiply(t, o) for o in others]
-    return shifted[0] if not others else tuple(shifted)
-
-
 def _box_translation(y):
     """The nu with nu_n = 0 and nu_i - nu_(i+1) = floor(<y/n, alpha_i∨>) for
     the simple roots alpha_i, so that y/n - nu lies in the box
@@ -848,7 +856,7 @@ def restricted_classes(n: int):
         for d in range(n):
             elt = multiply(cand, omega_power(n, d))
             if is_restricted(elt):
-                found.add(canonical_x0_shift(elt))
+                found.add(multiply(translation((-max(elt.nu),) * n), elt))
     return tuple(sorted(found, key=sort_key))
 
 

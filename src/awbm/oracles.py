@@ -50,6 +50,7 @@ from .affine_weyl import (
     eta_vector,
     evaluate,
     identity,
+    is_dominant,
     is_regular,
     multiply,
     omega_power,
@@ -79,8 +80,8 @@ from .weight_sets import (
 )
 
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
-           "enumerate_elements", "bm_cycles_recursive", "covers_up_oracle",
-           "series_matrix_product", "series_matrix_frobenius",
+           "count_up_leq", "enumerate_elements", "bm_cycles_recursive",
+           "covers_up_oracle", "series_matrix_product", "series_matrix_frobenius",
            "series_matrix_truncate"]
 
 
@@ -215,6 +216,32 @@ def chain_up_leq(a: WeylElement, b: WeylElement, bound: int) -> bool:
                     seen.add(nxt)
                     queue.append(nxt)
     return False
+
+
+def count_up_leq(a: WeylElement, b: WeylElement) -> bool:
+    """a ↑ b at any length, by the Björner-Brenti criterion (GTM 231, Thm
+    8.3.7) tested at every (i, j) where the counts can differ.  Both move by
+    t_{c·eta} into the dominant cone, where ↑ is the Bruhat order; the
+    windows u(r) = w(r) + n·nu_{w(r)} are read off (w, nu), and
+    u[i,j] = #{s <= i : u(s) >= j} = sum_r max(0, (u(r) - j) // n + [r <= i])
+    is compared for i in 1..n and every j within n of a window value.  The
+    library reads the windows off alcove points and tests only break points."""
+    if degree(a) != degree(b):
+        return False
+    n = a.n
+    c = 2 + max(max(g.nu) - min(g.nu) for g in (a, b))
+    t = translation(tuple(c * e for e in eta_vector(n)))
+    ta, tb = multiply(t, a), multiply(t, b)
+    if not (is_dominant(ta) and is_dominant(tb)):
+        raise InternalError("translation failed to dominate")
+    u, v = ([x + n * g.nu[x - 1] for x in g.w] for g in (ta, tb))
+    for j in range(min(u + v) - n, max(u + v) + n + 1):
+        for i in range(1, n + 1):
+            cu, cv = (sum(max(0, (x - j) // n + (r <= i)) for r, x in enumerate(g, 1))
+                      for g in (u, v))
+            if cu > cv:
+                return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -33,9 +33,9 @@ from .affine_weyl import (
     WeylElement,
     WeylTuple,
     adm_member,
+    alcove_point,
     ap_enumerate,
     bruhat_interval,
-    dominant_witness,
     eta_vector,
     evaluate,
     finite,
@@ -44,11 +44,11 @@ from .affine_weyl import (
     is_regular,
     length,
     multiply,
-    perm_inverse,
+    perm_act,
     regular_factorization,
     restricted_classes,
     translation,
-    up_leq,
+    up_leq_points,
     w0,
     w_h,
 )
@@ -151,9 +151,9 @@ def _rows(wt_j: WeylElement, pairs, what):
 
 
 def _glue(rows, ctx) -> SerreWeightPresentation:
-    """The presentation over ctx whose row at embedding j is rows[j]."""
-    return SerreWeightPresentation(WeylTuple(tuple(a for a, _ in rows)),
-                                   tuple(om for _, om in rows), ctx)
+    """The unchecked presentation over ctx whose canonical row j is rows[j]."""
+    w1, omega = zip(*rows)
+    return SerreWeightPresentation.trusted(WeylTuple.trusted(w1), omega, ctx)
 
 
 def _weight_tuple(ctx, lam):
@@ -227,15 +227,16 @@ def _require_predicted_set(rho: TameTypePresentation, force: bool):
 
 @lru_cache(maxsize=256)
 def _w_question_factors(wt_j: WeylElement):
-    """The W? factors (row, w, w2, defect summand) at an embedding where
-    w̃(rhobar) is wt_j, keyed by row and in sort-key order; W? is their
-    product over the embeddings."""
+    """The W? factors (row, w, w2, defect summand, alcove point of w1_j) at an
+    embedding where w̃(rhobar) is wt_j, keyed by row and in sort-key order;
+    W? is their product over the embeddings."""
     n = wt_j.n
     pairs = [(w, w2) for w in restricted_classes(n) for w2 in bruhat_interval(w)
              if is_dominant(w2)]  # w2 ↑ w iff w2 <= w, both dominant
     t_eta = length(translation(eta_vector(n)))
     return {row: (row, w, w2, t_eta - length(multiply(
-                invert(multiply(w_h(n), w)), multiply(w0(n), w2))))
+                invert(multiply(w_h(n), w)), multiply(w0(n), w2))),
+                  alcove_point(row[0]))
             for row, (w, w2) in _rows(wt_j, pairs, "W?")}
 
 
@@ -251,9 +252,9 @@ def _w_question_cached(rho: TameTypePresentation, force: bool):
     out = []
     for combo in itertools.product(
             *(_w_question_factors(g).values() for g in rho.w_tilde())):
-        rows, w, w2, defects = zip(*combo)
-        out.append(PredictedWeight(_glue(rows, rho.ctx), WeylTuple(w),
-                                   WeylTuple(w2), w == w2, sum(defects)))
+        rows, w, w2, defects, _ = zip(*combo)
+        out.append(PredictedWeight(_glue(rows, rho.ctx), WeylTuple.trusted(w),
+                                   WeylTuple.trusted(w2), w == w2, sum(defects)))
     return tuple(out)
 
 
@@ -327,21 +328,24 @@ def intersection(rho: TameTypePresentation, tau: TameTypePresentation, lam,
 
 @lru_cache(maxsize=1024)
 def _accepted_rows(wt_rho_j: WeylElement, wt_tau_j: WeylElement, lam_j):
-    """The W? rows at one embedding that pass its arrow test: w1_j ↑
-    t_{lam_j} w_h^{-1} w2, w2 the dominant representative of
-    t_{-omega_j} w̃(tau)_j.  A canonical row is a matched representative,
-    and the test is invariant under the central shift."""
-    whinv = invert(w_h(wt_rho_j.n))
-    rhs = {}  # the right-hand side depends on the row through omega only
-    out = []
-    for w1, omega in _w_question_factors(wt_rho_j):
-        if omega not in rhs:
-            g = multiply(translation(tuple(-x for x in omega)), wt_tau_j)
-            w2 = multiply(finite(perm_inverse(dominant_witness(g))), g)
-            if not is_dominant(w2):
+    """The W? rows at one embedding that pass its arrow test w1_j ↑ t_{lam_j}
+    w_h^{-1} w2, on alcove points: w2, the dominant representative of
+    t_{-omega_j} w̃(tau)_j, has the point of w̃(tau)_j less n·omega_j, sorted,
+    and t_{lam_j} w_h^{-1} = t_{lam_j + mu} ∘ u maps z to u(z) + n·(lam_j + mu).
+    Canonical rows are matched representatives; the test ignores central shifts."""
+    n = wt_rho_j.n
+    whinv = invert(w_h(n))
+    lift = [n * (l + m) for l, m in zip(lam_j, whinv.nu)]
+    base = alcove_point(wt_tau_j)
+    rhs, out = {}, []  # a right-hand side depends on the row through omega only
+    for (w1, omega), _, _, _, y1 in _w_question_factors(wt_rho_j).values():
+        z = rhs.get(omega)
+        if z is None:
+            y = sorted((b - n * o for b, o in zip(base, omega)), reverse=True)
+            if len({c % n for c in y}) != n:
                 raise InternalError("dominant representative failed")
-            rhs[omega] = multiply(translation(lam_j), multiply(whinv, w2))
-        if up_leq(w1, rhs[omega]):
+            z = rhs[omega] = tuple(c + s for c, s in zip(perm_act(whinv.w, y), lift))
+        if up_leq_points(y1, z):
             out.append((w1, omega))
     return tuple(out)
 
@@ -355,7 +359,7 @@ def defect(rho: TameTypePresentation, sigma: SerreWeightPresentation,
         found = [_w_question_factors(g).get(row)
                  for g, row in zip(rho.w_tilde(), zip(sigma.w1, sigma.omega))]
         if None not in found:
-            return sum(defect_j for *_, defect_j in found)
+            return sum(factor[3] for factor in found)
     raise MembershipError("sigma does not lie in the predicted set of rhobar")
 
 

@@ -318,11 +318,9 @@ def serre_weight(lap: SerreWeightPresentation):
 def central_character(lap: SerreWeightPresentation) -> CentralCharacter:
     """Per embedding, the degree of t_{omega - eta} w1 (independent of the
     representative)."""
-    ctx = lap.ctx
-    eta = eta_vector(ctx.n)
-    zeta = tuple(
-        sum(lap.omega[j]) - sum(eta) + degree(lap.w1[j]) for j in range(ctx.f))
-    return CentralCharacter(zeta)
+    shift = sum(eta_vector(lap.ctx.n))
+    return CentralCharacter(tuple(sum(row) - shift + degree(a)
+                                  for a, row in zip(lap.w1, lap.omega)))
 
 
 def _omega_twist_weight(lap: SerreWeightPresentation, xi):

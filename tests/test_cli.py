@@ -252,6 +252,18 @@ def test_bm_gl4_f1_frozen():
         "42a39e0aa686cc5b9c1de7bf70722edf6e7a1cca9fd7692ab6145c1e23747f84"
 
 
+def test_wq_gl4_f2_frozen():
+    # the heaviest W? render: 7,744 records glued from canonical rows
+    res = subprocess.run(PY + ["wq", "--n", "4", "--f", "2", "--p", "211",
+                               "--s", "3,4,1,2@0,0,0,0;1,3,2,4@0,0,0,0",
+                               "--mu", "274,264,186,149;275,204,174,98"],
+                         capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout) == 1827186
+    assert hashlib.sha256(res.stdout).hexdigest() == \
+        "16d4b48cea9aed3608b3d86c4007704ce522f97fbefaade8bb7179ed37544110"
+
+
 # One catalog-scale straightening (the benchmark's straighten-p10007-n3
 # family): dense operands at M = 400 take the packed product; the digest was
 # recorded from the term loop.

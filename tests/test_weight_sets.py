@@ -1,5 +1,6 @@
 """Predicted/JH weight sets, covering, defect, and the cycle solver."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -346,6 +347,7 @@ def test_predicted_weights_match_classical_rank_two_irreducible():
 # ---------------------------------------------------------------------------
 # the factored W?, intersection and defect against record scans
 
+@functools.lru_cache(maxsize=8)
 def _scan_w_question(rho):
     """W? as one flat list of (presentation, w, w2, obvious, defect) over all
     pair tuples, sorted by presentation: the definition, without factors."""
@@ -356,35 +358,42 @@ def _scan_w_question(rho):
     eta = tuple(range(n - 1, -1, -1))
     pairs = [(w, w2) for w in restricted_classes(n)
              for w2 in bruhat_interval(w) if is_dominant(w2)]
+    # the defect at embedding j depends on the pair at j only
+    term = {(w, w2): length(translation(eta)) - length(multiply(
+        invert(multiply(w_h(n), w)), multiply(w0(n), w2))) for w, w2 in pairs}
     out = []
     for combo in itertools.product(pairs, repeat=ctx.f):
         w = WeylTuple(tuple(c[0] for c in combo))
         w2 = WeylTuple(tuple(c[1] for c in combo))
         omega = tuple(evaluate(wt[j], evaluate(invert(w2[j]), (0,) * n))
                       for j in range(ctx.f))
-        d = sum(length(translation(eta)) - length(multiply(
-            invert(multiply(w_h(n), w[j])), multiply(w0(n), w2[j])))
-            for j in range(ctx.f))
+        d = sum(term[c] for c in combo)
         out.append((SerreWeightPresentation(w, omega, ctx), w, w2, w == w2, d))
     return sorted(out, key=lambda r: r[0].sort_key())
 
 
-def _scan_intersection(rho, tau, lam):
-    """Every W? record through the arrow test at every embedding."""
+def _scan_intersection(rho, tau, lam, arrow=None):
+    """Every W? record through the arrow test at every embedding, with the
+    right-hand side built from elements and ↑ decided by `arrow` (default
+    `up_leq`)."""
     from awbm.affine_weyl import (dominant_witness, finite, is_dominant,
                                   perm_inverse, up_leq, w_h)
+    arrow = arrow or up_leq
     n = rho.ctx.n
     wt_tau = tau.w_tilde()
     out = set()
+    rhs = {}  # (j, omega_j) -> the right-hand side, as an element
     for sigma, *_ in _scan_w_question(rho):
         ok = True
         for j in range(rho.ctx.f):
-            g = multiply(translation(tuple(-x for x in sigma.omega[j])),
-                         wt_tau[j])
-            w2 = multiply(finite(perm_inverse(dominant_witness(g))), g)
-            assert is_dominant(w2)
-            ok = ok and up_leq(sigma.w1[j], multiply(
-                translation(lam[j]), multiply(invert(w_h(n)), w2)))
+            if (j, sigma.omega[j]) not in rhs:
+                g = multiply(translation(tuple(-x for x in sigma.omega[j])),
+                             wt_tau[j])
+                w2 = multiply(finite(perm_inverse(dominant_witness(g))), g)
+                assert is_dominant(w2)
+                rhs[j, sigma.omega[j]] = multiply(
+                    translation(lam[j]), multiply(invert(w_h(n)), w2))
+            ok = ok and arrow(sigma.w1[j], rhs[j, sigma.omega[j]])
         if ok:
             out.add(sigma)
     return sorted(out, key=lambda s: s.sort_key())
@@ -478,3 +487,81 @@ def test_bm_cycles_match_recursive_oracle():
                         [random_deep_mu(n, p, 0, rng) for _ in range(f)], kind="F")
         assert bm_cycles(rho, force=True) == \
             bm_cycles_recursive(rho, force=True), (rho.s, rho.mu)
+
+
+def test_point_scan_matches_element_scan():
+    """The arrow scan on alcove points (`_accepted_rows`: right-hand sides by
+    a sort, ↑ counted on points) against the record scan with right-hand
+    sides built from elements: seeded GL4 types with f = 1 and 2 through
+    `up_leq`, then forced shallow types (depth 0) at p in {7, 11, 13}
+    through `oracles.count_up_leq`, which reads its windows off (w, nu) and
+    counts at every j."""
+    from conftest import random_deep_mu, random_tuple_mu, random_weyl_tuple
+    from awbm.oracles import count_up_leq
+    rng = random.Random(17)
+    scanned = accepted = 0
+
+    def check(rho, lam, arrow=None):
+        nonlocal scanned, accepted
+        tau = _lam_compatible_type(rho, lam, rng)
+        got = intersection(rho, tau, lam, force=True)
+        assert got == _scan_intersection(rho, tau, lam, arrow), (rho, tau, lam)
+        scanned += len(w_question(rho, force=True))
+        accepted += len(got)
+
+    for f, lams in [(1, [((0, 0, 0, 0),), ((1, 0, 0, 0),), ((2, 1, 1, 0),)]),
+                    (2, [((1, 0, 0, 0), (0, 0, 0, 0))])]:
+        rho = make_type(GroupContext(4, f, 211), random_weyl_tuple(4, f, rng),
+                        random_tuple_mu(4, f, 211, 8, rng), kind="F")
+        for lam in lams:
+            check(rho, lam)
+    for _ in range(20):
+        n, f, p = rng.choice([(3, 1, 7), (3, 2, 11), (3, 1, 13), (4, 1, 11),
+                              (4, 1, 13)])
+        rho = make_type(GroupContext(n, f, p), random_weyl_tuple(n, f, rng),
+                        [random_deep_mu(n, p, 0, rng) for _ in range(f)], kind="F")
+        lam = tuple(rng.choice([(0,) * n, (1,) + (0,) * (n - 1)]) for _ in range(f))
+        check(rho, lam, count_up_leq)
+    assert 0 < accepted < scanned
+
+
+@pytest.mark.parametrize("job", [
+    ("wq", 4, (3, 4, 1, 2, 1, 3, 2, 4), 211,
+     ((274, 264, 186, 149), (275, 204, 174, 98))),
+    ("wq", 3, (2, 1, 3, 3, 2, 1, 2, 1, 3), 307,
+     ((197, 144, 136), (427, 155, 141), (169, 76, 18))),
+    ("jh", 4, (4, 1, 2, 3), 211, ((200, 176, 126, 99),)),
+    ("bm", 3, (2, 3, 1, 1, 2, 3), 307, ((433, 426, 212), (413, 236, 206))),
+], ids=["wq-gl4-f2", "wq-gl3-f3", "jh-gl4", "bm-gl3-f2"])
+def test_glued_records_equal_validated_ones(monkeypatch, job):
+    """`_glue` builds its records without the constructor's checks: on the
+    heaviest catalog cases each one equals the validating constructor's
+    record (value, hash, sort key and JSON), and every row handed to it by
+    `_rows`, `_w_question_factors`, `_accepted_rows` or `_bm_factor` is
+    canonical."""
+    import awbm.weight_sets as ws
+    kind, n, s, p, mu = job
+    f = len(mu)
+    ctx = GroupContext(n, f, p)
+    perms = [s[j * n:(j + 1) * n] for j in range(f)]
+    glued = []
+    glue = ws._glue
+
+    def recording(rows, over):
+        glued.append((rows, glue(rows, over)))
+        return glued[-1][1]
+
+    monkeypatch.setattr(ws, "_glue", recording)
+    for cache in (ws._w_question_cached, ws._w_question_factors, ws._accepted_rows):
+        cache.cache_clear()
+    if kind == "jh":
+        jh_set(make_type(ctx, perms, mu), ((1, 1, 0, 0),))
+    else:
+        rho = make_type(ctx, perms, mu, kind="F")
+        w_question(rho) if kind == "wq" else bm_cycles(rho)
+    assert glued
+    for rows, rec in glued:
+        assert all(max(w1.nu) == 0 for w1, _ in rows)
+        ref = SerreWeightPresentation(rec.w1, rec.omega, rec.ctx)
+        assert rec == ref and hash(rec) == hash(ref)
+        assert rec.sort_key() == ref.sort_key() and rec.to_json() == ref.to_json()
