@@ -17,7 +17,12 @@ of root hyperplanes separating x0 from g(x0).  Elements of distinct degree
 deg(t_nu ∘ w) = sum(nu) lie in distinct cosets of the affine Weyl group W_a
 and are incomparable; within one degree the Bruhat order is decided by
 counting on the element read as an affine permutation of Z (Björner-Brenti,
-Thm 8.3.7), at a cost that does not grow with the length.
+Thm 8.3.7), at a cost that does not grow with the length.  A reflection t
+shortens b, l(t·b) < l(b), exactly when its hyperplane H_t separates A0
+from b·A0 (Humphreys, Reflection Groups and Coxeter Groups, §4.5), and such
+steps generate the Bruhat order (Björner-Brenti, GTM 231, §2.1); so the
+interval below a is the closure of alcove_point(a) under the reflections
+across the walls between a point and x0.
 Admissible sets are decided by the vertexwise test (Adm = Perm for GL_n,
 Haines-Ngô).  The builder works on plain (w, nu) tuples: the test at the
 vertex (1^k, 0^(n-k)) sees w only through the set w({1..k}), so each nu of
@@ -86,8 +91,6 @@ __all__ = [
     "is_regular",
     "dominant_witness",
     "bruhat_interval",
-    "reduced_word",
-    "simple_reflections",
     "omega_power",
     "wa_part_and_omega",
     "adm",
@@ -494,31 +497,14 @@ def dominant_witness(a: WeylElement):
 # ---------------------------------------------------------------------------
 # Omega (length-zero elements) and the W_a / Omega splitting
 
-@lru_cache(maxsize=None)
-def _omega_generator(n: int) -> WeylElement:
-    cycle = tuple(list(range(2, n + 1)) + [1])  # i -> i+1 mod n
-    gen = WeylElement(cycle, (1,) + (0,) * (n - 1))
-    if length(gen) != 0 or degree(gen) != 1:
-        raise InternalError("Omega generator sanity check failed")
-    return gen
-
-
-@lru_cache(maxsize=None)
-def _omega_table(n: int):
-    gen = _omega_generator(n)
-    table = [identity(n)]
-    for _ in range(n - 1):
-        table.append(multiply(table[-1], gen))
-    full = multiply(table[-1], gen)
-    if full != translation((1,) * n):
-        raise InternalError("Omega generator does not close up onto t_(1,..,1)")
-    return tuple(table)
-
-
 def omega_power(n: int, m: int) -> WeylElement:
-    """The canonical length-zero element of degree m."""
+    """The canonical length-zero element of degree m, the m-th power of
+    t_(1,0,..,0) ∘ (i |-> i+1 mod n): for m = q·n + r, 0 <= r < n, the
+    rotation i |-> i + r mod n after the translation (q+1)^r q^(n-r), so
+    that the n-th power is t_(1,..,1)."""
     q, r = divmod(m, n)
-    return multiply(translation((q,) * n), _omega_table(n)[r])
+    return WeylElement(tuple((i + r) % n + 1 for i in range(n)),
+                       (q + 1,) * r + (q,) * (n - r))
 
 
 def wa_part_and_omega(a: WeylElement):
@@ -529,25 +515,6 @@ def wa_part_and_omega(a: WeylElement):
     if degree(x) != 0:
         raise InternalError("W_a part has nonzero degree")
     return x, delta
-
-
-@lru_cache(maxsize=None)
-def simple_reflections(n: int):
-    """Affine simple reflections: s_0 through the wall <x, theta∨> = 1, then
-    s_1 .. s_{n-1} the adjacent transpositions; none for n = 1, whose affine
-    Weyl group is trivial."""
-    if n == 1:
-        return ()
-    refs = []
-    theta_perm = list(range(1, n + 1))
-    theta_perm[0], theta_perm[n - 1] = n, 1
-    theta = (1,) + (0,) * (n - 2) + (-1,)
-    refs.append(WeylElement(tuple(theta_perm), theta))
-    for i in range(1, n):
-        p = list(range(1, n + 1))
-        p[i - 1], p[i] = p[i], p[i - 1]
-        refs.append(finite(tuple(p)))
-    return tuple(refs)
 
 
 def max_len_cap() -> int:
@@ -599,41 +566,33 @@ def dual_bruhat_leq(a: WeylElement, b: WeylElement) -> bool:
     return bruhat_leq(multiply(c, multiply(a, c)), multiply(c, multiply(b, c)))
 
 
-def reduced_word(x: WeylElement):
-    """Greedy left-descent word for an element of W_a (indices into
-    simple_reflections): stripping descents on the left yields the letters of
-    x = s_{i_1} s_{i_2} ... s_{i_k} in that order."""
-    word = []
-    cur = x
-    lcur = length(cur)
-    while lcur > 0:
-        for idx, s in enumerate(simple_reflections(x.n)):
-            cand = multiply(s, cur)
-            lc = length(cand)
-            if lc < lcur:
-                word.append(idx)
-                cur, lcur = cand, lc
-                break
-        else:
-            raise InternalError("no descent found")
-    return word
-
-
 def bruhat_interval(a: WeylElement):
-    """All b <= a, via the subword closure of one reduced expression of the
-    W_a-part, right-translated by the Omega-component.  Canonically sorted."""
-    x, delta = wa_part_and_omega(a)
-    if length(x) > max_len_cap():
+    """All b <= a, canonically sorted.  The closure of y = alcove_point(a)
+    under the reflections that shorten: s_{alpha,m} shortens b iff the wall
+    <x, alpha∨> = m separates x0 from b(x0) (Humphreys §4.5), and every
+    b <= a is reached from a by such steps (Björner-Brenti §2.1).  For
+    alpha = e_i - e_k and q = (y_i - y_k) // n, those walls are m = 1..q
+    when q > 0 and m = q+1..0 otherwise; s_{alpha,m} moves y to
+    y - (y_i - y_k - n·m)(e_i - e_k), which swaps y_i and y_k and shifts
+    them by ±n·m.  The reflections lie in W_a, so the degree is kept."""
+    y = alcove_point(a)
+    ell = _walls(y, 0)
+    if ell > max_len_cap():
         raise CapacityError(
-            f"interval of an element of length {length(x)} exceeds AWBM_MAX_LEN")
-    word = reduced_word(x)
-    refs = simple_reflections(a.n)
-    closure = {identity(a.n)}
-    for idx in word:
-        s = refs[idx]
-        closure |= {multiply(y, s) for y in closure}
-    out = [multiply(y, delta) for y in closure]
-    return sorted(out, key=sort_key)
+            f"interval of an element of length {ell} exceeds AWBM_MAX_LEN")
+    n = a.n
+    seen, todo = {y}, [y]
+    for z in todo:  # todo grows as it is read
+        for i, k in itertools.combinations(range(n), 2):
+            q = (z[i] - z[k]) // n
+            for m in range(1, q + 1) if q > 0 else range(q + 1, 1):
+                t = list(z)
+                t[i], t[k] = z[k] + n * m, z[i] - n * m
+                t = tuple(t)
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+    return sorted((WeylElement(*_from_point(z)) for z in seen), key=sort_key)
 
 
 def sort_key(a: WeylElement):

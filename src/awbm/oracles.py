@@ -15,7 +15,12 @@ algorithms beyond the group law:
   hyperplanes, restricted to alcoves within hyperplane distance L of both
   endpoints (every chain step crosses exactly one hyperplane, so the chain
   stays inside that region);
-* enumerate: all elements of a given degree with length at most L.
+* enumerate: all elements of a given degree with length at most L, by a
+  breadth-first search over the affine simple reflections.
+
+Reduced words, subword closures and the simple reflections live only here,
+where they are the independent reference for intervals: the library builds
+an interval as a reflection closure on alcove points.
 
 The weight-set references are of another kind, built on the main order
 layer: `covers_up_oracle` reads the covering order through the upper-arrow
@@ -58,7 +63,6 @@ from .affine_weyl import (
     perm_act,
     perm_inverse,
     positive_roots,
-    simple_reflections,
     sort_key,
     star,
     translation,
@@ -107,6 +111,17 @@ def im_length(a: WeylElement) -> int:
         else:
             total += abs(v - 1)
     return total
+
+
+@lru_cache(maxsize=None)
+def simple_reflections(n: int):
+    """Affine simple reflections: s_0 through the wall <x, theta∨> = 1, then
+    s_1 .. s_{n-1} the adjacent transpositions; none for n = 1, whose affine
+    Weyl group is trivial."""
+    if n == 1:
+        return ()
+    return (_reflection(n, (1, n), 1),
+            *(_reflection(n, (i, i + 1), 0) for i in range(1, n)))
 
 
 def _im_reduced_word(x: WeylElement):

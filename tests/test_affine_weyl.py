@@ -134,6 +134,16 @@ def test_interval_respects_cap(monkeypatch):
     monkeypatch.setenv("AWBM_MAX_LEN", "2")
     with pytest.raises(CapacityError):
         bruhat_interval(translation((3, 0)))
+    # the cap admits length l(a) itself; one below, the refusal names l(a)
+    for a in (translation((3, 0)), WeylElement((2, 3, 1), (1, 1, -1)),
+              translation((3, 1, -1, -3))):
+        ell = length(a)
+        monkeypatch.setenv("AWBM_MAX_LEN", str(ell))
+        assert bruhat_interval(a)[-1] == a
+        monkeypatch.setenv("AWBM_MAX_LEN", str(ell - 1))
+        with pytest.raises(CapacityError, match=(
+                f"^interval of an element of length {ell} exceeds AWBM_MAX_LEN$")):
+            bruhat_interval(a)
 
 
 def test_up_examples():
@@ -191,10 +201,23 @@ def test_smallness_genericity_calculus():
 
 
 def test_omega_powers():
-    for n in (2, 3, 4):
-        for m in (-3, -1, 0, 1, 2, n, 2 * n + 1):
+    for n in range(1, 9):
+        delta = omega_power(n, 1)
+        # the generator t_(1,0,..,0) ∘ (i |-> i+1 mod n) and its inverse
+        assert delta == WeylElement(tuple(range(2, n + 1)) + (1,),
+                                    (1,) + (0,) * (n - 1))
+        assert omega_power(n, -1) == invert(delta)
+        for m in range(-2 * n, 2 * n + 1):
             d = omega_power(n, m)
             assert length(d) == 0 and degree(d) == m
+            power = identity(n)
+            for _ in range(abs(m)):
+                power = multiply(power, omega_power(n, 1 if m > 0 else -1))
+            assert d == power
+        power = identity(n)
+        for _ in range(n):
+            power = multiply(power, delta)
+        assert power == translation((1,) * n)
     assert omega_power(2, 1) == SDELTA
 
 

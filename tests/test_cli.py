@@ -315,7 +315,9 @@ def test_straighten_p10007_frozen():
 
 # The set builders on their largest routine inputs, recorded from the builder
 # that tested every vertex of every candidate and factored through elements;
-# `jh` reaches `ap_enumerate(4,3,1,0)` through the weight layers.
+# `jh` reaches `ap_enumerate(4,3,1,0)` through the weight layers.  The
+# interval, `component` and `fiber` cases were recorded from the subword
+# closure over a reduced word.
 @pytest.mark.parametrize("argv,size,digest", [
     (["ap", "--n", "4", "--lambda", "5,3,1,0"], 93365,
      "7e8c68b527b02dac6f12a8392422910e213e35586d4639eabc8f252d0268f502"),
@@ -326,9 +328,19 @@ def test_straighten_p10007_frozen():
     (["jh", "--n", "4", "--f", "1", "--p", "211", "--s", "4,1,2,3@0,0,0,0",
       "--mu", "200,176,126,99", "--lambda", "1,1,0,0"], 37885,
      "f1c730f658d3f9ff919b2b5403be8d83c8e1bf91500b1fe51966fff880802a58"),
+    (["interval", "--n", "4", "--a", "e@3,1,-1,-3"], 134282,
+     "982b1e36fd30d177a41cef5ad3df47c79e8eb0d6b9725b28d7ca58e3b0219377"),
+    (["component", "--n", "3", "--f", "1", "--p", "211", "--w1", "1,3,2@0,0,-1",
+      "--omega", "272,178,122"], 1275,
+     "46e49b2b7691ce73c48dd8e65c8bd1ab337485264d25965a8f607898d4490927"),
+    (["fiber", "--n", "3", "--f", "1", "--p", "211", "--ts", "1,3,2", "--tmu",
+      "259,247,78", "--lambda", "4,2,0"], 53092,
+     "8b9d1576dde7b15d805803ec3803bf0c2685962556cce3ed04afcd827e680011"),
 ])
 def test_set_builders_frozen(argv, size, digest):
-    res = subprocess.run(PY + argv, capture_output=True)
+    # the interval below t_(3,1,-1,-3) has length 20, past the default cap
+    env = dict(os.environ, AWBM_MAX_LEN="40") if argv[0] == "interval" else None
+    res = subprocess.run(PY + argv, capture_output=True, env=env)
     assert res.returncode == 0, res.stderr
     assert len(res.stdout) == size
     assert hashlib.sha256(res.stdout).hexdigest() == digest

@@ -11,7 +11,9 @@ from awbm.affine_weyl import (
     adm_member,
     ap_enumerate,
     ap_member,
+    bruhat_interval,
     bruhat_leq,
+    degree,
     identity,
     invert,
     is_regular,
@@ -62,6 +64,24 @@ def test_enumerate_dihedral_count():
 def test_enumerate_respects_cap():
     with pytest.raises(CapacityError):
         enumerate_elements(3, 0, 11)
+
+
+def test_interval_against_enumeration():
+    # the reflection closure on points against the oracle's breadth-first
+    # enumeration, filtered by the counting test
+    rng = random.Random(18)
+    cases = []
+    for n in (1, 2, 3, 4):
+        for deg in range(-2, 3):
+            pool = enumerate_elements(n, deg, 7)
+            long = [a for a in pool if length(a) >= 5]
+            cases += rng.sample(long, min(3, len(long))) + [rng.choice(pool)]
+    assert sum(degree(a) != 0 for a in cases) >= 3  # a nonzero Omega part
+    assert max(length(a) for a in cases) == 7
+    for a in cases:
+        below = [b for b in enumerate_elements(a.n, degree(a), length(a))
+                 if bruhat_leq(b, a)]
+        assert bruhat_interval(a) == below
 
 
 def test_chain_up_against_main():
