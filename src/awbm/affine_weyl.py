@@ -592,7 +592,9 @@ def bruhat_interval(a: WeylElement):
                 if t not in seen:
                     seen.add(t)
                     todo.append(t)
-    return sorted((WeylElement(*_from_point(z)) for z in seen), key=sort_key)
+    # (length, w, nu) is sort_key, read off the point without the element
+    return [WeylElement(w, nu)
+            for _, w, nu in sorted((_walls(z, 0), *_from_point(z)) for z in seen)]
 
 
 def sort_key(a: WeylElement):

@@ -16,6 +16,7 @@ an element is expected and emitted everywhere one is produced.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -120,11 +121,19 @@ def parse_weight_rows(text: str, n: int, f: int):
     return rows
 
 
-def emit(doc):
+def serialize(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def write(text: str):
     if sys.stdout is None:  # started with stdout closed (`>&-`)
         raise BrokenPipeError("stdout is closed")
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    sys.stdout.write(text)
     sys.stdout.write("\n")
+
+
+def emit(doc):
+    write(serialize(doc))
 
 
 def _ctx(args) -> aw.GroupContext:
@@ -295,11 +304,29 @@ def cmd_jh(args):
 
 
 def cmd_wq(args):
+    # W? from its per-embedding factors: each row is serialized once, through
+    # its one-embedding presentation's JSON, and each record of the product
+    # (the record order) joins one row per embedding, with keys sorted.
     ctx = _ctx(args)
     rho = _type(args, ctx, kind="F")
-    recs = ws.w_question(rho, force=args.force)
-    emit([{"presentation": r.presentation.to_json(), "obvious": r.obvious,
-           "defect": r.defect} for r in recs])
+    one = aw.GroupContext(ctx.n)
+    pieces = []
+    for factors in ws.w_question_factors(rho, force=args.force):
+        rows = []
+        for (w1, omega), w, w2, summand, _ in factors:
+            doc = wt.SerreWeightPresentation.trusted(
+                aw.WeylTuple.trusted((w1,)), (omega,), one).to_json()
+            rows.append((serialize(doc["omega"][0]), serialize(doc["w1"][0]),
+                         serialize(doc["zeta"][0]), summand, w == w2))
+        pieces.append(rows)
+    recs = []
+    for combo in itertools.product(*pieces):
+        omega, w1, zeta, summands, obvious = zip(*combo)
+        recs.append(f'{{"defect":{sum(summands)},'
+                    f'"obvious":{serialize(all(obvious))},'
+                    f'"presentation":{{"omega":[{",".join(omega)}],'
+                    f'"w1":[{",".join(w1)}],"zeta":[{",".join(zeta)}]}}}}')
+    write(f"[{','.join(recs)}]")
 
 
 def cmd_covers(args):

@@ -66,6 +66,7 @@ __all__ = [
     "CycleExpr",
     "jh_set",
     "w_question",
+    "w_question_factors",
     "PredictedWeight",
     "covers",
     "intersection",
@@ -240,6 +241,14 @@ def _w_question_factors(wt_j: WeylElement):
             for row, (w, w2) in _rows(wt_j, pairs, "W?")}
 
 
+def w_question_factors(rho: TameTypePresentation, force: bool = False):
+    """The W? factors of a mod-p type, one tuple per embedding of (row, w,
+    w2, defect summand, alcove point of w1_j) in sort-key order: W? is their
+    product, in the order of itertools.product."""
+    _require_predicted_set(rho, force)
+    return [tuple(_w_question_factors(g).values()) for g in rho.w_tilde()]
+
+
 def w_question(rho: TameTypePresentation, force: bool = False):
     """The predicted weight set of a mod-p type, with obviousness flags and
     defects, sorted by presentation."""
@@ -248,10 +257,8 @@ def w_question(rho: TameTypePresentation, force: bool = False):
 
 @lru_cache(maxsize=256)
 def _w_question_cached(rho: TameTypePresentation, force: bool):
-    _require_predicted_set(rho, force)
     out = []
-    for combo in itertools.product(
-            *(_w_question_factors(g).values() for g in rho.w_tilde())):
+    for combo in itertools.product(*w_question_factors(rho, force)):
         rows, w, w2, defects, _ = zip(*combo)
         out.append(PredictedWeight(_glue(rows, rho.ctx), WeylTuple.trusted(w),
                                    WeylTuple.trusted(w2), w == w2, sum(defects)))

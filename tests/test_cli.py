@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -52,6 +53,8 @@ def test_precondition_is_exit_3():
                   "--s", "e", "--mu", "1,0")
     assert res2.returncode == 3
     assert "generic" in res2.stderr
+    # the render starts only once every check has passed
+    assert res2.stdout == ""
 
 
 def test_wq_example():
@@ -253,7 +256,8 @@ def test_bm_gl4_f1_frozen():
 
 
 def test_wq_gl4_f2_frozen():
-    # the heaviest W? render: 7,744 records glued from canonical rows
+    # the heaviest W? render: 7,744 records, each joining two of 2 × 88
+    # serialized rows
     res = subprocess.run(PY + ["wq", "--n", "4", "--f", "2", "--p", "211",
                                "--s", "3,4,1,2@0,0,0,0;1,3,2,4@0,0,0,0",
                                "--mu", "274,264,186,149;275,204,174,98"],
@@ -262,6 +266,43 @@ def test_wq_gl4_f2_frozen():
     assert len(res.stdout) == 1827186
     assert hashlib.sha256(res.stdout).hexdigest() == \
         "16d4b48cea9aed3608b3d86c4007704ce522f97fbefaade8bb7179ed37544110"
+
+
+# |W?| is 2, 9 and 88 per embedding for n = 2, 3, 4: every shape up to 7,744
+# records
+WQ_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
+
+
+def test_wq_render_equals_records():
+    # `wq` renders W? from its per-embedding factors; on random types its
+    # output is the document of the library's records, byte for byte
+    from awbm.affine_weyl import GroupContext
+    from awbm.inertial_types import make_type
+    from awbm.weight_sets import w_question
+    rng = random.Random(19)
+    obvious, defects = set(), set()
+    for n, f in WQ_SHAPES:
+        for _ in range(2):
+            p = rng.choice([37, 211, 307])
+            perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(f)]
+            mu = [tuple(sorted((rng.randrange(2 * p) for _ in range(n)),
+                               reverse=True)) for _ in range(f)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.run([
+                    "wq", "--n", str(n), "--f", str(f), "--p", str(p),
+                    "--s", ";".join(",".join(map(str, s)) for s in perms),
+                    "--mu", ";".join(",".join(map(str, m)) for m in mu),
+                    "--force"]) == 0
+            recs = w_question(make_type(GroupContext(n, f, p), perms, mu, "F"),
+                              True)
+            assert out.getvalue() == json.dumps(
+                [{"presentation": r.presentation.to_json(),
+                  "obvious": r.obvious, "defect": r.defect} for r in recs],
+                sort_keys=True, separators=(",", ":")) + "\n"
+            obvious |= {r.obvious for r in recs}
+            defects |= {r.defect for r in recs}
+    assert obvious == {True, False} and max(defects) > 0
 
 
 # One catalog-scale straightening (the benchmark's straighten-p10007-n3
@@ -317,7 +358,7 @@ def test_straighten_p10007_frozen():
 # that tested every vertex of every candidate and factored through elements;
 # `jh` reaches `ap_enumerate(4,3,1,0)` through the weight layers.  The
 # interval, `component` and `fiber` cases were recorded from the subword
-# closure over a reduced word.
+# closure over a reduced word, the `wq` cases from the record-by-record render.
 @pytest.mark.parametrize("argv,size,digest", [
     (["ap", "--n", "4", "--lambda", "5,3,1,0"], 93365,
      "7e8c68b527b02dac6f12a8392422910e213e35586d4639eabc8f252d0268f502"),
@@ -336,6 +377,14 @@ def test_straighten_p10007_frozen():
     (["fiber", "--n", "3", "--f", "1", "--p", "211", "--ts", "1,3,2", "--tmu",
       "259,247,78", "--lambda", "4,2,0"], 53092,
      "8b9d1576dde7b15d805803ec3803bf0c2685962556cce3ed04afcd827e680011"),
+    (["wq", "--n", "3", "--f", "3", "--p", "307",
+      "--s", "2,1,3@0,0,0;3,2,1@0,0,0;2,1,3@0,0,0",
+      "--mu", "197,144,136;427,155,141;169,76,18"], 211439,
+     "f458bae6830a004b373ebbd00aa337e13360a500fdb6958fdc30c3261b047217"),
+    (["wq", "--n", "4", "--f", "2", "--p", "307",
+      "--s", "2,3,4,1@0,0,0,0;1,2,4,3@0,0,0,0",
+      "--mu", "357,116,106,69;511,391,379,285"], 1834578,
+     "fc33b3c4386502f8f696c5216b64926ece09a43e1aa9e1c6f880eb4b971ecb2a"),
 ])
 def test_set_builders_frozen(argv, size, digest):
     # the interval below t_(3,1,-1,-3) has length 20, past the default cap
@@ -353,10 +402,13 @@ def test_closed_stdout_is_exit_3_in_process():
     class Closed(io.StringIO):
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
-    err = io.StringIO()
-    with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
-        assert cli.run(["len", "--n", "2", "--a", "e"]) == 3
-    assert err.getvalue().splitlines() == [CLOSED_STDOUT]
+    for argv in (["len", "--n", "2", "--a", "e"],
+                 ["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e",
+                  "--mu", "5,0"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(Closed()), contextlib.redirect_stderr(err):
+            assert cli.run(argv) == 3
+        assert err.getvalue().splitlines() == [CLOSED_STDOUT]
 
 
 def test_closed_stdout_is_exit_3():
