@@ -5,7 +5,10 @@ stdout (canonical key order, sorted sets) and exits 0; malformed input exits
 2; a violated precondition exits 3 with the failing condition named on
 stderr, among them a stdout closed before the output was written; an
 internal invariant breach, or any other unexpected exception, exits 4 with
-a one-line message and no traceback.  Elements are written
+a one-line message and no traceback.  `wq`, `jh` and `intersect` stream
+their document, a product over the embeddings, in chunks once every check
+has passed: a reader that closes stdout mid-document has read a prefix, and
+the run exits 3.  Elements are written
 PERM or PERM@NU (PERM one of 'e', 'w0', cycle notation '(1 2)', or a
 one-line image '2,1'; NU a comma-separated integer vector), tuples join
 components with ';'.  The canonical JSON element encoding
@@ -121,19 +124,60 @@ def parse_weight_rows(text: str, n: int, f: int):
     return rows
 
 
-def serialize(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# one encoder for every document: json.dumps with options builds a new one
+# per call, and a streamed output serializes each of its rows separately
+serialize = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def write(text: str):
+def write(text: str, end: str = "\n"):
     if sys.stdout is None:  # started with stdout closed (`>&-`)
         raise BrokenPipeError("stdout is closed")
     sys.stdout.write(text)
-    sys.stdout.write("\n")
+    sys.stdout.write(end)
 
 
 def emit(doc):
     write(serialize(doc))
+
+
+def write_product(factors, record):
+    """Write the JSON array of record(rows) for rows in
+    itertools.product(*factors), in that order, one write per choice of the
+    leading rows, so that what is held is bounded by the factors and not by
+    the document.  Every check must have passed before the call: after the
+    first write only a closed stdout can end the run."""
+    *leading, last = factors
+    sep = "["
+    if all(factors):
+        for head in itertools.product(*leading):
+            write(sep + ",".join([record(head + (row,)) for row in last]), "")
+            sep = ","
+    write("[]" if sep == "[" else "]")
+
+
+def _row_json(row):
+    """The JSON of omega_j, w1_j and zeta_j for a canonical row (w1_j,
+    omega_j), read off its one-embedding presentation.  omega_j and zeta_j
+    are integers, which JSON writes as str does, without an encoder call."""
+    w1, omega = row
+    doc = wt.SerreWeightPresentation.trusted(
+        aw.WeylTuple.trusted((w1,)), (omega,), aw.GroupContext(w1.n)).to_json()
+    return (f'[{",".join(map(str, doc["omega"][0]))}]',
+            serialize(doc["w1"][0]), str(doc["zeta"][0]))
+
+
+def _presentation_json(rows):
+    """The JSON of the presentation with one row of _row_json per embedding
+    (and whatever follows it in each row)."""
+    omega, w1, zeta, *_ = zip(*rows)
+    return (f'{{"omega":[{",".join(omega)}],"w1":[{",".join(w1)}],'
+            f'"zeta":[{",".join(zeta)}]}}')
+
+
+def _write_presentations(factors):
+    """Write the presentations whose rows are the product of factors."""
+    write_product([[_row_json(row) for row in rows] for rows in factors],
+                  _presentation_json)
 
 
 def _ctx(args) -> aw.GroupContext:
@@ -299,34 +343,24 @@ def cmd_jh(args):
     ctx = _ctx(args)
     tau = _type(args, ctx)
     lam = parse_weight_rows(getattr(args, "lambda"), ctx.n, ctx.f)
-    out = ws.jh_set(tau, lam, force=args.force)
-    emit([s.to_json() for s in out])
+    _write_presentations(ws.jh_factors(tau, lam, force=args.force))
+
+
+def _wq_record(rows):
+    *_, summands, obvious = zip(*rows)
+    return (f'{{"defect":{sum(summands)},'
+            f'"obvious":{"true" if all(obvious) else "false"},'
+            f'"presentation":{_presentation_json(rows)}}}')
 
 
 def cmd_wq(args):
-    # W? from its per-embedding factors: each row is serialized once, through
-    # its one-embedding presentation's JSON, and each record of the product
-    # (the record order) joins one row per embedding, with keys sorted.
+    # a W? row carries its defect summand and whether it is obvious (w = w2)
     ctx = _ctx(args)
     rho = _type(args, ctx, kind="F")
-    one = aw.GroupContext(ctx.n)
-    pieces = []
-    for factors in ws.w_question_factors(rho, force=args.force):
-        rows = []
-        for (w1, omega), w, w2, summand, _ in factors:
-            doc = wt.SerreWeightPresentation.trusted(
-                aw.WeylTuple.trusted((w1,)), (omega,), one).to_json()
-            rows.append((serialize(doc["omega"][0]), serialize(doc["w1"][0]),
-                         serialize(doc["zeta"][0]), summand, w == w2))
-        pieces.append(rows)
-    recs = []
-    for combo in itertools.product(*pieces):
-        omega, w1, zeta, summands, obvious = zip(*combo)
-        recs.append(f'{{"defect":{sum(summands)},'
-                    f'"obvious":{serialize(all(obvious))},'
-                    f'"presentation":{{"omega":[{",".join(omega)}],'
-                    f'"w1":[{",".join(w1)}],"zeta":[{",".join(zeta)}]}}}}')
-    write(f"[{','.join(recs)}]")
+    write_product([[_row_json(row) + (summand, w == w2)
+                    for row, w, w2, summand, _ in factors]
+                   for factors in ws.w_question_factors(rho, force=args.force)],
+                  _wq_record)
 
 
 def cmd_covers(args):
@@ -341,8 +375,7 @@ def cmd_intersect(args):
     rho = _type(args, ctx, "rs", "rmu", "F")
     tau = _type(args, ctx, "ts", "tmu")
     lam = parse_weight_rows(getattr(args, "lambda"), ctx.n, ctx.f)
-    out = ws.intersection(rho, tau, lam, force=args.force)
-    emit([s.to_json() for s in out])
+    _write_presentations(ws.intersection_factors(rho, tau, lam, force=args.force))
 
 
 def cmd_defect(args):

@@ -22,8 +22,6 @@ whose mod-p reduction at j < f is s_j^{-1}(mu_j + eta_j).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .affine_weyl import (
     GroupContext,
     Record,
@@ -156,6 +154,9 @@ def _perm_order(w) -> int:
 
 
 def descent_data(tau: TameTypePresentation) -> DescentData:
+    # the one rational this layer builds; importing fractions (and with it
+    # decimal) costs about 3 ms, which no weight-set job should pay
+    from fractions import Fraction
     p = tau.ctx.require_prime()
     n, f = tau.n, tau.f
     eta = eta_vector(n)
@@ -229,7 +230,8 @@ def descent_data(tau: TameTypePresentation) -> DescentData:
                        tuple(s_orient), chi, tuple(exact), tuple(modp))
 
 
-def _fraction_mod_p(q: Fraction, p: int) -> int:
+def _fraction_mod_p(q, p: int) -> int:
+    """The rational q (a Fraction) reduced mod p."""
     den = q.denominator % p
     if den == 0:
         raise ArgumentError("p divides a denominator")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .affine_weyl import (
@@ -64,12 +63,14 @@ from .weights import SerreWeightPresentation, central_character
 
 __all__ = [
     "CycleExpr",
+    "jh_factors",
     "jh_set",
     "w_question",
     "w_question_factors",
     "PredictedWeight",
     "covers",
     "intersection",
+    "intersection_factors",
     "w_rhobar_tau",
     "defect",
     "max_defect_weight",
@@ -82,10 +83,10 @@ __all__ = [
 # formal cycle expressions
 
 class CycleExpr(Record):
-    """A formal rational combination of symbols (type labels or component
-    labels); zero coefficients are pruned."""
+    """A formal combination of symbols (type labels or component labels)
+    with integer coefficients; zero coefficients are pruned."""
 
-    __slots__ = ("terms",)  # sorted tuple of (symbol tuple, Fraction)
+    __slots__ = ("terms",)  # sorted tuple of (symbol tuple, coefficient)
 
     def __init__(self, terms):
         object.__setattr__(self, "terms", terms)
@@ -100,7 +101,7 @@ class CycleExpr(Record):
 
     @classmethod
     def of(cls, mapping):
-        items = tuple(sorted((k, Fraction(v)) for k, v in mapping.items() if v))
+        items = tuple(sorted((k, v) for k, v in mapping.items() if v))
         return cls(items)
 
     def to_json(self):
@@ -117,6 +118,14 @@ def _h(lam_row):
 def jh_set(tau: TameTypePresentation, lam, force: bool = False):
     """Labels of the constituents of the reduced type twisted by W(lam):
     { (w1, w̃(tau)(w2^{-1}(0))) : (w1, w2) in AP(lam+eta) }, sorted."""
+    return [_glue(rows, tau.ctx)
+            for rows in itertools.product(*jh_factors(tau, lam, force))]
+
+
+def jh_factors(tau: TameTypePresentation, lam, force: bool = False):
+    """The JH labels' rows (w1_j, omega_j), one tuple per embedding in
+    sort-key order, after the genericity check: the labels are their
+    product, in the order of itertools.product."""
     ctx = tau.ctx
     lam = _weight_tuple(ctx, lam)
     eta = eta_vector(ctx.n)
@@ -126,11 +135,9 @@ def jh_set(tau: TameTypePresentation, lam, force: bool = False):
         raise GenericityError(
             f"type is only {tau.depth()}-generic, need {need} (pass force to override)")
     wt = tau.w_tilde()
-    per_embedding = [
-        [row for row, _ in _rows(wt[j], ap_enumerate(
-            tuple(l + e for l, e in zip(lam[j], eta))), "JH")]
-        for j in range(ctx.f)]
-    return [_glue(rows, ctx) for rows in itertools.product(*per_embedding)]
+    return [tuple(row for row, _ in _rows(wt[j], ap_enumerate(
+                tuple(l + e for l, e in zip(lam[j], eta))), "JH"))
+            for j in range(ctx.f)]
 
 
 def _rows(wt_j: WeylElement, pairs, what):
@@ -226,19 +233,25 @@ def _require_predicted_set(rho: TameTypePresentation, force: bool):
             f"mod-p type is only {rho.depth()}-generic, need {need}")
 
 
+@lru_cache(maxsize=None)
+def _w_question_pairs(n: int):
+    """The defect summand of each pair (w, w2) with w restricted dominant and
+    w2 ↑ w dominant, keyed by the pair; it depends on n only."""
+    t_eta = length(translation(eta_vector(n)))
+    return {(w, w2): t_eta - length(multiply(invert(multiply(w_h(n), w)),
+                                             multiply(w0(n), w2)))
+            for w in restricted_classes(n) for w2 in bruhat_interval(w)
+            if is_dominant(w2)}  # w2 ↑ w iff w2 <= w, both dominant
+
+
 @lru_cache(maxsize=256)
 def _w_question_factors(wt_j: WeylElement):
     """The W? factors (row, w, w2, defect summand, alcove point of w1_j) at an
     embedding where w̃(rhobar) is wt_j, keyed by row and in sort-key order;
     W? is their product over the embeddings."""
-    n = wt_j.n
-    pairs = [(w, w2) for w in restricted_classes(n) for w2 in bruhat_interval(w)
-             if is_dominant(w2)]  # w2 ↑ w iff w2 <= w, both dominant
-    t_eta = length(translation(eta_vector(n)))
-    return {row: (row, w, w2, t_eta - length(multiply(
-                invert(multiply(w_h(n), w)), multiply(w0(n), w2))),
-                  alcove_point(row[0]))
-            for row, (w, w2) in _rows(wt_j, pairs, "W?")}
+    summands = _w_question_pairs(wt_j.n)
+    return {row: (row, w, w2, summands[w, w2], alcove_point(row[0]))
+            for row, (w, w2) in _rows(wt_j, summands, "W?")}
 
 
 def w_question_factors(rho: TameTypePresentation, force: bool = False):
@@ -316,6 +329,15 @@ def intersection(rho: TameTypePresentation, tau: TameTypePresentation, lam,
                  force: bool = False):
     """W?(rhobar) ∩ JH of the lam-twisted type, through the factorization
     criterion w̃(rhobar,tau) = w2^{-1} w w1 with w1 ↑ w ↑ t_lam w_h^{-1} w2."""
+    return [_glue(rows, rho.ctx) for rows in itertools.product(
+        *intersection_factors(rho, tau, lam, force))]
+
+
+def intersection_factors(rho: TameTypePresentation, tau: TameTypePresentation,
+                         lam, force: bool = False):
+    """The intersection's rows (w1_j, omega_j), one tuple per embedding in
+    sort-key order, after the compatibility and genericity checks: the
+    intersection is their product, in the order of itertools.product."""
     ctx = rho.ctx
     _require_f_type(rho)
     lam = _weight_tuple(ctx, lam)
@@ -328,9 +350,8 @@ def intersection(rho: TameTypePresentation, tau: TameTypePresentation, lam,
                                     for row in lam))
         if tau.depth() < need:
             raise GenericityError(f"tau presentation is not {need}-generic")
-    accepted = [_accepted_rows(a, b, row)
-                for a, b, row in zip(rho.w_tilde(), tau.w_tilde(), lam)]
-    return [_glue(rows, ctx) for rows in itertools.product(*accepted)]
+    return [_accepted_rows(a, b, row)
+            for a, b, row in zip(rho.w_tilde(), tau.w_tilde(), lam)]
 
 
 @lru_cache(maxsize=1024)

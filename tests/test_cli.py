@@ -255,17 +255,50 @@ def test_bm_gl4_f1_frozen():
         "42a39e0aa686cc5b9c1de7bf70722edf6e7a1cca9fd7692ab6145c1e23747f84"
 
 
+WQ_GL4_F2_ARGV = ["wq", "--n", "4", "--f", "2", "--p", "211",
+                  "--s", "3,4,1,2@0,0,0,0;1,3,2,4@0,0,0,0",
+                  "--mu", "274,264,186,149;275,204,174,98"]
+WQ_GL4_F2_SHA256 = \
+    "16d4b48cea9aed3608b3d86c4007704ce522f97fbefaade8bb7179ed37544110"
+
+
 def test_wq_gl4_f2_frozen():
     # the heaviest W? render: 7,744 records, each joining two of 2 × 88
     # serialized rows
-    res = subprocess.run(PY + ["wq", "--n", "4", "--f", "2", "--p", "211",
-                               "--s", "3,4,1,2@0,0,0,0;1,3,2,4@0,0,0,0",
-                               "--mu", "274,264,186,149;275,204,174,98"],
-                         capture_output=True)
+    res = subprocess.run(PY + WQ_GL4_F2_ARGV, capture_output=True)
     assert res.returncode == 0, res.stderr
     assert len(res.stdout) == 1827186
-    assert hashlib.sha256(res.stdout).hexdigest() == \
-        "16d4b48cea9aed3608b3d86c4007704ce522f97fbefaade8bb7179ed37544110"
+    assert hashlib.sha256(res.stdout).hexdigest() == WQ_GL4_F2_SHA256
+
+
+class HashingSink(io.TextIOBase):
+    """A stdout that keeps only the size and sha256 of what is written."""
+
+    def __init__(self):
+        self.size = 0
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.size += len(text)
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def test_wq_streams_in_memory_bounded_by_its_factors():
+    # with its factors cached, writing W? GL4 f=2 (7,744 records, 1.83 MB)
+    # holds under half of the document at any time
+    with contextlib.redirect_stdout(HashingSink()):
+        assert cli.run(WQ_GL4_F2_ARGV) == 0
+    sink = HashingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert cli.run(WQ_GL4_F2_ARGV) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.digest.hexdigest() == WQ_GL4_F2_SHA256
+    assert peak < sink.size / 2, (peak, sink.size)
 
 
 # |W?| is 2, 9 and 88 per embedding for n = 2, 3, 4: every shape up to 7,744
@@ -303,6 +336,70 @@ def test_wq_render_equals_records():
             obvious |= {r.obvious for r in recs}
             defects |= {r.defect for r in recs}
     assert obvious == {True, False} and max(defects) > 0
+
+
+def _rows_arg(rows):
+    return ";".join(",".join(map(str, row)) for row in rows)
+
+
+def test_jh_and_intersect_render_equal_records():
+    # `jh` and `intersect` stream the product of their per-embedding rows; on
+    # seeded types their output is the document of the library's records,
+    # byte for byte.  w̃(tau) = w̃(rhobar) g^{-1} with g_j in Adm(lam_j + eta)
+    # gives a nonempty intersection; a far translation g_j leaves embedding j
+    # with no row, at the first and at the last embedding
+    from awbm.affine_weyl import (GroupContext, WeylTuple, adm, eta_vector,
+                                  invert, multiply, translation)
+    from awbm.inertial_types import make_type
+    from awbm.weight_sets import _aux_type_from_element, intersection, jh_set
+    from conftest import perms, random_deep_mu
+
+    def render(argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(argv) == 0
+        return out.getvalue()
+
+    def document(recs):
+        return json.dumps([r.to_json() for r in recs], sort_keys=True,
+                          separators=(",", ":")) + "\n"
+
+    rng = random.Random(20)
+    sizes = []
+    for n, f, p in [(2, 2, 37), (2, 3, 37), (3, 2, 211), (3, 3, 211)]:
+        ctx = GroupContext(n, f, p)
+        eta = eta_vector(n)
+        for far in (None, 0, f - 1):
+            rho = make_type(ctx, [rng.choice(perms(n)) for _ in range(f)],
+                            [random_deep_mu(n, p, 3 * n, rng) for _ in range(f)],
+                            "F")
+            lam = [tuple(sorted((rng.randrange(2) for _ in range(n)),
+                                reverse=True)) for _ in range(f)]
+            g = []
+            for j in range(f):
+                lpe = tuple(l + e for l, e in zip(lam[j], eta))
+                if j == far:
+                    g.append(translation((lpe[0] + 5,) + lpe[1:-1]
+                                         + (lpe[-1] - 5,)))
+                else:
+                    g.append(rng.choice(adm(lpe)))
+            tau = _aux_type_from_element(ctx, WeylTuple(tuple(
+                multiply(a, invert(b)) for a, b in zip(rho.w_tilde(), g))))
+            common = ["--n", str(n), "--f", str(f), "--p", str(p),
+                      f"--lambda={_rows_arg(lam)}", "--force"]
+            recs = intersection(rho, tau, lam, force=True)
+            assert render(["intersect", *common,
+                           f"--rs={_rows_arg(c.w for c in rho.s)}",
+                           f"--rmu={_rows_arg(rho.mu)}",
+                           f"--ts={_rows_arg(c.w for c in tau.s)}",
+                           f"--tmu={_rows_arg(tau.mu)}"]) == document(recs)
+            sizes.append(len(recs))
+            assert (far is None) == bool(recs)
+            labels = jh_set(tau, lam, force=True)
+            assert render(["jh", *common, f"--s={_rows_arg(c.w for c in tau.s)}",
+                           f"--mu={_rows_arg(tau.mu)}"]) == document(labels)
+            sizes.append(len(labels))
+    assert 0 in sizes and max(sizes) > 1000
 
 
 # One catalog-scale straightening (the benchmark's straighten-p10007-n3
@@ -412,16 +509,18 @@ def test_closed_stdout_is_exit_3_in_process():
 
 
 def test_closed_stdout_is_exit_3():
-    # the 351 KB document outgrows the pipe buffer, so the write meets the
-    # closed read end
-    proc = subprocess.Popen(PY + BM_GL3_F3_ARGV, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait() == 3
-    assert err.splitlines() == [CLOSED_STDOUT]
+    # the 351 KB document of bm outgrows the pipe buffer, so the write meets
+    # the closed read end; wq streams its 1.83 MB in chunks, and the reader
+    # closes after the first of them
+    for argv in (BM_GL3_F3_ARGV, WQ_GL4_F2_ARGV):
+        proc = subprocess.Popen(PY + argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 3
+        assert err.splitlines() == [CLOSED_STDOUT]
     # started with no stdout at all (`>&-`)
     res = subprocess.run(PY + ["len", "--n", "2", "--a", "e"], stderr=subprocess.PIPE,
                          text=True, preexec_fn=lambda: os.close(1))
@@ -837,6 +936,29 @@ print(issubclass(awbm.modp_flag.LaurentMatrix, awbm.bk_gauge.SeriesMatrix),
       bm_cycles is awbm.weight_sets.bm_cycles)
 """)
     assert out == "True True\n"
+
+
+def test_weight_set_jobs_do_not_load_fractions():
+    # fractions (and with it decimal) costs about 3 ms to import; only the
+    # descent data builds a rational
+    out = run_python("""
+import contextlib, io, json, sys
+import awbm.cli as cli
+for argv in (
+        ["wq", "--n", "3", "--f", "2", "--p", "211", "--s", "e",
+         "--mu", "80,40,0"],
+        ["jh", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0",
+         "--lambda", "0,0"],
+        ["intersect", "--n", "3", "--f", "1", "--p", "211", "--rs", "1,2,3",
+         "--rmu", "178,159,45", "--ts", "1,2,3", "--tmu", "175,158,43",
+         "--lambda", "1,1,1", "--force"],
+        ["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
+         "--rmu", "20,10,0"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0, argv
+print(json.dumps(sorted({"fractions", "decimal"} & set(sys.modules))))
+""")
+    assert json.loads(out) == []
 
 
 def test_module_entry_point_warns_nothing():
