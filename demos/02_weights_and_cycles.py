@@ -8,7 +8,8 @@ predicted weight as a rational combination of auxiliary type symbols.
 """
 
 from awbm.affine_weyl import GroupContext, adm, invert, multiply
-from awbm.inertial_types import a_tau, descent_data, make_type
+from awbm.descent import a_tau, descent_data
+from awbm.inertial_types import make_type
 from awbm.weight_sets import (
     _aux_type_from_element,
     bm_cycles,

@@ -1,12 +1,14 @@
 """Exact affine Weyl group combinatorics and mod-p matrix calculus for GL_n.
 
 The public surface is organised by layer: `affine_weyl` (elements, orders,
-admissible sets), `weights` (lowest alcove presentations and genericity),
-`inertial_types` (tame type presentations and descent data), `weight_sets`
+admissible sets), `weights` (lowest alcove presentations and depth),
+`polynomials` (the genericity polynomials P_m), `inertial_types` (tame type
+presentations), `descent` (descent data and inertial weights), `weight_sets`
 (predicted sets, covering, defect, the cycle solver), `modp_flag` (charts,
 Schubert cells, the monodromy condition, component fixed points), `bk_gauge`
 (truncated series calculus and shapes), `oracles` (naive reference
-implementations), and `cli` (the JSON command line).
+implementations), and `cli` (the JSON command line, whose handlers live in
+one `cli_*` module per command family).
 
 Each layer module runs on its first attribute access, so a caller pays only
 for the layers it uses.
@@ -24,8 +26,8 @@ __version__ = "0.1.0"
 # it.  LazyLoader is not thread-safe on Python 3.11; the library starts no
 # threads.  `cli` is not registered: `python -m awbm.cli` must find it absent
 # from sys.modules.
-for _name in ("affine_weyl", "weights", "inertial_types", "weight_sets",
-              "modp_flag", "bk_gauge", "oracles"):
+for _name in ("affine_weyl", "weights", "polynomials", "inertial_types",
+              "descent", "weight_sets", "modp_flag", "bk_gauge", "oracles"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)
@@ -39,15 +41,15 @@ _EXPORTS = {
         "GroupContext", "WeylElement", "WeylTuple", "adm", "ap_enumerate",
         "bruhat_interval", "bruhat_leq", "classify", "evaluate", "length",
         "multiply", "regular_factorization", "star", "up_leq"),
-    "inertial_types": (
-        "TameTypePresentation", "a_tau", "descent_data", "make_type"),
+    "descent": ("a_tau", "descent_data"),
+    "inertial_types": ("TameTypePresentation", "make_type"),
+    "polynomials": ("build_Pm", "genericity", "superscript"),
     "weight_sets": (
         "CycleExpr", "bm_cycles", "covers", "defect", "intersection",
         "jh_set", "max_defect_weight", "w_question"),
     "weights": (
-        "CentralCharacter", "SerreWeightPresentation", "build_Pm",
-        "central_character", "genericity", "lap_of", "serre_weight",
-        "superscript"),
+        "CentralCharacter", "SerreWeightPresentation", "central_character",
+        "lap_of", "serre_weight"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
 

@@ -72,11 +72,9 @@ __all__ = [
     "invert",
     "evaluate",
     "length",
-    "dual_length",
     "star",
     "degree",
     "bruhat_leq",
-    "dual_bruhat_leq",
     "up_leq",
     "up_leq_points",
     "classify",
@@ -101,7 +99,6 @@ __all__ = [
     "is_prime",
     "check_prime",
     "ap_enumerate",
-    "ap_member",
     "restricted_classes",
     "sort_key",
     "max_len_cap",
@@ -393,11 +390,6 @@ def length(a: WeylElement) -> int:
     return _separation(a, 0)
 
 
-def dual_length(a: WeylElement) -> int:
-    """Length with respect to the antidominant base alcove (for starred elements)."""
-    return _separation(a, 1)
-
-
 # ---------------------------------------------------------------------------
 # alcove position predicates
 
@@ -557,13 +549,6 @@ def bruhat_leq(a: WeylElement, b: WeylElement) -> bool:
     if a.n != b.n:
         raise ContextError("rank mismatch")
     return degree(a) == degree(b) and _leq_wa(alcove_point(a), alcove_point(b))
-
-
-def dual_bruhat_leq(a: WeylElement, b: WeylElement) -> bool:
-    """Bruhat order defined by the antidominant base alcove (on starred carriers)."""
-    n = a.n
-    c = w0(n)
-    return bruhat_leq(multiply(c, multiply(a, c)), multiply(c, multiply(b, c)))
 
 
 def bruhat_interval(a: WeylElement):
@@ -792,16 +777,6 @@ def ap_enumerate(lam_plus_eta):
             raise InternalError("factorization is not injective")
         pairs[pair] = a
     return sorted(pairs, key=lambda pr: (sort_key(pr[0]), sort_key(pr[1])))
-
-
-def ap_member(w1: WeylElement, w2: WeylElement, lam_plus_eta) -> bool:
-    lam = tuple(int(c) for c in lam_plus_eta)
-    _check_dominant_weight(lam)
-    if not is_restricted(w1):
-        return False
-    if not is_dominant(w2):
-        return False
-    return adm_member(multiply(invert(w2), multiply(w0(w1.n), w1)), lam)
 
 
 @lru_cache(maxsize=None)

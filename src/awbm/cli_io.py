@@ -1,0 +1,132 @@
+"""What the command-line handler modules share: argument parsing and output.
+
+Never run as `__main__`, unlike `cli`: under `python -m awbm.cli` a handler
+that imported these from `cli` would load `cli.py` a second time.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+
+from . import affine_weyl as aw
+from . import inertial_types as it
+from . import weights as wt
+from .errors import InputError
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+def parse_perm(text: str, n: int):
+    text = text.strip()
+    if text == "e":
+        return aw.perm_identity(n)
+    if text == "w0":
+        return aw.perm_w0(n)
+    if text.startswith("("):
+        perm = list(range(1, n + 1))
+        for cyc in re.findall(r"\(([^()]*)\)", text):
+            body = cyc.strip()
+            if re.fullmatch(r"\d+", body) and n < 10:
+                entries = [int(ch) for ch in body]  # compact form like (23)
+            else:
+                entries = [int(x) for x in re.split(r"[,\s]+", body) if x]
+            if len(entries) < 2:
+                continue
+            if any(not 1 <= x <= n for x in entries) or len(set(entries)) != len(entries):
+                raise InputError(f"cycle {cyc!r} is not valid for n={n}")
+            moved = dict(zip(entries, entries[1:] + entries[:1]))
+            perm = [moved.get(x, x) for x in perm]
+        return tuple(perm)
+    body = text.strip("[]")
+    img = tuple(int(x) for x in re.split(r"[,\s]+", body) if x)
+    if sorted(img) != list(range(1, n + 1)):
+        raise InputError(f"{text!r} is not a permutation of 1..{n}")
+    return img
+
+
+def parse_vector(text: str, n: int):
+    out = tuple(int(x) for x in re.split(r"[,\s]+", text.strip().strip("[]")) if x)
+    if len(out) != n:
+        raise InputError(f"vector {text!r} must have length {n}")
+    return out
+
+
+def parse_element(text: str, n: int) -> aw.WeylElement:
+    text = text.strip()
+    if text.startswith("{"):
+        return aw.WeylElement.from_json(json.loads(text))
+    if "@" in text:
+        ptxt, ntxt = text.split("@", 1)
+        return aw.WeylElement(parse_perm(ptxt, n), parse_vector(ntxt, n))
+    return aw.WeylElement(parse_perm(text, n), (0,) * n)
+
+
+def parse_tuple(text: str, n: int, f: int) -> aw.WeylTuple:
+    text = text.strip()
+    if text.startswith("["):
+        tup = aw.WeylTuple.from_json(json.loads(text))
+    else:
+        parts = [p for p in text.split(";") if p.strip()]
+        if len(parts) == 1 and f > 1:
+            parts = parts * f
+        tup = aw.WeylTuple(tuple(parse_element(p, n) for p in parts))
+    if tup.f != f or tup.n != n:
+        raise InputError(f"tuple has shape ({tup.f},{tup.n}), expected ({f},{n})")
+    return tup
+
+
+def parse_weight_rows(text: str, n: int, f: int):
+    text = text.strip()
+    if text.startswith("[["):
+        try:
+            rows = tuple(tuple(aw.json_int(x, "weight row") for x in row)
+                         for row in json.loads(text))
+        except TypeError as exc:
+            raise InputError(
+                f"weight rows must be integer arrays: {text!r}") from exc
+    else:
+        parts = [p for p in text.split(";") if p.strip()]
+        if len(parts) == 1 and f > 1:
+            parts = parts * f
+        rows = tuple(parse_vector(p, n) for p in parts)
+    if len(rows) != f:
+        raise InputError(f"weight tuple needs {f} rows")
+    return rows
+
+
+def ctx_of(args) -> aw.GroupContext:
+    return aw.GroupContext(args.n, getattr(args, "f", 1), getattr(args, "p", None))
+
+
+def presentation(args, ctx, wflag="w1", oflag="omega"):
+    w1 = parse_tuple(getattr(args, wflag), ctx.n, ctx.f)
+    omega = parse_weight_rows(getattr(args, oflag), ctx.n, ctx.f)
+    return wt.SerreWeightPresentation(w1, omega, ctx)
+
+
+def type_of(args, ctx, sflag="s", mflag="mu", kind="E"):
+    s = parse_tuple(getattr(args, sflag), ctx.n, ctx.f)
+    mu = parse_weight_rows(getattr(args, mflag), ctx.n, ctx.f)
+    return it.make_type(ctx, s, mu, kind)
+
+
+# ---------------------------------------------------------------------------
+# output
+
+# one encoder for every document: json.dumps with options builds a new one
+# per call, and a streamed output serializes each of its rows separately
+serialize = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def write(text: str, end: str = "\n"):
+    if sys.stdout is None:  # started with stdout closed (`>&-`)
+        raise BrokenPipeError("stdout is closed")
+    sys.stdout.write(text)
+    sys.stdout.write(end)
+
+
+def emit(doc):
+    write(serialize(doc))

@@ -1,0 +1,77 @@
+"""Command handlers of the orders family: the group law, length, the Bruhat
+and upper-arrow orders, intervals, admissible sets and pairs, and the naive
+oracles."""
+
+from __future__ import annotations
+
+from . import affine_weyl as aw
+from . import oracles as orc
+from .cli_io import emit, parse_element, parse_vector
+from .errors import InputError
+
+
+def cmd_mul(args):
+    a = parse_element(args.a, args.n)
+    b = parse_element(args.b, args.n)
+    emit(aw.multiply(a, b).to_json())
+
+
+def cmd_len(args):
+    a = parse_element(args.a, args.n)
+    emit({"length": aw.length(a)})
+
+
+def cmd_star(args):
+    emit(aw.star(parse_element(args.a, args.n)).to_json())
+
+
+def cmd_bruhat(args):
+    a = parse_element(args.a, args.n)
+    b = parse_element(args.b, args.n)
+    emit({"leq": aw.bruhat_leq(a, b)})
+
+
+def cmd_up(args):
+    a = parse_element(args.a, args.n)
+    b = parse_element(args.b, args.n)
+    emit({"leq": aw.up_leq(a, b)})
+
+
+def cmd_classify(args):
+    a = parse_element(args.a, args.n)
+    fl = aw.classify(a, args.m, args.p)
+    emit({"dominant": fl.dominant, "restricted": fl.restricted,
+          "regular": fl.regular, "m_small": fl.m_small,
+          "m_generic": fl.m_generic})
+
+
+def cmd_interval(args):
+    a = parse_element(args.a, args.n)
+    emit([e.to_json() for e in aw.bruhat_interval(a)])
+
+
+def cmd_adm(args):
+    lam = parse_vector(getattr(args, "lambda"), args.n)
+    emit([e.to_json() for e in aw.adm(lam, args.variant)])
+
+
+def cmd_ap(args):
+    lam = parse_vector(getattr(args, "lambda"), args.n)
+    emit([[a.to_json(), b.to_json()] for a, b in aw.ap_enumerate(lam)])
+
+
+def cmd_oracle(args):
+    kind = args.kind
+    needed = {"length": ["a"], "bruhat": ["a", "b"], "up": ["a", "b"]}
+    flags = needed.get(kind, [])
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise InputError(f"--kind {kind} needs --{flag}")
+    elements = [parse_element(getattr(args, flag), args.n) for flag in flags]
+    out = orc.oracle(kind, *elements, n=args.n, deg=args.deg, bound=args.bound)
+    if kind == "length":
+        emit({"length": out})
+    elif kind == "enumerate":
+        emit([e.to_json() for e in out])
+    else:
+        emit({"leq": out})

@@ -1,0 +1,116 @@
+"""Command handlers of the weight-set family: JH labels, the predicted set
+W?, covering, intersections, defects and the cycle solver.  `wq`, `jh` and
+`intersect` stream their documents, products over the embeddings, through
+one writer."""
+
+from __future__ import annotations
+
+import itertools
+
+from . import weight_sets as ws
+from .cli_io import (ctx_of, emit, parse_weight_rows, presentation, type_of,
+                     write)
+
+
+def write_product(factors, record):
+    """Write the JSON array of record(rows) for rows in
+    itertools.product(*factors), in that order, one write per choice of the
+    leading rows, so that what is held is bounded by the factors and not by
+    the document.  Every check must have passed before the call: after the
+    first write only a closed stdout can end the run."""
+    *leading, last = factors
+    sep = "["
+    if all(factors):
+        for head in itertools.product(*leading):
+            write(sep + ",".join([record(head + (row,)) for row in last]), "")
+            sep = ","
+    write("[]" if sep == "[" else "]")
+
+
+def _row_json(row):
+    """The JSON of omega_j, w1_j and zeta_j for a canonical row (w1_j,
+    omega_j), written from its integers: zeta_j, the degree of
+    t_{omega_j - eta} w1_j, is sum(omega_j) - sum(eta) + sum(nu(w1_j))."""
+    w1, omega = row
+    n = w1.n
+    return (f'[{",".join(map(str, omega))}]',
+            f'{{"convention":"t_nu_then_w","nu":[{",".join(map(str, w1.nu))}],'
+            f'"w":[{",".join(map(str, w1.w))}]}}',
+            str(sum(omega) - n * (n - 1) // 2 + sum(w1.nu)))
+
+
+def _presentation_json(rows):
+    """The JSON of the presentation with one row of _row_json per embedding
+    (and whatever follows it in each row)."""
+    omega, w1, zeta, *_ = zip(*rows)
+    return (f'{{"omega":[{",".join(omega)}],"w1":[{",".join(w1)}],'
+            f'"zeta":[{",".join(zeta)}]}}')
+
+
+def _write_presentations(factors):
+    """Write the presentations whose rows are the product of factors."""
+    write_product([[_row_json(row) for row in rows] for rows in factors],
+                  _presentation_json)
+
+
+def cmd_jh(args):
+    ctx = ctx_of(args)
+    tau = type_of(args, ctx)
+    lam = parse_weight_rows(getattr(args, "lambda"), ctx.n, ctx.f)
+    _write_presentations(ws.jh_factors(tau, lam, force=args.force))
+
+
+def _wq_record(rows):
+    *_, summands, obvious = zip(*rows)
+    return (f'{{"defect":{sum(summands)},'
+            f'"obvious":{"true" if all(obvious) else "false"},'
+            f'"presentation":{_presentation_json(rows)}}}')
+
+
+def cmd_wq(args):
+    # a W? row carries its defect summand and whether it is obvious (w = w2)
+    rho = type_of(args, ctx_of(args), kind="F")
+    write_product([[_row_json(row) + (summand, w == w2)
+                    for row, w, w2, summand, _ in factors]
+                   for factors in ws.w_question_factors(rho, force=args.force)],
+                  _wq_record)
+
+
+def cmd_covers(args):
+    ctx = ctx_of(args)
+    s0 = presentation(args, ctx, "w1a", "omegaa")
+    s1 = presentation(args, ctx, "w1b", "omegab")
+    emit({"covers": ws.covers(s0, s1, force=args.force)})
+
+
+def cmd_intersect(args):
+    ctx = ctx_of(args)
+    rho = type_of(args, ctx, "rs", "rmu", "F")
+    tau = type_of(args, ctx, "ts", "tmu")
+    lam = parse_weight_rows(getattr(args, "lambda"), ctx.n, ctx.f)
+    _write_presentations(ws.intersection_factors(rho, tau, lam, force=args.force))
+
+
+def cmd_defect(args):
+    ctx = ctx_of(args)
+    rho = type_of(args, ctx, "rs", "rmu", "F")
+    sigma = presentation(args, ctx)
+    emit({"defect": ws.defect(rho, sigma, force=args.force)})
+
+
+def cmd_maxdefect(args):
+    ctx = ctx_of(args)
+    rho = type_of(args, ctx, "rs", "rmu", "F")
+    tau = type_of(args, ctx, "ts", "tmu")
+    emit(ws.max_defect_weight(rho, tau, force=args.force).to_json())
+
+
+def cmd_bm(args):
+    rho = type_of(args, ctx_of(args), "rs", "rmu", "F")
+    solved = ws.bm_cycles(rho, force=args.force)
+    out = []
+    for sigma, (d, expr) in sorted(solved.items(),
+                                   key=lambda kv: kv[0].sort_key()):
+        out.append({"sigma": sigma.to_json(), "defect": d,
+                    "cycle": expr.to_json()})
+    emit(out)

@@ -22,12 +22,17 @@ Reduced words, subword closures and the simple reflections live only here,
 where they are the independent reference for intervals: the library builds
 an interval as a reflection closure on alcove points.
 
-The weight-set references are of another kind, built on the main order
-layer: `covers_up_oracle` reads the covering order through the upper-arrow
-order over all of W, where `weight_sets.covers` uses interval containment;
-`bm_cycles_recursive` reuses `weight_sets.w_question` and `intersection`
-and runs the defect recursion record by record over the whole of W?, where
-`weight_sets.bm_cycles` takes the product of one-embedding solves.
+The remaining references are of another kind, built on the main order
+layer.  `dual_length` and `dual_bruhat_leq` are the length and Bruhat order
+of the antidominant base alcove, which `star` must intertwine with the
+usual ones; `ap_member` tests a pair against the definition of AP(lam+eta);
+`jh_contains_fixed` tests a JH label by interval containment at a fixed
+presentation.  `covers_up_oracle` reads the covering order through the
+upper-arrow order over all of W, where `weight_sets.covers` uses interval
+containment; `bm_cycles_recursive` reuses `weight_sets.w_question` and
+`intersection` and runs the defect recursion record by record over the
+whole of W?, where `weight_sets.bm_cycles` takes the product of
+one-embedding solves.
 
 The series-matrix reference, `series_matrix_product`, multiplies two
 `bk_gauge.SeriesMatrix` values schoolbook over their {exponent: coefficient}
@@ -50,13 +55,20 @@ from functools import lru_cache
 
 from .affine_weyl import (
     WeylElement,
+    _check_dominant_weight,
+    _separation,
+    adm_member,
     all_perms,
+    bruhat_interval,
+    bruhat_leq,
     degree,
     eta_vector,
     evaluate,
     identity,
+    invert,
     is_dominant,
     is_regular,
+    is_restricted,
     multiply,
     omega_power,
     pairing,
@@ -67,6 +79,7 @@ from .affine_weyl import (
     star,
     translation,
     up_leq,
+    w0,
     wa_part_and_omega,
 )
 from .errors import (
@@ -75,18 +88,22 @@ from .errors import (
     InputError,
     InternalError,
 )
+from .inertial_types import TameTypePresentation
 from .weight_sets import (
     CycleExpr,
     _aux_type,
     _require_compatible,
+    _weight_tuple,
     intersection,
     w_question,
 )
+from .weights import SerreWeightPresentation
 
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
-           "count_up_leq", "enumerate_elements", "bm_cycles_recursive",
-           "covers_up_oracle", "series_matrix_product", "series_matrix_frobenius",
-           "series_matrix_truncate"]
+           "count_up_leq", "enumerate_elements", "dual_length",
+           "dual_bruhat_leq", "ap_member", "jh_contains_fixed",
+           "bm_cycles_recursive", "covers_up_oracle", "series_matrix_product",
+           "series_matrix_frobenius", "series_matrix_truncate"]
 
 
 def _check_bound(n: int, bound: int):
@@ -286,6 +303,49 @@ def enumerate_elements(n: int, deg: int, bound: int):
                     nxt.append(cand)
         frontier = nxt
     return sorted((multiply(y, delta) for y in seen), key=sort_key)
+
+
+# ---------------------------------------------------------------------------
+# references built on the main order layer
+
+def dual_length(a: WeylElement) -> int:
+    """Length with respect to the antidominant base alcove (for starred elements)."""
+    return _separation(a, 1)
+
+
+def dual_bruhat_leq(a: WeylElement, b: WeylElement) -> bool:
+    """Bruhat order defined by the antidominant base alcove (on starred carriers)."""
+    n = a.n
+    c = w0(n)
+    return bruhat_leq(multiply(c, multiply(a, c)), multiply(c, multiply(b, c)))
+
+
+def ap_member(w1: WeylElement, w2: WeylElement, lam_plus_eta) -> bool:
+    lam = tuple(int(c) for c in lam_plus_eta)
+    _check_dominant_weight(lam)
+    if not is_restricted(w1):
+        return False
+    if not is_dominant(w2):
+        return False
+    return adm_member(multiply(invert(w2), multiply(w0(w1.n), w1)), lam)
+
+
+def jh_contains_fixed(tau: TameTypePresentation, lam,
+                      sigma: SerreWeightPresentation) -> bool:
+    """Containment criterion at a fixed compatible presentation:
+    t_omega · (interval below w0 w1)  ⊂  w̃(tau) · Adm(lam+eta)."""
+    ctx = tau.ctx
+    lam = _weight_tuple(ctx, lam)
+    eta = eta_vector(ctx.n)
+    wt = tau.w_tilde()
+    for j in range(ctx.f):
+        lpe = tuple(l + e for l, e in zip(lam[j], eta))
+        base = invert(wt[j])
+        t_om = translation(sigma.omega[j])
+        for m in bruhat_interval(multiply(w0(ctx.n), sigma.w1[j])):
+            if not adm_member(multiply(base, multiply(t_om, m)), lpe):
+                return False
+    return True
 
 
 def bm_cycles_recursive(rho, force: bool = False):

@@ -75,7 +75,6 @@ __all__ = [
     "defect",
     "max_defect_weight",
     "bm_cycles",
-    "jh_contains_fixed",
 ]
 
 
@@ -172,24 +171,6 @@ def _weight_tuple(ctx, lam):
         if any(row[i] < row[i + 1] for i in range(ctx.n - 1)):
             raise ArgumentError(f"weight {row} is not dominant")
     return lam
-
-
-def jh_contains_fixed(tau: TameTypePresentation, lam,
-                      sigma: SerreWeightPresentation) -> bool:
-    """Containment criterion at a fixed compatible presentation:
-    t_omega · (interval below w0 w1)  ⊂  w̃(tau) · Adm(lam+eta)."""
-    ctx = tau.ctx
-    lam = _weight_tuple(ctx, lam)
-    eta = eta_vector(ctx.n)
-    wt = tau.w_tilde()
-    for j in range(ctx.f):
-        lpe = tuple(l + e for l, e in zip(lam[j], eta))
-        base = invert(wt[j])
-        t_om = translation(sigma.omega[j])
-        for m in bruhat_interval(multiply(w0(ctx.n), sigma.w1[j])):
-            if not adm_member(multiply(base, multiply(t_om, m)), lpe):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

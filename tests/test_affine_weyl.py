@@ -18,14 +18,11 @@ from awbm.affine_weyl import (
     alcove_point,
     all_roots,
     ap_enumerate,
-    ap_member,
     bruhat_interval,
     bruhat_leq,
     classify,
     degree,
-    dual_bruhat_leq,
     dominant_witness,
-    dual_length,
     evaluate,
     finite,
     identity,
@@ -52,6 +49,7 @@ from awbm.affine_weyl import (
 )
 from awbm.errors import ArgumentError, CapacityError, RegularityError
 from awbm.modp_flag import cell_geometry
+from awbm.oracles import ap_member, dual_bruhat_leq, dual_length
 from conftest import perms, random_element
 
 E2 = identity(2)

@@ -338,6 +338,31 @@ def test_wq_render_equals_records():
     assert obvious == {True, False} and max(defects) > 0
 
 
+def test_row_json_is_the_presentation_json():
+    # a row's omega, w1 and zeta are written from its integers; they must be
+    # what the encoder writes for the one-embedding presentation.  Its
+    # canonical row has a translation nu of maximum 0, most often nonzero
+    from awbm.affine_weyl import GroupContext, WeylTuple
+    from awbm.cli_io import serialize
+    from awbm.cli_sets import _row_json
+    from awbm.weights import SerreWeightPresentation
+    from conftest import random_element
+    rng = random.Random(21)
+    nonzero = 0
+    for n in (2, 3, 4, 5):
+        for _ in range(40):
+            omega = tuple(rng.randrange(-50, 400) for _ in range(n))
+            pres = SerreWeightPresentation(
+                WeylTuple((random_element(n, rng),)), (omega,),
+                GroupContext(n))
+            row = (pres.w1[0], pres.omega[0])
+            nonzero += any(row[0].nu)
+            doc = pres.to_json()
+            assert _row_json(row) == tuple(
+                serialize(doc[k][0]) for k in ("omega", "w1", "zeta"))
+    assert nonzero > 100
+
+
 def _rows_arg(rows):
     return ";".join(",".join(map(str, row)) for row in rows)
 
@@ -748,9 +773,11 @@ def test_twist_of_a_far_exponent():
 
 
 def test_unexpected_exception_is_exit_4(monkeypatch):
+    from awbm import cli_orders
+
     def boom(args):
         raise ZeroDivisionError("planted")
-    monkeypatch.setattr(cli, "cmd_len", boom)
+    monkeypatch.setattr(cli_orders, "cmd_len", boom)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         assert cli.run(["len", "--n", "2", "--a", "e"]) == 4
@@ -807,35 +834,50 @@ print(json.dumps(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
     assert json.loads(out) == []
 
 
+ORDERS, WEIGHTS = {"affine_weyl", "cli_orders"}, {"affine_weyl", "weights"}
+SETS = WEIGHTS | {"inertial_types", "weight_sets", "cli_sets"}
+FLAG = {"affine_weyl", "bk_gauge", "cli_flag"}
+
+
 @pytest.mark.parametrize("argv,stdin,layers", [
-    (["len", "--n", "2", "--a", "e"], "", {"affine_weyl"}),
-    (["adm", "--n", "3", "--lambda", "2,1,0"], "", {"affine_weyl"}),
-    (["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"], "",
-     {"affine_weyl"}),
+    (["len", "--n", "2", "--a", "e"], "", ORDERS),
+    (["adm", "--n", "3", "--lambda", "2,1,0"], "", ORDERS),
+    (["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"], "", ORDERS),
     (["monodromy", "--n", "4", "--p", "101", "--w", "3,2,4,1@3,1,2,0",
-      "--abar", "41,2,33,20"], "", {"affine_weyl", "bk_gauge", "modp_flag"}),
+      "--abar", "41,2,33,20"], "", FLAG | {"modp_flag"}),
     (["nabla", "--n", "2", "--matrix", json.dumps(I2), "--abar", "5,0"], "",
-     {"affine_weyl", "bk_gauge", "modp_flag"}),
+     FLAG | {"modp_flag"}),
     (["straighten", "--n", "2", "--f", "1", "--p", "7", "--z", "(12)@0,4",
-      "--M", "10"], json.dumps({"A": [I2], "X": [I2]}),
-     {"affine_weyl", "bk_gauge"}),
+      "--M", "10"], json.dumps({"A": [I2], "X": [I2]}), FLAG),
     (["twist", "--n", "2", "--f", "1", "--p", "7", "--s", "e", "--mu", "2,0",
-      "--M", "10", "--matrix", json.dumps(I2)], "", {"affine_weyl", "bk_gauge"}),
+      "--M", "10", "--matrix", json.dumps(I2)], "", FLAG),
     (["cob", "--n", "2", "--f", "1", "--p", "7", "--s", "(12)", "--mu", "2,0",
-      "--M", "10"], json.dumps({"A": [I2], "I": [I2]}),
-     {"affine_weyl", "bk_gauge"}),
+      "--M", "10"], json.dumps({"A": [I2], "I": [I2]}), FLAG),
     (["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"], "",
-     {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
+     SETS),
     (["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
-      "--rmu", "20,10,0"], "",
-     {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
-    (["ap", "--n", "3", "--lambda", "3,1,0"], "", {"affine_weyl"}),
+      "--rmu", "20,10,0"], "", SETS),
+    (["ap", "--n", "3", "--lambda", "3,1,0"], "", ORDERS),
     (["jh", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0",
-      "--lambda", "0,0"], "",
-     {"affine_weyl", "weights", "inertial_types", "weight_sets"}),
+      "--lambda", "0,0"], "", SETS),
+    (["covers", "--n", "2", "--f", "1", "--p", "37", "--w1a", "e",
+      "--omegaa", "6,0", "--w1b", "e", "--omegab", "6,0"], "", SETS),
+    (["lap", "--n", "2", "--f", "1", "--p", "37", "--kappa", "6,0",
+      "--zeta", "6"], "", WEIGHTS | {"cli_weights"}),
+    (["generic", "--n", "2", "--f", "1", "--p", "37", "--mu", "9,3",
+      "--pm", "1"], "", WEIGHTS | {"polynomials", "cli_weights"}),
+    (["type", "--n", "2", "--f", "1", "--p", "37", "--s", "(12)",
+      "--mu", "5,0"], "", WEIGHTS | {"inertial_types", "cli_weights"}),
+    (["descent", "--n", "2", "--f", "1", "--p", "37", "--s", "(12)",
+      "--mu", "5,0"], "",
+     WEIGHTS | {"inertial_types", "descent", "cli_weights"}),
+    (["atau", "--n", "2", "--f", "1", "--p", "37", "--s", "(12)",
+      "--mu", "5,0"], "",
+     WEIGHTS | {"inertial_types", "descent", "cli_weights"}),
 ])
 def test_each_command_runs_only_its_layers(argv, stdin, layers):
-    # a lazy layer that has run is a plain module again
+    # a lazy layer that has run is a plain module again; every command loads
+    # cli, the shared cli_io and exactly one handler module
     out = run_python(f"""
 import contextlib, io, json, sys, types
 import awbm.cli as cli
@@ -846,7 +888,35 @@ print(json.dumps(sorted(name[len("awbm."):] for name, m in sys.modules.items()
                         if name.startswith("awbm.")
                         and type(m) is types.ModuleType)))
 """)
-    assert json.loads(out) == sorted(layers | {"cli", "errors"})
+    loaded = json.loads(out)
+    assert loaded == sorted(layers | {"cli", "cli_io", "errors"})
+    assert len([m for m in loaded if m.startswith("cli_")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["len", "--n", "2", "--a", "e"],
+    ["zchar", "--n", "2", "--f", "1", "--w1", "e", "--omega", "6,1"],
+    ["covers", "--n", "2", "--f", "1", "--p", "37", "--w1a", "e",
+     "--omegaa", "6,0", "--w1b", "e", "--omegab", "6,0"],
+    ["cell", "--n", "3", "--w", "e@2,1,0"],
+])
+def test_module_entry_point_loads_cli_once(argv):
+    # under `python -m awbm.cli`, which runs runpy._run_module_as_main, the
+    # entry module is __main__; a handler that imported from awbm.cli would
+    # compile and run cli.py a second time, as the module awbm.cli
+    code = ("import json, runpy, sys\n"
+            f"sys.argv = ['awbm', *{argv!r}]\n"
+            "try:\n"
+            "    runpy._run_module_as_main('awbm.cli')\n"
+            "finally:\n"
+            "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == _run_in_process(argv, None)[1]
+    loaded = set(json.loads(res.stderr))
+    assert {"awbm.cli_io", "awbm." + cli.COMMANDS[argv[0]][0]} <= loaded
+    assert "awbm.cli" not in loaded
 
 
 def _parse(parser, argv):
@@ -893,7 +963,7 @@ def test_one_subparser_parses_as_the_full_tree():
             assert list(_subparsers(one)) == [name]
             got[case] = _parse(one, argv)
             assert got[case] == _parse(cli._build_parser(), argv), argv
-        assert got["valid"][0].func.__name__ == f"cmd_{name}"
+        assert cli._handler(got["valid"][0].command).__name__ == f"cmd_{name}"
         ns, code, out, err = got["help"]
         assert (code, err) == (0, "") and out.startswith(f"usage: awbm {name} ")
         # the error texts reach stderr unchanged through run

@@ -5,18 +5,81 @@ from fractions import Fraction
 
 import pytest
 
-from awbm.affine_weyl import GroupContext, WeylElement, translation
-from awbm.errors import ArgumentError, CompatibilityError, GenericityError
-from awbm.inertial_types import (
-    a_tau,
-    compatible_presentation,
-    compatible_zeta,
-    descent_data,
-    is_compatible,
-    make_type,
+from awbm.affine_weyl import (
+    GroupContext,
+    WeylElement,
+    WeylTuple,
+    eta_vector,
+    finite,
+    omega_power,
+    perm_act,
+    perm_compose,
+    perm_inverse,
+    translation,
 )
+from awbm.descent import a_tau, descent_data
+from awbm.errors import (
+    ArgumentError,
+    CompatibilityError,
+    GenericityError,
+    InternalError,
+)
+from awbm.inertial_types import TameTypePresentation, compatible_zeta, make_type
 from awbm.weights import CentralCharacter
 from conftest import perms, random_tuple_mu
+
+# is_compatible and compatible_presentation are tested here and called by no
+# command, so they live with their test
+
+
+def is_compatible(tau: TameTypePresentation, zeta: CentralCharacter, lam=None) -> bool:
+    return compatible_zeta(tau, lam).zeta == tuple(zeta.zeta)
+
+
+def compatible_presentation(tau: TameTypePresentation, zeta: CentralCharacter,
+                            lam=None) -> TameTypePresentation:
+    """The unique presentation of the same type that is lam-compatible with
+    zeta (1-generic input required), found by a central twist."""
+    p = tau.ctx.require_prime()
+    if not tau.is_generic(1):
+        raise GenericityError("presentation enumeration needs a 1-generic type")
+    current = compatible_zeta(tau, lam)
+    xi = CentralCharacter(tuple(zeta.zeta)).reduce_offset(current, p)
+    if xi is None:
+        raise CompatibilityError(
+            f"zeta {zeta.zeta} is incompatible with the type's character "
+            f"{current.zeta} mod (p - pi)")
+    out = _omega_twist_type(tau, xi)
+    if compatible_zeta(out, lam).zeta != tuple(zeta.zeta):
+        raise InternalError("type twist missed the target character")
+    return out
+
+
+def _omega_twist_type(tau: TameTypePresentation, xi) -> TameTypePresentation:
+    """Twist (s, mu) ↦ (w s pi(w)^{-1}, w(mu + eta + p nu - s pi(nu)) - eta)
+    by the length-zero tuple delta = w t_nu with degrees xi."""
+    p = tau.ctx.require_prime()
+    n, f = tau.n, tau.f
+    eta = eta_vector(n)
+    deltas = [omega_power(n, x) for x in xi]
+    wparts = [d.w for d in deltas]
+    nuparts = [perm_act(perm_inverse(d.w), d.nu) for d in deltas]  # d = w t_nu
+    new_s, new_mu = [], []
+    for j in range(f):
+        wj = wparts[j]
+        wnext = wparts[(j + 1) % f]
+        new_s.append(finite(perm_compose(perm_compose(wj, tau.s[j].w),
+                                         perm_inverse(wnext))))
+        inner = tuple(
+            m + e + p * nuparts[j][i] - perm_act(tau.s[j].w, nuparts[(j + 1) % f])[i]
+            for i, (m, e) in enumerate(zip(tau.mu[j], eta)))
+        moved = perm_act(wj, inner)
+        new_mu.append(tuple(x - e for x, e in zip(moved, eta)))
+    out = TameTypePresentation(WeylTuple(tuple(new_s)), tuple(new_mu),
+                               tau.ctx, tau.kind)
+    if out.depth() < 0:
+        raise InternalError("twisted presentation left the base alcove")
+    return out
 
 CTX = GroupContext(2, 1, 37)
 

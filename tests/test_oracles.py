@@ -10,7 +10,6 @@ from awbm.affine_weyl import (
     adm,
     adm_member,
     ap_enumerate,
-    ap_member,
     bruhat_interval,
     bruhat_leq,
     degree,
@@ -28,6 +27,7 @@ from awbm.affine_weyl import (
 from awbm.errors import CapacityError
 from awbm.oracles import (
     adm_closure,
+    ap_member,
     chain_up_leq,
     enumerate_elements,
     im_length,

@@ -13,8 +13,9 @@ from awbm.affine_weyl import (
     multiply,
 )
 from awbm.bk_gauge import Coefficients, SeriesMatrix, TwistData, shape_semisimple
+from awbm.descent import descent_data
 from awbm.errors import ArgumentError, InputError
-from awbm.inertial_types import TameTypePresentation, descent_data, make_type
+from awbm.inertial_types import TameTypePresentation, make_type
 from awbm.modp_flag import LaurentMatrix, cell_geometry, chart_template, component_data
 from awbm.weight_sets import CycleExpr, w_question
 from awbm.weights import CentralCharacter, SerreWeightPresentation

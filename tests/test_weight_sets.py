@@ -24,13 +24,12 @@ from awbm.errors import (
     MembershipError,
 )
 from awbm.inertial_types import make_type
-from awbm.oracles import covers_up_oracle
+from awbm.oracles import covers_up_oracle, jh_contains_fixed
 from awbm.weight_sets import (
     bm_cycles,
     covers,
     defect,
     intersection,
-    jh_contains_fixed,
     jh_set,
     max_defect_weight,
     w_question,

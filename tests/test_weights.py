@@ -16,17 +16,15 @@ from awbm.affine_weyl import (
     translation,
 )
 from awbm.errors import ArgumentError, CompatibilityError, DepthError
+from awbm.polynomials import build_Pm, genericity, superscript
 from awbm.weights import (
     CentralCharacter,
     SerreWeightPresentation,
-    build_Pm,
     central_character,
     conv_contains,
     conv_lattice_points,
-    genericity,
     lap_of,
     serre_weight,
-    superscript,
     weight_depth,
     weight_depth_base,
     weights_equal_mod_center,
