@@ -1,12 +1,14 @@
 """Exact affine Weyl group combinatorics and mod-p matrix calculus for GL_n.
 
-The public surface is organised by layer: `affine_weyl` (elements, orders,
-admissible sets), `weights` (lowest alcove presentations and depth),
-`polynomials` (the genericity polynomials P_m), `inertial_types` (tame type
-presentations), `descent` (descent data and inertial weights), `weight_sets`
-(predicted sets, covering, defect, the cycle solver), `modp_flag` (charts,
-Schubert cells, the monodromy condition, component fixed points), `bk_gauge`
-(truncated series calculus and shapes), `oracles` (naive reference
+The public surface is organised by layer: `group` (elements and the group
+law, alcove points, length), `affine_weyl` (orders and admissible sets, with
+the names of `group` re-exported), `weights` (lowest alcove presentations
+and depth), `polynomials` (the genericity polynomials P_m), `inertial_types`
+(tame type presentations), `descent` (descent data and inertial weights),
+`weight_sets` (predicted sets, covering, defect, the cycle solver), `series`
+(the matrix kernel over F_q[v, v^-1]), `modp_flag` (charts, Schubert cells,
+the monodromy condition, component fixed points), `bk_gauge` (the gauge
+calculus on truncated series, and shapes), `oracles` (naive reference
 implementations), and `cli` (the JSON command line, whose handlers live in
 one `cli_*` module per command family).
 
@@ -26,8 +28,9 @@ __version__ = "0.1.0"
 # it.  LazyLoader is not thread-safe on Python 3.11; the library starts no
 # threads.  `cli` is not registered: `python -m awbm.cli` must find it absent
 # from sys.modules.
-for _name in ("affine_weyl", "weights", "polynomials", "inertial_types",
-              "descent", "weight_sets", "modp_flag", "bk_gauge", "oracles"):
+for _name in ("group", "affine_weyl", "weights", "polynomials",
+              "inertial_types", "descent", "weight_sets", "series",
+              "modp_flag", "bk_gauge", "oracles"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)
@@ -38,10 +41,12 @@ del _name, _spec, _module
 # the package's re-exports, served from their layers on first access
 _EXPORTS = {
     "affine_weyl": (
-        "GroupContext", "WeylElement", "WeylTuple", "adm", "ap_enumerate",
-        "bruhat_interval", "bruhat_leq", "classify", "evaluate", "length",
-        "multiply", "regular_factorization", "star", "up_leq"),
+        "adm", "ap_enumerate", "bruhat_interval", "bruhat_leq", "classify",
+        "regular_factorization", "up_leq"),
     "descent": ("a_tau", "descent_data"),
+    "group": (
+        "GroupContext", "WeylElement", "WeylTuple", "evaluate", "length",
+        "multiply", "star"),
     "inertial_types": ("TameTypePresentation", "make_type"),
     "polynomials": ("build_Pm", "genericity", "superscript"),
     "weight_sets": (

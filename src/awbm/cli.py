@@ -144,6 +144,9 @@ def _handler(command):
 def run(argv) -> int:
     try:
         args = _build_parser(argv).parse_args(argv)
+        for flag in ("n", "f"):  # past an index's range, work would overflow
+            if getattr(args, flag, 1) > sys.maxsize:
+                raise InputError(f"--{flag} must be at most {sys.maxsize}")
         _handler(args.command)(args)
         sys.stdout.flush()
         return 0

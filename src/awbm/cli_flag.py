@@ -7,9 +7,10 @@ from __future__ import annotations
 import json
 import sys
 
-from . import affine_weyl as aw
 from . import bk_gauge as bk
+from . import group as gr
 from . import modp_flag as mf
+from . import series as se
 from . import weights as wt
 from .cli_io import (ctx_of, emit, parse_element, parse_tuple, parse_vector,
                      parse_weight_rows, type_of)
@@ -39,7 +40,7 @@ def _stdin_series_lists(ctx, *keys):
     document, each n x n over characteristic p for the n and p of ctx."""
     doc = _stdin_json()
     try:
-        return [[_matrix(bk.SeriesMatrix.from_json(m), ctx.n, ctx.p)
+        return [[_matrix(se.SeriesMatrix.from_json(m), ctx.n, ctx.p)
                  for m in doc[k]] for k in keys]
     except (KeyError, TypeError) as exc:
         raise InputError(
@@ -107,7 +108,7 @@ def cmd_twist(args):
     ctx = ctx_of(args)
     tw = _twist(args, ctx)
     data = _stdin_json() if args.matrix == "-" else json.loads(args.matrix)
-    Y = _matrix(bk.SeriesMatrix.from_json(data), ctx.n, ctx.p)
+    Y = _matrix(se.SeriesMatrix.from_json(data), ctx.n, ctx.p)
     emit(bk.frobenius_twist(Y, args.j, tw, args.M).to_json())
 
 
@@ -136,7 +137,7 @@ def cmd_shape(args):
            "w_rhobar_tau": res.w_rhobar_tau.to_json()}
     if getattr(args, "lambda"):
         lam = parse_weight_rows(getattr(args, "lambda"), ctx.n, ctx.f)
-        lpe = tuple(tuple(l + e for l, e in zip(row, aw.eta_vector(ctx.n)))
+        lpe = tuple(tuple(l + e for l, e in zip(row, gr.eta_vector(ctx.n)))
                     for row in lam)
         doc["admissible_dual"] = res.admissible_for(lam)
         doc["admissible_shifted"] = res.shifted_member(lpe)

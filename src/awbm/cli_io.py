@@ -10,7 +10,7 @@ import json
 import re
 import sys
 
-from . import affine_weyl as aw
+from . import group as gr
 from . import inertial_types as it
 from . import weights as wt
 from .errors import InputError
@@ -22,9 +22,9 @@ from .errors import InputError
 def parse_perm(text: str, n: int):
     text = text.strip()
     if text == "e":
-        return aw.perm_identity(n)
+        return gr.perm_identity(n)
     if text == "w0":
-        return aw.perm_w0(n)
+        return gr.perm_w0(n)
     if text.startswith("("):
         perm = list(range(1, n + 1))
         for cyc in re.findall(r"\(([^()]*)\)", text):
@@ -54,25 +54,25 @@ def parse_vector(text: str, n: int):
     return out
 
 
-def parse_element(text: str, n: int) -> aw.WeylElement:
+def parse_element(text: str, n: int) -> gr.WeylElement:
     text = text.strip()
     if text.startswith("{"):
-        return aw.WeylElement.from_json(json.loads(text))
+        return gr.WeylElement.from_json(json.loads(text))
     if "@" in text:
         ptxt, ntxt = text.split("@", 1)
-        return aw.WeylElement(parse_perm(ptxt, n), parse_vector(ntxt, n))
-    return aw.WeylElement(parse_perm(text, n), (0,) * n)
+        return gr.WeylElement(parse_perm(ptxt, n), parse_vector(ntxt, n))
+    return gr.WeylElement(parse_perm(text, n), (0,) * n)
 
 
-def parse_tuple(text: str, n: int, f: int) -> aw.WeylTuple:
+def parse_tuple(text: str, n: int, f: int) -> gr.WeylTuple:
     text = text.strip()
     if text.startswith("["):
-        tup = aw.WeylTuple.from_json(json.loads(text))
+        tup = gr.WeylTuple.from_json(json.loads(text))
     else:
         parts = [p for p in text.split(";") if p.strip()]
         if len(parts) == 1 and f > 1:
             parts = parts * f
-        tup = aw.WeylTuple(tuple(parse_element(p, n) for p in parts))
+        tup = gr.WeylTuple(tuple(parse_element(p, n) for p in parts))
     if tup.f != f or tup.n != n:
         raise InputError(f"tuple has shape ({tup.f},{tup.n}), expected ({f},{n})")
     return tup
@@ -82,7 +82,7 @@ def parse_weight_rows(text: str, n: int, f: int):
     text = text.strip()
     if text.startswith("[["):
         try:
-            rows = tuple(tuple(aw.json_int(x, "weight row") for x in row)
+            rows = tuple(tuple(gr.json_int(x, "weight row") for x in row)
                          for row in json.loads(text))
         except TypeError as exc:
             raise InputError(
@@ -97,8 +97,8 @@ def parse_weight_rows(text: str, n: int, f: int):
     return rows
 
 
-def ctx_of(args) -> aw.GroupContext:
-    return aw.GroupContext(args.n, getattr(args, "f", 1), getattr(args, "p", None))
+def ctx_of(args) -> gr.GroupContext:
+    return gr.GroupContext(args.n, getattr(args, "f", 1), getattr(args, "p", None))
 
 
 def presentation(args, ctx, wflag="w1", oflag="omega"):

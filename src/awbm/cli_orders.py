@@ -5,6 +5,7 @@ oracles."""
 from __future__ import annotations
 
 from . import affine_weyl as aw
+from . import group as gr
 from . import oracles as orc
 from .cli_io import emit, parse_element, parse_vector
 from .errors import InputError
@@ -13,16 +14,16 @@ from .errors import InputError
 def cmd_mul(args):
     a = parse_element(args.a, args.n)
     b = parse_element(args.b, args.n)
-    emit(aw.multiply(a, b).to_json())
+    emit(gr.multiply(a, b).to_json())
 
 
 def cmd_len(args):
     a = parse_element(args.a, args.n)
-    emit({"length": aw.length(a)})
+    emit({"length": gr.length(a)})
 
 
 def cmd_star(args):
-    emit(aw.star(parse_element(args.a, args.n)).to_json())
+    emit(gr.star(parse_element(args.a, args.n)).to_json())
 
 
 def cmd_bruhat(args):

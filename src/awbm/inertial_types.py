@@ -8,7 +8,7 @@ weights are derived in `descent`.
 
 from __future__ import annotations
 
-from .affine_weyl import (
+from .group import (
     GroupContext,
     Record,
     WeylElement,

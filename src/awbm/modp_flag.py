@@ -1,7 +1,7 @@
 """Computations on the affine flag variety over F_p: affine charts,
 Schubert-cell geometry, the first-order monodromy condition, and component
 labels with their torus fixed points.  Matrices over F_p[v, v^-1] are exact
-matrices of the series kernel (`bk_gauge.SeriesMatrix` with prec=None);
+matrices of the series kernel (`series.SeriesMatrix` with prec=None);
 `LaurentMatrix` only fixes their JSON encoding.
 
 A point of the open cell attached to a starred element z = t_nu ∘ w (in the
@@ -28,33 +28,32 @@ from __future__ import annotations
 
 import itertools
 
+# the order theory of `affine_weyl` serves component_data only; it is
+# reached through the lazy module at the point of call
+from . import affine_weyl as aw
 from . import inertial_types, weight_sets, weights
-from .affine_weyl import (
+from .group import (
     GroupContext,
     Record,
     WeylElement,
     WeylTuple,
     alcove_point,
     all_perms,
-    bruhat_interval,
+    all_roots,
     dominant_witness,
     eta_vector,
     finite,
     invert,
-    is_generic_element,
     multiply,
     pairing,
     perm_act,
     perm_inverse,
     perm_sign,
     positive_roots,
-    all_roots,
-    sort_key,
     star,
     translation,
     w0,
 )
-from .bk_gauge import Coefficients, SeriesMatrix
 from .errors import (
     ArgumentError,
     GenericityError,
@@ -62,6 +61,7 @@ from .errors import (
     InternalError,
     ZeroDivisorError,
 )
+from .series import Coefficients, SeriesMatrix
 
 __all__ = [
     "LaurentMatrix",
@@ -348,7 +348,7 @@ class ComponentData(Record):
 
 
 def _tuple_sort_key(t: WeylTuple):
-    return tuple(sort_key(c) for c in t)
+    return tuple(aw.sort_key(c) for c in t)
 
 
 def component_data(w1: WeylTuple, omega, ctx: GroupContext,
@@ -363,20 +363,20 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
     label = weights.SerreWeightPresentation(w1, omega, ctx)
     n = ctx.n
     for row in omega:
-        if not force and not is_generic_element(translation(row), n - 1, p):
+        if not force and not aw.is_generic_element(translation(row), n - 1, p):
             raise GenericityError(
                 f"t_omega must be {n - 1}-generic per embedding")
     per_bound, per_obvious = [], []
     for j in range(ctx.f):
         t_om = translation(omega[j])
         bnd = {multiply(star(m), t_om)
-               for m in bruhat_interval(multiply(w0(n), w1[j]))}
+               for m in aw.bruhat_interval(multiply(w0(n), w1[j]))}
         obv = {star(multiply(t_om, multiply(finite(u), w1[j])))
                for u in all_perms(n)}
         if not obv <= bnd:
             raise InternalError("obvious fixed points escape the bound set")
-        per_bound.append(sorted(bnd, key=sort_key))
-        per_obvious.append(sorted(obv, key=sort_key))
+        per_bound.append(sorted(bnd, key=aw.sort_key))
+        per_obvious.append(sorted(obv, key=aw.sort_key))
     bound = tuple(sorted(map(WeylTuple, itertools.product(*per_bound)),
                          key=_tuple_sort_key))
     obvious = tuple(sorted(map(WeylTuple, itertools.product(*per_obvious)),

@@ -35,7 +35,7 @@ whole of W?, where `weight_sets.bm_cycles` takes the product of
 one-embedding solves.
 
 The series-matrix reference, `series_matrix_product`, multiplies two
-`bk_gauge.SeriesMatrix` values schoolbook over their {exponent: coefficient}
+`series.SeriesMatrix` values schoolbook over their {exponent: coefficient}
 entries with Python ints, reading the operands only through `entry`, and
 drops every term at or above the product's precision; it shares no helper
 with the kernel's loop or its packed path.  `series_matrix_frobenius` and
@@ -395,7 +395,7 @@ def covers_up_oracle(sigma0, sigma) -> bool:
 
 
 def series_matrix_product(a, b):
-    """a·b for `bk_gauge.SeriesMatrix` operands over F_p or F_{p^2} (a + b·w
+    """a·b for `series.SeriesMatrix` operands over F_p or F_{p^2} (a + b·w
     with w^2 = r, as the pair [a, b]).  The product is known below
     min(lo_a + prec_b, lo_b + prec_a), an exact operand having precision
     infinity, and no term at or above it is kept.  Returns the nonzero

@@ -834,13 +834,14 @@ print(json.dumps(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
     assert json.loads(out) == []
 
 
-ORDERS, WEIGHTS = {"affine_weyl", "cli_orders"}, {"affine_weyl", "weights"}
+GROUP = {"group", "cli_orders"}
+ORDERS, WEIGHTS = GROUP | {"affine_weyl"}, {"group", "affine_weyl", "weights"}
 SETS = WEIGHTS | {"inertial_types", "weight_sets", "cli_sets"}
-FLAG = {"affine_weyl", "bk_gauge", "cli_flag"}
+FLAG, GAUGE = {"group", "series", "cli_flag"}, {"bk_gauge"}
 
 
 @pytest.mark.parametrize("argv,stdin,layers", [
-    (["len", "--n", "2", "--a", "e"], "", ORDERS),
+    (["len", "--n", "2", "--a", "e"], "", GROUP),
     (["adm", "--n", "3", "--lambda", "2,1,0"], "", ORDERS),
     (["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"], "", ORDERS),
     (["monodromy", "--n", "4", "--p", "101", "--w", "3,2,4,1@3,1,2,0",
@@ -848,11 +849,11 @@ FLAG = {"affine_weyl", "bk_gauge", "cli_flag"}
     (["nabla", "--n", "2", "--matrix", json.dumps(I2), "--abar", "5,0"], "",
      FLAG | {"modp_flag"}),
     (["straighten", "--n", "2", "--f", "1", "--p", "7", "--z", "(12)@0,4",
-      "--M", "10"], json.dumps({"A": [I2], "X": [I2]}), FLAG),
+      "--M", "10"], json.dumps({"A": [I2], "X": [I2]}), FLAG | GAUGE),
     (["twist", "--n", "2", "--f", "1", "--p", "7", "--s", "e", "--mu", "2,0",
-      "--M", "10", "--matrix", json.dumps(I2)], "", FLAG),
+      "--M", "10", "--matrix", json.dumps(I2)], "", FLAG | GAUGE),
     (["cob", "--n", "2", "--f", "1", "--p", "7", "--s", "(12)", "--mu", "2,0",
-      "--M", "10"], json.dumps({"A": [I2], "I": [I2]}), FLAG),
+      "--M", "10"], json.dumps({"A": [I2], "I": [I2]}), FLAG | GAUGE),
     (["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"], "",
      SETS),
     (["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
@@ -899,6 +900,9 @@ print(json.dumps(sorted(name[len("awbm."):] for name, m in sys.modules.items()
     ["covers", "--n", "2", "--f", "1", "--p", "37", "--w1a", "e",
      "--omegaa", "6,0", "--w1b", "e", "--omegab", "6,0"],
     ["cell", "--n", "3", "--w", "e@2,1,0"],
+    ["twist", "--n", "2", "--f", "1", "--p", "7", "--s", "e", "--mu", "2,0",
+     "--M", "10", "--matrix", json.dumps(I2)],
+    ["nabla", "--n", "2", "--matrix", json.dumps(I2), "--abar", "5,0"],
 ])
 def test_module_entry_point_loads_cli_once(argv):
     # under `python -m awbm.cli`, which runs runpy._run_module_as_main, the

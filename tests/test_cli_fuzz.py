@@ -399,8 +399,17 @@ def test_mutated_calls_keep_the_exit_contract():
     assert elapsed < 10, elapsed
 
 
-# ---------------------------------------------------------------------------
-# equivalent encodings
+@pytest.mark.parametrize("argv", [
+    ["len", "--n", str(10 ** 30), "--a", "e"],
+    ["wq", "--n", "2", "--f", str(10 ** 30), "--p", "37", "--s", "e",
+     "--mu", "5,0"],
+    ["len", "--n", str(sys.maxsize + 1), "--a", "e"],
+])
+def test_rank_or_embedding_count_past_an_index_is_input_error(argv):
+    # these exited 4 on an OverflowError from the first range over them
+    code, out, err, _ = run_call(argv, None)
+    assert (code, out) == (2, "") and err.startswith("input error: --")
+    assert contract_breach(argv, code, out, err) is None
 
 def _cycles(w, sep=" "):
     """w in cycle notation, one parenthesised group per nontrivial cycle,

@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from awbm import bk_gauge
+from awbm import series
 from awbm.bk_gauge import Coefficients, SeriesMatrix
 from awbm.errors import ArgumentError
 from awbm.oracles import (
@@ -84,8 +84,8 @@ def test_product_matches_reference(seed, monkeypatch):
         packed.append(rows is not None)
         return rows
 
-    packed_product = bk_gauge._packed_product
-    monkeypatch.setattr(bk_gauge, "_packed_product", counted)
+    packed_product = series._packed_product
+    monkeypatch.setattr(series, "_packed_product", counted)
     rng = random.Random(seed)
     for _ in range(CASES_PER_SEED):
         a, b = case(rng)
@@ -180,13 +180,13 @@ def test_adjugate_work_is_n2_times_2_to_n_minus_1(monkeypatch):
         calls.append(1)
         mac(acc, a, b, cut)
 
-    mac = bk_gauge._mac
+    mac = series._mac
     field, n = Coefficients(1009), 8
     rng = random.Random(7)
     A = SeriesMatrix.from_entries(
         field, n, {(i, j, e): rng.randrange(1, 1009) for i in range(1, n + 1)
                    for j in range(1, n + 1) for e in (-1, 0)})
-    monkeypatch.setattr(bk_gauge, "_mac", counted)
+    monkeypatch.setattr(series, "_mac", counted)
     A._adjugate()
     assert 0 < len(calls) <= n * n * 2 ** (n - 1)
 
