@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from functools import lru_cache
 
 from . import group
@@ -290,6 +291,8 @@ def conv_contains(nu, lam) -> bool:
 def conv_lattice_points(lam):
     """Integer points of the Weyl-orbit hull of lam."""
     lo, hi = min(lam), max(lam)
+    if hi - lo > sys.maxsize:  # no range of that length can be built
+        raise CapacityError(f"weight spread {hi - lo} exceeds sys.maxsize")
     pts = []
     for cand in itertools.product(range(lo, hi + 1), repeat=len(lam)):
         if conv_contains(cand, lam):

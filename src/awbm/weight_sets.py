@@ -7,11 +7,13 @@ fixed context.  The two basic parametrizations are
   * JH labels of a type tau twisted by W(lam):  admissible pairs
     (w1, w2) in AP(lam+eta) give the presentations
     (w1, w̃(tau)(w2^{-1}(0)));
-  * the predicted set W? of a mod-p type rhobar:  pairs (w, w2) with w
-    restricted dominant, w2 dominant and w2 ↑ w give the presentations
-    (w, w̃(rhobar)(w2^{-1}(0))), with w2 = w exactly on the obvious subset.
+  * the predicted set W?(rhobar) = R(JH(sigma(tau))), tau the type with the
+    data of rhobar (Herzig, Duke Math. J. 149 (2009)):  R(w1, omega) =
+    (w_h w1, omega) maps the pairs (w1, w2) in AP(eta) to the presentations
+    (w_h w1, w̃(rhobar)(w2^{-1}(0))), with w2 = w_h w1 exactly on the obvious
+    subset.
 
-The defect of a predicted weight is len(t_eta) - len((w_h w)^{-1} w0 w2);
+The defect of a predicted weight is len(t_eta) - len(w2^{-1} w0 w1);
 it vanishes exactly on the obvious weights, and the cycle solver eliminates
 it recursively: a defect-zero weight is read off from a single auxiliary
 type, and a higher-defect weight from an auxiliary type whose other
@@ -39,13 +41,11 @@ from .affine_weyl import (
     evaluate,
     finite,
     invert,
-    is_dominant,
     is_regular,
     length,
     multiply,
     perm_act,
     regular_factorization,
-    restricted_classes,
     translation,
     up_leq_points,
     w0,
@@ -217,12 +217,17 @@ def _require_predicted_set(rho: TameTypePresentation, force: bool):
 @lru_cache(maxsize=None)
 def _w_question_pairs(n: int):
     """The defect summand of each pair (w, w2) with w restricted dominant and
-    w2 ↑ w dominant, keyed by the pair; it depends on n only."""
+    w2 ↑ w dominant, keyed by the pair; it depends on n only.  The pairs are
+    the R-images (w_h w1, w2) of AP(eta), each moved by the central
+    translation that makes max nu(w) zero."""
     t_eta = length(translation(eta_vector(n)))
-    return {(w, w2): t_eta - length(multiply(invert(multiply(w_h(n), w)),
-                                             multiply(w0(n), w2)))
-            for w in restricted_classes(n) for w2 in bruhat_interval(w)
-            if is_dominant(w2)}  # w2 ↑ w iff w2 <= w, both dominant
+    out = {}
+    for w1, w2 in ap_enumerate(eta_vector(n)):
+        w = multiply(w_h(n), w1)
+        shift = translation((-max(w.nu),) * n)
+        out[multiply(shift, w), multiply(shift, w2)] = t_eta - length(
+            multiply(invert(w2), multiply(w0(n), w1)))
+    return out
 
 
 @lru_cache(maxsize=256)

@@ -20,8 +20,6 @@ from .affine_weyl import (
     Record,
     WeylElement,
     WeylTuple,
-    conv_contains,
-    conv_lattice_points,
     degree,
     element_depth,
     eta_vector,
@@ -51,8 +49,6 @@ __all__ = [
     "lap_of",
     "weights_equal_mod_center",
     "dot_action",
-    "conv_contains",
-    "conv_lattice_points",
 ]
 
 

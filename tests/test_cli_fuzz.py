@@ -411,6 +411,19 @@ def test_rank_or_embedding_count_past_an_index_is_input_error(argv):
     assert (code, out) == (2, "") and err.startswith("input error: --")
     assert contract_breach(argv, code, out, err) is None
 
+
+@pytest.mark.parametrize("argv", [
+    ["ap", "--n", "3", "--lambda", f"{10 ** 30},1,0"],
+    ["adm", "--n", "3", "--lambda", f"{10 ** 30},1,0"],
+    ["jh", "--n", "3", "--f", "1", "--p", "37", "--s", "e", "--mu", "20,10,0",
+     "--lambda", f"{10 ** 30},1,0", "--force"],
+])
+def test_weight_spread_past_an_index_is_capacity_error(argv):
+    # these exited 4 on an OverflowError from the range over the weight's hull
+    code, out, err, _ = run_call(argv, None)
+    assert (code, out) == (3, "") and "weight spread" in err
+    assert contract_breach(argv, code, out, err) is None
+
 def _cycles(w, sep=" "):
     """w in cycle notation, one parenthesised group per nontrivial cycle,
     its entries joined by sep."""

@@ -128,8 +128,7 @@ def _permissible_set(lam):
     the orbit hull of lam.  For GL_n this characterizes the admissible set,
     through a path completely independent of the Bruhat recursion."""
     import itertools
-    from awbm.affine_weyl import all_perms, evaluate
-    from awbm.weights import conv_contains
+    from awbm.affine_weyl import all_perms, conv_contains, evaluate
     n = len(lam)
     deg = sum(lam)
     span = max(abs(x) for x in lam) + 1

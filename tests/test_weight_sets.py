@@ -410,7 +410,8 @@ def _lam_compatible_type(rho, lam, rng):
     return _aux_type_from_element(rho.ctx, WeylTuple(comps))
 
 
-@pytest.mark.parametrize("n,f,seed", [(2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 3, 4)])
+@pytest.mark.parametrize("n,f,seed", [(2, 2, 1), (2, 3, 2), (3, 2, 3), (3, 3, 4),
+                                      (4, 1, 5), (4, 2, 6), (5, 1, 7)])
 def test_factored_weight_sets_match_record_scans(n, f, seed):
     from conftest import random_tuple_mu, random_weyl_tuple
     rng = random.Random(seed)

@@ -10,6 +10,8 @@ from awbm.affine_weyl import (
     GroupContext,
     WeylElement,
     WeylTuple,
+    conv_contains,
+    conv_lattice_points,
     degree,
     evaluate,
     identity,
@@ -21,8 +23,6 @@ from awbm.weights import (
     CentralCharacter,
     SerreWeightPresentation,
     central_character,
-    conv_contains,
-    conv_lattice_points,
     lap_of,
     serre_weight,
     weight_depth,
