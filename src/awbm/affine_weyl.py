@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import sys
 from functools import lru_cache
 
 from . import group
@@ -59,6 +58,7 @@ __all__ = group.__all__ + [
     "adm_member",
     "conv_contains",
     "conv_lattice_points",
+    "MAX_HULL_BOX",
     "regular_factorization",
     "ap_enumerate",
     "restricted_classes",
@@ -288,11 +288,22 @@ def conv_contains(nu, lam) -> bool:
     return True
 
 
+# conv_lattice_points walks the box [min lam, max lam]^n, (spread + 1)^n
+# candidates, to keep the points of the hull.  A weight whose box is larger
+# than the bound is refused before any range is built.  The largest box that
+# a test, catalog job, README example or CI step walks is eta at n = 6 (`wq
+# --n 6`, 6^6 = 46,656 candidates); eta at n = 7, 7^7 = 823,543 candidates,
+# takes 0.4 s (Python 3.11, one core of an Intel Xeon).
+MAX_HULL_BOX = 10 ** 6
+
+
 def conv_lattice_points(lam):
     """Integer points of the Weyl-orbit hull of lam."""
     lo, hi = min(lam), max(lam)
-    if hi - lo > sys.maxsize:  # no range of that length can be built
-        raise CapacityError(f"weight spread {hi - lo} exceeds sys.maxsize")
+    if (hi - lo + 1) ** len(lam) > MAX_HULL_BOX:
+        raise CapacityError(
+            f"weight spread {hi - lo} at n = {len(lam)} gives more than "
+            f"MAX_HULL_BOX = {MAX_HULL_BOX} candidate points")
     pts = []
     for cand in itertools.product(range(lo, hi + 1), repeat=len(lam)):
         if conv_contains(cand, lam):

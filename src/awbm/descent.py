@@ -6,15 +6,17 @@ degree-f' = f·r extension (r the order of s_tau = s_0 s_1 ... s_{f-1}):
     alpha_j   = s_{f-1}^{-1} ... s_{f-j}^{-1} (mu_{f-j} + eta_{f-j}),
     alpha'_{j+kf} = s_tau^{-k}(alpha_j),
     a'^{(j')} = sum_i alpha'_{-j'+i} p^i          (indices mod f'),
-    s'_or,{j+kf} = s_tau^{k+1} (s_{f-1}^{-1} ... s_{j+1}^{-1}),
+    s'_or,{j+kf} = s_tau^{k+1} (s_{f-1}^{-1} ... s_{j+1}^{-1}).
 
-with (s'_or,j')^{-1}(a'^{(j')}) dominant whenever mu is 0-generic.  The
+In every product written here the rightmost factor acts first.
+(s'_or,j')^{-1}(a'^{(j')}) is dominant whenever mu is 0-generic.  The
 characters of the type are powers of the niveau-f' fundamental character with
 exponents a'^{(0)}_i mod p^{f'} - 1, and the inertial weights are
 
     a_tau,j' = (s'_or,j')^{-1}(a'^{(j')}) / (1 - p^{f'}),
 
-whose mod-p reduction at j < f is s_j^{-1}(mu_j + eta_j).
+whose mod-p reduction at j < f is s_j^{-1}(mu_j + eta_j).  As
+1 - p^{f'} ≡ 1 (mod p), a_tau mod p is the oriented a' mod p.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .affine_weyl import (
     perm_inverse,
     positive_roots,
 )
-from .errors import ArgumentError, GenericityError, InternalError
+from .errors import GenericityError, InternalError
 from .inertial_types import TameTypePresentation
 
 __all__ = ["DescentData", "descent_data", "a_tau"]
@@ -51,96 +53,54 @@ class DescentData(Record):
     )
 
 
-def _perm_order(w) -> int:
-    n = len(w)
-    cur = tuple(w)
-    order = 1
-    while cur != perm_identity(n):
-        cur = perm_compose(cur, w)
-        order += 1
-    return order
-
-
 def descent_data(tau: TameTypePresentation) -> DescentData:
+    """The running product h_j = s_{f-1}^{-1} ... s_{f-j}^{-1} gives
+    alpha_j = h_j(mu_{f-j} + eta) and the orientation tails
+    s_{f-1}^{-1} ... s_{j+1}^{-1} = h_{f-1-j}.  One walk over the powers of
+    s_tau gives alpha' and s'_or, and stops at r, where s_tau^r = 1."""
     p = tau.ctx.require_prime()
     n, f = tau.n, tau.f
     eta = eta_vector(n)
     if tau.depth() < 0:
         raise GenericityError("descent data needs a 0-generic presentation")
-    s = [tau.s[j].w for j in range(f)]
-    s_tau = perm_identity(n)
-    for j in range(f):
-        s_tau = perm_compose(s_tau, s[j])
-    r = _perm_order(s_tau)
-    f_prime = f * r
-    s_tau_inv = perm_inverse(s_tau)
+    s = [c.w for c in tau.s]
+    h = [perm_identity(n)]  # h_0, ..., h_{f-1} and h_f = s_tau^{-1}
+    for j in range(1, f + 1):
+        h.append(perm_compose(h[-1], perm_inverse(s[f - j])))
+    s_tau_inv = h.pop()
+    s_tau = perm_inverse(s_tau_inv)
+    alpha = [perm_act(h[j], tuple(m + e for m, e in zip(tau.mu[-j % f], eta)))
+             for j in range(f)]
+    alpha_prime, s_orient = [], []
+    back, power = perm_identity(n), s_tau  # s_tau^{-k} and s_tau^{k+1}
+    while True:
+        alpha_prime += [perm_act(back, a) for a in alpha]
+        s_orient += [perm_compose(power, tail) for tail in reversed(h)]
+        if power == perm_identity(n):
+            break
+        back, power = perm_compose(back, s_tau_inv), perm_compose(power, s_tau)
+    f_prime = len(alpha_prime)
 
-    alpha = []
-    for j in range(f):
-        if j == 0:
-            alpha.append(tuple(m + e for m, e in zip(tau.mu[0], eta)))
-        else:
-            v = tuple(m + e for m, e in zip(tau.mu[f - j], eta))
-            for t in range(f - 1, f - j - 1, -1):
-                v = perm_act(perm_inverse(s[t]), v)
-            alpha.append(v)
-
-    alpha_prime = []
-    for k in range(r):
-        power = perm_identity(n)
-        for _ in range(k):
-            power = perm_compose(power, s_tau_inv)
-        for j in range(f):
-            alpha_prime.append(perm_act(power, alpha[j]))
-
-    a_prime = []
-    for jp in range(f_prime):
-        total = (0,) * n
-        for i in range(f_prime):
-            term = alpha_prime[(-jp + i) % f_prime]
-            total = tuple(t + (p ** i) * x for t, x in zip(total, term))
-        a_prime.append(total)
-
-    s_orient = []
-    for k in range(r):
-        s_tau_pow = perm_identity(n)
-        for _ in range(k + 1):
-            s_tau_pow = perm_compose(s_tau_pow, s_tau)
-        for j in range(f):
-            tail = perm_identity(n)
-            for t in range(f - 1, j, -1):
-                tail = perm_compose(tail, perm_inverse(s[t]))
-            s_orient.append(perm_compose(s_tau_pow, tail))
-
-    for jp in range(f_prime):
-        v = perm_act(perm_inverse(s_orient[jp]), a_prime[jp])
+    a_prime = [tuple(sum(x * p ** i for i, x in enumerate(column)) for column in
+                     zip(*(alpha_prime[(i - jp) % f_prime] for i in range(f_prime))))
+               for jp in range(f_prime)]
+    oriented = [perm_act(perm_inverse(o), a) for o, a in zip(s_orient, a_prime)]
+    for jp, v in enumerate(oriented):
         if any(pairing(v, root) < 0 for root in positive_roots(n)):
             raise GenericityError(
                 f"orientation fails to dominate a'^{({jp})}; presentation too shallow")
 
-    modulus = p ** f_prime - 1
-    chi = tuple(a_prime[0][i] % modulus for i in range(n))
-
-    exact, modp = [], []
+    modp = tuple(tuple(x % p for x in v) for v in oriented[:f])
     for j in range(f):
-        v = perm_act(perm_inverse(s_orient[j]), a_prime[j])
-        exact.append(tuple(Fraction(x, 1 - p ** f_prime) for x in v))
-        modp.append(tuple(_fraction_mod_p(q, p) for q in exact[-1]))
-        expected = perm_act(perm_inverse(s[j]),
-                            tuple((m + e) % p for m, e in zip(tau.mu[j], eta)))
-        if tuple(x % p for x in expected) != modp[-1]:
+        expected = tuple((m + e) % p for m, e in zip(tau.mu[j], eta))
+        if perm_act(perm_inverse(s[j]), expected) != modp[j]:
             raise InternalError("a_tau mod-p reduction check failed")
 
-    return DescentData(s_tau, r, f_prime, tuple(alpha_prime), tuple(a_prime),
-                       tuple(s_orient), chi, tuple(exact), tuple(modp))
-
-
-def _fraction_mod_p(q, p: int) -> int:
-    """The rational q (a Fraction) reduced mod p."""
-    den = q.denominator % p
-    if den == 0:
-        raise ArgumentError("p divides a denominator")
-    return (q.numerator % p) * pow(den, -1, p) % p
+    exact = tuple(tuple(Fraction(x, 1 - p ** f_prime) for x in v)
+                  for v in oriented[:f])
+    chi = tuple(x % (p ** f_prime - 1) for x in a_prime[0])
+    return DescentData(s_tau, f_prime // f, f_prime, tuple(alpha_prime),
+                       tuple(a_prime), tuple(s_orient), chi, exact, modp)
 
 
 def a_tau(tau: TameTypePresentation):

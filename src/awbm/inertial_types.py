@@ -80,9 +80,6 @@ class TameTypePresentation(Record):
         p = self.ctx.require_prime()
         return min(weight_depth_base(row, p) for row in self.mu)
 
-    def is_generic(self, m: int) -> bool:
-        return self.depth() >= m
-
     def sort_key(self):
         return tuple((self.s[j].w, self.mu[j]) for j in range(self.f))
 

@@ -37,6 +37,7 @@ from .affine_weyl import (
     alcove_point,
     ap_enumerate,
     bruhat_interval,
+    bruhat_leq,
     eta_vector,
     evaluate,
     finite,
@@ -277,7 +278,8 @@ def _require_compatible(s0: SerreWeightPresentation, s1: SerreWeightPresentation
 def covers(sigma0: SerreWeightPresentation, sigma: SerreWeightPresentation,
            force: bool = False) -> bool:
     """sigma0 covers sigma, decided by interval containment
-    t_{omega'} (interval below w0 w') ⊂ t_omega (interval below w0 w)."""
+    t_{omega'} (interval below w0 w') ⊂ t_omega (interval below w0 w), read
+    as t_{omega' - omega} m <= w0 w for each m below w0 w'."""
     _require_compatible(sigma0, sigma)
     ctx = sigma0.ctx
     eta = eta_vector(ctx.n)
@@ -285,11 +287,11 @@ def covers(sigma0: SerreWeightPresentation, sigma: SerreWeightPresentation,
         raise GenericityError(
             f"covering needs a {3 * _h(eta)}-deep upper weight, have {sigma0.depth()}")
     for j in range(ctx.f):
-        big = set(bruhat_interval(multiply(w0(ctx.n), sigma0.w1[j])))
+        top = multiply(w0(ctx.n), sigma0.w1[j])
         shift = translation(tuple(
             a - b for a, b in zip(sigma.omega[j], sigma0.omega[j])))
         for m in bruhat_interval(multiply(w0(ctx.n), sigma.w1[j])):
-            if multiply(shift, m) not in big:
+            if not bruhat_leq(multiply(shift, m), top):
                 return False
     return True
 

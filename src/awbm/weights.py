@@ -180,9 +180,6 @@ class CentralCharacter(Record):
             raise InternalError("circulant solve failed")
         return tuple(xi)
 
-    def congruent(self, other: "CentralCharacter", p: int) -> bool:
-        return self.reduce_offset(other, p) is not None
-
 
 def serre_weight(lap: SerreWeightPresentation):
     """kappa = pi^{-1}(w1) · (omega - eta), computed embeddingwise."""

@@ -16,7 +16,9 @@ import io
 import json
 import random
 import re
+import resource
 import signal
+import subprocess
 import sys
 import time
 
@@ -423,6 +425,24 @@ def test_weight_spread_past_an_index_is_capacity_error(argv):
     code, out, err, _ = run_call(argv, None)
     assert (code, out) == (3, "") and "weight spread" in err
     assert contract_breach(argv, code, out, err) is None
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("spread", [10 ** 8, 10 ** 12])
+def test_weight_hull_past_the_box_bound_is_capacity_error(spread):
+    # without the bound these build a range per coordinate and walk the
+    # (spread + 1)^3 box; the call runs in a child process with a 1 GB
+    # address space, so a lost bound fails there, not in the test process
+    argv = ["ap", "--n", "3", "--lambda", f"{spread},1,0"]
+    res = subprocess.run([sys.executable, "-m", "awbm.cli", *argv],
+                         capture_output=True, text=True, timeout=60,
+                         preexec_fn=_limit_address_space)
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr.count("\n") == 1 and "MAX_HULL_BOX" in res.stderr
+
 
 def _cycles(w, sep=" "):
     """w in cycle notation, one parenthesised group per nontrivial cycle,

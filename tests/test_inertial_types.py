@@ -12,12 +12,15 @@ from awbm.affine_weyl import (
     eta_vector,
     finite,
     omega_power,
+    pairing,
     perm_act,
     perm_compose,
+    perm_identity,
     perm_inverse,
+    positive_roots,
     translation,
 )
-from awbm.descent import a_tau, descent_data
+from awbm.descent import DescentData, a_tau, descent_data
 from awbm.errors import (
     ArgumentError,
     CompatibilityError,
@@ -41,7 +44,7 @@ def compatible_presentation(tau: TameTypePresentation, zeta: CentralCharacter,
     """The unique presentation of the same type that is lam-compatible with
     zeta (1-generic input required), found by a central twist."""
     p = tau.ctx.require_prime()
-    if not tau.is_generic(1):
+    if tau.depth() < 1:
         raise GenericityError("presentation enumeration needs a 1-generic type")
     current = compatible_zeta(tau, lam)
     xi = CentralCharacter(tuple(zeta.zeta)).reduce_offset(current, p)
@@ -165,6 +168,145 @@ def test_chi_exponents_well_defined():
     for i in (1, 2):
         assert exponent(i, 0) == dd.chi_exponents[i - 1] % q
         assert exponent(i, 1) % q == exponent(i, 0)
+
+
+def _descent_reference(tau):
+    """The descent data as the loops over the defining products build it, with
+    no product reused: the reference for `descent_data`'s single pass."""
+    p = tau.ctx.require_prime()
+    n, f = tau.n, tau.f
+    eta = eta_vector(n)
+    if tau.depth() < 0:
+        raise GenericityError("descent data needs a 0-generic presentation")
+    s = [tau.s[j].w for j in range(f)]
+    s_tau = perm_identity(n)
+    for j in range(f):
+        s_tau = perm_compose(s_tau, s[j])
+    r, cur = 1, s_tau
+    while cur != perm_identity(n):
+        cur, r = perm_compose(cur, s_tau), r + 1
+    f_prime = f * r
+    s_tau_inv = perm_inverse(s_tau)
+
+    alpha = []
+    for j in range(f):
+        v = tuple(m + e for m, e in zip(tau.mu[(f - j) % f], eta))
+        for t in range(f - j, f):  # s_{f-j}^{-1} acts first
+            v = perm_act(perm_inverse(s[t]), v)
+        alpha.append(v)
+
+    alpha_prime = []
+    for k in range(r):
+        power = perm_identity(n)
+        for _ in range(k):
+            power = perm_compose(power, s_tau_inv)
+        for j in range(f):
+            alpha_prime.append(perm_act(power, alpha[j]))
+
+    a_prime = []
+    for jp in range(f_prime):
+        total = (0,) * n
+        for i in range(f_prime):
+            term = alpha_prime[(-jp + i) % f_prime]
+            total = tuple(t + (p ** i) * x for t, x in zip(total, term))
+        a_prime.append(total)
+
+    s_orient = []
+    for k in range(r):
+        s_tau_pow = perm_identity(n)
+        for _ in range(k + 1):
+            s_tau_pow = perm_compose(s_tau_pow, s_tau)
+        for j in range(f):
+            tail = perm_identity(n)
+            for t in range(f - 1, j, -1):
+                tail = perm_compose(tail, perm_inverse(s[t]))
+            s_orient.append(perm_compose(s_tau_pow, tail))
+
+    for jp in range(f_prime):
+        v = perm_act(perm_inverse(s_orient[jp]), a_prime[jp])
+        if any(pairing(v, root) < 0 for root in positive_roots(n)):
+            raise GenericityError(
+                f"orientation fails to dominate a'^{({jp})}; presentation too shallow")
+
+    modulus = p ** f_prime - 1
+    chi = tuple(a_prime[0][i] % modulus for i in range(n))
+
+    exact, modp = [], []
+    for j in range(f):
+        v = perm_act(perm_inverse(s_orient[j]), a_prime[j])
+        exact.append(tuple(Fraction(x, 1 - p ** f_prime) for x in v))
+        modp.append(tuple(q.numerator * pow(q.denominator, -1, p) % p
+                          for q in exact[-1]))
+        expected = perm_act(perm_inverse(s[j]),
+                            tuple((m + e) % p for m, e in zip(tau.mu[j], eta)))
+        if expected != modp[-1]:
+            raise InternalError("a_tau mod-p reduction check failed")
+
+    return (s_tau, r, f_prime, tuple(alpha_prime), tuple(a_prime),
+            tuple(s_orient), chi, tuple(exact), tuple(modp))
+
+
+def _outcome(fn, tau):
+    try:
+        return fn(tau)
+    except (GenericityError, InternalError) as exc:
+        return type(exc), str(exc)
+
+
+def test_descent_data_matches_the_reference_loops():
+    # 0-generic types and shallow ones (mu drawn with no depth condition),
+    # compared in every field and in the error raised
+    rng = random.Random(2024)
+    primes = [5, 7, 11, 13, 31, 37, 101, 211]
+    answered = refused = 0
+    for trial in range(1200):
+        n, f, p = rng.randrange(2, 6), rng.randrange(1, 6), rng.choice(primes)
+        s = [rng.choice(perms(n)) for _ in range(f)]
+        if trial % 4:
+            mu = random_tuple_mu(n, f, p, 0, rng)
+        else:
+            mu = [tuple(rng.randrange(-p, 2 * p) for _ in range(n))
+                  for _ in range(f)]
+        tau = make_type(GroupContext(n, f, p), s, mu)
+        got = _outcome(descent_data, tau)
+        if isinstance(got, DescentData):
+            got = got._fields()
+            answered += 1
+        else:
+            refused += 1
+        assert got == _outcome(_descent_reference, tau), (n, f, p, s, mu)
+    assert answered > 800 and refused > 200
+
+
+def test_alpha_applies_the_rightmost_inverse_first():
+    # alpha_j = s_{f-1}^{-1} ... s_{f-j}^{-1}(mu_{f-j} + eta): composing the
+    # written product left to right and acting once must give alpha_j, and a
+    # 0-generic type is never refused as too shallow
+    rng = random.Random(24)
+    for n, f, p in [(3, 3, 37), (3, 4, 211), (4, 3, 101), (4, 4, 211),
+                    (5, 3, 211)]:
+        ctx = GroupContext(n, f, p)
+        eta = eta_vector(n)
+        for _ in range(15):
+            s = [rng.choice(perms(n)) for _ in range(f)]
+            tau = make_type(ctx, s, random_tuple_mu(n, f, p, 0, rng))
+            dd = descent_data(tau)
+            for j in range(f):
+                product = perm_identity(n)
+                for t in range(f - 1, f - j - 1, -1):
+                    product = perm_compose(product, perm_inverse(s[t]))
+                shifted = tuple(m + e for m, e in zip(tau.mu[(f - j) % f], eta))
+                assert dd.alpha_prime[j] == perm_act(product, shifted)
+
+
+def test_depth_144_type_has_descent_data():
+    ctx = GroupContext(3, 3, 1009)
+    tau = make_type(ctx, [(3, 2, 1), (2, 1, 3), (3, 1, 2)],
+                    [(449, 305, 108), (553, 273, 110), (515, 241, 59)])
+    assert tau.depth() == 144
+    dd = descent_data(tau)
+    assert dd.r == 1 and dd.f_prime == 3
+    assert dd.a_tau_modp == ((108, 306, 451), (274, 555, 110), (59, 517, 242))
 
 
 def test_orientation_requires_genericity():

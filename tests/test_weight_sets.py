@@ -11,11 +11,13 @@ from awbm.affine_weyl import (
     GroupContext,
     WeylTuple,
     adm,
+    bruhat_interval,
     identity,
     invert,
     is_restricted,
     multiply,
     translation,
+    w0,
 )
 from awbm.errors import (
     ArgumentError,
@@ -158,6 +160,38 @@ def test_covers_length_monotone():
         s0, s1 = rng.choice(labels), rng.choice(labels)
         if covers(s0, s1, force=True):
             assert s1.w1.length() <= s0.w1.length()
+
+
+def _covers_by_containment(sigma0, sigma):
+    """Covering as containment of the two intervals, both built as sets: the
+    reference for `covers`, which builds only the lower one."""
+    n = sigma0.ctx.n
+    for j in range(sigma0.ctx.f):
+        big = set(bruhat_interval(multiply(w0(n), sigma0.w1[j])))
+        shift = translation(tuple(
+            a - b for a, b in zip(sigma.omega[j], sigma0.omega[j])))
+        for m in bruhat_interval(multiply(w0(n), sigma.w1[j])):
+            if multiply(shift, m) not in big:
+                return False
+    return True
+
+
+def test_covers_matches_interval_containment_gl4():
+    # the 344 labels of `jh --n 4 --f 1 --p 211 --s 1,4,2,3@0,0,0,0 --mu
+    # 232,178,72,44 --lambda 1,1,0,0`; uniform pairs are almost all false, so
+    # most of the sample puts a longer class on top of omega data 0 or 1 less
+    fam = jh_set(make_type(GroupContext(4, 1, 211), [(1, 4, 2, 3)],
+                           [(232, 178, 72, 44)]), ((1, 1, 0, 0),), force=True)
+    assert len(fam) == 344
+    lengths = {s: s.w1.length() for s in fam}
+    near = [(a, b) for a in fam for b in fam if lengths[a] > lengths[b]
+            and all(0 <= x - y <= 1 for x, y in zip(a.omega[0], b.omega[0]))]
+    rng = random.Random(41)
+    pairs = rng.sample(near, 120) + [
+        (rng.choice(fam), rng.choice(fam)) for _ in range(60)]
+    answers = [covers(a, b, force=True) for a, b in pairs]
+    assert answers == [_covers_by_containment(a, b) for a, b in pairs]
+    assert 10 < sum(answers) < len(answers) - 10
 
 
 def test_intersection_example():
