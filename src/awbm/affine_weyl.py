@@ -16,16 +16,17 @@ Admissible sets are decided by the vertexwise test (Adm = Perm for GL_n,
 Haines-Ngô).  The builder works on plain (w, nu) tuples: the test at the
 vertex (1^k, 0^(n-k)) sees w only through the set w({1..k}), so each nu of
 the hull tests its 2^n subsets once and its members are the chains of
-passing subsets.  The regular factorization of an admissible pair is
-computed on the integer point alcove_point(a).  Both build WeylElements only
-for what they return.
+passing subsets; for Adm^reg a chain is dropped at the first two
+coordinates it places in one strip.  AP factors each regular member on its
+integer point, and both build WeylElements only for what they return.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import add
 
 from . import group
 from .errors import (
@@ -86,9 +87,9 @@ def _from_point(y):
     at w(i) is eta_i = n - i, and nu = y // n."""
     n = len(y)
     w = [0] * n
-    for j, c in enumerate(y):
-        w[n - 1 - c % n] = j + 1
-    return tuple(w), tuple(c // n for c in y)
+    for j, c in enumerate(y, 1):
+        w[n - 1 - c % n] = j
+    return tuple(w), tuple([c // n for c in y])
 
 
 def smallness(a: WeylElement) -> int:
@@ -324,52 +325,63 @@ def adm_member(x: WeylElement, lam) -> bool:
     # k = 0 tests nu itself, and conv_contains also compares the degrees
     A = 0
     for k in range(n):
-        if not _vertex_test(x.nu, A, k, lam):
+        if not conv_contains(_vertex_image(x.nu, A, k), lam):
             return False
         A |= 1 << (x.w[k] - 1)
     return True
 
 
-def _vertex_test(nu, A, k, lam):
-    """The test at the vertex v_k = (1^k, 0^(n-k)) of every t_nu ∘ w with
-    w({1..k}) = A, bit i of A standing for the index i + 1: w(v_k) = 1_A,
-    so it asks nu + 1_A - v_k in Conv(W·lam)."""
-    return conv_contains(
-        tuple(c + (A >> i & 1) - (i < k) for i, c in enumerate(nu)), lam)
+def _vertex_image(nu, A, k):
+    """x(v_k) - v_k = nu + 1_A - v_k for v_k = (1^k, 0^(n-k)) and every
+    x = t_nu ∘ w with w({1..k}) = A, bit i of A standing for index i + 1."""
+    return tuple(c + (A >> i & 1) - (i < k) for i, c in enumerate(nu))
 
 
-def adm(lam, variant="all"):
-    """Adm(lam) = Perm(lam), built from its members.  The vertex test of
-    t_nu ∘ w at v_k = (1^k, 0^(n-k)) sees w only through the set
-    A_k = w({1..k}) (`_vertex_test`).  So for each nu in the hull the 2^n
-    subsets are tested once, and the members are the chains
-    ∅ ⊂ A_1 ⊂ ... ⊂ A_n of passing subsets, w(k) the index that A_k adds.
-    Regularity and the sort key are read off the integer point w(eta) + n·nu,
-    so only the members kept become WeylElements.  'regular' keeps the
-    regular elements, 'dual' applies the star involution.  Canonically
-    sorted."""
-    lam = tuple(int(c) for c in lam)
-    _check_dominant_weight(lam)
-    if variant not in ("all", "regular", "dual"):
-        raise InputError(f"unknown admissible-set variant {variant!r}")
+def _members(lam, regular):
+    """The (w, nu) of the members of Adm(lam), or of its regular members.
+    The vertex test at v_k sees w only through A_k = w({1..k}), so for each
+    nu in the hull the 2^n subsets are tested once, sharing one majorization
+    check per sorted vector, and the members are the chains ∅ ⊂ A_1 ⊂ ... ⊂
+    A_n of passing subsets, w(k) the index that A_k adds.  Step k places
+    coordinate i at y_i = n·nu_i + n-1-k; for a coordinate j placed before,
+    y_j - y_i is n(nu_j - nu_i) plus 1..n-1, so the two lie in one strip
+    (0 < y_a - y_b < n, a < b) iff nu_j = nu_i when j < i, or nu_j = nu_i - 1
+    when j > i.  With `regular` such a placement ends the chain."""
     n = len(lam)
-    keyed = []
+    offsets = [_vertex_image((0,) * n, A, bin(A).count("1"))
+               for A in range(1 << n)]
+    majorized = lru_cache(maxsize=None)(partial(conv_contains, lam=lam))
     for nu in conv_lattice_points(lam):
-        passes = [_vertex_test(nu, A, bin(A).count("1"), lam)
-                  for A in range(1 << n)]
+        passes = [majorized(tuple(sorted(map(add, nu, off)))) for off in offsets]
+        # blocked[i]: i itself and, for `regular`, the j sharing a strip
+        blocked = [sum(1 << j for j in range(n) if j == i or regular and (
+            nu[j] == nu[i] if j < i else nu[j] == nu[i] - 1))
+            for i in range(n)]
         chains = [((), 0)]
         for _ in range(n):
             chains = [(w + (i + 1,), A | 1 << i) for w, A in chains
                       for i in range(n)
-                      if not A >> i & 1 and passes[A | 1 << i]]
+                      if not A & blocked[i] and passes[A | 1 << i]]
         for w, _ in chains:
-            x = (w, nu)
-            if variant == "dual":  # star: (w^{-1}, w^{-1}(nu))
-                wi = perm_inverse(w)
-                x = (wi, perm_act(wi, nu))
-            y = _point(*x)
-            if variant != "regular" or _regular_point(y):
-                keyed.append((_walls(y, 0), *x))  # sort_key, from the point
+            yield w, nu
+
+
+def adm(lam, variant="all"):
+    """Adm(lam) = Perm(lam), built from its members (`_members`); 'regular'
+    keeps the regular elements, pruned while the chains are built, and
+    'dual' applies the star involution.  The sort key is read off the
+    integer point w(eta) + n·nu, so only the members become WeylElements.
+    Canonically sorted."""
+    lam = tuple(int(c) for c in lam)
+    _check_dominant_weight(lam)
+    if variant not in ("all", "regular", "dual"):
+        raise InputError(f"unknown admissible-set variant {variant!r}")
+    keyed = []
+    for x in _members(lam, variant == "regular"):
+        if variant == "dual":  # star: (w^{-1}, w^{-1}(nu))
+            wi = perm_inverse(x[0])
+            x = (wi, perm_act(wi, x[1]))
+        keyed.append((_walls(_point(*x), 0), *x))  # sort_key, from the point
     return [WeylElement(w, nu) for _, w, nu in sorted(keyed)]
 
 
@@ -384,24 +396,17 @@ def _box_translation(y):
     return nu
 
 
-def regular_factorization(a: WeylElement):
-    """Write a regular element as w2^{-1} · w0 · w1 with w1 restricted dominant
-    and w2 dominant; canonical up to the diagonal central-translation action,
-    normalised so that max coordinate of w1's translation part is zero.
-
-    Computed on the integer point y = alcove_point(a), on which t_mu ∘ u
-    acts by z |-> u(z) + n·mu: the finite part of w2 sorts y, box
+def _factor_point(y):
+    """The sort keys (length, w, nu) of w1 and w2 in the regular
+    factorization of the element a with regular scaled point y, on which
+    t_mu ∘ u acts by z |-> u(z) + n·mu: the finite part of w2 sorts y, box
     translations make w2 restricted and split w0·w2·a into a dominant
-    translation and the restricted w1.  The two points become elements only
-    at the end; the product is checked on points, through the (w, nu)
-    tuples returned."""
-    n = a.n
-    y = alcove_point(a)
-    if not _regular_point(y):
-        raise RegularityError(f"element {a} is not regular")
+    translation and the restricted w1; the product is checked on points."""
+    n = len(y)
     order = sorted(range(n), key=y.__getitem__)  # ascending -> antidominant
-    w2f = perm_inverse(tuple(i + 1 for i in order))
-    y2f = _point(w2f, (0,) * n)
+    # the finite w2f with w2f(order[r] + 1) = r + 1 sorts y; its point moves
+    # eta_(order[r]+1) = n - 1 - order[r] to r
+    y2f = [n - 1 - i for i in order]
     eta2 = _box_translation(y2f)
     # the points of w2 = t_{-eta2} ∘ w2f and of b = w0 · w2 · a, where
     # w2f(y) is y sorted
@@ -418,28 +423,37 @@ def regular_factorization(a: WeylElement):
     # w2 picks up t_{w0(-nu)}; then both move by the central translation
     # that makes max(w1.nu) = 0
     c = max(y1) // n
-    w1, nu1 = _from_point([x - n * c for x in y1])
-    w2, nu2 = _from_point([x - n * (m + c) for x, m in zip(y2, nu[::-1])])
+    z1 = [x - n * c for x in y1]
+    z2 = [x - n * (m + c) for x, m in zip(y2, nu[::-1])]
+    w2, nu2 = _from_point(z2)
     # a = w2^{-1} · w0 · w1 iff w2 · a and w0 · w1 have one point
-    if (tuple(x + n * m for x, m in zip(perm_act(w2, y), nu2))
-            != _point(w1, nu1)[::-1]):
+    if [x + n * m for x, m in zip(perm_act(w2, y), nu2)] != z1[::-1]:
         raise InternalError("factorization product check failed")
-    return WeylElement(w1, nu1), WeylElement(w2, nu2)
+    return (_walls(z1, 0), *_from_point(z1)), (_walls(z2, 0), w2, nu2)
+
+
+def regular_factorization(a: WeylElement):
+    """Write a regular element as w2^{-1} · w0 · w1 with w1 restricted dominant
+    and w2 dominant; canonical up to the diagonal central-translation action,
+    normalised so that max coordinate of w1's translation part is zero.
+    Computed on the integer point alcove_point(a) (`_factor_point`)."""
+    y = alcove_point(a)
+    if not _regular_point(y):
+        raise RegularityError(f"element {a} is not regular")
+    return tuple(WeylElement(w, nu) for _, w, nu in _factor_point(y))
 
 
 def ap_enumerate(lam_plus_eta):
-    """AP(lam+eta) as the set of factorizations of the regular admissible set;
-    the induced map (w1, w2) -> w2^{-1} w0 w1 is checked to be a bijection."""
+    """AP(lam+eta) as the set of factorizations of the regular admissible set,
+    each factored on its point; the induced map (w1, w2) -> w2^{-1} w0 w1 is
+    checked to be a bijection, and only the pairs become WeylElements."""
     lam = tuple(int(c) for c in lam_plus_eta)
     _check_dominant_weight(lam)
-    reg = adm(lam, "regular")
-    pairs = {}
-    for a in reg:
-        pair = regular_factorization(a)
-        if pair in pairs:
-            raise InternalError("factorization is not injective")
-        pairs[pair] = a
-    return sorted(pairs, key=lambda pr: (sort_key(pr[0]), sort_key(pr[1])))
+    pairs = [_factor_point(_point(*x)) for x in _members(lam, True)]
+    if len(set(pairs)) != len(pairs):
+        raise InternalError("factorization is not injective")
+    return [tuple(WeylElement(w, nu) for _, w, nu in pair)
+            for pair in sorted(pairs)]
 
 
 @lru_cache(maxsize=None)

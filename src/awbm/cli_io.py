@@ -130,3 +130,9 @@ def write(text: str, end: str = "\n"):
 
 def emit(doc):
     write(serialize(doc))
+
+
+def element_json(a):
+    """serialize(a.to_json()) for a WeylElement, written from its integers."""
+    return (f'{{"convention":"t_nu_then_w","nu":[{",".join(map(str, a.nu))}],'
+            f'"w":[{",".join(map(str, a.w))}]}}')

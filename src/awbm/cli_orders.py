@@ -7,7 +7,7 @@ from __future__ import annotations
 from . import affine_weyl as aw
 from . import group as gr
 from . import oracles as orc
-from .cli_io import emit, parse_element, parse_vector
+from .cli_io import element_json, emit, parse_element, parse_vector, write
 from .errors import InputError
 
 
@@ -46,19 +46,24 @@ def cmd_classify(args):
           "m_generic": fl.m_generic})
 
 
+def _write_array(items):
+    write(f'[{",".join(items)}]')
+
+
 def cmd_interval(args):
     a = parse_element(args.a, args.n)
-    emit([e.to_json() for e in aw.bruhat_interval(a)])
+    _write_array([element_json(e) for e in aw.bruhat_interval(a)])
 
 
 def cmd_adm(args):
     lam = parse_vector(getattr(args, "lambda"), args.n)
-    emit([e.to_json() for e in aw.adm(lam, args.variant)])
+    _write_array([element_json(e) for e in aw.adm(lam, args.variant)])
 
 
 def cmd_ap(args):
     lam = parse_vector(getattr(args, "lambda"), args.n)
-    emit([[a.to_json(), b.to_json()] for a, b in aw.ap_enumerate(lam)])
+    _write_array([f"[{element_json(a)},{element_json(b)}]"
+                  for a, b in aw.ap_enumerate(lam)])
 
 
 def cmd_oracle(args):

@@ -8,8 +8,8 @@ from __future__ import annotations
 import itertools
 
 from . import weight_sets as ws
-from .cli_io import (ctx_of, emit, parse_weight_rows, presentation, type_of,
-                     write)
+from .cli_io import (ctx_of, element_json, emit, parse_weight_rows,
+                     presentation, type_of, write)
 
 
 def write_product(factors, record):
@@ -33,9 +33,7 @@ def _row_json(row):
     t_{omega_j - eta} w1_j, is sum(omega_j) - sum(eta) + sum(nu(w1_j))."""
     w1, omega = row
     n = w1.n
-    return (f'[{",".join(map(str, omega))}]',
-            f'{{"convention":"t_nu_then_w","nu":[{",".join(map(str, w1.nu))}],'
-            f'"w":[{",".join(map(str, w1.w))}]}}',
+    return (f'[{",".join(map(str, omega))}]', element_json(w1),
             str(sum(omega) - n * (n - 1) // 2 + sum(w1.nu)))
 
 

@@ -178,7 +178,7 @@ class WeylElement(Record):
         if len(self.nu) != n:
             raise InputError("translation part has wrong length")
         object.__setattr__(self, "w", tuple(self.w))
-        object.__setattr__(self, "nu", tuple(int(c) for c in self.nu))
+        object.__setattr__(self, "nu", tuple(map(int, self.nu)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -292,8 +292,8 @@ def _walls(y, shift):
     """Root hyperplanes strictly between the scaled point y and x0 (shift 0)
     or w0(x0) (shift 1); every positive pairing of x has floor -shift."""
     n = len(y)
-    return sum(abs((y[i] - y[k]) // n + shift)
-               for i in range(n) for k in range(i + 1, n))
+    return sum([abs((a - b) // n + shift)
+                for a, b in itertools.combinations(y, 2)])
 
 
 @lru_cache(maxsize=None)

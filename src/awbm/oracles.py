@@ -88,16 +88,11 @@ from .errors import (
     InputError,
     InternalError,
 )
-from .inertial_types import TameTypePresentation
-from .weight_sets import (
-    CycleExpr,
-    _aux_type,
-    _require_compatible,
-    _weight_tuple,
-    intersection,
-    w_question,
-)
-from .weights import SerreWeightPresentation
+# bound as module objects, so that the lazy layers run only when a
+# weight-set reference is called
+from . import inertial_types as it
+from . import weight_sets as ws
+from . import weights as wt
 
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
            "count_up_leq", "enumerate_elements", "dual_length",
@@ -330,17 +325,17 @@ def ap_member(w1: WeylElement, w2: WeylElement, lam_plus_eta) -> bool:
     return adm_member(multiply(invert(w2), multiply(w0(w1.n), w1)), lam)
 
 
-def jh_contains_fixed(tau: TameTypePresentation, lam,
-                      sigma: SerreWeightPresentation) -> bool:
+def jh_contains_fixed(tau: it.TameTypePresentation, lam,
+                      sigma: wt.SerreWeightPresentation) -> bool:
     """Containment criterion at a fixed compatible presentation:
     t_omega · (interval below w0 w1)  ⊂  w̃(tau) · Adm(lam+eta)."""
     ctx = tau.ctx
-    lam = _weight_tuple(ctx, lam)
+    lam = ws._weight_tuple(ctx, lam)
     eta = eta_vector(ctx.n)
-    wt = tau.w_tilde()
+    wtau = tau.w_tilde()
     for j in range(ctx.f):
         lpe = tuple(l + e for l, e in zip(lam[j], eta))
-        base = invert(wt[j])
+        base = invert(wtau[j])
         t_om = translation(sigma.omega[j])
         for m in bruhat_interval(multiply(w0(ctx.n), sigma.w1[j])):
             if not adm_member(multiply(base, multiply(t_om, m)), lpe):
@@ -359,12 +354,12 @@ def bm_cycles_recursive(rho, force: bool = False):
                               f"have depth {rho.depth()}")
     zero_lam = ((0,) * n,) * rho.f
     solved = {}
-    for rec in sorted(w_question(rho, force=force), key=lambda r: r.defect):
+    for rec in sorted(ws.w_question(rho, force=force), key=lambda r: r.defect):
         sigma = rec.presentation
-        tau = _aux_type(rho, rec)
+        tau = ws._aux_type(rho, rec)
         expr = {("Z_tau",) + tau.sort_key(): Fraction(1)}
         if rec.defect:
-            others = intersection(rho, tau, zero_lam, force=True)
+            others = ws.intersection(rho, tau, zero_lam, force=True)
             for kappa in others:
                 if kappa == sigma:
                     continue
@@ -375,7 +370,7 @@ def bm_cycles_recursive(rho, force: bool = False):
                     expr[sym] = expr.get(sym, 0) - c
             if sigma not in others:
                 raise InternalError("maximizer missing from its own intersection")
-        solved[sigma] = (rec.defect, CycleExpr.of(expr))
+        solved[sigma] = (rec.defect, ws.CycleExpr.of(expr))
     return solved
 
 
@@ -383,7 +378,7 @@ def covers_up_oracle(sigma0, sigma) -> bool:
     """The translated-arrow reading of `weight_sets.covers`:
     w' ↑ t_{s(omega - omega')} w for every finite Weyl representative s
     (quantified over all of W)."""
-    _require_compatible(sigma0, sigma)
+    ws._require_compatible(sigma0, sigma)
     ctx = sigma0.ctx
     for j in range(ctx.f):
         diff = tuple(a - b for a, b in zip(sigma0.omega[j], sigma.omega[j]))

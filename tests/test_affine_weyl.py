@@ -41,6 +41,7 @@ from awbm.affine_weyl import (
     regular_factorization,
     restricted_classes,
     smallness,
+    sort_key,
     star,
     translation,
     up_leq,
@@ -277,6 +278,35 @@ def test_ap_examples():
     assert len(ap_enumerate((2, 1, 0))) == 9
     assert ap_member(E2, WeylElement((2, 1), (0, -1)), (1, 0))
     assert not ap_member(T10, E2, (1, 0))  # first member not restricted
+
+
+def _regular_by_filter(lam):
+    """The regular members of Adm(lam), by testing every member of the
+    whole set: the reference for the builder that prunes while it builds."""
+    return [a for a in adm(lam) if is_regular(a)]
+
+
+def _ap_by_elements(lam):
+    """AP(lam) by factoring each regular member as an element."""
+    pairs = [regular_factorization(a) for a in _regular_by_filter(lam)]
+    assert len(set(pairs)) == len(pairs)
+    return sorted(pairs, key=lambda pr: (sort_key(pr[0]), sort_key(pr[1])))
+
+
+def test_pruned_builder_matches_filter_and_element_factorization():
+    # seeded dominant weights with negative entries, n = 2-5; eta at n = 5
+    # (1,640 pairs) puts every strip of a regular chain to the test
+    rng = random.Random(25)
+    weights = [(4, 3, 2, 1, 0)]
+    for n, gap, count in ((2, 6, 6), (3, 4, 8), (4, 2, 6), (5, 1, 3)):
+        for _ in range(count):
+            low = rng.randrange(-3, 3)
+            gaps = [rng.randrange(0, gap + 1) for _ in range(n - 1)]
+            weights.append(tuple(low + sum(gaps[i:]) for i in range(n)))
+    for lam in weights:
+        assert adm(lam, "regular") == _regular_by_filter(lam), lam
+        assert ap_enumerate(lam) == _ap_by_elements(lam), lam
+    assert len(ap_enumerate((4, 3, 2, 1, 0))) == 1640
 
 
 def test_restricted_classes():

@@ -875,6 +875,10 @@ FLAG, GAUGE = {"group", "series", "cli_flag"}, {"bk_gauge"}
     (["atau", "--n", "2", "--f", "1", "--p", "37", "--s", "(12)",
       "--mu", "5,0"], "",
      WEIGHTS | {"inertial_types", "descent", "cli_weights"}),
+    (["oracle", "--n", "3", "--kind", "bruhat", "--a", "e",
+      "--b", "2,1,3@0,0,0"], "", ORDERS | {"oracles"}),
+    (["oracle", "--n", "2", "--kind", "enumerate", "--bound", "2"], "",
+     ORDERS | {"oracles"}),
 ])
 def test_each_command_runs_only_its_layers(argv, stdin, layers):
     # a lazy layer that has run is a plain module again; every command loads
@@ -1137,6 +1141,44 @@ def _run_in_process(argv, stdin):
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
+
+
+def test_element_writer_is_byte_identical_to_to_json(monkeypatch):
+    # adm, ap and interval write each element from its integers; the
+    # document must be the serialized to_json() of the library's elements
+    from awbm import affine_weyl as aw
+    monkeypatch.setenv("AWBM_MAX_LEN", "40")
+
+    def dump(doc):
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def out(*argv):
+        code, text, err = _run_in_process(list(argv), None)
+        assert code == 0, err
+        return text
+
+    rng = random.Random(26)
+    negative = 0
+    for _ in range(10):
+        n = rng.randrange(2, 5)
+        low = rng.randrange(-4, 2)
+        gaps = [rng.randrange(0, 5 - n) for _ in range(n - 1)]
+        lam = tuple(low + sum(gaps[i:]) for i in range(n))
+        text = ",".join(map(str, lam))
+        for variant in ("all", "regular", "dual"):
+            assert out("adm", "--n", str(n), f"--lambda={text}", "--variant",
+                       variant) == dump([e.to_json()
+                                         for e in aw.adm(lam, variant)])
+        assert out("ap", "--n", str(n), f"--lambda={text}") == dump(
+            [[a.to_json(), b.to_json()] for a, b in aw.ap_enumerate(lam)])
+        w = rng.sample(range(1, n + 1), n)
+        nu = [rng.randrange(-2, 3) for _ in range(n)]
+        got = out("interval", "--n", str(n), "--a",
+                  f"{','.join(map(str, w))}@{','.join(map(str, nu))}")
+        assert got == dump([e.to_json() for e in aw.bruhat_interval(
+            aw.WeylElement(tuple(w), tuple(nu)))])
+        negative += '-' in got
+    assert negative
 
 
 @given(cli_calls())
