@@ -18,7 +18,8 @@ vertex (1^k, 0^(n-k)) sees w only through the set w({1..k}), so each nu of
 the hull tests its 2^n subsets once and its members are the chains of
 passing subsets; for Adm^reg a chain is dropped at the first two
 coordinates it places in one strip.  AP factors each regular member on its
-integer point, and both build WeylElements only for what they return.
+integer point (`_ap_points`, which W? reads with the member's point), and
+both build WeylElements only for what they return.
 """
 
 from __future__ import annotations
@@ -443,17 +444,23 @@ def regular_factorization(a: WeylElement):
     return tuple(WeylElement(w, nu) for _, w, nu in _factor_point(y))
 
 
-def ap_enumerate(lam_plus_eta):
-    """AP(lam+eta) as the set of factorizations of the regular admissible set,
-    each factored on its point; the induced map (w1, w2) -> w2^{-1} w0 w1 is
-    checked to be a bijection, and only the pairs become WeylElements."""
+def _ap_points(lam_plus_eta):
+    """The kernel of AP(lam+eta): the sort keys of (w1, w2) (`_factor_point`)
+    and the point of each regular member of Adm(lam+eta), sorted, with the
+    map (w1, w2) -> w2^{-1} w0 w1 checked to be injective."""
     lam = tuple(int(c) for c in lam_plus_eta)
     _check_dominant_weight(lam)
-    pairs = [_factor_point(_point(*x)) for x in _members(lam, True)]
-    if len(set(pairs)) != len(pairs):
+    out = sorted((*_factor_point(y), y)
+                 for y in itertools.starmap(_point, _members(lam, True)))
+    if len({keys[:2] for keys in out}) != len(out):
         raise InternalError("factorization is not injective")
-    return [tuple(WeylElement(w, nu) for _, w, nu in pair)
-            for pair in sorted(pairs)]
+    return out
+
+
+def ap_enumerate(lam_plus_eta):
+    """AP(lam+eta) as pairs of WeylElements, in the order of `_ap_points`."""
+    return [(WeylElement(*k1[1:]), WeylElement(*k2[1:]))
+            for k1, k2, _ in _ap_points(lam_plus_eta)]
 
 
 @lru_cache(maxsize=None)

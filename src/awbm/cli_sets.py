@@ -1,15 +1,16 @@
 """Command handlers of the weight-set family: JH labels, the predicted set
 W?, covering, intersections, defects and the cycle solver.  `wq`, `jh` and
 `intersect` stream their documents, products over the embeddings, through
-one writer."""
+one writer; `bm` writes its presentations from the same rows."""
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from . import weight_sets as ws
 from .cli_io import (ctx_of, element_json, emit, parse_weight_rows,
-                     presentation, type_of, write)
+                     presentation, serialize, type_of, write)
 
 
 def write_product(factors, record):
@@ -104,11 +105,14 @@ def cmd_maxdefect(args):
 
 
 def cmd_bm(args):
+    # the records repeat a few rows per embedding: each is serialized once
     rho = type_of(args, ctx_of(args), "rs", "rmu", "F")
     solved = ws.bm_cycles(rho, force=args.force)
-    out = []
+    row_json = lru_cache(maxsize=None)(_row_json)
+    records = []
     for sigma, (d, expr) in sorted(solved.items(),
                                    key=lambda kv: kv[0].sort_key()):
-        out.append({"sigma": sigma.to_json(), "defect": d,
-                    "cycle": expr.to_json()})
-    emit(out)
+        rows = [row_json(row) for row in zip(sigma.w1, sigma.omega)]
+        records.append(f'{{"cycle":{serialize(expr.to_json())},"defect":{d},'
+                       f'"sigma":{_presentation_json(rows)}}}')
+    write(f'[{",".join(records)}]')

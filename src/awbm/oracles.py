@@ -282,8 +282,18 @@ def _reflection(n: int, root, k: int) -> WeylElement:
     return WeylElement(tuple(perm), tuple(nu))
 
 
+# enumerate_elements holds every element of length <= bound: at bound 10, the
+# largest a rank n >= 3 accepts, 43,713 elements in 4.9 s at n = 8 and 92,368
+# in 14 s at n = 9; at bound 2, 59 s at n = 64 (Python 3.11, one Xeon core).
+# No test, README example or demo enumerates above n = 4.
+MAX_ENUMERATE_RANK = 8
+
+
 def enumerate_elements(n: int, deg: int, bound: int):
     """All elements of the given degree with length <= bound."""
+    if n > MAX_ENUMERATE_RANK:
+        raise CapacityError(f"oracle enumeration at rank {n} exceeds "
+                            f"MAX_ENUMERATE_RANK = {MAX_ENUMERATE_RANK}")
     _check_bound(n, bound)
     delta = omega_power(n, deg)
     seen = {identity(n)}

@@ -13,13 +13,15 @@ fixed context.  The two basic parametrizations are
     (w_h w1, w̃(rhobar)(w2^{-1}(0))), with w2 = w_h w1 exactly on the obvious
     subset.
 
-The defect of a predicted weight is len(t_eta) - len(w2^{-1} w0 w1);
-it vanishes exactly on the obvious weights, and the cycle solver eliminates
-it recursively: a defect-zero weight is read off from a single auxiliary
-type, and a higher-defect weight from an auxiliary type whose other
-predicted constituents all have strictly smaller defect.  With multiplicity
-one the solve is a product of one-embedding solves; the record-by-record
-recursion over all of W? is the reference `oracles.bm_cycles_recursive`.
+Both are read off the AP kernel's tuples and points.  The defect of a
+predicted weight is len(t_eta) - len(a) for the eta-admissible member
+a = w2^{-1} w0 w1 that its pair factors, read off a's point; it vanishes
+exactly on the obvious weights, and the cycle solver eliminates it
+recursively: a defect-zero weight is read off from a single auxiliary type,
+and a higher-defect weight from an auxiliary type whose other predicted
+constituents all have strictly smaller defect.  With multiplicity one the
+solve is a product of one-embedding solves; the record-by-record recursion
+over all of W? is the reference `oracles.bm_cycles_recursive`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from .affine_weyl import (
     Record,
     WeylElement,
     WeylTuple,
+    _ap_points,
+    _walls,
     adm_member,
     alcove_point,
     ap_enumerate,
@@ -43,7 +47,6 @@ from .affine_weyl import (
     finite,
     invert,
     is_regular,
-    length,
     multiply,
     perm_act,
     regular_factorization,
@@ -135,24 +138,28 @@ def jh_factors(tau: TameTypePresentation, lam, force: bool = False):
         raise GenericityError(
             f"type is only {tau.depth()}-generic, need {need} (pass force to override)")
     wt = tau.w_tilde()
-    return [tuple(row for row, _ in _rows(wt[j], ap_enumerate(
+    return [tuple(row for row, *_ in _rows(wt[j], ap_enumerate(
                 tuple(l + e for l, e in zip(lam[j], eta))), "JH"))
             for j in range(ctx.f)]
 
 
+def _omega(wt_j: WeylElement, w2: WeylElement):
+    """wt_j(w2^{-1}(0)), where w2^{-1}(0) = (-nu_{u(k)})_k for w2 = t_nu ∘ u."""
+    return evaluate(wt_j, tuple(-w2.nu[i - 1] for i in w2.w))
+
+
 def _rows(wt_j: WeylElement, pairs, what):
-    """For pairs (w, w2) at an embedding where the avatar is wt_j, the
-    canonical rows (w1_j, omega_j) of the presentations (w, wt_j(w2^{-1}(0))),
-    each with its pair, in the order of the per-embedding sort key.  The rows
+    """For pairs (w, w2) with max nu(w) = 0 at an embedding where the avatar
+    is wt_j, the canonical rows (w, wt_j(w2^{-1}(0))), each with its pair and
+    w's point, in the order of the sort key (length, w, nu, omega).  The rows
     must be distinct: then a product of such lists over the embeddings is in
     the order of the presentations' sort keys."""
-    one = GroupContext(wt_j.n)  # a one-embedding presentation is one row
-    zero = (0,) * wt_j.n
     rows = {}
     for w, w2 in pairs:
-        s = SerreWeightPresentation(
-            WeylTuple((w,)), (evaluate(wt_j, evaluate(invert(w2), zero)),), one)
-        rows[s.sort_key()[0]] = ((s.w1[0], s.omega[0]), (w, w2))
+        if max(w.nu):
+            raise InternalError(f"{what} pair {w} is not canonical")
+        y, omega = alcove_point(w), _omega(wt_j, w2)
+        rows[_walls(y, 0), w.w, w.nu, omega] = ((w, omega), (w, w2), y)
     if len(rows) != len(pairs):
         raise InternalError(f"{what} parametrization failed to be injective")
     return [rows[k] for k in sorted(rows)]
@@ -219,15 +226,19 @@ def _require_predicted_set(rho: TameTypePresentation, force: bool):
 def _w_question_pairs(n: int):
     """The defect summand of each pair (w, w2) with w restricted dominant and
     w2 ↑ w dominant, keyed by the pair; it depends on n only.  The pairs are
-    the R-images (w_h w1, w2) of AP(eta), each moved by the central
-    translation that makes max nu(w) zero."""
-    t_eta = length(translation(eta_vector(n)))
+    the R-images (w_h w1, w2) of AP(eta), w_h = t_{(0,-1,..,1-n)} ∘ w0, each
+    moved by the central translation that makes max nu(w) zero; the summand
+    l(t_eta) - l(a), l(t_eta) = (n-1)n(n+1)/6, is read off the point of the
+    member a = w2^{-1} w0 w1 that the pair factors."""
+    t_eta = (n - 1) * n * (n + 1) // 6
     out = {}
-    for w1, w2 in ap_enumerate(eta_vector(n)):
-        w = multiply(w_h(n), w1)
-        shift = translation((-max(w.nu),) * n)
-        out[multiply(shift, w), multiply(shift, w2)] = t_eta - length(
-            multiply(invert(w2), multiply(w0(n), w1)))
+    for (_, u1, nu1), (_, u2, nu2), y in _ap_points(eta_vector(n)):
+        nu = [c - k for k, c in enumerate(reversed(nu1))]  # nu(w_h w1)
+        c = max(nu)
+        w = WeylElement.trusted(tuple(n + 1 - i for i in u1),
+                                tuple(x - c for x in nu))
+        w2 = WeylElement.trusted(u2, tuple(x - c for x in nu2))
+        out[w, w2] = t_eta - _walls(y, 0)
     return out
 
 
@@ -237,8 +248,8 @@ def _w_question_factors(wt_j: WeylElement):
     embedding where w̃(rhobar) is wt_j, keyed by row and in sort-key order;
     W? is their product over the embeddings."""
     summands = _w_question_pairs(wt_j.n)
-    return {row: (row, w, w2, summands[w, w2], alcove_point(row[0]))
-            for row, (w, w2) in _rows(wt_j, summands, "W?")}
+    return {row: (row, w, w2, summands[w, w2], y)
+            for row, (w, w2), y in _rows(wt_j, summands, "W?")}
 
 
 def w_question_factors(rho: TameTypePresentation, force: bool = False):
@@ -388,29 +399,21 @@ def max_defect_weight(rho: TameTypePresentation, tau: TameTypePresentation,
     _require_f_type(rho)
     zero = (((0,) * ctx.n),) * ctx.f
     _require_lambda_compatible(rho, tau, zero)
-    g = w_rhobar_tau(rho, tau)
     eta = eta_vector(ctx.n)
-    comps1, comps2 = [], []
-    for j in range(ctx.f):
-        if not is_regular(g[j]):
-            raise ArgumentError("w̃(rhobar,tau) is not regular")
-        if not adm_member(g[j], eta):
-            raise ArgumentError("w̃(rhobar,tau) is not eta-admissible")
-        a1, a2 = regular_factorization(invert(g[j]))
-        w1_j, w2_j = a2, a1  # variant factorization: swap through inversion
-        if multiply(invert(w2_j), multiply(w0(ctx.n), w1_j)) != g[j]:
-            raise InternalError("variant factorization product check failed")
-        comps1.append(w1_j)
-        comps2.append(w2_j)
-    wt_rho = rho.w_tilde()
-    w1 = WeylTuple(tuple(comps1))
-    w2 = WeylTuple(tuple(comps2))
     whinv = invert(w_h(ctx.n))
-    pres_w = WeylTuple(tuple(multiply(whinv, w2[j]) for j in range(ctx.f)))
-    omega = tuple(
-        tuple(evaluate(wt_rho[j], evaluate(invert(w1[j]), (0,) * ctx.n)))
-        for j in range(ctx.f))
-    return SerreWeightPresentation(pres_w, omega, ctx)
+    w, omega = [], []
+    for g_j, wt_j in zip(w_rhobar_tau(rho, tau), rho.w_tilde()):
+        if not is_regular(g_j):
+            raise ArgumentError("w̃(rhobar,tau) is not regular")
+        if not adm_member(g_j, eta):
+            raise ArgumentError("w̃(rhobar,tau) is not eta-admissible")
+        # variant factorization: swap through inversion
+        w2_j, w1_j = regular_factorization(invert(g_j))
+        if multiply(invert(w2_j), multiply(w0(ctx.n), w1_j)) != g_j:
+            raise InternalError("variant factorization product check failed")
+        w.append(multiply(whinv, w2_j))
+        omega.append(_omega(wt_j, w1_j))
+    return SerreWeightPresentation(WeylTuple(w), omega, ctx)
 
 
 # ---------------------------------------------------------------------------

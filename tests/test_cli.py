@@ -427,6 +427,36 @@ def test_jh_and_intersect_render_equal_records():
     assert 0 in sizes and max(sizes) > 1000
 
 
+def test_bm_render_equals_records():
+    # `bm` writes each presentation from its rows and each cycle through the
+    # encoder; on seeded types at f = 1-3 its output is the document of the
+    # solver's records and their to_json(), byte for byte
+    from awbm.affine_weyl import GroupContext
+    from awbm.inertial_types import make_type
+    from awbm.weight_sets import bm_cycles
+    from conftest import perms, random_deep_mu
+    rng = random.Random(27)
+    terms = 0
+    for n, f, p in [(2, 1, 37), (2, 2, 37), (2, 3, 37), (3, 1, 211),
+                    (3, 2, 211), (3, 3, 307), (4, 1, 211)]:
+        rho = make_type(GroupContext(n, f, p),
+                        [rng.choice(perms(n)) for _ in range(f)],
+                        [random_deep_mu(n, p, 2 * n, rng) for _ in range(f)],
+                        "F")
+        code, out, err = _run_in_process(
+            ["bm", "--n", str(n), "--f", str(f), "--p", str(p),
+             f"--rs={_rows_arg(c.w for c in rho.s)}",
+             f"--rmu={_rows_arg(rho.mu)}"], None)
+        assert code == 0, err
+        solved = sorted(bm_cycles(rho).items(), key=lambda kv: kv[0].sort_key())
+        assert out == json.dumps(
+            [{"sigma": sigma.to_json(), "defect": d, "cycle": expr.to_json()}
+             for sigma, (d, expr) in solved],
+            sort_keys=True, separators=(",", ":")) + "\n", (n, f)
+        terms += sum(len(expr.terms) for _, (_, expr) in solved)
+    assert terms > 1000
+
+
 # One catalog-scale straightening (the benchmark's straighten-p10007-n3
 # family): dense operands at M = 400 take the packed product; the digest was
 # recorded from the term loop.

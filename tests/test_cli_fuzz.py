@@ -25,6 +25,7 @@ import time
 import pytest
 
 from awbm import cli
+from awbm.oracles import MAX_ENUMERATE_RANK
 
 CALLS = 1200
 SEED = 20261019
@@ -157,11 +158,9 @@ def run_call(argv, stdin):
 def recorded_slow(argv):
     """The calls that are accepted and then run far past CALL_LIMIT_S, each
     recorded in CHANGES.md: a one-part tuple is repeated to --f parts, so a
-    product over a large --f has |factor|^f records; the oracle's
-    enumeration builds Omega-powers and simple reflections of length --n."""
-    if argv[0] in ("wq", "jh", "intersect", "bm"):
-        return _integer_flag(argv, "--f", 1) > 30
-    return argv[0] == "oracle" and _integer_flag(argv, "--n", 1) > 10 ** 6
+    product over a large --f has |factor|^f records."""
+    return argv[0] in ("wq", "jh", "intersect", "bm") and \
+        _integer_flag(argv, "--f", 1) > 30
 
 
 def _integer_flag(argv, flag, default):
@@ -425,6 +424,20 @@ def test_weight_spread_past_an_index_is_capacity_error(argv):
     code, out, err, _ = run_call(argv, None)
     assert (code, out) == (3, "") and "weight spread" in err
     assert contract_breach(argv, code, out, err) is None
+
+
+@pytest.mark.parametrize("n,code", [(MAX_ENUMERATE_RANK, 0),
+                                    (MAX_ENUMERATE_RANK + 1, 3),
+                                    (10 ** 7, 3)])
+def test_oracle_enumeration_past_the_rank_bound_is_capacity_error(n, code):
+    # an enumeration at n = 64 took 59 s and one at n = 10^7 never ended;
+    # the bound refuses them before any element is built
+    argv = ["oracle", "--n", str(n), "--kind", "enumerate", "--bound", "1"]
+    got, out, err, _ = run_call(argv, None)
+    assert got == code and contract_breach(argv, got, out, err) is None
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert f"rank {n} exceeds MAX_ENUMERATE_RANK" in err
 
 
 def _limit_address_space():

@@ -500,6 +500,71 @@ def test_w_question_is_sorted_and_duplicate_free():
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+def _w_question_pairs_by_elements(n):
+    """The W? pairs and summands through the group law: each pair (w1, w2)
+    of AP(eta) as elements, R(w1) = w_h·w1, the central shift that makes
+    max nu(w) zero, and l(t_eta) - l(w2^{-1}·w0·w1)."""
+    from awbm.affine_weyl import ap_enumerate, length, w_h
+    eta = tuple(range(n - 1, -1, -1))
+    t_eta = length(translation(eta))
+    out = {}
+    for w1, w2 in ap_enumerate(eta):
+        w = multiply(w_h(n), w1)
+        shift = translation((-max(w.nu),) * n)
+        out[multiply(shift, w), multiply(shift, w2)] = t_eta - length(
+            multiply(invert(w2), multiply(w0(n), w1)))
+    return out
+
+
+def test_w_question_pairs_match_the_group_law():
+    # `_w_question_pairs` forms the pairs and reads the summands on the
+    # tuples and points of the AP kernel; it must give the same dict, in the
+    # same order, as the element products
+    from awbm.weight_sets import _w_question_pairs
+    for n in (2, 3, 4, 5):
+        got, ref = _w_question_pairs(n), _w_question_pairs_by_elements(n)
+        assert list(got.items()) == list(ref.items()), n
+        assert all(type(w.w) is tuple and type(w.nu) is tuple
+                   for pair in got for w in pair)
+        # the summand vanishes exactly on the obvious pairs
+        assert all((d == 0) == (w == w2) for (w, w2), d in got.items())
+    assert max(ref.values()) == 10
+
+
+def _rows_by_presentations(wt_j, pairs):
+    """The canonical rows of the one-embedding presentations
+    (w, wt_j(w2^{-1}(0))), built and canonicalized by the validating
+    constructor, in the order of their sort keys."""
+    from awbm.affine_weyl import evaluate
+    one = GroupContext(wt_j.n)
+    zero = (0,) * wt_j.n
+    pres = sorted((SerreWeightPresentation(
+        WeylTuple((w,)), (evaluate(wt_j, evaluate(invert(w2), zero)),), one)
+        for w, w2 in pairs), key=lambda s: s.sort_key())
+    return tuple((s.w1[0], s.omega[0]) for s in pres)
+
+
+def test_jh_rows_match_one_embedding_presentations():
+    # `_rows` computes omega_j and the sort key on tuples; the JH factors
+    # must equal the rows of the validated one-embedding presentations
+    from awbm.affine_weyl import ap_enumerate
+    from awbm.weight_sets import jh_factors
+    from conftest import random_tuple_mu, random_weyl_tuple
+    rng = random.Random(26)
+    for n, f in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]:
+        ctx = GroupContext(n, f, 211)
+        tau = make_type(ctx, random_weyl_tuple(n, f, rng),
+                        random_tuple_mu(n, f, 211, 2 * n, rng))
+        eta = tuple(range(n - 1, -1, -1))
+        for lam in [(0,) * n, (1,) + (0,) * (n - 1),
+                    (2,) + (1,) * (n - 2) + (0,)]:
+            lams = ((lam,) + ((0,) * n,) * (f - 1))[::rng.choice((1, -1))]
+            got = jh_factors(tau, lams, force=True)
+            assert got == [_rows_by_presentations(g, ap_enumerate(
+                tuple(l + e for l, e in zip(row, eta))))
+                for g, row in zip(tau.w_tilde(), lams)], (n, f, lams)
+
+
 def test_bm_cycles_match_recursive_oracle():
     """The product of one-embedding solves equals the record-by-record
     recursion over all of W?: deep random types at GL2-GL3 with f = 1 to 3
