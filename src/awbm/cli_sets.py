@@ -110,8 +110,7 @@ def cmd_bm(args):
     solved = ws.bm_cycles(rho, force=args.force)
     row_json = lru_cache(maxsize=None)(_row_json)
     records = []
-    for sigma, (d, expr) in sorted(solved.items(),
-                                   key=lambda kv: kv[0].sort_key()):
+    for sigma, (d, expr) in solved.items():  # in W? order
         rows = [row_json(row) for row in zip(sigma.w1, sigma.omega)]
         records.append(f'{{"cycle":{serialize(expr.to_json())},"defect":{d},'
                        f'"sigma":{_presentation_json(rows)}}}')

@@ -347,10 +347,6 @@ class ComponentData(Record):
         }
 
 
-def _tuple_sort_key(t: WeylTuple):
-    return tuple(aw.sort_key(c) for c in t)
-
-
 def component_data(w1: WeylTuple, omega, ctx: GroupContext,
                    force: bool = False) -> ComponentData:
     """Fixed-point data of the component labelled by (w1, omega)."""
@@ -377,10 +373,9 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
             raise InternalError("obvious fixed points escape the bound set")
         per_bound.append(sorted(bnd, key=aw.sort_key))
         per_obvious.append(sorted(obv, key=aw.sort_key))
-    bound = tuple(sorted(map(WeylTuple, itertools.product(*per_bound)),
-                         key=_tuple_sort_key))
-    obvious = tuple(sorted(map(WeylTuple, itertools.product(*per_obvious)),
-                           key=_tuple_sort_key))
+    # products of lists sorted by sort_key are sorted by the tuples of keys
+    bound = tuple(map(WeylTuple, itertools.product(*per_bound)))
+    obvious = tuple(map(WeylTuple, itertools.product(*per_obvious)))
     return ComponentData(label=label, bound=bound, obvious=obvious,
                          exactness="conditional")
 

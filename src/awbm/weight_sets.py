@@ -36,6 +36,7 @@ from .affine_weyl import (
     WeylElement,
     WeylTuple,
     _ap_points,
+    _check_dominant_weight,
     _walls,
     adm_member,
     alcove_point,
@@ -63,7 +64,7 @@ from .errors import (
     MembershipError,
 )
 from .inertial_types import TameTypePresentation, compatible_zeta
-from .weights import SerreWeightPresentation, central_character
+from .weights import SerreWeightPresentation, _as_weight_tuple, central_character
 
 __all__ = [
     "CycleExpr",
@@ -130,17 +131,16 @@ def jh_factors(tau: TameTypePresentation, lam, force: bool = False):
     sort-key order, after the genericity check: the labels are their
     product, in the order of itertools.product."""
     ctx = tau.ctx
-    lam = _weight_tuple(ctx, lam)
     eta = eta_vector(ctx.n)
-    need = max(2 * _h(eta), max(_h(tuple(l + e for l, e in zip(row, eta)))
-                                for row in lam))
+    shifted = [tuple(l + e for l, e in zip(row, eta))
+               for row in _weight_tuple(ctx, lam)]
+    need = max(2 * _h(eta), max(map(_h, shifted)))
     if not force and tau.depth() < need:
         raise GenericityError(
             f"type is only {tau.depth()}-generic, need {need} (pass force to override)")
-    wt = tau.w_tilde()
-    return [tuple(row for row, *_ in _rows(wt[j], ap_enumerate(
-                tuple(l + e for l, e in zip(lam[j], eta))), "JH"))
-            for j in range(ctx.f)]
+    pairs = {row: ap_enumerate(row) for row in set(shifted)}  # once per row
+    return [tuple(row for row, *_ in _rows(wt_j, pairs[lam_eta], "JH"))
+            for wt_j, lam_eta in zip(tau.w_tilde(), shifted)]
 
 
 def _omega(wt_j: WeylElement, w2: WeylElement):
@@ -172,12 +172,9 @@ def _glue(rows, ctx) -> SerreWeightPresentation:
 
 
 def _weight_tuple(ctx, lam):
-    lam = tuple(tuple(int(x) for x in row) for row in lam)
-    if len(lam) != ctx.f or any(len(r) != ctx.n for r in lam):
-        raise ArgumentError(f"weight tuple must be {ctx.f} rows of length {ctx.n}")
+    lam = _as_weight_tuple(ctx, lam)
     for row in lam:
-        if any(row[i] < row[i + 1] for i in range(ctx.n - 1)):
-            raise ArgumentError(f"weight {row} is not dominant")
+        _check_dominant_weight(row)
     return lam
 
 
@@ -189,24 +186,6 @@ class PredictedWeight(Record):
     omega = w̃(rhobar)(w2^{-1}(0)) and w2 ↑ w (obvious when w2 = w)."""
 
     __slots__ = ("presentation", "w", "w2", "obvious", "defect")
-
-    def __init__(self, presentation, w, w2, obvious, defect):
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "obvious", obvious)
-        object.__setattr__(self, "defect", defect)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.presentation, self.w, self.w2, self.obvious, self.defect)
-                == (other.presentation, other.w, other.w2, other.obvious,
-                    other.defect))
-
-    def __hash__(self):
-        return hash((self.presentation, self.w, self.w2, self.obvious,
-                     self.defect))
 
 
 def _require_f_type(rho):
@@ -271,8 +250,9 @@ def _w_question_cached(rho: TameTypePresentation, force: bool):
     out = []
     for combo in itertools.product(*w_question_factors(rho, force)):
         rows, w, w2, defects, _ = zip(*combo)
-        out.append(PredictedWeight(_glue(rows, rho.ctx), WeylTuple.trusted(w),
-                                   WeylTuple.trusted(w2), w == w2, sum(defects)))
+        out.append(PredictedWeight.trusted(
+            _glue(rows, rho.ctx), WeylTuple.trusted(w), WeylTuple.trusted(w2),
+            w == w2, sum(defects)))
     return tuple(out)
 
 
@@ -441,9 +421,10 @@ def _bm_factor(rho_j: TameTypePresentation):
     """The solve of a one-embedding mod-p type in defect order: a weight's
     cycle is its auxiliary type minus the cycles of that type's other
     constituents, which have smaller defect.  Returns (row, defect,
-    ((s, mu), coefficient) pairs) per predicted weight."""
+    ((s, mu), coefficient) pairs) per predicted weight, in W? order."""
+    records = w_question(rho_j, force=True)
     solved = {}
-    for rec in sorted(w_question(rho_j, force=True), key=lambda r: r.defect):
+    for rec in sorted(records, key=lambda r: r.defect):
         sigma = rec.presentation
         tau = _aux_type(rho_j, rec)
         expr = {tau.sort_key()[0]: 1}
@@ -460,15 +441,17 @@ def _bm_factor(rho_j: TameTypePresentation):
                 for sym, c in solved[kappa][1].items():
                     expr[sym] = expr.get(sym, 0) - c
         solved[sigma] = (rec.defect, {k: c for k, c in expr.items() if c})
+    in_order = ((rec.presentation, solved[rec.presentation]) for rec in records)
     return tuple(((sigma.w1[0], sigma.omega[0]), d, tuple(expr.items()))
-                 for sigma, (d, expr) in solved.items())
+                 for sigma, (d, expr) in in_order)
 
 
 def bm_cycles(rho: TameTypePresentation, force: bool = False):
     """For each predicted weight sigma of rhobar, its cycle as a combination
     of auxiliary type symbols ("Z_tau", (s_0, mu_0), ...): the product over
     the embeddings of the one-embedding solves, whose coefficients multiply
-    and whose defects add.  Returns {presentation: (defect, CycleExpr)}."""
+    and whose defects add.  Returns {presentation: (defect, CycleExpr)} in
+    W? order: each factor is in W? order, and W? is their product."""
     ctx = rho.ctx
     _require_f_type(rho)
     if not force and rho.depth() < 2 * ctx.n:

@@ -4,14 +4,20 @@ Frozen expected values follow the convention (w, nu) <-> t_nu ∘ w; elements
 are written below as (one-line image, translation vector).
 """
 
+import contextlib
+import io
 import math
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from awbm import cli, cli_orders  # noqa: F401  (imported before timing)
 from awbm.affine_weyl import (
+    MAX_INTERVAL,
     WeylElement,
     WeylTuple,
     adm,
@@ -48,6 +54,7 @@ from awbm.affine_weyl import (
     w0,
     w_h,
 )
+from awbm.affine_weyl import _interval_bound
 from awbm.errors import ArgumentError, CapacityError, RegularityError
 from awbm.modp_flag import cell_geometry
 from awbm.oracles import ap_member, dual_bruhat_leq, dual_length
@@ -129,20 +136,57 @@ def test_interval_examples():
     assert len(bruhat_interval(w0(3))) == 6
 
 
-def test_interval_respects_cap(monkeypatch):
-    monkeypatch.setenv("AWBM_MAX_LEN", "2")
-    with pytest.raises(CapacityError):
-        bruhat_interval(translation((3, 0)))
-    # the cap admits length l(a) itself; one below, the refusal names l(a)
-    for a in (translation((3, 0)), WeylElement((2, 3, 1), (1, 1, -1)),
-              translation((3, 1, -1, -3))):
-        ell = length(a)
-        monkeypatch.setenv("AWBM_MAX_LEN", str(ell))
-        assert bruhat_interval(a)[-1] == a
-        monkeypatch.setenv("AWBM_MAX_LEN", str(ell - 1))
-        with pytest.raises(CapacityError, match=(
-                f"^interval of an element of length {ell} exceeds AWBM_MAX_LEN$")):
-            bruhat_interval(a)
+def test_interval_bound_holds_on_seeded_elements():
+    # a member's point keeps a's residues mod n and coordinate sum, and stays
+    # in [min y, max y]; so the interval has at most B = min(2^l,
+    # n!·K^(n-1)) members, K the number of quotients y // n in that range
+    rng = random.Random(27)
+    by_box = by_length = 0
+    for n in (2, 3, 4, 5):
+        for _ in range(40):
+            a = random_element(n, rng, span=2 if n < 5 else 1)
+            y = alcove_point(a)
+            bound = _interval_bound(y)
+            if bound > 3000:
+                continue
+            members = bruhat_interval(a)
+            assert len(members) <= bound <= 2 ** length(a)
+            by_box += bound < 2 ** length(a)
+            by_length += bound == 2 ** length(a)
+            for b in members:
+                z = alcove_point(b)
+                assert min(y) <= min(z) and max(z) <= max(y)
+                assert sorted(c % n for c in z) == sorted(c % n for c in y)
+                assert sum(z) == sum(y)
+    assert by_box >= 20 and by_length >= 20, (by_box, by_length)
+    # the box term decides at t_(20,10,0): 3!·21^2 = 2,646 against 2^40
+    top = translation((20, 10, 0))
+    assert _interval_bound(alcove_point(top)) == 2646
+    assert len(bruhat_interval(top)) == 1740
+
+
+def test_interval_past_the_bound_is_refused():
+    # every element of length at most 12 (B <= 2^12) is admitted; past
+    # MAX_INTERVAL the refusal comes before any member is built, also for
+    # entries of 10^30, whose length no power of two can be formed for
+    assert 2 ** 17 < MAX_INTERVAL < 2 ** 18
+    big = 10 ** 30
+    for nu, shown in (((300, 150, 0), "B = 543606"),
+                      ((big, 0, -big), "B >= 2^64"),
+                      ((big, 1, 0, -big), "B >= 2^64")):
+        message = (f"Bruhat interval bound {shown} exceeds "
+                   f"MAX_INTERVAL = {MAX_INTERVAL}")
+        with pytest.raises(CapacityError, match=f"^{re.escape(message)}$"):
+            bruhat_interval(translation(nu))
+        out, err = io.StringIO(), io.StringIO()
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["interval", "--n", str(len(nu)), "--a",
+                            "e@" + ",".join(map(str, nu))])
+        elapsed = time.perf_counter() - t0
+        assert (code, out.getvalue()) == (3, "")
+        assert err.getvalue().count("\n") == 1 and message in err.getvalue()
+        assert elapsed < 0.1, elapsed
 
 
 def test_up_examples():

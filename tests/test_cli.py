@@ -539,9 +539,8 @@ def test_straighten_p10007_frozen():
      "fc33b3c4386502f8f696c5216b64926ece09a43e1aa9e1c6f880eb4b971ecb2a"),
 ])
 def test_set_builders_frozen(argv, size, digest):
-    # the interval below t_(3,1,-1,-3) has length 20, past the default cap
-    env = dict(os.environ, AWBM_MAX_LEN="40") if argv[0] == "interval" else None
-    res = subprocess.run(PY + argv, capture_output=True, env=env)
+    # the interval below t_(3,1,-1,-3) has length 20: B = 8,232 admits it
+    res = subprocess.run(PY + argv, capture_output=True)
     assert res.returncode == 0, res.stderr
     assert len(res.stdout) == size
     assert hashlib.sha256(res.stdout).hexdigest() == digest
@@ -1173,11 +1172,10 @@ def _run_in_process(argv, stdin):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_element_writer_is_byte_identical_to_to_json(monkeypatch):
+def test_element_writer_is_byte_identical_to_to_json():
     # adm, ap and interval write each element from its integers; the
     # document must be the serialized to_json() of the library's elements
     from awbm import affine_weyl as aw
-    monkeypatch.setenv("AWBM_MAX_LEN", "40")
 
     def dump(doc):
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"

@@ -319,6 +319,25 @@ def test_fixed_points_two_embeddings():
             assert rec.presentation in predicted
 
 
+def test_component_data_products_are_sorted():
+    # bound and obvious are products of per-embedding lists sorted by
+    # sort_key, taken without a sort of their own
+    from awbm.affine_weyl import sort_key
+    from awbm.weight_sets import w_question
+    from conftest import random_tuple_mu, random_weyl_tuple
+    rng = random.Random(27)
+    for n, f in [(2, 2), (2, 3), (3, 2)]:
+        ctx = GroupContext(n, f, 211)
+        rho = make_type(ctx, random_weyl_tuple(n, f, rng),
+                        random_tuple_mu(n, f, 211, 2 * n, rng), kind="F")
+        for rec in w_question(rho)[:4]:
+            cd = component_data(rec.presentation.w1, rec.presentation.omega,
+                                ctx, force=True)
+            for fixed in (cd.bound, cd.obvious):
+                keys = [tuple(map(sort_key, t)) for t in fixed]
+                assert keys == sorted(set(keys)), (n, f)
+
+
 def test_solver_never_expands_the_adjugate(monkeypatch):
     # the solver inverts N in closed form and checks A = z·N through
     # A^{-1} = N^{-1}·z^{-1}, so no general inverse runs

@@ -565,6 +565,34 @@ def test_jh_rows_match_one_embedding_presentations():
                 for g, row in zip(tau.w_tilde(), lams)], (n, f, lams)
 
 
+def test_jh_factors_enumerate_each_distinct_row_once(monkeypatch):
+    # equal rows of lambda share one AP(lambda_j + eta)
+    from awbm import weight_sets
+    ctx = GroupContext(4, 2, 211)
+    tau = make_type(ctx, [(1, 4, 2, 3), (4, 1, 2, 3)],
+                    [(232, 178, 72, 44), (200, 176, 126, 99)])
+    calls = []
+    enumerate_ap = weight_sets.ap_enumerate
+    monkeypatch.setattr(weight_sets, "ap_enumerate",
+                        lambda lam: calls.append(lam) or enumerate_ap(lam))
+    weight_sets.jh_factors(tau, ((1, 1, 0, 0),) * 2, force=True)
+    assert calls == [(4, 3, 1, 0)]
+    calls.clear()
+    weight_sets.jh_factors(tau, ((1, 1, 0, 0), (1, 0, 0, 0)), force=True)
+    assert sorted(calls) == [(4, 2, 1, 0), (4, 3, 1, 0)]
+
+
+def test_bm_cycles_are_in_w_question_order():
+    # bm writes bm_cycles' records as they come: their keys must be W?
+    from conftest import random_tuple_mu, random_weyl_tuple
+    rng = random.Random(27)
+    for n, f in [(3, 2), (4, 1), (3, 3)]:
+        ctx = GroupContext(n, f, 211)
+        rho = make_type(ctx, random_weyl_tuple(n, f, rng),
+                        random_tuple_mu(n, f, 211, 2 * n, rng), kind="F")
+        assert list(bm_cycles(rho)) == [r.presentation for r in w_question(rho)]
+
+
 def test_bm_cycles_match_recursive_oracle():
     """The product of one-embedding solves equals the record-by-record
     recursion over all of W?: deep random types at GL2-GL3 with f = 1 to 3
