@@ -66,9 +66,7 @@ class TwistData(Record):
     __slots__ = ("s", "mu", "ctx")
 
     def __init__(self, s, mu, ctx):
-        mu = tuple(tuple(int(x) for x in row) for row in mu)
-        if len(mu) != ctx.f or any(len(r) != ctx.n for r in mu):
-            raise ArgumentError("mu must be an f-tuple of length-n rows")
+        mu = ctx.weight_tuple(mu, "mu")
         if any(c.nu != (0,) * ctx.n for c in s):
             raise ArgumentError("twist Weyl parts must be finite")
         super().__init__(s, mu, ctx)

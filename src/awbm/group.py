@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import ArgumentError, ContextError, InputError
 
@@ -116,11 +117,30 @@ def json_int(x, where):
 
 class Record:
     """An immutable record: the fields are the `__slots__`, set once in
-    `__init__` through `object.__setattr__`; records of one class are equal,
-    with equal hashes, when their fields are.  Subclasses on hot paths write
-    `__init__`, `__eq__` and `__hash__` out; the others use these."""
+    `__init__` through `object.__setattr__`.  Records of one class are equal,
+    with equal hashes, exactly when their fields are; the hash is that of the
+    field tuple.  Each subclass gets `__eq__`, `__hash__` and `_fields` built
+    from one `attrgetter` over its slots, and none writes them out."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        one = len(cls.__slots__) == 1  # then get returns the bare value
+
+        def _fields(self):
+            return (get(self),) if one else get(self)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return get(self) == get(other)
+
+        def __hash__(self):
+            return hash((get(self),) if one else get(self))
+
+        cls._fields, cls.__eq__, cls.__hash__ = _fields, __eq__, __hash__
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -137,17 +157,6 @@ class Record:
         for name, value in zip(cls.__slots__, values):
             object.__setattr__(self, name, value)
         return self
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -179,14 +188,6 @@ class WeylElement(Record):
             raise InputError("translation part has wrong length")
         object.__setattr__(self, "w", tuple(self.w))
         object.__setattr__(self, "nu", tuple(map(int, self.nu)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.w, self.nu) == (other.w, other.nu)
-
-    def __hash__(self):
-        return hash((self.w, self.nu))
 
     @property
     def n(self):
@@ -368,14 +369,6 @@ class WeylTuple(Record):
             raise ContextError("mixed ranks inside a tuple")
         object.__setattr__(self, "components", comps)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash((self.components,))
-
     @property
     def f(self):
         return len(self.components)
@@ -485,17 +478,16 @@ class GroupContext(Record):
             raise ArgumentError("need at least one embedding")
         if p is not None:
             check_prime(p)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "p", p)
+        super().__init__(n, f, p)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.f, self.p) == (other.n, other.f, other.p)
-
-    def __hash__(self):
-        return hash((self.n, self.f, self.p))
+    def weight_tuple(self, rows, name):
+        """rows as a tuple of f integer rows of length n, the shape of a
+        weight tuple over this context; ArgumentError names the field."""
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        if len(rows) != self.f or any(len(row) != self.n for row in rows):
+            raise ArgumentError(
+                f"{name} must be {self.f} rows of length {self.n}")
+        return rows
 
     def require_prime(self):
         if self.p is None:

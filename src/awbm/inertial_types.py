@@ -39,22 +39,7 @@ class TameTypePresentation(Record):
             raise ArgumentError("Weyl tuple does not match the context")
         if any(c.nu != (0,) * ctx.n for c in s):
             raise ArgumentError("type data must have zero translation parts")
-        mu = tuple(tuple(int(x) for x in row) for row in mu)
-        if len(mu) != ctx.f or any(len(r) != ctx.n for r in mu):
-            raise ArgumentError("mu must be an f-tuple of length-n rows")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "kind", kind)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.s, self.mu, self.ctx, self.kind)
-                == (other.s, other.mu, other.ctx, other.kind))
-
-    def __hash__(self):
-        return hash((self.s, self.mu, self.ctx, self.kind))
+        super().__init__(s, ctx.weight_tuple(mu, "mu"), ctx, kind)
 
     @property
     def f(self):
@@ -103,9 +88,7 @@ def compatible_zeta(tau: TameTypePresentation, lam=None) -> CentralCharacter:
     degree of t_lam t_{mu+eta} s for kind 'E', of t_mu s for kind 'F'."""
     n, f = tau.n, tau.f
     eta_sum = sum(eta_vector(n))
-    if lam is None:
-        lam = ((0,) * n,) * f
-    lam = tuple(tuple(int(x) for x in row) for row in lam)
+    lam = tau.ctx.weight_tuple(((0,) * n,) * f if lam is None else lam, "lambda")
     if tau.kind == "E":
         zeta = tuple(sum(lam[j]) + sum(tau.mu[j]) + eta_sum for j in range(f))
     else:

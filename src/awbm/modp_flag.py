@@ -351,9 +351,7 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
                    force: bool = False) -> ComponentData:
     """Fixed-point data of the component labelled by (w1, omega)."""
     p = ctx.require_prime()
-    omega = tuple(tuple(int(x) for x in row) for row in omega)
-    if len(omega) != ctx.f or any(len(r) != ctx.n for r in omega):
-        raise ArgumentError("omega must be an f-tuple of length-n rows")
+    omega = ctx.weight_tuple(omega, "omega")
     if not w1.is_restricted():
         raise ArgumentError("w1 components must be restricted dominant")
     label = weights.SerreWeightPresentation(w1, omega, ctx)
@@ -386,7 +384,7 @@ def special_fiber_components(ctx: GroupContext, lam,
     """Labels of the top-dimensional irreducible components of the special
     fiber attached to (lam, tau): exactly the constituents of the type twisted
     by W(lam - eta), each with its fixed-point data."""
-    lam = tuple(tuple(int(x) for x in row) for row in lam)
+    lam = ctx.weight_tuple(lam, "lambda")
     n = ctx.n
     eta = eta_vector(n)
     for row in lam:

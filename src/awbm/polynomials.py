@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .affine_weyl import GroupContext, conv_lattice_points
 from .errors import ArgumentError
-from .weights import _as_weight_tuple, weight_depth
+from .weights import weight_depth
 
 __all__ = ["Polynomial", "build_Pm", "superscript", "genericity"]
 
@@ -113,7 +113,7 @@ def genericity(ctx: GroupContext, mu, m: int | None = None,
     """m-mode: every embedding of the weight tuple mu is m-deep; polynomial
     mode: P(mu_j) is nonzero mod p for every embedding."""
     p = ctx.require_prime()
-    mu = _as_weight_tuple(ctx, mu)
+    mu = ctx.weight_tuple(mu, "mu")
     if polynomial is not None:
         return all(polynomial.eval(mu_j) % p != 0 for mu_j in mu)
     if m is None:

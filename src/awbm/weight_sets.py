@@ -64,7 +64,7 @@ from .errors import (
     MembershipError,
 )
 from .inertial_types import TameTypePresentation, compatible_zeta
-from .weights import SerreWeightPresentation, _as_weight_tuple, central_character
+from .weights import SerreWeightPresentation, central_character
 
 __all__ = [
     "CycleExpr",
@@ -92,21 +92,9 @@ class CycleExpr(Record):
 
     __slots__ = ("terms",)  # sorted tuple of (symbol tuple, coefficient)
 
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.terms,))
-
     @classmethod
     def of(cls, mapping):
-        items = tuple(sorted((k, v) for k, v in mapping.items() if v))
-        return cls(items)
+        return cls.trusted(tuple(sorted((k, v) for k, v in mapping.items() if v)))
 
     def to_json(self):
         return [[list(k), str(v)] for k, v in self.terms]
@@ -172,7 +160,7 @@ def _glue(rows, ctx) -> SerreWeightPresentation:
 
 
 def _weight_tuple(ctx, lam):
-    lam = _as_weight_tuple(ctx, lam)
+    lam = ctx.weight_tuple(lam, "lambda")
     for row in lam:
         _check_dominant_weight(row)
     return lam

@@ -63,13 +63,6 @@ def weight_depth(lam, p: int) -> int:
         tuple(x + e for x, e in zip(lam, eta_vector(len(lam))))), p)
 
 
-def _as_weight_tuple(ctx, mu):
-    mu = tuple(tuple(int(c) for c in row) for row in mu)
-    if len(mu) != ctx.f or any(len(row) != ctx.n for row in mu):
-        raise ArgumentError(f"weight tuple must be {ctx.f} rows of length {ctx.n}")
-    return mu
-
-
 # ---------------------------------------------------------------------------
 # the p-dot action
 
@@ -103,23 +96,10 @@ class SerreWeightPresentation(Record):
     __slots__ = ("w1", "omega", "ctx")
 
     def __init__(self, w1, omega, ctx):
-        omega = tuple(tuple(int(c) for c in row) for row in omega)
         if w1.f != ctx.f or w1.n != ctx.n:
             raise ArgumentError("presentation does not match its context")
-        if len(omega) != ctx.f or any(len(r) != ctx.n for r in omega):
-            raise ArgumentError("omega must be an f-tuple of length-n rows")
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "ctx", ctx)
+        super().__init__(w1, ctx.weight_tuple(omega, "omega"), ctx)
         self.canonical()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.w1, self.omega, self.ctx) == (other.w1, other.omega, other.ctx)
-
-    def __hash__(self):
-        return hash((self.w1, self.omega, self.ctx))
 
     def canonical(self) -> "SerreWeightPresentation":
         """Move to the representative (t_c w1_j, omega_j - c) with
@@ -222,7 +202,7 @@ def lap_of(ctx: GroupContext, kappa, zeta: CentralCharacter) -> SerreWeightPrese
     """The unique lowest alcove presentation of the weight F(kappa) compatible
     with zeta; requires kappa to be 0-deep and p-restricted."""
     p = ctx.require_prime()
-    kappa = _as_weight_tuple(ctx, kappa)
+    kappa = ctx.weight_tuple(kappa, "kappa")
     if zeta.f != ctx.f:
         raise ArgumentError("central character has the wrong number of embeddings")
     eta = eta_vector(ctx.n)

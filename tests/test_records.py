@@ -1,10 +1,18 @@
 """The records of the library: slotted values that are frozen once built."""
 
+import ast
+import importlib
+import inspect
+import pkgutil
+import textwrap
+
 import pytest
 
+import awbm
 from awbm.affine_weyl import (
     Flags,
     GroupContext,
+    Record,
     WeylElement,
     WeylTuple,
     classify,
@@ -15,10 +23,17 @@ from awbm.affine_weyl import (
 from awbm.bk_gauge import Coefficients, SeriesMatrix, TwistData, shape_semisimple
 from awbm.descent import descent_data
 from awbm.errors import ArgumentError, InputError
-from awbm.inertial_types import TameTypePresentation, make_type
-from awbm.modp_flag import LaurentMatrix, cell_geometry, chart_template, component_data
-from awbm.weight_sets import CycleExpr, w_question
-from awbm.weights import CentralCharacter, SerreWeightPresentation
+from awbm.inertial_types import TameTypePresentation, compatible_zeta, make_type
+from awbm.modp_flag import (
+    LaurentMatrix,
+    cell_geometry,
+    chart_template,
+    component_data,
+    special_fiber_components,
+)
+from awbm.polynomials import genericity
+from awbm.weight_sets import CycleExpr, jh_set, w_question
+from awbm.weights import CentralCharacter, SerreWeightPresentation, lap_of
 
 
 def _ctx(n=2, p=37):
@@ -80,6 +95,69 @@ def test_records_are_frozen_values(make):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert tuple(getattr(a, name) for name in names) == fields
+
+
+def _library_records():
+    """Every Record subclass of the library, after every layer has run."""
+    for info in pkgutil.iter_modules(awbm.__path__):
+        importlib.import_module(f"awbm.{info.name}").__name__  # runs a lazy layer
+    found, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("awbm.") and cls not in found:
+                found.append(cls)
+                todo.append(cls)
+    return found
+
+
+def test_every_record_is_listed_and_writes_no_equality_or_hash():
+    classes = _library_records()
+    assert sorted(cls.__name__ for cls in classes) == sorted(RECORDS)
+    for cls in classes:
+        body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
+        written = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        assert not written & {"__eq__", "__hash__"}, cls.__name__
+        for name in ("__eq__", "__hash__", "_fields"):
+            assert vars(cls)[name].__qualname__ == \
+                f"Record.__init_subclass__.<locals>.{name}", (cls.__name__, name)
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_a_record_never_equals_another_class_with_its_fields(make):
+    a = make(0)
+    twin_class = type(type(a).__name__, (Record,),
+                      {"__slots__": type(a).__slots__, "__module__": __name__})
+    twin = twin_class.trusted(*a._fields())
+    assert twin._fields() == a._fields() and hash(twin) == hash(a)
+    assert a != twin and twin != a and not a == twin
+    assert len({a, twin}) == 2
+
+
+def _gl3_f2():
+    ctx = GroupContext(3, 2, 211)
+    return ctx, make_type(ctx, [(1, 2, 3), (2, 1, 3)], [(150, 100, 0), (140, 90, 10)])
+
+
+@pytest.mark.parametrize("call,field", [
+    # an f x n weight tuple of the wrong shape is refused, naming the field,
+    # in every layer that takes one: these three once raised IndexError or
+    # read a short row as a value
+    (lambda ctx, tau: compatible_zeta(tau, [(1, 0, 0)]), "lambda"),
+    (lambda ctx, tau: compatible_zeta(tau, [(1, 0), (0, 0)]), "lambda"),
+    (lambda ctx, tau: special_fiber_components(ctx, [(5, 3)], tau, None), "lambda"),
+    (lambda ctx, tau: make_type(ctx, tau.s, [(150, 100, 0)]), "mu"),
+    (lambda ctx, tau: SerreWeightPresentation(tau.s, [(5, 3, 1), (5, 3)], ctx),
+     "omega"),
+    (lambda ctx, tau: component_data(tau.s, [(5, 3, 1)], ctx), "omega"),
+    (lambda ctx, tau: TwistData(tau.s, [(1, 0, 0)] * 3, ctx), "mu"),
+    (lambda ctx, tau: lap_of(ctx, [(2, 1)] * 2, CentralCharacter((0, 0))), "kappa"),
+    (lambda ctx, tau: genericity(ctx, [(2, 1, 0)], 1), "mu"),
+    (lambda ctx, tau: jh_set(tau, [(0, 0, 0, 0)] * 2), "lambda"),
+])
+def test_weight_tuples_of_the_wrong_shape_are_argument_errors(call, field):
+    ctx, tau = _gl3_f2()
+    with pytest.raises(ArgumentError, match=f"^{field} must be 2 rows of length 3$"):
+        call(ctx, tau)
 
 
 def test_series_matrices_compare_by_value_and_are_unhashable():
