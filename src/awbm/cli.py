@@ -5,10 +5,10 @@ stdout (canonical key order, sorted sets) and exits 0; malformed input exits
 2; a violated precondition exits 3 with the failing condition named on
 stderr, among them a stdout closed before the output was written; an
 internal invariant breach, or any other unexpected exception, exits 4 with
-a one-line message and no traceback.  `wq`, `jh` and `intersect` stream
-their document, a product over the embeddings, in chunks once every check
-has passed: a reader that closes stdout mid-document has read a prefix, and
-the run exits 3.  Elements are written
+a one-line message and no traceback.  `wq`, `jh`, `intersect` and `bm`
+stream their document, a product over the embeddings, in chunks once every
+check (and every solve) has passed: a reader that closes stdout
+mid-document has read a prefix, and the run exits 3.  Elements are written
 PERM or PERM@NU (PERM one of 'e', 'w0', cycle notation '(1 2)', or a
 one-line image '2,1'; NU a comma-separated integer vector), tuples join
 components with ';'.  The canonical JSON element encoding

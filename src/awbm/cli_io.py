@@ -87,6 +87,8 @@ def parse_weight_rows(text: str, n: int, f: int):
         except TypeError as exc:
             raise InputError(
                 f"weight rows must be integer arrays: {text!r}") from exc
+        if any(len(row) != n for row in rows):
+            raise InputError(f"weight rows {text!r} must have length {n}")
     else:
         parts = [p for p in text.split(";") if p.strip()]
         if len(parts) == 1 and f > 1:

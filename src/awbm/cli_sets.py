@@ -1,12 +1,12 @@
 """Command handlers of the weight-set family: JH labels, the predicted set
-W?, covering, intersections, defects and the cycle solver.  `wq`, `jh` and
-`intersect` stream their documents, products over the embeddings, through
-one writer; `bm` writes its presentations from the same rows."""
+W?, covering, intersections, defects and the cycle solver.  `wq`, `jh`,
+`intersect` and `bm` stream their documents, products over the embeddings,
+through one writer."""
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+import math
 
 from . import weight_sets as ws
 from .cli_io import (ctx_of, element_json, emit, parse_weight_rows,
@@ -104,14 +104,20 @@ def cmd_maxdefect(args):
     emit(ws.max_defect_weight(rho, tau, force=args.force).to_json())
 
 
+def _bm_record(rows):
+    *_, defects, terms = zip(*rows)
+    products = (zip(*parts) for parts in itertools.product(*terms))
+    cycle = ",".join(f'[["Z_tau",{",".join(s)}],"{math.prod(c)}"]' for s, c in products)
+    return (f'{{"cycle":[{cycle}],"defect":{sum(defects)},'
+            f'"sigma":{_presentation_json(rows)}}}')
+
+
 def cmd_bm(args):
-    # the records repeat a few rows per embedding: each is serialized once
+    # a factor row carries its defect and its terms, each symbol serialized
+    # once; the product of the sorted term lists is in CycleExpr's order
     rho = type_of(args, ctx_of(args), "rs", "rmu", "F")
-    solved = ws.bm_cycles(rho, force=args.force)
-    row_json = lru_cache(maxsize=None)(_row_json)
-    records = []
-    for sigma, (d, expr) in solved.items():  # in W? order
-        rows = [row_json(row) for row in zip(sigma.w1, sigma.omega)]
-        records.append(f'{{"cycle":{serialize(expr.to_json())},"defect":{d},'
-                       f'"sigma":{_presentation_json(rows)}}}')
-    write(f'[{",".join(records)}]')
+    write_product([[_row_json((sigma.w1[0], sigma.omega[0]))
+                    + (d, [(serialize(sym), c) for (_, sym), c in expr.terms])
+                    for sigma, (d, expr) in factors]
+                   for factors in ws.bm_factors(rho, force=args.force)],
+                  _bm_record)

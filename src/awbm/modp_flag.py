@@ -349,12 +349,14 @@ class ComponentData(Record):
 
 def component_data(w1: WeylTuple, omega, ctx: GroupContext,
                    force: bool = False) -> ComponentData:
-    """Fixed-point data of the component labelled by (w1, omega)."""
+    """Fixed-point data of the component labelled by (w1, omega), read off
+    the label's canonical (w1, omega): a central t_c commutes with all of it,
+    and star(t_{-c} m)·t_{omega+c} = star(m)·t_omega."""
     p = ctx.require_prime()
-    omega = ctx.weight_tuple(omega, "omega")
+    label = weights.SerreWeightPresentation(w1, omega, ctx)
+    w1, omega = label.w1, label.omega
     if not w1.is_restricted():
         raise ArgumentError("w1 components must be restricted dominant")
-    label = weights.SerreWeightPresentation(w1, omega, ctx)
     n = ctx.n
     for row in omega:
         if not force and not aw.is_generic_element(translation(row), n - 1, p):
@@ -391,9 +393,7 @@ def special_fiber_components(ctx: GroupContext, lam,
         if any(row[i] <= row[i + 1] for i in range(n - 1)):
             raise ArgumentError(f"lambda row {row} is not regular dominant")
     lam_minus = tuple(tuple(l - e for l, e in zip(row, eta)) for row in lam)
-    need = max(2 * n, max(max(r) - min(r) for r in lam))
-    if not force and tau.depth() < need:
-        raise GenericityError(f"tau presentation is not {need}-generic")
+    weight_sets._require_depth(tau, max(2 * n, *map(weight_sets._h, lam)), force, "tau")
     if zeta is not None:
         zt = inertial_types.compatible_zeta(tau, lam_minus)
         if tuple(zeta.zeta) != zt.zeta:

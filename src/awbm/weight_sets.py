@@ -20,8 +20,8 @@ exactly on the obvious weights, and the cycle solver eliminates it
 recursively: a defect-zero weight is read off from a single auxiliary type,
 and a higher-defect weight from an auxiliary type whose other predicted
 constituents all have strictly smaller defect.  With multiplicity one the
-solve is a product of one-embedding solves; the record-by-record recursion
-over all of W? is the reference `oracles.bm_cycles_recursive`.
+solve is the product of the one-embedding solves `bm_factors`; the
+record-by-record recursion over all of W? is `oracles.bm_cycles_recursive`.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ __all__ = [
     "w_rhobar_tau",
     "defect",
     "max_defect_weight",
+    "bm_factors",
     "bm_cycles",
 ]
 
@@ -122,10 +123,7 @@ def jh_factors(tau: TameTypePresentation, lam, force: bool = False):
     eta = eta_vector(ctx.n)
     shifted = [tuple(l + e for l, e in zip(row, eta))
                for row in _weight_tuple(ctx, lam)]
-    need = max(2 * _h(eta), max(map(_h, shifted)))
-    if not force and tau.depth() < need:
-        raise GenericityError(
-            f"type is only {tau.depth()}-generic, need {need} (pass force to override)")
+    _require_depth(tau, max(2 * _h(eta), max(map(_h, shifted))), force, "type")
     pairs = {row: ap_enumerate(row) for row in set(shifted)}  # once per row
     return [tuple(row for row, *_ in _rows(wt_j, pairs[lam_eta], "JH"))
             for wt_j, lam_eta in zip(tau.w_tilde(), shifted)]
@@ -159,6 +157,12 @@ def _glue(rows, ctx) -> SerreWeightPresentation:
     return SerreWeightPresentation.trusted(WeylTuple.trusted(w1), omega, ctx)
 
 
+def _require_depth(pres, need: int, force: bool, what: str):
+    """Unless forced, pres (a type or a presentation) must be need-deep."""
+    if not force and pres.depth() < need:
+        raise GenericityError(f"{what} is only {pres.depth()}-generic, need {need}")
+
+
 def _weight_tuple(ctx, lam):
     lam = ctx.weight_tuple(lam, "lambda")
     for row in lam:
@@ -183,10 +187,7 @@ def _require_f_type(rho):
 
 def _require_predicted_set(rho: TameTypePresentation, force: bool):
     _require_f_type(rho)
-    need = 2 * _h(eta_vector(rho.ctx.n))
-    if not force and rho.depth() < need:
-        raise GenericityError(
-            f"mod-p type is only {rho.depth()}-generic, need {need}")
+    _require_depth(rho, 2 * _h(eta_vector(rho.ctx.n)), force, "mod-p type")
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +262,7 @@ def covers(sigma0: SerreWeightPresentation, sigma: SerreWeightPresentation,
     as t_{omega' - omega} m <= w0 w for each m below w0 w'."""
     _require_compatible(sigma0, sigma)
     ctx = sigma0.ctx
-    eta = eta_vector(ctx.n)
-    if not force and sigma0.depth() < 3 * _h(eta):
-        raise GenericityError(
-            f"covering needs a {3 * _h(eta)}-deep upper weight, have {sigma0.depth()}")
+    _require_depth(sigma0, 3 * _h(eta_vector(ctx.n)), force, "upper weight")
     for j in range(ctx.f):
         top = multiply(w0(ctx.n), sigma0.w1[j])
         shift = translation(tuple(
@@ -310,13 +308,9 @@ def intersection_factors(rho: TameTypePresentation, tau: TameTypePresentation,
     lam = _weight_tuple(ctx, lam)
     _require_lambda_compatible(rho, tau, lam)
     eta = eta_vector(ctx.n)
-    if not force:
-        if rho.depth() < 2 * _h(eta):
-            raise GenericityError("rhobar presentation is not 2h_eta-generic")
-        need = max(2 * _h(eta), max(_h(tuple(l + e for l, e in zip(row, eta)))
-                                    for row in lam))
-        if tau.depth() < need:
-            raise GenericityError(f"tau presentation is not {need}-generic")
+    _require_depth(rho, 2 * _h(eta), force, "rhobar")
+    _require_depth(tau, max(2 * _h(eta), max(_h(tuple(l + e for l, e in zip(row, eta)))
+                                             for row in lam)), force, "tau")
     return [_accepted_rows(a, b, row)
             for a, b, row in zip(rho.w_tilde(), tau.w_tilde(), lam)]
 
@@ -405,19 +399,43 @@ def _aux_type(rho: TameTypePresentation, rec: PredictedWeight):
         for g, w, w2 in zip(rho.w_tilde(), rec.w, rec.w2))))
 
 
-def _bm_factor(rho_j: TameTypePresentation):
-    """The solve of a one-embedding mod-p type in defect order: a weight's
-    cycle is its auxiliary type minus the cycles of that type's other
-    constituents, which have smaller defect.  Returns (row, defect,
-    ((s, mu), coefficient) pairs) per predicted weight, in W? order."""
-    records = w_question(rho_j, force=True)
+def bm_factors(rho: TameTypePresentation, force: bool = False):
+    """After the check of rhobar, the items of bm_cycles on each embedding's
+    one-embedding type: the cycles are their product, in the order of
+    itertools.product, whose rows glue, defects add and coefficients multiply."""
+    _require_f_type(rho)
+    _require_depth(rho, 2 * rho.n, force, "mod-p type")
+    one = GroupContext(rho.n, 1, rho.ctx.p)
+    return [tuple(bm_cycles(TameTypePresentation(WeylTuple((s_j,)), (mu_j,), one, "F"),
+                            force=True).items())
+            for s_j, mu_j in zip(rho.s, rho.mu)]
+
+
+def bm_cycles(rho: TameTypePresentation, force: bool = False):
+    """For each predicted weight sigma of rhobar, its cycle as a combination
+    of auxiliary type symbols ("Z_tau", (s_0, mu_0), ...), returned as
+    {presentation: (defect, CycleExpr)} in W? order.  A forced one-embedding
+    type is solved in defect order: a weight's cycle is its auxiliary type
+    minus the cycles of that type's other constituents, which have smaller
+    defect.  Any other is the product of bm_factors, which checks rhobar."""
+    if rho.ctx.f > 1 or not force:
+        solved = {}
+        for combo in itertools.product(*bm_factors(rho, force)):
+            sigmas, solves = zip(*combo)
+            terms = {("Z_tau",) + tuple(s for (_, s), _ in parts):
+                     math.prod(c for _, c in parts)
+                     for parts in itertools.product(*(e.terms for _, e in solves))}
+            sigma = _glue([(s.w1[0], s.omega[0]) for s in sigmas], rho.ctx)
+            solved[sigma] = (sum(d for d, _ in solves), CycleExpr.of(terms))
+        return solved
+    records = w_question(rho, force=True)
     solved = {}
     for rec in sorted(records, key=lambda r: r.defect):
         sigma = rec.presentation
-        tau = _aux_type(rho_j, rec)
-        expr = {tau.sort_key()[0]: 1}
+        tau = _aux_type(rho, rec)
+        expr = {("Z_tau",) + tau.sort_key(): 1}
         if rec.defect:
-            others = intersection(rho_j, tau, ((0,) * rho_j.n,), force=True)
+            others = intersection(rho, tau, ((0,) * rho.n,), force=True)
             if sigma not in others:
                 raise InternalError("maximizer missing from its own intersection")
             for kappa in others:
@@ -426,34 +444,7 @@ def _bm_factor(rho_j: TameTypePresentation):
                 if kappa not in solved or solved[kappa][0] >= rec.defect:
                     raise InternalError(
                         "defect triangularity violated by an auxiliary type")
-                for sym, c in solved[kappa][1].items():
+                for sym, c in solved[kappa][1].terms:
                     expr[sym] = expr.get(sym, 0) - c
-        solved[sigma] = (rec.defect, {k: c for k, c in expr.items() if c})
-    in_order = ((rec.presentation, solved[rec.presentation]) for rec in records)
-    return tuple(((sigma.w1[0], sigma.omega[0]), d, tuple(expr.items()))
-                 for sigma, (d, expr) in in_order)
-
-
-def bm_cycles(rho: TameTypePresentation, force: bool = False):
-    """For each predicted weight sigma of rhobar, its cycle as a combination
-    of auxiliary type symbols ("Z_tau", (s_0, mu_0), ...): the product over
-    the embeddings of the one-embedding solves, whose coefficients multiply
-    and whose defects add.  Returns {presentation: (defect, CycleExpr)} in
-    W? order: each factor is in W? order, and W? is their product."""
-    ctx = rho.ctx
-    _require_f_type(rho)
-    if not force and rho.depth() < 2 * ctx.n:
-        raise GenericityError(f"cycle solver needs a 2n-generic mod-p type, "
-                              f"have depth {rho.depth()}")
-    one = GroupContext(ctx.n, 1, ctx.p)
-    factors = [_bm_factor(TameTypePresentation(WeylTuple((s_j,)), (mu_j,), one, "F"))
-               for s_j, mu_j in zip(rho.s, rho.mu)]
-    solved = {}
-    for combo in itertools.product(*factors):
-        rows, defects, exprs = zip(*combo)
-        terms = {}
-        for parts in itertools.product(*exprs):
-            syms, coeffs = zip(*parts)
-            terms[("Z_tau",) + syms] = math.prod(coeffs)
-        solved[_glue(rows, ctx)] = (sum(defects), CycleExpr.of(terms))
-    return solved
+        solved[sigma] = (rec.defect, CycleExpr.of(expr))
+    return {rec.presentation: solved[rec.presentation] for rec in records}

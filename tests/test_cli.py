@@ -428,17 +428,17 @@ def test_jh_and_intersect_render_equal_records():
 
 
 def test_bm_render_equals_records():
-    # `bm` writes each presentation from its rows and each cycle through the
-    # encoder; on seeded types at f = 1-3 its output is the document of the
-    # solver's records and their to_json(), byte for byte
+    # `bm` writes each presentation from its rows and each cycle from its
+    # factors' terms; on seeded types at f = 1-4 its output is the document
+    # of the solver's records and their to_json(), byte for byte
     from awbm.affine_weyl import GroupContext
     from awbm.inertial_types import make_type
     from awbm.weight_sets import bm_cycles
     from conftest import perms, random_deep_mu
     rng = random.Random(27)
     terms = 0
-    for n, f, p in [(2, 1, 37), (2, 2, 37), (2, 3, 37), (3, 1, 211),
-                    (3, 2, 211), (3, 3, 307), (4, 1, 211)]:
+    for n, f, p in [(2, 1, 37), (2, 2, 37), (2, 3, 37), (2, 4, 37),
+                    (3, 1, 211), (3, 2, 211), (3, 3, 307), (4, 1, 211)]:
         rho = make_type(GroupContext(n, f, p),
                         [rng.choice(perms(n)) for _ in range(f)],
                         [random_deep_mu(n, p, 2 * n, rng) for _ in range(f)],
@@ -455,6 +455,63 @@ def test_bm_render_equals_records():
             sort_keys=True, separators=(",", ":")) + "\n", (n, f)
         terms += sum(len(expr.terms) for _, (_, expr) in solved)
     assert terms > 1000
+
+
+def test_bm_streams_one_write_per_choice_of_the_leading_rows():
+    # GL3 has 9 W? rows per embedding: at f = 3 the 729 records go out in 81
+    # chunks of 9, then the closing bracket and the newline
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recording()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(BM_GL3_F3_ARGV) == 0
+    chunks = [w for w in writes if w]
+    assert len(chunks) == 83 and chunks[-2:] == ["]", "\n"]
+    assert [c[0] for c in chunks[:81]] == ["["] + [","] * 80
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        "9ada2cbab5a686d23f7a7ed38e6cb7d976df9de11ebf2a272e0861c92d4cf68c"
+
+
+def test_refused_bm_writes_nothing(monkeypatch):
+    # the check of rhobar and every solve end in bm_factors, before the first
+    # write: a shallow type, or a solve check failing at the last embedding,
+    # leaves stdout empty
+    import awbm.weight_sets as ws
+    code, out, err = _run_in_process(
+        ["bm", "--n", "3", "--f", "2", "--p", "211", "--rs", "e", "--rmu", "5,3,0"],
+        None)
+    assert (code, out) == (3, "") and "type is only 2-generic, need 6" in err
+    intersection = ws.intersection
+
+    def failing(rho, tau, lam, force=False):
+        found = intersection(rho, tau, lam, force)
+        return [] if rho.mu == ((169, 76, 18),) else found
+
+    monkeypatch.setattr(ws, "intersection", failing)
+    code, out, err = _run_in_process(BM_GL3_F3_ARGV, None)
+    assert (code, out) == (4, "") and "maximizer missing" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["type", "--s", "e;e", "--mu"],
+    ["wq", "--s", "e;e", "--mu"],
+    ["jh", "--s", "e;e", "--mu", "150,100,50;140,90,3", "--lambda"],
+], ids=["type", "wq", "jh"])
+def test_json_weight_rows_are_checked_like_text_rows(argv):
+    # a row of the wrong length is an input error (exit 2, one line) in
+    # either spelling, too short or too long
+    cmd, *opts = argv
+    for rows in ("150,100;140,90", "[[150,100],[140,90]]",
+                 "150,100,50,1;140,90,3", "[[150,100,50,1],[140,90,3]]"):
+        code, out, err = _run_in_process(
+            [cmd, "--n", "3", "--f", "2", "--p", "211", *opts, rows], None)
+        assert (code, out) == (2, ""), (argv, rows, err)
+        assert len(err.splitlines()) == 1 and err.startswith("input error: ")
 
 
 # One catalog-scale straightening (the benchmark's straighten-p10007-n3
@@ -563,9 +620,8 @@ def test_closed_stdout_is_exit_3_in_process():
 
 
 def test_closed_stdout_is_exit_3():
-    # the 351 KB document of bm outgrows the pipe buffer, so the write meets
-    # the closed read end; wq streams its 1.83 MB in chunks, and the reader
-    # closes after the first of them
+    # bm (351 KB) and wq (1.83 MB) stream in chunks of one factor, and the
+    # reader closes after the first of them
     for argv in (BM_GL3_F3_ARGV, WQ_GL4_F2_ARGV):
         proc = subprocess.Popen(PY + argv, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE)

@@ -1,5 +1,6 @@
 """Charts, cells, the monodromy condition, and component fixed points."""
 
+import itertools
 import random
 
 import pytest
@@ -336,6 +337,41 @@ def test_component_data_products_are_sorted():
             for fixed in (cd.bound, cd.obvious):
                 keys = [tuple(map(sort_key, t)) for t in fixed]
                 assert keys == sorted(set(keys)), (n, f)
+
+
+def test_component_data_reads_the_canonical_pair():
+    # a label given as (t_c w1, omega - c) with c != 0 has the fixed-point
+    # sets of the pair as stated: the bound set star(m)·t_omega over m below
+    # w0 w1, and the obvious set star(t_omega u w1), computed here on the
+    # shifted pair
+    from awbm.affine_weyl import bruhat_interval, sort_key, w0
+    from awbm.weight_sets import w_question
+    from conftest import perms, random_tuple_mu, random_weyl_tuple
+    rng = random.Random(28)
+    for n, f in [(2, 1), (2, 2), (3, 1), (3, 2)]:
+        ctx = GroupContext(n, f, 211)
+        rho = make_type(ctx, random_weyl_tuple(n, f, rng),
+                        random_tuple_mu(n, f, 211, 2 * n, rng), kind="F")
+        records = w_question(rho)
+        for _ in range(6):
+            label = rng.choice(records).presentation
+            cs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(f)]
+            w1 = WeylTuple(tuple(multiply(translation((c,) * n), a)
+                                 for a, c in zip(label.w1, cs)))
+            omega = tuple(tuple(x - c for x in row)
+                          for row, c in zip(label.omega, cs))
+            cd = component_data(w1, omega, ctx, force=True)
+            assert cd.label == label
+            bound = [sorted({multiply(star(m), translation(row))
+                             for m in bruhat_interval(multiply(w0(n), a))},
+                            key=sort_key) for a, row in zip(w1, omega)]
+            obvious = [sorted({star(multiply(translation(row),
+                                             multiply(finite(u), a)))
+                               for u in perms(n)}, key=sort_key)
+                       for a, row in zip(w1, omega)]
+            assert cd.bound == tuple(map(WeylTuple, itertools.product(*bound)))
+            assert cd.obvious == tuple(map(WeylTuple,
+                                           itertools.product(*obvious)))
 
 
 def test_solver_never_expands_the_adjugate(monkeypatch):

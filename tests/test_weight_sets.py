@@ -664,8 +664,8 @@ def test_glued_records_equal_validated_ones(monkeypatch, job):
     """`_glue` builds its records without the constructor's checks: on the
     heaviest catalog cases each one equals the validating constructor's
     record (value, hash, sort key and JSON), and every row handed to it by
-    `_rows`, `_w_question_factors`, `_accepted_rows` or `_bm_factor` is
-    canonical."""
+    `_rows`, `_w_question_factors`, `_accepted_rows` or the product in
+    `bm_cycles` is canonical."""
     import awbm.weight_sets as ws
     kind, n, s, p, mu = job
     f = len(mu)
