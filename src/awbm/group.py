@@ -407,9 +407,6 @@ class WeylTuple(Record):
     def length(self):
         return sum(length(a) for a in self)
 
-    def is_dominant(self):
-        return all(is_dominant(a) for a in self)
-
     def is_restricted(self):
         return all(is_restricted(a) for a in self)
 

@@ -268,15 +268,13 @@ def verify_nabla(A: LaurentMatrix, a_bar) -> bool:
     return nabla_matrix(A, a_bar).shift(1).is_upper_mod_v()
 
 
-def monodromy_solve(wt: WeylElement, a_bar, free_values=None,
-                    p: int | None = None) -> LaurentMatrix:
+def monodromy_solve(wt: WeylElement, a_bar, free_values=None, *,
+                    p: int) -> LaurentMatrix:
     """Solve the monodromy condition on the cell through star(wt): returns
     A = star(wt)·N with the below-top coefficients of each support entry
     eliminated along the chamber height order, the top coefficients taken
     from free_values (default 1).  A vanishing pivot i + [alpha>0] + <a,
     alpha∨> raises ZeroDivisorError naming (alpha, i)."""
-    if p is None:
-        raise ArgumentError("monodromy_solve needs the prime p")
     field = Coefficients(p)
     n = wt.n
     a_bar = tuple(int(x) % p for x in a_bar)

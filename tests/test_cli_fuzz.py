@@ -14,6 +14,7 @@ must give byte-identical stdout.
 import contextlib
 import io
 import json
+import math
 import random
 import re
 import resource
@@ -26,6 +27,7 @@ import pytest
 
 from awbm import cli
 from awbm.oracles import MAX_ENUMERATE_RANK
+from awbm.polynomials import MAX_EXPANSION
 
 CALLS = 1200
 SEED = 20261019
@@ -438,6 +440,43 @@ def test_oracle_enumeration_past_the_rank_bound_is_capacity_error(n, code):
     if code:
         assert out == "" and err.count("\n") == 1
         assert f"rank {n} exceeds MAX_ENUMERATE_RANK" in err
+
+
+_GENERIC = ["generic", "--n", "2", "--f", "1", "--p", "37", "--mu", "9,3"]
+
+
+@pytest.mark.parametrize("extra,code", [
+    (["--pm", str(10 ** 30)], 0),
+    (["--pm", str(10 ** 30), "--emit-poly"], 3),
+    (["--pm", "38", "--super", "1,0"], 0),
+    (["--pm", "38", "--super", "1,0", "--emit-poly"], 3),
+])
+def test_genericity_polynomial_of_any_degree_ends_in_the_contract(extra, code):
+    # the polynomial is decided in closed form, n·|parts| residue checks for
+    # any m, and only --emit-poly expands it; multiplied out, the --pm 38
+    # call took 22 s and the --pm 10^30 calls never ended
+    argv = _GENERIC + extra
+    got, out, err, _ = run_call(argv, None)
+    assert got == code and contract_breach(argv, got, out, err) is None
+    if code:
+        assert out == "" and "MAX_EXPANSION" in err
+    else:
+        assert out == '{"generic":false}\n'
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_largest_admitted_expansion_ends_within_the_call_limit(n):
+    # P_m has d = n·m linear factors; the largest m whose estimate
+    # d·C(d + n, n) is within MAX_EXPANSION expands within CALL_LIMIT_S, and
+    # the next is refused
+    m = max(m for m in range(100)
+            if n * m * math.comb(n * m + n, n) <= MAX_EXPANSION)
+    mu = ",".join(str(10 * (n - i)) for i in range(n))
+    for pm, code in ((m, 0), (m + 1, 3)):
+        argv = ["generic", "--n", str(n), "--f", "1", "--p", "211",
+                "--mu", mu, "--pm", str(pm), "--emit-poly"]
+        got, out, err, _ = run_call(argv, None)
+        assert got == code and contract_breach(argv, got, out, err) is None
 
 
 def _limit_address_space():

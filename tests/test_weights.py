@@ -17,7 +17,8 @@ from awbm.affine_weyl import (
     identity,
     translation,
 )
-from awbm.errors import ArgumentError, CompatibilityError, DepthError
+from awbm.errors import (ArgumentError, CapacityError, CompatibilityError,
+                         DepthError)
 from awbm.polynomials import build_Pm, genericity, superscript
 from awbm.weights import (
     CentralCharacter,
@@ -159,6 +160,69 @@ def test_superscript():
     assert lifted == prod
     with pytest.raises(ArgumentError):
         superscript(P2, (0, 1))
+
+
+def _shifted(x, nu):
+    return tuple(a - b for a, b in zip(x, nu))
+
+
+def _random_product(rng, n, m):
+    """superscript(P_m, omega) for a small dominant omega, sometimes times a
+    shifted P_k."""
+    omega = sorted((rng.randint(0, 2) for _ in range(n)), reverse=True)
+    P = superscript(build_Pm(n, m), omega)
+    if rng.random() < 0.5:
+        nu = [rng.randint(-3, 3) for _ in range(n)]
+        P = P * build_Pm(n, rng.randint(0, 3)).shift(nu)
+    return P
+
+
+def test_closed_form_and_expansion_agree_with_eval():
+    # seeded: the closed form of nonzero_mod and genericity against
+    # eval(point) % p at points with one gap g = 0, 1, m or m + 1 mod p, where
+    # a part's factors g - j (1 <= j <= m) start and stop vanishing; shift and
+    # superscript against their definitions through eval; the expanded terms
+    # against eval at seeded points
+    rng = random.Random(20261019)
+    primes = (2, 3, 5, 7, 11, 13, 37, 101, 199)
+    for _ in range(400):
+        n, m = rng.randint(2, 4), rng.randint(0, 4)
+        P = _random_product(rng, n, m)
+        for _ in range(5):
+            p = rng.choice(primes)
+            k, s = rng.choice(P.parts)
+            i = rng.randrange(n)
+            x = [rng.randint(-3 * p, 3 * p) for _ in range(n)]
+            g = (x[i] - s[i]) - (x[(i + 1) % n] - s[(i + 1) % n])
+            target = rng.choice((0, 1, k, k + 1)) + p * rng.randint(-2, 2)
+            x[i] += target - g
+            x = tuple(x)
+            want = P.eval(x) % p != 0
+            assert P.nonzero_mod(x, p) == want
+            assert genericity(GroupContext(n, 1, p), (x,), polynomial=P) == want
+        nu = tuple(rng.randint(-4, 4) for _ in range(n))
+        assert P.shift(nu).eval(x) == P.eval(_shifted(x, nu))
+        omega = sorted((rng.randint(0, 2) for _ in range(n)), reverse=True)
+        Q = build_Pm(n, m)
+        want = 1
+        for nu in conv_lattice_points(tuple(omega)):
+            want *= Q.eval(_shifted(x, nu))
+        assert superscript(Q, omega).eval(x) == want
+    for _ in range(80):
+        n = rng.randint(2, 4)
+        P = _random_product(rng, n, rng.randint(0, 2))
+        try:
+            terms = P.expand()
+        except CapacityError:
+            continue
+        for _ in range(3):
+            x = [rng.randint(-20, 20) for _ in range(n)]
+            value = 0
+            for e, c in terms.items():
+                for xi, ei in zip(x, e):
+                    c *= xi ** ei
+                value += c
+            assert value == P.eval(x)
 
 
 def test_conv_membership():
