@@ -53,7 +53,7 @@ print("w(rhobar, tau) =", (w_rhobar_tau(rho, tau)[0].w,
 common = intersection(rho, tau, ((0, 0, 0),), force=True)
 print("intersection size:", len(common))
 if common:
-    K = max_defect_weight(rho, tau, force=True)
+    K = max_defect_weight(rho, tau)
     print("defect maximizer:", serre_weight(K)[0],
           " defect:", defect(rho, K, force=True))
 

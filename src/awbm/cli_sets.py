@@ -70,7 +70,7 @@ def cmd_wq(args):
     # a W? row carries its defect summand and whether it is obvious (w = w2)
     rho = type_of(args, ctx_of(args), kind="F")
     write_product([[_row_json(row) + (summand, w == w2)
-                    for row, w, w2, summand, _ in factors]
+                    for row, w, w2, summand in factors]
                    for factors in ws.w_question_factors(rho, force=args.force)],
                   _wq_record)
 
@@ -101,7 +101,7 @@ def cmd_maxdefect(args):
     ctx = ctx_of(args)
     rho = type_of(args, ctx, "rs", "rmu", "F")
     tau = type_of(args, ctx, "ts", "tmu")
-    emit(ws.max_defect_weight(rho, tau, force=args.force).to_json())
+    emit(ws.max_defect_weight(rho, tau).to_json())
 
 
 def _bm_record(rows):

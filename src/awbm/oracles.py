@@ -41,7 +41,8 @@ drops every term at or above the product's precision; it shares no helper
 with the kernel's loop or its packed path.  `series_matrix_frobenius` and
 `series_matrix_truncate` write out `frobenius` and `truncate` the same way,
 raising each coefficient to the p-th power by repeated squaring where the
-kernel conjugates.
+kernel conjugates, and `series_matrix_sum` and `series_matrix_v_ddv` write
+out `+`, `-` and `v_ddv`.
 
 They are shipped, not test-only, so cross-checks can be run on demand.
 """
@@ -479,6 +480,45 @@ def series_matrix_truncate(a, prec):
             if entry:
                 out[(i, j)] = entry
     return out, a.lo, cut
+
+
+def series_matrix_sum(a, b, sign=1):
+    """a + b (sign 1) or a - b (sign -1) term by term: the sum is known below
+    the lesser precision, and no term at or above it is kept; lo is the
+    lesser lo.  Returned as by `series_matrix_frobenius`."""
+    field, p = a.field, a.field.p
+    cut = min(math.inf if m.prec is None else m.prec for m in (a, b))
+    out = {}
+    for i in range(1, a.n + 1):
+        for j in range(1, a.n + 1):
+            acc = {}
+            for m, s in ((a, 1), (b, sign)):
+                for e, c in m.entry(i, j).items():
+                    old = acc.get(e, [0, 0])
+                    c = [c, 0] if field.degree == 1 else c
+                    acc[e] = [(x + s * y) % p for x, y in zip(old, c)]
+            entry = {e: c[0] if field.degree == 1 else c
+                     for e, c in sorted(acc.items()) if e < cut and any(c)}
+            if entry:
+                out[(i, j)] = entry
+    return out, min(a.lo, b.lo), None if cut == math.inf else cut
+
+
+def series_matrix_v_ddv(a):
+    """a.v_ddv() term by term: c·v^e becomes e·c·v^e, with lo and the
+    precision kept.  Returned as by `series_matrix_frobenius`."""
+    field, p = a.field, a.field.p
+    out = {}
+    for i in range(1, a.n + 1):
+        for j in range(1, a.n + 1):
+            entry = {}
+            for e, c in a.entry(i, j).items():
+                c = [e * x % p for x in ([c] if field.degree == 1 else c)]
+                if any(c):
+                    entry[e] = c[0] if field.degree == 1 else c
+            if entry:
+                out[(i, j)] = entry
+    return out, a.lo, a.prec
 
 
 def oracle(kind: str, *args, **kwargs):

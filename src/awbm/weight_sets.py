@@ -1,25 +1,22 @@
 """Predicted weight sets, Jordan-Hölder labels, covering, defect, and the
-Breuil-Mézard cycle solver.
+Breuil-Mézard cycle solver, on lowest alcove presentations over a fixed
+context.  The sets are read off the AP kernel's tuples and points as labels
+(w, w2), whose row at an embedding with avatar g is (w, g(w2^{-1}(0))):
 
-Everything here is phrased in terms of lowest alcove presentations over a
-fixed context.  The two basic parametrizations are
-
-  * JH labels of a type tau twisted by W(lam):  admissible pairs
-    (w1, w2) in AP(lam+eta) give the presentations
-    (w1, w̃(tau)(w2^{-1}(0)));
+  * JH labels of a type tau twisted by W(lam): the pairs of AP(lam+eta), at
+    the avatar w̃(tau);
   * the predicted set W?(rhobar) = R(JH(sigma(tau))), tau the type with the
-    data of rhobar (Herzig, Duke Math. J. 149 (2009)):  R(w1, omega) =
-    (w_h w1, omega) maps the pairs (w1, w2) in AP(eta) to the presentations
-    (w_h w1, w̃(rhobar)(w2^{-1}(0))), with w2 = w_h w1 exactly on the obvious
-    subset.
+    data of rhobar (Herzig, Duke Math. J. 149 (2009)): R(w1, omega) =
+    (w_h w1, omega) makes the pairs (w1, w2) of AP(eta) the labels (w_h w1,
+    w2) at the avatar w̃(rhobar), with w2 = w_h w1 exactly on the obvious set;
+  * the intersection with the JH labels of tau is keyed by shape: its labels
+    at an embedding depend only on w̃(rhobar, tau)_j and lam_j.
 
-Both are read off the AP kernel's tuples and points.  The defect of a
-predicted weight is len(t_eta) - len(a) for the eta-admissible member
-a = w2^{-1} w0 w1 that its pair factors, read off a's point; it vanishes
-exactly on the obvious weights, and the cycle solver eliminates it
-recursively: a defect-zero weight is read off from a single auxiliary type,
-and a higher-defect weight from an auxiliary type whose other predicted
-constituents all have strictly smaller defect.  With multiplicity one the
+The defect of a predicted weight is len(t_eta) - len(a) for the member
+a = w2^{-1} w0 w1 of Adm(eta) that its pair factors, read off a's point; it
+vanishes exactly on the obvious weights.  The cycle solver eliminates it: a
+weight's cycle is its auxiliary type less the cycles of that type's other
+predicted constituents, all of smaller defect.  With multiplicity one the
 solve is the product of the one-embedding solves `bm_factors`; the
 record-by-record recursion over all of W? is `oracles.bm_cycles_recursive`.
 """
@@ -125,7 +122,7 @@ def jh_factors(tau: TameTypePresentation, lam, force: bool = False):
                for row in _weight_tuple(ctx, lam)]
     _require_depth(tau, max(2 * _h(eta), max(map(_h, shifted))), force, "type")
     pairs = {row: ap_enumerate(row) for row in set(shifted)}  # once per row
-    return [tuple(row for row, *_ in _rows(wt_j, pairs[lam_eta], "JH"))
+    return [tuple(row for row, _ in _rows(wt_j, pairs[lam_eta], "JH"))
             for wt_j, lam_eta in zip(tau.w_tilde(), shifted)]
 
 
@@ -136,16 +133,16 @@ def _omega(wt_j: WeylElement, w2: WeylElement):
 
 def _rows(wt_j: WeylElement, pairs, what):
     """For pairs (w, w2) with max nu(w) = 0 at an embedding where the avatar
-    is wt_j, the canonical rows (w, wt_j(w2^{-1}(0))), each with its pair and
-    w's point, in the order of the sort key (length, w, nu, omega).  The rows
-    must be distinct: then a product of such lists over the embeddings is in
-    the order of the presentations' sort keys."""
+    is wt_j, the canonical rows (w, wt_j(w2^{-1}(0))), each with its pair, in
+    the order of the sort key (length, w, nu, omega).  The rows must be
+    distinct: then a product of such lists over the embeddings is in the
+    order of the presentations' sort keys."""
     rows = {}
     for w, w2 in pairs:
         if max(w.nu):
             raise InternalError(f"{what} pair {w} is not canonical")
-        y, omega = alcove_point(w), _omega(wt_j, w2)
-        rows[_walls(y, 0), w.w, w.nu, omega] = ((w, omega), (w, w2), y)
+        omega = _omega(wt_j, w2)
+        rows[_walls(alcove_point(w), 0), w.w, w.nu, omega] = ((w, omega), (w, w2))
     if len(rows) != len(pairs):
         raise InternalError(f"{what} parametrization failed to be injective")
     return [rows[k] for k in sorted(rows)]
@@ -212,18 +209,18 @@ def _w_question_pairs(n: int):
 
 @lru_cache(maxsize=256)
 def _w_question_factors(wt_j: WeylElement):
-    """The W? factors (row, w, w2, defect summand, alcove point of w1_j) at an
-    embedding where w̃(rhobar) is wt_j, keyed by row and in sort-key order;
-    W? is their product over the embeddings."""
+    """The W? factors (row, w, w2, defect summand) at an embedding where
+    w̃(rhobar) is wt_j, keyed by row and in sort-key order; W? is their
+    product over the embeddings."""
     summands = _w_question_pairs(wt_j.n)
-    return {row: (row, w, w2, summands[w, w2], y)
-            for row, (w, w2), y in _rows(wt_j, summands, "W?")}
+    return {row: (row, w, w2, summands[w, w2])
+            for row, (w, w2) in _rows(wt_j, summands, "W?")}
 
 
 def w_question_factors(rho: TameTypePresentation, force: bool = False):
     """The W? factors of a mod-p type, one tuple per embedding of (row, w,
-    w2, defect summand, alcove point of w1_j) in sort-key order: W? is their
-    product, in the order of itertools.product."""
+    w2, defect summand) in sort-key order: W? is their product, in the order
+    of itertools.product."""
     _require_predicted_set(rho, force)
     return [tuple(_w_question_factors(g).values()) for g in rho.w_tilde()]
 
@@ -238,7 +235,7 @@ def w_question(rho: TameTypePresentation, force: bool = False):
 def _w_question_cached(rho: TameTypePresentation, force: bool):
     out = []
     for combo in itertools.product(*w_question_factors(rho, force)):
-        rows, w, w2, defects, _ = zip(*combo)
+        rows, w, w2, defects = zip(*combo)
         out.append(PredictedWeight.trusted(
             _glue(rows, rho.ctx), WeylTuple.trusted(w), WeylTuple.trusted(w2),
             w == w2, sum(defects)))
@@ -303,40 +300,46 @@ def intersection_factors(rho: TameTypePresentation, tau: TameTypePresentation,
     """The intersection's rows (w1_j, omega_j), one tuple per embedding in
     sort-key order, after the compatibility and genericity checks: the
     intersection is their product, in the order of itertools.product."""
-    ctx = rho.ctx
     _require_f_type(rho)
-    lam = _weight_tuple(ctx, lam)
+    lam = _weight_tuple(rho.ctx, lam)
     _require_lambda_compatible(rho, tau, lam)
-    eta = eta_vector(ctx.n)
+    eta = eta_vector(rho.n)
     _require_depth(rho, 2 * _h(eta), force, "rhobar")
     _require_depth(tau, max(2 * _h(eta), max(_h(tuple(l + e for l, e in zip(row, eta)))
                                              for row in lam)), force, "tau")
-    return [_accepted_rows(a, b, row)
-            for a, b, row in zip(rho.w_tilde(), tau.w_tilde(), lam)]
+    return [tuple(row for row, _ in _rows(wt_j, _accepted_labels(shape, lam_j), "W?"))
+            for wt_j, shape, lam_j in zip(rho.w_tilde(), w_rhobar_tau(rho, tau), lam)]
 
 
 @lru_cache(maxsize=1024)
-def _accepted_rows(wt_rho_j: WeylElement, wt_tau_j: WeylElement, lam_j):
-    """The W? rows at one embedding that pass its arrow test w1_j ↑ t_{lam_j}
-    w_h^{-1} w2, on alcove points: w2, the dominant representative of
-    t_{-omega_j} w̃(tau)_j, has the point of w̃(tau)_j less n·omega_j, sorted,
-    and t_{lam_j} w_h^{-1} = t_{lam_j + mu} ∘ u maps z to u(z) + n·(lam_j + mu).
-    Canonical rows are matched representatives; the test ignores central shifts."""
-    n = wt_rho_j.n
+def _accepted_labels(shape: WeylElement, lam_j):
+    """The W? labels (w, w2) with w ↑ t_{lam_j} w_h^{-1} w2', w2' the dominant
+    representative of t_{-omega} w̃(tau)_j, omega = w̃(rhobar)_j(x), x = w2^{-1}(0),
+    where w̃(rhobar, tau)_j = shape = g^{-1}.  With w̃(rhobar)_j = t_mu ∘ u,
+    `_point` gives point(w̃(tau)_j) - n·omega = u(point(g)) + n·mu - n·(u(x) + mu)
+    = u(point(g) - n·x), and sorting it for w2' removes u.  t_{lam_j} w_h^{-1} =
+    t_{lam_j + nu} ∘ v then maps a point z to v(z) + n·(lam_j + nu)."""
+    n = shape.n
     whinv = invert(w_h(n))
     lift = [n * (l + m) for l, m in zip(lam_j, whinv.nu)]
-    base = alcove_point(wt_tau_j)
-    rhs, out = {}, []  # a right-hand side depends on the row through omega only
-    for (w1, omega), _, _, _, y1 in _w_question_factors(wt_rho_j).values():
-        z = rhs.get(omega)
-        if z is None:
-            y = sorted((b - n * o for b, o in zip(base, omega)), reverse=True)
-            if len({c % n for c in y}) != n:
-                raise InternalError("dominant representative failed")
-            z = rhs[omega] = tuple(c + s for c, s in zip(perm_act(whinv.w, y), lift))
-        if up_leq_points(y1, z):
-            out.append((w1, omega))
+    base = alcove_point(invert(shape))
+    out = []
+    for x, labels in _labels_by_x(n).items():
+        y = sorted((b - n * c for b, c in zip(base, x)), reverse=True)
+        if len({c % n for c in y}) != n:
+            raise InternalError("dominant representative failed")
+        z = tuple(c + s for c, s in zip(perm_act(whinv.w, y), lift))
+        out += [label for label, y1 in labels if up_leq_points(y1, z)]
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _labels_by_x(n: int):
+    """The W? labels (w, w2) and w's points, grouped by x = w2^{-1}(0) = omega at e."""
+    out, e = {}, translation((0,) * n)
+    for w, w2 in _w_question_pairs(n):
+        out.setdefault(_omega(e, w2), []).append(((w, w2), alcove_point(w)))
+    return out
 
 
 def defect(rho: TameTypePresentation, sigma: SerreWeightPresentation,
@@ -352,28 +355,25 @@ def defect(rho: TameTypePresentation, sigma: SerreWeightPresentation,
     raise MembershipError("sigma does not lie in the predicted set of rhobar")
 
 
-def max_defect_weight(rho: TameTypePresentation, tau: TameTypePresentation,
-                      force: bool = False) -> SerreWeightPresentation:
+def max_defect_weight(rho: TameTypePresentation,
+                      tau: TameTypePresentation) -> SerreWeightPresentation:
     """The unique defect-maximizing weight of the intersection: factor
     w̃(rhobar,tau) = w2^{-1} w0 w1 with w1 dominant and w2 restricted, and
     return (w_h^{-1} w2, w̃(rhobar)(w1^{-1}(0)))."""
     ctx = rho.ctx
     _require_f_type(rho)
-    zero = (((0,) * ctx.n),) * ctx.f
-    _require_lambda_compatible(rho, tau, zero)
-    eta = eta_vector(ctx.n)
-    whinv = invert(w_h(ctx.n))
+    _require_lambda_compatible(rho, tau, ((0,) * ctx.n,) * ctx.f)
     w, omega = [], []
     for g_j, wt_j in zip(w_rhobar_tau(rho, tau), rho.w_tilde()):
         if not is_regular(g_j):
             raise ArgumentError("w̃(rhobar,tau) is not regular")
-        if not adm_member(g_j, eta):
+        if not adm_member(g_j, eta_vector(ctx.n)):
             raise ArgumentError("w̃(rhobar,tau) is not eta-admissible")
         # variant factorization: swap through inversion
         w2_j, w1_j = regular_factorization(invert(g_j))
         if multiply(invert(w2_j), multiply(w0(ctx.n), w1_j)) != g_j:
             raise InternalError("variant factorization product check failed")
-        w.append(multiply(whinv, w2_j))
+        w.append(multiply(invert(w_h(ctx.n)), w2_j))
         omega.append(_omega(wt_j, w1_j))
     return SerreWeightPresentation(WeylTuple(w), omega, ctx)
 

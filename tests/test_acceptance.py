@@ -418,7 +418,7 @@ def test_criterion_09_defect_and_solver():
         g = rng.choice(reg)
         wt_tau = WeylTuple((multiply(rho.w_tilde()[0], invert(g)),))
         tau = _aux_type_from_element(ctx3, wt_tau)
-        K = max_defect_weight(rho, tau, force=True)
+        K = max_defect_weight(rho, tau)
         members = intersection(rho, tau, ((0, 0, 0),), force=True)
         assert K in members
         dk = defect(rho, K, force=True)

@@ -18,7 +18,8 @@ exact inverse of an exact matrix it truncates.
 
 `frobenius` and `truncate` are checked against their references in
 `oracles`, which raise each coefficient to the p-th power by repeated
-squaring where the kernel conjugates.
+squaring where the kernel conjugates; so are `+`, `-` and `v_ddv`, with
+exact and truncated operands on either side.
 """
 
 import random
@@ -31,7 +32,9 @@ from awbm.errors import ArgumentError
 from awbm.oracles import (
     series_matrix_frobenius,
     series_matrix_product,
+    series_matrix_sum,
     series_matrix_truncate,
+    series_matrix_v_ddv,
 )
 
 # 1000000007 (30 bits) packs only short products into 64-bit slots; the
@@ -252,3 +255,37 @@ def test_frobenius_and_truncate_match_reference(seed):
         seen["cut at lo or below"] += known <= a.lo
         seen["term at the cut"] += any(e == known for e, _ in terms)
     assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("seed", ADJ_SEEDS)
+def test_sum_difference_and_v_ddv_match_reference(seed):
+    rng = random.Random(4000 + seed)
+    seen = {"F_p^2": 0, "exact + exact": 0, "exact + truncated": 0,
+            "truncated + exact": 0, "truncated + truncated": 0,
+            "cancelled": 0, "cut by the other operand": 0, "e·c = 0": 0}
+    for _ in range(40):
+        field = field_for(rng, ADJ_PRIMES)
+        n = rng.randint(1, 4)
+        a = operand(rng, field, n, rng.choice(["dense", "sparse", "monomial"]))
+        if rng.random() < 0.3:  # terms shared with a, to cancel in a - b
+            b = a.truncate(a.lo + rng.randint(0, 12))
+        else:
+            b = operand(rng, field, n, rng.choice(["dense", "sparse", "monomial"]))
+        for got, want in ((a + b, series_matrix_sum(a, b)),
+                          (a - b, series_matrix_sum(a, b, -1)),
+                          (a.v_ddv(), series_matrix_v_ddv(a))):
+            entries, lo, prec = want
+            assert (listed(got), got.lo, got.prec) == (
+                {key: list(e.items()) for key, e in entries.items()}, lo, prec)
+        ta, tb = ({(i, j, e): c for (i, j), entry in listed(m).items()
+                   for e, c in entry} for m in (a, b))
+        cut = min((m.prec for m in (a, b) if m.prec is not None), default=None)
+        seen["F_p^2"] += field.degree == 2
+        seen[" + ".join("exact" if m.prec is None else "truncated"
+                        for m in (a, b))] += 1
+        seen["cancelled"] += any(ta[k] == c and (cut is None or k[2] < cut)
+                                 for k, c in tb.items() if k in ta)
+        seen["cut by the other operand"] += cut is not None and any(
+            k[2] >= cut for k in (*ta, *tb))
+        seen["e·c = 0"] += any(k[2] % field.p == 0 for k in ta)
+    assert min(seen.values()) >= 2, seen

@@ -121,8 +121,7 @@ def test_w_question_inside_eta_shifted_jh():
         comps = tuple(multiply(g, shift) for g in rho.w_tilde())
         from awbm.weight_sets import _aux_type_from_element
         R = _aux_type_from_element(ctx, WeylTuple(comps))
-        jh = set(jh_set(R, ((eta),) * ctx.f if False else (eta,) * ctx.f,
-                        force=True))
+        jh = set(jh_set(R, (eta,) * ctx.f, force=True))
         for rec in w_question(rho):
             assert rec.presentation in jh
 
@@ -652,6 +651,84 @@ def test_point_scan_matches_element_scan():
     assert 0 < accepted < scanned
 
 
+def _accepted_rows_by_avatars(wt_rho_j, wt_tau_j, lam_j):
+    """The arrow scan keyed by both avatars, as it was before the table was
+    keyed by shape: every W? row (w1, omega) at wt_rho_j, built here by the
+    validating constructor, against the right-hand side read off the point
+    of wt_tau_j less n·omega, sorted, then moved by t_{lam_j} w_h^{-1}."""
+    from awbm.affine_weyl import alcove_point, perm_act, up_leq_points, w_h
+    from awbm.weight_sets import _w_question_pairs
+    n = wt_rho_j.n
+    whinv = invert(w_h(n))
+    lift = [n * (l + m) for l, m in zip(lam_j, whinv.nu)]
+    base = alcove_point(wt_tau_j)
+    out = []
+    for w1, omega in _rows_by_presentations(wt_rho_j, _w_question_pairs(n)):
+        y = sorted((b - n * o for b, o in zip(base, omega)), reverse=True)
+        assert len({c % n for c in y}) == n
+        z = tuple(c + s for c, s in zip(perm_act(whinv.w, y), lift))
+        if up_leq_points(alcove_point(w1), z):
+            out.append((w1, omega))
+    return tuple(out)
+
+
+def _mu_at_depth(n, p, depth, rng):
+    """A weight exactly depth-deep in the base alcove: a deeper one with one
+    simple gap narrowed to depth."""
+    from awbm.affine_weyl import weight_depth_base
+    from conftest import random_deep_mu
+    for _ in range(100):
+        mu = random_deep_mu(n, p, depth, rng)
+        i = rng.randrange(n - 1)
+        cut = mu[i] - mu[i + 1] - depth
+        mu = tuple(m - cut if k <= i else m for k, m in enumerate(mu))
+        if weight_depth_base(mu, p) == depth:
+            return mu
+    raise AssertionError(f"no weight exactly {depth}-deep for n={n}, p={p}")
+
+
+def test_intersection_by_shape_matches_the_avatar_scan():
+    """`intersection_factors` takes its rows from one table of accepted
+    labels per (w̃(rhobar, tau)_j, lam_j), relabelled by w̃(rhobar)_j; they
+    must be the rows of the scan keyed by both avatars, at n = 2-5 and
+    f = 1-3, with lam = 0 and lam != 0, on types whose depth is random or
+    exactly the gate.  Pairs that pass the gate are checked unforced."""
+    from conftest import random_deep_mu, random_weyl_tuple
+    from awbm.weight_sets import _w_question_pairs, intersection_factors
+    rng = random.Random(31)
+    seen = {"lam != 0": 0, "rhobar at the gate": 0, "tau at the gate": 0,
+            "forced": 0, "accepted": 0, "refused": 0}
+    for n, f, p, tries in [(2, 1, 37, 6), (2, 3, 37, 4), (3, 1, 211, 6),
+                           (3, 2, 211, 4), (3, 3, 211, 3), (4, 1, 211, 4),
+                           (4, 2, 211, 2), (5, 1, 211, 2)]:
+        ctx = GroupContext(n, f, p)
+        eta = tuple(range(n - 1, -1, -1))
+        gate = 2 * (n - 1)
+        lams = [(0,) * n, (1,) + (0,) * (n - 1), (2,) + (1,) * (n - 2) + (0,)]
+        for t in range(tries):
+            depth = [gate, gate + rng.randrange(3), 2 * n + 5][t % 3]
+            rho = make_type(ctx, random_weyl_tuple(n, f, rng),
+                            [_mu_at_depth(n, p, depth, rng) if j == 0 else
+                             random_deep_mu(n, p, depth, rng) for j in range(f)],
+                            kind="F")
+            for lam in lams:
+                lam = tuple(rng.choice((lam, lams[0])) for _ in range(f))
+                tau = _lam_compatible_type(rho, lam, rng)
+                tau_gate = max(gate, (n - 1) + max(row[0] - row[-1] for row in lam))
+                force = rho.depth() < gate or tau.depth() < tau_gate
+                got = intersection_factors(rho, tau, lam, force=force)
+                assert got == [_accepted_rows_by_avatars(a, b, row) for a, b, row
+                               in zip(rho.w_tilde(), tau.w_tilde(), lam)], \
+                    (rho, tau, lam)
+                seen["lam != 0"] += any(map(any, lam))
+                seen["rhobar at the gate"] += rho.depth() == gate and not force
+                seen["tau at the gate"] += tau.depth() == tau_gate and not force
+                seen["forced"] += force
+                seen["accepted"] += sum(map(len, got))
+                seen["refused"] += f * len(_w_question_pairs(n)) - sum(map(len, got))
+    assert min(seen.values()) >= 1, seen
+
+
 @pytest.mark.parametrize("job", [
     ("wq", 4, (3, 4, 1, 2, 1, 3, 2, 4), 211,
      ((274, 264, 186, 149), (275, 204, 174, 98))),
@@ -664,7 +741,7 @@ def test_glued_records_equal_validated_ones(monkeypatch, job):
     """`_glue` builds its records without the constructor's checks: on the
     heaviest catalog cases each one equals the validating constructor's
     record (value, hash, sort key and JSON), and every row handed to it by
-    `_rows`, `_w_question_factors`, `_accepted_rows` or the product in
+    `_rows`, `_w_question_factors`, `_accepted_labels` or the product in
     `bm_cycles` is canonical."""
     import awbm.weight_sets as ws
     kind, n, s, p, mu = job
@@ -679,7 +756,7 @@ def test_glued_records_equal_validated_ones(monkeypatch, job):
         return glued[-1][1]
 
     monkeypatch.setattr(ws, "_glue", recording)
-    for cache in (ws._w_question_cached, ws._w_question_factors, ws._accepted_rows):
+    for cache in (ws._w_question_cached, ws._w_question_factors, ws._accepted_labels):
         cache.cache_clear()
     if kind == "jh":
         jh_set(make_type(ctx, perms, mu), ((1, 1, 0, 0),))
