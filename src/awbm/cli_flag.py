@@ -4,6 +4,7 @@ calculus (twists, basis changes, straightening, shapes)."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -12,8 +13,9 @@ from . import group as gr
 from . import modp_flag as mf
 from . import series as se
 from . import weights as wt
-from .cli_io import (ctx_of, emit, parse_element, parse_tuple, parse_vector,
-                     parse_weight_rows, type_of)
+from .cli_io import (ctx_of, element_json, emit, parse_element, parse_tuple,
+                     parse_vector, parse_weight_rows, presentation_json,
+                     row_json, type_of, write, write_product)
 from .errors import ContextError, InputError
 
 
@@ -81,11 +83,28 @@ def cmd_nabla(args):
     emit({"holds": mf.verify_nabla(A, abar)})
 
 
+def _component_row(row, *factors):
+    # row_json of a label row, then its bound and obvious factors: each
+    # fixed point is serialized once per row, not once per component
+    return row_json(row) + tuple([element_json(a) for a in f] for f in factors)
+
+
+def _component_record(rows):
+    *_, bound, obvious = zip(*rows)
+    bound, obvious = ("[" + ",".join(["[" + ",".join(t) + "]"
+                                      for t in itertools.product(*f)]) + "]"
+                      for f in (bound, obvious))
+    return (f'{{"bound":{bound},"exactness":"conditional",'
+            f'"label":{presentation_json(rows)},"obvious":{obvious}}}')
+
+
 def cmd_component(args):
     ctx = ctx_of(args)
     w1 = parse_tuple(args.w1, ctx.n, ctx.f)
     omega = parse_weight_rows(args.omega, ctx.n, ctx.f)
-    emit(mf.component_data(w1, omega, ctx, force=args.force).to_json())
+    cd = mf.component_data(w1, omega, ctx, force=args.force)
+    write(_component_record(list(map(_component_row, zip(
+        cd.label.w1, cd.label.omega), cd.bound, cd.obvious))))
 
 
 def cmd_fiber(args):
@@ -95,8 +114,10 @@ def cmd_fiber(args):
     zeta = None
     if args.zeta:
         zeta = wt.CentralCharacter(parse_vector(args.zeta, ctx.f))
-    comps = mf.special_fiber_components(ctx, lam, tau, zeta, force=args.force)
-    emit([c.to_json() for c in comps])
+    write_product([[_component_row(*row) for row in rows]
+                   for rows in mf.special_fiber_components(
+                       ctx, lam, tau, zeta, force=args.force)],
+                  _component_record)
 
 
 def _twist(args, ctx) -> bk.TwistData:

@@ -6,6 +6,7 @@ that imported these from `cli` would load `cli.py` a second time.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import sys
@@ -138,3 +139,36 @@ def element_json(a):
     """serialize(a.to_json()) for a WeylElement, written from its integers."""
     return (f'{{"convention":"t_nu_then_w","nu":[{",".join(map(str, a.nu))}],'
             f'"w":[{",".join(map(str, a.w))}]}}')
+
+
+def write_product(factors, record):
+    """Write the JSON array of record(rows) for rows in
+    itertools.product(*factors), in that order, one write per choice of the
+    leading rows, so that what is held is bounded by the factors and not by
+    the document.  Every check must have passed before the call: after the
+    first write only a closed stdout can end the run."""
+    *leading, last = factors
+    sep = "["
+    if all(factors):
+        for head in itertools.product(*leading):
+            write(sep + ",".join([record(head + (row,)) for row in last]), "")
+            sep = ","
+    write("[]" if sep == "[" else "]")
+
+
+def row_json(row):
+    """The JSON of omega_j, w1_j and zeta_j for a canonical row (w1_j,
+    omega_j), written from its integers: zeta_j, the degree of
+    t_{omega_j - eta} w1_j, is sum(omega_j) - sum(eta) + sum(nu(w1_j))."""
+    w1, omega = row
+    n = w1.n
+    return (f'[{",".join(map(str, omega))}]', element_json(w1),
+            str(sum(omega) - n * (n - 1) // 2 + sum(w1.nu)))
+
+
+def presentation_json(rows):
+    """The JSON of the presentation with one row of row_json per embedding
+    (and whatever follows it in each row)."""
+    omega, w1, zeta, *_ = zip(*rows)
+    return (f'{{"omega":[{",".join(omega)}],"w1":[{",".join(w1)}],'
+            f'"zeta":[{",".join(zeta)}]}}')

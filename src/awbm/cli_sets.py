@@ -9,47 +9,15 @@ import itertools
 import math
 
 from . import weight_sets as ws
-from .cli_io import (ctx_of, element_json, emit, parse_weight_rows,
-                     presentation, serialize, type_of, write)
-
-
-def write_product(factors, record):
-    """Write the JSON array of record(rows) for rows in
-    itertools.product(*factors), in that order, one write per choice of the
-    leading rows, so that what is held is bounded by the factors and not by
-    the document.  Every check must have passed before the call: after the
-    first write only a closed stdout can end the run."""
-    *leading, last = factors
-    sep = "["
-    if all(factors):
-        for head in itertools.product(*leading):
-            write(sep + ",".join([record(head + (row,)) for row in last]), "")
-            sep = ","
-    write("[]" if sep == "[" else "]")
-
-
-def _row_json(row):
-    """The JSON of omega_j, w1_j and zeta_j for a canonical row (w1_j,
-    omega_j), written from its integers: zeta_j, the degree of
-    t_{omega_j - eta} w1_j, is sum(omega_j) - sum(eta) + sum(nu(w1_j))."""
-    w1, omega = row
-    n = w1.n
-    return (f'[{",".join(map(str, omega))}]', element_json(w1),
-            str(sum(omega) - n * (n - 1) // 2 + sum(w1.nu)))
-
-
-def _presentation_json(rows):
-    """The JSON of the presentation with one row of _row_json per embedding
-    (and whatever follows it in each row)."""
-    omega, w1, zeta, *_ = zip(*rows)
-    return (f'{{"omega":[{",".join(omega)}],"w1":[{",".join(w1)}],'
-            f'"zeta":[{",".join(zeta)}]}}')
+from .cli_io import (ctx_of, emit, parse_weight_rows, presentation,
+                     presentation_json, row_json, serialize, type_of,
+                     write_product)
 
 
 def _write_presentations(factors):
     """Write the presentations whose rows are the product of factors."""
-    write_product([[_row_json(row) for row in rows] for rows in factors],
-                  _presentation_json)
+    write_product([[row_json(row) for row in rows] for rows in factors],
+                  presentation_json)
 
 
 def cmd_jh(args):
@@ -63,13 +31,13 @@ def _wq_record(rows):
     *_, summands, obvious = zip(*rows)
     return (f'{{"defect":{sum(summands)},'
             f'"obvious":{"true" if all(obvious) else "false"},'
-            f'"presentation":{_presentation_json(rows)}}}')
+            f'"presentation":{presentation_json(rows)}}}')
 
 
 def cmd_wq(args):
     # a W? row carries its defect summand and whether it is obvious (w = w2)
     rho = type_of(args, ctx_of(args), kind="F")
-    write_product([[_row_json(row) + (summand, w == w2)
+    write_product([[row_json(row) + (summand, w == w2)
                     for row, w, w2, summand in factors]
                    for factors in ws.w_question_factors(rho, force=args.force)],
                   _wq_record)
@@ -109,14 +77,14 @@ def _bm_record(rows):
     products = (zip(*parts) for parts in itertools.product(*terms))
     cycle = ",".join(f'[["Z_tau",{",".join(s)}],"{math.prod(c)}"]' for s, c in products)
     return (f'{{"cycle":[{cycle}],"defect":{sum(defects)},'
-            f'"sigma":{_presentation_json(rows)}}}')
+            f'"sigma":{presentation_json(rows)}}}')
 
 
 def cmd_bm(args):
     # a factor row carries its defect and its terms, each symbol serialized
     # once; the product of the sorted term lists is in CycleExpr's order
     rho = type_of(args, ctx_of(args), "rs", "rmu", "F")
-    write_product([[_row_json((sigma.w1[0], sigma.omega[0]))
+    write_product([[row_json((sigma.w1[0], sigma.omega[0]))
                     + (d, [(serialize(sym), c) for (_, sym), c in expr.terms])
                     for sigma, (d, expr) in factors]
                    for factors in ws.bm_factors(rho, force=args.force)],

@@ -26,8 +26,6 @@ A = z·N through A^{-1} = N^{-1}·z^{-1} without the adjugate.
 
 from __future__ import annotations
 
-import itertools
-
 # the order theory of `affine_weyl` serves component_data only; it is
 # reached through the lazy module at the point of call
 from . import affine_weyl as aw
@@ -323,7 +321,8 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, *,
 # component labels and torus fixed points
 
 class ComponentData(Record):
-    """A component label with its torus fixed-point data: the bound set
+    """A component label with its torus fixed-point data as products of
+    per-embedding factors, in the order of itertools.product: the bound set
     {star(w̃)·t_omega : w̃ <= w0 w1} always contains the fixed points, the
     obvious set {star(t_omega w w1) : w in W} is always contained in them;
     exactness of the bound set is conditional on a polynomial constraint not
@@ -331,18 +330,25 @@ class ComponentData(Record):
 
     __slots__ = (
         "label",          # the weights.SerreWeightPresentation
-        "bound",          # sorted tuple of WeylTuple
-        "obvious",        # sorted tuple of WeylTuple
-        "exactness",      # "conditional"
+        "bound",          # per embedding, a sorted tuple of WeylElement
+        "obvious",        # per embedding, a sorted tuple of WeylElement
     )
 
-    def to_json(self):
-        return {
-            "label": self.label.to_json(),
-            "bound": [t.to_json() for t in self.bound],
-            "obvious": [t.to_json() for t in self.obvious],
-            "exactness": self.exactness,
-        }
+
+def _fixed_points(row, cache):
+    """The bound and obvious factors of a canonical row (w1_j, omega_j),
+    sorted by sort_key, computed once per row held in cache."""
+    if row not in cache:
+        a, omega = row
+        t_om = translation(omega)
+        bnd = {multiply(star(m), t_om)
+               for m in aw.bruhat_interval(multiply(w0(a.n), a))}
+        obv = {star(multiply(t_om, multiply(finite(u), a)))
+               for u in all_perms(a.n)}
+        if not obv <= bnd:
+            raise InternalError("obvious fixed points escape the bound set")
+        cache[row] = tuple(tuple(sorted(s, key=aw.sort_key)) for s in (bnd, obv))
+    return cache[row]
 
 
 def component_data(w1: WeylTuple, omega, ctx: GroupContext,
@@ -352,30 +358,17 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
     and star(t_{-c} m)·t_{omega+c} = star(m)·t_omega."""
     p = ctx.require_prime()
     label = weights.SerreWeightPresentation(w1, omega, ctx)
-    w1, omega = label.w1, label.omega
-    if not w1.is_restricted():
+    if not label.w1.is_restricted():
         raise ArgumentError("w1 components must be restricted dominant")
     n = ctx.n
-    for row in omega:
+    for row in label.omega:
         if not force and not aw.is_generic_element(translation(row), n - 1, p):
             raise GenericityError(
                 f"t_omega must be {n - 1}-generic per embedding")
-    per_bound, per_obvious = [], []
-    for j in range(ctx.f):
-        t_om = translation(omega[j])
-        bnd = {multiply(star(m), t_om)
-               for m in aw.bruhat_interval(multiply(w0(n), w1[j]))}
-        obv = {star(multiply(t_om, multiply(finite(u), w1[j])))
-               for u in all_perms(n)}
-        if not obv <= bnd:
-            raise InternalError("obvious fixed points escape the bound set")
-        per_bound.append(sorted(bnd, key=aw.sort_key))
-        per_obvious.append(sorted(obv, key=aw.sort_key))
-    # products of lists sorted by sort_key are sorted by the tuples of keys
-    bound = tuple(map(WeylTuple, itertools.product(*per_bound)))
-    obvious = tuple(map(WeylTuple, itertools.product(*per_obvious)))
-    return ComponentData(label=label, bound=bound, obvious=obvious,
-                         exactness="conditional")
+    cache = {}
+    bound, obvious = zip(*(_fixed_points(row, cache)
+                           for row in zip(label.w1, label.omega)))
+    return ComponentData(label=label, bound=bound, obvious=obvious)
 
 
 def special_fiber_components(ctx: GroupContext, lam,
@@ -383,7 +376,8 @@ def special_fiber_components(ctx: GroupContext, lam,
                              zeta, force: bool = False):
     """Labels of the top-dimensional irreducible components of the special
     fiber attached to (lam, tau): exactly the constituents of the type twisted
-    by W(lam - eta), each with its fixed-point data."""
+    by W(lam - eta), each with its fixed-point data: per embedding, the JH
+    rows as (row, bound, obvious), whose product is the components."""
     lam = ctx.weight_tuple(lam, "lambda")
     n = ctx.n
     eta = eta_vector(n)
@@ -397,5 +391,7 @@ def special_fiber_components(ctx: GroupContext, lam,
         if tuple(zeta.zeta) != zt.zeta:
             raise ArgumentError(
                 f"tau is not (lambda - eta)-compatible with zeta: {zt.zeta}")
-    labels = weight_sets.jh_set(tau, lam_minus, force=force)
-    return [component_data(s.w1, s.omega, ctx, force=True) for s in labels]
+    # the gate above is stronger than that of jh_factors
+    cache = {}
+    return [[(row,) + _fixed_points(row, cache) for row in rows]
+            for rows in weight_sets.jh_factors(tau, lam_minus, force=True)]

@@ -18,6 +18,12 @@ def perms(n):
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
+def glued(factors):
+    """The WeylTuples of the product of per-embedding factors, in the order
+    of itertools.product: the fixed-point sets of a component."""
+    return tuple(map(WeylTuple, itertools.product(*factors)))
+
+
 def random_element(n, rng, span=3):
     return WeylElement(rng.choice(perms(n)),
                        tuple(rng.randrange(-span, span + 1) for _ in range(n)))

@@ -68,6 +68,7 @@ from awbm.weight_sets import (
 )
 from conftest import (
     generic_modp_vector,
+    glued,
     perms,
     random_bounded_height,
     random_deep_mu,
@@ -454,7 +455,7 @@ def test_criterion_10_fixed_points():
         labels = jh_set(tau, ((0,) * n,))
         for s in labels:
             cd = component_data(s.w1, s.omega, ctx, force=True)
-            assert set(cd.obvious) <= set(cd.bound)
+            assert set(glued(cd.obvious)) <= set(glued(cd.bound))
             checked += 1
     # bound-set membership implies predicted membership
     rng = random.Random(106)
@@ -477,14 +478,14 @@ def test_criterion_10_fixed_points():
             instances = [rng.choice(instances) for _ in range(samples)]
         for rho_i, label in instances:
             cd = component_data(label.w1, label.omega, ctx, force=True)
-            if wstar in cd.bound:
+            if wstar in glued(cd.bound):
                 assert label in predicted
         # the obvious direction on the predicted set itself
         for rec in recs:
             cd = component_data(rec.presentation.w1, rec.presentation.omega,
                                 ctx, force=True)
             if rec.obvious:
-                assert wstar in cd.bound
+                assert wstar in glued(cd.bound)
     report(10, time.time() - t0,
            f"obvious ⊆ bound on {checked} labels; bound-membership of the "
            "mod-p avatar implies predicted membership (exhaustive n=2, "

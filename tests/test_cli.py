@@ -343,8 +343,7 @@ def test_row_json_is_the_presentation_json():
     # what the encoder writes for the one-embedding presentation.  Its
     # canonical row has a translation nu of maximum 0, most often nonzero
     from awbm.affine_weyl import GroupContext, WeylTuple
-    from awbm.cli_io import serialize
-    from awbm.cli_sets import _row_json
+    from awbm.cli_io import row_json, serialize
     from awbm.weights import SerreWeightPresentation
     from conftest import random_element
     rng = random.Random(21)
@@ -358,7 +357,7 @@ def test_row_json_is_the_presentation_json():
             row = (pres.w1[0], pres.omega[0])
             nonzero += any(row[0].nu)
             doc = pres.to_json()
-            assert _row_json(row) == tuple(
+            assert row_json(row) == tuple(
                 serialize(doc[k][0]) for k in ("omega", "w1", "zeta"))
     assert nonzero > 100
 
@@ -964,6 +963,13 @@ FLAG, GAUGE = {"group", "series", "cli_flag"}, {"bk_gauge"}
       "--b", "2,1,3@0,0,0"], "", ORDERS | {"oracles"}),
     (["oracle", "--n", "2", "--kind", "enumerate", "--bound", "2"], "",
      ORDERS | {"oracles"}),
+    # component and fiber write through cli_io's product writer, without
+    # the weight-set handlers
+    (["component", "--n", "3", "--f", "1", "--p", "211", "--w1", "1,2,3@0,0,0",
+      "--omega", "187,102,25"], "", FLAG | WEIGHTS | {"modp_flag"}),
+    (["fiber", "--n", "3", "--f", "1", "--p", "211", "--ts", "1,3,2",
+      "--tmu", "256,222,186", "--lambda", "2,1,0"], "",
+     FLAG | (SETS - {"cli_sets"}) | {"modp_flag"}),
 ])
 def test_each_command_runs_only_its_layers(argv, stdin, layers):
     # a lazy layer that has run is a plain module again; every command loads
@@ -981,6 +987,73 @@ print(json.dumps(sorted(name[len("awbm."):] for name, m in sys.modules.items()
     loaded = json.loads(out)
     assert loaded == sorted(layers | {"cli", "cli_io", "errors"})
     assert len([m for m in loaded if m.startswith("cli_")]) == 2
+
+
+FIBER_GL3_F2_ARGV = ["fiber", "--n", "3", "--f", "2", "--p", "211",
+                     "--ts", "1,3,2;2,1,3", "--tmu", "256,222,186;200,120,40",
+                     "--lambda", "2,1,0;2,1,0"]
+
+
+def test_fiber_streams_one_write_per_choice_of_the_leading_rows():
+    # GL3 lambda = (2,1,0) has 9 JH rows per embedding: at f = 2 the 81
+    # components go out in 9 chunks of 9, then the closing bracket and the
+    # newline
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recording()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(FIBER_GL3_F2_ARGV) == 0
+    chunks = [w for w in writes if w]
+    assert len(chunks) == 11 and chunks[-2:] == ["]", "\n"]
+    assert [c[0] for c in chunks[:9]] == ["["] + [","] * 8
+    assert len(out.getvalue()) == 998849
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        "f59b7183800872f10ca1b40fece3063c8f70990b90d2f7cd563ff7ca4cd562d1"
+
+
+def test_refused_fiber_and_component_write_nothing(monkeypatch):
+    # every check of fiber and component, the per-row check of the fixed
+    # points included, ends before the first write
+    import awbm.affine_weyl as aw
+    from awbm.affine_weyl import GroupContext
+    from awbm.inertial_types import make_type
+    from awbm.modp_flag import special_fiber_components
+    irregular = FIBER_GL3_F2_ARGV[:-1] + ["2,2,0;2,1,0"]
+    code, out, err = _run_in_process(irregular, None)
+    assert (code, out) == (3, "") and "(2, 2, 0) is not regular dominant" in err
+    code, out, err = _run_in_process(FIBER_GL3_F2_ARGV + ["--zeta", "0,0"], None)
+    assert (code, out) == (3, "") and "compatible with zeta: (667, 363)" in err
+    ctx = GroupContext(3, 2, 211)
+    tau = make_type(ctx, [(1, 3, 2), (2, 1, 3)],
+                    [(256, 222, 186), (200, 120, 40)])
+    factors = special_fiber_components(ctx, [(2, 1, 0)] * 2, tau, None)
+    # the interval of the last row to be computed loses its elements, so
+    # its obvious fixed points escape the bound set; each distinct row is
+    # computed once
+    last, calls = len({r for rows in factors for r, _, _ in rows}), []
+    interval = aw.bruhat_interval
+
+    def truncated(a):
+        calls.append(a)
+        return [] if len(calls) == last else interval(a)
+
+    monkeypatch.setattr(aw, "bruhat_interval", truncated)
+    code, out, err = _run_in_process(FIBER_GL3_F2_ARGV, None)
+    assert (code, out, len(calls)) == (4, "", last)
+    assert "obvious fixed points escape the bound set" in err
+    calls.clear()
+    last = 2
+    code, out, err = _run_in_process(
+        ["component", "--n", "3", "--f", "2", "--p", "211",
+         "--w1", "1,3,2@0,0,-1;1,2,3@0,0,0",
+         "--omega", "272,178,122;187,102,25"], None)
+    assert (code, out, len(calls)) == (4, "", last)
+    assert "obvious fixed points escape the bound set" in err
 
 
 @pytest.mark.parametrize("argv", [

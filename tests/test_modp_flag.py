@@ -1,10 +1,14 @@
 """Charts, cells, the monodromy condition, and component fixed points."""
 
+import contextlib
+import io
 import itertools
+import json
 import random
 
 import pytest
 
+from awbm import cli
 from awbm.affine_weyl import (
     GroupContext,
     WeylElement,
@@ -34,7 +38,7 @@ from awbm.modp_flag import (
     verify_nabla,
     weyl_matrix,
 )
-from conftest import generic_modp_vector
+from conftest import generic_modp_vector, glued
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +243,19 @@ CTX = GroupContext(2, 1, 37)
 
 def test_component_example_identity():
     cd = component_data(WeylTuple((identity(2),)), ((5, 0),), CTX)
-    assert len(cd.bound) == 2 and cd.bound == cd.obvious
-    assert cd.exactness == "conditional"
+    assert len(glued(cd.bound)) == 2 and cd.bound == cd.obvious
+    # exactness is the same for every component: the writer states it
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["component", "--n", "2", "--f", "1", "--p", "37",
+                        "--w1", "e", "--omega", "5,0"]) == 0
+    assert json.loads(out.getvalue())["exactness"] == "conditional"
 
 
 def test_component_example_wh():
     cd = component_data(WeylTuple((w_h(2),)), ((5, 0),), CTX)
-    assert len(cd.bound) == 2
-    assert set(cd.obvious) <= set(cd.bound)
+    assert len(glued(cd.bound)) == 2
+    assert set(glued(cd.obvious)) <= set(glued(cd.bound))
 
 
 def test_component_genericity_guard():
@@ -256,14 +265,17 @@ def test_component_genericity_guard():
 
 def test_special_fiber_counts():
     tau = make_type(CTX, [(1, 2)], [(5, 0)])
-    comps = special_fiber_components(CTX, ((1, 0),), tau, None, force=True)
+    comps = list(itertools.product(
+        *special_fiber_components(CTX, ((1, 0),), tau, None, force=True)))
     assert len(comps) == 2
     ctx3 = GroupContext(3, 1, 211)
     tau3 = make_type(ctx3, [(1, 2, 3)], [(50, 25, 0)])
-    comps3 = special_fiber_components(ctx3, ((2, 1, 0),), tau3, None)
+    comps3 = list(itertools.product(
+        *special_fiber_components(ctx3, ((2, 1, 0),), tau3, None)))
     assert len(comps3) == 9
-    for c in comps3:
-        assert set(c.obvious) <= set(c.bound)
+    for rows in comps3:
+        _, bound, obvious = zip(*rows)
+        assert set(glued(obvious)) <= set(glued(bound))
     with pytest.raises(ArgumentError):
         special_fiber_components(CTX, ((1, 1),), tau, None)
 
@@ -277,8 +289,8 @@ def test_fixed_points_detect_predicted_weights():
         cd = component_data(rec.presentation.w1, rec.presentation.omega, CTX,
                             force=True)
         if rec.obvious:
-            assert wstar in cd.bound
-        if wstar in cd.bound:
+            assert wstar in glued(cd.bound)
+        if wstar in glued(cd.bound):
             assert rec.presentation in predicted
 
 
@@ -313,10 +325,10 @@ def test_fixed_points_two_embeddings():
     for rec in w_question(rho):
         cd = component_data(rec.presentation.w1, rec.presentation.omega, ctx,
                             force=True)
-        assert set(cd.obvious) <= set(cd.bound)
+        assert set(glued(cd.obvious)) <= set(glued(cd.bound))
         if rec.obvious:
-            assert wstar in cd.bound
-        if wstar in cd.bound:
+            assert wstar in glued(cd.bound)
+        if wstar in glued(cd.bound):
             assert rec.presentation in predicted
 
 
@@ -334,7 +346,7 @@ def test_component_data_products_are_sorted():
         for rec in w_question(rho)[:4]:
             cd = component_data(rec.presentation.w1, rec.presentation.omega,
                                 ctx, force=True)
-            for fixed in (cd.bound, cd.obvious):
+            for fixed in (glued(cd.bound), glued(cd.obvious)):
                 keys = [tuple(map(sort_key, t)) for t in fixed]
                 assert keys == sorted(set(keys)), (n, f)
 
@@ -369,9 +381,63 @@ def test_component_data_reads_the_canonical_pair():
                                              multiply(finite(u), a)))
                                for u in perms(n)}, key=sort_key)
                        for a, row in zip(w1, omega)]
-            assert cd.bound == tuple(map(WeylTuple, itertools.product(*bound)))
-            assert cd.obvious == tuple(map(WeylTuple,
-                                           itertools.product(*obvious)))
+            assert glued(cd.bound) == glued(bound)
+            assert glued(cd.obvious) == glued(obvious)
+
+
+def _reference_fixed_points(label):
+    """The bound and obvious sets of a label as the product over its
+    embeddings, built label by label: star(m)·t_omega for m below w0·w1_j,
+    and star(t_omega u w1_j) for u in W."""
+    from awbm.affine_weyl import all_perms, bruhat_interval, sort_key, w0
+    n = label.ctx.n
+    bound, obvious = [], []
+    for a, row in zip(label.w1, label.omega):
+        t_om = translation(row)
+        bound.append(sorted({multiply(star(m), t_om)
+                             for m in bruhat_interval(multiply(w0(n), a))},
+                            key=sort_key))
+        obvious.append(sorted({star(multiply(t_om, multiply(finite(u), a)))
+                               for u in all_perms(n)}, key=sort_key))
+    return glued(bound), glued(obvious)
+
+
+def test_fiber_rows_match_the_per_label_construction():
+    # fiber computes each row's fixed points once and returns them as
+    # factors; glued, they must be the sets built label by label.  One type
+    # per case sits exactly at fiber's depth gate max(2n, h(lambda)); at
+    # n = 3, f = 3 a sample of the 729 labels is checked
+    from awbm.weight_sets import _glue, jh_set
+    from conftest import perms, random_deep_mu
+    rng = random.Random(32)
+    checked = 0
+    for n, f, p in [(2, 1, 37), (2, 2, 37), (2, 3, 37), (3, 1, 211),
+                    (3, 2, 211), (3, 3, 211)]:
+        ctx = GroupContext(n, f, p)
+        lam = tuple(rng.choice([(2, 1, 0), (3, 1, 0), (4, 2, 0)] if n == 3
+                               else [(1, 0), (2, 0), (5, 1)]) for _ in range(f))
+        need = max(2 * n, *(max(row) - min(row) for row in lam))
+        # consecutive gaps need + 1 of mu + eta: depth exactly need
+        gate = tuple(need * (n - 1 - i) for i in range(n))
+        mu = [gate] + [random_deep_mu(n, p, need, rng) for _ in range(f - 1)]
+        tau = make_type(ctx, [rng.choice(perms(n)) for _ in range(f)], mu)
+        assert tau.depth() == need
+        factors = special_fiber_components(ctx, lam, tau, None)
+        lam_minus = [tuple(x - e for x, e in zip(row, range(n - 1, -1, -1)))
+                     for row in lam]
+        combos = list(itertools.product(*factors))
+        labels = [_glue([r for r, _, _ in rows], ctx) for rows in combos]
+        assert labels == jh_set(tau, lam_minus)
+        picks = (range(len(combos)) if len(combos) <= 40
+                 else rng.sample(range(len(combos)), 40))
+        for k in picks:
+            _, bound, obvious = zip(*combos[k])
+            reference = _reference_fixed_points(labels[k])
+            cd = component_data(labels[k].w1, labels[k].omega, ctx, force=True)
+            assert (glued(bound), glued(obvious)) == reference, (n, f, k)
+            assert (glued(cd.bound), glued(cd.obvious)) == reference, (n, f, k)
+            checked += 1
+    assert checked > 100
 
 
 def test_solver_never_expands_the_adjugate(monkeypatch):
