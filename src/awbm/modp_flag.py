@@ -26,7 +26,7 @@ A = z·N through A^{-1} = N^{-1}·z^{-1} without the adjugate.
 
 from __future__ import annotations
 
-# the order theory of `affine_weyl` serves component_data only; it is
+# the order theory of `affine_weyl` serves the components only; it is
 # reached through the lazy module at the point of call
 from . import affine_weyl as aw
 from . import inertial_types, weight_sets, weights
