@@ -17,9 +17,19 @@ Haines-Ngô).  The builder works on plain (w, nu) tuples: the test at the
 vertex (1^k, 0^(n-k)) sees w only through the set w({1..k}), so each nu of
 the hull tests its 2^n subsets once and its members are the chains of
 passing subsets; for Adm^reg a chain is dropped at the first two
-coordinates it places in one strip.  AP factors each regular member on its
-integer point (`_ap_points`, which W? reads with the member's point), and
-both build WeylElements only for what they return.
+coordinates it places in one strip.  AP factors one regular member per
+Omega-orbit on its point (`_ap_points`, which W? reads with the points).
+omega = omega_power(n, 1) = t_mu ∘ u moves x0 by (1,..,1)/n, so
+point(x·omega^{-1}) = point(x) - (1,..,1) and point(omega·x·omega^{-1}) =
+u(point(x) - 1) + n·mu, of equal length.  Conjugation keeps the Bruhat order
+and sends t_nu to t_u(nu), so it keeps Adm(lam), and it keeps the strip test
+(the pair (i, n) goes to (1, i+1), with difference n - (y_i - y_n)); as
+omega^n is central, an orbit has at most n points.  omega·(w2^{-1}·w0·w1)·
+omega^{-1} = (w2·omega^{-1})^{-1}·w0·(w1·omega^{-1}), whose factors keep
+their lengths and stay restricted and dominant (their points move by
+-(1,..,1)); the pair is unique up to central translations, so the canonical
+one moves both points by -(1,..,1) - n·c, c = max nu(w1·omega^{-1}).  The
+builders make unchecked WeylElements only for what they return.
 """
 
 from __future__ import annotations
@@ -223,7 +233,7 @@ def bruhat_interval(a: WeylElement):
                     seen.add(t)
                     todo.append(t)
     # (length, w, nu) is sort_key, read off the point without the element
-    return [WeylElement(w, nu)
+    return [WeylElement.trusted(w, nu)
             for _, w, nu in sorted((_walls(z, 0), *_from_point(z)) for z in seen)]
 
 
@@ -394,7 +404,7 @@ def adm(lam, variant="all"):
             wi = perm_inverse(x[0])
             x = (wi, perm_act(wi, x[1]))
         keyed.append((_walls(_point(*x), 0), *x))  # sort_key, from the point
-    return [WeylElement(w, nu) for _, w, nu in sorted(keyed)]
+    return [WeylElement.trusted(w, nu) for _, w, nu in sorted(keyed)]
 
 
 def _box_translation(y):
@@ -409,11 +419,11 @@ def _box_translation(y):
 
 
 def _factor_point(y):
-    """The sort keys (length, w, nu) of w1 and w2 in the regular
-    factorization of the element a with regular scaled point y, on which
-    t_mu ∘ u acts by z |-> u(z) + n·mu: the finite part of w2 sorts y, box
-    translations make w2 restricted and split w0·w2·a into a dominant
-    translation and the restricted w1; the product is checked on points."""
+    """The points of w1 and w2 in the regular factorization of the element
+    a with regular scaled point y, on which t_mu ∘ u acts by z |-> u(z) +
+    n·mu: the finite part of w2 sorts y, box translations make w2 restricted
+    and split w0·w2·a into a dominant translation and the restricted w1;
+    `_pair_keys` checks the product."""
     n = len(y)
     order = sorted(range(n), key=y.__getitem__)  # ascending -> antidominant
     # the finite w2f with w2f(order[r] + 1) = r + 1 sorts y; its point moves
@@ -435,13 +445,18 @@ def _factor_point(y):
     # w2 picks up t_{w0(-nu)}; then both move by the central translation
     # that makes max(w1.nu) = 0
     c = max(y1) // n
-    z1 = [x - n * c for x in y1]
-    z2 = [x - n * (m + c) for x, m in zip(y2, nu[::-1])]
+    return ([x - n * c for x in y1],
+            [x - n * (m + c) for x, m in zip(y2, nu[::-1])])
+
+
+def _pair_keys(y, z1, z2, l1, l2):
+    """The sort keys (l1, w1, nu1), (l2, w2, nu2) of the factors with points z1,
+    z2, once w2 · a and w0 · w1 have one point, a the member with point y."""
+    n = len(y)
     w2, nu2 = _from_point(z2)
-    # a = w2^{-1} · w0 · w1 iff w2 · a and w0 · w1 have one point
     if [x + n * m for x, m in zip(perm_act(w2, y), nu2)] != z1[::-1]:
         raise InternalError("factorization product check failed")
-    return (_walls(z1, 0), *_from_point(z1)), (_walls(z2, 0), w2, nu2)
+    return (l1, *_from_point(z1)), (l2, w2, nu2)
 
 
 def regular_factorization(a: WeylElement):
@@ -452,25 +467,42 @@ def regular_factorization(a: WeylElement):
     y = alcove_point(a)
     if not _regular_point(y):
         raise RegularityError(f"element {a} is not regular")
-    return tuple(WeylElement(w, nu) for _, w, nu in _factor_point(y))
+    z1, z2 = _factor_point(y)
+    return tuple(WeylElement(w, nu) for _, w, nu
+                 in _pair_keys(y, z1, z2, _walls(z1, 0), _walls(z2, 0)))
 
 
 def _ap_points(lam_plus_eta):
-    """The kernel of AP(lam+eta): the sort keys of (w1, w2) (`_factor_point`)
-    and the point of each regular member of Adm(lam+eta), sorted, with the
-    map (w1, w2) -> w2^{-1} w0 w1 checked to be injective."""
+    """The kernel of AP(lam+eta): the sort keys of (w1, w2) and the point of
+    each regular member of Adm(lam+eta), sorted, with the map (w1, w2) ->
+    w2^{-1} w0 w1 checked to be injective.  One member per Omega-orbit is
+    factored; its conjugates' pairs follow by the rule of the module docstring."""
     lam = tuple(int(c) for c in lam_plus_eta)
     _check_dominant_weight(lam)
-    out = sorted((*_factor_point(y), y)
-                 for y in itertools.starmap(_point, _members(lam, True)))
-    if len({keys[:2] for keys in out}) != len(out):
+    n = len(lam)
+    members = set(itertools.starmap(_point, _members(lam, True)))
+    keys = {}
+    for y in members:
+        if y in keys:
+            continue
+        z1, z2 = _factor_point(y)
+        l1, l2 = _walls(z1, 0), _walls(z2, 0)
+        while y not in keys:  # back at the start after at most n steps
+            if y not in members:
+                raise InternalError("an Omega-conjugate of a member is not one")
+            keys[y] = _pair_keys(y, z1, z2, l1, l2)
+            d = 1 + n * ((max(z1) - 1) // n)  # times omega^{-1}, then t_{-c}
+            z1, z2 = [x - d for x in z1], [x - d for x in z2]
+            y = (y[-1] + n - 1, *[x - 1 for x in y[:-1]])
+    out = sorted((*pair, y) for y, pair in keys.items())
+    if len({k[:2] for k in out}) != len(out):
         raise InternalError("factorization is not injective")
     return out
 
 
 def ap_enumerate(lam_plus_eta):
     """AP(lam+eta) as pairs of WeylElements, in the order of `_ap_points`."""
-    return [(WeylElement(*k1[1:]), WeylElement(*k2[1:]))
+    return [(WeylElement.trusted(*k1[1:]), WeylElement.trusted(*k2[1:]))
             for k1, k2, _ in _ap_points(lam_plus_eta)]
 
 

@@ -183,13 +183,14 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
         if not test.is_zero_mod(0):
             raise ArgumentError(f"v^{h} A[{j}]^(-1) is not integral: "
                                 "height condition fails")
+    XA = [x * a for x, a in zip(X, A)]  # the same in every round
     J = [SeriesMatrix.identity(field, ctx_n) for _ in range(fcount)]
     cap = (M + field.p - 1) // field.p + 4
     for _ in range(cap + 1):
         Jn = []
         for j in range(fcount):
             tw = frobenius_twist(J[(j - 1) % fcount], j, twist, work)
-            Jn.append((X[j] * A[j] * (tw * Ainv[j])).truncate(work))
+            Jn.append((XA[j] * (tw * Ainv[j])).truncate(work))
         if all(Jn[j].equal_mod(J[j], M) for j in range(fcount)):
             J = Jn
             break
@@ -210,8 +211,7 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     for j in range(fcount):
         tw = frobenius_twist(out[(j - 1) % fcount], j, twist, work)
         rhs = out[j] * A[j] * tw.inverse(work)
-        lhs = X[j] * A[j]
-        if not lhs.equal_mod(rhs, M):
+        if not XA[j].equal_mod(rhs, M):
             raise InternalError("straightening equation fails mod v^M")
     return tuple(out)
 

@@ -1,15 +1,16 @@
 """What the command-line handler modules share: argument parsing and output.
 
 Never run as `__main__`, unlike `cli`: under `python -m awbm.cli` a handler
-that imported these from `cli` would load `cli.py` a second time.
+that imported these from `cli` would load `cli.py` a second time.  `json`
+loads on first use: most commands read no JSON and write by hand.  Lists
+split on commas and str.split's whitespace, the class that \\s matches.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import re
 import sys
+from functools import lru_cache
 
 from . import group as gr
 from . import inertial_types as it
@@ -27,13 +28,14 @@ def parse_perm(text: str, n: int):
     if text == "w0":
         return gr.perm_w0(n)
     if text.startswith("("):
+        import re  # only cycle notation needs a pattern
         perm = list(range(1, n + 1))
         for cyc in re.findall(r"\(([^()]*)\)", text):
             body = cyc.strip()
-            if re.fullmatch(r"\d+", body) and n < 10:
+            if body.isdecimal() and n < 10:
                 entries = [int(ch) for ch in body]  # compact form like (23)
             else:
-                entries = [int(x) for x in re.split(r"[,\s]+", body) if x]
+                entries = [int(x) for x in body.replace(",", " ").split()]
             if len(entries) < 2:
                 continue
             if any(not 1 <= x <= n for x in entries) or len(set(entries)) != len(entries):
@@ -41,15 +43,14 @@ def parse_perm(text: str, n: int):
             moved = dict(zip(entries, entries[1:] + entries[:1]))
             perm = [moved.get(x, x) for x in perm]
         return tuple(perm)
-    body = text.strip("[]")
-    img = tuple(int(x) for x in re.split(r"[,\s]+", body) if x)
+    img = tuple(int(x) for x in text.strip("[]").replace(",", " ").split())
     if sorted(img) != list(range(1, n + 1)):
         raise InputError(f"{text!r} is not a permutation of 1..{n}")
     return img
 
 
 def parse_vector(text: str, n: int):
-    out = tuple(int(x) for x in re.split(r"[,\s]+", text.strip().strip("[]")) if x)
+    out = tuple(int(x) for x in text.strip().strip("[]").replace(",", " ").split())
     if len(out) != n:
         raise InputError(f"vector {text!r} must have length {n}")
     return out
@@ -58,6 +59,7 @@ def parse_vector(text: str, n: int):
 def parse_element(text: str, n: int) -> gr.WeylElement:
     text = text.strip()
     if text.startswith("{"):
+        import json
         return gr.WeylElement.from_json(json.loads(text))
     if "@" in text:
         ptxt, ntxt = text.split("@", 1)
@@ -68,6 +70,7 @@ def parse_element(text: str, n: int) -> gr.WeylElement:
 def parse_tuple(text: str, n: int, f: int) -> gr.WeylTuple:
     text = text.strip()
     if text.startswith("["):
+        import json
         tup = gr.WeylTuple.from_json(json.loads(text))
     else:
         parts = [p for p in text.split(";") if p.strip()]
@@ -82,6 +85,7 @@ def parse_tuple(text: str, n: int, f: int) -> gr.WeylTuple:
 def parse_weight_rows(text: str, n: int, f: int):
     text = text.strip()
     if text.startswith("[["):
+        import json
         try:
             rows = tuple(tuple(gr.json_int(x, "weight row") for x in row)
                          for row in json.loads(text))
@@ -121,7 +125,14 @@ def type_of(args, ctx, sflag="s", mflag="mu", kind="E"):
 
 # one encoder for every document: json.dumps with options builds a new one
 # per call, and a streamed output serializes each of its rows separately
-serialize = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+@lru_cache(maxsize=None)
+def _encoder():
+    import json
+    return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def serialize(doc):
+    return _encoder()(doc)
 
 
 def write(text: str, end: str = "\n"):

@@ -121,7 +121,7 @@ def jh_factors(tau: TameTypePresentation, lam, force: bool = False):
     shifted = [tuple(l + e for l, e in zip(row, eta))
                for row in _weight_tuple(ctx, lam)]
     _require_depth(tau, max(2 * _h(eta), max(map(_h, shifted))), force, "type")
-    pairs = {row: ap_enumerate(row) for row in set(shifted)}  # once per row
+    pairs = {row: _keyed(ap_enumerate(row)) for row in set(shifted)}  # once per row
     return [tuple(row for row, _ in _rows(wt_j, pairs[lam_eta], "JH"))
             for wt_j, lam_eta in zip(tau.w_tilde(), shifted)]
 
@@ -131,18 +131,23 @@ def _omega(wt_j: WeylElement, w2: WeylElement):
     return evaluate(wt_j, tuple(-w2.nu[i - 1] for i in w2.w))
 
 
+def _keyed(pairs):
+    """The pairs (w, w2), each with w's sort key, read off w's point."""
+    return [((w, w2), (_walls(alcove_point(w), 0), w.w, w.nu)) for w, w2 in pairs]
+
+
 def _rows(wt_j: WeylElement, pairs, what):
-    """For pairs (w, w2) with max nu(w) = 0 at an embedding where the avatar
-    is wt_j, the canonical rows (w, wt_j(w2^{-1}(0))), each with its pair, in
-    the order of the sort key (length, w, nu, omega).  The rows must be
-    distinct: then a product of such lists over the embeddings is in the
+    """For pairs (w, w2) with max nu(w) = 0, each with w's sort key, at an
+    embedding where the avatar is wt_j, the canonical rows (w, wt_j(w2^{-1}(0))),
+    each with its pair, in the order of (length, w, nu, omega).  The rows must
+    be distinct: then a product of such lists over the embeddings is in the
     order of the presentations' sort keys."""
     rows = {}
-    for w, w2 in pairs:
+    for (w, w2), key in pairs:
         if max(w.nu):
             raise InternalError(f"{what} pair {w} is not canonical")
         omega = _omega(wt_j, w2)
-        rows[_walls(alcove_point(w), 0), w.w, w.nu, omega] = ((w, omega), (w, w2))
+        rows[(*key, omega)] = ((w, omega), (w, w2))
     if len(rows) != len(pairs):
         raise InternalError(f"{what} parametrization failed to be injective")
     return [rows[k] for k in sorted(rows)]
@@ -214,7 +219,7 @@ def _w_question_factors(wt_j: WeylElement):
     product over the embeddings."""
     summands = _w_question_pairs(wt_j.n)
     return {row: (row, w, w2, summands[w, w2])
-            for row, (w, w2) in _rows(wt_j, summands, "W?")}
+            for row, (w, w2) in _rows(wt_j, _keyed(summands), "W?")}
 
 
 def w_question_factors(rho: TameTypePresentation, force: bool = False):
@@ -313,12 +318,13 @@ def intersection_factors(rho: TameTypePresentation, tau: TameTypePresentation,
 
 @lru_cache(maxsize=1024)
 def _accepted_labels(shape: WeylElement, lam_j):
-    """The W? labels (w, w2) with w ↑ t_{lam_j} w_h^{-1} w2', w2' the dominant
-    representative of t_{-omega} w̃(tau)_j, omega = w̃(rhobar)_j(x), x = w2^{-1}(0),
-    where w̃(rhobar, tau)_j = shape = g^{-1}.  With w̃(rhobar)_j = t_mu ∘ u,
-    `_point` gives point(w̃(tau)_j) - n·omega = u(point(g)) + n·mu - n·(u(x) + mu)
-    = u(point(g) - n·x), and sorting it for w2' removes u.  t_{lam_j} w_h^{-1} =
-    t_{lam_j + nu} ∘ v then maps a point z to v(z) + n·(lam_j + nu)."""
+    """The W? labels (w, w2), each with w's sort key, with w ↑ t_{lam_j}
+    w_h^{-1} w2', w2' the dominant representative of t_{-omega} w̃(tau)_j,
+    omega = w̃(rhobar)_j(x), x = w2^{-1}(0), where w̃(rhobar, tau)_j = shape =
+    g^{-1}.  With w̃(rhobar)_j = t_mu ∘ u, `_point` gives point(w̃(tau)_j) -
+    n·omega = u(point(g)) + n·mu - n·(u(x) + mu) = u(point(g) - n·x), and
+    sorting it for w2' removes u.  t_{lam_j} w_h^{-1} = t_{lam_j + nu} ∘ v
+    then maps a point z to v(z) + n·(lam_j + nu)."""
     n = shape.n
     whinv = invert(w_h(n))
     lift = [n * (l + m) for l, m in zip(lam_j, whinv.nu)]
@@ -329,16 +335,19 @@ def _accepted_labels(shape: WeylElement, lam_j):
         if len({c % n for c in y}) != n:
             raise InternalError("dominant representative failed")
         z = tuple(c + s for c, s in zip(perm_act(whinv.w, y), lift))
-        out += [label for label, y1 in labels if up_leq_points(y1, z)]
+        out += [(label, key) for label, key, y1 in labels if up_leq_points(y1, z)]
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _labels_by_x(n: int):
-    """The W? labels (w, w2) and w's points, grouped by x = w2^{-1}(0) = omega at e."""
+    """The W? labels (w, w2) with w's sort key and point, grouped by
+    x = w2^{-1}(0) = omega at e."""
     out, e = {}, translation((0,) * n)
     for w, w2 in _w_question_pairs(n):
-        out.setdefault(_omega(e, w2), []).append(((w, w2), alcove_point(w)))
+        y1 = alcove_point(w)
+        out.setdefault(_omega(e, w2), []).append(
+            ((w, w2), (_walls(y1, 0), w.w, w.nu), y1))
     return out
 
 

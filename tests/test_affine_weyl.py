@@ -6,6 +6,7 @@ are written below as (one-line image, translation vector).
 
 import contextlib
 import io
+import itertools
 import math
 import random
 import re
@@ -57,7 +58,7 @@ from awbm.affine_weyl import (
 from awbm.affine_weyl import _interval_bound
 from awbm.errors import ArgumentError, CapacityError, RegularityError
 from awbm.modp_flag import cell_geometry
-from awbm.oracles import ap_member, dual_bruhat_leq, dual_length
+from awbm.oracles import adm_closure, ap_member, dual_bruhat_leq, dual_length
 from conftest import perms, random_element
 
 E2 = identity(2)
@@ -351,6 +352,17 @@ def test_pruned_builder_matches_filter_and_element_factorization():
         assert adm(lam, "regular") == _regular_by_filter(lam), lam
         assert ap_enumerate(lam) == _ap_by_elements(lam), lam
     assert len(ap_enumerate((4, 3, 2, 1, 0))) == 1640
+    # every dominant weight with n <= 4, entries in -1..3 and spread <= 3
+    # (99 weights, among them (2,2,0), which is lam + eta for no dominant
+    # lam): AP is factored once per Omega-orbit and filled in by conjugation
+    sweep = [lam for n in (2, 3, 4)
+             for lam in itertools.product(range(3, -2, -1), repeat=n)
+             if lam == tuple(sorted(lam, reverse=True)) and lam[0] - lam[-1] <= 3]
+    assert len(sweep) == 99
+    for lam in sweep:
+        assert ap_enumerate(lam) == _ap_by_elements(lam), lam
+        for variant in ("all", "regular", "dual"):
+            assert adm(lam, variant) == adm_closure(lam, variant), (lam, variant)
 
 
 def test_restricted_classes():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from awbm import cli
+from awbm.errors import InputError
 
 
 PY = [sys.executable, "-m", "awbm.cli"]
@@ -600,6 +601,91 @@ def test_set_builders_frozen(argv, size, digest):
     assert res.returncode == 0, res.stderr
     assert len(res.stdout) == size
     assert hashlib.sha256(res.stdout).hexdigest() == digest
+
+
+def _regex_parse_perm(text, n):
+    """parse_perm as it was written with re: the reference."""
+    import re
+    text = text.strip()
+    if text.startswith("("):
+        perm = list(range(1, n + 1))
+        for cyc in re.findall(r"\(([^()]*)\)", text):
+            body = cyc.strip()
+            if re.fullmatch(r"\d+", body) and n < 10:
+                entries = [int(ch) for ch in body]
+            else:
+                entries = [int(x) for x in re.split(r"[,\s]+", body) if x]
+            if len(entries) < 2:
+                continue
+            if any(not 1 <= x <= n for x in entries) or len(set(entries)) != len(entries):
+                raise InputError(f"cycle {cyc!r} is not valid for n={n}")
+            moved = dict(zip(entries, entries[1:] + entries[:1]))
+            perm = [moved.get(x, x) for x in perm]
+        return tuple(perm)
+    img = tuple(int(x) for x in re.split(r"[,\s]+", text.strip("[]")) if x)
+    if sorted(img) != list(range(1, n + 1)):
+        raise InputError(f"{text!r} is not a permutation of 1..{n}")
+    return img
+
+
+def _regex_parse_vector(text, n):
+    """parse_vector as it was written with re: the reference."""
+    import re
+    out = tuple(int(x) for x in re.split(r"[,\s]+", text.strip().strip("[]")) if x)
+    if len(out) != n:
+        raise InputError(f"vector {text!r} must have length {n}")
+    return out
+
+
+def _outcome(parse, text, n):
+    try:
+        return "value", parse(text, n)
+    except (InputError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# separators: tab, newline, no-break space, em space, the information
+# separator \x1c (whitespace to both), doubled commas, brackets; digits:
+# Arabic-Indic, Devanagari and fullwidth, which \d and isdecimal accept
+PARSER_TEXTS = [
+    "2,1,3", "2\t1\t3", "2\n1\n3", "2\xa01\xa03", "2\u20031\u20033",
+    "2,,1,,3", ",2,1,3,", "[2,1,3]", "[[2, 1, 3]]", " [2 ,\t1 ,3] ",
+    "2\x1c1\x1c3", "2\u200b1,3", "\u0662,\u0661,\u0663", "\u0968 \u0967 \u0969",
+    "\uff12,\uff11,\uff13", "(12)", "(1\t2)", "(1\xa02)(2\u20033)", "(1,,2)",
+    "(\u0661\u0662)", "(\u0661 \u0663)", "( 2 3 )", "(1)(23", "(14)", "(1 1)",
+    "(1 x)", "2,1", "2,1,3,4", "a,b,c", "2;1;3", "", "[]", "-1,2,3", "+2,1,3",
+    "1_0,2,3", "1.5,2,3", "2\r1\f3\v", "2\u20281\u30003",
+]
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_parsers_match_the_regex_parsers(n):
+    from awbm.cli_io import parse_perm, parse_vector
+    texts = PARSER_TEXTS + ["(1,10)", "(10 12)", "(\u0661\u0660 2)"]
+    for text in texts:
+        assert _outcome(parse_perm, text, n) == _outcome(_regex_parse_perm, text, n), text
+        assert (_outcome(parse_vector, text, n)
+                == _outcome(_regex_parse_vector, text, n)), text
+
+
+@pytest.mark.parametrize("argv", [
+    ["ap", "--n", "4", "--lambda", "5,3,1,0"],
+    ["adm", "--n", "3", "--lambda", "2,2,0", "--variant", "dual"],
+    ["intersect", "--n", "3", "--f", "1", "--p", "211", "--rs", "1,2,3",
+     "--rmu", "178,159,45", "--ts", "1,2,3", "--tmu", "175,158,43",
+     "--lambda", "1,1,1", "--force"],
+])
+def test_hand_written_documents_never_load_json(argv):
+    # these commands read no JSON and write their documents by hand
+    out = run_python(f"""
+import contextlib, io, sys
+import awbm.cli as cli
+with contextlib.redirect_stdout(io.StringIO()) as buf:
+    assert cli.run({argv!r}) == 0
+assert buf.getvalue().startswith("[")
+print("json" in sys.modules)
+""")
+    assert out == "False\n"
 
 
 CLOSED_STDOUT = "precondition violated: stdout closed before the output was written"
