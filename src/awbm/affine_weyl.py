@@ -423,7 +423,7 @@ def _factor_point(y):
     a with regular scaled point y, on which t_mu ∘ u acts by z |-> u(z) +
     n·mu: the finite part of w2 sorts y, box translations make w2 restricted
     and split w0·w2·a into a dominant translation and the restricted w1;
-    `_pair_keys` checks the product."""
+    `_checked_pair` checks the product."""
     n = len(y)
     order = sorted(range(n), key=y.__getitem__)  # ascending -> antidominant
     # the finite w2f with w2f(order[r] + 1) = r + 1 sorts y; its point moves
@@ -449,14 +449,14 @@ def _factor_point(y):
             [x - n * (m + c) for x, m in zip(y2, nu[::-1])])
 
 
-def _pair_keys(y, z1, z2, l1, l2):
-    """The sort keys (l1, w1, nu1), (l2, w2, nu2) of the factors with points z1,
-    z2, once w2 · a and w0 · w1 have one point, a the member with point y."""
+def _checked_pair(y, z1, z2):
+    """(w1, nu1) and (w2, nu2) of the factors with points z1 and z2, once
+    w2 · a and w0 · w1 have one point, a the member with point y."""
     n = len(y)
     w2, nu2 = _from_point(z2)
     if [x + n * m for x, m in zip(perm_act(w2, y), nu2)] != z1[::-1]:
         raise InternalError("factorization product check failed")
-    return (l1, *_from_point(z1)), (l2, w2, nu2)
+    return _from_point(z1), (w2, nu2)
 
 
 def regular_factorization(a: WeylElement):
@@ -467,9 +467,7 @@ def regular_factorization(a: WeylElement):
     y = alcove_point(a)
     if not _regular_point(y):
         raise RegularityError(f"element {a} is not regular")
-    z1, z2 = _factor_point(y)
-    return tuple(WeylElement(w, nu) for _, w, nu
-                 in _pair_keys(y, z1, z2, _walls(z1, 0), _walls(z2, 0)))
+    return tuple(WeylElement(w, nu) for w, nu in _checked_pair(y, *_factor_point(y)))
 
 
 def _ap_points(lam_plus_eta):
@@ -490,7 +488,8 @@ def _ap_points(lam_plus_eta):
         while y not in keys:  # back at the start after at most n steps
             if y not in members:
                 raise InternalError("an Omega-conjugate of a member is not one")
-            keys[y] = _pair_keys(y, z1, z2, l1, l2)
+            (w1, nu1), (w2, nu2) = _checked_pair(y, z1, z2)
+            keys[y] = (l1, w1, nu1), (l2, w2, nu2)
             d = 1 + n * ((max(z1) - 1) // n)  # times omega^{-1}, then t_{-c}
             z1, z2 = [x - d for x in z1], [x - d for x in z2]
             y = (y[-1] + n - 1, *[x - 1 for x in y[:-1]])
