@@ -9,6 +9,7 @@ predicted weight as a rational combination of auxiliary type symbols.
 
 from awbm.affine_weyl import GroupContext, adm, invert, multiply
 from awbm.descent import a_tau, descent_data
+from awbm.highest_weights import serre_weight
 from awbm.inertial_types import make_type
 from awbm.weight_sets import (
     _aux_type_from_element,
@@ -20,7 +21,6 @@ from awbm.weight_sets import (
     w_question,
     w_rhobar_tau,
 )
-from awbm.weights import serre_weight
 
 ctx = GroupContext(3, 1, 211)
 rho = make_type(ctx, [(1, 2, 3)], [(50, 25, 0)], kind="F")

@@ -28,8 +28,10 @@ omega^n is central, an orbit has at most n points.  omega·(w2^{-1}·w0·w1)·
 omega^{-1} = (w2·omega^{-1})^{-1}·w0·(w1·omega^{-1}), whose factors keep
 their lengths and stay restricted and dominant (their points move by
 -(1,..,1)); the pair is unique up to central translations, so the canonical
-one moves both points by -(1,..,1) - n·c, c = max nu(w1·omega^{-1}).  The
-builders make unchecked WeylElements only for what they return.
+one moves both points by -(1,..,1) - n·c, c = max nu(w1·omega^{-1}); on
+(w, nu), as point(w, nu) mod n is w(eta), that turns w right by one place
+and lowers nu by c, and by one more at w's last entry.  The builders make
+unchecked WeylElements only for what they return.
 """
 
 from __future__ import annotations
@@ -449,14 +451,23 @@ def _factor_point(y):
             [x - n * (m + c) for x, m in zip(y2, nu[::-1])])
 
 
-def _checked_pair(y, z1, z2):
-    """(w1, nu1) and (w2, nu2) of the factors with points z1 and z2, once
-    w2 · a and w0 · w1 have one point, a the member with point y."""
+def _checked_pair(y, pair):
+    """The point of w1 for pair = ((w1, nu1), (w2, nu2)), once w2 · a and
+    w0 · w1 have one point, a the member with point y."""
+    (w1, nu1), (w2, nu2) = pair
     n = len(y)
-    w2, nu2 = _from_point(z2)
-    if [x + n * m for x, m in zip(perm_act(w2, y), nu2)] != z1[::-1]:
+    z1 = _point(w1, nu1)
+    if tuple([x + n * m for x, m in zip(perm_act(w2, y), nu2)]) != z1[::-1]:
         raise InternalError("factorization product check failed")
-    return _from_point(z1), (w2, nu2)
+    return z1
+
+
+def _rotated(w, nu, c):
+    """The (w, nu) of point(w, nu) - 1 - n·c: w turns right by one place, and
+    nu drops by c, and by one more at w's last entry."""
+    nu = [x - c for x in nu]
+    nu[w[-1] - 1] -= 1
+    return w[-1:] + w[:-1], tuple(nu)
 
 
 def regular_factorization(a: WeylElement):
@@ -467,7 +478,9 @@ def regular_factorization(a: WeylElement):
     y = alcove_point(a)
     if not _regular_point(y):
         raise RegularityError(f"element {a} is not regular")
-    return tuple(WeylElement(w, nu) for w, nu in _checked_pair(y, *_factor_point(y)))
+    pair = tuple(map(_from_point, _factor_point(y)))
+    _checked_pair(y, pair)
+    return tuple(WeylElement(w, nu) for w, nu in pair)
 
 
 def _ap_points(lam_plus_eta):
@@ -485,13 +498,15 @@ def _ap_points(lam_plus_eta):
             continue
         z1, z2 = _factor_point(y)
         l1, l2 = _walls(z1, 0), _walls(z2, 0)
+        pair = _from_point(z1), _from_point(z2)
         while y not in keys:  # back at the start after at most n steps
             if y not in members:
                 raise InternalError("an Omega-conjugate of a member is not one")
-            (w1, nu1), (w2, nu2) = _checked_pair(y, z1, z2)
+            z1 = _checked_pair(y, pair)
+            (w1, nu1), (w2, nu2) = pair
             keys[y] = (l1, w1, nu1), (l2, w2, nu2)
-            d = 1 + n * ((max(z1) - 1) // n)  # times omega^{-1}, then t_{-c}
-            z1, z2 = [x - d for x in z1], [x - d for x in z2]
+            c = (max(z1) - 1) // n  # times omega^{-1}, then t_{-c}
+            pair = _rotated(w1, nu1, c), _rotated(w2, nu2, c)
             y = (y[-1] + n - 1, *[x - 1 for x in y[:-1]])
     out = sorted((*pair, y) for y, pair in keys.items())
     if len({k[:2] for k in out}) != len(out):

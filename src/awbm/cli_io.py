@@ -146,6 +146,11 @@ def emit(doc):
     write(serialize(doc))
 
 
+def flag_json(value):
+    """serialize(value) for a bool or None."""
+    return "null" if value is None else "true" if value else "false"
+
+
 def element_json(a):
     """serialize(a.to_json()) for a WeylElement, written from its integers."""
     return (f'{{"convention":"t_nu_then_w","nu":[{",".join(map(str, a.nu))}],'

@@ -1,49 +1,59 @@
 """Command handlers of the orders family: the group law, length, the Bruhat
 and upper-arrow orders, intervals, admissible sets and pairs, and the naive
-oracles."""
+oracles.  Every document is written by hand: `json` loads only to read a
+JSON element."""
 
 from __future__ import annotations
 
 from . import affine_weyl as aw
 from . import group as gr
 from . import oracles as orc
-from .cli_io import element_json, emit, parse_element, parse_vector, write
+from .cli_io import element_json, flag_json, parse_element, parse_vector, write
 from .errors import InputError
 
 
 def cmd_mul(args):
     a = parse_element(args.a, args.n)
     b = parse_element(args.b, args.n)
-    emit(gr.multiply(a, b).to_json())
+    write(element_json(gr.multiply(a, b)))
+
+
+def _write_length(length):
+    write(f'{{"length":{length}}}')
 
 
 def cmd_len(args):
-    a = parse_element(args.a, args.n)
-    emit({"length": gr.length(a)})
+    _write_length(gr.length(parse_element(args.a, args.n)))
 
 
 def cmd_star(args):
-    emit(gr.star(parse_element(args.a, args.n)).to_json())
+    write(element_json(gr.star(parse_element(args.a, args.n))))
+
+
+def _write_leq(leq):
+    write(f'{{"leq":{flag_json(leq)}}}')
 
 
 def cmd_bruhat(args):
     a = parse_element(args.a, args.n)
     b = parse_element(args.b, args.n)
-    emit({"leq": aw.bruhat_leq(a, b)})
+    _write_leq(aw.bruhat_leq(a, b))
 
 
 def cmd_up(args):
     a = parse_element(args.a, args.n)
     b = parse_element(args.b, args.n)
-    emit({"leq": aw.up_leq(a, b)})
+    _write_leq(aw.up_leq(a, b))
 
 
 def cmd_classify(args):
     a = parse_element(args.a, args.n)
     fl = aw.classify(a, args.m, args.p)
-    emit({"dominant": fl.dominant, "restricted": fl.restricted,
-          "regular": fl.regular, "m_small": fl.m_small,
-          "m_generic": fl.m_generic})
+    write(f'{{"dominant":{flag_json(fl.dominant)},'
+          f'"m_generic":{flag_json(fl.m_generic)},'
+          f'"m_small":{flag_json(fl.m_small)},'
+          f'"regular":{flag_json(fl.regular)},'
+          f'"restricted":{flag_json(fl.restricted)}}}')
 
 
 def _write_array(items):
@@ -76,8 +86,8 @@ def cmd_oracle(args):
     elements = [parse_element(getattr(args, flag), args.n) for flag in flags]
     out = orc.oracle(kind, *elements, n=args.n, deg=args.deg, bound=args.bound)
     if kind == "length":
-        emit({"length": out})
+        _write_length(out)
     elif kind == "enumerate":
-        emit([e.to_json() for e in out])
+        _write_array([element_json(e) for e in out])
     else:
-        emit({"leq": out})
+        _write_leq(out)

@@ -1,7 +1,8 @@
 """Command handlers of the weight-set family: JH labels, the predicted set
 W?, covering, intersections, defects and the cycle solver.  `wq`, `jh`,
 `intersect` and `bm` stream their documents, products over the embeddings,
-through one writer."""
+through one writer.  Every document is written by hand: `json` loads only to
+read JSON input."""
 
 from __future__ import annotations
 
@@ -9,8 +10,8 @@ import itertools
 import math
 
 from . import weight_sets as ws
-from .cli_io import (ctx_of, emit, parse_weight_rows, presentation,
-                     presentation_json, row_json, serialize, type_of,
+from .cli_io import (ctx_of, flag_json, parse_weight_rows, presentation,
+                     presentation_json, row_json, type_of, write,
                      write_product)
 
 
@@ -30,7 +31,7 @@ def cmd_jh(args):
 def _wq_record(rows):
     *_, summands, obvious = zip(*rows)
     return (f'{{"defect":{sum(summands)},'
-            f'"obvious":{"true" if all(obvious) else "false"},'
+            f'"obvious":{flag_json(all(obvious))},'
             f'"presentation":{presentation_json(rows)}}}')
 
 
@@ -47,7 +48,7 @@ def cmd_covers(args):
     ctx = ctx_of(args)
     s0 = presentation(args, ctx, "w1a", "omegaa")
     s1 = presentation(args, ctx, "w1b", "omegab")
-    emit({"covers": ws.covers(s0, s1, force=args.force)})
+    write(f'{{"covers":{flag_json(ws.covers(s0, s1, force=args.force))}}}')
 
 
 def cmd_intersect(args):
@@ -62,14 +63,15 @@ def cmd_defect(args):
     ctx = ctx_of(args)
     rho = type_of(args, ctx, "rs", "rmu", "F")
     sigma = presentation(args, ctx)
-    emit({"defect": ws.defect(rho, sigma, force=args.force)})
+    write(f'{{"defect":{ws.defect(rho, sigma, force=args.force)}}}')
 
 
 def cmd_maxdefect(args):
     ctx = ctx_of(args)
     rho = type_of(args, ctx, "rs", "rmu", "F")
     tau = type_of(args, ctx, "ts", "tmu")
-    emit(ws.max_defect_weight(rho, tau).to_json())
+    sigma = ws.max_defect_weight(rho, tau)
+    write(presentation_json([row_json(row) for row in zip(sigma.w1, sigma.omega)]))
 
 
 def _bm_record(rows):
@@ -80,12 +82,18 @@ def _bm_record(rows):
             f'"sigma":{presentation_json(rows)}}}')
 
 
+def _symbol_json(sym):
+    """serialize(sym) for a one-embedding type symbol (s_0, mu_0)."""
+    s, mu = sym
+    return f'[[{",".join(map(str, s))}],[{",".join(map(str, mu))}]]'
+
+
 def cmd_bm(args):
-    # a factor row carries its defect and its terms, each symbol serialized
+    # a factor row carries its defect and its terms, each symbol written
     # once; the product of the sorted term lists is in CycleExpr's order
     rho = type_of(args, ctx_of(args), "rs", "rmu", "F")
     write_product([[row_json((sigma.w1[0], sigma.omega[0]))
-                    + (d, [(serialize(sym), c) for (_, sym), c in expr.terms])
+                    + (d, [(_symbol_json(sym), c) for (_, sym), c in expr.terms])
                     for sigma, (d, expr) in factors]
                    for factors in ws.bm_factors(rho, force=args.force)],
                   _bm_record)

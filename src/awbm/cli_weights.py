@@ -5,6 +5,7 @@ inertial weights."""
 from __future__ import annotations
 
 from . import descent as ds
+from . import highest_weights as hw
 from . import polynomials as pm
 from . import weights as wt
 from .cli_io import (ctx_of, emit, parse_vector, parse_weight_rows,
@@ -13,14 +14,14 @@ from .cli_io import (ctx_of, emit, parse_vector, parse_weight_rows,
 
 def cmd_weight(args):
     lap = presentation(args, ctx_of(args))
-    emit({"kappa": [list(r) for r in wt.serre_weight(lap)]})
+    emit({"kappa": [list(r) for r in hw.serre_weight(lap)]})
 
 
 def cmd_lap(args):
     ctx = ctx_of(args)
     kappa = parse_weight_rows(args.kappa, ctx.n, ctx.f)
     zeta = wt.CentralCharacter(parse_vector(args.zeta, ctx.f))
-    emit(wt.lap_of(ctx, kappa, zeta).to_json())
+    emit(hw.lap_of(ctx, kappa, zeta).to_json())
 
 
 def cmd_zchar(args):

@@ -27,6 +27,7 @@ from awbm.errors import (
     GenericityError,
     InternalError,
 )
+from awbm.highest_weights import reduce_offset
 from awbm.inertial_types import TameTypePresentation, compatible_zeta, make_type
 from awbm.weights import CentralCharacter
 from conftest import perms, random_tuple_mu
@@ -47,7 +48,7 @@ def compatible_presentation(tau: TameTypePresentation, zeta: CentralCharacter,
     if tau.depth() < 1:
         raise GenericityError("presentation enumeration needs a 1-generic type")
     current = compatible_zeta(tau, lam)
-    xi = CentralCharacter(tuple(zeta.zeta)).reduce_offset(current, p)
+    xi = reduce_offset(CentralCharacter(tuple(zeta.zeta)), current, p)
     if xi is None:
         raise CompatibilityError(
             f"zeta {zeta.zeta} is incompatible with the type's character "
@@ -338,7 +339,7 @@ def test_twist_preserves_type_well_formedness():
         z0 = compatible_zeta(tau)
         target = CentralCharacter(tuple(
             z + (p - 1) * rng.randrange(-2, 3) for z in z0.zeta))
-        xi = target.reduce_offset(z0, p)
+        xi = reduce_offset(target, z0, p)
         if xi is None:
             continue
         out = compatible_presentation(tau, target)

@@ -16,6 +16,7 @@ from awbm.affine_weyl import (
     adm,
     finite,
     identity,
+    invert,
     multiply,
     perm_act,
     perm_inverse,
@@ -24,7 +25,8 @@ from awbm.affine_weyl import (
     w_h,
 )
 from awbm.bk_gauge import Coefficients, SeriesMatrix
-from awbm.errors import ArgumentError, GenericityError, ZeroDivisorError
+from awbm.errors import (ArgumentError, GenericityError, InternalError,
+                         ZeroDivisorError)
 from awbm.inertial_types import make_type
 from awbm.modp_flag import (
     LaurentMatrix,
@@ -457,3 +459,74 @@ def test_solver_never_expands_the_adjugate(monkeypatch):
     monkeypatch.undo()
     for A, (_, a, _) in zip(solved, cells):
         assert verify_nabla(A, a)
+
+
+def _monomial_matrix(z, p):
+    """v^nu · P_w for z = t_nu ∘ w, built here from its definition."""
+    return SeriesMatrix.from_entries(
+        Coefficients(p), z.n, {(w_j, j, z.nu[w_j - 1]): 1
+                               for j, w_j in enumerate(z.w, 1)})
+
+
+def test_monodromy_solve_on_random_cells():
+    # A = monodromy_solve(wt, a) checked with the reference product of
+    # oracles: N = z^{-1}·A is unipotent on the cell's support with the given
+    # top coefficients, A·adj = det·I with det = sign(w)·v^deg(z), and
+    # v·(v dA/dv + A·Diag(a))·adj/det is polynomial and upper triangular
+    # mod v
+    from awbm.group import perm_sign
+    from awbm.oracles import series_matrix_product
+    from conftest import random_element
+    rng = random.Random(35)
+    dims = []
+    for n in range(2, 7):
+        for _ in range(4):
+            p = rng.choice([101, 211, 1009])
+            wt = random_element(n, rng, span=2)
+            geom = cell_geometry(wt)
+            free = {alpha: rng.randrange(1, p) for alpha, _ in geom.degrees}
+            a = generic_modp_vector(n, p, required_genericity(wt), rng)
+            A = monodromy_solve(wt, a, free, p=p)
+            z = star(wt)
+            N, _ = series_matrix_product(_monomial_matrix(invert(z), p), A)
+            # the -alpha entry has exponents [alpha>0] .. d + [alpha>0]
+            window = {(k, i): (i < k, d + (i < k)) for (i, k), d in geom.degrees}
+            assert sum(r == c for r, c in N) == n
+            for (r, c), entry in N.items():
+                if r == c:
+                    assert entry == {0: 1}
+                    continue
+                low, top = window[(r, c)]
+                assert min(entry) >= low and max(entry) == top
+                assert entry[top] == free[(c, r)]
+            adj = A._adjugate()
+            deg = sum(z.nu)
+            det = {deg: perm_sign(z.w) % p}
+            assert A._det(adj) == det
+            assert series_matrix_product(A, adj) == (
+                {(i, i): det for i in range(1, n + 1)}, None)
+            twisted = SeriesMatrix.from_entries(
+                A.field, n, {(i, j, e): (e + a[j - 1]) * c
+                             for i in range(1, n + 1) for j in range(1, n + 1)
+                             for e, c in A.entry(i, j).items()})
+            nabla, _ = series_matrix_product(twisted, adj)
+            for (i, j), entry in nabla.items():
+                assert min(entry) - deg >= (0 if i > j else -1), (wt, i, j)
+            dims.append(geom.dim)
+    assert max(dims) >= 10, dims
+
+
+def test_monodromy_solve_checks_its_product(monkeypatch):
+    # the final check catches an A that is not z·N: with a doubled Weyl
+    # matrix, A·A^{-1} = 4
+    import awbm.modp_flag as mf
+    weyl = mf.weyl_matrix
+
+    def doubled(z, p):
+        two = LaurentMatrix.from_entries(
+            Coefficients(p), z.n, {(i, i, 0): 2 for i in range(1, z.n + 1)})
+        return weyl(z, p) * two
+
+    monkeypatch.setattr(mf, "weyl_matrix", doubled)
+    with pytest.raises(InternalError, match="fails the monodromy condition"):
+        monodromy_solve(translation((2, 1, 0)), (5, 40, 80), p=101)

@@ -23,6 +23,7 @@ from awbm.affine_weyl import (
 from awbm.bk_gauge import Coefficients, SeriesMatrix, TwistData, shape_semisimple
 from awbm.descent import descent_data
 from awbm.errors import ArgumentError, InputError
+from awbm.highest_weights import lap_of
 from awbm.inertial_types import TameTypePresentation, compatible_zeta, make_type
 from awbm.modp_flag import (
     LaurentMatrix,
@@ -33,7 +34,7 @@ from awbm.modp_flag import (
 )
 from awbm.polynomials import genericity
 from awbm.weight_sets import CycleExpr, jh_set, w_question
-from awbm.weights import CentralCharacter, SerreWeightPresentation, lap_of
+from awbm.weights import CentralCharacter, SerreWeightPresentation
 
 
 def _ctx(n=2, p=37):

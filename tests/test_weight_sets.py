@@ -25,6 +25,7 @@ from awbm.errors import (
     GenericityError,
     MembershipError,
 )
+from awbm.highest_weights import serre_weight
 from awbm.inertial_types import make_type
 from awbm.oracles import covers_up_oracle, jh_contains_fixed
 from awbm.weight_sets import (
@@ -37,7 +38,7 @@ from awbm.weight_sets import (
     w_question,
     w_rhobar_tau,
 )
-from awbm.weights import SerreWeightPresentation, central_character, serre_weight
+from awbm.weights import SerreWeightPresentation, central_character
 
 CTX = GroupContext(2, 1, 37)
 CTX3 = GroupContext(3, 1, 211)
@@ -350,7 +351,7 @@ def test_predicted_weights_match_classical_rank_two_shape():
     # evident weight (r, 0) and its companion of symmetric-power degree
     # p - 3 - r twisted by the (r+1)-st determinant power, i.e. highest
     # weight (p-2, r+1) up to the central equivalence
-    from awbm.weights import weights_equal_mod_center
+    from awbm.highest_weights import weights_equal_mod_center
     p = 37
     for r in (3, 5, 11, 17, 20, 30):
         rho = make_type(CTX, [(1, 2)], [(r, 0)], kind="F")
@@ -365,7 +366,7 @@ def test_predicted_weights_match_classical_rank_two_irreducible():
     # irreducible (niveau-two) mod-p types of GL_2 with fundamental-character
     # exponent r+1: the classical pair is Sym^r and Sym^{p-1-r} det^r, the
     # latter with highest weight (p-1, r) up to the central equivalence
-    from awbm.weights import weights_equal_mod_center
+    from awbm.highest_weights import weights_equal_mod_center
     p = 37
     for r in (3, 5, 11, 17, 20, 30):
         rho = make_type(CTX, [(2, 1)], [(r, 0)], kind="F")
