@@ -18,10 +18,10 @@ an element is expected and emitted everywhere one is produced.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
 import sys
+import types
 
 from .cli_io import parse_element, parse_tuple  # noqa: F401  (re-exported)
 from .errors import AwbmError, InputError, InternalError, PreconditionError
@@ -38,10 +38,12 @@ _KIND = ("--kind", {"default": "E", "choices": ["E", "F"]})
 _MATRIX = ("--matrix", {"required": True, "help": "JSON or - for stdin"})
 _M = ("--M", {"type": int, "default": 40})
 
-# name: (handler module, shared options, own options).  Every subparser takes
+# name: (handler module, shared options, own options).  Every command takes
 # --n, then --f when the letters hold "f", then --p when they hold "p"
 # (optional) or "P" (required), then --jobs, then its own options in order:
 # a bare flag is a required string, a pair is (flag, add_argument keywords).
+# _options expands an entry; _plain_args reads a well-formed argv off it and
+# _build_parser builds the argparse parser for every other argv.
 COMMANDS = {
     "mul": ("cli_orders", "", ("--a", "--b")),
     "len": ("cli_orders", "", ("--a",)),
@@ -96,41 +98,88 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputError(message)
-
-
 def _rank(text):
     n = int(text)
     if n < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"rank must be at least 1, got {n}")
     return n
 
 
+def _options(name):
+    """The options of a command as (flag, add_argument keywords), in the
+    order its subparser adds them."""
+    _, shared, own = COMMANDS[name]
+    options = [("--n", {"type": _rank, "required": True})]
+    if "f" in shared:
+        options.append(("--f", {"type": int, "default": 1}))
+    if "p" in shared.lower():
+        options.append(("--p", {"type": int, "required": "P" in shared,
+                                "default": None}))
+    options.append(("--jobs", {
+        "type": int, "default": 1,
+        "help": "accepted and ignored; every job runs in one thread"}))
+    return options + [(opt, {"required": True}) if isinstance(opt, str)
+                      else opt for opt in own]
+
+
+def _plain_args(argv):
+    """The namespace parse_args gives a well-formed argv, read off the option
+    table without importing argparse: a command, then exact option strings,
+    each but a switch followed by a value that is "-" or does not start with
+    "-", that its type converts and its choices hold, every required option
+    present.  None for any other argv, which argparse parses or refuses with
+    its own texts."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = dict(_options(argv[0]))
+    values, i = {}, 1
+    while i < len(argv):
+        keywords = options.get(argv[i])
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            values[argv[i]], i = True, i + 1
+            continue
+        text = argv[i + 1] if i + 1 < len(argv) else None
+        if text is None or text.startswith("-") and text != "-":
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except Exception:  # argparse reports what the conversion raised
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[argv[i]], i = value, i + 2
+    args = types.SimpleNamespace(command=argv[0])
+    for flag, keywords in options.items():
+        if flag not in values:
+            if keywords.get("required"):
+                return None
+            switch = keywords.get("action") == "store_true"
+            values[flag] = keywords.get("default", False if switch else None)
+        setattr(args, flag[2:].replace("-", "_"), values[flag])
+    return args
+
+
 def _build_parser(argv=()):
-    """The top parser with the subparser of the command argv names, or with
-    every subparser when argv[0] is not a command (no arguments, --help, an
+    """The argparse parser for an argv _plain_args does not read: the top
+    parser with the subparser of the command argv names, or with every
+    subparser when argv[0] is not a command (no arguments, --help, an
     unknown name), so that usage and error texts list them all."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise InputError(message)
+
     top = _Parser(prog="awbm", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
     for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
-        _, shared, own = COMMANDS[name]
         sp = sub.add_parser(name)
-        sp.add_argument("--n", type=_rank, required=True)
-        if "f" in shared:
-            sp.add_argument("--f", type=int, default=1)
-        if "p" in shared.lower():
-            sp.add_argument("--p", type=int, required="P" in shared,
-                            default=None)
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="accepted and ignored; every job runs in one thread")
-        for opt in own:
-            if isinstance(opt, str):
-                sp.add_argument(opt, required=True)
-            else:
-                sp.add_argument(opt[0], **opt[1])
+        for flag, keywords in _options(name):
+            sp.add_argument(flag, **keywords)
     return top
 
 
@@ -143,7 +192,7 @@ def _handler(command):
 
 def run(argv) -> int:
     try:
-        args = _build_parser(argv).parse_args(argv)
+        args = _plain_args(argv) or _build_parser(argv).parse_args(argv)
         for flag in ("n", "f"):  # past an index's range, work would overflow
             if getattr(args, flag, 1) > sys.maxsize:
                 raise InputError(f"--{flag} must be at most {sys.maxsize}")

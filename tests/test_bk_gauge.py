@@ -156,9 +156,10 @@ def test_frobenius_truncated_matches_full():
             full, cut = Y.frobenius().truncate(prec), Y.frobenius(prec)
             # the same stored terms (support and coefficients) and lo
             assert cut == full and cut.lo == full.lo
-        for M in (0, 5, 40):
+        for M in (0, 1, 2, 3, 5, 40):
             twisted = frobenius_twist(Y, 0, TW7, M)
             assert twisted == frobenius_twist(Y, 0, TW7).truncate(M)
+            assert twisted.equal_mod(frobenius_twist(Y, 0, TW7), M)
 
 
 @pytest.mark.parametrize("prec", [10 ** 9 - 1, 10 ** 9, 10 ** 12])
@@ -233,10 +234,19 @@ def test_change_of_basis_identity_and_cocycle():
     assert all(out[j].equal_mod(A[j].truncate(40), 40) for j in range(2))
     I1 = [random_iwahori(F5, 2, rng).truncate(60) for _ in range(2)]
     J1 = [random_iwahori(F5, 2, rng).truncate(60) for _ in range(2)]
+    IJ = [(J1[j] * I1[j]).truncate(60) for j in range(2)]
     two_steps = change_of_basis(change_of_basis(A, I1, tw, 40), J1, tw, 40)
-    at_once = change_of_basis(A, [(J1[j] * I1[j]).truncate(60)
-                                  for j in range(2)], tw, 40)
+    at_once = change_of_basis(A, IJ, tw, 40)
     assert all(two_steps[j].equal_mod(at_once[j], 40) for j in range(2))
+    # at precisions down to 1 the basis change is the precision-40 one,
+    # truncated afterwards, and still a cocycle
+    full = change_of_basis(A, I1, tw, 40)
+    for M in (1, 2, 3):
+        once = change_of_basis(A, I1, tw, M)
+        assert all(once[j].equal_mod(full[j], M) for j in range(2))
+        two = change_of_basis(once, J1, tw, M)
+        at_once = change_of_basis(A, IJ, tw, M)
+        assert all(two[j].equal_mod(at_once[j], M) for j in range(2))
 
 
 def test_change_of_basis_constant_diagonal():
@@ -277,7 +287,6 @@ def test_straighten_round_trip(n, f_emb, p, h, mu0):
     rng = random.Random(65 + n + p + f_emb)
     field = Coefficients(p)
     ctx = GroupContext(n, f_emb, p)
-    M = 40
     for _ in range(3):
         s = WeylTuple(tuple(finite(rng.choice(perms(n))) for _ in range(f_emb)))
         tw = TwistData(s, (mu0,) * f_emb, ctx)
@@ -286,12 +295,20 @@ def test_straighten_round_trip(n, f_emb, p, h, mu0):
         A = [random_bounded_height(field, n, rng, h).truncate(80)
              for _ in range(f_emb)]
         X = [random_iw1(field, n, rng).truncate(80) for _ in range(f_emb)]
-        I = straighten(A, X, z, M, h=h)
+        I = straighten(A, X, z, 40, h=h)
         for m in I:
             assert m.is_iw1()
-        back = recover_left_factor(A, I, z, M)
+        back = recover_left_factor(A, I, z, 40)
         for j in range(f_emb):
-            assert back[j].equal_mod(X[j].truncate(M), M)
+            assert back[j].equal_mod(X[j].truncate(40), 40)
+        # at precisions down to 1, where A^{-1}'s pole of order h leaves X
+        # known mod v^(M-h)
+        for M in range(max(1, h), 8):
+            I = straighten(A, X, z, M, h=h)
+            assert all(m.is_iw1() for m in I)
+            back = recover_left_factor(A, I, z, M)
+            for j in range(f_emb):
+                assert back[j].equal_mod(X[j], M - h), (M, j)
 
 
 def test_straighten_identity_fixed_point():

@@ -1093,7 +1093,9 @@ FLAG, GAUGE = {"group", "series", "cli_flag"}, {"bk_gauge"}
 ])
 def test_each_command_runs_only_its_layers(argv, stdin, layers):
     # a lazy layer that has run is a plain module again; every command loads
-    # cli, the shared cli_io and exactly one handler module
+    # cli, the shared cli_io and exactly one handler module.  A well-formed
+    # argv is read off the option table, so argparse (and the gettext and
+    # locale it imports) never loads
     out = run_python(f"""
 import contextlib, io, json, sys, types
 import awbm.cli as cli
@@ -1103,10 +1105,29 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps(sorted(name[len("awbm."):] for name, m in sys.modules.items()
                         if name.startswith("awbm.")
                         and type(m) is types.ModuleType)))
+print(json.dumps(sorted({{"argparse", "gettext", "locale"}} & set(sys.modules))))
 """)
-    loaded = json.loads(out)
+    loaded, parsers = map(json.loads, out.splitlines())
     assert loaded == sorted(layers | {"cli", "cli_io", "errors"})
     assert len([m for m in loaded if m.startswith("cli_")]) == 2
+    assert parsers == []
+
+
+@pytest.mark.parametrize("argv", [["len", "--help"], ["len", "--n", "2"]])
+def test_help_and_error_texts_load_argparse(argv):
+    # help and error texts are argparse's own, so their argv load it
+    out = run_python(f"""
+import contextlib, io, sys
+import awbm.cli as cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.run({argv!r})
+    except SystemExit:
+        pass
+print("argparse" in sys.modules)
+""")
+    assert out == "True\n"
 
 
 FIBER_GL3_F2_ARGV = ["fiber", "--n", "3", "--f", "2", "--p", "211",
@@ -1250,6 +1271,7 @@ def test_one_subparser_parses_as_the_full_tree():
             got[case] = _parse(one, argv)
             assert got[case] == _parse(cli._build_parser(), argv), argv
         assert cli._handler(got["valid"][0].command).__name__ == f"cmd_{name}"
+        assert vars(cli._plain_args(valid)) == vars(got["valid"][0])
         ns, code, out, err = got["help"]
         assert (code, err) == (0, "") and out.startswith(f"usage: awbm {name} ")
         # the error texts reach stderr unchanged through run
@@ -1270,6 +1292,43 @@ def test_no_command_builds_every_subparser(argv):
     else:
         assert code.startswith("input error: ") and (out, err) == ("", "")
         assert _run_in_process(argv, None) == (2, "", code + "\n")
+
+
+_TYPE = ["type", "--n", "2", "--f", "1", "--p", "37", "--s", "e"]
+_WQ = ["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"]
+
+
+@pytest.mark.parametrize("argv,stdin,plain", [
+    # argparse alone reads these: an abbreviation, --opt=value, a value that
+    # starts with "-", a help flag, a value after a switch, a choice, a type
+    # or a required option refused
+    (["ap", "--n", "3", "--lam", "2,1,0"], None, False),
+    (["len", "--n=3", "--a", "e"], None, False),
+    (["classify", "--n", "3", "--a", "e@2,1,0", "--m", "-1"], None, False),
+    (_TYPE + ["--mu", "-1,0"], None, False),
+    (["len", "--n", "2", "-h"], None, False),
+    (_WQ + ["--force", "x"], None, False),
+    (["adm", "--n", "3", "--lambda", "2,1,0", "--variant", "bogus"], None,
+     False),
+    (["len", "--n", "0", "--a", "e"], None, False),
+    (["bruhat", "--n", "3", "--a", "e"], None, False),
+    # the table reads these: repeated options (the last value wins), a
+    # matrix on stdin, an empty value
+    (["len", "--n", "2", "--a", "(12)", "--n", "3", "--a", "e@1,0,0"], None,
+     True),
+    (_WQ + ["--force", "--mu", "6,0", "--force"], None, True),
+    (["nabla", "--n", "2", "--matrix", "-", "--abar", "5,0"], json.dumps(I2),
+     True),
+    (["len", "--n", "2", "--a", ""], None, True),
+    (_TYPE + ["--mu", "5,0", "--kind", "F", "--kind", "E"], None, True),
+])
+def test_table_path_runs_as_argparse(argv, stdin, plain, monkeypatch):
+    # a well-formed argv skips argparse; every other one goes to it, and
+    # either way run gives what the argparse-only path gives
+    assert (cli._plain_args(argv) is not None) == plain
+    got = _run_in_process(argv, stdin)
+    monkeypatch.setattr(cli, "_plain_args", lambda argv: None)
+    assert _run_in_process(argv, stdin) == got
 
 
 def test_matrix_command_output_unchanged():
@@ -1410,12 +1469,16 @@ def cli_calls(draw):
 
 
 def _run_in_process(argv, stdin):
+    """(exit, stdout, stderr) of run; a help text ends the parse with
+    SystemExit, which run lets through."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin or "")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)
+    except SystemExit as exc:
+        code = exc.code
     finally:
         sys.stdin = saved
     return code, out.getvalue(), err.getvalue()

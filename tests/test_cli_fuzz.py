@@ -402,6 +402,21 @@ def test_mutated_calls_keep_the_exit_contract():
     assert elapsed < 10, elapsed
 
 
+def test_table_path_gives_the_namespace_of_argparse():
+    # a well-formed argv is read off the option table without argparse; on
+    # every base and mutated call that path accepts, argparse must give the
+    # same namespace
+    argvs = [argv for argv, _ in BASES] + [c[0] for c in fuzzed_calls()]
+    plain = 0
+    for argv in argvs:
+        args = cli._plain_args(argv)
+        if args is not None:
+            plain += 1
+            parsed = cli._build_parser(argv).parse_args(argv)
+            assert vars(args) == vars(parsed), argv
+    assert len(BASES) <= plain < len(argvs), plain
+
+
 @pytest.mark.parametrize("argv", [
     ["len", "--n", str(10 ** 30), "--a", "e"],
     ["wq", "--n", "2", "--f", str(10 ** 30), "--p", "37", "--s", "e",
