@@ -2,17 +2,18 @@
 
 The public surface is organised by layer: `group` (elements and the group
 law, alcove points, length), `affine_weyl` (orders and admissible sets, with
-the names of `group` re-exported), `weights` (lowest alcove presentations,
-central characters and depth), `highest_weights` (the highest weight kappa
-of a presentation and the presentation of a kappa), `polynomials` (the
-genericity polynomials P_m), `inertial_types` (tame type presentations),
-`descent` (descent data and inertial weights), `weight_sets` (predicted
-sets, covering, defect, the cycle solver), `series` (the matrix kernel over
-F_q[v, v^-1]), `modp_flag` (charts, Schubert cells, the monodromy condition,
-component fixed points), `bk_gauge` (the gauge calculus on truncated series,
-and shapes), `oracles` (naive reference implementations), and `cli` (the
-JSON command line, whose handlers live in one `cli_*` module per command
-family).
+the names of `group` re-exported), `context` (tuples over the embeddings,
+primes, the context and the base-alcove depth), `weights` (lowest alcove
+presentations, central characters and depth), `highest_weights` (the highest
+weight kappa of a presentation and the presentation of a kappa),
+`polynomials` (the genericity polynomials P_m), `inertial_types` (tame type
+presentations), `descent` (descent data and inertial weights), `weight_sets`
+(predicted sets, covering, defect, the cycle solver), `series` (the matrix
+kernel over F_q[v, v^-1]), `modp_flag` (charts, Schubert cells, the
+monodromy condition, component fixed points), `bk_gauge` (the gauge calculus
+on truncated series, and shapes), `oracles` (naive reference
+implementations), and `cli` (the JSON command line, whose handlers live in
+one `cli_*` module per command family).
 
 Each layer module runs on its first attribute access, so a caller pays only
 for the layers it uses.
@@ -30,7 +31,7 @@ __version__ = "0.1.0"
 # it.  LazyLoader is not thread-safe on Python 3.11; the library starts no
 # threads.  `cli` is not registered: `python -m awbm.cli` must find it absent
 # from sys.modules.
-for _name in ("group", "affine_weyl", "weights", "highest_weights",
+for _name in ("group", "affine_weyl", "context", "weights", "highest_weights",
               "polynomials", "inertial_types", "descent", "weight_sets",
               "series", "modp_flag", "bk_gauge", "oracles"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
@@ -45,10 +46,9 @@ _EXPORTS = {
     "affine_weyl": (
         "adm", "ap_enumerate", "bruhat_interval", "bruhat_leq", "classify",
         "regular_factorization", "up_leq"),
+    "context": ("GroupContext", "WeylTuple"),
     "descent": ("a_tau", "descent_data"),
-    "group": (
-        "GroupContext", "WeylElement", "WeylTuple", "evaluate", "length",
-        "multiply", "star"),
+    "group": ("WeylElement", "evaluate", "length", "multiply", "star"),
     "highest_weights": ("lap_of", "serre_weight"),
     "inertial_types": ("TameTypePresentation", "make_type"),
     "polynomials": ("build_Pm", "genericity", "superscript"),

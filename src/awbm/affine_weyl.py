@@ -40,7 +40,7 @@ import itertools
 from functools import lru_cache, partial
 from operator import add
 
-from . import group
+from . import context, group, oracles
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -75,9 +75,20 @@ __all__ = group.__all__ + [
     "MAX_INTERVAL",
     "regular_factorization",
     "ap_enumerate",
-    "restricted_classes",
     "sort_key",
 ]
+
+# perfbench/record.py imports GroupContext, WeylTuple and restricted_classes
+# from here; PEP 562 serves the names that moved to `context` and `oracles`
+_MOVED = {**dict.fromkeys(("GroupContext", "WeylTuple", "is_prime",
+                           "check_prime", "weight_depth_base"), context),
+          "restricted_classes": oracles}
+
+
+def __getattr__(name):
+    if name in _MOVED:
+        return getattr(_MOVED[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +150,7 @@ def classify(a: WeylElement, m: int | None = None, p: int | None = None) -> Flag
     if m is not None and m < 0:
         raise ArgumentError("smallness/genericity bound m must be >= 0")
     if p is not None:
-        check_prime(p)
+        context.check_prime(p)
     return Flags(
         dominant=is_dominant(a),
         restricted=is_restricted(a),
@@ -518,21 +529,3 @@ def ap_enumerate(lam_plus_eta):
     """AP(lam+eta) as pairs of WeylElements, in the order of `_ap_points`."""
     return [(WeylElement.trusted(*k1[1:]), WeylElement.trusted(*k2[1:]))
             for k1, k2, _ in _ap_points(lam_plus_eta)]
-
-
-@lru_cache(maxsize=None)
-def restricted_classes(n: int):
-    """Representatives of the restricted dominant elements modulo central
-    translations, normalised with max translation coordinate zero."""
-    found = set()
-    for w in all_perms(n):
-        nu = _box_translation(perm_act(w, eta_vector(n)))
-        cand = multiply(translation(tuple(-c for c in nu)), finite(w))
-        if not is_restricted(cand):
-            continue
-        for d in range(n):
-            elt = multiply(cand, omega_power(n, d))
-            if is_restricted(elt):
-                found.add(multiply(translation((-max(elt.nu),) * n), elt))
-    return tuple(sorted(found, key=sort_key))
-

@@ -23,6 +23,7 @@ from __future__ import annotations
 # ShapeResult's adm_member is read off the lazy module at the point of call
 from . import affine_weyl as aw
 from . import inertial_types
+from .context import GroupContext, WeylTuple, weight_depth_base
 from .errors import (
     ArgumentError,
     GenericityError,
@@ -30,9 +31,7 @@ from .errors import (
     PreconditionError,
 )
 from .group import (
-    GroupContext,
     Record,
-    WeylTuple,
     eta_vector,
     finite,
     multiply,
@@ -40,7 +39,6 @@ from .group import (
     perm_inverse,
     star,
     translation,
-    weight_depth_base,
 )
 from .series import MAX_COEFFS, Coefficients, SeriesMatrix  # noqa: F401
 

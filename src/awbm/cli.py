@@ -163,24 +163,8 @@ def _plain_args(argv):
 
 
 def _build_parser(argv=()):
-    """The argparse parser for an argv _plain_args does not read: the top
-    parser with the subparser of the command argv names, or with every
-    subparser when argv[0] is not a command (no arguments, --help, an
-    unknown name), so that usage and error texts list them all."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):
-            raise InputError(message)
-
-    top = _Parser(prog="awbm", description=__doc__,
-                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = top.add_subparsers(dest="command", required=True)
-    for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
-        sp = sub.add_parser(name)
-        for flag, keywords in _options(name):
-            sp.add_argument(flag, **keywords)
-    return top
+    from .cli_help import build_parser  # only for an argv _plain_args refuses
+    return build_parser(argv, __doc__, COMMANDS, _options)
 
 
 def _handler(command):
@@ -218,10 +202,14 @@ def run(argv) -> int:
         print("precondition violated: stdout closed before the output was "
               "written", file=sys.stderr)
         return 3
+    except MemoryError:
+        pass  # reported below, once leaving here has freed the failed frames
     except Exception as exc:
         print(f"internal invariant breach: unexpected {type(exc).__name__}: "
               f"{exc}", file=sys.stderr)
         return 4
+    print("internal invariant breach: out of memory", file=sys.stderr)
+    return 4
 
 
 def main():

@@ -13,9 +13,9 @@ from . import group as gr
 from . import modp_flag as mf
 from . import series as se
 from . import weights as wt
-from .cli_io import (ctx_of, element_json, emit, parse_element, parse_tuple,
-                     parse_vector, parse_weight_rows, presentation_json,
-                     row_json, type_of, write, write_product)
+from .cli_io import element_json, parse_element, parse_tuple, parse_vector, write
+from .cli_rows import (ctx_of, emit, parse_weight_rows, presentation_json,
+                       row_json, type_of, write_product)
 from .errors import ContextError, InputError
 
 

@@ -10,9 +10,9 @@ import itertools
 import math
 
 from . import weight_sets as ws
-from .cli_io import (ctx_of, flag_json, parse_weight_rows, presentation,
-                     presentation_json, row_json, type_of, write,
-                     write_product)
+from .cli_io import flag_json, write
+from .cli_rows import (ctx_of, parse_weight_rows, presentation,
+                       presentation_json, row_json, type_of, write_product)
 
 
 def _write_presentations(factors):

@@ -8,8 +8,8 @@ from . import descent as ds
 from . import highest_weights as hw
 from . import polynomials as pm
 from . import weights as wt
-from .cli_io import (ctx_of, emit, parse_vector, parse_weight_rows,
-                     presentation, type_of)
+from .cli_io import parse_vector
+from .cli_rows import ctx_of, emit, parse_weight_rows, presentation, type_of
 
 
 def cmd_weight(args):

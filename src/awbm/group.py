@@ -13,8 +13,8 @@ integer and every alcove membership test is a strict inequality.  The code
 works on the integer point alcove_point(g) = n·g(x0) = w(eta) + n·nu: a floor
 of a pairing is the scaled pairing // n, and a strip 0 < <y, alpha∨> < 1 is
 0 < <n·y, alpha∨> < n.  Length is the number of root hyperplanes separating
-x0 from g(x0).  The orders and the sets built from them live in
-`affine_weyl`.
+x0 from g(x0).  Orders and sets live in `affine_weyl`, tuples and primes
+in `context`.
 
 Conventions used throughout the package:
 
@@ -41,9 +41,8 @@ __all__ = [
     "json_int", "Record", "WeylElement", "identity", "translation", "finite",
     "w0", "w_h", "eta_vector", "multiply", "invert", "evaluate", "degree",
     "star", "alcove_point", "length",
-    # alcove positions, tuples over the embeddings, the context
-    "is_dominant", "is_restricted", "weight_depth_base", "dominant_witness",
-    "WeylTuple", "is_prime", "check_prime", "GroupContext",
+    # alcove positions
+    "is_dominant", "is_restricted", "dominant_witness",
 ]
 
 
@@ -329,164 +328,9 @@ def _in_box(y):
     return all(0 < y[i] - y[i + 1] < n for i in range(n - 1))
 
 
-def weight_depth_base(lam, p: int) -> int:
-    """Depth of lam inside the base p-alcove: largest m with
-    m < <lam+eta, alpha∨> < p - m for all alpha > 0; -1 if outside."""
-    n = len(lam)
-    eta = eta_vector(n)
-    best = p
-    for root in positive_roots(n):
-        v = pairing(lam, root) + pairing(eta, root)
-        if not 0 < v < p:
-            return -1
-        best = min(best, v, p - v)
-    return best - 1
-
-
 def dominant_witness(a: WeylElement):
     """The unique w in W with w^{-1}·(a(x0)) strictly dominant."""
     y = alcove_point(a)
     order = sorted(range(a.n), key=lambda i: y[i], reverse=True)
     # (w^{-1} y)_i = y_{w(i)} must decrease, so w(i) = order[i-1] + 1
     return tuple(i + 1 for i in order)
-
-
-# ---------------------------------------------------------------------------
-# tuples over the embedding set J = Z/f
-
-class WeylTuple(Record):
-    """An f-tuple of elements, indexed by the embeddings Z/f; all group and
-    order operations act componentwise, and pi shifts the index."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        comps = tuple(components)
-        if not comps:
-            raise InputError("empty tuple")
-        n = comps[0].n
-        if any(c.n != n for c in comps):
-            raise ContextError("mixed ranks inside a tuple")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def f(self):
-        return len(self.components)
-
-    @property
-    def n(self):
-        return self.components[0].n
-
-    def __getitem__(self, j):
-        return self.components[j % self.f]
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __mul__(self, other):
-        self._match(other)
-        return WeylTuple(tuple(multiply(a, b) for a, b in zip(self, other)))
-
-    def _match(self, other):
-        if not isinstance(other, WeylTuple) or other.f != self.f or other.n != self.n:
-            raise ContextError("tuple shape mismatch")
-
-    def inverse(self):
-        return WeylTuple(tuple(invert(a) for a in self))
-
-    def star(self):
-        return WeylTuple(tuple(star(a) for a in self))
-
-    def pi(self):
-        """pi(x)_j = x_{j+1}; the identity when f = 1."""
-        return WeylTuple(tuple(self[(j + 1) % self.f] for j in range(self.f)))
-
-    def pi_inverse(self):
-        return WeylTuple(tuple(self[(j - 1) % self.f] for j in range(self.f)))
-
-    def length(self):
-        return sum(length(a) for a in self)
-
-    def is_restricted(self):
-        return all(is_restricted(a) for a in self)
-
-    def to_json(self):
-        return [a.to_json() for a in self]
-
-    @classmethod
-    def from_json(cls, data):
-        if not isinstance(data, list) or not data:
-            raise InputError("tuple encoding must be a nonempty array")
-        return cls(tuple(WeylElement.from_json(d) for d in data))
-
-    @classmethod
-    def constant(cls, a: WeylElement, f: int):
-        return cls((a,) * f)
-
-
-# ---------------------------------------------------------------------------
-# context
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_prime(p: int) -> bool:
-    """Miller-Rabin to the first 13 prime bases: deterministic, hence exact,
-    for p < 3.3·10^24 (Sorenson-Webster 2015), a strong probable-prime test
-    beyond."""
-    if p < 2:
-        return False
-    for q in _MR_BASES:
-        if p % q == 0:
-            return p == q
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_prime(p: int) -> None:
-    """Raise ArgumentError unless p is prime."""
-    if p < 2:
-        raise ArgumentError("prime must be at least 2")
-    if not is_prime(p):
-        raise ArgumentError(f"p = {p} is not prime")
-
-
-class GroupContext(Record):
-    """Rank, number of embeddings, and the (optional) prime."""
-
-    __slots__ = ("n", "f", "p")
-
-    def __init__(self, n, f=1, p=None):
-        if n < 2:
-            raise ArgumentError("rank must be at least 2")
-        if f < 1:
-            raise ArgumentError("need at least one embedding")
-        if p is not None:
-            check_prime(p)
-        super().__init__(n, f, p)
-
-    def weight_tuple(self, rows, name):
-        """rows as a tuple of f integer rows of length n, the shape of a
-        weight tuple over this context; ArgumentError names the field."""
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
-        if len(rows) != self.f or any(len(row) != self.n for row in rows):
-            raise ArgumentError(
-                f"{name} must be {self.f} rows of length {self.n}")
-        return rows
-
-    def require_prime(self):
-        if self.p is None:
-            raise ArgumentError("this operation needs a prime in the context")
-        return self.p

@@ -15,9 +15,9 @@ Characters are compared modulo (p - pi) X^0(T)^J (`reduce_offset`).  Only the
 
 from __future__ import annotations
 
-from .affine_weyl import (GroupContext, WeylElement, WeylTuple, eta_vector,
-                          invert, multiply, omega_power, perm_act,
-                          wa_part_and_omega, weight_depth_base)
+from .affine_weyl import (WeylElement, eta_vector, invert, multiply,
+                          omega_power, perm_act, wa_part_and_omega)
+from .context import GroupContext, WeylTuple, weight_depth_base
 from .errors import ArgumentError, CompatibilityError, DepthError, InternalError
 from .weights import (CentralCharacter, SerreWeightPresentation,
                       central_character, weight_depth)

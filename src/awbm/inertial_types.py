@@ -8,16 +8,14 @@ weights are derived in `descent`.
 
 from __future__ import annotations
 
+from .context import GroupContext, WeylTuple, weight_depth_base
 from .group import (
-    GroupContext,
     Record,
     WeylElement,
-    WeylTuple,
     eta_vector,
     finite,
     multiply,
     translation,
-    weight_depth_base,
 )
 from .errors import ArgumentError, InputError
 from .weights import CentralCharacter

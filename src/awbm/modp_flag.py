@@ -30,11 +30,10 @@ from __future__ import annotations
 # reached through the lazy module at the point of call
 from . import affine_weyl as aw
 from . import inertial_types, weight_sets, weights
+from .context import GroupContext, WeylTuple
 from .group import (
-    GroupContext,
     Record,
     WeylElement,
-    WeylTuple,
     alcove_point,
     all_perms,
     all_roots,

@@ -32,7 +32,8 @@ upper-arrow order over all of W, where `weight_sets.covers` uses interval
 containment; `bm_cycles_recursive` reuses `weight_sets.w_question` and
 `intersection` and runs the defect recursion record by record over the
 whole of W?, where `weight_sets.bm_cycles` takes the product of
-one-embedding solves.
+one-embedding solves.  `restricted_classes` lists the restricted dominant
+elements up to central translation, for tests to draw presentations from.
 
 The series-matrix reference, `series_matrix_product`, multiplies two
 `series.SeriesMatrix` values schoolbook over their {exponent: coefficient}
@@ -56,6 +57,7 @@ from functools import lru_cache
 
 from .affine_weyl import (
     WeylElement,
+    _box_translation,
     _check_dominant_weight,
     _separation,
     adm_member,
@@ -65,6 +67,7 @@ from .affine_weyl import (
     degree,
     eta_vector,
     evaluate,
+    finite,
     identity,
     invert,
     is_dominant,
@@ -98,6 +101,7 @@ from . import weights as wt
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
            "count_up_leq", "enumerate_elements", "dual_length",
            "dual_bruhat_leq", "ap_member", "jh_contains_fixed",
+           "restricted_classes",
            "bm_cycles_recursive", "covers_up_oracle", "series_matrix_product",
            "series_matrix_frobenius", "series_matrix_truncate"]
 
@@ -334,6 +338,23 @@ def ap_member(w1: WeylElement, w2: WeylElement, lam_plus_eta) -> bool:
     if not is_dominant(w2):
         return False
     return adm_member(multiply(invert(w2), multiply(w0(w1.n), w1)), lam)
+
+
+@lru_cache(maxsize=None)
+def restricted_classes(n: int):
+    """Representatives of the restricted dominant elements modulo central
+    translations, normalised with max translation coordinate zero."""
+    found = set()
+    for w in all_perms(n):
+        nu = _box_translation(perm_act(w, eta_vector(n)))
+        cand = multiply(translation(tuple(-c for c in nu)), finite(w))
+        if not is_restricted(cand):
+            continue
+        for d in range(n):
+            elt = multiply(cand, omega_power(n, d))
+            if is_restricted(elt):
+                found.add(multiply(translation((-max(elt.nu),) * n), elt))
+    return tuple(sorted(found, key=sort_key))
 
 
 def jh_contains_fixed(tau: it.TameTypePresentation, lam,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .affine_weyl import GroupContext, conv_lattice_points
+from .affine_weyl import conv_lattice_points
+from .context import GroupContext
 from .errors import ArgumentError, CapacityError
 from .weights import weight_depth
 

@@ -31,7 +31,8 @@ from .errors import (
     InternalError,
     PreconditionError,
 )
-from .group import check_prime, json_int
+from .context import check_prime
+from .group import json_int
 
 __all__ = ["Coefficients", "SeriesMatrix", "MAX_COEFFS"]
 

@@ -28,10 +28,8 @@ import math
 from functools import lru_cache
 
 from .affine_weyl import (
-    GroupContext,
     Record,
     WeylElement,
-    WeylTuple,
     _ap_points,
     _check_dominant_weight,
     _walls,
@@ -53,6 +51,7 @@ from .affine_weyl import (
     w0,
     w_h,
 )
+from .context import GroupContext, WeylTuple
 from .errors import (
     ArgumentError,
     CompatibilityError,

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 from .affine_weyl import (
     Record,
-    WeylTuple,
     degree,
     element_depth,
     eta_vector,
     multiply,
     sort_key,
     translation,
-    weight_depth_base,
 )
+from .context import WeylTuple, weight_depth_base
 from .errors import ArgumentError
 
 __all__ = [

@@ -383,7 +383,7 @@ def test_tuples():
     t = WeylTuple((T10, SDELTA))
     assert t.pi()[0] == SDELTA and t.pi()[1] == T10
     assert (t * t.inverse())[0] == identity(2)
-    one = WeylTuple.constant(E2, 3)
+    one = WeylTuple((E2,) * 3)
     assert one.pi() == one
     rt = WeylTuple.from_json(t.to_json())
     assert rt == t

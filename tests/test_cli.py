@@ -7,10 +7,12 @@ import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -344,7 +346,7 @@ def test_row_json_is_the_presentation_json():
     # what the encoder writes for the one-embedding presentation.  Its
     # canonical row has a translation nu of maximum 0, most often nonzero
     from awbm.affine_weyl import GroupContext, WeylTuple
-    from awbm.cli_io import row_json, serialize
+    from awbm.cli_rows import row_json, serialize
     from awbm.weights import SerreWeightPresentation
     from conftest import random_element
     rng = random.Random(21)
@@ -977,6 +979,55 @@ def test_unexpected_exception_is_exit_4(monkeypatch):
     assert "Traceback" not in err.getvalue()
 
 
+def test_memory_error_is_exit_4_written_after_the_frames_are_freed(
+        monkeypatch):
+    # formatting a MemoryError can raise a second one while the failed
+    # frames still hold their data; run writes a fixed line once they are
+    # gone, so this one, whose str() raises, ends in exit 4 as well
+    from awbm import cli_orders
+
+    class Unprintable(MemoryError):
+        def __str__(self):
+            raise MemoryError
+
+    class Held:
+        pass
+
+    held = []
+
+    def exhaust(args):
+        data = Held()
+        held.append(weakref.ref(data))
+        raise Unprintable
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            held.append(held[0]() is None)
+            return super().write(text)
+
+    monkeypatch.setattr(cli_orders, "cmd_len", exhaust)
+    err = Stderr()
+    with contextlib.redirect_stderr(err):
+        assert cli.run(["len", "--n", "2", "--a", "e"]) == 4
+    assert err.getvalue() == "internal invariant breach: out of memory\n"
+    assert all(held[1:])
+
+
+def _limit_address_space_to_64_mb():
+    resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+
+def test_exhausted_address_space_is_exit_4_with_one_line():
+    # AP of eta at n = 6 peaks at about 77 MB; in a child with a 64 MB
+    # address space it runs out within seconds
+    res = subprocess.run(
+        [sys.executable, "-m", "awbm.cli", "ap", "--n", "6",
+         "--lambda", "5,4,3,2,1,0"], capture_output=True, text=True,
+        timeout=60, preexec_fn=_limit_address_space_to_64_mb)
+    assert (res.returncode, res.stdout, res.stderr) == (
+        4, "", "internal invariant breach: out of memory\n")
+
+
 # ---------------------------------------------------------------------------
 # layers load on first use; each check starts a fresh interpreter
 
@@ -1027,9 +1078,10 @@ print(json.dumps(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
 
 
 GROUP = {"group", "cli_orders"}
-ORDERS, WEIGHTS = GROUP | {"affine_weyl"}, {"group", "affine_weyl", "weights"}
+ORDERS, ROWS = GROUP | {"affine_weyl"}, {"context", "cli_rows"}
+WEIGHTS = {"group", "affine_weyl", "weights"} | ROWS
 SETS = WEIGHTS | {"inertial_types", "weight_sets", "cli_sets"}
-FLAG, GAUGE = {"group", "series", "cli_flag"}, {"bk_gauge"}
+FLAG, GAUGE = {"group", "series", "cli_flag"} | ROWS, {"bk_gauge"}
 
 
 @pytest.mark.parametrize("argv,stdin,layers", [
@@ -1083,7 +1135,7 @@ FLAG, GAUGE = {"group", "series", "cli_flag"}, {"bk_gauge"}
       "--b", "2,1,3@0,0,0"], "", ORDERS | {"oracles"}),
     (["oracle", "--n", "2", "--kind", "enumerate", "--bound", "2"], "",
      ORDERS | {"oracles"}),
-    # component and fiber write through cli_io's product writer, without
+    # component and fiber write through cli_rows' product writer, without
     # the weight-set handlers
     (["component", "--n", "3", "--f", "1", "--p", "211", "--w1", "1,2,3@0,0,0",
       "--omega", "187,102,25"], "", FLAG | WEIGHTS | {"modp_flag"}),
@@ -1093,9 +1145,10 @@ FLAG, GAUGE = {"group", "series", "cli_flag"}, {"bk_gauge"}
 ])
 def test_each_command_runs_only_its_layers(argv, stdin, layers):
     # a lazy layer that has run is a plain module again; every command loads
-    # cli, the shared cli_io and exactly one handler module.  A well-formed
-    # argv is read off the option table, so argparse (and the gettext and
-    # locale it imports) never loads
+    # cli, the shared cli_io and exactly one handler module, and every family
+    # but the orders also the context layer and cli_rows.  A well-formed argv
+    # is read off the option table, so neither cli_help nor argparse (and the
+    # gettext and locale it imports) loads
     out = run_python(f"""
 import contextlib, io, json, sys, types
 import awbm.cli as cli
@@ -1109,13 +1162,22 @@ print(json.dumps(sorted({{"argparse", "gettext", "locale"}} & set(sys.modules)))
 """)
     loaded, parsers = map(json.loads, out.splitlines())
     assert loaded == sorted(layers | {"cli", "cli_io", "errors"})
-    assert len([m for m in loaded if m.startswith("cli_")]) == 2
+    family = cli.COMMANDS[argv[0]][0]
+    if family == "cli_orders":
+        assert not {"context", "cli_rows", "cli_help"} & set(loaded)
+        assert {m for m in loaded if m.startswith("cli_")} == {
+            "cli_io", "cli_orders"}
+    else:
+        assert {"context", "cli_rows"} <= set(loaded)
+        assert {m for m in loaded if m.startswith("cli_")} == {
+            "cli_io", "cli_rows", family}
     assert parsers == []
 
 
 @pytest.mark.parametrize("argv", [["len", "--help"], ["len", "--n", "2"]])
 def test_help_and_error_texts_load_argparse(argv):
-    # help and error texts are argparse's own, so their argv load it
+    # help and error texts are argparse's own, so their argv load it, through
+    # cli_help
     out = run_python(f"""
 import contextlib, io, sys
 import awbm.cli as cli
@@ -1125,9 +1187,9 @@ with contextlib.redirect_stdout(io.StringIO()), \\
         cli.run({argv!r})
     except SystemExit:
         pass
-print("argparse" in sys.modules)
+print("argparse" in sys.modules, "awbm.cli_help" in sys.modules)
 """)
-    assert out == "True\n"
+    assert out == "True True\n"
 
 
 FIBER_GL3_F2_ARGV = ["fiber", "--n", "3", "--f", "2", "--p", "211",
@@ -1532,12 +1594,12 @@ def _presentation_args(sigma, w1="--w1", omega="--omega"):
 
 def test_flat_documents_equal_the_serialized_dicts():
     # len, bruhat, up, classify, mul, star, oracle, covers, defect, maxdefect
-    # and bm write their documents by hand; each must be cli_io.serialize of
+    # and bm write their documents by hand; each must be cli_rows.serialize of
     # the dict their handlers built before, byte for byte
     from awbm import affine_weyl as aw
     from awbm import oracles as orc
     from awbm import weight_sets as ws
-    from awbm.cli_io import serialize
+    from awbm.cli_rows import serialize
     from awbm.inertial_types import make_type
     from conftest import perms, random_deep_mu, random_element
 

@@ -530,3 +530,56 @@ def test_monodromy_solve_checks_its_product(monkeypatch):
     monkeypatch.setattr(mf, "weyl_matrix", doubled)
     with pytest.raises(InternalError, match="fails the monodromy condition"):
         monodromy_solve(translation((2, 1, 0)), (5, 40, 80), p=101)
+
+
+def test_torus_fixed_points_decide_the_predicted_set():
+    # the two sides of the description of the special fiber's components:
+    # with P = star(w̃(rhobar)_j), a row sigma_j = (w1, omega) lies in the
+    # W?(rhobar) factor exactly when P is in its bound set
+    # {star(m)·t_omega : m <= w0·w1}, that is when star(P·t_{-omega}) <= w0·w1;
+    # the candidates are the W? rows of rhobar and of types with mu moved by
+    # at most 2.  For w̃(rhobar, tau) in Adm(lam + eta), the intersection's
+    # rows are the JH rows whose bound set holds P
+    from awbm.affine_weyl import bruhat_leq, eta_vector, w0
+    from awbm.modp_flag import _fixed_points
+    from awbm.weight_sets import (_aux_type_from_element, intersection_factors,
+                                  w_question_factors)
+    from conftest import perms, random_deep_mu
+    rng = random.Random(16)
+    answers, cache = set(), {}
+    for n, f, p in [(2, 1, 37), (2, 2, 37), (3, 1, 211), (3, 2, 211),
+                    (4, 1, 211), (4, 2, 211)]:
+        ctx, eta = GroupContext(n, f, p), eta_vector(n)
+        s = [rng.choice(perms(n)) for _ in range(f)]
+        mu = [random_deep_mu(n, p, 2 * n + 2, rng) for _ in range(f)]
+        rho = make_type(ctx, s, mu, "F")
+        P = [star(g) for g in rho.w_tilde()]
+        members = [{row for row, *_ in rows} for rows in w_question_factors(rho)]
+        candidates = [set(rows) for rows in members]
+        for _ in range(4 if n < 4 else 2):
+            near = [tuple(c + rng.randint(-2, 2) for c in row) for row in mu]
+            for j, rows in enumerate(w_question_factors(
+                    make_type(ctx, s, near, "F"), force=True)):
+                candidates[j] |= {row for row, *_ in rows}
+        for j in range(f):
+            rows = sorted(candidates[j], key=repr)
+            for w1, omega in rows if n < 4 else rng.sample(rows, 60):
+                bound = _fixed_points((w1, omega), cache)[0]
+                by_leq = bruhat_leq(
+                    star(multiply(P[j], translation(tuple(-c for c in omega)))),
+                    multiply(w0(n), w1))
+                assert ((w1, omega) in members[j]) == (P[j] in bound) == by_leq
+                answers.add(by_leq)
+        for _ in range(3 if n < 4 else 2):
+            lam = [tuple(sorted((rng.randrange(2) if n < 4 else 0
+                                 for _ in range(n)), reverse=True))
+                   for _ in range(f)]
+            lpe = [tuple(l + e for l, e in zip(row, eta)) for row in lam]
+            tau = _aux_type_from_element(ctx, WeylTuple(tuple(
+                multiply(g, invert(rng.choice(adm(row))))
+                for g, row in zip(rho.w_tilde(), lpe))))
+            got = intersection_factors(rho, tau, lam, force=True)
+            jh = special_fiber_components(ctx, lpe, tau, None, force=True)
+            assert got == [tuple(row for row, bound, _ in rows if P[j] in bound)
+                           for j, rows in enumerate(jh)]
+    assert answers == {True, False}
