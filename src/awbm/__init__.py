@@ -2,18 +2,18 @@
 
 The public surface is organised by layer: `group` (elements and the group
 law, alcove points, length), `affine_weyl` (orders and admissible sets, with
-the names of `group` re-exported), `context` (tuples over the embeddings,
-primes, the context and the base-alcove depth), `weights` (lowest alcove
-presentations, central characters and depth), `highest_weights` (the highest
-weight kappa of a presentation and the presentation of a kappa),
-`polynomials` (the genericity polynomials P_m), `inertial_types` (tame type
-presentations), `descent` (descent data and inertial weights), `weight_sets`
-(predicted sets, covering, defect, the cycle solver), `series` (the matrix
-kernel over F_q[v, v^-1]), `modp_flag` (charts, Schubert cells, the
-monodromy condition, component fixed points), `bk_gauge` (the gauge calculus
-on truncated series, and shapes), `oracles` (naive reference
-implementations), and `cli` (the JSON command line, whose handlers live in
-one `cli_*` module per command family).
+the names of `group` re-exported), `primes` (the prime test), `context`
+(tuples over the embeddings, the context and the base-alcove depth),
+`weights` (lowest alcove presentations, central characters and depth),
+`highest_weights` (the highest weight kappa of a presentation and the
+presentation of a kappa), `polynomials` (the genericity polynomials P_m),
+`inertial_types` (tame type presentations), `descent` (descent data and
+inertial weights), `weight_sets` (predicted sets, covering, defect, the
+cycle solver), `series` (the matrix kernel over F_q[v, v^-1]), `modp_flag`
+(charts, Schubert cells, the monodromy condition, component fixed points),
+`bk_gauge` (the gauge calculus on truncated series, and shapes), `oracles`
+(naive reference implementations), and `cli` (the JSON command line, whose
+handlers live in one `cli_*` module per command family).
 
 Each layer module runs on its first attribute access, so a caller pays only
 for the layers it uses.

@@ -78,16 +78,16 @@ COMMANDS = {
     "cell": ("cli_flag", "", ("--w",)),
     "monodromy": ("cli_flag", "P", (
         "--w", "--abar", ("--free", {"default": None}))),
-    "nabla": ("cli_flag", "", (_MATRIX, "--abar")),
+    "nabla": ("cli_gauge", "", (_MATRIX, "--abar")),
     "component": ("cli_flag", "fP", ("--w1", "--omega", _FORCE)),
     "fiber": ("cli_flag", "fP", (
         "--ts", "--tmu", "--lambda", ("--zeta", {"default": None}), _FORCE)),
-    "twist": ("cli_flag", "fP", (
+    "twist": ("cli_gauge", "fP", (
         _MATRIX, ("--j", {"type": int, "default": 0}), "--s", "--mu", _M)),
-    "cob": ("cli_flag", "fP", ("--s", "--mu", _M)),
-    "straighten": ("cli_flag", "fP", (
+    "cob": ("cli_gauge", "fP", ("--s", "--mu", _M)),
+    "straighten": ("cli_gauge", "fP", (
         "--z", _M, ("--h", {"type": int, "default": None}))),
-    "shape": ("cli_flag", "fP", (
+    "shape": ("cli_gauge", "fP", (
         "--rs", "--rmu", "--ts", "--tmu", ("--lambda", {"default": None}))),
     "oracle": ("cli_orders", "", (
         ("--kind", {"required": True,

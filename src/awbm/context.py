@@ -1,13 +1,14 @@
-"""Tuples of elements over the embeddings Z/f, the prime test, the context
-(rank, embeddings, prime) and the depth of a weight in the base p-alcove:
-what the weight, set and flag layers add to `group`.  No orders command
-loads it."""
+"""Tuples of elements over the embeddings Z/f, the context (rank,
+embeddings, prime) and the depth of a weight in the base p-alcove: what the
+weight, set and gauge layers add to `group`, with the prime test of `primes`
+re-exported.  Of the orders commands only `classify --p` loads it."""
 
 from __future__ import annotations
 
 from .errors import ArgumentError, ContextError, InputError
 from .group import (Record, WeylElement, eta_vector, invert, is_restricted,
-                    length, multiply, pairing, positive_roots, star)
+                    multiply, pairing, positive_roots, star)
+from .primes import check_prime, is_prime  # noqa: F401  (re-exported)
 
 __all__ = ["WeylTuple", "is_prime", "check_prime", "GroupContext",
            "weight_depth_base"]
@@ -66,9 +67,6 @@ class WeylTuple(Record):
     def pi_inverse(self):
         return WeylTuple(tuple(self[(j - 1) % self.f] for j in range(self.f)))
 
-    def length(self):
-        return sum(length(a) for a in self)
-
     def is_restricted(self):
         return all(is_restricted(a) for a in self)
 
@@ -84,42 +82,6 @@ class WeylTuple(Record):
 
 # ---------------------------------------------------------------------------
 # context
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def is_prime(p: int) -> bool:
-    """Miller-Rabin to the first 13 prime bases: deterministic, hence exact,
-    for p < 3.3·10^24 (Sorenson-Webster 2015), a strong probable-prime test
-    beyond."""
-    if p < 2:
-        return False
-    for q in _MR_BASES:
-        if p % q == 0:
-            return p == q
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_prime(p: int) -> None:
-    """Raise ArgumentError unless p is prime."""
-    if p < 2:
-        raise ArgumentError("prime must be at least 2")
-    if not is_prime(p):
-        raise ArgumentError(f"p = {p} is not prime")
-
 
 class GroupContext(Record):
     """Rank, number of embeddings, and the (optional) prime."""

@@ -66,3 +66,11 @@ class IntegralityError(PreconditionError):
 
 class InternalError(AwbmError):
     """An internal invariant was violated; indicates a bug."""
+
+
+def json_int(x, where):
+    """x, refused unless a JSON integer: int() would truncate 1.7 to 1 and
+    read true and "1" as 1."""
+    if type(x) is not int:
+        raise InputError(f"{where} holds {x!r} where an integer belongs")
+    return x

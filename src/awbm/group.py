@@ -13,8 +13,8 @@ integer and every alcove membership test is a strict inequality.  The code
 works on the integer point alcove_point(g) = n·g(x0) = w(eta) + n·nu: a floor
 of a pairing is the scaled pairing // n, and a strip 0 < <y, alpha∨> < 1 is
 0 < <n·y, alpha∨> < n.  Length is the number of root hyperplanes separating
-x0 from g(x0).  Orders and sets live in `affine_weyl`, tuples and primes
-in `context`.
+x0 from g(x0).  Orders and sets live in `affine_weyl`, tuples in `context`
+and the prime test in `primes`.
 
 Conventions used throughout the package:
 
@@ -31,7 +31,7 @@ import itertools
 from functools import lru_cache
 from operator import attrgetter
 
-from .errors import ArgumentError, ContextError, InputError
+from .errors import ArgumentError, ContextError, InputError, json_int
 
 __all__ = [
     # permutations and roots
@@ -105,14 +105,6 @@ def pairing(v, root):
 
 # ---------------------------------------------------------------------------
 # elements
-
-def json_int(x, where):
-    """x, refused unless a JSON integer: int() would truncate 1.7 to 1 and
-    read true and "1" as 1."""
-    if type(x) is not int:
-        raise InputError(f"{where} holds {x!r} where an integer belongs")
-    return x
-
 
 class Record:
     """An immutable record: the fields are the `__slots__`, set once in

@@ -1,8 +1,8 @@
 """Computations on the affine flag variety over F_p: affine charts,
 Schubert-cell geometry, the first-order monodromy condition, and component
-labels with their torus fixed points.  Matrices over F_p[v, v^-1] are exact
-matrices of the series kernel (`series.SeriesMatrix` with prec=None);
-`LaurentMatrix` only fixes their JSON encoding.
+labels with their torus fixed points.  Matrices over F_p[v, v^-1] are the
+series kernel's exact `LaurentMatrix`, which only `weyl_matrix` and
+`monodromy_solve` build: charts, cells and components load no series.
 
 A point of the open cell attached to a starred element z = t_nu ∘ w (in the
 dual group) is z·N with N unipotent supported on the roots
@@ -26,11 +26,12 @@ A = z·N through A^{-1} = N^{-1}·z^{-1} without the adjugate.
 
 from __future__ import annotations
 
-# the order theory of `affine_weyl` serves the components only; it is
-# reached through the lazy module at the point of call
+# the order theory of `affine_weyl` serves the components only, the series
+# kernel the matrices only: both are reached through the lazy module
 from . import affine_weyl as aw
+from . import context as cx
 from . import inertial_types, weight_sets, weights
-from .context import GroupContext, WeylTuple
+from . import series as se
 from .group import (
     Record,
     WeylElement,
@@ -54,23 +55,17 @@ from .group import (
 from .errors import (
     ArgumentError,
     GenericityError,
-    InputError,
     InternalError,
     ZeroDivisorError,
 )
-from .series import Coefficients, SeriesMatrix
 
 __all__ = [
-    "LaurentMatrix",
     "ChartTemplate",
     "chart_template",
     "CellGeometry",
     "cell_geometry",
     "required_genericity",
     "monodromy_solve",
-    "verify_nabla",
-    "nabla_matrix",
-    "unipotent_inverse",
     "weyl_matrix",
     "ComponentData",
     "component_data",
@@ -78,33 +73,17 @@ __all__ = [
 ]
 
 
-# ---------------------------------------------------------------------------
-# Laurent matrices over F_p
-
-class LaurentMatrix(SeriesMatrix):
-    """An exact n x n matrix over F_p[v, v^-1]: a degree-1 `SeriesMatrix`
-    with prec=None, encoded as {"p": p, "entries": [[{exp: coeff}, ...]]}
-    without the series keys "degree" and "precision" (ignored on input)."""
-
-    __slots__ = ()
-
-    def to_json(self):
-        doc = super().to_json()
-        return {"p": doc["p"], "entries": doc["entries"]}
-
-    @classmethod
-    def from_json(cls, data):
-        try:
-            data = {"p": data["p"], "entries": data["entries"]}
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad matrix encoding: {data!r}") from exc
-        return super().from_json(data)
+def __getattr__(name):  # perfbench/tracer.py names the Laurent matrices here
+    if name in ("LaurentMatrix", "nabla_matrix", "unipotent_inverse",
+                "verify_nabla"):
+        return getattr(se, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def weyl_matrix(z: WeylElement, p: int) -> LaurentMatrix:
+def weyl_matrix(z: WeylElement, p: int) -> se.LaurentMatrix:
     """The loop-group matrix of z = t_nu ∘ w: v^nu · P_w with P_w e_j = e_{w(j)}."""
-    return LaurentMatrix.from_entries(
-        Coefficients(p), z.n,
+    return se.LaurentMatrix.from_entries(
+        se.Coefficients(p), z.n,
         {(i, j, z.nu[i - 1]): 1 for j, i in enumerate(z.w, 1)})
 
 
@@ -234,45 +213,14 @@ def _root_height_order(geom: CellGeometry, n: int):
     return sorted(geom.degrees, key=key)
 
 
-def nabla_matrix(A: LaurentMatrix, a_bar) -> LaurentMatrix:
-    """v dA/dv · A^{-1} + A · Diag(a) · A^{-1}."""
-    if len(a_bar) != A.n:
-        raise ArgumentError("diagonal datum has wrong length")
-    return _nabla(A, A.inverse(), a_bar)
-
-
-def _nabla(A, Ainv, a_bar):
-    """nabla_matrix with the inverse of A supplied."""
-    D = LaurentMatrix.from_entries(
-        A.field, A.n, {(i, i, 0): int(a) for i, a in enumerate(a_bar, 1)})
-    return (A.v_ddv() + A * D) * Ainv
-
-
-def unipotent_inverse(N: LaurentMatrix) -> LaurentMatrix:
-    """N^{-1} = sum_{k<n} (I - N)^k for N with I - N nilpotent, by Horner's
-    rule."""
-    one = type(N).identity(N.field, N.n)
-    M = one - N
-    inv = one
-    for _ in range(N.n - 1):
-        inv = one + M * inv
-    return inv
-
-
-def verify_nabla(A: LaurentMatrix, a_bar) -> bool:
-    """Whether v·(v dA/dv A^{-1} + A Diag(a) A^{-1}) has polynomial entries
-    that are upper triangular mod v."""
-    return nabla_matrix(A, a_bar).shift(1).is_upper_mod_v()
-
-
 def monodromy_solve(wt: WeylElement, a_bar, free_values=None, *,
-                    p: int) -> LaurentMatrix:
+                    p: int) -> se.LaurentMatrix:
     """Solve the monodromy condition on the cell through star(wt): returns
     A = star(wt)·N with the below-top coefficients of each support entry
     eliminated along the chamber height order, the top coefficients taken
     from free_values (default 1).  A vanishing pivot i + [alpha>0] + <a,
     alpha∨> raises ZeroDivisorError naming (alpha, i)."""
-    field = Coefficients(p)
+    field = se.Coefficients(p)
     n = wt.n
     a_bar = tuple(int(x) % p for x in a_bar)
     if len(a_bar) != n:
@@ -289,8 +237,8 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, *,
     terms = {(i, i, 0): 1 for i in range(1, n + 1)}
     for (i, k), d in geom.degrees:
         terms[(k, i, d + (i < k))] = int(free.get((i, k), 1))
-    N = LaurentMatrix.from_entries(field, n, terms)
-    nab = _nabla(N, unipotent_inverse(N), a_bar)
+    N = se.LaurentMatrix.from_entries(field, n, terms)
+    nab = se._nabla(N, se.unipotent_inverse(N), a_bar)
     for alpha, d in _root_height_order(geom, n):
         i, k = alpha
         delta = 1 if i < k else 0
@@ -302,16 +250,16 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, *,
                 raise ZeroDivisorError(alpha, t)
             terms[(k, i, t + delta)] = (-band.get(t + delta, 0)
                                         * pow(pivot, -1, p) % p)
-        N = LaurentMatrix.from_entries(field, n, terms)
-        nab = _nabla(N, unipotent_inverse(N), a_bar)
+        N = se.LaurentMatrix.from_entries(field, n, terms)
+        nab = se._nabla(N, se.unipotent_inverse(N), a_bar)
         # after elimination the sub-top band of this entry must vanish
         if any(map(nab.entry(k, i).get, range(delta, d + delta))):
             raise InternalError("triangular elimination failed to clear a band")
 
     A = weyl_matrix(star(wt), p) * N
-    Ainv = unipotent_inverse(N) * weyl_matrix(invert(star(wt)), p)
-    if (A * Ainv != LaurentMatrix.identity(field, n)
-            or not _nabla(A, Ainv, a_bar).shift(1).is_upper_mod_v()):
+    Ainv = se.unipotent_inverse(N) * weyl_matrix(invert(star(wt)), p)
+    if (A * Ainv != se.LaurentMatrix.identity(field, n)
+            or not se._nabla(A, Ainv, a_bar).shift(1).is_upper_mod_v()):
         raise InternalError("solved matrix fails the monodromy condition")
     return A
 
@@ -350,7 +298,7 @@ def _fixed_points(row, cache):
     return cache[row]
 
 
-def component_data(w1: WeylTuple, omega, ctx: GroupContext,
+def component_data(w1: cx.WeylTuple, omega, ctx: cx.GroupContext,
                    force: bool = False) -> ComponentData:
     """Fixed-point data of the component labelled by (w1, omega), read off
     the label's canonical (w1, omega): a central t_c commutes with all of it,
@@ -370,7 +318,7 @@ def component_data(w1: WeylTuple, omega, ctx: GroupContext,
     return ComponentData(label=label, bound=bound, obvious=obvious)
 
 
-def special_fiber_components(ctx: GroupContext, lam,
+def special_fiber_components(ctx: cx.GroupContext, lam,
                              tau: inertial_types.TameTypePresentation,
                              zeta, force: bool = False):
     """Labels of the top-dimensional irreducible components of the special

@@ -7,11 +7,12 @@ keeps only its nonzero terms, so an operation costs in proportion to the
 terms it touches, not to the span of their exponents; a product over F_p of
 dense operands packs each entry into one int instead, with a slot per
 exponent wide enough that none carries (`_packed_product`).  The flag layer
-(`modp_flag`) computes on exact matrices over F_p; the gauge layer
-(`bk_gauge`) computes on truncated ones.  The coefficient field is F_p or
-F_{p^2}; Frobenius acts coefficientwise by x -> x^p and on the variable by
-v -> v^p.  Inverses come from the adjugate, whose cofactors share their
-minors, and the determinant is read off its first column.
+(`modp_flag`) computes on exact matrices over F_p, `LaurentMatrix`, whose
+operator nabla ends this module; the gauge layer (`bk_gauge`) on truncated
+ones.  The coefficient field is F_p or F_{p^2}; Frobenius acts
+coefficientwise by x -> x^p and on the variable by v -> v^p.  Inverses come
+from the adjugate, whose cofactors share their minors, and the determinant
+is read off its first column.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from .errors import (
     IntegralityError,
     InternalError,
     PreconditionError,
+    json_int,
 )
-from .context import check_prime
-from .group import json_int
+from .primes import check_prime
 
-__all__ = ["Coefficients", "SeriesMatrix", "MAX_COEFFS"]
+__all__ = ["Coefficients", "SeriesMatrix", "MAX_COEFFS", "LaurentMatrix",
+           "nabla_matrix", "unipotent_inverse", "verify_nabla"]
 
 
 # ---------------------------------------------------------------------------
@@ -180,55 +182,62 @@ _FILL = 16
 def _packed_product(a, b, prec):
     """The rows of a·b by Kronecker substitution, or None when the loop over
     `_mac` is to run.  An entry is packed once into an int with one slot per
-    exponent from its operand's lo up to the last exponent that reaches below
-    prec; output entry (i, j) is sum_k pack(a_ik)·pack(b_kj), a C big-integer
-    product, unpacked once and reduced mod p.  A slot sums at most n·min(span)
-    products of the largest stored coefficients and is sized for that, so it
-    never carries into the next and every prime is exact.  The loop runs
-    over F_{p^2}, when a slot would need more than 64 bits, and on sparse
-    operands: near-monomial ones (fewer terms than twice the nonempty
-    entries, as in the flag layer) or terms filling less than 1/_FILL of the
-    slots.  So at most _FILL slots are packed per stored term."""
+    exponent from its own lowest one up to the last that reaches below prec;
+    output entry (i, j) is sum_k pack(a_ik)·pack(b_kj), each product shifted
+    by its factors' lowest exponents, a C big-integer sum unpacked once and
+    reduced mod p.  A slot sums at most n·min(span) products of the largest
+    stored coefficients, span an operand's widest packed entry, and is sized
+    for that, so it never carries into the next and every prime is exact.
+    The loop runs over F_{p^2}, when a slot would need more than 64 bits, and
+    on sparse operands: near-monomial ones (fewer terms than twice the
+    nonempty entries, as in the flag layer), terms filling less than 1/_FILL
+    of the packed slots, or an output entry over _FILL slots per stored term.
+    So at most _FILL slots are packed per stored term."""
     if a.field.degree != 1:
         return None
     sa, sb = list(a._series()), list(b._series())
-    if not (sa and sb) or sum(map(len, sa + sb)) < 2 * len(sa + sb):
+    if not (sa and sb) or (terms := sum(map(len, sa + sb))) < 2 * len(sa + sb):
         return None
-    spans, bound = [], a.n
+    spans, bound, reach = [], a.n, 0
     for m, series, cut in ((a, sa, prec - b.lo), (b, sb, prec - a.lo)):
-        span = min(max(map(max, series)), cut - 1) - m.lo + 1
-        if (span <= 0 or _FILL * sum(map(len, series)) < len(series) * span
+        # an entry's slots run from its lowest exponent to its last below cut
+        ends = [(next(iter(s)), min(next(reversed(s)), cut - 1) + 1)
+                for s in series]
+        lengths = [max(end - lo, 0) for lo, end in ends]
+        if (_FILL * sum(map(len, series)) < sum(lengths)
                 or min(map(min, map(dict.values, series))) < 0):
             return None
-        spans.append(span)
+        spans.append(max(lengths))
+        reach += max(end for _, end in ends) - m.lo
         bound *= max(map(max, map(dict.values, series)))
-    bits = (bound * min(spans)).bit_length()
-    if bits > 64:
+    bits = (bound * max(min(spans), 1)).bit_length()  # fits a coefficient
+    if bits > 64 or _FILL * terms < reach:
         return None
     width, code = next(slot for slot in _SLOTS if slot[0] >= bits)
 
-    def pack(m, span):
-        """Row i maps k to the packed int of entry (i, k)."""
+    def pack(m, cut):
+        """Row i maps k to (bits above m.lo, packed int) of entry (i, k)."""
         rows = []
         for row in m.coeffs:
             packed = {}
             for k, s in row.items():
-                length = min(span, next(reversed(s)) - m.lo + 1)
-                slots = array(code, map(s.get, range(m.lo, m.lo + length),
-                                        itertools.repeat(0)))
+                lo = next(iter(s))
+                slots = array(code, map(s.get, range(lo, min(
+                    next(reversed(s)), cut - 1) + 1), itertools.repeat(0)))
                 if _BIG_ENDIAN:
                     slots.byteswap()
-                packed[k] = int.from_bytes(slots, "little")
+                packed[k] = width * (lo - m.lo), int.from_bytes(slots, "little")
             rows.append(packed)
         return rows
 
     p, lo = a.field.p, a.lo + b.lo
-    end = min(sum(spans) - 1, prec - lo)
-    pb, rows = pack(b, spans[1]), []
-    for ra in pack(a, spans[0]):
+    end = min(reach, prec - lo)
+    pb, rows = pack(b, prec - a.lo), []
+    for ra in pack(a, prec - b.lo):
         row = {}
         for j in range(a.n):
-            acc = sum(x * y for k, x in ra.items() if (y := pb[k].get(j)))
+            acc = sum(x[1] * y[1] << x[0] + y[0]
+                      for k, x in ra.items() if (y := pb[k].get(j)))
             if not acc:
                 continue
             slots = array(code, acc.to_bytes(
@@ -617,3 +626,57 @@ def _invert_unit(field, unit, length):
         if r := -inv0 * acc % p:
             out[t] = r
     return out
+
+
+# ---------------------------------------------------------------------------
+# Laurent matrices over F_p
+
+class LaurentMatrix(SeriesMatrix):
+    """An exact n x n matrix over F_p[v, v^-1]: a degree-1 `SeriesMatrix`
+    with prec=None, encoded as {"p": p, "entries": [[{exp: coeff}, ...]]}
+    without the series keys "degree" and "precision" (ignored on input)."""
+
+    __slots__ = ()
+
+    def to_json(self):
+        doc = super().to_json()
+        return {"p": doc["p"], "entries": doc["entries"]}
+
+    @classmethod
+    def from_json(cls, data):
+        try:
+            data = {"p": data["p"], "entries": data["entries"]}
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"bad matrix encoding: {data!r}") from exc
+        return super().from_json(data)
+
+
+def nabla_matrix(A: LaurentMatrix, a_bar) -> LaurentMatrix:
+    """v dA/dv · A^{-1} + A · Diag(a) · A^{-1}."""
+    if len(a_bar) != A.n:
+        raise ArgumentError("diagonal datum has wrong length")
+    return _nabla(A, A.inverse(), a_bar)
+
+
+def _nabla(A, Ainv, a_bar):
+    """nabla_matrix with the inverse of A supplied."""
+    D = LaurentMatrix.from_entries(
+        A.field, A.n, {(i, i, 0): int(a) for i, a in enumerate(a_bar, 1)})
+    return (A.v_ddv() + A * D) * Ainv
+
+
+def unipotent_inverse(N: LaurentMatrix) -> LaurentMatrix:
+    """N^{-1} = sum_{k<n} (I - N)^k for N with I - N nilpotent, by Horner's
+    rule."""
+    one = type(N).identity(N.field, N.n)
+    M = one - N
+    inv = one
+    for _ in range(N.n - 1):
+        inv = one + M * inv
+    return inv
+
+
+def verify_nabla(A: LaurentMatrix, a_bar) -> bool:
+    """Whether v·(v dA/dv A^{-1} + A Diag(a) A^{-1}) has polynomial entries
+    that are upper triangular mod v."""
+    return nabla_matrix(A, a_bar).shift(1).is_upper_mod_v()

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -1078,10 +1079,23 @@ print(json.dumps(sorted({"numpy", "dataclasses", "inspect"} & set(sys.modules)))
 
 
 GROUP = {"group", "cli_orders"}
-ORDERS, ROWS = GROUP | {"affine_weyl"}, {"context", "cli_rows"}
+ORDERS, ROWS = GROUP | {"affine_weyl"}, {"context", "primes", "cli_rows"}
 WEIGHTS = {"group", "affine_weyl", "weights"} | ROWS
 SETS = WEIGHTS | {"inertial_types", "weight_sets", "cli_sets"}
-FLAG, GAUGE = {"group", "series", "cli_flag"} | ROWS, {"bk_gauge"}
+# the flag handlers and the gauge handlers share cli_rows, not the context:
+# chart, cell, monodromy and nabla take no --f and build none
+FLAG = {"group", "modp_flag", "cli_flag", "cli_rows"}
+KERNEL = {"series", "primes", "cli_gauge", "cli_rows"}
+GAUGE = KERNEL | ROWS | {"group", "bk_gauge"}
+# what a command must not load; "json" is read off sys.modules too
+ABSENT = {
+    "nabla": {"group", "context", "modp_flag", "cli_flag"},
+    "chart": {"context", "series"},
+    "cell": {"context", "series"},
+    "monodromy": {"context"},
+    "component": {"series", "json"},
+    "fiber": {"series", "json"},
+}
 
 
 @pytest.mark.parametrize("argv,stdin,layers", [
@@ -1089,15 +1103,15 @@ FLAG, GAUGE = {"group", "series", "cli_flag"} | ROWS, {"bk_gauge"}
     (["adm", "--n", "3", "--lambda", "2,1,0"], "", ORDERS),
     (["bruhat", "--n", "3", "--a", "e", "--b", "e@2,1,0"], "", ORDERS),
     (["monodromy", "--n", "4", "--p", "101", "--w", "3,2,4,1@3,1,2,0",
-      "--abar", "41,2,33,20"], "", FLAG | {"modp_flag"}),
+      "--abar", "41,2,33,20"], "", FLAG | {"series", "primes"}),
     (["nabla", "--n", "2", "--matrix", json.dumps(I2), "--abar", "5,0"], "",
-     FLAG | {"modp_flag"}),
+     KERNEL),
     (["straighten", "--n", "2", "--f", "1", "--p", "7", "--z", "(12)@0,4",
-      "--M", "10"], json.dumps({"A": [I2], "X": [I2]}), FLAG | GAUGE),
+      "--M", "10"], json.dumps({"A": [I2], "X": [I2]}), GAUGE),
     (["twist", "--n", "2", "--f", "1", "--p", "7", "--s", "e", "--mu", "2,0",
-      "--M", "10", "--matrix", json.dumps(I2)], "", FLAG | GAUGE),
+      "--M", "10", "--matrix", json.dumps(I2)], "", GAUGE),
     (["cob", "--n", "2", "--f", "1", "--p", "7", "--s", "(12)", "--mu", "2,0",
-      "--M", "10"], json.dumps({"A": [I2], "I": [I2]}), FLAG | GAUGE),
+      "--M", "10"], json.dumps({"A": [I2], "I": [I2]}), GAUGE),
     (["wq", "--n", "2", "--f", "1", "--p", "37", "--s", "e", "--mu", "5,0"], "",
      SETS),
     (["bm", "--n", "3", "--f", "1", "--p", "37", "--rs", "e",
@@ -1138,40 +1152,54 @@ FLAG, GAUGE = {"group", "series", "cli_flag"} | ROWS, {"bk_gauge"}
     # component and fiber write through cli_rows' product writer, without
     # the weight-set handlers
     (["component", "--n", "3", "--f", "1", "--p", "211", "--w1", "1,2,3@0,0,0",
-      "--omega", "187,102,25"], "", FLAG | WEIGHTS | {"modp_flag"}),
+      "--omega", "187,102,25"], "", FLAG | WEIGHTS),
     (["fiber", "--n", "3", "--f", "1", "--p", "211", "--ts", "1,3,2",
       "--tmu", "256,222,186", "--lambda", "2,1,0"], "",
-     FLAG | (SETS - {"cli_sets"}) | {"modp_flag"}),
+     FLAG | (SETS - {"cli_sets"})),
+    # charts and cells run the flag layer alone, and shape the type layers
+    # beside the gauge calculus
+    (["chart", "--n", "3", "--z", "2,1,3@1,0,0", "--h", "1"], "", FLAG),
+    (["cell", "--n", "3", "--w", "2,1,3@1,0,0"], "", FLAG),
+    (["shape", "--n", "2", "--f", "1", "--p", "37", "--rs", "e",
+      "--rmu", "5,0", "--ts", "e", "--tmu", "4,0", "--lambda", "1,0"], "",
+     GAUGE | {"affine_weyl", "weights", "inertial_types"}),
 ])
 def test_each_command_runs_only_its_layers(argv, stdin, layers):
     # a lazy layer that has run is a plain module again; every command loads
     # cli, the shared cli_io and exactly one handler module, and every family
-    # but the orders also the context layer and cli_rows.  A well-formed argv
-    # is read off the option table, so neither cli_help nor argparse (and the
-    # gettext and locale it imports) loads
+    # but the orders also cli_rows, and the context layer (with the prime
+    # test) exactly when it takes --f.  A well-formed argv is read off the
+    # option table, so neither cli_help nor argparse (and the gettext and
+    # locale it imports) loads.  json is looked up before the script loads it
     out = run_python(f"""
-import contextlib, io, json, sys, types
+import contextlib, io, sys, types
 import awbm.cli as cli
 sys.stdin = io.StringIO({stdin!r})
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run({argv!r}) == 0
-print(json.dumps(sorted(name[len("awbm."):] for name, m in sys.modules.items()
-                        if name.startswith("awbm.")
-                        and type(m) is types.ModuleType)))
-print(json.dumps(sorted({{"argparse", "gettext", "locale"}} & set(sys.modules))))
+loaded = sorted(name[len("awbm."):] for name, m in sys.modules.items()
+                if name.startswith("awbm.") and type(m) is types.ModuleType)
+stdlib = sorted({{"argparse", "gettext", "locale", "json"}} & set(sys.modules))
+import json
+print(json.dumps(loaded))
+print(json.dumps(stdlib))
 """)
-    loaded, parsers = map(json.loads, out.splitlines())
+    loaded, stdlib = map(json.loads, out.splitlines())
     assert loaded == sorted(layers | {"cli", "cli_io", "errors"})
-    family = cli.COMMANDS[argv[0]][0]
+    family, shared, _ = cli.COMMANDS[argv[0]]
     if family == "cli_orders":
         assert not {"context", "cli_rows", "cli_help"} & set(loaded)
         assert {m for m in loaded if m.startswith("cli_")} == {
             "cli_io", "cli_orders"}
     else:
-        assert {"context", "cli_rows"} <= set(loaded)
+        assert "cli_rows" in loaded
+        assert ("context" in loaded) == ("f" in shared)
         assert {m for m in loaded if m.startswith("cli_")} == {
             "cli_io", "cli_rows", family}
-    assert parsers == []
+    if family == "cli_gauge":
+        assert not {"cli_flag", "modp_flag"} & set(loaded)
+    assert not ABSENT.get(argv[0], set()) & set(loaded + stdlib)
+    assert not {"argparse", "gettext", "locale"} & set(stdlib)
 
 
 @pytest.mark.parametrize("argv", [["len", "--help"], ["len", "--n", "2"]])
@@ -1414,6 +1442,25 @@ print(issubclass(awbm.modp_flag.LaurentMatrix, awbm.bk_gauge.SeriesMatrix),
 """)
     assert out == "True True\n"
 
+
+@pytest.mark.parametrize("old,name,home", [
+    ("modp_flag", "LaurentMatrix", "series"),
+    ("modp_flag", "nabla_matrix", "series"),
+    ("modp_flag", "unipotent_inverse", "series"),
+    ("modp_flag", "verify_nabla", "series"),
+    ("context", "is_prime", "primes"),
+    ("context", "check_prime", "primes"),
+    ("affine_weyl", "is_prime", "primes"),
+    ("affine_weyl", "check_prime", "primes"),
+    ("group", "json_int", "errors"),
+])
+def test_moved_name_is_the_object_of_its_new_home(old, name, home):
+    # a name served from its old home is the very object its new home
+    # defines: a second copy would escape the tracer, which wraps the names
+    # of modp_flag in every module that holds them
+    served = getattr(importlib.import_module(f"awbm.{old}"), name)
+    assert served is getattr(importlib.import_module(f"awbm.{home}"), name)
+    assert served.__module__ == f"awbm.{home}"
 
 def test_weight_set_jobs_do_not_load_fractions():
     # fractions (and with it decimal) costs about 3 ms to import; only the

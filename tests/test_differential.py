@@ -8,7 +8,9 @@ The cases are seeded and fixed in number.  They mix dense, sparse and
 monomial operands for n = 1-4 over F_p and F_{p^2}, exact and truncated ones
 (precision down to and below lo), lo below the lowest stored term and
 negative lo, and primes whose products fit a 64-bit slot and primes whose
-products do not.
+products do not.  A shifted monomial (one term per entry, at exponents far
+apart) times a dense operand must be packed, and is checked against the
+term loop, on seeded cases and on the products of a catalog straightening.
 
 The adjugate needs no reference of its own: A·adj = adj·A = det·I, with the
 products taken by the reference, pins every cofactor once det is known, and
@@ -22,11 +24,16 @@ squaring where the kernel conjugates; so are `+`, `-` and `v_ddv`, with
 exact and truncated operands on either side.
 """
 
+import contextlib
+import io
+import json
+import pathlib
 import random
+import sys
 
 import pytest
 
-from awbm import series
+from awbm import cli, series
 from awbm.bk_gauge import Coefficients, SeriesMatrix
 from awbm.errors import ArgumentError
 from awbm.oracles import (
@@ -102,6 +109,93 @@ def test_product_matches_reference(seed, monkeypatch):
             key: list(entry.items()) for key, entry in want.items()}
     # both sides of the selection rule ran
     assert packed.count(True) >= 10 and packed.count(False) >= 10
+
+
+def shifted_monomial(rng, field, n, lo):
+    """One term per entry, each at its own exponent: the diagonal at lo and
+    the rest up to 200 above it, as straightening multiplies by."""
+    entries = {(i, i, lo): rng.randrange(1, field.p) for i in range(1, n + 1)}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j and rng.random() < 0.4:
+                entries[(i, j, lo + rng.randint(1, 200))] = rng.choice(
+                    [rng.randrange(1, field.p), field.p - 1])
+    return SeriesMatrix.from_entries(field, n, entries)
+
+
+def dense_operand(rng, field, n, lo):
+    length = rng.randint(20, 420)
+    return SeriesMatrix.from_entries(field, n, {
+        (i, j, e): rng.choice([rng.randrange(field.p), field.p - 1])
+        for i in range(1, n + 1) for j in range(1, n + 1)
+        for e in range(lo, lo + length) if rng.random() < 0.9})
+
+
+FLAG_GAUGE = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+              / "catalog" / "flag-gauge.json")
+
+
+def straightening_products(job_id, monkeypatch):
+    """The operands of every product of a catalog straightening of a shifted
+    monomial (one term per entry, one of them above the lowest) and a dense
+    matrix (at least 10 terms per entry), on either side."""
+    job = next(j for cell in json.loads(FLAG_GAUGE.read_text())["cells"]
+               for unit in cell["units"] for j in unit if j["id"] == job_id)
+    seen = []
+
+    def shifted(m):
+        firsts = [next(iter(s)) for s in m._series() if len(s) == 1]
+        return (len(firsts) == len(list(m._series()))
+                and max(firsts) > min(firsts))
+
+    def dense(m):
+        return sum(map(len, m._series())) >= 10 * len(list(m._series()))
+
+    def recorded(a, b, prec):
+        if shifted(a) and dense(b) or dense(a) and shifted(b):
+            seen.append((a, b))
+        return packed_product(a, b, prec)
+
+    packed_product = series._packed_product
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_packed_product", recorded)
+        patch.setattr(sys, "stdin", io.StringIO(job["stdin"]))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(job["argv"]) == 0
+    return seen
+
+
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_shifted_monomial_times_dense_packs_as_the_term_loop(seed,
+                                                              monkeypatch):
+    # each entry is packed from its own lowest exponent and the partial
+    # products are shifted: a shifted monomial times a dense operand, on
+    # either side, is packed, and gives what the term loop gives; among the
+    # operands is straighten-p10007-n3/0's I + v^107·E_23 times the 3,668
+    # terms of an inverse
+    rng = random.Random(4000 + seed)
+    pairs = []
+    for _ in range(12):
+        field = Coefficients(rng.choice(PRIMES[:7]))
+        n = rng.randint(1, 4)
+        mono = shifted_monomial(rng, field, n, rng.randint(-3, 2))
+        other = dense_operand(rng, field, n, rng.randint(-3, 2))
+        if rng.random() < 0.5:
+            prec = mono.lo + other.lo + rng.randint(1, 600)
+            mono, other = mono.truncate(prec), other.truncate(prec)
+        pairs += [(mono, other), (other, mono)]
+    if seed == 0:
+        job = straightening_products("straighten-p10007-n3/0", monkeypatch)
+        assert any(sum(map(len, a._series())) == 4
+                   and sum(map(len, b._series())) == 3668 for a, b in job)
+        pairs += job
+    for a, b in pairs:
+        prec = min(a.lo + b._eff_prec(), b.lo + a._eff_prec())
+        assert series._packed_product(a, b, prec) is not None
+        packed = a * b
+        with monkeypatch.context() as patch:
+            patch.setattr(series, "_packed_product", lambda *_: None)
+            assert packed == a * b
 
 
 ADJ_PRIMES = [2, 3, 7, 101, 10007]
