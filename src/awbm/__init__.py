@@ -31,9 +31,9 @@ __version__ = "0.1.0"
 # it.  LazyLoader is not thread-safe on Python 3.11; the library starts no
 # threads.  `cli` is not registered: `python -m awbm.cli` must find it absent
 # from sys.modules.
-for _name in ("group", "affine_weyl", "context", "weights", "highest_weights",
-              "polynomials", "inertial_types", "descent", "weight_sets",
-              "series", "modp_flag", "bk_gauge", "oracles"):
+for _name in ("group", "affine_weyl", "primes", "context", "weights",
+              "highest_weights", "polynomials", "inertial_types", "descent",
+              "weight_sets", "series", "modp_flag", "bk_gauge", "oracles"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = importlib.util.module_from_spec(_spec)

@@ -28,10 +28,9 @@ omega^n is central, an orbit has at most n points.  omega·(w2^{-1}·w0·w1)·
 omega^{-1} = (w2·omega^{-1})^{-1}·w0·(w1·omega^{-1}), whose factors keep
 their lengths and stay restricted and dominant (their points move by
 -(1,..,1)); the pair is unique up to central translations, so the canonical
-one moves both points by -(1,..,1) - n·c, c = max nu(w1·omega^{-1}); on
-(w, nu), as point(w, nu) mod n is w(eta), that turns w right by one place
-and lowers nu by c, and by one more at w's last entry.  The builders make
-unchecked WeylElements only for what they return.
+one moves both points by -(1,..,1) - n·c, c = max nu(w1·omega^{-1}) =
+(max point(w1) - 1) // n.  The builders make unchecked WeylElements only
+for what they return.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import itertools
 from functools import lru_cache, partial
 from operator import add
 
-from . import context, group, oracles
+from . import context, group, oracles, primes
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -79,10 +78,12 @@ __all__ = group.__all__ + [
 ]
 
 # perfbench/record.py imports GroupContext, WeylTuple and restricted_classes
-# from here; PEP 562 serves the names that moved to `context` and `oracles`
-_MOVED = {**dict.fromkeys(("GroupContext", "WeylTuple", "is_prime",
-                           "check_prime", "weight_depth_base"), context),
-          "restricted_classes": oracles}
+# from here; PEP 562 serves the names that moved to `context`, `primes` and
+# `oracles`
+_MOVED = {"is_prime": primes, "check_prime": primes,
+          "restricted_classes": oracles,
+          **dict.fromkeys(("GroupContext", "WeylTuple", "weight_depth_base"),
+                          context)}
 
 
 def __getattr__(name):
@@ -150,7 +151,7 @@ def classify(a: WeylElement, m: int | None = None, p: int | None = None) -> Flag
     if m is not None and m < 0:
         raise ArgumentError("smallness/genericity bound m must be >= 0")
     if p is not None:
-        context.check_prime(p)
+        primes.check_prime(p)
     return Flags(
         dominant=is_dominant(a),
         restricted=is_restricted(a),
@@ -462,23 +463,15 @@ def _factor_point(y):
             [x - n * (m + c) for x, m in zip(y2, nu[::-1])])
 
 
-def _checked_pair(y, pair):
-    """The point of w1 for pair = ((w1, nu1), (w2, nu2)), once w2 · a and
-    w0 · w1 have one point, a the member with point y."""
-    (w1, nu1), (w2, nu2) = pair
+def _checked_pair(y, z1, z2):
+    """The (w, nu) of w1 and w2 read off their points z1, z2 (lists), once
+    w2 · a and w0 · w1 have one point, a the member with point y."""
+    pair = _from_point(z1), _from_point(z2)
+    w2, nu2 = pair[1]
     n = len(y)
-    z1 = _point(w1, nu1)
-    if tuple([x + n * m for x, m in zip(perm_act(w2, y), nu2)]) != z1[::-1]:
+    if [x + n * m for x, m in zip(perm_act(w2, y), nu2)] != z1[::-1]:
         raise InternalError("factorization product check failed")
-    return z1
-
-
-def _rotated(w, nu, c):
-    """The (w, nu) of point(w, nu) - 1 - n·c: w turns right by one place, and
-    nu drops by c, and by one more at w's last entry."""
-    nu = [x - c for x in nu]
-    nu[w[-1] - 1] -= 1
-    return w[-1:] + w[:-1], tuple(nu)
+    return pair
 
 
 def regular_factorization(a: WeylElement):
@@ -489,9 +482,7 @@ def regular_factorization(a: WeylElement):
     y = alcove_point(a)
     if not _regular_point(y):
         raise RegularityError(f"element {a} is not regular")
-    pair = tuple(map(_from_point, _factor_point(y)))
-    _checked_pair(y, pair)
-    return tuple(WeylElement(w, nu) for w, nu in pair)
+    return tuple(WeylElement(w, nu) for w, nu in _checked_pair(y, *_factor_point(y)))
 
 
 def _ap_points(lam_plus_eta):
@@ -508,16 +499,14 @@ def _ap_points(lam_plus_eta):
         if y in keys:
             continue
         z1, z2 = _factor_point(y)
-        l1, l2 = _walls(z1, 0), _walls(z2, 0)
-        pair = _from_point(z1), _from_point(z2)
+        l1, l2 = _walls(z1, 0), _walls(z2, 0)  # conjugation keeps lengths
         while y not in keys:  # back at the start after at most n steps
             if y not in members:
                 raise InternalError("an Omega-conjugate of a member is not one")
-            z1 = _checked_pair(y, pair)
-            (w1, nu1), (w2, nu2) = pair
+            (w1, nu1), (w2, nu2) = _checked_pair(y, z1, z2)
             keys[y] = (l1, w1, nu1), (l2, w2, nu2)
-            c = (max(z1) - 1) // n  # times omega^{-1}, then t_{-c}
-            pair = _rotated(w1, nu1, c), _rotated(w2, nu2, c)
+            d = 1 + n * ((max(z1) - 1) // n)  # times omega^{-1}, then t_{-c}
+            z1, z2 = [x - d for x in z1], [x - d for x in z2]
             y = (y[-1] + n - 1, *[x - 1 for x in y[:-1]])
     out = sorted((*pair, y) for y, pair in keys.items())
     if len({k[:2] for k in out}) != len(out):

@@ -1,7 +1,7 @@
 """Tuples of elements over the embeddings Z/f, the context (rank,
 embeddings, prime) and the depth of a weight in the base p-alcove: what the
 weight, set and gauge layers add to `group`, with the prime test of `primes`
-re-exported.  Of the orders commands only `classify --p` loads it."""
+re-exported.  No orders command loads it."""
 
 from __future__ import annotations
 

@@ -55,8 +55,10 @@ from awbm.affine_weyl import (
     w0,
     w_h,
 )
+from awbm import affine_weyl
 from awbm.affine_weyl import _interval_bound
-from awbm.errors import ArgumentError, CapacityError, RegularityError
+from awbm.errors import (ArgumentError, CapacityError, InternalError,
+                         RegularityError)
 from awbm.modp_flag import cell_geometry
 from awbm.oracles import adm_closure, ap_member, dual_bruhat_leq, dual_length
 from conftest import perms, random_element
@@ -352,6 +354,10 @@ def test_pruned_builder_matches_filter_and_element_factorization():
         assert adm(lam, "regular") == _regular_by_filter(lam), lam
         assert ap_enumerate(lam) == _ap_by_elements(lam), lam
     assert len(ap_enumerate((4, 3, 2, 1, 0))) == 1640
+    # lam + eta at n = 5 for lam = (1,0,0,0,0) and (2,1,1,0,0) (4,770 and
+    # 17,490 pairs): orbits filled by moving only the points
+    for lam in ((5, 3, 2, 1, 0), (6, 4, 3, 1, 0)):
+        assert ap_enumerate(lam) == _ap_by_elements(lam), lam
     # every dominant weight with n <= 4, entries in -1..3 and spread <= 3
     # (99 weights, among them (2,2,0), which is lam + eta for no dominant
     # lam): AP is factored once per Omega-orbit and filled in by conjugation
@@ -363,6 +369,23 @@ def test_pruned_builder_matches_filter_and_element_factorization():
         assert ap_enumerate(lam) == _ap_by_elements(lam), lam
         for variant in ("all", "regular", "dual"):
             assert adm(lam, variant) == adm_closure(lam, variant), (lam, variant)
+
+
+def test_every_pair_is_checked_on_points(monkeypatch):
+    # a w2 off by a central translation fails the product check, both in the
+    # orbit fill of AP and in regular_factorization
+    factor = affine_weyl._factor_point
+
+    def w2_off_center(y):
+        z1, z2 = factor(y)
+        return z1, [x + len(y) for x in z2]
+
+    monkeypatch.setattr(affine_weyl, "_factor_point", w2_off_center)
+    with pytest.raises(InternalError, match="product check failed"):
+        ap_enumerate((3, 2, 1, 0))
+    for a in adm((3, 2, 1, 0), "regular")[:5]:
+        with pytest.raises(InternalError, match="product check failed"):
+            regular_factorization(a)
 
 
 def test_restricted_classes():

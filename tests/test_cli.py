@@ -1163,6 +1163,9 @@ ABSENT = {
     (["shape", "--n", "2", "--f", "1", "--p", "37", "--rs", "e",
       "--rmu", "5,0", "--ts", "e", "--tmu", "4,0", "--lambda", "1,0"], "",
      GAUGE | {"affine_weyl", "weights", "inertial_types"}),
+    # classify --p runs the prime test without the context layer
+    (["classify", "--n", "3", "--a", "2,1,3@5,3,0", "--m", "2", "--p", "7"],
+     "", ORDERS | {"primes"}),
 ])
 def test_each_command_runs_only_its_layers(argv, stdin, layers):
     # a lazy layer that has run is a plain module again; every command loads
