@@ -1,5 +1,5 @@
 """The Breuil-Kisin gauge calculus on the series kernel of `series`, whose
-`Coefficients`, `SeriesMatrix` and `MAX_COEFFS` it re-exports.
+`Coefficients`, `SeriesMatrix` and `MAX_COEFFS` it serves on first access.
 
 The three operations implemented on top of the arithmetic are the twisted
 Frobenius  Y -> Ad(s^{-1} v^{mu+eta})(phi(Y)), the eigenbasis change
@@ -23,6 +23,7 @@ from __future__ import annotations
 # ShapeResult's adm_member is read off the lazy module at the point of call
 from . import affine_weyl as aw
 from . import inertial_types
+from . import series as se  # read at the point of call: shape runs without it
 from .context import GroupContext, WeylTuple, weight_depth_base
 from .errors import (
     ArgumentError,
@@ -40,7 +41,6 @@ from .group import (
     star,
     translation,
 )
-from .series import MAX_COEFFS, Coefficients, SeriesMatrix  # noqa: F401
 
 __all__ = [
     "Coefficients",
@@ -53,6 +53,12 @@ __all__ = [
     "ShapeResult",
     "shape_semisimple",
 ]
+
+
+def __getattr__(name):  # perfbench/tracer.py names SeriesMatrix here
+    if name in ("Coefficients", "SeriesMatrix", "MAX_COEFFS"):
+        return getattr(se, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +109,8 @@ class TwistData(Record):
         return perm_inverse(self.s[j % self.ctx.f].w)
 
 
-def frobenius_twist(Y: SeriesMatrix, j: int, twist: TwistData,
-                    prec: int | None = None) -> SeriesMatrix:
+def frobenius_twist(Y: se.SeriesMatrix, j: int, twist: TwistData,
+                    prec: int | None = None) -> se.SeriesMatrix:
     """Ad(s_j^{-1} v^{mu_j + eta_j})(phi(Y)), truncated at prec when given;
     raises when the result has a genuine pole (insufficient deepness for the
     given input).  Only the part of phi(Y) that lands below max(prec, 0) is
@@ -175,14 +181,14 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     Ainv = [m.inverse(work) for m in A]
     for j in range(fcount):
         pole = (A[j] * Ainv[j])  # sanity: A A^{-1} = 1 to working precision
-        if not pole.equal_mod(SeriesMatrix.identity(field, ctx_n), M):
+        if not pole.equal_mod(se.SeriesMatrix.identity(field, ctx_n), M):
             raise InternalError("inverse lost too much precision")
         test = Ainv[j].shift(h)
         if not test.is_zero_mod(0):
             raise ArgumentError(f"v^{h} A[{j}]^(-1) is not integral: "
                                 "height condition fails")
     XA = [x * a for x, a in zip(X, A)]  # the same in every round
-    J = [SeriesMatrix.identity(field, ctx_n) for _ in range(fcount)]
+    J = [se.SeriesMatrix.identity(field, ctx_n) for _ in range(fcount)]
     cap = (M + field.p - 1) // field.p + 4
     for _ in range(cap + 1):
         Jn = []

@@ -214,16 +214,14 @@ def run(argv) -> int:
 
 def main():
     code = run(sys.argv[1:])
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except BrokenPipeError:
-        # run has reported the closed pipe; drop what is still buffered so
-        # that interpreter shutdown does not report it a second time
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-    sys.exit(code)
+    # the job is done once its output is flushed: the process ends here,
+    # without the interpreter teardown that would free each module and cache
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            pass  # run has reported the closed stdout
+    os._exit(code)
 
 
 if __name__ == "__main__":

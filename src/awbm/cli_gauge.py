@@ -1,6 +1,7 @@
 """Command handlers of the gauge family: nabla on a Laurent matrix, which
 runs the series kernel alone, and the Breuil-Kisin series calculus (twists,
-basis changes, straightening, shapes).  None loads the flag layer."""
+basis changes, straightening, shapes).  None loads the flag layer, and
+nabla, which writes its one flag by hand, does not load `cli_rows` either."""
 
 import json
 import sys
@@ -8,8 +9,7 @@ import sys
 from . import bk_gauge as bk
 from . import group as gr
 from . import series as se
-from .cli_io import parse_tuple, parse_vector
-from .cli_rows import ctx_of, emit, parse_weight_rows, type_of
+from .cli_io import flag_json, parse_tuple, parse_vector, write
 from .errors import ContextError, InputError
 
 
@@ -47,15 +47,17 @@ def cmd_nabla(args):
     data = _stdin_json() if args.matrix == "-" else json.loads(args.matrix)
     A = _matrix(se.LaurentMatrix.from_json(data), args.n)
     abar = parse_vector(args.abar, args.n)
-    emit({"holds": se.verify_nabla(A, abar)})
+    write(f'{{"holds":{flag_json(se.verify_nabla(A, abar))}}}')
 
 
 def _twist(args, ctx):
+    from .cli_rows import parse_weight_rows
     return bk.TwistData(parse_tuple(args.s, ctx.n, ctx.f),
                         parse_weight_rows(args.mu, ctx.n, ctx.f), ctx)
 
 
 def cmd_twist(args):
+    from .cli_rows import ctx_of, emit
     ctx = ctx_of(args)
     tw = _twist(args, ctx)
     data = _stdin_json() if args.matrix == "-" else json.loads(args.matrix)
@@ -64,6 +66,7 @@ def cmd_twist(args):
 
 
 def cmd_cob(args):
+    from .cli_rows import ctx_of, emit
     ctx = ctx_of(args)
     tw = _twist(args, ctx)
     A, I = _stdin_series_lists(ctx, "A", "I")
@@ -72,6 +75,7 @@ def cmd_cob(args):
 
 
 def cmd_straighten(args):
+    from .cli_rows import ctx_of, emit
     ctx = ctx_of(args)
     A, X = _stdin_series_lists(ctx, "A", "X")
     z = parse_tuple(args.z, ctx.n, ctx.f)
@@ -80,6 +84,7 @@ def cmd_straighten(args):
 
 
 def cmd_shape(args):
+    from .cli_rows import ctx_of, emit, parse_weight_rows, type_of
     ctx = ctx_of(args)
     rho = type_of(args, ctx, "rs", "rmu", "F")
     tau = type_of(args, ctx, "ts", "tmu")

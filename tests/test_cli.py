@@ -238,14 +238,15 @@ def test_cob_exact_input_frozen():
 BM_GL3_F3_ARGV = ["bm", "--n", "3", "--f", "3", "--p", "307",
                   "--rs", "2,1,3@0,0,0;3,2,1@0,0,0;2,1,3@0,0,0",
                   "--rmu", "197,144,136;427,155,141;169,76,18"]
+BM_GL3_F3_SHA256 = \
+    "9ada2cbab5a686d23f7a7ed38e6cb7d976df9de11ebf2a272e0861c92d4cf68c"
 
 
 def test_bm_gl3_f3_frozen():
     res = subprocess.run(PY + BM_GL3_F3_ARGV, capture_output=True)
     assert res.returncode == 0, res.stderr
     assert len(res.stdout) == 351542
-    assert hashlib.sha256(res.stdout).hexdigest() == \
-        "9ada2cbab5a686d23f7a7ed38e6cb7d976df9de11ebf2a272e0861c92d4cf68c"
+    assert hashlib.sha256(res.stdout).hexdigest() == BM_GL3_F3_SHA256
 
 
 def test_bm_gl4_f1_frozen():
@@ -748,6 +749,71 @@ def test_closed_stdout_is_exit_3():
     assert res.stderr.splitlines() == [CLOSED_STDOUT]
 
 
+# with PYTHONUNBUFFERED set, every write would reach the file at once
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+@pytest.mark.parametrize("argv,size,digest", [
+    (BM_GL3_F3_ARGV, 351542, BM_GL3_F3_SHA256),
+    (WQ_GL4_F2_ARGV, 1827186, WQ_GL4_F2_SHA256),
+])
+def test_streamed_document_to_a_file_is_whole(argv, size, digest, tmp_path):
+    # main ends the process with os._exit, which flushes nothing: a file
+    # holds only what was flushed before it
+    path = tmp_path / "stdout"
+    with open(path, "wb") as out:
+        res = subprocess.run(PY + argv, stdout=out, stderr=subprocess.PIPE,
+                             env=BUFFERED)
+    assert (res.returncode, res.stderr) == (0, b"")
+    data = path.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def _closed_pipe():
+    """The write end of a pipe whose reader has gone."""
+    r, w = os.pipe()
+    os.close(r)
+    return w
+
+
+@pytest.mark.parametrize("argv,stdout,code,line", [
+    (["len", "--n", "2", "--a", "x"], None, 2, "input error: "),
+    (["wq", "--n", "2", "--f", "1", "--p", "4", "--s", "e", "--mu", "5,0"],
+     None, 3, "precondition violated: "),
+    # a document that fits the buffer meets the closed pipe in run's flush
+    (["len", "--n", "2", "--a", "e"], _closed_pipe, 3, CLOSED_STDOUT),
+])
+def test_exit_code_and_one_stderr_line_in_a_file(argv, stdout, code, line,
+                                                 tmp_path):
+    path = tmp_path / "stderr"
+    fd = stdout() if stdout else subprocess.DEVNULL
+    try:
+        with open(path, "wb") as err:
+            res = subprocess.run(PY + argv, stdout=fd, stderr=err,
+                                 env=BUFFERED)
+    finally:
+        if stdout:
+            os.close(fd)
+    lines = path.read_text().splitlines()
+    assert res.returncode == code
+    assert len(lines) == 1 and lines[0].startswith(line), lines
+
+
+def test_main_skips_interpreter_teardown():
+    # once its output is flushed, main ends the process: the atexit
+    # handlers of a program that calls it do not run
+    out = subprocess.run([sys.executable, "-c", """
+import atexit, sys
+from awbm import cli
+atexit.register(print, "teardown")
+sys.argv = ["awbm", "len", "--n", "2", "--a", "e"]
+cli.main()
+"""], capture_output=True, text=True, env=BUFFERED)
+    assert (out.returncode, out.stdout, out.stderr) == (
+        0, '{"length":0}\n', "")
+
+
 FAR = 10 ** 21
 
 
@@ -1082,10 +1148,10 @@ GROUP = {"group", "cli_orders"}
 ORDERS, ROWS = GROUP | {"affine_weyl"}, {"context", "primes", "cli_rows"}
 WEIGHTS = {"group", "affine_weyl", "weights"} | ROWS
 SETS = WEIGHTS | {"inertial_types", "weight_sets", "cli_sets"}
-# the flag handlers and the gauge handlers share cli_rows, not the context:
-# chart, cell, monodromy and nabla take no --f and build none
+# the flag handlers and the gauge handlers but nabla share cli_rows, not the
+# context: chart, cell, monodromy and nabla take no --f and build none
 FLAG = {"group", "modp_flag", "cli_flag", "cli_rows"}
-KERNEL = {"series", "primes", "cli_gauge", "cli_rows"}
+KERNEL = {"series", "primes", "cli_gauge"}
 GAUGE = KERNEL | ROWS | {"group", "bk_gauge"}
 # what a command must not load; "json" is read off sys.modules too
 ABSENT = {
@@ -1157,12 +1223,12 @@ ABSENT = {
       "--tmu", "256,222,186", "--lambda", "2,1,0"], "",
      FLAG | (SETS - {"cli_sets"})),
     # charts and cells run the flag layer alone, and shape the type layers
-    # beside the gauge calculus
+    # beside the gauge calculus, without the series kernel
     (["chart", "--n", "3", "--z", "2,1,3@1,0,0", "--h", "1"], "", FLAG),
     (["cell", "--n", "3", "--w", "2,1,3@1,0,0"], "", FLAG),
     (["shape", "--n", "2", "--f", "1", "--p", "37", "--rs", "e",
       "--rmu", "5,0", "--ts", "e", "--tmu", "4,0", "--lambda", "1,0"], "",
-     GAUGE | {"affine_weyl", "weights", "inertial_types"}),
+     (GAUGE - {"series"}) | {"affine_weyl", "weights", "inertial_types"}),
     # classify --p runs the prime test without the context layer
     (["classify", "--n", "3", "--a", "2,1,3@5,3,0", "--m", "2", "--p", "7"],
      "", ORDERS | {"primes"}),
@@ -1170,10 +1236,11 @@ ABSENT = {
 def test_each_command_runs_only_its_layers(argv, stdin, layers):
     # a lazy layer that has run is a plain module again; every command loads
     # cli, the shared cli_io and exactly one handler module, and every family
-    # but the orders also cli_rows, and the context layer (with the prime
-    # test) exactly when it takes --f.  A well-formed argv is read off the
-    # option table, so neither cli_help nor argparse (and the gettext and
-    # locale it imports) loads.  json is looked up before the script loads it
+    # but the orders also cli_rows (nabla, which writes its one flag by hand,
+    # excepted), and the context layer (with the prime test) exactly when it
+    # takes --f.  A well-formed argv is read off the option table, so neither
+    # cli_help nor argparse (and the gettext and locale it imports) loads.
+    # json is looked up before the script loads it
     out = run_python(f"""
 import contextlib, io, sys, types
 import awbm.cli as cli
@@ -1195,10 +1262,11 @@ print(json.dumps(stdlib))
         assert {m for m in loaded if m.startswith("cli_")} == {
             "cli_io", "cli_orders"}
     else:
-        assert "cli_rows" in loaded
+        rows = set() if argv[0] == "nabla" else {"cli_rows"}
+        assert ("cli_rows" in loaded) == bool(rows)
         assert ("context" in loaded) == ("f" in shared)
         assert {m for m in loaded if m.startswith("cli_")} == {
-            "cli_io", "cli_rows", family}
+            "cli_io", family} | rows
     if family == "cli_gauge":
         assert not {"cli_flag", "modp_flag"} & set(loaded)
     assert not ABSENT.get(argv[0], set()) & set(loaded + stdlib)
@@ -1303,13 +1371,18 @@ def test_refused_fiber_and_component_write_nothing(monkeypatch):
 def test_module_entry_point_loads_cli_once(argv):
     # under `python -m awbm.cli`, which runs runpy._run_module_as_main, the
     # entry module is __main__; a handler that imported from awbm.cli would
-    # compile and run cli.py a second time, as the module awbm.cli
-    code = ("import json, runpy, sys\n"
+    # compile and run cli.py a second time, as the module awbm.cli.  main
+    # ends the process with os._exit, so the modules are listed from a
+    # wrapper around it
+    code = ("import json, os, runpy, sys\n"
             f"sys.argv = ['awbm', *{argv!r}]\n"
-            "try:\n"
-            "    runpy._run_module_as_main('awbm.cli')\n"
-            "finally:\n"
-            "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n")
+            "exit = os._exit\n"
+            "def listed_exit(code):\n"
+            "    print(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+            "    sys.stderr.flush()\n"
+            "    exit(code)\n"
+            "os._exit = listed_exit\n"
+            "runpy._run_module_as_main('awbm.cli')\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr
