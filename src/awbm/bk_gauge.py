@@ -155,7 +155,8 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     """The unique tuple I in Iw1^J with X_j A_j z_j = I_j A_j z_j phi(I_{j-1})^{-1}
     mod v^M, by the contraction iteration; z_j = s_j^{-1} t_{mu_j + eta_j} with
     mu (h+1)-deep.  h defaults to the least h >= 0 with v^h A_j^{-1} integral
-    for every j."""
+    for every j.  The result is checked against the defining equation: each
+    X_j A_j must equal change_of_basis(A, I, ., M)_j mod v^M."""
     if not A or len(A) != len(X):
         raise ArgumentError("need matching tuples of matrices")
     ctx_n = A[0].n
@@ -191,49 +192,34 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     J = [se.SeriesMatrix.identity(field, ctx_n) for _ in range(fcount)]
     cap = (M + field.p - 1) // field.p + 4
     for _ in range(cap + 1):
-        Jn = []
-        for j in range(fcount):
-            tw = frobenius_twist(J[(j - 1) % fcount], j, twist, work)
-            Jn.append((XA[j] * (tw * Ainv[j])).truncate(work))
-        if all(Jn[j].equal_mod(J[j], M) for j in range(fcount)):
-            J = Jn
+        prev = J
+        J = [(XA[j] * (frobenius_twist(prev[(j - 1) % fcount], j, twist, work)
+                       * Ainv[j])).truncate(work) for j in range(fcount)]
+        if all(a.equal_mod(b, M) for a, b in zip(J, prev)):
             break
-        J = Jn
     else:
         raise InternalError("straightening iteration failed to stabilise")
-    out = []
-    for j in range(fcount):
-        Ij = J[j].normalized()  # keep the full certified working precision
-        if Ij._eff_prec() < M:
-            raise PreconditionError(
-                "inputs carry too little precision to certify the result "
-                f"mod v^{M}; supply exact matrices or precision >= {work}")
-        if not Ij.is_iw1():
-            raise InternalError("straightened factor left Iw1")
-        out.append(Ij)
-    # defining equation mod v^M
-    for j in range(fcount):
-        tw = frobenius_twist(out[(j - 1) % fcount], j, twist, work)
-        rhs = out[j] * A[j] * tw.inverse(work)
-        if not XA[j].equal_mod(rhs, M):
-            raise InternalError("straightening equation fails mod v^M")
-    return tuple(out)
+    out = tuple(m.normalized() for m in J)  # keep the full working precision
+    if not all(m.is_iw1() for m in out):
+        raise InternalError("straightened factor left Iw1")
+    if not all(xa.equal_mod(b, M)
+               for xa, b in zip(XA, change_of_basis(A, out, twist, M))):
+        raise InternalError("straightening equation fails mod v^M")
+    return out
 
 
 def recover_left_factor(A, I, z: WeylTuple, M: int):
-    """The direct map back: X_j = (I_j A_j Ad(z_j)(phi(I_{j-1}))^{-1}) A_j^{-1},
-    truncated mod v^M; the factors I must carry enough precision headroom
-    (as returned by straighten)."""
-    fcount = len(A)
-    field = A[0].field
-    ctx = GroupContext(A[0].n, fcount, field.p)
-    twist = TwistData.from_dual_element(z, ctx)
-    work = M + 2 * A[0].n * 8 + 8
+    """The direct map back: X_j = change_of_basis(A, I, ., M + h)_j A_j^{-1}
+    mod v^M, where h is the pole order of the inverses, the least h >= 0
+    with v^h A_j^{-1} integral for every j.  I and A must be known
+    mod v^(M+h); the factors straighten returns at M + h are."""
+    ctx = GroupContext(A[0].n, len(A), A[0].field.p)
+    Ainv = [m.inverse(M) for m in A]
+    h = max(0, *(-m.lo for m in Ainv))
+    moved = change_of_basis(A, I, TwistData.from_dual_element(z, ctx), M + h)
     out = []
-    Ainv = [m.inverse(work) for m in A]
-    for j in range(fcount):
-        tw = frobenius_twist(I[(j - 1) % fcount], j, twist, work)
-        x = I[j] * A[j] * tw.inverse(work) * Ainv[j]
+    for a, ainv in zip(moved, Ainv):
+        x = a * ainv
         if x._eff_prec() < M:
             raise PreconditionError(
                 f"inputs carry too little precision to recover mod v^{M}")

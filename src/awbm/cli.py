@@ -24,7 +24,7 @@ import sys
 import types
 
 from .cli_io import parse_element, parse_tuple  # noqa: F401  (re-exported)
-from .errors import AwbmError, InputError, InternalError, PreconditionError
+from .errors import InputError, InternalError, PreconditionError
 
 __all__ = ["main", "run"]
 
@@ -175,6 +175,8 @@ def _handler(command):
 
 
 def run(argv) -> int:
+    """The exit code of a command line, its error written to stderr as one
+    line; a closed stderr loses the line, not the code."""
     try:
         args = _plain_args(argv) or _build_parser(argv).parse_args(argv)
         for flag in ("n", "f"):  # past an index's range, work would overflow
@@ -183,33 +185,26 @@ def run(argv) -> int:
         _handler(args.command)(args)
         sys.stdout.flush()
         return 0
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:  # json.JSONDecodeError among them
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    except (InputError, ValueError) as exc:  # json.JSONDecodeError among them
+        code, line = 2, f"input error: {exc}"
     except InternalError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
-        return 4
+        code, line = 4, f"internal invariant breach: {exc}"
     except PreconditionError as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return 3
-    except AwbmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, line = 3, f"precondition violated: {exc}"
     except BrokenPipeError:
-        print("precondition violated: stdout closed before the output was "
-              "written", file=sys.stderr)
-        return 3
-    except MemoryError:
-        pass  # reported below, once leaving here has freed the failed frames
+        code, line = 3, ("precondition violated: stdout closed before the "
+                         "output was written")
+    except MemoryError:  # written below, once leaving here has freed the frames
+        code, line = 4, "internal invariant breach: out of memory"
     except Exception as exc:
-        print(f"internal invariant breach: unexpected {type(exc).__name__}: "
-              f"{exc}", file=sys.stderr)
-        return 4
-    print("internal invariant breach: out of memory", file=sys.stderr)
-    return 4
+        code, line = 4, (f"internal invariant breach: unexpected "
+                         f"{type(exc).__name__}: {exc}")
+    if sys.stderr is not None:  # None when the process started without fd 2
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass  # a closed stderr loses the message, not the exit code
+    return code
 
 
 def main():
@@ -219,8 +214,8 @@ def main():
     for stream in filter(None, (sys.stdout, sys.stderr)):
         try:
             stream.flush()
-        except BrokenPipeError:
-            pass  # run has reported the closed stdout
+        except OSError:
+            pass  # run has reported the closed stdout; a closed stderr is mute
     os._exit(code)
 
 

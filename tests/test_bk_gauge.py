@@ -311,6 +311,29 @@ def test_straighten_round_trip(n, f_emb, p, h, mu0):
                 assert back[j].equal_mod(X[j], M - h), (M, j)
 
 
+@pytest.mark.parametrize("n,p,h,M,mu", [
+    (2, 101, 41, 60, (49, 0)),
+    (3, 211, 57, 70, (138, 69, 0)),
+    (2, 1009, 45, 60, (500, 0)),
+])
+def test_round_trip_past_small_heights(n, p, h, M, mu):
+    # exact A = Iw · diag(v^h, 1, ...) · Iw, whose inverse has a pole of
+    # order h > 16n + 8: recover_left_factor reads h off A^{-1} and gives
+    # X back mod v^(M-h), as the benchmark's round trip asks
+    rng = random.Random(72 + n + h)
+    field = Coefficients(p)
+    mid = SeriesMatrix.from_entries(
+        field, n, {(i, i, h if i == 1 else 0): 1 for i in range(1, n + 1)})
+    A = [random_iwahori(field, n, rng) * mid * random_iwahori(field, n, rng)]
+    X = [random_iw1(field, n, rng)]
+    s = WeylTuple((finite(tuple(range(n, 0, -1))),))
+    z = TwistData(s, (mu,), GroupContext(n, 1, p)).dual_element()
+    I = straighten(A, X, z, M)
+    back = recover_left_factor(A, I, z, M - h)
+    assert back[0].equal_mod(X[0], M - h)
+    assert back[0].prec == M - h
+
+
 def test_straighten_identity_fixed_point():
     rng = random.Random(66)
     z = TW7.dual_element()

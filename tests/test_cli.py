@@ -749,6 +749,46 @@ def test_closed_stdout_is_exit_3():
     assert res.stderr.splitlines() == [CLOSED_STDOUT]
 
 
+CLOSED_STDERR_CASES = [
+    (["len", "--n", "2", "--a", "x"], 2),
+    (["len", "--n", "0", "--a", "e"], 2),
+    (["wq", "--n", "2", "--f", "1", "--p", "4", "--s", "e", "--mu", "5,0"], 3),
+]
+
+
+def _close_stderr():
+    os.close(2)
+
+
+def _read_only_stderr():
+    # what a shell leaves when a wrapper script opened a file on the free
+    # fd 2 before it ran Python: writes to stderr fail with EBADF
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+@pytest.mark.parametrize("argv,code", CLOSED_STDERR_CASES)
+@pytest.mark.parametrize("preexec", [_close_stderr, _read_only_stderr])
+def test_closed_stderr_loses_the_message_not_the_exit_code(argv, code,
+                                                           preexec):
+    # started without a usable stderr (`2>&-`): nothing reaches stdout in
+    # the message's place
+    res = subprocess.run(PY + argv, stdout=subprocess.PIPE, timeout=60,
+                         preexec_fn=preexec)
+    assert (res.returncode, res.stdout) == (code, b"")
+
+
+def test_unwritable_stderr_keeps_the_exit_code_in_process():
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise OSError(9, "Bad file descriptor")
+    for argv, code in CLOSED_STDERR_CASES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(Closed()):
+            assert cli.run(argv) == code
+        assert out.getvalue() == ""
+
+
 # with PYTHONUNBUFFERED set, every write would reach the file at once
 BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 

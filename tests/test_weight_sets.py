@@ -473,6 +473,35 @@ def test_factored_weight_sets_match_record_scans(n, f, seed):
         assert got, "the drawn type meets W? in its defect maximizer at least"
 
 
+@pytest.mark.parametrize("n,f,seed", [(3, 1, 41), (3, 2, 42), (4, 1, 43),
+                                      (5, 1, 44)])
+def test_intersection_is_the_jh_rows_that_are_w_question_rows(n, f, seed):
+    """Per embedding, intersection_factors(rhobar, tau, lam) is the rows of
+    jh_factors(tau, lam) that are also rows of w_question_factors(rhobar),
+    in JH order: W?(rhobar) ∩ JH(tau), the set that the shape-keyed
+    `_accepted_labels` computes without building either side."""
+    from conftest import random_tuple_mu, random_weyl_tuple
+    from awbm.weight_sets import (
+        intersection_factors,
+        jh_factors,
+        w_question_factors,
+    )
+    rng = random.Random(seed)
+    p = 211
+    ctx = GroupContext(n, f, p)
+    lam = ((0,) * n,) * f
+    for _ in range(3):
+        rho = make_type(ctx, random_weyl_tuple(n, f, rng),
+                        random_tuple_mu(n, f, p, 2 * n, rng), kind="F")
+        tau = _lam_compatible_type(rho, lam, rng)
+        wq = [{row for row, *_ in factor} for factor in w_question_factors(rho)]
+        jh = jh_factors(tau, lam, force=True)
+        got = intersection_factors(rho, tau, lam, force=True)
+        assert [list(rows) for rows in got] == [
+            [row for row in jh_j if row in wq_j] for jh_j, wq_j in zip(jh, wq)]
+        assert all(0 < len(rows) < len(jh_j) for rows, jh_j in zip(got, jh))
+
+
 def test_shifted_representative_is_the_canonical_presentation():
     rng = random.Random(7)
     from awbm.affine_weyl import restricted_classes
@@ -618,7 +647,7 @@ def test_bm_cycles_match_recursive_oracle():
 
 
 def test_point_scan_matches_element_scan():
-    """The arrow scan on alcove points (`_accepted_rows`: right-hand sides by
+    """The arrow scan on alcove points (`_accepted_labels`: right-hand sides by
     a sort, ↑ counted on points) against the record scan with right-hand
     sides built from elements: seeded GL4 types with f = 1 and 2 through
     `up_leq`, then forced shallow types (depth 0) at p in {7, 11, 13}
