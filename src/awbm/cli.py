@@ -185,7 +185,7 @@ def run(argv) -> int:
         _handler(args.command)(args)
         sys.stdout.flush()
         return 0
-    except (InputError, ValueError) as exc:  # json.JSONDecodeError among them
+    except InputError as exc:  # the parsers raise it for what int() or json refuse
         code, line = 2, f"input error: {exc}"
     except InternalError as exc:
         code, line = 4, f"internal invariant breach: {exc}"

@@ -8,7 +8,7 @@ import itertools
 
 from . import modp_flag as mf
 from . import weights as wt
-from .cli_io import element_json, parse_element, parse_tuple, parse_vector, write
+from .cli_io import element_json, parse_element, parse_tuple, parse_vector, parsed, write
 from .cli_rows import (ctx_of, emit, parse_weight_rows, presentation_json,
                        row_json, type_of, write_product)
 from .errors import InputError
@@ -30,14 +30,14 @@ def cmd_monodromy(args):
     free = None
     if args.free:
         import json
-        doc = json.loads(args.free)
+        doc = parsed(json.loads, args.free)
         # JSON integers only: int() would truncate 1.5 and 1e30 and read
         # true and "7"
         if (not isinstance(doc, dict)
                 or any(type(v) is not int for v in doc.values())):
             raise InputError(
                 f"--free must map 'i,k' to integers: {args.free!r}")
-        free = {tuple(int(x) for x in k.split(",")): v for k, v in doc.items()}
+        free = {tuple(parsed(int, x) for x in k.split(",")): v for k, v in doc.items()}
     A = mf.monodromy_solve(w, abar, free, p=args.p)
     emit(A.to_json())
 

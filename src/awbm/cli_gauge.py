@@ -9,16 +9,17 @@ import sys
 from . import bk_gauge as bk
 from . import group as gr
 from . import series as se
-from .cli_io import flag_json, parse_tuple, parse_vector, write
+from .cli_io import flag_json, parse_tuple, parse_vector, parsed, write
 from .errors import ContextError, InputError
 
 
 def _stdin_json():
-    data = sys.stdin.read()
     try:
-        return json.loads(data)
+        return json.loads(sys.stdin.read())
     except json.JSONDecodeError as exc:
         raise InputError(f"stdin is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes, or an int past its digit limit
+        raise InputError(str(exc)) from None
 
 
 def _matrix(m, n, p=None):
@@ -44,7 +45,7 @@ def _stdin_series_lists(ctx, *keys):
 
 
 def cmd_nabla(args):
-    data = _stdin_json() if args.matrix == "-" else json.loads(args.matrix)
+    data = _stdin_json() if args.matrix == "-" else parsed(json.loads, args.matrix)
     A = _matrix(se.LaurentMatrix.from_json(data), args.n)
     abar = parse_vector(args.abar, args.n)
     write(f'{{"holds":{flag_json(se.verify_nabla(A, abar))}}}')
@@ -60,7 +61,7 @@ def cmd_twist(args):
     from .cli_rows import ctx_of, emit
     ctx = ctx_of(args)
     tw = _twist(args, ctx)
-    data = _stdin_json() if args.matrix == "-" else json.loads(args.matrix)
+    data = _stdin_json() if args.matrix == "-" else parsed(json.loads, args.matrix)
     Y = _matrix(se.SeriesMatrix.from_json(data), ctx.n, ctx.p)
     emit(bk.frobenius_twist(Y, args.j, tw, args.M).to_json())
 

@@ -19,6 +19,15 @@ from .errors import InputError
 # ---------------------------------------------------------------------------
 # parsing
 
+def parsed(read, text: str):
+    """read(text), read being int or json.loads: its ValueError (json's
+    JSONDecodeError among them) is an input error, with the same text."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def parse_perm(text: str, n: int):
     text = text.strip()
     if text == "e":
@@ -33,7 +42,7 @@ def parse_perm(text: str, n: int):
             if body.isdecimal() and n < 10:
                 entries = [int(ch) for ch in body]  # compact form like (23)
             else:
-                entries = [int(x) for x in body.replace(",", " ").split()]
+                entries = [parsed(int, x) for x in body.replace(",", " ").split()]
             if len(entries) < 2:
                 continue
             if any(not 1 <= x <= n for x in entries) or len(set(entries)) != len(entries):
@@ -41,14 +50,15 @@ def parse_perm(text: str, n: int):
             moved = dict(zip(entries, entries[1:] + entries[:1]))
             perm = [moved.get(x, x) for x in perm]
         return tuple(perm)
-    img = tuple(int(x) for x in text.strip("[]").replace(",", " ").split())
+    img = tuple(parsed(int, x) for x in text.strip("[]").replace(",", " ").split())
     if sorted(img) != list(range(1, n + 1)):
         raise InputError(f"{text!r} is not a permutation of 1..{n}")
     return img
 
 
 def parse_vector(text: str, n: int):
-    out = tuple(int(x) for x in text.strip().strip("[]").replace(",", " ").split())
+    out = tuple(parsed(int, x)
+                for x in text.strip().strip("[]").replace(",", " ").split())
     if len(out) != n:
         raise InputError(f"vector {text!r} must have length {n}")
     return out
@@ -58,7 +68,7 @@ def parse_element(text: str, n: int) -> gr.WeylElement:
     text = text.strip()
     if text.startswith("{"):
         import json
-        return gr.WeylElement.from_json(json.loads(text))
+        return gr.WeylElement.from_json(parsed(json.loads, text))
     if "@" in text:
         ptxt, ntxt = text.split("@", 1)
         return gr.WeylElement(parse_perm(ptxt, n), parse_vector(ntxt, n))
@@ -69,7 +79,7 @@ def parse_tuple(text: str, n: int, f: int) -> cx.WeylTuple:
     text = text.strip()
     if text.startswith("["):
         import json
-        tup = cx.WeylTuple.from_json(json.loads(text))
+        tup = cx.WeylTuple.from_json(parsed(json.loads, text))
     else:
         parts = [p for p in text.split(";") if p.strip()]
         if len(parts) == 1 and f > 1:

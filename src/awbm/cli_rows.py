@@ -11,7 +11,7 @@ from . import context as cx
 from . import group as gr
 from . import inertial_types as it
 from . import weights as wt
-from .cli_io import element_json, parse_tuple, parse_vector, write
+from .cli_io import element_json, parse_tuple, parse_vector, parsed, write
 from .errors import InputError
 
 
@@ -21,7 +21,7 @@ def parse_weight_rows(text: str, n: int, f: int):
         import json
         try:
             rows = tuple(tuple(gr.json_int(x, "weight row") for x in row)
-                         for row in json.loads(text))
+                         for row in parsed(json.loads, text))
         except TypeError as exc:
             raise InputError(
                 f"weight rows must be integer arrays: {text!r}") from exc

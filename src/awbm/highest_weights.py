@@ -100,7 +100,7 @@ def serre_weight(lap: SerreWeightPresentation):
         for j in range(ctx.f))
 
 
-def _omega_twist_weight(lap: SerreWeightPresentation, xi):
+def _central_twist_weight(lap: SerreWeightPresentation, xi):
     """The presentation (w1 · pi(delta^{-1}), delta · (omega - eta) + eta) for
     the central-twist delta with degrees xi."""
     ctx = lap.ctx
@@ -145,7 +145,7 @@ def lap_of(ctx: GroupContext, kappa, zeta: CentralCharacter) -> SerreWeightPrese
         if any(not 0 <= a - b < p for a, b in zip(row, row[1:])):
             raise ArgumentError(f"kappa at embedding {j} is not p-restricted: need "
                                 f"0 <= kappa_i - kappa_(i+1) <= {p - 1}, have {row}")
-    out = _omega_twist_weight(cand, xi)
+    out = _central_twist_weight(cand, xi)
     if central_character(out).zeta != zeta.zeta:
         raise InternalError("central-character twist failed")
     if not weights_equal_mod_center(serre_weight(out), kappa, p):

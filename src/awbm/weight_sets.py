@@ -1,7 +1,9 @@
 """Predicted weight sets, Jordan-Hölder labels, covering, defect, and the
 Breuil-Mézard cycle solver, on lowest alcove presentations over a fixed
-context.  The sets are read off the AP kernel's tuples and points as labels
-(w, w2), whose row at an embedding with avatar g is (w, g(w2^{-1}(0))):
+context.  The sets are read off the AP kernel's keys and points as labels
+(w, x), x = w2^{-1}(0) for a pair (w, w2), whose row at an embedding with
+avatar g is (w, g(x)); as g is a bijection, distinct labels give distinct
+rows, which is checked once per label list (`_checked`):
 
   * JH labels of a type tau twisted by W(lam): the pairs of AP(lam+eta), at
     the avatar w̃(tau);
@@ -9,6 +11,9 @@ context.  The sets are read off the AP kernel's tuples and points as labels
     data of rhobar (Herzig, Duke Math. J. 149 (2009)): R(w1, omega) =
     (w_h w1, omega) makes the pairs (w1, w2) of AP(eta) the labels (w_h w1,
     w2) at the avatar w̃(rhobar), with w2 = w_h w1 exactly on the obvious set;
+    one table per rank (`_w_question_labels`) holds them with their defect
+    summands and serves W?, the intersection and `defect`, which looks up
+    the label (x, w1_j) with x = w̃(rhobar)_j^{-1}(omega_j);
   * the intersection with the JH labels of tau is keyed by shape: its labels
     at an embedding depend only on w̃(rhobar, tau)_j and lam_j.
 
@@ -35,7 +40,6 @@ from .affine_weyl import (
     _walls,
     adm_member,
     alcove_point,
-    ap_enumerate,
     bruhat_interval,
     bruhat_leq,
     eta_vector,
@@ -120,36 +124,35 @@ def jh_factors(tau: TameTypePresentation, lam, force: bool = False):
     shifted = [tuple(l + e for l, e in zip(row, eta))
                for row in _weight_tuple(ctx, lam)]
     _require_depth(tau, max(2 * _h(eta), max(map(_h, shifted))), force, "type")
-    pairs = {row: _keyed(ap_enumerate(row)) for row in set(shifted)}  # once per row
-    return [tuple(row for row, _ in _rows(wt_j, pairs[lam_eta], "JH"))
+    labels = {row: _checked([(k1, WeylElement.trusted(*k1[1:]), _x(*k2[1:]))
+                             for k1, k2, _ in _ap_points(row)], "JH")
+              for row in set(shifted)}  # once per row
+    return [tuple(row for row, _ in _rows(wt_j, labels[lam_eta]))
             for wt_j, lam_eta in zip(tau.w_tilde(), shifted)]
 
 
-def _omega(wt_j: WeylElement, w2: WeylElement):
-    """wt_j(w2^{-1}(0)), where w2^{-1}(0) = (-nu_{u(k)})_k for w2 = t_nu ∘ u."""
-    return evaluate(wt_j, tuple(-w2.nu[i - 1] for i in w2.w))
+def _x(u, nu):
+    """w2^{-1}(0) = (-nu_{u(k)})_k for w2 = t_nu ∘ u."""
+    return tuple(-nu[i - 1] for i in u)
 
 
-def _keyed(pairs):
-    """The pairs (w, w2), each with w's sort key, read off w's point."""
-    return [((w, w2), (_walls(alcove_point(w), 0), w.w, w.nu)) for w, w2 in pairs]
-
-
-def _rows(wt_j: WeylElement, pairs, what):
-    """For pairs (w, w2) with max nu(w) = 0, each with w's sort key, at an
-    embedding where the avatar is wt_j, the canonical rows (w, wt_j(w2^{-1}(0))),
-    each with its pair, in the order of (length, w, nu, omega).  The rows must
-    be distinct: then a product of such lists over the embeddings is in the
-    order of the presentations' sort keys."""
-    rows = {}
-    for (w, w2), key in pairs:
+def _checked(labels, what):
+    """Labels (key, w, x, ...), key w's sort key, checked to have max nu(w) = 0
+    and to be distinct as (w, x): then their rows at any avatar are canonical
+    and distinct, and a product of rows is in the presentations' order."""
+    for _, w, *_ in labels:
         if max(w.nu):
             raise InternalError(f"{what} pair {w} is not canonical")
-        omega = _omega(wt_j, w2)
-        rows[(*key, omega)] = ((w, omega), (w, w2))
-    if len(rows) != len(pairs):
+    if len({label[1:3] for label in labels}) != len(labels):
         raise InternalError(f"{what} parametrization failed to be injective")
-    return [rows[k] for k in sorted(rows)]
+    return labels
+
+
+def _rows(wt_j: WeylElement, labels):
+    """The rows (w, wt_j(x)) of labels (key, w, x, ...) at an embedding where
+    the avatar is wt_j, each with its label, in the order of (key, omega)."""
+    return [((label[1], omega), label) for _, omega, label in
+            sorted((label[0], evaluate(wt_j, label[2]), label) for label in labels)]
 
 
 def _glue(rows, ctx) -> SerreWeightPresentation:
@@ -192,33 +195,29 @@ def _require_predicted_set(rho: TameTypePresentation, force: bool):
 
 
 @lru_cache(maxsize=None)
-def _w_question_pairs(n: int):
-    """The defect summand of each pair (w, w2) with w restricted dominant and
-    w2 ↑ w dominant, keyed by the pair; it depends on n only.  The pairs are
-    the R-images (w_h w1, w2) of AP(eta), w_h = t_{(0,-1,..,1-n)} ∘ w0, each
-    moved by the central translation that makes max nu(w) zero; the summand
-    l(t_eta) - l(a), l(t_eta) = (n-1)n(n+1)/6, is read off the point of the
-    member a = w2^{-1} w0 w1 that the pair factors."""
+def _w_question_labels(n: int):
+    """The W? labels (key, w, x, w2, y, d) at rank n, grouped by x =
+    w2^{-1}(0) and keyed within a group by w: w restricted dominant with sort
+    key `key` and point y, w2 ↑ w dominant, and d the defect summand.  They
+    are the R-images (w_h w1, w2) of AP(eta), w_h = t_{(0,-1,..,1-n)} ∘ w0,
+    each moved by the central translation that makes max nu(w) zero;
+    d = l(t_eta) - l(a), l(t_eta) = (n-1)n(n+1)/6, is read off the point of
+    the member a = w2^{-1} w0 w1 that the pair factors."""
     t_eta = (n - 1) * n * (n + 1) // 6
-    out = {}
+    labels = []
     for (_, u1, nu1), (_, u2, nu2), y in _ap_points(eta_vector(n)):
         nu = [c - k for k, c in enumerate(reversed(nu1))]  # nu(w_h w1)
         c = max(nu)
         w = WeylElement.trusted(tuple(n + 1 - i for i in u1),
                                 tuple(x - c for x in nu))
         w2 = WeylElement.trusted(u2, tuple(x - c for x in nu2))
-        out[w, w2] = t_eta - _walls(y, 0)
-    return out
-
-
-@lru_cache(maxsize=256)
-def _w_question_factors(wt_j: WeylElement):
-    """The W? factors (row, w, w2, defect summand) at an embedding where
-    w̃(rhobar) is wt_j, keyed by row and in sort-key order; W? is their
-    product over the embeddings."""
-    summands = _w_question_pairs(wt_j.n)
-    return {row: (row, w, w2, summands[w, w2])
-            for row, (w, w2) in _rows(wt_j, _keyed(summands), "W?")}
+        y1 = alcove_point(w)
+        labels.append(((_walls(y1, 0), w.w, w.nu), w, _x(u2, w2.nu), w2,
+                       y1, t_eta - _walls(y, 0)))
+    table = {}
+    for label in _checked(labels, "W?"):
+        table.setdefault(label[2], {})[label[1]] = label
+    return table
 
 
 def w_question_factors(rho: TameTypePresentation, force: bool = False):
@@ -226,7 +225,10 @@ def w_question_factors(rho: TameTypePresentation, force: bool = False):
     w2, defect summand) in sort-key order: W? is their product, in the order
     of itertools.product."""
     _require_predicted_set(rho, force)
-    return [tuple(_w_question_factors(g).values()) for g in rho.w_tilde()]
+    labels = [label for group in _w_question_labels(rho.n).values()
+              for label in group.values()]
+    return [tuple((row, w, w2, d) for row, (_, w, _, w2, _, d) in _rows(g, labels))
+            for g in rho.w_tilde()]
 
 
 def w_question(rho: TameTypePresentation, force: bool = False):
@@ -311,55 +313,45 @@ def intersection_factors(rho: TameTypePresentation, tau: TameTypePresentation,
     _require_depth(rho, 2 * _h(eta), force, "rhobar")
     _require_depth(tau, max(2 * _h(eta), max(_h(tuple(l + e for l, e in zip(row, eta)))
                                              for row in lam)), force, "tau")
-    return [tuple(row for row, _ in _rows(wt_j, _accepted_labels(shape, lam_j), "W?"))
+    return [tuple(row for row, _ in _rows(wt_j, _accepted_labels(shape, lam_j)))
             for wt_j, shape, lam_j in zip(rho.w_tilde(), w_rhobar_tau(rho, tau), lam)]
 
 
 @lru_cache(maxsize=1024)
 def _accepted_labels(shape: WeylElement, lam_j):
-    """The W? labels (w, w2), each with w's sort key, with w ↑ t_{lam_j}
-    w_h^{-1} w2', w2' the dominant representative of t_{-omega} w̃(tau)_j,
-    omega = w̃(rhobar)_j(x), x = w2^{-1}(0), where w̃(rhobar, tau)_j = shape =
-    g^{-1}.  With w̃(rhobar)_j = t_mu ∘ u, `_point` gives point(w̃(tau)_j) -
-    n·omega = u(point(g)) + n·mu - n·(u(x) + mu) = u(point(g) - n·x), and
-    sorting it for w2' removes u.  t_{lam_j} w_h^{-1} = t_{lam_j + nu} ∘ v
-    then maps a point z to v(z) + n·(lam_j + nu)."""
+    """The W? labels (key, w, x, ...) with w ↑ t_{lam_j} w_h^{-1} w2', w2' the
+    dominant representative of t_{-omega} w̃(tau)_j, omega = w̃(rhobar)_j(x),
+    where w̃(rhobar, tau)_j = shape = g^{-1}.  With w̃(rhobar)_j = t_mu ∘ u,
+    `_point` gives point(w̃(tau)_j) - n·omega = u(point(g)) + n·mu -
+    n·(u(x) + mu) = u(point(g) - n·x), and sorting it for w2' removes u.
+    t_{lam_j} w_h^{-1} = t_{lam_j + nu} ∘ v then maps a point z to
+    v(z) + n·(lam_j + nu)."""
     n = shape.n
     whinv = invert(w_h(n))
     lift = [n * (l + m) for l, m in zip(lam_j, whinv.nu)]
     base = alcove_point(invert(shape))
     out = []
-    for x, labels in _labels_by_x(n).items():
+    for x, labels in _w_question_labels(n).items():
         y = sorted((b - n * c for b, c in zip(base, x)), reverse=True)
         if len({c % n for c in y}) != n:
             raise InternalError("dominant representative failed")
         z = tuple(c + s for c, s in zip(perm_act(whinv.w, y), lift))
-        out += [(label, key) for label, key, y1 in labels if up_leq_points(y1, z)]
+        out += [label for label in labels.values() if up_leq_points(label[4], z)]
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _labels_by_x(n: int):
-    """The W? labels (w, w2) with w's sort key and point, grouped by
-    x = w2^{-1}(0) = omega at e."""
-    out, e = {}, translation((0,) * n)
-    for w, w2 in _w_question_pairs(n):
-        y1 = alcove_point(w)
-        out.setdefault(_omega(e, w2), []).append(
-            ((w, w2), (_walls(y1, 0), w.w, w.nu), y1))
-    return out
 
 
 def defect(rho: TameTypePresentation, sigma: SerreWeightPresentation,
            force: bool = False) -> int:
-    """The rhobar-defect of a predicted weight, the sum of its factors'
-    defects; raises if sigma is not predicted."""
+    """The rhobar-defect of a predicted weight, the sum over the embeddings
+    of the summands of its labels (x, w1_j), x = w̃(rhobar)_j^{-1}(omega_j);
+    raises if sigma is not predicted."""
     _require_predicted_set(rho, force)
     if sigma.ctx == rho.ctx:
-        found = [_w_question_factors(g).get(row)
-                 for g, row in zip(rho.w_tilde(), zip(sigma.w1, sigma.omega))]
+        table = _w_question_labels(rho.n)
+        found = [table.get(evaluate(invert(g), omega), {}).get(w1)
+                 for g, w1, omega in zip(rho.w_tilde(), sigma.w1, sigma.omega)]
         if None not in found:
-            return sum(factor[3] for factor in found)
+            return sum(label[5] for label in found)
     raise MembershipError("sigma does not lie in the predicted set of rhobar")
 
 
@@ -382,7 +374,7 @@ def max_defect_weight(rho: TameTypePresentation,
         if multiply(invert(w2_j), multiply(w0(ctx.n), w1_j)) != g_j:
             raise InternalError("variant factorization product check failed")
         w.append(multiply(invert(w_h(ctx.n)), w2_j))
-        omega.append(_omega(wt_j, w1_j))
+        omega.append(evaluate(wt_j, _x(w1_j.w, w1_j.nu)))
     return SerreWeightPresentation(WeylTuple(w), omega, ctx)
 
 

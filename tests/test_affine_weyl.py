@@ -526,13 +526,20 @@ def test_is_prime():
         return m >= 2 and all(m % d for d in range(2, int(m ** 0.5) + 1))
     assert [m for m in range(-3, 3000) if is_prime(m)] == \
         [m for m in range(-3, 3000) if trial(m)]
-    # strong pseudoprimes to the first 7, 9, 11 and 12 prime bases
+    # strong pseudoprimes to the first 7, 9, 11, 12 and 13 prime bases; the
+    # last, 1287836182261 * 2575672364521, is primes.PRIME_BOUND
+    psi13 = 3317044064679887385961981
     for m in (3215031751, 341550071728321, 3825123056546413051,
-              318665857834031151167461):
+              318665857834031151167461, psi13):
         assert not is_prime(m)
     from awbm.affine_weyl import GroupContext
     from awbm.bk_gauge import Coefficients
     from awbm.errors import ArgumentError
+    from awbm.primes import PRIME_BOUND, check_prime
+    assert psi13 == PRIME_BOUND == 1287836182261 * 2575672364521
+    check_prime(2 ** 64 - 59)
+    with pytest.raises(ArgumentError, match="not below PRIME_BOUND"):
+        check_prime(psi13)
     for p in (2, 2 ** 31 - 1, 2 ** 64 - 59):
         assert is_prime(p)
         assert GroupContext(2, 1, p).p == p and Coefficients(p).p == p

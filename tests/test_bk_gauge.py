@@ -121,8 +121,10 @@ def test_series_inverse_bounded_height(n, h, p):
         assert (Ainv * A).equal_mod(I, 40)
 
 
+# 2 ** 81 - 51 is a prime past 2^64 whose slots are wider than 64 bits, and
+# below primes.PRIME_BOUND, where the prime test is exact
 @pytest.mark.parametrize("p", [2147483647, 3037000453, 4294967291,
-                               2 ** 64 - 59, 2 ** 127 - 1])
+                               2 ** 64 - 59, 2 ** 81 - 51])
 @pytest.mark.parametrize("degree", [1, 2])
 def test_product_beyond_int64(p, degree):
     rng = random.Random(p + degree)
@@ -140,6 +142,15 @@ def test_product_beyond_int64(p, degree):
         I = SeriesMatrix.identity(field, 2)
         Ainv = random_iwahori(field, 2, rng).truncate(30)
         assert (Ainv * Ainv.inverse(20)).equal_mod(I, 20)
+
+
+@pytest.mark.parametrize("p", [3317044064679887385961981, 2 ** 127 - 1])
+def test_modulus_past_the_prime_bound_is_refused(p):
+    # the least strong pseudoprime to the prime test's 13 bases, and a prime
+    # past it that the test cannot prove
+    for degree in (1, 2):
+        with pytest.raises(ArgumentError, match="not below PRIME_BOUND"):
+            Coefficients(p, degree)
 
 
 def test_frobenius_truncated_matches_full():

@@ -641,11 +641,15 @@ def _regex_parse_vector(text, n):
     return out
 
 
-def _outcome(parse, text, n):
+def _outcome(parse, text, n, errors=(InputError, ValueError)):
+    """The value of parse, or the text of the error it raises: the library's
+    parsers raise InputError with int()'s text where the references leave
+    int()'s ValueError to the caller, so they are called with errors
+    InputError alone, and a ValueError that escapes them fails the test."""
     try:
         return "value", parse(text, n)
-    except (InputError, ValueError) as exc:
-        return type(exc).__name__, str(exc)
+    except errors as exc:
+        return "error", str(exc)
 
 
 # separators: tab, newline, no-break space, em space, the information
@@ -667,8 +671,9 @@ def test_parsers_match_the_regex_parsers(n):
     from awbm.cli_io import parse_perm, parse_vector
     texts = PARSER_TEXTS + ["(1,10)", "(10 12)", "(\u0661\u0660 2)"]
     for text in texts:
-        assert _outcome(parse_perm, text, n) == _outcome(_regex_parse_perm, text, n), text
-        assert (_outcome(parse_vector, text, n)
+        assert (_outcome(parse_perm, text, n, InputError)
+                == _outcome(_regex_parse_perm, text, n)), text
+        assert (_outcome(parse_vector, text, n, InputError)
                 == _outcome(_regex_parse_vector, text, n)), text
 
 
@@ -962,6 +967,9 @@ def test_matrix_exponent_keys_as_to_json_writes_them(key):
     assert f"exponent key {key!r} where an integer belongs" in res.stderr
 
 
+PSI13 = 3317044064679887385961981
+
+
 @pytest.mark.parametrize("argv,stdin", [
     (["wq", "--n", "2", "--p", "4", "--s", "e", "--mu", "5,0", "--force"], None),
     (["monodromy", "--n", "2", "--p", "4", "--w", "e@1,0", "--abar", "5,0"],
@@ -971,11 +979,19 @@ def test_matrix_exponent_keys_as_to_json_writes_them(key):
     (["wq", "--n", "2", "--p", "1", "--s", "e", "--mu", "5,0", "--force"], None),
     (["classify", "--n", "2", "--a", "e@1,0", "--m", "1", "--p", "0"], None),
     (["classify", "--n", "2", "--a", "e@1,0", "--m", "1", "--p", "4"], None),
+    # psi_13, the least strong pseudoprime to the prime test's bases: the
+    # nabla call used to exit 2, the kernel's pow failing on the zero divisor
+    # 1287836182261 of Z/psi_13 with a bare ValueError
+    (["wq", "--n", "2", "--p", str(PSI13), "--s", "e", "--mu", "5,0"], None),
+    (["nabla", "--n", "2", "--matrix", "-", "--abar", "1,0"],
+     json.dumps({"p": PSI13, "entries": [[{"0": 1287836182261}, {}],
+                                         [{}, {"0": 1}]]})),
 ])
 def test_composite_p_is_exit_3(argv, stdin):
     res = invoke(*argv, stdin=stdin)
     assert res.returncode == 3, res.stderr
     assert "prime" in res.stderr and "Traceback" not in res.stderr
+    assert res.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("x_field", [{"p": 11}, {"p": 7, "degree": 2}])
@@ -1084,6 +1100,50 @@ def test_unexpected_exception_is_exit_4(monkeypatch):
         assert cli.run(["len", "--n", "2", "--a", "e"]) == 4
     assert "ZeroDivisionError: planted" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def test_library_value_error_is_exit_4(monkeypatch):
+    # exit 2 is for the InputError the parsers raise: a bare ValueError from
+    # inside the library is a failure of the library, not of the input
+    from awbm import cli_orders
+
+    def boom(args):
+        raise ValueError("planted")
+    monkeypatch.setattr(cli_orders, "cmd_len", boom)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.run(["len", "--n", "2", "--a", "e"]) == 4
+    assert err.getvalue() == (
+        "internal invariant breach: unexpected ValueError: planted\n")
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["len", "--n", "2", "--a", "2,x"], "invalid literal for int() with base 10: 'x'"),
+    (["len", "--n", "2", "--a", "(1 y)"], "invalid literal for int() with base 10: 'y'"),
+    (["len", "--n", "2", "--a", "e@1,z"], "invalid literal for int() with base 10: 'z'"),
+    (["len", "--n", "2", "--a", '{"w": [2, 1]'],
+     "Expecting ',' delimiter: line 1 column 13 (char 12)"),
+    (["wq", "--n", "2", "--p", "37", "--s", "[{", "--mu", "5,0"],
+     "Expecting property name enclosed in double quotes: line 1 column 3 (char 2)"),
+    (["wq", "--n", "2", "--p", "37", "--s", "e", "--mu", "[[5, 0]"],
+     "Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    (["nabla", "--n", "2", "--matrix", "{", "--abar", "1,0"],
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["twist", "--n", "2", "--p", "7", "--s", "e", "--mu", "3,0", "--matrix", "["],
+     "Expecting value: line 1 column 2 (char 1)"),
+    (["monodromy", "--n", "2", "--p", "101", "--w", "e", "--abar", "1,0",
+      "--free", '{"1,x": 3}'], "invalid literal for int() with base 10: 'x'"),
+    (["monodromy", "--n", "2", "--p", "101", "--w", "e", "--abar", "1,0",
+      "--free", "{"],
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+])
+def test_parsers_raise_input_error_with_the_same_text(argv, line):
+    # what int() or json refuses is exit 2 with their own text, raised as an
+    # InputError by the parser itself
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.run(argv) == 2
+    assert err.getvalue() == f"input error: {line}\n"
 
 
 def test_memory_error_is_exit_4_written_after_the_frames_are_freed(

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -546,18 +547,33 @@ def _w_question_pairs_by_elements(n):
     return out
 
 
+def _table_pairs(n):
+    """The pairs (w, w2) of the W? labels at rank n, read off the table."""
+    from awbm.weight_sets import _w_question_labels
+    return [(label[1], label[3]) for group in _w_question_labels(n).values()
+            for label in group.values()]
+
+
 def test_w_question_pairs_match_the_group_law():
-    # `_w_question_pairs` forms the pairs and reads the summands on the
-    # tuples and points of the AP kernel; it must give the same dict, in the
-    # same order, as the element products
-    from awbm.weight_sets import _w_question_pairs
+    # `_w_question_labels` forms the pairs and reads the summands on the
+    # tuples and points of the AP kernel; it must give the same pairs and
+    # summands as the element products, each label filed under its own x
+    # and w, with w's sort key and point
+    from awbm.affine_weyl import alcove_point, evaluate, sort_key
+    from awbm.weight_sets import _w_question_labels
     for n in (2, 3, 4, 5):
-        got, ref = _w_question_pairs(n), _w_question_pairs_by_elements(n)
-        assert list(got.items()) == list(ref.items()), n
+        table, ref = _w_question_labels(n), _w_question_pairs_by_elements(n)
+        labels = [label for group in table.values() for label in group.values()]
+        got = {(w, w2): d for _, w, _, w2, _, d in labels}
+        assert len(got) == len(labels) and got == ref, n
         assert all(type(w.w) is tuple and type(w.nu) is tuple
                    for pair in got for w in pair)
         # the summand vanishes exactly on the obvious pairs
         assert all((d == 0) == (w == w2) for (w, w2), d in got.items())
+        assert all(label[:3] == (sort_key(w), w, x)
+                   and x == evaluate(invert(label[3]), (0,) * n)
+                   and label[4] == alcove_point(w)
+                   for x, group in table.items() for w, label in group.items())
     assert max(ref.values()) == 10
 
 
@@ -602,9 +618,9 @@ def test_jh_factors_enumerate_each_distinct_row_once(monkeypatch):
     tau = make_type(ctx, [(1, 4, 2, 3), (4, 1, 2, 3)],
                     [(232, 178, 72, 44), (200, 176, 126, 99)])
     calls = []
-    enumerate_ap = weight_sets.ap_enumerate
-    monkeypatch.setattr(weight_sets, "ap_enumerate",
-                        lambda lam: calls.append(lam) or enumerate_ap(lam))
+    ap_points = weight_sets._ap_points
+    monkeypatch.setattr(weight_sets, "_ap_points",
+                        lambda lam: calls.append(lam) or ap_points(lam))
     weight_sets.jh_factors(tau, ((1, 1, 0, 0),) * 2, force=True)
     assert calls == [(4, 3, 1, 0)]
     calls.clear()
@@ -688,13 +704,12 @@ def _accepted_rows_by_avatars(wt_rho_j, wt_tau_j, lam_j):
     validating constructor, against the right-hand side read off the point
     of wt_tau_j less n·omega, sorted, then moved by t_{lam_j} w_h^{-1}."""
     from awbm.affine_weyl import alcove_point, perm_act, up_leq_points, w_h
-    from awbm.weight_sets import _w_question_pairs
     n = wt_rho_j.n
     whinv = invert(w_h(n))
     lift = [n * (l + m) for l, m in zip(lam_j, whinv.nu)]
     base = alcove_point(wt_tau_j)
     out = []
-    for w1, omega in _rows_by_presentations(wt_rho_j, _w_question_pairs(n)):
+    for w1, omega in _rows_by_presentations(wt_rho_j, _table_pairs(n)):
         y = sorted((b - n * o for b, o in zip(base, omega)), reverse=True)
         assert len({c % n for c in y}) == n
         z = tuple(c + s for c, s in zip(perm_act(whinv.w, y), lift))
@@ -725,7 +740,7 @@ def test_intersection_by_shape_matches_the_avatar_scan():
     f = 1-3, with lam = 0 and lam != 0, on types whose depth is random or
     exactly the gate.  Pairs that pass the gate are checked unforced."""
     from conftest import random_deep_mu, random_weyl_tuple
-    from awbm.weight_sets import _w_question_pairs, intersection_factors
+    from awbm.weight_sets import intersection_factors
     rng = random.Random(31)
     seen = {"lam != 0": 0, "rhobar at the gate": 0, "tau at the gate": 0,
             "forced": 0, "accepted": 0, "refused": 0}
@@ -756,8 +771,86 @@ def test_intersection_by_shape_matches_the_avatar_scan():
                 seen["tau at the gate"] += tau.depth() == tau_gate and not force
                 seen["forced"] += force
                 seen["accepted"] += sum(map(len, got))
-                seen["refused"] += f * len(_w_question_pairs(n)) - sum(map(len, got))
+                seen["refused"] += f * len(_table_pairs(n)) - sum(map(len, got))
     assert min(seen.values()) >= 1, seen
+
+
+@pytest.mark.parametrize("n,f,seed", [(2, 1, 51), (2, 2, 52), (3, 1, 53),
+                                      (3, 2, 54), (4, 1, 55), (4, 2, 56),
+                                      (5, 1, 57), (5, 2, 58)])
+def test_defect_lookup_matches_the_w_question_rows(n, f, seed):
+    """`defect` looks up the label (x, w1_j), x = w̃(rhobar)_j^{-1}(omega_j):
+    on every row of every W? factor, glued to random rows of the other
+    factors, it must give the sum of the rows' summands, and on as many
+    presentations with one row moved off W? (omega_j or w1_j perturbed) it
+    must raise MembershipError."""
+    from conftest import random_tuple_mu, random_weyl_tuple
+    from awbm.weight_sets import w_question_factors
+    rng = random.Random(seed)
+    p = 211
+    ctx = GroupContext(n, f, p)
+    rho = make_type(ctx, random_weyl_tuple(n, f, rng),
+                    random_tuple_mu(n, f, p, 2 * n, rng), kind="F")
+    factors = w_question_factors(rho)
+    rows = [{row for row, *_ in factor} for factor in factors]
+    members = outsiders = 0
+    for j, factor in enumerate(factors):
+        for k, entry in enumerate(factor):
+            picked = [rng.choice(fac) for fac in factors]
+            picked[j] = entry
+            assert defect(rho, _glue_checked(ctx, [r[0] for r in picked])) \
+                == sum(r[3] for r in picked)
+            members += 1
+            w1, omega = entry[0]
+            if k % 2:
+                omega = tuple(c + (i == k % n) for i, c in enumerate(omega))
+            else:
+                w1 = rng.choice(factor)[0][0]
+            if (w1, omega) in rows[j]:
+                omega = tuple(c + (i == 0) for i, c in enumerate(omega))
+            assert (w1, omega) not in rows[j]
+            off = [r[0] for r in picked]
+            off[j] = (w1, omega)
+            with pytest.raises(MembershipError, match="^sigma does not lie"):
+                defect(rho, _glue_checked(ctx, off))
+            outsiders += 1
+    assert members == outsiders == sum(map(len, factors))
+
+
+def _glue_checked(ctx, rows):
+    """The presentation with canonical row j rows[j], built by the validating
+    constructor."""
+    w1, omega = zip(*rows)
+    return SerreWeightPresentation(WeylTuple(w1), omega, ctx)
+
+
+def test_repeated_ap_entries_fail_the_injectivity_check(monkeypatch):
+    """The label lists are checked once to be distinct as (w, x): a kernel
+    that repeats one entry must stop the JH, W? and intersection paths with
+    the injectivity InternalError."""
+    from awbm import weight_sets as ws
+    from awbm.errors import InternalError
+    ctx = GroupContext(3, 1, 211)
+    rho = make_type(ctx, [(2, 3, 1)], [(182, 75, 41)], kind="F")
+    lam = ((0, 0, 0),)
+    tau = _lam_compatible_type(rho, lam, random.Random(5))
+    ap_points = ws._ap_points
+    monkeypatch.setattr(ws, "_ap_points", lambda lam: (
+        lambda out: out + out[:1])(ap_points(lam)))
+    caches = (ws._w_question_labels, ws._accepted_labels)
+    try:
+        for cache in caches:
+            cache.cache_clear()
+        for what, call in [
+                ("JH", lambda: ws.jh_factors(tau, lam, force=True)),
+                ("W?", lambda: ws.w_question_factors(rho)),
+                ("W?", lambda: ws.intersection_factors(rho, tau, lam, force=True))]:
+            with pytest.raises(InternalError, match=(
+                    f"^{re.escape(what)} parametrization failed to be injective$")):
+                call()
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 @pytest.mark.parametrize("job", [
@@ -772,7 +865,7 @@ def test_glued_records_equal_validated_ones(monkeypatch, job):
     """`_glue` builds its records without the constructor's checks: on the
     heaviest catalog cases each one equals the validating constructor's
     record (value, hash, sort key and JSON), and every row handed to it by
-    `_rows`, `_w_question_factors`, `_accepted_labels` or the product in
+    `_rows`, `w_question_factors`, `_accepted_labels` or the product in
     `bm_cycles` is canonical."""
     import awbm.weight_sets as ws
     kind, n, s, p, mu = job
@@ -787,7 +880,7 @@ def test_glued_records_equal_validated_ones(monkeypatch, job):
         return glued[-1][1]
 
     monkeypatch.setattr(ws, "_glue", recording)
-    for cache in (ws._w_question_cached, ws._w_question_factors, ws._accepted_labels):
+    for cache in (ws._w_question_cached, ws._accepted_labels):
         cache.cache_clear()
     if kind == "jh":
         jh_set(make_type(ctx, perms, mu), ((1, 1, 0, 0),))
