@@ -78,12 +78,9 @@ __all__ = group.__all__ + [
 ]
 
 # perfbench/record.py imports GroupContext, WeylTuple and restricted_classes
-# from here; PEP 562 serves the names that moved to `context`, `primes` and
-# `oracles`
-_MOVED = {"is_prime": primes, "check_prime": primes,
-          "restricted_classes": oracles,
-          **dict.fromkeys(("GroupContext", "WeylTuple", "weight_depth_base"),
-                          context)}
+# from here; PEP 562 serves them from `context` and `oracles`
+_MOVED = {"restricted_classes": oracles, "GroupContext": context,
+          "WeylTuple": context}
 
 
 def __getattr__(name):

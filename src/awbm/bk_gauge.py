@@ -1,5 +1,5 @@
 """The Breuil-Kisin gauge calculus on the series kernel of `series`, whose
-`Coefficients`, `SeriesMatrix` and `MAX_COEFFS` it serves on first access.
+`Coefficients` and `SeriesMatrix` it serves on first access.
 
 The three operations implemented on top of the arithmetic are the twisted
 Frobenius  Y -> Ad(s^{-1} v^{mu+eta})(phi(Y)), the eigenbasis change
@@ -56,7 +56,7 @@ __all__ = [
 
 
 def __getattr__(name):  # perfbench/tracer.py names SeriesMatrix here
-    if name in ("Coefficients", "SeriesMatrix", "MAX_COEFFS"):
+    if name in ("Coefficients", "SeriesMatrix"):
         return getattr(se, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
@@ -155,8 +155,9 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     """The unique tuple I in Iw1^J with X_j A_j z_j = I_j A_j z_j phi(I_{j-1})^{-1}
     mod v^M, by the contraction iteration; z_j = s_j^{-1} t_{mu_j + eta_j} with
     mu (h+1)-deep.  h defaults to the least h >= 0 with v^h A_j^{-1} integral
-    for every j.  The result is checked against the defining equation: each
-    X_j A_j must equal change_of_basis(A, I, ., M)_j mod v^M."""
+    for every j, the largest pole_order; a smaller h fails.  The result is
+    checked against the defining equation: each X_j A_j must equal
+    change_of_basis(A, I, ., M)_j mod v^M."""
     if not A or len(A) != len(X):
         raise ArgumentError("need matching tuples of matrices")
     ctx_n = A[0].n
@@ -167,13 +168,17 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     for j, m in enumerate(A):
         if not m.is_zero_mod(0):
             raise ArgumentError(f"A[{j}] is not integral")
-    if h is None:  # read off the inverses that h = 0 would work with
-        h = max(0, *(-m.truncate(M + 8).inverse(M + 8).lo for m in A))
+    poles = [m.pole_order() for m in A]
+    h = max(poles) if h is None else h
+    for j, k in enumerate(poles):
+        if h < k:
+            raise ArgumentError(f"v^h A[{j}]^(-1) is not integral: "
+                                "height condition fails")
     if twist.depth() < h + 1:
         raise GenericityError(
             f"twist depth {twist.depth()} < h+1 = {h + 1}: convergence of the "
             "straightening iteration is not guaranteed")
-    work = M + 2 * ctx_n * h + 8
+    work = max(M, 0) + 2 * ctx_n * h + 8
     A = [m.truncate(work) for m in A]
     X = [m.truncate(work) for m in X]
     for j, m in enumerate(X):
@@ -184,10 +189,6 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
         pole = (A[j] * Ainv[j])  # sanity: A A^{-1} = 1 to working precision
         if not pole.equal_mod(se.SeriesMatrix.identity(field, ctx_n), M):
             raise InternalError("inverse lost too much precision")
-        test = Ainv[j].shift(h)
-        if not test.is_zero_mod(0):
-            raise ArgumentError(f"v^{h} A[{j}]^(-1) is not integral: "
-                                "height condition fails")
     XA = [x * a for x, a in zip(X, A)]  # the same in every round
     J = [se.SeriesMatrix.identity(field, ctx_n) for _ in range(fcount)]
     cap = (M + field.p - 1) // field.p + 4
@@ -210,12 +211,12 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
 
 def recover_left_factor(A, I, z: WeylTuple, M: int):
     """The direct map back: X_j = change_of_basis(A, I, ., M + h)_j A_j^{-1}
-    mod v^M, where h is the pole order of the inverses, the least h >= 0
-    with v^h A_j^{-1} integral for every j.  I and A must be known
+    mod v^M, where h is the largest pole_order, the least h >= 0 with
+    v^h A_j^{-1} integral for every j.  I and A must be known
     mod v^(M+h); the factors straighten returns at M + h are."""
     ctx = GroupContext(A[0].n, len(A), A[0].field.p)
     Ainv = [m.inverse(M) for m in A]
-    h = max(0, *(-m.lo for m in Ainv))
+    h = max(m.pole_order() for m in A)
     moved = change_of_basis(A, I, TwistData.from_dual_element(z, ctx), M + h)
     out = []
     for a, ainv in zip(moved, Ainv):

@@ -8,11 +8,10 @@ import itertools
 from functools import lru_cache
 
 from . import context as cx
-from . import group as gr
 from . import inertial_types as it
 from . import weights as wt
 from .cli_io import element_json, parse_tuple, parse_vector, parsed, write
-from .errors import InputError
+from .errors import InputError, json_int
 
 
 def parse_weight_rows(text: str, n: int, f: int):
@@ -20,7 +19,7 @@ def parse_weight_rows(text: str, n: int, f: int):
     if text.startswith("[["):
         import json
         try:
-            rows = tuple(tuple(gr.json_int(x, "weight row") for x in row)
+            rows = tuple(tuple(json_int(x, "weight row") for x in row)
                          for row in parsed(json.loads, text))
         except TypeError as exc:
             raise InputError(

@@ -1,17 +1,15 @@
 """Tuples of elements over the embeddings Z/f, the context (rank,
 embeddings, prime) and the depth of a weight in the base p-alcove: what the
-weight, set and gauge layers add to `group`, with the prime test of `primes`
-re-exported.  No orders command loads it."""
+weight, set and gauge layers add to `group`.  No orders command loads it."""
 
 from __future__ import annotations
 
 from .errors import ArgumentError, ContextError, InputError
 from .group import (Record, WeylElement, eta_vector, invert, is_restricted,
                     multiply, pairing, positive_roots, star)
-from .primes import check_prime, is_prime  # noqa: F401  (re-exported)
+from .primes import check_prime
 
-__all__ = ["WeylTuple", "is_prime", "check_prime", "GroupContext",
-           "weight_depth_base"]
+__all__ = ["WeylTuple", "GroupContext", "weight_depth_base"]
 
 
 # ---------------------------------------------------------------------------

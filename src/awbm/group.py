@@ -38,7 +38,7 @@ __all__ = [
     "perm_identity", "perm_compose", "perm_inverse", "perm_act", "perm_w0",
     "perm_sign", "all_perms", "positive_roots", "all_roots", "pairing",
     # elements and the group law
-    "json_int", "Record", "WeylElement", "identity", "translation", "finite",
+    "Record", "WeylElement", "identity", "translation", "finite",
     "w0", "w_h", "eta_vector", "multiply", "invert", "evaluate", "degree",
     "star", "alcove_point", "length",
     # alcove positions

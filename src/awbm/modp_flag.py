@@ -74,8 +74,7 @@ __all__ = [
 
 
 def __getattr__(name):  # perfbench/tracer.py names the Laurent matrices here
-    if name in ("LaurentMatrix", "nabla_matrix", "unipotent_inverse",
-                "verify_nabla"):
+    if name in ("LaurentMatrix", "nabla_matrix", "verify_nabla"):
         return getattr(se, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

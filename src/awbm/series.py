@@ -493,29 +493,18 @@ class SeriesMatrix:
         precision of A and L = min(0, its lowest stored exponent); an
         exact A gives prec itself."""
         f = self.field
-        adj = self._adjugate()
-        det = self._det(adj)
-        if not det:
-            raise ArgumentError("matrix is not invertible (zero determinant)")
+        if prec is None and self.prec is not None:
+            raise ArgumentError("an exact inverse needs an exact matrix")
+        adj, det, low = self._adj_det()
         det_lo = next(iter(det))
         if prec is None:
-            if self.prec is not None:
-                raise ArgumentError("an exact inverse needs an exact matrix")
             if len(det) > 1:
                 raise ArgumentError(
                     "matrix determinant is not a unit times a power of v")
             u, p = f.inv_scalar(det[det_lo]), f.p
             return adj._new(adj.lo - det_lo, adj._map(
                 lambda s: {e - det_lo: c * u % p for e, c in s.items()}))
-        out_prec = prec
-        if self.prec is not None:
-            # with every stored exponent >= L and L <= 0, a change at v^prec
-            # moves det A from v^(prec + (n-1)L) on and adj A from
-            # v^(prec + (n-2)L) on
-            low = (self.n - 1) * min(0, self.normalized().lo)
-            if det_lo >= self.prec + low:
-                raise ArgumentError("matrix determinant has no known term")
-            out_prec = min(prec, self.prec - 2 * det_lo + 2 * low)
+        out_prec = min(prec, self._eff_prec() - 2 * det_lo + 2 * low)
         # adj / det = v^(-det_lo) adj · (1/unit); the terms of 1/unit below
         # `need` are those that reach below out_prec
         need = out_prec + det_lo - adj.lo
@@ -523,6 +512,37 @@ class SeriesMatrix:
                             max(need, 1))
         unit_inv = adj._new(0, [{i: uinv} for i in range(self.n)], need)
         return (adj * unit_inv).shift(-det_lo).normalized()
+
+    def pole_order(self):
+        """The least h >= 0 with v^h A^{-1} integral: val det A - min val
+        adj A.  A mod v^cut gives both once it knows det A's lowest term (see
+        `_adj_det`); cut doubles from 8 until it does, so h is A's alone and
+        costs what val det A sets, not what the precision of A does."""
+        cut = 8
+        while cut <= self._top():
+            try:
+                adj, det, _ = self.truncate(cut)._adj_det()
+                break
+            except ArgumentError:
+                cut *= 2
+        else:
+            adj, det, _ = self._adj_det()
+        return max(0, next(iter(det)) - adj.normalized().lo)
+
+    def _adj_det(self):
+        """adj A, det A, whose lowest term must be known, and (n-1)L for
+        L = min(0, the lowest stored exponent)."""
+        adj = self._adjugate()
+        det = self._det(adj)
+        if not det:
+            raise ArgumentError("matrix is not invertible (zero determinant)")
+        # with every stored exponent >= L and L <= 0, a change at v^prec
+        # moves det A from v^(prec + (n-1)L) on and adj A from
+        # v^(prec + (n-2)L) on
+        low = (self.n - 1) * min(0, self.normalized().lo)
+        if next(iter(det)) >= self._eff_prec() + low:
+            raise ArgumentError("matrix determinant has no known term")
+        return adj, det, low
 
     def _det(self, adj):
         """det A = sum_k A[0,k]·adj[k,0], adj the adjugate of A, as a

@@ -36,7 +36,6 @@ from awbm.affine_weyl import (
     invert,
     is_dominant,
     is_generic_element,
-    is_prime,
     is_regular,
     is_restricted,
     is_small,
@@ -61,6 +60,7 @@ from awbm.errors import (ArgumentError, CapacityError, InternalError,
                          RegularityError)
 from awbm.modp_flag import cell_geometry
 from awbm.oracles import adm_closure, ap_member, dual_bruhat_leq, dual_length
+from awbm.primes import is_prime
 from conftest import perms, random_element
 
 E2 = identity(2)

@@ -6,6 +6,7 @@ import pytest
 
 from awbm.affine_weyl import (
     GroupContext,
+    WeylElement,
     WeylTuple,
     finite,
     identity,
@@ -389,9 +390,75 @@ def test_straighten_height_guard():
         straighten(A, X, z, 40, h=0)
 
 
+# A 3 x 3 matrix whose inverse has a pole of order 10 = val det A, with a
+# 11-deep twist at p = 101, and diag(1, v^3, v^3), whose inverse has a pole
+# of order 3 < val det A = 6, with a 5-deep one
+F101 = Coefficients(101)
+POLE10 = SeriesMatrix.from_entries(
+    F101, 3, {(1, 1, 5): 1, (1, 2, 0): 1, (2, 2, 5): 1, (3, 3, 0): 1})
+DIAG033 = SeriesMatrix.from_entries(
+    F101, 3, {(1, 1, 0): 1, (2, 2, 3): 1, (3, 3, 3): 1})
+X3 = SeriesMatrix.from_entries(
+    F101, 3, {(1, 1, 0): 1, (2, 2, 0): 1, (3, 3, 0): 1, (1, 3, 1): 7,
+              (2, 1, 1): 3})
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pole_order_is_read_off_the_adjugate(n):
+    # A = Iw · diag(v^lam) · Iw: pole_order is -val A^{-1}, exact or
+    # truncated anywhere past val det A.  For n >= 3, when two lam_i exceed
+    # the least one, the adjugate's valuation exceeds (n-1)·lo, as for
+    # diag(1, v^3, v^3)
+    rng = random.Random(80 + n)
+    cases = [DIAG033] * (n == 3)
+    for _ in range(12):
+        lam = sorted((rng.randrange(7) for _ in range(n)), reverse=True)
+        mid = SeriesMatrix.from_entries(
+            F101, n, {(i, i, lam[i - 1]): 1 for i in range(1, n + 1)})
+        cases.append(random_iwahori(F101, n, rng) * mid
+                     * random_iwahori(F101, n, rng))
+    assert max(min(A._det(A._adjugate())) for A in cases) >= 9
+    assert n == 2 or any(
+        A.pole_order() < min(A._det(A._adjugate())) - (n - 1) * A.lo
+        for A in cases)
+    for A in cases:
+        h = A.pole_order()
+        assert h == -A.inverse(1).lo
+        val_det = min(A._det(A._adjugate()))
+        for P in (val_det + 1, val_det + 4, 80):
+            assert A.truncate(P).pole_order() == h
+        # below val det A the determinant's lowest term is not known
+        with pytest.raises(ArgumentError, match="no known term|zero det"):
+            A.truncate(val_det).pole_order()
+    with pytest.raises(ArgumentError, match="^matrix determinant has no "
+                                            "known term$"):
+        POLE10.truncate(10).pole_order()
+    zero = SeriesMatrix.from_entries(F101, n, {(1, 1, 0): 1})
+    with pytest.raises(ArgumentError, match="zero determinant"):
+        zero.pole_order()
+
+
+def test_pole_order_reads_a_only_as_far_as_its_determinant_needs(monkeypatch):
+    # val det A = 10: A mod v^8 does not know det A's lowest term, A mod v^16
+    # does, and the 300 further terms of A are never multiplied out
+    rng = random.Random(83)
+    A = (POLE10 * random_iwahori(F101, 3, rng, 300)).truncate(290)
+    seen = []
+    adjugate = SeriesMatrix._adjugate
+    monkeypatch.setattr(SeriesMatrix, "_adjugate",
+                        lambda m: seen.append(m.prec) or adjugate(m))
+    assert A.pole_order() == 10 and seen == [8, 16]
+
+
+def _z(w, nu):
+    return WeylTuple((WeylElement(w, nu),))
+
+
 def test_straighten_derives_least_height():
     # A = Iw · diag(v, 1) · Iw has a simple pole in A^{-1}: without h the
-    # iteration takes h = 1, exact or truncated, and h = 0 is refused
+    # iteration takes h = 1, exact or truncated, and h = 0 is refused.  The
+    # pole order is A's alone, so down to M = 1 the derived h is the least
+    # one, and the answer is the one at a larger M, truncated
     rng = random.Random(71)
     z = TW7.dual_element()
     mid = SeriesMatrix.from_entries(F7, 2, {(1, 1, 1): 1, (2, 2, 0): 1})
@@ -401,6 +468,39 @@ def test_straighten_derives_least_height():
         assert straighten([Aj], X, z, 30) == straighten([Aj], X, z, 30, h=1)
         with pytest.raises(ArgumentError, match="height condition fails"):
             straighten([Aj], X, z, 30, h=0)
+    for A, z, h in ((POLE10, _z((1, 2, 3), (62, 31, 0)), 10),
+                    (DIAG033, _z((1, 2, 3), (12, 6, 0)), 3)):
+        assert A.pole_order() == h
+        deep = straighten([A], [X3], z, 30)
+        for M in (1, 3, 30):
+            out = straighten([A], [X3], z, M)
+            assert out == straighten([A], [X3], z, M, h=h)
+            assert out[0].equal_mod(deep[0], M)
+            assert out[0].is_iw1()
+
+
+@pytest.mark.parametrize("M", [1, 3, 40])
+def test_too_small_height_fails_alike_at_every_precision(M):
+    z = _z((1, 2, 3), (62, 31, 0))
+    for h in (0, 1, 4, 9):
+        with pytest.raises(ArgumentError) as err:
+            straighten([POLE10], [X3], z, M, h=h)
+        assert str(err.value) == ("v^h A[0]^(-1) is not integral: height "
+                                  "condition fails")
+
+
+@pytest.mark.parametrize("M", [-50, -1, 0])
+def test_straighten_at_nonpositive_precision_is_vacuous(M):
+    # nothing is asked mod v^M for M <= 0; the working precision is floored
+    # at 0, as change_of_basis floors its own
+    A = SeriesMatrix.from_entries(
+        F101, 2, {(1, 1, 0): 1, (1, 2, 1): 1, (2, 2, 0): 1})
+    X = SeriesMatrix.from_entries(
+        F101, 2, {(1, 1, 0): 1, (2, 1, 1): 3, (2, 2, 0): 1})
+    out = straighten([A], [X], _z((1, 2), (30, 0)), M)
+    assert out[0].is_iw1()
+    cut = out[0].truncate(M)
+    assert cut.prec == M and cut.coeffs == ({}, {})
 
 
 def test_straighten_quadratic_field():

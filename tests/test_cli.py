@@ -1622,13 +1622,7 @@ print(issubclass(awbm.modp_flag.LaurentMatrix, awbm.bk_gauge.SeriesMatrix),
 @pytest.mark.parametrize("old,name,home", [
     ("modp_flag", "LaurentMatrix", "series"),
     ("modp_flag", "nabla_matrix", "series"),
-    ("modp_flag", "unipotent_inverse", "series"),
     ("modp_flag", "verify_nabla", "series"),
-    ("context", "is_prime", "primes"),
-    ("context", "check_prime", "primes"),
-    ("affine_weyl", "is_prime", "primes"),
-    ("affine_weyl", "check_prime", "primes"),
-    ("group", "json_int", "errors"),
 ])
 def test_moved_name_is_the_object_of_its_new_home(old, name, home):
     # a name served from its old home is the very object its new home

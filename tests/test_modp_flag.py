@@ -36,10 +36,10 @@ from awbm.modp_flag import (
     monodromy_solve,
     required_genericity,
     special_fiber_components,
-    unipotent_inverse,
     verify_nabla,
     weyl_matrix,
 )
+from awbm.series import unipotent_inverse
 from conftest import generic_modp_vector, glued
 
 

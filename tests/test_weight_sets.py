@@ -721,7 +721,7 @@ def _accepted_rows_by_avatars(wt_rho_j, wt_tau_j, lam_j):
 def _mu_at_depth(n, p, depth, rng):
     """A weight exactly depth-deep in the base alcove: a deeper one with one
     simple gap narrowed to depth."""
-    from awbm.affine_weyl import weight_depth_base
+    from awbm.context import weight_depth_base
     from conftest import random_deep_mu
     for _ in range(100):
         mu = random_deep_mu(n, p, depth, rng)
