@@ -124,30 +124,20 @@ def frobenius_twist(Y: se.SeriesMatrix, j: int, twist: TwistData,
 
 def change_of_basis(A, I, twist: TwistData, M: int):
     """A'_j = I_j · A_j · Ad(s_j^{-1} v^{mu_j+eta_j})(phi(I_{j-1}))^{-1} mod v^M.
-    The working precision starts at M + 8 and doubles, up to the inputs'
-    precision, until the inverse of the twist sees a unit of its determinant
-    and the product is known mod v^M."""
+    Each twist is formed at the inputs' precision and inverted, and I_j, A_j
+    cut, where the product mod v^M stops reading them, so M sets the cost."""
     f = twist.ctx.f
     if len(A) != f or len(I) != f:
         raise ArgumentError("need one matrix per embedding")
     prec = min(m._eff_prec() for m in list(A) + list(I))
+    M = max(M, 0)
     out = []
     for j in range(f):
-        work = min(max(M, 0) + 8, prec)
-        while True:
-            prev = I[(j - 1) % f]
-            tw = frobenius_twist(prev, j, twist, work)
-            try:
-                a = I[j] * A[j] * tw.inverse(work)
-                if a._eff_prec() >= M or work == prec:
-                    break
-            except ArgumentError:  # no unit of det tw below the working precision
-                b = twist.exponents(j)
-                if (prev.field.p * prev._top() + max(b) - min(b) < work
-                        or work == prec):  # nothing was cut off
-                    raise
-            work = min(2 * work, prec)
-        out.append(a)
+        tw = frobenius_twist(I[(j - 1) % f], j, twist, prec)
+        tw_inv = tw.inverse(M - I[j].lo - A[j].lo)
+        cut = M - tw_inv.lo
+        out.append(I[j].truncate(cut - A[j].lo) * A[j].truncate(cut - I[j].lo)
+                   * tw_inv)
     return tuple(out)
 
 
@@ -211,12 +201,12 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
 
 def recover_left_factor(A, I, z: WeylTuple, M: int):
     """The direct map back: X_j = change_of_basis(A, I, ., M + h)_j A_j^{-1}
-    mod v^M, where h is the largest pole_order, the least h >= 0 with
-    v^h A_j^{-1} integral for every j.  I and A must be known
+    mod v^M, where v^h bounds the pole of every A_j^{-1} mod v^M; for M > 0
+    and integral A_j, h is the largest pole_order.  I and A must be known
     mod v^(M+h); the factors straighten returns at M + h are."""
     ctx = GroupContext(A[0].n, len(A), A[0].field.p)
     Ainv = [m.inverse(M) for m in A]
-    h = max(m.pole_order() for m in A)
+    h = max(0, -min(m.lo for m in Ainv))
     moved = change_of_basis(A, I, TwistData.from_dual_element(z, ctx), M + h)
     out = []
     for a, ainv in zip(moved, Ainv):

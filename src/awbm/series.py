@@ -256,18 +256,17 @@ def _packed_product(a, b, prec):
 # series matrices
 
 # The most coefficient slots, n^2 * degree * exponent span, that a matrix read
-# from JSON may span; `from_json` refuses a wider input.  The largest of the
-# benchmark and the tests is 3,600 (straightened n = 3 tuples at M = 400).
+# from JSON may span; `from_json` refuses a wider input.  The benchmark's
+# largest is 3,600 (straightened n = 3 tuples at M = 400).
 # The kernel allocates by stored terms, not by this count: a packed product
 # packs at most _FILL slots of at most 8 bytes per stored term and builds one
 # output entry at a time.  On the catalog straightenings its transient peak
 # above the result is at most 61 bytes per operand term (the term loop's: 105).
-# An inverse holds the adjugate, whose n^2 entries each span at most n - 1
-# times the input's exponent span, and while it builds the minors of one
-# removed row at most 2·C(n, n // 2) series of no wider span.  So an input at
-# the bound gives an adjugate of at most (n - 1)·MAX_COEFFS slots.  The bound
-# is kept: it is checked on the input, before anything is allocated, and at
-# the n = 3 of the straightenings an adjugate stays within 2·MAX_COEFFS slots.
+# Each of an adjugate's n^2 entries spans at most n - 1 times the span of its
+# matrix, and at most 2·C(n, n // 2) minors of no wider span are held while it
+# is built.  A truncated inverse or a pole order takes it of A mod v^cut, cut
+# set by prec and val det A (`_read_det`), not by the input's span; only
+# nabla's exact inverse takes it of a whole input, within (n - 1)·MAX_COEFFS.
 MAX_COEFFS = 10 ** 5
 
 
@@ -495,8 +494,12 @@ class SeriesMatrix:
         f = self.field
         if prec is None and self.prec is not None:
             raise ArgumentError("an exact inverse needs an exact matrix")
-        adj, det, low = self._adj_det()
+        m, adj, det, low = self._read_det(
+            math.inf if prec is None else max(prec, 0) + 8)
         det_lo = next(iter(det))
+        # the inverse mod v^prec reads A mod v^(prec + 2k - 2(n-1)L) alone
+        if m is not self and m.prec < (cut := prec + 2 * det_lo - 2 * low):
+            adj, det, _ = self.truncate(cut)._adj_det()
         if prec is None:
             if len(det) > 1:
                 raise ArgumentError(
@@ -515,19 +518,22 @@ class SeriesMatrix:
 
     def pole_order(self):
         """The least h >= 0 with v^h A^{-1} integral: val det A - min val
-        adj A.  A mod v^cut gives both once it knows det A's lowest term (see
-        `_adj_det`); cut doubles from 8 until it does, so h is A's alone and
-        costs what val det A sets, not what the precision of A does."""
-        cut = 8
+        adj A, read off `_read_det(8)`, so h is A's alone and costs what val
+        det A sets, not what the precision of A does."""
+        _, adj, det, _ = self._read_det(8)
+        return max(0, next(iter(det)) - adj.normalized().lo)
+
+    def _read_det(self, cut):
+        """A mod v^(cut·2^i) and its `_adj_det` for the least i >= 0 at which
+        it knows det A's lowest term, then A's (for cut > 0 it keeps A's L);
+        past A's top term A itself, whose errors are raised."""
         while cut <= self._top():
+            m = self.truncate(cut)
             try:
-                adj, det, _ = self.truncate(cut)._adj_det()
-                break
+                return (m, *m._adj_det())
             except ArgumentError:
                 cut *= 2
-        else:
-            adj, det, _ = self._adj_det()
-        return max(0, next(iter(det)) - adj.normalized().lo)
+        return (self, *self._adj_det())
 
     def _adj_det(self):
         """adj A, det A, whose lowest term must be known, and (n-1)L for

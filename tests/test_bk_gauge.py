@@ -17,6 +17,7 @@ from awbm.errors import (
     ContextError,
     GenericityError,
     IntegralityError,
+    PreconditionError,
 )
 from awbm.bk_gauge import (
     Coefficients,
@@ -448,10 +449,87 @@ def test_pole_order_reads_a_only_as_far_as_its_determinant_needs(monkeypatch):
     monkeypatch.setattr(SeriesMatrix, "_adjugate",
                         lambda m: seen.append(m.prec) or adjugate(m))
     assert A.pole_order() == 10 and seen == [8, 16]
+    # A^{-1} mod v^prec starts at A mod v^(prec + 8), doubles until det A's
+    # lowest term is known and then reads A mod v^(prec + 2k) once, k = 10
+    for prec, reads in ((1, [9, 18, 21]), (9, [17, 29]), (40, [48, 60])):
+        seen.clear()
+        inv = A.inverse(prec)
+        assert seen == reads
+        assert inv == A.truncate(prec + 20).inverse(prec)
 
 
 def _z(w, nu):
     return WeylTuple((WeylElement(w, nu),))
+
+
+# the twist of `cob --n 3 --f 1 --p 7 --s 3,2,1 --mu 4,2,0`
+CTX73 = GroupContext(3, 1, 7)
+TW73 = TwistData(WeylTuple((finite((3, 2, 1)),)), ((4, 2, 0),), CTX73)
+
+
+def test_gauge_calls_read_the_inputs_only_as_far_as_m_needs(monkeypatch):
+    # at M = 9 over F_49, inputs known mod v^1000 give what their truncations
+    # at 60 give, and no adjugate or product sees a term past v^100
+    rng = random.Random(84)
+    mid = SeriesMatrix.from_entries(
+        F49, 3, {(1, 1, 2): 1, (2, 2, 1): 1, (3, 3, 0): 1})
+    A = [(mid * random_iwahori(F49, 3, rng, 1000)).truncate(1000)]
+    I = [random_iw1(F49, 3, rng, 1000).truncate(1000)]
+    z = TW73.dual_element()
+    tops = []
+    adjugate, mul = SeriesMatrix._adjugate, SeriesMatrix.__mul__
+    monkeypatch.setattr(SeriesMatrix, "_adjugate",
+                        lambda m: tops.append(m._top()) or adjugate(m))
+    monkeypatch.setattr(SeriesMatrix, "__mul__", lambda a, b: tops.append(
+        max(a._top(), b._top())) or mul(a, b))
+    cob = change_of_basis(A, I, TW73, 9)
+    back = recover_left_factor(A, I, z, 9)
+    assert max(tops) < 100
+    monkeypatch.undo()
+    short = [m.truncate(60) for m in A], [m.truncate(60) for m in I]
+    assert cob == change_of_basis(*short, TW73, 9)
+    assert back == recover_left_factor(*short, z, 9)
+    assert cob[0].prec == back[0].prec == 9
+
+
+def test_change_of_basis_through_a_pole_of_the_twist_inverse():
+    # I with det I of valuation 3 gives a twist whose inverse has a pole: the
+    # product reads I_j A_j past v^M by that pole, and is known mod v^M
+    rng = random.Random(85)
+    mid = SeriesMatrix.from_entries(F7, 2, {(1, 1, 3): 1, (2, 2, 0): 1})
+    I = [random_iwahori(F7, 2, rng, 30) * mid * random_iwahori(F7, 2, rng, 30)]
+    A = [random_iwahori(F7, 2, rng, 30)]
+    tw_inv = frobenius_twist(I[0], 0, TW7).inverse(200)
+    assert tw_inv.lo < 0
+    want = I[0] * A[0] * tw_inv
+    cut = [m.truncate(120) for m in A], [m.truncate(120) for m in I]
+    for M in (1, 5, 20):
+        for a, i in ((A, I), cut):
+            out = change_of_basis(a, i, TW7, M)
+            assert out[0].prec == M and out[0].equal_mod(want, M)
+
+
+def test_change_of_basis_and_recovery_keep_their_error_texts():
+    # I = 1 known mod v^0 twists to a matrix with nothing stored
+    A = [SeriesMatrix.identity(F7, 2)]
+    unknown = [SeriesMatrix.identity(F7, 2).truncate(0)]
+    for M in (0, 5):
+        with pytest.raises(ArgumentError, match=r"^matrix is not invertible "
+                                                r"\(zero determinant\)$"):
+            change_of_basis(A, unknown, TW7, M)
+    # A^{-1} has a pole of order 8, so I known mod v^12 recovers X mod v^4
+    A = [SeriesMatrix.from_entries(
+        F101, 2, {(1, 1, 4): 1, (1, 2, 0): 1, (2, 2, 4): 1})]
+    X = [SeriesMatrix.from_entries(
+        F101, 2, {(1, 1, 0): 1, (2, 1, 1): 3, (2, 2, 0): 1})]
+    z = _z((1, 2), (40, 0))
+    I = [m.truncate(12) for m in straighten(A, X, z, 12)]
+    with pytest.raises(PreconditionError, match="^inputs carry too little "
+                                                "precision to recover mod "
+                                                r"v\^10$"):
+        recover_left_factor(A, I, z, 10)
+    back = recover_left_factor(A, I, z, 4)
+    assert back[0].prec == 4 and back[0].equal_mod(X[0], 4)
 
 
 def test_straighten_derives_least_height():
@@ -501,6 +579,17 @@ def test_straighten_at_nonpositive_precision_is_vacuous(M):
     assert out[0].is_iw1()
     cut = out[0].truncate(M)
     assert cut.prec == M and cut.coeffs == ({}, {})
+
+
+def test_recovery_at_nonpositive_precision_is_vacuous():
+    # A^{-1} = diag(1, v^-3, v^-3) mod v^M stores nothing for M <= -3, and
+    # its lo is then only bounded by -val det A = -6: the basis change is
+    # taken that much deeper, and the empty answer is known mod v^M
+    z = _z((1, 2, 3), (12, 6, 0))
+    I = straighten([DIAG033], [X3], z, 30)
+    for M in (-50, -4, -3, -1, 0):
+        back = recover_left_factor([DIAG033], I, z, M)
+        assert back[0].prec == M and back[0].coeffs == ({}, {}, {})
 
 
 def test_straighten_quadratic_field():
