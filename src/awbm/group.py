@@ -289,17 +289,15 @@ def _walls(y, shift):
 
 
 @lru_cache(maxsize=None)
-def _separation(a: WeylElement, x_index: int) -> int:
-    """Hyperplanes separating x from a(x), for x = x0 (x_index 0) or w0(x0)
-    (x_index 1)."""
-    return _walls(alcove_point(a if x_index == 0 else multiply(a, w0(a.n))),
-                  x_index)
+def _separation(a: WeylElement) -> int:
+    """Hyperplanes separating x0 from a(x0)."""
+    return _walls(alcove_point(a), 0)
 
 
 def length(a: WeylElement) -> int:
     """Hyperplanes strictly separating x0 from a(x0); extends Coxeter length by
     length(g·delta) = length(g) for delta in Omega."""
-    return _separation(a, 0)
+    return _separation(a)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ cuts the cell down to an affine space: the coefficients below the top of each
 f_alpha are solved triangularly along the height order of the chamber w(Δ)
 containing the support, with pivots i + [alpha>0] + <a, alpha∨> - these are
 nonzero exactly when a is generic enough mod p, and a vanishing pivot is
-reported with its root and index.  N is unipotent, so the solver inverts it
-in closed form, N^{-1} = sum_{k<n} (I - N)^k, and checks the final matrix
-A = z·N through A^{-1} = N^{-1}·z^{-1} without the adjugate.
+reported with its root and index.  The solver inverts N with the kernel's
+exact inverse once per nabla, and checks the final matrix A = z·N through
+A^{-1} = N^{-1}·z^{-1}, reusing the last N^{-1}.
 """
 
 from __future__ import annotations
@@ -237,7 +237,8 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, *,
     for (i, k), d in geom.degrees:
         terms[(k, i, d + (i < k))] = int(free.get((i, k), 1))
     N = se.LaurentMatrix.from_entries(field, n, terms)
-    nab = se._nabla(N, se.unipotent_inverse(N), a_bar)
+    Ninv = N.inverse()  # det N = 1: the exact inverse
+    nab = se._nabla(N, Ninv, a_bar)
     for alpha, d in _root_height_order(geom, n):
         i, k = alpha
         delta = 1 if i < k else 0
@@ -250,13 +251,14 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, *,
             terms[(k, i, t + delta)] = (-band.get(t + delta, 0)
                                         * pow(pivot, -1, p) % p)
         N = se.LaurentMatrix.from_entries(field, n, terms)
-        nab = se._nabla(N, se.unipotent_inverse(N), a_bar)
+        Ninv = N.inverse()
+        nab = se._nabla(N, Ninv, a_bar)
         # after elimination the sub-top band of this entry must vanish
         if any(map(nab.entry(k, i).get, range(delta, d + delta))):
             raise InternalError("triangular elimination failed to clear a band")
 
     A = weyl_matrix(star(wt), p) * N
-    Ainv = se.unipotent_inverse(N) * weyl_matrix(invert(star(wt)), p)
+    Ainv = Ninv * weyl_matrix(invert(star(wt)), p)
     if (A * Ainv != se.LaurentMatrix.identity(field, n)
             or not se._nabla(A, Ainv, a_bar).shift(1).is_upper_mod_v()):
         raise InternalError("solved matrix fails the monodromy condition")

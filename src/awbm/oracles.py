@@ -59,8 +59,9 @@ from .affine_weyl import (
     WeylElement,
     _box_translation,
     _check_dominant_weight,
-    _separation,
+    _walls,
     adm_member,
+    alcove_point,
     all_perms,
     bruhat_interval,
     bruhat_leq,
@@ -320,7 +321,7 @@ def enumerate_elements(n: int, deg: int, bound: int):
 
 def dual_length(a: WeylElement) -> int:
     """Length with respect to the antidominant base alcove (for starred elements)."""
-    return _separation(a, 1)
+    return _walls(alcove_point(multiply(a, w0(a.n))), 1)
 
 
 def dual_bruhat_leq(a: WeylElement, b: WeylElement) -> bool:

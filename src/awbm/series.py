@@ -36,7 +36,7 @@ from .errors import (
 from .primes import check_prime
 
 __all__ = ["Coefficients", "SeriesMatrix", "MAX_COEFFS", "LaurentMatrix",
-           "nabla_matrix", "unipotent_inverse", "verify_nabla"]
+           "nabla_matrix", "verify_nabla"]
 
 
 # ---------------------------------------------------------------------------
@@ -565,28 +565,37 @@ class SeriesMatrix:
         are taken in order; after k+1 of them, `minors` maps each sorted
         (k+1)-tuple of columns to the determinant of those rows on those
         columns, expanded along the newest row from the previous step's
-        minors (the 0 x 0 minor is 1).  A dense matrix costs at most
-        n^2·2^(n-1) series products, shared between the cofactors."""
+        minors (the 0 x 0 minor is 1).  The minors of rows 0..i-1 are
+        expanded once and serve every removed row past them.  A dense n x n
+        matrix costs at most n^2·2^(n-1) series products, shared between
+        the cofactors."""
         n, p = self.n, self.field.p
         signed = [self.coeffs, [{j: {e: -c for e, c in s.items()}
                                  for j, s in row.items()}
                                 for row in self.coeffs]]
+
+        def expand(minors, r, k):  # row r, taken at position k
+            acc = {}
+            for cols, m in minors.items():
+                for c in self.coeffs[r].keys() - set(cols):
+                    t = bisect_left(cols, c)
+                    _mac(acc.setdefault(cols[:t] + (c,) + cols[t:], {}),
+                         m, signed[(k + t) % 2][r][c], math.inf)
+            return {cols: s for cols, a in acc.items()
+                    if (s := _reduced(a, p))}
+
         rows = [{} for _ in range(n)]
+        prefix = {(): {0: self.field.element(1)}}  # the minors of rows < i
         for i in range(n):
-            minors = {(): {0: self.field.element(1)}}
-            for k, r in enumerate(r for r in range(n) if r != i):
-                acc = {}
-                for cols, m in minors.items():
-                    for c in self.coeffs[r].keys() - set(cols):
-                        t = bisect_left(cols, c)
-                        _mac(acc.setdefault(cols[:t] + (c,) + cols[t:], {}),
-                             m, signed[(k + t) % 2][r][c], math.inf)
-                minors = {cols: s for cols, a in acc.items()
-                          if (s := _reduced(a, p))}
+            minors = prefix
+            for r in range(i + 1, n):
+                minors = expand(minors, r, r - 1)
             for cols, s in minors.items():
                 j = n * (n - 1) // 2 - sum(cols)  # the column left out
                 rows[j][i] = s if (i + j) % 2 == 0 else {
                     e: -c % p for e, c in s.items()}
+            if i < n - 1:
+                prefix = expand(prefix, i, i)
         return self._new((n - 1) * self.lo, rows)
 
     # -- encoding ------------------------------------------------------------
@@ -689,17 +698,6 @@ def _nabla(A, Ainv, a_bar):
     D = LaurentMatrix.from_entries(
         A.field, A.n, {(i, i, 0): int(a) for i, a in enumerate(a_bar, 1)})
     return (A.v_ddv() + A * D) * Ainv
-
-
-def unipotent_inverse(N: LaurentMatrix) -> LaurentMatrix:
-    """N^{-1} = sum_{k<n} (I - N)^k for N with I - N nilpotent, by Horner's
-    rule."""
-    one = type(N).identity(N.field, N.n)
-    M = one - N
-    inv = one
-    for _ in range(N.n - 1):
-        inv = one + M * inv
-    return inv
 
 
 def verify_nabla(A: LaurentMatrix, a_bar) -> bool:

@@ -292,6 +292,9 @@ STRAIGHT_CONFIGS = [
     (4, 1, 101, 2, (75, 50, 25, 0)),
     (4, 1, 211, 1, (75, 50, 25, 0)),
     (4, 1, 211, 2, (75, 50, 25, 0)),
+    (4, 2, 211, 2, (150, 100, 50, 0)),
+    (5, 1, 211, 1, (160, 120, 80, 40, 0)),
+    (5, 1, 1009, 2, (800, 600, 400, 200, 0)),
 ]
 
 

@@ -1,6 +1,7 @@
 """Charts, cells, the monodromy condition, and component fixed points."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -39,7 +40,6 @@ from awbm.modp_flag import (
     verify_nabla,
     weyl_matrix,
 )
-from awbm.series import unipotent_inverse
 from conftest import generic_modp_vector, glued
 
 
@@ -204,26 +204,6 @@ def test_monodromy_linearity_in_free_values():
                 continue
             e1, e2 = N1.entry(i, j), N2.entry(i, j)
             assert e2 == {k: (2 * v) % p for k, v in e1.items()}
-
-
-def test_unipotent_inverse_against_adjugate():
-    # random coefficients on the support of random cells: the closed form
-    # sum_{k<n} (I - N)^k equals the adjugate inverse
-    rng = random.Random(54)
-    for n, eta in [(2, (1, 0)), (3, (2, 1, 0)), (4, (3, 2, 1, 0))]:
-        cells = adm(eta)
-        for p in (13, 101):
-            field = Coefficients(p)
-            for wt in rng.sample(cells, min(len(cells), 12)):
-                ent = {(i, i, 0): 1 for i in range(1, n + 1)}
-                for (i, k), d in cell_geometry(wt).degrees:
-                    delta = 1 if i < k else 0
-                    for t in range(d + 1):
-                        ent[(k, i, t + delta)] = rng.randrange(p)
-                N = LaurentMatrix.from_entries(field, n, ent)
-                inv = unipotent_inverse(N)
-                assert inv == N.inverse()
-                assert N * inv == LaurentMatrix.identity(field, n)
 
 
 def test_translation_compatibility():
@@ -442,23 +422,44 @@ def test_fiber_rows_match_the_per_label_construction():
     assert checked > 100
 
 
-def test_solver_never_expands_the_adjugate(monkeypatch):
-    # the solver inverts N in closed form and checks A = z·N through
-    # A^{-1} = N^{-1}·z^{-1}, so no general inverse runs
-    cells = [
-        (WeylElement((2, 5, 3, 4, 1), (3, 1, 3, 0, 3)), (22, 144, 201, 85, 42),
-         211),
-        (translation((5, 4, 3, 2, 1, 0)), (1, 300, 600, 900, 150, 450), 1009),
-    ]
+SOLVER_CALLS = [
+    # (argv, the cell, the stdout sha256 of the closed-form solver)
+    (["--n", "5", "--p", "211", "--w", "2,5,3,4,1@3,1,3,0,3",
+      "--abar", "22,144,201,85,42"],
+     WeylElement((2, 5, 3, 4, 1), (3, 1, 3, 0, 3)),
+     "386608bb236d923479a3f0ba44f2bc64832558aff978bf720a67a5d20a95f7dc"),
+    (["--n", "6", "--p", "1009", "--w", "e@5,4,3,2,1,0",
+      "--abar", "1,300,600,900,150,450"],
+     translation((5, 4, 3, 2, 1, 0)),
+     "373a1c7f16b1220f2b045c7eec57e26c9ad9cd3f492359ee29ea6ba796ed88e5"),
+    (["--n", "8", "--p", "1009", "--w", "e@7,6,5,4,3,2,1,0",
+      "--abar", "1,300,600,900,150,450,750,50"],
+     translation((7, 6, 5, 4, 3, 2, 1, 0)),
+     "dc884429e334669df9451f9d87d86305ee58c00ca05b2315b16a0dab8cc30541"),
+]
 
-    def refuse(self):
-        raise AssertionError("the adjugate was expanded")
 
-    monkeypatch.setattr(SeriesMatrix, "_adjugate", refuse)
-    solved = [monodromy_solve(wt, a, p=p) for wt, a, p in cells]
+@pytest.mark.parametrize("argv,wt,digest", SOLVER_CALLS,
+                         ids=[f"n{c[1].n}" for c in SOLVER_CALLS])
+def test_solver_inverts_n_once_per_nabla(monkeypatch, argv, wt, digest):
+    # the solver forms nabla(N) once at the start and once per support root,
+    # each with the kernel's inverse of N, and checks A = z·N with the last
+    # one: its document is the one the closed-form N^{-1} gave
+    inverse, calls = SeriesMatrix.inverse, []
+
+    def counted(self, prec=None):
+        calls.append(prec)
+        return inverse(self, prec)
+
+    monkeypatch.setattr(SeriesMatrix, "inverse", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(["monodromy", *argv]) == 0
     monkeypatch.undo()
-    for A, (_, a, _) in zip(solved, cells):
-        assert verify_nabla(A, a)
+    assert calls == [None] * (1 + cell_geometry(wt).dim)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    A = LaurentMatrix.from_json(json.loads(out.getvalue()))
+    assert verify_nabla(A, [int(a) for a in argv[-1].split(",")])
 
 
 def _monomial_matrix(z, p):
