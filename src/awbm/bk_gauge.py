@@ -10,9 +10,9 @@ iteration
 
 which converges v-adically to the unique unipotent-Iwahori tuple I with
 X_j A^{(j)} = I^{(j)} A^{(j)} Ad(z_j)(phi(I^{(j-1)})^{-1}), provided the twist
-is deep enough relative to the pole bound h of A.  The contraction gives
-J_i - J_{i-1} = O(v^{p(i-2)}), so stabilisation mod v^M is reached within
-M/p + O(1) rounds.
+is deep enough relative to the pole bound h of A.  Begun at J_0 = X, the
+contraction gives J_i - J_{i-1} = O(v^{p(i-1)}), so stabilisation mod v^M is
+reached within M/p + O(1) rounds.
 
 Shape calculus of semisimple Frobenius data is purely combinatorial and lives
 at the end of the module.
@@ -143,7 +143,9 @@ def change_of_basis(A, I, twist: TwistData, M: int):
 
 def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
     """The unique tuple I in Iw1^J with X_j A_j z_j = I_j A_j z_j phi(I_{j-1})^{-1}
-    mod v^M, by the contraction iteration; z_j = s_j^{-1} t_{mu_j + eta_j} with
+    mod v^M, by the contraction iteration begun at X: from the identity, whose
+    twist Ad(z_j)(phi(1)) is 1, a first round only gives X A A^{-1} = X, and
+    the fixed point mod v^M is unique.  z_j = s_j^{-1} t_{mu_j + eta_j} with
     mu (h+1)-deep.  h defaults to the least h >= 0 with v^h A_j^{-1} integral
     for every j, the largest pole_order; a smaller h fails.  The result is
     checked against the defining equation: each X_j A_j must equal
@@ -180,7 +182,7 @@ def straighten(A, X, z: WeylTuple, M: int, h: int | None = None):
         if not pole.equal_mod(se.SeriesMatrix.identity(field, ctx_n), M):
             raise InternalError("inverse lost too much precision")
     XA = [x * a for x, a in zip(X, A)]  # the same in every round
-    J = [se.SeriesMatrix.identity(field, ctx_n) for _ in range(fcount)]
+    J = X
     cap = (M + field.p - 1) // field.p + 4
     for _ in range(cap + 1):
         prev = J

@@ -19,9 +19,10 @@ cuts the cell down to an affine space: the coefficients below the top of each
 f_alpha are solved triangularly along the height order of the chamber w(Δ)
 containing the support, with pivots i + [alpha>0] + <a, alpha∨> - these are
 nonzero exactly when a is generic enough mod p, and a vanishing pivot is
-reported with its root and index.  The solver inverts N with the kernel's
-exact inverse once per nabla, and checks the final matrix A = z·N through
-A^{-1} = N^{-1}·z^{-1}, reusing the last N^{-1}.
+reported with its root and index.  A root's band in nabla(N) depends only on
+its own coefficients and lower-height roots, so the solver forms nabla(N),
+with the kernel's exact inverse of N, once per height level, and checks the
+final matrix A = z·N through A^{-1} = N^{-1}·z^{-1}, reusing the last N^{-1}.
 """
 
 from __future__ import annotations
@@ -197,28 +198,26 @@ def required_genericity(wt: WeylElement) -> int:
     return max((d for _, d in geom.degrees), default=0) + 1
 
 
-def _root_height_order(geom: CellGeometry, n: int):
-    """Criterion roots sorted by height in the witness chamber's simple
-    system, ties lexicographically."""
+def _height_levels(geom: CellGeometry):
+    """The criterion roots grouped by height in the witness chamber's simple
+    system, lowest first, each level in lexicographic order of the roots
+    moved back to the positive chamber."""
     winv = perm_inverse(geom.witness)
-
-    def key(item):
-        alpha, _ = item
-        i, k = alpha
-        back = (winv[i - 1], winv[k - 1])
-        ht = abs(back[0] - back[1])
-        return (ht, back)
-
-    return sorted(geom.degrees, key=key)
+    levels = {}
+    for alpha, d in geom.degrees:
+        back = (winv[alpha[0] - 1], winv[alpha[1] - 1])
+        levels.setdefault(abs(back[0] - back[1]), []).append((back, alpha, d))
+    return [[(alpha, d) for _, alpha, d in sorted(levels[ht])]
+            for ht in sorted(levels)]
 
 
 def monodromy_solve(wt: WeylElement, a_bar, free_values=None, *,
                     p: int) -> se.LaurentMatrix:
     """Solve the monodromy condition on the cell through star(wt): returns
     A = star(wt)·N with the below-top coefficients of each support entry
-    eliminated along the chamber height order, the top coefficients taken
-    from free_values (default 1).  A vanishing pivot i + [alpha>0] + <a,
-    alpha∨> raises ZeroDivisorError naming (alpha, i)."""
+    eliminated along the chamber height order, a level per nabla, the top
+    coefficients taken from free_values (default 1).  The first vanishing
+    pivot i + [alpha>0] + <a, alpha∨> raises ZeroDivisorError (alpha, i)."""
     field = se.Coefficients(p)
     n = wt.n
     a_bar = tuple(int(x) % p for x in a_bar)
@@ -230,31 +229,33 @@ def monodromy_solve(wt: WeylElement, a_bar, free_values=None, *,
         if tuple(alpha) not in {a for a, _ in geom.degrees}:
             raise ArgumentError(f"free value given for a non-support root {alpha}")
     # N = 1 + the -alpha entries v^[alpha>0] f_alpha, lowest exponent 0; the
-    # below-top coefficients of f_alpha start at 0, and N is rebuilt from
-    # `terms` once per root.  Coefficient t of the band of alpha in nabla(N)
-    # is pivot_t times that of f_alpha plus products of lower-height roots.
+    # below-top coefficients of f_alpha start at 0.  Coefficient t of the band
+    # of alpha in nabla(N) is pivot_t times that of f_alpha plus products of
+    # lower-height roots, so N is rebuilt from `terms` once per height level.
     terms = {(i, i, 0): 1 for i in range(1, n + 1)}
     for (i, k), d in geom.degrees:
         terms[(k, i, d + (i < k))] = int(free.get((i, k), 1))
     N = se.LaurentMatrix.from_entries(field, n, terms)
     Ninv = N.inverse()  # det N = 1: the exact inverse
     nab = se._nabla(N, Ninv, a_bar)
-    for alpha, d in _root_height_order(geom, n):
-        i, k = alpha
-        delta = 1 if i < k else 0
-        pair_a = (a_bar[i - 1] - a_bar[k - 1]) % p
-        band = nab.entry(k, i)
-        for t in range(d):
-            pivot = (t + delta + pair_a) % p
-            if pivot == 0:
-                raise ZeroDivisorError(alpha, t)
-            terms[(k, i, t + delta)] = (-band.get(t + delta, 0)
-                                        * pow(pivot, -1, p) % p)
+    for level in _height_levels(geom):
+        for alpha, d in level:
+            i, k = alpha
+            delta = 1 if i < k else 0
+            pair_a = (a_bar[i - 1] - a_bar[k - 1]) % p
+            band = nab.entry(k, i)
+            for t in range(d):
+                pivot = (t + delta + pair_a) % p
+                if pivot == 0:
+                    raise ZeroDivisorError(alpha, t)
+                terms[(k, i, t + delta)] = (-band.get(t + delta, 0)
+                                            * pow(pivot, -1, p) % p)
         N = se.LaurentMatrix.from_entries(field, n, terms)
         Ninv = N.inverse()
         nab = se._nabla(N, Ninv, a_bar)
-        # after elimination the sub-top band of this entry must vanish
-        if any(map(nab.entry(k, i).get, range(delta, d + delta))):
+        # after elimination the sub-top bands of the level must vanish
+        if any(nab.entry(k, i).get(e) for (i, k), d in level
+               for e in range(i < k, d + (i < k))):
             raise InternalError("triangular elimination failed to clear a band")
 
     A = weyl_matrix(star(wt), p) * N

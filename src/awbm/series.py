@@ -11,8 +11,8 @@ exponent wide enough that none carries (`_packed_product`).  The flag layer
 operator nabla ends this module; the gauge layer (`bk_gauge`) on truncated
 ones.  The coefficient field is F_p or F_{p^2}; Frobenius acts
 coefficientwise by x -> x^p and on the variable by v -> v^p.  Inverses come
-from the adjugate, whose cofactors share their minors, and the determinant
-is read off its first column.
+from the adjugate, whose cofactors share their minors; the expansion that
+forms them ends in the determinant.
 """
 
 from __future__ import annotations
@@ -538,8 +538,7 @@ class SeriesMatrix:
     def _adj_det(self):
         """adj A, det A, whose lowest term must be known, and (n-1)L for
         L = min(0, the lowest stored exponent)."""
-        adj = self._adjugate()
-        det = self._det(adj)
+        adj, det = self._adjugate()
         if not det:
             raise ArgumentError("matrix is not invertible (zero determinant)")
         # with every stored exponent >= L and L <= 0, a change at v^prec
@@ -550,23 +549,15 @@ class SeriesMatrix:
             raise ArgumentError("matrix determinant has no known term")
         return adj, det, low
 
-    def _det(self, adj):
-        """det A = sum_k A[0,k]·adj[k,0], adj the adjugate of A, as a
-        series."""
-        acc = {}
-        for k, a in self.coeffs[0].items():
-            if b := adj.coeffs[k].get(0):
-                _mac(acc, a, b, math.inf)
-        return _reduced(acc, self.field.p)
-
     def _adjugate(self):
-        """adj A, whose entry (j, i) is (-1)^(i+j) times the minor of A
-        without row i and column j.  For each removed row i the other rows
-        are taken in order; after k+1 of them, `minors` maps each sorted
-        (k+1)-tuple of columns to the determinant of those rows on those
-        columns, expanded along the newest row from the previous step's
-        minors (the 0 x 0 minor is 1).  The minors of rows 0..i-1 are
-        expanded once and serve every removed row past them.  A dense n x n
+        """adj A and det A, entry (j, i) of adj A being (-1)^(i+j) times the
+        minor of A without row i and column j.  For each removed row i the
+        other rows are taken in order; after k+1 of them, `minors` maps each
+        sorted (k+1)-tuple of columns to the determinant of those rows on
+        those columns, expanded along the newest row from the previous
+        step's minors (the 0 x 0 minor is 1).  The minors of rows 0..i-1 are
+        expanded once and serve every removed row past them; expanded
+        through the last row, their one minor is det A.  A dense n x n
         matrix costs at most n^2·2^(n-1) series products, shared between
         the cofactors."""
         n, p = self.n, self.field.p
@@ -594,9 +585,9 @@ class SeriesMatrix:
                 j = n * (n - 1) // 2 - sum(cols)  # the column left out
                 rows[j][i] = s if (i + j) % 2 == 0 else {
                     e: -c % p for e, c in s.items()}
-            if i < n - 1:
-                prefix = expand(prefix, i, i)
-        return self._new((n - 1) * self.lo, rows)
+            prefix = expand(prefix, i, i)
+        det = prefix.get(tuple(range(n)), {})  # the one n x n minor
+        return self._new((n - 1) * self.lo, rows), det
 
     # -- encoding ------------------------------------------------------------
     def to_json(self):

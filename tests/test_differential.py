@@ -257,8 +257,8 @@ def test_adjugate_by_its_identity(seed):
         else:
             A, det = udl(rng, field, n, lo)
         kinds.append(bool(det))
-        adj = A._adjugate()
-        assert A._det(adj) == det
+        adj, adj_det = A._adjugate()
+        assert adj_det == det
         # det·I as series_matrix_product returns it
         want = {(i, i): {e: field.encode(c) for e, c in det.items()}
                 for i in range(1, n + 1) if det}

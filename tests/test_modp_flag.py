@@ -31,10 +31,12 @@ from awbm.errors import (ArgumentError, GenericityError, InternalError,
 from awbm.inertial_types import make_type
 from awbm.modp_flag import (
     LaurentMatrix,
+    _height_levels,
     cell_geometry,
     chart_template,
     component_data,
     monodromy_solve,
+    nabla_matrix,
     required_genericity,
     special_fiber_components,
     verify_nabla,
@@ -423,26 +425,28 @@ def test_fiber_rows_match_the_per_label_construction():
 
 
 SOLVER_CALLS = [
-    # (argv, the cell, the stdout sha256 of the closed-form solver)
+    # (argv, the cell, its number of height levels, the stdout sha256 of the
+    # closed-form solver that formed one nabla per root)
     (["--n", "5", "--p", "211", "--w", "2,5,3,4,1@3,1,3,0,3",
       "--abar", "22,144,201,85,42"],
-     WeylElement((2, 5, 3, 4, 1), (3, 1, 3, 0, 3)),
+     WeylElement((2, 5, 3, 4, 1), (3, 1, 3, 0, 3)), 4,
      "386608bb236d923479a3f0ba44f2bc64832558aff978bf720a67a5d20a95f7dc"),
     (["--n", "6", "--p", "1009", "--w", "e@5,4,3,2,1,0",
       "--abar", "1,300,600,900,150,450"],
-     translation((5, 4, 3, 2, 1, 0)),
+     translation((5, 4, 3, 2, 1, 0)), 5,
      "373a1c7f16b1220f2b045c7eec57e26c9ad9cd3f492359ee29ea6ba796ed88e5"),
     (["--n", "8", "--p", "1009", "--w", "e@7,6,5,4,3,2,1,0",
       "--abar", "1,300,600,900,150,450,750,50"],
-     translation((7, 6, 5, 4, 3, 2, 1, 0)),
+     translation((7, 6, 5, 4, 3, 2, 1, 0)), 7,
      "dc884429e334669df9451f9d87d86305ee58c00ca05b2315b16a0dab8cc30541"),
 ]
 
 
-@pytest.mark.parametrize("argv,wt,digest", SOLVER_CALLS,
+@pytest.mark.parametrize("argv,wt,levels,digest", SOLVER_CALLS,
                          ids=[f"n{c[1].n}" for c in SOLVER_CALLS])
-def test_solver_inverts_n_once_per_nabla(monkeypatch, argv, wt, digest):
-    # the solver forms nabla(N) once at the start and once per support root,
+def test_solver_inverts_n_once_per_level(monkeypatch, argv, wt, levels,
+                                         digest):
+    # the solver forms nabla(N) once at the start and once per height level,
     # each with the kernel's inverse of N, and checks A = z·N with the last
     # one: its document is the one the closed-form N^{-1} gave
     inverse, calls = SeriesMatrix.inverse, []
@@ -456,7 +460,8 @@ def test_solver_inverts_n_once_per_nabla(monkeypatch, argv, wt, digest):
     with contextlib.redirect_stdout(out):
         assert cli.run(["monodromy", *argv]) == 0
     monkeypatch.undo()
-    assert calls == [None] * (1 + cell_geometry(wt).dim)
+    assert len(_height_levels(cell_geometry(wt))) == levels
+    assert calls == [None] * (1 + levels)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
     A = LaurentMatrix.from_json(json.loads(out.getvalue()))
     assert verify_nabla(A, [int(a) for a in argv[-1].split(",")])
@@ -500,10 +505,10 @@ def test_monodromy_solve_on_random_cells():
                 low, top = window[(r, c)]
                 assert min(entry) >= low and max(entry) == top
                 assert entry[top] == free[(c, r)]
-            adj = A._adjugate()
+            adj, adj_det = A._adjugate()
             deg = sum(z.nu)
             det = {deg: perm_sign(z.w) % p}
-            assert A._det(adj) == det
+            assert adj_det == det
             assert series_matrix_product(A, adj) == (
                 {(i, i): det for i in range(1, n + 1)}, None)
             twisted = SeriesMatrix.from_entries(
@@ -531,6 +536,67 @@ def test_monodromy_solve_checks_its_product(monkeypatch):
     monkeypatch.setattr(mf, "weyl_matrix", doubled)
     with pytest.raises(InternalError, match="fails the monodromy condition"):
         monodromy_solve(translation((2, 1, 0)), (5, 40, 80), p=101)
+
+
+def _root_by_root(wt, a_bar, free, p):
+    """The elimination one root at a time, in (height, back) order of the
+    witness chamber, with nabla(N) formed afresh after every root."""
+    n, field = wt.n, Coefficients(p)
+    geom = cell_geometry(wt)
+    winv = perm_inverse(geom.witness)
+
+    def height_back(item):
+        (i, k), _ = item
+        back = (winv[i - 1], winv[k - 1])
+        return abs(back[0] - back[1]), back
+
+    terms = {(i, i, 0): 1 for i in range(1, n + 1)}
+    for (i, k), d in geom.degrees:
+        terms[(k, i, d + (i < k))] = free.get((i, k), 1)
+    N = LaurentMatrix.from_entries(field, n, terms)
+    for (i, k), d in sorted(geom.degrees, key=height_back):
+        delta = int(i < k)
+        band = nabla_matrix(N, a_bar).entry(k, i)
+        for t in range(d):
+            pivot = (t + delta + a_bar[i - 1] - a_bar[k - 1]) % p
+            if pivot == 0:
+                raise ZeroDivisorError((i, k), t)
+            terms[(k, i, t + delta)] = (-band.get(t + delta, 0)
+                                        * pow(pivot, -1, p) % p)
+        N = LaurentMatrix.from_entries(field, n, terms)
+    return weyl_matrix(star(wt), p) * N
+
+
+def test_levels_solve_as_the_root_by_root_elimination():
+    # one nabla per height level gives the A, or the first vanishing pivot,
+    # of the elimination that forms nabla after every root; for about half
+    # the cells a_bar makes a pivot of a random root vanish
+    from conftest import random_element
+    rng = random.Random(45)
+    solved = vanished = deep = 0
+    for n in range(2, 7):
+        for _ in range(10):
+            p = rng.choice([7, 11, 101, 1009])
+            wt = random_element(n, rng, span=2)
+            geom = cell_geometry(wt)
+            free = {alpha: rng.randrange(p) for alpha, _ in geom.degrees}
+            a = [rng.randrange(p) for _ in range(n)]
+            roots = [(alpha, d) for alpha, d in geom.degrees if d]
+            if roots and rng.random() < 0.5:
+                (i, k), d = rng.choice(roots)
+                a[i - 1] = (a[k - 1] - rng.randrange(d) - (i < k)) % p
+            outcomes = []
+            for solve in (monodromy_solve, _root_by_root):
+                try:
+                    outcomes.append(solve(wt, a, free, p=p))
+                except ZeroDivisorError as exc:
+                    outcomes.append((exc.root, exc.index))
+            assert outcomes[0] == outcomes[1], (wt, a, free, p)
+            vanished += isinstance(outcomes[0], tuple)
+            solved += not isinstance(outcomes[0], tuple)
+            deep += len(_height_levels(geom)) >= 3
+    assert solved >= 20 and vanished >= 20 and deep >= 20, (solved, vanished,
+                                                             deep)
 
 
 def test_torus_fixed_points_decide_the_predicted_set():
