@@ -17,20 +17,24 @@ Haines-Ngô).  The builder works on plain (w, nu) tuples: the test at the
 vertex (1^k, 0^(n-k)) sees w only through the set w({1..k}), so each nu of
 the hull tests its 2^n subsets once and its members are the chains of
 passing subsets; for Adm^reg a chain is dropped at the first two
-coordinates it places in one strip.  AP factors one regular member per
-Omega-orbit on its point (`_ap_points`, which W? reads with the points).
-omega = omega_power(n, 1) = t_mu ∘ u moves x0 by (1,..,1)/n, so
-point(x·omega^{-1}) = point(x) - (1,..,1) and point(omega·x·omega^{-1}) =
-u(point(x) - 1) + n·mu, of equal length.  Conjugation keeps the Bruhat order
-and sends t_nu to t_u(nu), so it keeps Adm(lam), and it keeps the strip test
-(the pair (i, n) goes to (1, i+1), with difference n - (y_i - y_n)); as
-omega^n is central, an orbit has at most n points.  omega·(w2^{-1}·w0·w1)·
-omega^{-1} = (w2·omega^{-1})^{-1}·w0·(w1·omega^{-1}), whose factors keep
-their lengths and stay restricted and dominant (their points move by
--(1,..,1)); the pair is unique up to central translations, so the canonical
-one moves both points by -(1,..,1) - n·c, c = max nu(w1·omega^{-1}) =
-(max point(w1) - 1) // n.  The builders make unchecked WeylElements only
-for what they return.
+coordinates it places in one strip.  AP is kept as one regular member per
+Omega-orbit (`_ap_points`), which W? reads with the points.  omega =
+omega_power(n, 1) = t_mu ∘ u moves x0 by (1,..,1)/n, so point(x·omega^{-1})
+= point(x) - (1,..,1) and point(omega·x·omega^{-1}) = u(point(x) - 1) + n·mu,
+of equal length: on z = point + (0, 1, .., n-1) conjugation is the rotation
+z -> (z_n, z_1, .., z_(n-1)).  It keeps the Bruhat order and sends t_nu to
+t_u(nu), so it keeps Adm(lam), and it keeps the strip test (the pair (i, n)
+goes to (1, i+1), with difference n - (y_i - y_n)).  A regular orbit has n
+points, as a z of period k < n has y_1 - y_(k+1) = k, in a strip; so the
+member whose z is the least of its rotations is one per orbit.
+omega·(w2^{-1}·w0·w1)·omega^{-1} = (w2·omega^{-1})^{-1}·w0·(w1·omega^{-1}),
+whose factors keep their lengths and stay restricted and dominant (their
+points move by -(1,..,1)); the pair is unique up to central translations,
+so the canonical one moves both points by -(1,..,1) - n·c,
+c = max nu(w1·omega^{-1}) = (max point(w1) - 1) // n.  Only the
+representative is factored and checked; `_orbit` expands its orbit where
+every pair is written.  The builders make unchecked WeylElements only for
+what they return.
 """
 
 from __future__ import annotations
@@ -370,7 +374,7 @@ def _vertex_image(nu, A, k):
     return tuple(c + (A >> i & 1) - (i < k) for i, c in enumerate(nu))
 
 
-def _members(lam, regular):
+def _members(lam, regular, least=False):
     """The (w, nu) of the members of Adm(lam), or of its regular members.
     The vertex test at v_k sees w only through A_k = w({1..k}), so for each
     nu in the hull the 2^n subsets are tested once, sharing one majorization
@@ -379,12 +383,15 @@ def _members(lam, regular):
     coordinate i at y_i = n·nu_i + n-1-k; for a coordinate j placed before,
     y_j - y_i is n(nu_j - nu_i) plus 1..n-1, so the two lie in one strip
     (0 < y_a - y_b < n, a < b) iff nu_j = nu_i when j < i, or nu_j = nu_i - 1
-    when j > i.  With `regular` such a placement ends the chain."""
+    when j > i.  With `regular` such a placement ends the chain, and with
+    `least` each nu with nu_1 > min(nu) + 1 is skipped (`_ap_points`)."""
     n = len(lam)
     offsets = [_vertex_image((0,) * n, A, bin(A).count("1"))
                for A in range(1 << n)]
     majorized = lru_cache(maxsize=None)(partial(conv_contains, lam=lam))
     for nu in conv_lattice_points(lam):
+        if least and nu[0] > min(nu) + 1:
+            continue
         passes = [majorized(tuple(sorted(map(add, nu, off)))) for off in offsets]
         # blocked[i]: i itself and, for `regular`, the j sharing a strip
         blocked = [sum(1 << j for j in range(n) if j == i or regular and (
@@ -483,35 +490,47 @@ def regular_factorization(a: WeylElement):
 
 
 def _ap_points(lam_plus_eta):
-    """The kernel of AP(lam+eta): the sort keys of (w1, w2) and the point of
-    each regular member of Adm(lam+eta), sorted, with the map (w1, w2) ->
-    w2^{-1} w0 w1 checked to be injective.  One member per Omega-orbit is
-    factored; its conjugates' pairs follow by the rule of the module docstring."""
+    """The kernel of AP(lam+eta), one entry (k1, k2, y) per Omega-orbit,
+    sorted: y is the point of the regular member a whose z = y + (0, 1, ..,
+    n-1) is the least of its rotations, and k1, k2 the sort keys of its
+    factors, a = w2^{-1} w0 w1, whose product is checked.  z_1 is then the
+    least entry of z, which rules out nu_1 > nu_j + 1, as z_1 >= n·nu_1 >
+    n·nu_j + 2n - 2 >= z_j.  `_orbit_keys` yields an entry's n pairs."""
     lam = tuple(int(c) for c in lam_plus_eta)
     _check_dominant_weight(lam)
     n = len(lam)
-    members = set(itertools.starmap(_point, _members(lam, True)))
-    keys = {}
-    for y in members:
-        if y in keys:
-            continue
-        z1, z2 = _factor_point(y)
-        l1, l2 = _walls(z1, 0), _walls(z2, 0)  # conjugation keeps lengths
-        while y not in keys:  # back at the start after at most n steps
-            if y not in members:
-                raise InternalError("an Omega-conjugate of a member is not one")
+    out = []
+    for y in itertools.starmap(_point, _members(lam, True, True)):
+        z = [c + i for i, c in enumerate(y)]
+        if z == min(z[i:] + z[:i] for i in range(n)):
+            z1, z2 = _factor_point(y)
             (w1, nu1), (w2, nu2) = _checked_pair(y, z1, z2)
-            keys[y] = (l1, w1, nu1), (l2, w2, nu2)
-            d = 1 + n * ((max(z1) - 1) // n)  # times omega^{-1}, then t_{-c}
-            z1, z2 = [x - d for x in z1], [x - d for x in z2]
-            y = (y[-1] + n - 1, *[x - 1 for x in y[:-1]])
-    out = sorted((*pair, y) for y, pair in keys.items())
-    if len({k[:2] for k in out}) != len(out):
-        raise InternalError("factorization is not injective")
-    return out
+            out.append(((_walls(z1, 0), w1, nu1), (_walls(z2, 0), w2, nu2), y))
+    return sorted(out)
+
+
+def _orbit(z1, z2):
+    """The points of the n pairs in the Omega-orbit of the pair with points
+    z1, z2, this one first: a step moves both by -(1,..,1) - n·c,
+    c = (max z1 - 1) // n, which keeps max nu(w1) = 0 (module docstring)."""
+    n = len(z1)
+    for _ in range(n):
+        yield z1, z2
+        d = 1 + n * ((max(z1) - 1) // n)
+        z1, z2 = tuple([x - d for x in z1]), tuple([x - d for x in z2])
+
+
+def _orbit_keys(entry):
+    """The sort keys (k1, k2) of the n pairs in the orbit of an `_ap_points`
+    entry, which share their lengths."""
+    (l1, *k1), (l2, *k2), _ = entry
+    for z1, z2 in _orbit(_point(*k1), _point(*k2)):
+        yield (l1, *_from_point(z1)), (l2, *_from_point(z2))
 
 
 def ap_enumerate(lam_plus_eta):
-    """AP(lam+eta) as pairs of WeylElements, in the order of `_ap_points`."""
+    """AP(lam+eta) as pairs of WeylElements, sorted: the orbits of
+    `_ap_points`, expanded."""
     return [(WeylElement.trusted(*k1[1:]), WeylElement.trusted(*k2[1:]))
-            for k1, k2, _ in _ap_points(lam_plus_eta)]
+            for k1, k2 in sorted(pair for entry in _ap_points(lam_plus_eta)
+                                 for pair in _orbit_keys(entry))]

@@ -27,13 +27,16 @@ layer.  `dual_length` and `dual_bruhat_leq` are the length and Bruhat order
 of the antidominant base alcove, which `star` must intertwine with the
 usual ones; `ap_member` tests a pair against the definition of AP(lam+eta);
 `jh_contains_fixed` tests a JH label by interval containment at a fixed
-presentation.  `covers_up_oracle` reads the covering order through the
-upper-arrow order over all of W, where `weight_sets.covers` uses interval
-containment; `bm_cycles_recursive` reuses `weight_sets.w_question` and
-`intersection` and runs the defect recursion record by record over the
-whole of W?, where `weight_sets.bm_cycles` takes the product of
-one-embedding solves.  `restricted_classes` lists the restricted dominant
-elements up to central translation, for tests to draw presentations from.
+presentation.  `serre_weight_dim` and `type_degree` check the JH labels by
+representation theory: at lam = 0 the constituents of sigmabar(tau) have
+dimensions that add up to deg sigma(tau).  `covers_up_oracle` reads the
+covering order through the upper-arrow order over all of W, where
+`weight_sets.covers` uses interval containment; `bm_cycles_recursive`
+reuses `weight_sets.w_question` and `intersection` and runs the defect
+recursion record by record over the whole of W?, where
+`weight_sets.bm_cycles` takes the product of one-embedding solves.
+`restricted_classes` lists the restricted dominant elements up to central
+translation, for tests to draw presentations from.
 
 The series-matrix reference, `series_matrix_product`, multiplies two
 `series.SeriesMatrix` values schoolbook over their {exponent: coefficient}
@@ -53,7 +56,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .affine_weyl import (
     WeylElement,
@@ -102,7 +105,7 @@ from . import weights as wt
 __all__ = ["oracle", "im_length", "subword_leq", "adm_closure", "chain_up_leq",
            "count_up_leq", "enumerate_elements", "dual_length",
            "dual_bruhat_leq", "ap_member", "jh_contains_fixed",
-           "restricted_classes",
+           "restricted_classes", "serre_weight_dim", "type_degree",
            "bm_cycles_recursive", "covers_up_oracle", "series_matrix_product",
            "series_matrix_frobenius", "series_matrix_truncate"]
 
@@ -374,6 +377,55 @@ def jh_contains_fixed(tau: it.TameTypePresentation, lam,
             if not adm_member(multiply(base, multiply(t_om, m)), lpe):
                 return False
     return True
+
+
+def serre_weight_dim(kappa, p: int) -> int:
+    """dim F(kappa) for a p-restricted highest weight kappa of GL_n, n <= 3:
+    the Weyl module's dimension W(a) = prod_{i<k} (<kappa + eta, e_i - e_k>)
+    / (k - i), but in GL3's upper restricted alcove, a + b > p - 2 for
+    a = kappa_1 - kappa_2 and b = kappa_2 - kappa_3, where F(kappa) is
+    W(a, b) less the simple module of the reflected weight, (p-2-b, p-2-a),
+    which lies in the lower alcove."""
+    n = len(kappa)
+    if n > 3:
+        raise InputError("serre_weight_dim covers n <= 3")
+    gaps = [kappa[i] - kappa[i + 1] for i in range(n - 1)]
+    if any(not 0 <= g < p for g in gaps):
+        raise InputError(f"weight {tuple(kappa)} is not p-restricted")
+
+    def weyl(*g):
+        shifted = [sum(g[i:]) + n - 1 - i for i in range(n)]  # kappa + eta
+        num = math.prod(shifted[i] - shifted[k]
+                        for i in range(n) for k in range(i + 1, n))
+        return num // math.prod(k - i for i in range(n) for k in range(i + 1, n))
+
+    if n == 3 and sum(gaps) > p - 2:
+        a, b = gaps
+        return weyl(a, b) - weyl(p - 2 - b, p - 2 - a)
+    return weyl(*gaps)
+
+
+def type_degree(tau: it.TameTypePresentation) -> int:
+    """deg sigma(tau) = prod_{i<=n} (q^i - 1) / prod_c (q^c - 1), q = p^f,
+    for c the cycle lengths of s_tau = s_0·s_1 (f <= 2): the degree of the
+    Deligne-Lusztig representation of GL_n(F_q) on the torus of type s_tau.
+    For f >= 3 the cycle type depends on the order of the factors, which is
+    not fixed here."""
+    ctx = tau.ctx
+    if ctx.f > 2:
+        raise InputError("type_degree covers f <= 2")
+    q = ctx.require_prime() ** ctx.f
+    s = reduce(multiply, tau.s).w
+    seen, cycles = set(), []
+    for start in range(1, ctx.n + 1):
+        i, c = start, 0
+        while i not in seen:
+            seen.add(i)
+            i, c = s[i - 1], c + 1
+        if c:
+            cycles.append(c)
+    return (math.prod(q ** i - 1 for i in range(1, ctx.n + 1))
+            // math.prod(q ** c - 1 for c in cycles))
 
 
 def bm_cycles_recursive(rho, force: bool = False):

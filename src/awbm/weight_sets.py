@@ -3,17 +3,18 @@ Breuil-Mézard cycle solver, on lowest alcove presentations over a fixed
 context.  The sets are read off the AP kernel's keys and points as labels
 (w, x), x = w2^{-1}(0) for a pair (w, w2), whose row at an embedding with
 avatar g is (w, g(x)); as g is a bijection, distinct labels give distinct
-rows, which is checked once per label list (`_checked`):
+rows, which is checked once per label list or table:
 
   * JH labels of a type tau twisted by W(lam): the pairs of AP(lam+eta), at
-    the avatar w̃(tau);
+    the avatar w̃(tau), its Omega-orbits expanded (`_checked`);
   * the predicted set W?(rhobar) = R(JH(sigma(tau))), tau the type with the
     data of rhobar (Herzig, Duke Math. J. 149 (2009)): R(w1, omega) =
     (w_h w1, omega) makes the pairs (w1, w2) of AP(eta) the labels (w_h w1,
     w2) at the avatar w̃(rhobar), with w2 = w_h w1 exactly on the obvious set;
-    one table per rank (`_w_question_labels`) holds them with their defect
-    summands and serves W?, the intersection and `defect`, which looks up
-    the label (x, w1_j) with x = w̃(rhobar)_j^{-1}(omega_j);
+    one table per rank holds a label per Omega-orbit with its defect summand
+    (`_w_question_labels`), whose orbits W? and the intersection expand
+    (`_w_question_groups`), and `defect` moves the label (x, w1_j),
+    x = w̃(rhobar)_j^{-1}(omega_j), along its orbit to the table's;
   * the intersection with the JH labels of tau is keyed by shape: its labels
     at an embedding depend only on w̃(rhobar, tau)_j and lam_j.
 
@@ -37,6 +38,12 @@ from .affine_weyl import (
     WeylElement,
     _ap_points,
     _check_dominant_weight,
+    _checked_pair,
+    _factor_point,
+    _from_point,
+    _orbit,
+    _orbit_keys,
+    _point,
     _walls,
     adm_member,
     alcove_point,
@@ -49,7 +56,6 @@ from .affine_weyl import (
     is_regular,
     multiply,
     perm_act,
-    regular_factorization,
     translation,
     up_leq_points,
     w0,
@@ -125,7 +131,8 @@ def jh_factors(tau: TameTypePresentation, lam, force: bool = False):
                for row in _weight_tuple(ctx, lam)]
     _require_depth(tau, max(2 * _h(eta), max(map(_h, shifted))), force, "type")
     labels = {row: _checked([(k1, WeylElement.trusted(*k1[1:]), _x(*k2[1:]))
-                             for k1, k2, _ in _ap_points(row)], "JH")
+                             for entry in _ap_points(row)
+                             for k1, k2 in _orbit_keys(entry)], "JH")
               for row in set(shifted)}  # once per row
     return [tuple(row for row, _ in _rows(wt_j, labels[lam_eta]))
             for wt_j, lam_eta in zip(tau.w_tilde(), shifted)]
@@ -150,9 +157,11 @@ def _checked(labels, what):
 
 def _rows(wt_j: WeylElement, labels):
     """The rows (w, wt_j(x)) of labels (key, w, x, ...) at an embedding where
-    the avatar is wt_j, each with its label, in the order of (key, omega)."""
+    the avatar is wt_j, each with its label, in the order of (key, omega);
+    omega is computed once per x."""
+    omegas = {x: evaluate(wt_j, x) for x in {label[2] for label in labels}}
     return [((label[1], omega), label) for _, omega, label in
-            sorted((label[0], evaluate(wt_j, label[2]), label) for label in labels)]
+            sorted((label[0], omegas[label[2]], label) for label in labels)]
 
 
 def _glue(rows, ctx) -> SerreWeightPresentation:
@@ -196,28 +205,55 @@ def _require_predicted_set(rho: TameTypePresentation, force: bool):
 
 @lru_cache(maxsize=None)
 def _w_question_labels(n: int):
-    """The W? labels (key, w, x, w2, y, d) at rank n, grouped by x =
-    w2^{-1}(0) and keyed within a group by w: w restricted dominant with sort
-    key `key` and point y, w2 ↑ w dominant, and d the defect summand.  They
-    are the R-images (w_h w1, w2) of AP(eta), w_h = t_{(0,-1,..,1-n)} ∘ w0,
-    each moved by the central translation that makes max nu(w) zero;
-    d = l(t_eta) - l(a), l(t_eta) = (n-1)n(n+1)/6, is read off the point of
-    the member a = w2^{-1} w0 w1 that the pair factors."""
+    """One W? label per Omega-orbit at rank n, keyed by (x, y): the points
+    y, y2 of (w, w2) and the defect summand d, x = w2^{-1}(0).  They are the
+    R-images (w_h w1, w2) of the `_ap_points` entries of AP(eta), w_h =
+    w0·t_{-eta}, moved by the central shift that makes max nu(w) zero, and
+    d = l(t_eta) - l(a), l(t_eta) = (n-1)n(n+1)/6, for the member a =
+    w2^{-1} w0 w1 that the pair factors.  R commutes with AP's Omega-steps,
+    right multiplications by omega^{-1}, so `_orbit` on (y, y2) moves a label
+    along its orbit, x to omega(x) + c = (x_n + 1 + c, x_1 + c, ..) for the
+    step's central shift c, and d is constant, as conjugation keeps length."""
     t_eta = (n - 1) * n * (n + 1) // 6
-    labels = []
-    for (_, u1, nu1), (_, u2, nu2), y in _ap_points(eta_vector(n)):
-        nu = [c - k for k, c in enumerate(reversed(nu1))]  # nu(w_h w1)
-        c = max(nu)
-        w = WeylElement.trusted(tuple(n + 1 - i for i in u1),
-                                tuple(x - c for x in nu))
-        w2 = WeylElement.trusted(u2, tuple(x - c for x in nu2))
-        y1 = alcove_point(w)
-        labels.append(((_walls(y1, 0), w.w, w.nu), w, _x(u2, w2.nu), w2,
-                       y1, t_eta - _walls(y, 0)))
-    table = {}
-    for label in _checked(labels, "W?"):
-        table.setdefault(label[2], {})[label[1]] = label
+    entries, table = _ap_points(eta_vector(n)), {}
+    for (_, *k1), (_, *k2), a in entries:
+        y = [c - n * k for k, c in enumerate(reversed(_point(*k1)))]  # w_h w1
+        c = n * (max(y) // n)
+        y, y2 = tuple(v - c for v in y), tuple(v - c for v in _point(*k2))
+        table[_x(*_from_point(y2)), y] = y, y2, t_eta - _walls(a, 0)
+    if len(table) != len(entries):
+        raise InternalError("W? parametrization failed to be injective")
     return table
+
+
+@lru_cache(maxsize=None)
+def _w_question_groups(n: int):
+    """Every W? label (key, w, x, w2, y, d) at rank n, w with sort key `key`
+    and point y, grouped by x: the orbits of `_w_question_labels` expanded.
+    Only n! points of w recur, and x fixes w2, so `read` forms each point's
+    key, element and x once."""
+    @lru_cache(maxsize=None)
+    def read(z):
+        u, nu = _from_point(z)
+        return (_walls(z, 0), u, nu), WeylElement.trusted(u, nu), _x(u, nu)
+
+    groups = {}
+    for y, y2, d in _w_question_labels(n).values():
+        for z, z2 in _orbit(y, y2):
+            (key, w, _), (_, w2, x) = read(z), read(z2)
+            groups.setdefault(x, []).append((key, w, x, w2, z, d))
+    return groups
+
+
+def _orbit_label(table, x, y):
+    """The entry of `table` on the orbit of the label (x, y), reached by
+    moving (x, y) along it as `_w_question_labels` says, or None."""
+    for z, _ in _orbit(y, y):
+        if (x, z) in table:
+            return table[x, z]
+        c = (max(z) - 1) // len(z)
+        x = (x[-1] + 1 + c, *[v + c for v in x[:-1]])
+    return None
 
 
 def w_question_factors(rho: TameTypePresentation, force: bool = False):
@@ -225,8 +261,8 @@ def w_question_factors(rho: TameTypePresentation, force: bool = False):
     w2, defect summand) in sort-key order: W? is their product, in the order
     of itertools.product."""
     _require_predicted_set(rho, force)
-    labels = [label for group in _w_question_labels(rho.n).values()
-              for label in group.values()]
+    labels = [label for group in _w_question_groups(rho.n).values()
+              for label in group]
     return [tuple((row, w, w2, d) for row, (_, w, _, w2, _, d) in _rows(g, labels))
             for g in rho.w_tilde()]
 
@@ -331,27 +367,27 @@ def _accepted_labels(shape: WeylElement, lam_j):
     lift = [n * (l + m) for l, m in zip(lam_j, whinv.nu)]
     base = alcove_point(invert(shape))
     out = []
-    for x, labels in _w_question_labels(n).items():
+    for x, labels in _w_question_groups(n).items():
         y = sorted((b - n * c for b, c in zip(base, x)), reverse=True)
         if len({c % n for c in y}) != n:
             raise InternalError("dominant representative failed")
         z = tuple(c + s for c, s in zip(perm_act(whinv.w, y), lift))
-        out += [label for label in labels.values() if up_leq_points(label[4], z)]
+        out += [label for label in labels if up_leq_points(label[4], z)]
     return tuple(out)
 
 
 def defect(rho: TameTypePresentation, sigma: SerreWeightPresentation,
            force: bool = False) -> int:
     """The rhobar-defect of a predicted weight, the sum over the embeddings
-    of the summands of its labels (x, w1_j), x = w̃(rhobar)_j^{-1}(omega_j);
-    raises if sigma is not predicted."""
+    of the summands of its labels (x, w1_j), x = w̃(rhobar)_j^{-1}(omega_j),
+    each looked up at its orbit's label; raises if sigma is not predicted."""
     _require_predicted_set(rho, force)
     if sigma.ctx == rho.ctx:
         table = _w_question_labels(rho.n)
-        found = [table.get(evaluate(invert(g), omega), {}).get(w1)
+        found = [_orbit_label(table, evaluate(invert(g), omega), alcove_point(w1))
                  for g, w1, omega in zip(rho.w_tilde(), sigma.w1, sigma.omega)]
         if None not in found:
-            return sum(label[5] for label in found)
+            return sum(label[2] for label in found)
     raise MembershipError("sigma does not lie in the predicted set of rhobar")
 
 
@@ -369,12 +405,12 @@ def max_defect_weight(rho: TameTypePresentation,
             raise ArgumentError("w̃(rhobar,tau) is not regular")
         if not adm_member(g_j, eta_vector(ctx.n)):
             raise ArgumentError("w̃(rhobar,tau) is not eta-admissible")
-        # variant factorization: swap through inversion
-        w2_j, w1_j = regular_factorization(invert(g_j))
-        if multiply(invert(w2_j), multiply(w0(ctx.n), w1_j)) != g_j:
-            raise InternalError("variant factorization product check failed")
-        w.append(multiply(invert(w_h(ctx.n)), w2_j))
-        omega.append(evaluate(wt_j, _x(w1_j.w, w1_j.nu)))
+        # g_j^{-1} is regular as g_j is (both are products of dominants), and
+        # its factorization w1^{-1} w0 w2 gives g_j = w2^{-1} w0 w1, w0 = w0^{-1}
+        y = alcove_point(invert(g_j))
+        w2_j, w1_j = _checked_pair(y, *_factor_point(y))
+        w.append(multiply(invert(w_h(ctx.n)), WeylElement.trusted(*w2_j)))
+        omega.append(evaluate(wt_j, _x(*w1_j)))
     return SerreWeightPresentation(WeylTuple(w), omega, ctx)
 
 

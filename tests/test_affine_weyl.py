@@ -371,9 +371,39 @@ def test_pruned_builder_matches_filter_and_element_factorization():
             assert adm(lam, variant) == adm_closure(lam, variant), (lam, variant)
 
 
+def test_ap_points_hold_the_least_rotation_of_each_orbit():
+    # `_ap_points` keeps one member a per Omega-orbit, the one whose
+    # z = point(a) + (0, 1, .., n-1) is the least of its rotations, and
+    # `_orbit_keys` expands it to the canonical pairs of omega^k·a·omega^{-k},
+    # k = 0..n-1: over the entries these products are the regular members of
+    # Adm(lam + eta), each once.  Lambda = 0 and two lambda != 0 at n = 2-5
+    from awbm.affine_weyl import _ap_points, _from_point, _orbit_keys
+    for lam in [(1, 0), (2, 0), (3, 0), (2, 1, 0), (3, 1, 0), (4, 2, 0),
+                (3, 2, 1, 0), (4, 2, 1, 0), (5, 3, 2, 0), (4, 3, 2, 1, 0),
+                (5, 3, 2, 1, 0), (5, 4, 2, 1, 0)]:
+        n = len(lam)
+        omega = omega_power(n, 1)
+        products = []
+        for entry in _ap_points(lam):
+            z = [c + i for i, c in enumerate(entry[2])]
+            assert z == min(z[i:] + z[:i] for i in range(n)), (lam, entry)
+            a = WeylElement(*_from_point(entry[2]))
+            pairs = list(_orbit_keys(entry))
+            assert len(pairs) == n and pairs[0] == entry[:2], (lam, entry)
+            for k1, k2 in pairs:
+                w1, w2 = WeylElement(*k1[1:]), WeylElement(*k2[1:])
+                assert max(w1.nu) == 0 and (length(w1), length(w2)) == \
+                    (k1[0], k2[0]), (lam, k1, k2)
+                assert multiply(invert(w2), multiply(w0(n), w1)) == a, (lam, k1)
+                products.append(a)
+                a = multiply(omega, multiply(a, invert(omega)))
+            assert a == products[-n], (lam, entry)
+        assert sorted(products, key=sort_key) == adm(lam, "regular"), lam
+
+
 def test_every_pair_is_checked_on_points(monkeypatch):
-    # a w2 off by a central translation fails the product check, both in the
-    # orbit fill of AP and in regular_factorization
+    # a w2 off by a central translation fails the product check, both on
+    # AP's orbit representatives and in regular_factorization
     factor = affine_weyl._factor_point
 
     def w2_off_center(y):

@@ -205,3 +205,43 @@ def test_adm_cli_ignores_length_cap():
     res = subprocess.run(argv, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert len(json.loads(res.stdout)) == 2023
+
+
+def test_jh_dimensions_add_up_to_the_type_degree():
+    """At lam = 0 the JH constituents of sigmabar(tau) are the labels of
+    `jh_set`, so their dimensions, prod_j dim F(kappa_j) for kappa =
+    `serre_weight` of each label, must add up to deg sigma(tau): a check of
+    the AP kernel by representation theory, on seeded deep types at n = 2-3
+    and f = 1-2.  The sum is the same for the type (s, mu - eta), so the
+    constituents must also have the central character of sigma(tau): the
+    scalars z in F_q^x act on F(kappa) by z^e(kappa), e(kappa) =
+    sum_j p^(f-1-j)·|kappa_j| mod q - 1 in the embedding order used here,
+    and on sigma(tau) by z^e, e = sum_j p^(f-1-j)·|mu_j + eta|."""
+    import math
+    from awbm.context import GroupContext
+    from awbm.highest_weights import serre_weight
+    from awbm.inertial_types import make_type
+    from awbm.oracles import serre_weight_dim, type_degree
+    from awbm.weight_sets import jh_set
+    from conftest import random_tuple_mu, random_weyl_tuple
+    p = 211
+    # trivial, Steinberg, principal series and cuspidal GL2 types
+    assert serre_weight_dim((4, 4, 4), p) == 1
+    assert serre_weight_dim((2 * p - 2, p - 1, 0), p) == p ** 3
+    ctx = GroupContext(2, 1, p)
+    assert type_degree(make_type(ctx, [(1, 2)], [(5, 0)])) == p + 1
+    assert type_degree(make_type(ctx, [(2, 1)], [(5, 0)])) == p - 1
+    rng = random.Random(23)
+    for n, f in [(2, 1), (2, 2), (3, 1), (3, 2)] * 6:
+        ctx = GroupContext(n, f, p)
+        tau = make_type(ctx, random_weyl_tuple(n, f, rng),
+                        random_tuple_mu(n, f, p, 2 * n, rng))
+        labels = jh_set(tau, ((0,) * n,) * f)
+        assert sum(math.prod(serre_weight_dim(kappa, p)
+                             for kappa in serre_weight(sigma))
+                   for sigma in labels) == type_degree(tau), (tau.s, tau.mu)
+        weights = [p ** (f - 1 - j) for j in range(f)]
+        e = sum(c * (sum(mu) + n * (n - 1) // 2) for c, mu in zip(weights, tau.mu))
+        assert {sum(c * sum(kappa) for c, kappa in zip(weights, serre_weight(sigma)))
+                % (p ** f - 1) for sigma in labels} == {e % (p ** f - 1)}, \
+            (tau.s, tau.mu)

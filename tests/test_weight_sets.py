@@ -548,32 +548,55 @@ def _w_question_pairs_by_elements(n):
 
 
 def _table_pairs(n):
-    """The pairs (w, w2) of the W? labels at rank n, read off the table."""
-    from awbm.weight_sets import _w_question_labels
-    return [(label[1], label[3]) for group in _w_question_labels(n).values()
-            for label in group.values()]
+    """The pairs (w, w2) of the W? labels at rank n, read off the expanded
+    table."""
+    from awbm.weight_sets import _w_question_groups
+    return [(label[1], label[3]) for group in _w_question_groups(n).values()
+            for label in group]
 
 
 def test_w_question_pairs_match_the_group_law():
-    # `_w_question_labels` forms the pairs and reads the summands on the
-    # tuples and points of the AP kernel; it must give the same pairs and
-    # summands as the element products, each label filed under its own x
-    # and w, with w's sort key and point
-    from awbm.affine_weyl import alcove_point, evaluate, sort_key
-    from awbm.weight_sets import _w_question_labels
+    # `_w_question_labels` forms one label per Omega-orbit on the tuples and
+    # points of the AP kernel, and `_w_question_groups` expands the orbits on
+    # points; the expanded labels must give the same pairs and summands as
+    # the element products, each filed under its own x, with w's sort key and
+    # point, and the W? rows at a seeded avatar must be the rows of the
+    # validated presentations, in their order.  Each orbit's label is the
+    # one whose member a = w2^{-1}·w0·w1, w1 = w_h^{-1}·w, has the least
+    # rotation of z = point(a) + (0, 1, .., n-1)
+    from conftest import random_tuple_mu, random_weyl_tuple
+    from awbm.affine_weyl import alcove_point, evaluate, sort_key, w_h
+    from awbm.weight_sets import (_w_question_groups, _w_question_labels,
+                                  w_question_factors)
+    rng = random.Random(22)
     for n in (2, 3, 4, 5):
-        table, ref = _w_question_labels(n), _w_question_pairs_by_elements(n)
-        labels = [label for group in table.values() for label in group.values()]
+        groups, ref = _w_question_groups(n), _w_question_pairs_by_elements(n)
+        labels = [label for group in groups.values() for label in group]
         got = {(w, w2): d for _, w, _, w2, _, d in labels}
         assert len(got) == len(labels) and got == ref, n
         assert all(type(w.w) is tuple and type(w.nu) is tuple
                    for pair in got for w in pair)
         # the summand vanishes exactly on the obvious pairs
         assert all((d == 0) == (w == w2) for (w, w2), d in got.items())
-        assert all(label[:3] == (sort_key(w), w, x)
+        assert all(label[:3] == (sort_key(label[1]), label[1], x)
                    and x == evaluate(invert(label[3]), (0,) * n)
-                   and label[4] == alcove_point(w)
-                   for x, group in table.items() for w, label in group.items())
+                   and label[4] == alcove_point(label[1])
+                   for x, group in groups.items() for label in group)
+        table = _w_question_labels(n)
+        assert n * len(table) == len(labels)
+        for (x, y), (y1, y2, d) in table.items():
+            [label] = [label for label in groups[x] if label[4] == y]
+            assert y1 == y and alcove_point(label[3]) == y2 and label[5] == d
+            a = multiply(invert(label[3]), multiply(
+                w0(n), multiply(invert(w_h(n)), label[1])))
+            z = [c + i for i, c in enumerate(alcove_point(a))]
+            assert z == min(z[i:] + z[:i] for i in range(n)), (n, label)
+        rho = make_type(GroupContext(n, 1, 211), random_weyl_tuple(n, 1, rng),
+                        random_tuple_mu(n, 1, 211, 2 * n, rng), kind="F")
+        [factor] = w_question_factors(rho)
+        g = rho.w_tilde()[0]
+        assert [row for row, *_ in factor] == list(_rows_by_presentations(g, ref))
+        assert all(d == ref[w, w2] for _, w, w2, d in factor)
     assert max(ref.values()) == 10
 
 
@@ -837,7 +860,7 @@ def test_repeated_ap_entries_fail_the_injectivity_check(monkeypatch):
     ap_points = ws._ap_points
     monkeypatch.setattr(ws, "_ap_points", lambda lam: (
         lambda out: out + out[:1])(ap_points(lam)))
-    caches = (ws._w_question_labels, ws._accepted_labels)
+    caches = (ws._w_question_labels, ws._w_question_groups, ws._accepted_labels)
     try:
         for cache in caches:
             cache.cache_clear()
