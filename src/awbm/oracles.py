@@ -407,13 +407,10 @@ def serre_weight_dim(kappa, p: int) -> int:
 
 def type_degree(tau: it.TameTypePresentation) -> int:
     """deg sigma(tau) = prod_{i<=n} (q^i - 1) / prod_c (q^c - 1), q = p^f,
-    for c the cycle lengths of s_tau = s_0·s_1 (f <= 2): the degree of the
-    Deligne-Lusztig representation of GL_n(F_q) on the torus of type s_tau.
-    For f >= 3 the cycle type depends on the order of the factors, which is
-    not fixed here."""
+    for c the cycle lengths of s_tau = s_0·s_1·...·s_{f-1}, rightmost factor
+    first, as `descent` defines it: the degree of the Deligne-Lusztig
+    representation of GL_n(F_q) on the torus of type s_tau."""
     ctx = tau.ctx
-    if ctx.f > 2:
-        raise InputError("type_degree covers f <= 2")
     q = ctx.require_prime() ** ctx.f
     s = reduce(multiply, tau.s).w
     seen, cycles = set(), []

@@ -11,10 +11,9 @@ rows, which is checked once per label list or table:
     data of rhobar (Herzig, Duke Math. J. 149 (2009)): R(w1, omega) =
     (w_h w1, omega) makes the pairs (w1, w2) of AP(eta) the labels (w_h w1,
     w2) at the avatar w̃(rhobar), with w2 = w_h w1 exactly on the obvious set;
-    one table per rank holds a label per Omega-orbit with its defect summand
-    (`_w_question_labels`), whose orbits W? and the intersection expand
-    (`_w_question_groups`), and `defect` moves the label (x, w1_j),
-    x = w̃(rhobar)_j^{-1}(omega_j), along its orbit to the table's;
+    one table per rank (`_w_question_groups`) forms a label per Omega-orbit
+    with its defect summand and expands the orbits for W? and the
+    intersection; `defect` reads a row off its own regular factorization;
   * the intersection with the JH labels of tau is keyed by shape: its labels
     at an embedding depend only on w̃(rhobar, tau)_j and lam_j.
 
@@ -54,6 +53,7 @@ from .affine_weyl import (
     finite,
     invert,
     is_regular,
+    is_restricted,
     multiply,
     perm_act,
     translation,
@@ -204,56 +204,34 @@ def _require_predicted_set(rho: TameTypePresentation, force: bool):
 
 
 @lru_cache(maxsize=None)
-def _w_question_labels(n: int):
-    """One W? label per Omega-orbit at rank n, keyed by (x, y): the points
-    y, y2 of (w, w2) and the defect summand d, x = w2^{-1}(0).  They are the
-    R-images (w_h w1, w2) of the `_ap_points` entries of AP(eta), w_h =
-    w0·t_{-eta}, moved by the central shift that makes max nu(w) zero, and
-    d = l(t_eta) - l(a), l(t_eta) = (n-1)n(n+1)/6, for the member a =
-    w2^{-1} w0 w1 that the pair factors.  R commutes with AP's Omega-steps,
-    right multiplications by omega^{-1}, so `_orbit` on (y, y2) moves a label
-    along its orbit, x to omega(x) + c = (x_n + 1 + c, x_1 + c, ..) for the
-    step's central shift c, and d is constant, as conjugation keeps length."""
-    t_eta = (n - 1) * n * (n + 1) // 6
-    entries, table = _ap_points(eta_vector(n)), {}
-    for (_, *k1), (_, *k2), a in entries:
-        y = [c - n * k for k, c in enumerate(reversed(_point(*k1)))]  # w_h w1
-        c = n * (max(y) // n)
-        y, y2 = tuple(v - c for v in y), tuple(v - c for v in _point(*k2))
-        table[_x(*_from_point(y2)), y] = y, y2, t_eta - _walls(a, 0)
-    if len(table) != len(entries):
-        raise InternalError("W? parametrization failed to be injective")
-    return table
-
-
-@lru_cache(maxsize=None)
 def _w_question_groups(n: int):
-    """Every W? label (key, w, x, w2, y, d) at rank n, w with sort key `key`
-    and point y, grouped by x: the orbits of `_w_question_labels` expanded.
-    Only n! points of w recur, and x fixes w2, so `read` forms each point's
-    key, element and x once."""
+    """Every W? label (key, w, x, w2, y, d) at rank n, grouped by x: w with
+    sort key `key` and point y, x = w2^{-1}(0), and d = l(t_eta) - l(a) for
+    the member a = w2^{-1} w0 w1 that the pair factors.  Each `_ap_points`
+    entry of AP(eta) gives its orbit's label, the R-image (w_h w1, w2) moved
+    centrally to max nu(w) = 0; R commutes with AP's Omega-steps (right
+    multiplication by omega^{-1}), so `_orbit` expands the orbit, on which d
+    is constant.  The representatives are checked to be distinct as (x, w),
+    and `read` forms each recurring point's key, element and x once."""
     @lru_cache(maxsize=None)
     def read(z):
         u, nu = _from_point(z)
         return (_walls(z, 0), u, nu), WeylElement.trusted(u, nu), _x(u, nu)
 
-    groups = {}
-    for y, y2, d in _w_question_labels(n).values():
+    t_eta = (n - 1) * n * (n + 1) // 6
+    entries, kept, groups = _ap_points(eta_vector(n)), set(), {}
+    for (_, *k1), (_, *k2), a in entries:
+        y = [c - n * k for k, c in enumerate(reversed(_point(*k1)))]  # w_h w1
+        c = n * (max(y) // n)
+        y, y2 = tuple(v - c for v in y), tuple(v - c for v in _point(*k2))
+        d = t_eta - _walls(a, 0)
+        kept.add((read(y2)[2], y))
         for z, z2 in _orbit(y, y2):
             (key, w, _), (_, w2, x) = read(z), read(z2)
             groups.setdefault(x, []).append((key, w, x, w2, z, d))
+    if len(kept) != len(entries):
+        raise InternalError("W? parametrization failed to be injective")
     return groups
-
-
-def _orbit_label(table, x, y):
-    """The entry of `table` on the orbit of the label (x, y), reached by
-    moving (x, y) along it as `_w_question_labels` says, or None."""
-    for z, _ in _orbit(y, y):
-        if (x, z) in table:
-            return table[x, z]
-        c = (max(z) - 1) // len(z)
-        x = (x[-1] + 1 + c, *[v + c for v in x[:-1]])
-    return None
 
 
 def w_question_factors(rho: TameTypePresentation, force: bool = False):
@@ -378,16 +356,39 @@ def _accepted_labels(shape: WeylElement, lam_j):
 
 def defect(rho: TameTypePresentation, sigma: SerreWeightPresentation,
            force: bool = False) -> int:
-    """The rhobar-defect of a predicted weight, the sum over the embeddings
-    of the summands of its labels (x, w1_j), x = w̃(rhobar)_j^{-1}(omega_j),
-    each looked up at its orbit's label; raises if sigma is not predicted."""
+    """The rhobar-defect of a predicted weight, the sum of its rows'
+    summands; raises if sigma is not predicted.  At avatar g the canonical
+    row (w, omega) gives x = g^{-1}(omega), w1 = w_h^{-1} w, the dominant
+    w2 = t_nu ∘ u with w2^{-1}(0) = x, whose point u(eta - n·x) is eta - n·x
+    sorted in decreasing order, and a = w2^{-1} w0 w1.  The row is in W? iff
+    w1 is restricted and a is in Adm(eta), with summand l(t_eta) - l(a).
+    Such an a is regular: for beta > 0, gamma = u(beta) and z = w0 w1(x0),
+    <a(x0), beta∨> = <z, gamma∨> - <nu, gamma∨>, and as w2 is dominant,
+    <z, gamma∨> < 0 <= <nu, gamma∨> if gamma > 0 and <nu, gamma∨> < 0 <
+    <z, gamma∨> if not, so it is < 0 or > 1.  As g is a bijection and x
+    fixes w2, the row is in W? iff (w, w2) is a W? label, an R-image
+    (w_h w1', w2') of a pair of AP(eta), the regular factorizations a' =
+    w2'^{-1} w0 w1' (w1' restricted, w2' dominant) of Adm^reg(eta), moved
+    by the central t_c that makes max nu zero.  So a label (w, w2) has
+    w1 = t_c w1' restricted and a = a'.  Conversely (w1, w2) factors such
+    an a, which fixes it up to central translation (`regular_factorization`):
+    it is t_c times the pair of a in AP(eta), whose label is (w, w2), as
+    max nu(w) = 0 fixes c."""
     _require_predicted_set(rho, force)
+    n, eta = rho.n, eta_vector(rho.n)
     if sigma.ctx == rho.ctx:
-        table = _w_question_labels(rho.n)
-        found = [_orbit_label(table, evaluate(invert(g), omega), alcove_point(w1))
-                 for g, w1, omega in zip(rho.w_tilde(), sigma.w1, sigma.omega)]
-        if None not in found:
-            return sum(label[2] for label in found)
+        total = rho.ctx.f * (n - 1) * n * (n + 1) // 6
+        for g, w, omega in zip(rho.w_tilde(), sigma.w1, sigma.omega):
+            x = evaluate(invert(g), omega)
+            w1 = multiply(invert(w_h(n)), w)
+            w2 = WeylElement.trusted(*_from_point(
+                sorted((e - n * c for e, c in zip(eta, x)), reverse=True)))
+            a = multiply(invert(w2), multiply(w0(n), w1))
+            if not (is_restricted(w1) and adm_member(a, eta)):
+                break
+            total -= _walls(alcove_point(a), 0)
+        else:
+            return total
     raise MembershipError("sigma does not lie in the predicted set of rhobar")
 
 

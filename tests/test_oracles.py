@@ -212,13 +212,20 @@ def test_jh_dimensions_add_up_to_the_type_degree():
     `jh_set`, so their dimensions, prod_j dim F(kappa_j) for kappa =
     `serre_weight` of each label, must add up to deg sigma(tau): a check of
     the AP kernel by representation theory, on seeded deep types at n = 2-3
-    and f = 1-2.  The sum is the same for the type (s, mu - eta), so the
+    and f = 1-3.  At f = 3 the cycle type of s_tau can depend on the order
+    of the factors: `type_degree` forms s_0·s_1·s_2, rightmost first, which
+    must be `descent`'s s_tau, and one GL3 type whose reversed product has
+    another cycle type is included, so that the sum sees the order.  The
+    sum is the same for the type (s, mu - eta), so the
     constituents must also have the central character of sigma(tau): the
     scalars z in F_q^x act on F(kappa) by z^e(kappa), e(kappa) =
     sum_j p^(f-1-j)·|kappa_j| mod q - 1 in the embedding order used here,
     and on sigma(tau) by z^e, e = sum_j p^(f-1-j)·|mu_j + eta|."""
     import math
-    from awbm.context import GroupContext
+    from functools import reduce
+    from awbm.affine_weyl import finite, multiply
+    from awbm.context import GroupContext, WeylTuple
+    from awbm.descent import descent_data
     from awbm.highest_weights import serre_weight
     from awbm.inertial_types import make_type
     from awbm.oracles import serre_weight_dim, type_degree
@@ -232,10 +239,19 @@ def test_jh_dimensions_add_up_to_the_type_degree():
     assert type_degree(make_type(ctx, [(1, 2)], [(5, 0)])) == p + 1
     assert type_degree(make_type(ctx, [(2, 1)], [(5, 0)])) == p - 1
     rng = random.Random(23)
-    for n, f in [(2, 1), (2, 2), (3, 1), (3, 2)] * 6:
-        ctx = GroupContext(n, f, p)
-        tau = make_type(ctx, random_weyl_tuple(n, f, rng),
-                        random_tuple_mu(n, f, p, 2 * n, rng))
+    types = [make_type(GroupContext(n, f, p), random_weyl_tuple(n, f, rng),
+                       random_tuple_mu(n, f, p, 2 * n, rng))
+             for n, f in [(2, 1), (2, 2), (3, 1), (3, 2)] * 6 + [(2, 3), (3, 3)] * 4]
+    # s_0·s_1·s_2 is the identity and s_2·s_1·s_0 = (3,1,2) a 3-cycle
+    s = [finite(w) for w in ((1, 3, 2), (2, 1, 3), (2, 3, 1))]
+    mu = random_tuple_mu(3, 3, p, 6, rng)
+    ctx = GroupContext(3, 3, p)
+    types.append(make_type(ctx, WeylTuple(tuple(s)), mu))
+    assert type_degree(types[-1]) != type_degree(
+        make_type(ctx, WeylTuple(tuple(s[::-1])), mu))
+    for tau in types:
+        n, f = tau.n, tau.f
+        assert descent_data(tau).s_tau == reduce(multiply, tau.s).w
         labels = jh_set(tau, ((0,) * n,) * f)
         assert sum(math.prod(serre_weight_dim(kappa, p)
                              for kappa in serre_weight(sigma))

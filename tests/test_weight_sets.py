@@ -1,5 +1,6 @@
 """Predicted/JH weight sets, covering, defect, and the cycle solver."""
 
+import collections
 import functools
 import itertools
 import random
@@ -556,18 +557,15 @@ def _table_pairs(n):
 
 
 def test_w_question_pairs_match_the_group_law():
-    # `_w_question_labels` forms one label per Omega-orbit on the tuples and
-    # points of the AP kernel, and `_w_question_groups` expands the orbits on
-    # points; the expanded labels must give the same pairs and summands as
-    # the element products, each filed under its own x, with w's sort key and
-    # point, and the W? rows at a seeded avatar must be the rows of the
-    # validated presentations, in their order.  Each orbit's label is the
-    # one whose member a = w2^{-1}·w0·w1, w1 = w_h^{-1}·w, has the least
-    # rotation of z = point(a) + (0, 1, .., n-1)
+    # `_w_question_groups` forms one label per Omega-orbit on the tuples and
+    # points of the AP kernel and expands the orbits on points; the expanded
+    # labels must give the same pairs and summands as the element products,
+    # each filed under its own x, with w's sort key and point, and the W?
+    # rows at a seeded avatar must be the rows of the validated
+    # presentations, in their order
     from conftest import random_tuple_mu, random_weyl_tuple
-    from awbm.affine_weyl import alcove_point, evaluate, sort_key, w_h
-    from awbm.weight_sets import (_w_question_groups, _w_question_labels,
-                                  w_question_factors)
+    from awbm.affine_weyl import alcove_point, evaluate, sort_key
+    from awbm.weight_sets import _w_question_groups, w_question_factors
     rng = random.Random(22)
     for n in (2, 3, 4, 5):
         groups, ref = _w_question_groups(n), _w_question_pairs_by_elements(n)
@@ -582,15 +580,6 @@ def test_w_question_pairs_match_the_group_law():
                    and x == evaluate(invert(label[3]), (0,) * n)
                    and label[4] == alcove_point(label[1])
                    for x, group in groups.items() for label in group)
-        table = _w_question_labels(n)
-        assert n * len(table) == len(labels)
-        for (x, y), (y1, y2, d) in table.items():
-            [label] = [label for label in groups[x] if label[4] == y]
-            assert y1 == y and alcove_point(label[3]) == y2 and label[5] == d
-            a = multiply(invert(label[3]), multiply(
-                w0(n), multiply(invert(w_h(n)), label[1])))
-            z = [c + i for i, c in enumerate(alcove_point(a))]
-            assert z == min(z[i:] + z[:i] for i in range(n)), (n, label)
         rho = make_type(GroupContext(n, 1, 211), random_weyl_tuple(n, 1, rng),
                         random_tuple_mu(n, 1, 211, 2 * n, rng), kind="F")
         [factor] = w_question_factors(rho)
@@ -798,46 +787,91 @@ def test_intersection_by_shape_matches_the_avatar_scan():
     assert min(seen.values()) >= 1, seen
 
 
+_NOT_PREDICTED = "^sigma does not lie in the predicted set of rhobar$"
+
+
 @pytest.mark.parametrize("n,f,seed", [(2, 1, 51), (2, 2, 52), (3, 1, 53),
                                       (3, 2, 54), (4, 1, 55), (4, 2, 56),
                                       (5, 1, 57), (5, 2, 58)])
 def test_defect_lookup_matches_the_w_question_rows(n, f, seed):
-    """`defect` looks up the label (x, w1_j), x = w̃(rhobar)_j^{-1}(omega_j):
+    """`defect` reads the row (w1_j, omega_j) off its own factorization:
     on every row of every W? factor, glued to random rows of the other
-    factors, it must give the sum of the rows' summands, and on as many
-    presentations with one row moved off W? (omega_j or w1_j perturbed) it
-    must raise MembershipError."""
+    factors, it must give the sum of the rows' summands.  The first four
+    such presentations of each factor, and one in four of the rest, are
+    also moved off W? at row j: by a w1_j of another row, by omega_j + e_k,
+    by w1_j = w_h·w0·w2, which makes a = w2^{-1}·w0·w_h^{-1}·w1_j the
+    identity, and by (t_lam·w1_j, w̃(rhobar)_j(w2^{-1}(-lam))),
+    lam = (1, 0, .., 0), which keeps a and breaks w_h^{-1}·w1_j's
+    restrictedness; the first four are also glued over another context.
+    Each of these must raise MembershipError with its one message, and
+    every refusal the closed form makes (`_refusal`) must occur."""
     from conftest import random_tuple_mu, random_weyl_tuple
+    from awbm.affine_weyl import evaluate, w_h
     from awbm.weight_sets import w_question_factors
     rng = random.Random(seed)
     p = 211
-    ctx = GroupContext(n, f, p)
+    ctx, elsewhere = GroupContext(n, f, p), GroupContext(n, f, 223)
     rho = make_type(ctx, random_weyl_tuple(n, f, rng),
                     random_tuple_mu(n, f, p, 2 * n, rng), kind="F")
     factors = w_question_factors(rho)
     rows = [{row for row, *_ in factor} for factor in factors]
-    members = outsiders = 0
-    for j, factor in enumerate(factors):
-        for k, entry in enumerate(factor):
+    lam = (1,) + (0,) * (n - 1)
+    members, seen = 0, collections.Counter()
+    for j, (g, factor) in enumerate(zip(rho.w_tilde(), factors)):
+        for k, ((w1, omega), _, w2, _) in enumerate(factor):
             picked = [rng.choice(fac) for fac in factors]
-            picked[j] = entry
-            assert defect(rho, _glue_checked(ctx, [r[0] for r in picked])) \
-                == sum(r[3] for r in picked)
+            picked[j] = factor[k]
+            on = [r[0] for r in picked]
+            assert defect(rho, _glue_checked(ctx, on)) == sum(r[3] for r in picked)
             members += 1
-            w1, omega = entry[0]
-            if k % 2:
-                omega = tuple(c + (i == k % n) for i, c in enumerate(omega))
-            else:
-                w1 = rng.choice(factor)[0][0]
-            if (w1, omega) in rows[j]:
-                omega = tuple(c + (i == 0) for i, c in enumerate(omega))
-            assert (w1, omega) not in rows[j]
-            off = [r[0] for r in picked]
-            off[j] = (w1, omega)
-            with pytest.raises(MembershipError, match="^sigma does not lie"):
-                defect(rho, _glue_checked(ctx, off))
-            outsiders += 1
-    assert members == outsiders == sum(map(len, factors))
+            moved = [(rng.choice(factor)[0][0], omega),
+                     (w1, tuple(c + (i == k % n) for i, c in enumerate(omega))),
+                     (multiply(w_h(n), multiply(w0(n), w2)), omega),
+                     (multiply(translation(lam), w1),
+                      evaluate(g, evaluate(invert(w2), tuple(-c for c in lam))))]
+            for row in moved if k < 4 else moved[k % 4:k % 4 + 1]:
+                sigma = _glue_checked(ctx, on[:j] + [row] + on[j + 1:])
+                if (sigma.w1[j], sigma.omega[j]) in rows[j]:
+                    continue
+                seen[_refusal(rho, j, sigma)] += 1
+                with pytest.raises(MembershipError, match=_NOT_PREDICTED):
+                    defect(rho, sigma)
+            if k < 4:
+                seen["sigma over another context"] += 1
+                with pytest.raises(MembershipError, match=_NOT_PREDICTED):
+                    defect(rho, _glue_checked(elsewhere, on))
+    assert members == sum(map(len, factors))
+    assert min(seen[kind] for kind in (
+        "w1 not restricted", "a not regular", "a regular outside Adm(eta)",
+        "sigma over another context")) >= 1, seen
+
+
+def _refusal(rho, j, sigma):
+    """Why row j of sigma, off W?, is refused, by the group law: x =
+    w̃(rhobar)_j^{-1}(omega_j), w2 = v^{-1}·t_{-x}, which has w2^{-1}(0) = x,
+    for the v in W that makes it dominant (`dominant_witness`), w1 =
+    w_h^{-1}·w1_j and a = w2^{-1}·w0·w1.  "w1 not restricted" and "a regular
+    outside Adm(eta)" fail one condition of `defect` each; an irregular a
+    comes with a w1 that is not restricted, as `defect`'s docstring proves."""
+    from awbm.affine_weyl import (adm_member, dominant_witness, evaluate,
+                                  finite, is_dominant, is_regular,
+                                  perm_inverse, w_h)
+    n = rho.n
+    eta = tuple(range(n - 1, -1, -1))
+    t = translation(tuple(-c for c in evaluate(invert(rho.w_tilde()[j]),
+                                                sigma.omega[j])))
+    w2 = multiply(finite(perm_inverse(dominant_witness(t))), t)
+    assert is_dominant(w2)
+    w1 = multiply(invert(w_h(n)), sigma.w1[j])
+    a = multiply(invert(w2), multiply(w0(n), w1))
+    if not is_regular(a):
+        assert not is_restricted(w1), sigma
+        return "a not regular"
+    if not is_restricted(w1):
+        return ("w1 not restricted" if adm_member(a, eta)
+                else "w1 not restricted, a outside Adm(eta)")
+    assert not adm_member(a, eta), sigma
+    return "a regular outside Adm(eta)"
 
 
 def _glue_checked(ctx, rows):
@@ -860,7 +894,7 @@ def test_repeated_ap_entries_fail_the_injectivity_check(monkeypatch):
     ap_points = ws._ap_points
     monkeypatch.setattr(ws, "_ap_points", lambda lam: (
         lambda out: out + out[:1])(ap_points(lam)))
-    caches = (ws._w_question_labels, ws._w_question_groups, ws._accepted_labels)
+    caches = (ws._w_question_groups, ws._accepted_labels)
     try:
         for cache in caches:
             cache.cache_clear()
