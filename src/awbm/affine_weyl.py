@@ -495,17 +495,17 @@ def _ap_points(lam_plus_eta):
     n-1) is the least of its rotations, and k1, k2 the sort keys of its
     factors, a = w2^{-1} w0 w1, whose product is checked.  z_1 is then the
     least entry of z, which rules out nu_1 > nu_j + 1, as z_1 >= n·nu_1 >
-    n·nu_j + 2n - 2 >= z_j.  `_orbit_keys` yields an entry's n pairs."""
+    n·nu_j + 2n - 2 >= z_j.  `_orbit_pairs` yields the entries' pairs."""
     lam = tuple(int(c) for c in lam_plus_eta)
     _check_dominant_weight(lam)
     n = len(lam)
-    out = []
+    read, out = _point_reader(), []
     for y in itertools.starmap(_point, _members(lam, True, True)):
         z = [c + i for i, c in enumerate(y)]
         if z == min(z[i:] + z[:i] for i in range(n)):
             z1, z2 = _factor_point(y)
-            (w1, nu1), (w2, nu2) = _checked_pair(y, z1, z2)
-            out.append(((_walls(z1, 0), w1, nu1), (_walls(z2, 0), w2, nu2), y))
+            _checked_pair(y, z1, z2)
+            out.append((read(tuple(z1))[0], read(tuple(z2))[0], y))
     return sorted(out)
 
 
@@ -520,17 +520,27 @@ def _orbit(z1, z2):
         z1, z2 = tuple([x - d for x in z1]), tuple([x - d for x in z2])
 
 
-def _orbit_keys(entry):
-    """The sort keys (k1, k2) of the n pairs in the orbit of an `_ap_points`
-    entry, which share their lengths."""
-    (l1, *k1), (l2, *k2), _ = entry
-    for z1, z2 in _orbit(_point(*k1), _point(*k2)):
-        yield (l1, *_from_point(z1)), (l2, *_from_point(z2))
+def _point_reader():
+    """read(z), formed once per distinct z in one call: the sort key, trusted
+    WeylElement and x = w^{-1}(0) = (-nu_{u(k)})_k of w = t_nu ∘ u at point z."""
+    @lru_cache(maxsize=None)
+    def read(z):
+        u, nu = _from_point(z)
+        return ((_walls(z, 0), u, nu), WeylElement.trusted(u, nu),
+                tuple(-nu[i - 1] for i in u))
+    return read
+
+
+def _orbit_pairs(entries):
+    """The records (key, element, x) of the pairs in the entries' orbits."""
+    read = _point_reader()
+    for (_, *k1), (_, *k2), _ in entries:
+        for z1, z2 in _orbit(_point(*k1), _point(*k2)):
+            yield read(z1), read(z2)
 
 
 def ap_enumerate(lam_plus_eta):
     """AP(lam+eta) as pairs of WeylElements, sorted: the orbits of
     `_ap_points`, expanded."""
-    return [(WeylElement.trusted(*k1[1:]), WeylElement.trusted(*k2[1:]))
-            for k1, k2 in sorted(pair for entry in _ap_points(lam_plus_eta)
-                                 for pair in _orbit_keys(entry))]
+    return [(r1[1], r2[1])
+            for r1, r2 in sorted(_orbit_pairs(_ap_points(lam_plus_eta)))]

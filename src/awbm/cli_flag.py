@@ -8,9 +8,10 @@ import itertools
 
 from . import modp_flag as mf
 from . import weights as wt
-from .cli_io import element_json, parse_element, parse_tuple, parse_vector, parsed, write
+from .cli_io import (element_json, parse_element, parse_tuple, parse_vector,
+                     parsed, write, write_array)
 from .cli_rows import (ctx_of, emit, parse_weight_rows, presentation_json,
-                       row_json, type_of, write_product)
+                       row_json, type_of)
 from .errors import InputError
 
 
@@ -73,7 +74,7 @@ def cmd_fiber(args):
     zeta = None
     if args.zeta:
         zeta = wt.CentralCharacter(parse_vector(args.zeta, ctx.f))
-    write_product([[_component_row(*row) for row in rows]
-                   for rows in mf.special_fiber_components(
-                       ctx, lam, tau, zeta, force=args.force)],
-                  _component_record)
+    write_array(map(_component_record, itertools.product(
+        *[[_component_row(*row) for row in rows]
+          for rows in mf.special_fiber_components(
+              ctx, lam, tau, zeta, force=args.force)])))

@@ -9,7 +9,9 @@ split on commas and str.split's whitespace, the class that \\s matches.
 
 from __future__ import annotations
 
+import itertools
 import sys
+from functools import lru_cache
 
 from . import context as cx
 from . import group as gr
@@ -100,11 +102,27 @@ def write(text: str, end: str = "\n"):
     sys.stdout.write(end)
 
 
+# records per write: a chunk bounds the text held (16 `fiber` GL3 f=3 records
+# are 2 MB) and the system calls of an unbuffered stdout, as in benchmark jobs
+ARRAY_CHUNK = 16
+
+
+def write_array(records):
+    """Write the JSON array of the texts that records yields, ARRAY_CHUNK per
+    write; call it after every check: then only a closed stdout ends a run."""
+    records = iter(records)
+    write("[" + ",".join(itertools.islice(records, ARRAY_CHUNK)), "")
+    while chunk := list(itertools.islice(records, ARRAY_CHUNK)):
+        write("," + ",".join(chunk), "")
+    write("]")
+
+
 def flag_json(value):
     """serialize(value) for a bool or None."""
     return "null" if value is None else "true" if value else "false"
 
 
+@lru_cache(maxsize=None)  # an array repeats its few distinct elements
 def element_json(a):
     """serialize(a.to_json()) for a WeylElement, written from its integers."""
     return (f'{{"convention":"t_nu_then_w","nu":[{",".join(map(str, a.nu))}],'

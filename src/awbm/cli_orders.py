@@ -1,14 +1,15 @@
 """Command handlers of the orders family: the group law, length, the Bruhat
 and upper-arrow orders, intervals, admissible sets and pairs, and the naive
-oracles.  Every document is written by hand: `json` loads only to read a
-JSON element."""
+oracles.  Every document is written by hand, each array through
+`write_array`: `json` loads only to read a JSON element."""
 
 from __future__ import annotations
 
 from . import affine_weyl as aw
 from . import group as gr
 from . import oracles as orc
-from .cli_io import element_json, flag_json, parse_element, parse_vector, write
+from .cli_io import (element_json, flag_json, parse_element, parse_vector,
+                     write, write_array)
 from .errors import InputError
 
 
@@ -56,24 +57,20 @@ def cmd_classify(args):
           f'"restricted":{flag_json(fl.restricted)}}}')
 
 
-def _write_array(items):
-    write(f'[{",".join(items)}]')
-
-
 def cmd_interval(args):
     a = parse_element(args.a, args.n)
-    _write_array([element_json(e) for e in aw.bruhat_interval(a)])
+    write_array(map(element_json, aw.bruhat_interval(a)))
 
 
 def cmd_adm(args):
     lam = parse_vector(getattr(args, "lambda"), args.n)
-    _write_array([element_json(e) for e in aw.adm(lam, args.variant)])
+    write_array(map(element_json, aw.adm(lam, args.variant)))
 
 
 def cmd_ap(args):
     lam = parse_vector(getattr(args, "lambda"), args.n)
-    _write_array([f"[{element_json(a)},{element_json(b)}]"
-                  for a, b in aw.ap_enumerate(lam)])
+    write_array(f"[{element_json(a)},{element_json(b)}]"
+                for a, b in aw.ap_enumerate(lam))
 
 
 def cmd_oracle(args):
@@ -88,6 +85,6 @@ def cmd_oracle(args):
     if kind == "length":
         _write_length(out)
     elif kind == "enumerate":
-        _write_array([element_json(e) for e in out])
+        write_array(map(element_json, out))
     else:
         _write_leq(out)

@@ -1,10 +1,9 @@
 """The weight, set and flag handlers' I/O on top of `cli_io`: weight rows,
 the context, presentations and types from the arguments, the JSON encoder,
-and the row and product writers.  No orders command loads it."""
+and the row writers.  No orders command loads it."""
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from . import context as cx
@@ -66,21 +65,6 @@ def serialize(doc):
 
 def emit(doc):
     write(serialize(doc))
-
-
-def write_product(factors, record):
-    """Write the JSON array of record(rows) for rows in
-    itertools.product(*factors), in that order, one write per choice of the
-    leading rows, so that what is held is bounded by the factors and not by
-    the document.  Every check must have passed before the call: after the
-    first write only a closed stdout can end the run."""
-    *leading, last = factors
-    sep = "["
-    if all(factors):
-        for head in itertools.product(*leading):
-            write(sep + ",".join([record(head + (row,)) for row in last]), "")
-            sep = ","
-    write("[]" if sep == "[" else "]")
 
 
 def row_json(row):

@@ -10,15 +10,15 @@ import itertools
 import math
 
 from . import weight_sets as ws
-from .cli_io import flag_json, write
+from .cli_io import flag_json, write, write_array
 from .cli_rows import (ctx_of, parse_weight_rows, presentation,
-                       presentation_json, row_json, type_of, write_product)
+                       presentation_json, row_json, type_of)
 
 
 def _write_presentations(factors):
     """Write the presentations whose rows are the product of factors."""
-    write_product([[row_json(row) for row in rows] for rows in factors],
-                  presentation_json)
+    write_array(map(presentation_json, itertools.product(
+        *[[row_json(row) for row in rows] for rows in factors])))
 
 
 def cmd_jh(args):
@@ -38,10 +38,9 @@ def _wq_record(rows):
 def cmd_wq(args):
     # a W? row carries its defect summand and whether it is obvious (w = w2)
     rho = type_of(args, ctx_of(args), kind="F")
-    write_product([[row_json(row) + (summand, w == w2)
-                    for row, w, w2, summand in factors]
-                   for factors in ws.w_question_factors(rho, force=args.force)],
-                  _wq_record)
+    write_array(map(_wq_record, itertools.product(
+        *[[row_json(row) + (summand, w == w2) for row, w, w2, summand in factors]
+          for factors in ws.w_question_factors(rho, force=args.force)])))
 
 
 def cmd_covers(args):
@@ -92,8 +91,8 @@ def cmd_bm(args):
     # a factor row carries its defect and its terms, each symbol written
     # once; the product of the sorted term lists is in CycleExpr's order
     rho = type_of(args, ctx_of(args), "rs", "rmu", "F")
-    write_product([[row_json((sigma.w1[0], sigma.omega[0]))
-                    + (d, [(_symbol_json(sym), c) for (_, sym), c in expr.terms])
-                    for sigma, (d, expr) in factors]
-                   for factors in ws.bm_factors(rho, force=args.force)],
-                  _bm_record)
+    write_array(map(_bm_record, itertools.product(
+        *[[row_json((sigma.w1[0], sigma.omega[0]))
+           + (d, [(_symbol_json(sym), c) for (_, sym), c in expr.terms])
+           for sigma, (d, expr) in factors]
+          for factors in ws.bm_factors(rho, force=args.force)])))

@@ -41,8 +41,9 @@ from .affine_weyl import (
     _factor_point,
     _from_point,
     _orbit,
-    _orbit_keys,
+    _orbit_pairs,
     _point,
+    _point_reader,
     _walls,
     adm_member,
     alcove_point,
@@ -130,17 +131,11 @@ def jh_factors(tau: TameTypePresentation, lam, force: bool = False):
     shifted = [tuple(l + e for l, e in zip(row, eta))
                for row in _weight_tuple(ctx, lam)]
     _require_depth(tau, max(2 * _h(eta), max(map(_h, shifted))), force, "type")
-    labels = {row: _checked([(k1, WeylElement.trusted(*k1[1:]), _x(*k2[1:]))
-                             for entry in _ap_points(row)
-                             for k1, k2 in _orbit_keys(entry)], "JH")
+    labels = {row: _checked([(k1, w1, x) for (k1, w1, _), (_, _, x)
+                             in _orbit_pairs(_ap_points(row))], "JH")
               for row in set(shifted)}  # once per row
     return [tuple(row for row, _ in _rows(wt_j, labels[lam_eta]))
             for wt_j, lam_eta in zip(tau.w_tilde(), shifted)]
-
-
-def _x(u, nu):
-    """w2^{-1}(0) = (-nu_{u(k)})_k for w2 = t_nu ∘ u."""
-    return tuple(-nu[i - 1] for i in u)
 
 
 def _checked(labels, what):
@@ -212,14 +207,9 @@ def _w_question_groups(n: int):
     centrally to max nu(w) = 0; R commutes with AP's Omega-steps (right
     multiplication by omega^{-1}), so `_orbit` expands the orbit, on which d
     is constant.  The representatives are checked to be distinct as (x, w),
-    and `read` forms each recurring point's key, element and x once."""
-    @lru_cache(maxsize=None)
-    def read(z):
-        u, nu = _from_point(z)
-        return (_walls(z, 0), u, nu), WeylElement.trusted(u, nu), _x(u, nu)
-
+    and one `_point_reader` forms each recurring point's key, element and x."""
     t_eta = (n - 1) * n * (n + 1) // 6
-    entries, kept, groups = _ap_points(eta_vector(n)), set(), {}
+    entries, kept, groups, read = _ap_points(eta_vector(n)), set(), {}, _point_reader()
     for (_, *k1), (_, *k2), a in entries:
         y = [c - n * k for k, c in enumerate(reversed(_point(*k1)))]  # w_h w1
         c = n * (max(y) // n)
@@ -411,7 +401,8 @@ def max_defect_weight(rho: TameTypePresentation,
         y = alcove_point(invert(g_j))
         w2_j, w1_j = _checked_pair(y, *_factor_point(y))
         w.append(multiply(invert(w_h(ctx.n)), WeylElement.trusted(*w2_j)))
-        omega.append(evaluate(wt_j, _x(*w1_j)))
+        x = evaluate(invert(WeylElement.trusted(*w1_j)), (0,) * ctx.n)
+        omega.append(evaluate(wt_j, x))
     return SerreWeightPresentation(WeylTuple(w), omega, ctx)
 
 

@@ -371,13 +371,25 @@ def test_pruned_builder_matches_filter_and_element_factorization():
             assert adm(lam, variant) == adm_closure(lam, variant), (lam, variant)
 
 
+def test_ap_pairs_share_one_element_per_point():
+    # `_point_reader` forms each distinct point's element once: eta at n = 5
+    # (1,640 pairs on 120 points of w1 and 358 of w2) and lambda + eta for
+    # lambda = (1,0,0,0,0) (4,770 pairs on 120 and 900)
+    for lam, points in (((4, 3, 2, 1, 0), (120, 358)),
+                        ((5, 3, 2, 1, 0), (120, 900))):
+        pairs = ap_enumerate(lam)
+        assert pairs == _ap_by_elements(lam), lam
+        for side, count in zip(zip(*pairs), points):
+            assert len({id(a) for a in side}) == len(set(side)) == count, lam
+
+
 def test_ap_points_hold_the_least_rotation_of_each_orbit():
     # `_ap_points` keeps one member a per Omega-orbit, the one whose
     # z = point(a) + (0, 1, .., n-1) is the least of its rotations, and
-    # `_orbit_keys` expands it to the canonical pairs of omega^k·a·omega^{-k},
+    # `_orbit_pairs` expands it to the canonical pairs of omega^k·a·omega^{-k},
     # k = 0..n-1: over the entries these products are the regular members of
     # Adm(lam + eta), each once.  Lambda = 0 and two lambda != 0 at n = 2-5
-    from awbm.affine_weyl import _ap_points, _from_point, _orbit_keys
+    from awbm.affine_weyl import _ap_points, _from_point, _orbit_pairs
     for lam in [(1, 0), (2, 0), (3, 0), (2, 1, 0), (3, 1, 0), (4, 2, 0),
                 (3, 2, 1, 0), (4, 2, 1, 0), (5, 3, 2, 0), (4, 3, 2, 1, 0),
                 (5, 3, 2, 1, 0), (5, 4, 2, 1, 0)]:
@@ -388,7 +400,7 @@ def test_ap_points_hold_the_least_rotation_of_each_orbit():
             z = [c + i for i, c in enumerate(entry[2])]
             assert z == min(z[i:] + z[:i] for i in range(n)), (lam, entry)
             a = WeylElement(*_from_point(entry[2]))
-            pairs = list(_orbit_keys(entry))
+            pairs = [(r1[0], r2[0]) for r1, r2 in _orbit_pairs([entry])]
             assert len(pairs) == n and pairs[0] == entry[:2], (lam, entry)
             for k1, k2 in pairs:
                 w1, w2 = WeylElement(*k1[1:]), WeylElement(*k2[1:])

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from awbm import cli
+from awbm.cli_io import ARRAY_CHUNK, write_array
 from awbm.errors import InputError
 
 
@@ -461,9 +462,9 @@ def test_bm_render_equals_records():
     assert terms > 1000
 
 
-def test_bm_streams_one_write_per_choice_of_the_leading_rows():
-    # GL3 has 9 W? rows per embedding: at f = 3 the 729 records go out in 81
-    # chunks of 9, then the closing bracket and the newline
+def _recorded_writes(call):
+    """What call() returns, the nonempty writes it makes to stdout, and the
+    document they make."""
     writes = []
 
     class Recording(io.StringIO):
@@ -473,12 +474,69 @@ def test_bm_streams_one_write_per_choice_of_the_leading_rows():
 
     out = Recording()
     with contextlib.redirect_stdout(out):
-        assert cli.run(BM_GL3_F3_ARGV) == 0
-    chunks = [w for w in writes if w]
-    assert len(chunks) == 83 and chunks[-2:] == ["]", "\n"]
-    assert [c[0] for c in chunks[:81]] == ["["] + [","] * 80
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        result = call()
+    return result, [w for w in writes if w], out.getvalue()
+
+
+def _records_per_chunk(chunks):
+    """The number of array records in each chunk of a written array, but the
+    closing bracket and the newline."""
+    return [len(json.loads("[" + c[1:] + "]")) for c in chunks[:-2]]
+
+
+def _chunk_sizes(total):
+    """The records per write of an array of total records: ARRAY_CHUNK each
+    but a shorter last one, and one write of the bracket alone when empty."""
+    full, rest = divmod(total, ARRAY_CHUNK)
+    return [ARRAY_CHUNK] * full + [rest] * (rest > 0 or not full)
+
+
+def test_bm_streams_array_chunk_records_per_write():
+    # the 729 records of GL3 at f = 3 go out ARRAY_CHUNK at a time, then the
+    # closing bracket and the newline
+    code, chunks, doc = _recorded_writes(lambda: cli.run(BM_GL3_F3_ARGV))
+    assert code == 0
+    assert _records_per_chunk(chunks) == _chunk_sizes(729)
+    assert chunks[-2:] == ["]", "\n"]
+    assert [c[0] for c in chunks[:-2]] == ["["] + [","] * (len(chunks) - 3)
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
         "9ada2cbab5a686d23f7a7ed38e6cb7d976df9de11ebf2a272e0861c92d4cf68c"
+
+
+def test_product_documents_are_the_single_join_in_bounded_writes():
+    # products longer than one chunk, at f = 1 and f = 2, and an empty one:
+    # the chunks make the document that one join of every record makes, and
+    # none holds more than ARRAY_CHUNK records
+    def record(rows):
+        return json.dumps(rows, separators=(",", ":"))
+
+    for factors in ([[str(i) for i in range(2 * ARRAY_CHUNK + 5)]],
+                    [list("abcdefghijk"), [str(i) for i in range(13)]],
+                    [[], ["x"]]):
+        records = list(map(record, itertools.product(*factors)))
+        _, chunks, doc = _recorded_writes(
+            lambda: write_array(map(record, itertools.product(*factors))))
+        assert doc == "[" + ",".join(records) + "]\n"
+        assert _records_per_chunk(chunks) == _chunk_sizes(len(records))
+
+
+def test_stdout_closed_after_the_first_write_is_exit_3():
+    # a product at f = 1 and f = 2 and an AP longer than one chunk (88
+    # records at n = 4): the reader is gone once the first chunk is written
+    class ClosedAfterFirst(io.StringIO):
+        def write(self, text):
+            if self.getvalue():
+                raise BrokenPipeError(32, "Broken pipe")
+            return super().write(text)
+
+    for argv in (["wq", "--n", "4", "--f", "1", "--p", "211", "--s", "e",
+                  "--mu", "150,100,60,30"], WQ_GL4_F2_ARGV,
+                 ["ap", "--n", "4", "--lambda", "3,2,1,0"]):
+        out, err = ClosedAfterFirst(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert cli.run(argv) == 3
+        assert _records_per_chunk([out.getvalue(), "]", "\n"]) == [ARRAY_CHUNK]
+        assert err.getvalue().splitlines() == [CLOSED_STDOUT]
 
 
 def test_refused_bm_writes_nothing(monkeypatch):
@@ -736,8 +794,8 @@ def test_closed_stdout_is_exit_3_in_process():
 
 
 def test_closed_stdout_is_exit_3():
-    # bm (351 KB) and wq (1.83 MB) stream in chunks of one factor, and the
-    # reader closes after the first of them
+    # bm (351 KB) and wq (1.83 MB) stream in chunks of ARRAY_CHUNK records,
+    # and the reader closes after the first 100 bytes
     for argv in (BM_GL3_F3_ARGV, WQ_GL4_F2_ARGV):
         proc = subprocess.Popen(PY + argv, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE)
@@ -1185,11 +1243,11 @@ def _limit_address_space_to_64_mb():
 
 
 def test_exhausted_address_space_is_exit_4_with_one_line():
-    # AP of eta at n = 6 peaks at about 77 MB; in a child with a 64 MB
-    # address space it runs out within seconds
+    # the members of Adm(eta) at n = 7 fill a 64 MB address space in a
+    # child within seconds (AP of eta at n = 6, 29 MB, no longer does)
     res = subprocess.run(
-        [sys.executable, "-m", "awbm.cli", "ap", "--n", "6",
-         "--lambda", "5,4,3,2,1,0"], capture_output=True, text=True,
+        [sys.executable, "-m", "awbm.cli", "adm", "--n", "7",
+         "--lambda", "6,5,4,3,2,1,0"], capture_output=True, text=True,
         timeout=60, preexec_fn=_limit_address_space_to_64_mb)
     assert (res.returncode, res.stdout, res.stderr) == (
         4, "", "internal invariant breach: out of memory\n")
@@ -1396,25 +1454,17 @@ FIBER_GL3_F2_ARGV = ["fiber", "--n", "3", "--f", "2", "--p", "211",
                      "--lambda", "2,1,0;2,1,0"]
 
 
-def test_fiber_streams_one_write_per_choice_of_the_leading_rows():
+def test_fiber_streams_array_chunk_records_per_write():
     # GL3 lambda = (2,1,0) has 9 JH rows per embedding: at f = 2 the 81
-    # components go out in 9 chunks of 9, then the closing bracket and the
-    # newline
-    writes = []
-
-    class Recording(io.StringIO):
-        def write(self, text):
-            writes.append(text)
-            return super().write(text)
-
-    out = Recording()
-    with contextlib.redirect_stdout(out):
-        assert cli.run(FIBER_GL3_F2_ARGV) == 0
-    chunks = [w for w in writes if w]
-    assert len(chunks) == 11 and chunks[-2:] == ["]", "\n"]
-    assert [c[0] for c in chunks[:9]] == ["["] + [","] * 8
-    assert len(out.getvalue()) == 998849
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+    # components go out ARRAY_CHUNK at a time, then the closing bracket and
+    # the newline
+    code, chunks, doc = _recorded_writes(lambda: cli.run(FIBER_GL3_F2_ARGV))
+    assert code == 0
+    assert _records_per_chunk(chunks) == _chunk_sizes(81)
+    assert chunks[-2:] == ["]", "\n"]
+    assert [c[0] for c in chunks[:-2]] == ["["] + [","] * (len(chunks) - 3)
+    assert len(doc) == 998849
+    assert hashlib.sha256(doc.encode()).hexdigest() == \
         "f59b7183800872f10ca1b40fece3063c8f70990b90d2f7cd563ff7ca4cd562d1"
 
 

@@ -623,6 +623,19 @@ def test_jh_rows_match_one_embedding_presentations():
                 for g, row in zip(tau.w_tilde(), lams)], (n, f, lams)
 
 
+def test_jh_rows_share_one_element_per_point():
+    # the rows of one embedding hold each distinct w as one object, read
+    # once per point by the AP expansion
+    from awbm.weight_sets import jh_factors
+    ctx = GroupContext(4, 2, 211)
+    tau = make_type(ctx, [(1, 4, 2, 3), (4, 1, 2, 3)],
+                    [(232, 178, 72, 44), (200, 176, 126, 99)])
+    for rows in jh_factors(tau, ((1, 1, 0, 0), (1, 0, 0, 0)), force=True):
+        ws = [w for w, _ in rows]
+        assert len(ws) > len(set(ws))
+        assert len({id(w) for w in ws}) == len(set(ws))
+
+
 def test_jh_factors_enumerate_each_distinct_row_once(monkeypatch):
     # equal rows of lambda share one AP(lambda_j + eta)
     from awbm import weight_sets
